@@ -162,7 +162,10 @@ def _cmd_sheafify(doc, bound):
     out_doc = docformat.Document()
     for zname, Z, jname, topo in pairs:
         sh = site_mod.sheafify(Z, topo, bound)
-        assert site_mod.is_sheaf(sh.presheaf, topo, bound).ok
+        check = site_mod.is_sheaf(sh.presheaf, topo, bound)
+        if not check.ok:
+            report.fail((zname, jname, "sheafified-not-a-sheaf", check.counterexamples[0]))
+            continue
         sizes = sorted((c, len(v)) for c, v in sh.presheaf.on_objects.items())
         report.note((zname, jname, "sections", sizes, "unit-iso", sh.unit.is_iso()))
         out_doc.setpresheaves[f"{zname}.sheafified.{jname}"] = (
@@ -339,14 +342,23 @@ def _render_human(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"bound must be a non-negative integer (--bound or TCK_BOUND), got {text!r}")
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tck", description="finite-site 2-classifier toolkit"
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("file")
-    parser.add_argument("--bound", type=int,
-                        default=int(os.environ.get("TCK_BOUND", DEFAULT_BOUND)))
+    # a string default goes through the type check too, so a bad TCK_BOUND
+    # is a usage error like a bad --bound
+    parser.add_argument("--bound", type=_bound,
+                        default=os.environ.get("TCK_BOUND", str(DEFAULT_BOUND)))
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", default=None)
     try:

@@ -1,10 +1,13 @@
 """Finite sites: sieves, Grothendieck topologies, sheaf conditions, plus
 construction.
 
-Topologies are entered as generating families per object and saturated to
-honest sieve sets; the saturation is reported so nothing covers silently.
-The plus construction realizes the colimit over covering sieves via the
-intersection refinement, with classes closed transitively.
+On a finite category the covering sieves at c are exactly the sieves that
+contain one least cover M_c = ∩ J(c).  Topologies are entered as generating
+families per object; M_c is found as a fixpoint of the stability and
+transitivity axioms and the covers are the sieves above it, with every
+cover beyond the generated ones reported so nothing covers silently.  The
+plus construction takes the matching families on M_c, the terminal stage
+of the colimit over covering sieves.
 """
 
 from __future__ import annotations
@@ -99,12 +102,6 @@ def pullback_sieve(cat: FinCat, g: str, s: Sieve) -> Sieve:
     return Sieve(d, frozenset(h for h in cat.arrows_into(d) if cat.compose(g, h) in s.arrows))
 
 
-def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
-    if a.at != b.at:
-        raise InvalidTable("sieve intersection needs a common object")
-    return Sieve(a.at, a.arrows & b.arrows)
-
-
 def all_sieves(cat: FinCat, c: str, bound: int = DEFAULT_BOUND) -> list[Sieve]:
     """Every sieve on c, by filtering subsets of the arrows into c."""
     into = cat.arrows_into(c)
@@ -126,12 +123,6 @@ class GrothTopology:
     base: FinCat
     covers: Mapping[str, frozenset[Sieve]]
 
-    def covering(self, c: str) -> tuple[Sieve, ...]:
-        return tuple(sorted(self.covers[c], key=lambda s: s.sorted_arrows()))
-
-    def is_covering(self, s: Sieve) -> bool:
-        return s in self.covers[s.at]
-
 
 def trivial_topology(cat: FinCat) -> GrothTopology:
     return GrothTopology(cat, {c: frozenset({maximal_sieve(cat, c)}) for c in cat.objects})
@@ -142,53 +133,60 @@ def topology_from_generators(
     generators: Mapping[str, Iterable[Iterable[str]]],
     bound: int = DEFAULT_BOUND,
 ) -> tuple[GrothTopology, Report]:
-    """Saturate per-object generating families to a Grothendieck topology.
+    """The least topology in which the generated sieves cover.
 
-    Maximal sieves are always added; stability and transitivity closures run
-    to a fixpoint and every sieve added beyond the user's generated ones is
-    reported.
+    M_c starts as the intersection of the sieves generated at c and shrinks
+    to a fixpoint of stability (M_d ∩= f*M_c for f: d -> c) and
+    transitivity (M_c = {f.h : f in M_c, h in M_dom f}); the covers at c
+    are then the sieves containing M_c.  Every cover beyond the maximal and
+    the generated sieves is reported.
     """
-    covers: dict[str, set[Sieve]] = {c: {maximal_sieve(cat, c)} for c in cat.objects}
+    minimal = {c: maximal_sieve(cat, c) for c in cat.objects}
     user: set[Sieve] = set()
     for c, fams in generators.items():
         if c not in cat.objects:
             raise UnknownObject(c)
         for fam in fams:
             s = sieve_generate_at(cat, c, fam)
-            covers[c].add(s)
+            minimal[c] = Sieve(c, minimal[c].arrows & s.arrows)
             user.add(s)
-    report = Report("topology_from_generators")
-    candidates = {c: all_sieves(cat, c, bound) for c in cat.objects}
     changed = True
     while changed:
         changed = False
-        # stability closure
-        for c in cat.objects:
-            for s in list(covers[c]):
-                for g in cat.arrows:
-                    if cat.cod(g) == c:
-                        ps = pullback_sieve(cat, g, s)
-                        if ps not in covers[cat.dom(g)]:
-                            covers[cat.dom(g)].add(ps)
-                            changed = True
-        # transitivity closure
-        for c in cat.objects:
-            for r in candidates[c]:
-                if r in covers[c]:
-                    continue
-                for s in covers[c]:
-                    if all(
-                        pullback_sieve(cat, f, r) in covers[cat.dom(f)] for f in s.arrows
-                    ):
-                        covers[c].add(r)
-                        changed = True
-                        break
+        for f, (d, c) in cat.arrows.items():
+            pulled = pullback_sieve(cat, f, minimal[c])
+            if not minimal[d] <= pulled:
+                minimal[d] = Sieve(d, minimal[d].arrows & pulled.arrows)
+                changed = True
+        for c, m in minimal.items():
+            composite = frozenset(
+                cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows
+            )
+            if composite != m.arrows:
+                minimal[c] = Sieve(c, composite)
+                changed = True
+    covers = {}
+    total = 0
+    for c, m in minimal.items():
+        # every sieve above M_c is reached by adding one principal sieve at a time
+        principal = [sieve_generate(cat, [g]).arrows for g in cat.arrows_into(c)]
+        seen = {m.arrows}
+        todo = [m.arrows]
+        while todo:
+            s = todo.pop()
+            for up in {s | p for p in principal} - seen:
+                seen.add(up)
+                todo.append(up)
+                guard("covering_sieves", total + len(seen), bound)
+        total += len(seen)
+        covers[c] = frozenset(Sieve(c, s) for s in seen)
+    report = Report("topology_from_generators")
     for c in sorted(covers):
+        mx = maximal_sieve(cat, c)
         for s in sorted(covers[c], key=lambda s: s.sorted_arrows()):
-            if s not in user and s != maximal_sieve(cat, c):
+            if s not in user and s != mx:
                 report.note(("saturated", c, s.sorted_arrows()))
-    topo = GrothTopology(cat, {c: frozenset(v) for c, v in covers.items()})
-    return topo, report
+    return GrothTopology(cat, covers), report
 
 
 def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
@@ -362,109 +360,66 @@ def is_separated(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -
 # -- plus construction ------------------------------------------------------------------
 
 
-def _pair_key(s: Sieve, assignment: Mapping[str, str]):
-    return (tuple(sorted(s.arrows)), tuple(sorted(assignment.items())))
-
-
 @dataclass(frozen=True)
 class PlusConstruction:
     presheaf: SetPresheaf
     unit: PresheafMap
-    # per object: canonical (sieve, family) key -> class label, and label -> representative
-    class_of: Mapping[str, Mapping[tuple, str]]
-    reps: Mapping[str, Mapping[str, tuple[Sieve, Mapping[str, str]]]]
+    # per object: the least cover M_c, section label -> matching family on M_c,
+    # and the items of that family -> label
+    minimal: Mapping[str, Sieve]
+    families: Mapping[str, Mapping[str, Mapping[str, str]]]
+    labels: Mapping[str, Mapping[frozenset, str]]
 
-    def label(self, c: str, s: Sieve, assignment: Mapping[str, str]) -> str:
-        return self.class_of[c][_pair_key(s, assignment)]
+    def label(self, c: str, family: Mapping[str, str]) -> str:
+        """The section at c of a matching family on any sieve containing M_c."""
+        return self.labels[c][frozenset((f, family[f]) for f in self.minimal[c].arrows)]
 
 
 def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusConstruction:
     """One application of the plus construction.
 
-    Sections at c are equivalence classes of (covering sieve, matching
-    family); two pairs are identified when they agree on the intersection
-    sieve, closed transitively.  Restriction pulls both parts back.
+    The colimit over the covers at c has a terminal stage at M_c = ∩ J(c),
+    so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
+    in sorted family order.  A family restricts along f: d -> c through
+    f*M_c ⊇ M_d.  A raw j where M_c does not cover, or f*M_c ⊉ M_d, is no
+    topology: AxiomViolation names "intersection" or "stability".
     """
     cat = Z.base
     if cat != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
-    pairs: dict[str, list[tuple[Sieve, dict]]] = {}
-    for c in cat.objects:
-        items: list[tuple[Sieve, dict]] = []
-        for s in sorted(j.covers[c], key=lambda s: s.sorted_arrows()):
-            for m in matching_families(Z, s, bound):
-                items.append((s, dict(m.assignment)))
-        pairs[c] = items
-
-    class_of: dict[str, dict[tuple, str]] = {}
-    reps: dict[str, dict[str, tuple[Sieve, dict]]] = {}
-    sections: dict[str, tuple[str, ...]] = {}
-    for c in cat.objects:
-        items = pairs[c]
-        parent = list(range(len(items)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(items)):
-            si, mi = items[i]
-            for k in range(i + 1, len(items)):
-                sk, mk = items[k]
-                inter = intersect_sieves(si, sk)
-                if inter not in j.covers[c]:
-                    raise AxiomViolation(
-                        "intersection", (c, si.sorted_arrows(), sk.sorted_arrows())
-                    )
-                if all(mi[f] == mk[f] for f in inter.arrows):
-                    ri, rk = find(i), find(k)
-                    if ri != rk:
-                        parent[rk] = ri
-        groups: dict[int, list[int]] = {}
-        for i in range(len(items)):
-            groups.setdefault(find(i), []).append(i)
-        # canonical order: by the minimal pair key in each class
-        keyed = sorted(
-            (min(_pair_key(items[i][0], items[i][1]) for i in g), g)
-            for g in groups.values()
-        )
-        class_of[c] = {}
-        reps[c] = {}
-        labels = []
-        for idx, (_, g) in enumerate(keyed):
-            label = f"q{idx}"
-            labels.append(label)
-            rep_i = min(g, key=lambda i: _pair_key(items[i][0], items[i][1]))
-            reps[c][label] = items[rep_i]
-            for i in g:
-                class_of[c][_pair_key(items[i][0], items[i][1])] = label
-        sections[c] = tuple(sorted(labels))
-
-    on_arrows: dict[str, dict[str, str]] = {}
+    minimal = {
+        c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(*(s.arrows for s in j.covers[c])))
+        for c in cat.objects
+    }
+    for c, m in minimal.items():
+        if m not in j.covers[c]:
+            raise AxiomViolation("intersection", (c, m.sorted_arrows()))
     for f, (d, c) in cat.arrows.items():
-        table = {}
-        for label in sections[c]:
-            s, m = reps[c][label]
-            ps = pullback_sieve(cat, f, s)
-            pm = {h: m[cat.compose(f, h)] for h in ps.arrows}
-            table[label] = class_of[d][_pair_key(ps, pm)]
-        on_arrows[f] = table
+        if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
+            raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
+    families: dict[str, dict[str, dict[str, str]]] = {}
+    labels: dict[str, dict[frozenset, str]] = {}
+    for c, m in minimal.items():
+        keys = sorted(tuple(sorted(fam.assignment.items()))
+                      for fam in matching_families(Z, m, bound))
+        families[c] = {f"q{i}": dict(key) for i, key in enumerate(keys)}
+        labels[c] = {frozenset(key): f"q{i}" for i, key in enumerate(keys)}
+    sections = {c: tuple(sorted(families[c])) for c in cat.objects}
+    on_arrows = {
+        f: {q: labels[d][frozenset((h, families[c][q][cat.compose(f, h)])
+                                   for h in minimal[d].arrows)]
+            for q in sections[c]}
+        for f, (d, c) in cat.arrows.items()
+    }
     presheaf = SetPresheaf(cat, sections, on_arrows)
     presheaf.validate()
-
-    unit_components: dict[str, dict[str, str]] = {}
-    for c in cat.objects:
-        mx = maximal_sieve(cat, c)
-        unit_c = {}
-        for x in Z.on_objects[c]:
-            fam = {f: Z.on_arrows[f][x] for f in mx.arrows}
-            unit_c[x] = class_of[c][_pair_key(mx, fam)]
-        unit_components[c] = unit_c
-    unit = PresheafMap(Z, presheaf, unit_components)
+    unit = PresheafMap(Z, presheaf, {
+        c: {x: labels[c][frozenset((f, Z.on_arrows[f][x]) for f in minimal[c].arrows)]
+            for x in Z.on_objects[c]}
+        for c in cat.objects
+    })
     unit.validate()
-    return PlusConstruction(presheaf, unit, class_of, reps)
+    return PlusConstruction(presheaf, unit, minimal, families, labels)
 
 
 def plus_map(m: PresheafMap, pc_src: PlusConstruction, pc_tgt: PlusConstruction) -> PresheafMap:
@@ -473,10 +428,9 @@ def plus_map(m: PresheafMap, pc_src: PlusConstruction, pc_tgt: PlusConstruction)
     comps = {}
     for c in cat.objects:
         table = {}
-        for label in pc_src.presheaf.on_objects[c]:
-            s, fam = pc_src.reps[c][label]
-            mapped = {f: m.components[cat.dom(f)][x] for f, x in fam.items()}
-            table[label] = pc_tgt.class_of[c][_pair_key(s, mapped)]
+        for q in pc_src.presheaf.on_objects[c]:
+            fam = pc_src.families[c][q]
+            table[q] = pc_tgt.label(c, {f: m.components[cat.dom(f)][x] for f, x in fam.items()})
         comps[c] = table
     out = PresheafMap(pc_src.presheaf, pc_tgt.presheaf, comps)
     out.validate()
@@ -506,23 +460,18 @@ def sheafify(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Sh
 # -- transport of plus along slice reindexing ---------------------------------------
 
 
-def slice_plus(cat: FinCat, j: GrothTopology, c: str, Z: SetPresheaf,
-               bound: int = DEFAULT_BOUND) -> PlusConstruction:
-    return plus(Z, slice_topology(j, c), bound)
-
-
 def transport_plus_iso(cat: FinCat, j: GrothTopology, f: str, Z: SetPresheaf,
                        bound: int = DEFAULT_BOUND) -> PresheafMap:
     """The canonical iso  f*(Z+) -> (f*Z)+  for Z on slice(C, cod f).
 
     Covering sieves on a slice object g of slice(C, dom f) and on the slice
     object f.g of slice(C, cod f) both come from base sieves on dom(g), so
-    representatives transport arrow-by-arrow.
+    families transport arrow-by-arrow.
     """
     d, c = cat.arrows[f]
-    pc_c = slice_plus(cat, j, c, Z, bound)
+    pc_c = plus(Z, slice_topology(j, c), bound)
     Zf = reindex_slice_presheaf(cat, f, Z)
-    pc_d = slice_plus(cat, j, d, Zf, bound)
+    pc_d = plus(Zf, slice_topology(j, d), bound)
     sl_d, _ = slice_cat(cat, d)
     comps: dict[str, dict[str, str]] = {}
     for g in sl_d.objects:
@@ -532,12 +481,10 @@ def transport_plus_iso(cat: FinCat, j: GrothTopology, f: str, Z: SetPresheaf,
             for h in cat.arrows_into(cat.dom(g))
         }
         table = {}
-        for label in pc_c.presheaf.on_objects[fg]:
-            s, fam = pc_c.reps[fg][label]
+        for q in pc_c.presheaf.on_objects[fg]:
             # rename slice-of-c arrows (h > f.g) to slice-of-d arrows (h > g)
-            new_fam = {renames[name]: x for name, x in fam.items()}
-            s2 = Sieve(g, frozenset(renames[name] for name in s.arrows))
-            table[label] = pc_d.class_of[g][_pair_key(s2, new_fam)]
+            fam = pc_c.families[fg][q]
+            table[q] = pc_d.label(g, {renames[name]: x for name, x in fam.items()})
         comps[g] = table
     out = PresheafMap(reindex_slice_presheaf(cat, f, pc_c.presheaf), pc_d.presheaf, comps)
     out.validate()

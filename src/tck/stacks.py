@@ -35,10 +35,10 @@ from .site import (
     Sieve,
     amalgamations,
     is_sheaf,
+    plus,
     plus_map,
     pullback_sieve,
     sheafify,
-    slice_plus,
     slice_topology,
     transport_plus_iso,
 )
@@ -422,13 +422,14 @@ def _double_plus_transport(base: FinCat, j: GrothTopology, f: str,
                            Z: SetPresheaf, bound: int) -> PresheafMap:
     """The iso f*(Z++) -> (f*Z)++ assembled from single-plus transports."""
     d = base.dom(f)
-    pc1_c = slice_plus(base, j, base.cod(f), Z, bound)
+    jd = slice_topology(j, d)
+    pc1_c = plus(Z, slice_topology(j, base.cod(f)), bound)
     t1 = transport_plus_iso(base, j, f, pc1_c.presheaf, bound)   # f*(Z+)+ -> (f*(Z+))+ ... see below
     # t0: f*(Z+) -> (f*Z)+
     t0 = transport_plus_iso(base, j, f, Z, bound)
     fZ = reindex_slice_presheaf(base, f, Z)
-    pc_src = slice_plus(base, j, d, reindex_slice_presheaf(base, f, pc1_c.presheaf), bound)
-    pc_tgt = slice_plus(base, j, d, slice_plus(base, j, d, fZ, bound).presheaf, bound)
+    pc_src = plus(reindex_slice_presheaf(base, f, pc1_c.presheaf), jd, bound)
+    pc_tgt = plus(plus(fZ, jd, bound).presheaf, jd, bound)
     t2 = plus_map(t0, pc_src, pc_tgt)                            # (f*(Z+))+ -> ((f*Z)+)+
     return compose_presheaf_maps(t2, t1)
 
@@ -462,11 +463,11 @@ def construct_effectiveness(d: SheafDescentDatum,
         if not e_f.is_iso():
             raise InvalidTable("datum comparison map is not an iso")
         e_inv = invert_presheaf_map(e_f)
-        pcW1 = slice_plus(base, d.topology, df, fZ, bound)
-        pcM1 = slice_plus(base, d.topology, df, d.objects[f], bound)
+        pcW1 = plus(fZ, jd, bound)
+        pcM1 = plus(d.objects[f], jd, bound)
         p1 = plus_map(e_inv, pcW1, pcM1)
-        pcW2 = slice_plus(base, d.topology, df, pcW1.presheaf, bound)
-        pcM2 = slice_plus(base, d.topology, df, pcM1.presheaf, bound)
+        pcW2 = plus(pcW1.presheaf, jd, bound)
+        pcM2 = plus(pcM1.presheaf, jd, bound)
         p2 = plus_map(p1, pcW2, pcM2)
         t = _double_plus_transport(base, d.topology, f, Z, bound)
         mf_sheafified = sheafify(d.objects[f], jd, bound)

@@ -1,0 +1,81 @@
+"""Exhaustive reference implementations for the site layer.
+
+``tck.site`` works from the least cover M_c at each object.  The oracles
+here follow the definitions instead: topology generation saturates every
+candidate sieve under stability and transitivity, matching families are
+filtered from every assignment, and plus sections are the classes of
+(cover, family) pairs that agree on intersections, closed transitively.
+They are slow and meant for small sites only.
+"""
+
+import itertools
+
+from tck.site import all_sieves, maximal_sieve, pullback_sieve, sieve_generate_at
+
+
+def saturate(cat, generators):
+    """Covers per object of the least topology holding the generated sieves,
+    by closing under stability and transitivity over all sieves."""
+    covers = {c: {maximal_sieve(cat, c)} for c in cat.objects}
+    for c, fams in generators.items():
+        for fam in fams:
+            covers[c].add(sieve_generate_at(cat, c, fam))
+    candidates = {c: all_sieves(cat, c) for c in cat.objects}
+    changed = True
+    while changed:
+        changed = False
+        for c in cat.objects:
+            for s in list(covers[c]):
+                for g in cat.arrows_into(c):
+                    ps = pullback_sieve(cat, g, s)
+                    if ps not in covers[cat.dom(g)]:
+                        covers[cat.dom(g)].add(ps)
+                        changed = True
+        for c in cat.objects:
+            for r in candidates[c]:
+                if r in covers[c]:
+                    continue
+                for s in list(covers[c]):
+                    if all(pullback_sieve(cat, f, r) in covers[cat.dom(f)] for f in s.arrows):
+                        covers[c].add(r)
+                        changed = True
+                        break
+    return {c: frozenset(v) for c, v in covers.items()}
+
+
+def raw_matching_families(Z, s):
+    """Filter every assignment over the sieve by the definition."""
+    arrows = sorted(s.arrows)
+    pools = [Z.on_objects[Z.base.dom(f)] for f in arrows]
+    out = []
+    for choice in itertools.product(*pools):
+        m = dict(zip(arrows, choice))
+        if all(
+            m[Z.base.compose(f, g)] == Z.on_arrows[g][m[f]]
+            for f in arrows
+            for g in Z.base.arrows_into(Z.base.dom(f))
+        ):
+            out.append(m)
+    return out
+
+
+def plus_class_count(Z, covers):
+    """The number of (cover, family) classes at one object: two pairs are
+    related when they agree on the intersection of their sieves, and the
+    relation is closed transitively."""
+    pairs = [(s, m) for s in covers for m in raw_matching_families(Z, s)]
+    related = {
+        (i, k)
+        for i, (si, mi) in enumerate(pairs)
+        for k, (sk, mk) in enumerate(pairs)
+        if all(mi[f] == mk[f] for f in si.arrows & sk.arrows)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for i, k in list(related):
+            for l in range(len(pairs)):
+                if (k, l) in related and (i, l) not in related:
+                    related.add((i, l))
+                    changed = True
+    return len({frozenset(k for i2, k in related if i2 == i) for i in range(len(pairs))})

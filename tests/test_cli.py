@@ -212,3 +212,53 @@ def test_char_output_parses_against_input_document(tmp_path):
 
     doc = docformat.parse_file(combined)
     assert any(".char." in name for name in doc.setpresheaves)
+
+
+def test_bad_env_bound_is_usage_error():
+    res = tck("validate", os.path.join(FIXTURES, "OpenSite.site"), env={"TCK_BOUND": "abc"})
+    assert res.returncode == 3
+    assert "TCK_BOUND" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_negative_bound_is_usage_error():
+    res = tck("validate", os.path.join(FIXTURES, "OpenSite.site"), "--bound", "-5")
+    assert res.returncode == 3
+    assert "non-negative" in res.stderr
+
+
+ONE_SECTION_ON_PP = """
+setpresheaf Z on PP
+  at a : *
+  at b : *
+  map u : * -> *
+  map v : * -> *
+end
+"""
+
+
+def test_sheafify_rejects_raw_non_topology(tmp_path):
+    # v pulls the least cover {u} at b back to the empty sieve, which does
+    # not cover a: plus has no well-defined restriction along v
+    path = tmp_path / "stability.site"
+    with open(os.path.join(FIXTURES, "broken", "BrokenStability.site"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + ONE_SECTION_ON_PP)
+    res = tck("sheafify", str(path))
+    assert res.returncode == 1, res.stdout
+    assert "AxiomViolation" in res.stdout and "stability" in res.stdout
+
+
+def test_sheafify_fails_report_when_output_is_not_a_sheaf(monkeypatch):
+    from dataclasses import replace
+
+    from tck import cli, docformat
+
+    doc = docformat.parse_file(os.path.join(FIXTURES, "NonSeparated.site"))
+    sheafify = cli.site_mod.sheafify
+    # a sheafify that hands its input back as the result
+    monkeypatch.setattr(cli.site_mod, "sheafify",
+                        lambda Z, j, bound: replace(sheafify(Z, j, bound), presheaf=Z))
+    report, _ = cli.run("sheafify", doc)
+    assert report.verdict == "fail"
+    (zname, jname, what, _), = report.counterexamples
+    assert (zname, what) == ("ZNonSep", "sheafified-not-a-sheaf")
+    assert jname in doc.topologies

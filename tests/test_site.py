@@ -1,9 +1,10 @@
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from site_oracle import plus_class_count, raw_matching_families, saturate
 from tck.corpus import (
+    bases,
     nonseparated_presheaf,
     open_site,
     open_site_topology,
@@ -11,7 +12,7 @@ from tck.corpus import (
     presheaf_corpus,
     walking_arrow,
 )
-from tck.errors import MixedCodomain
+from tck.errors import InvalidTable, MixedCodomain
 from tck.fincat import constant_presheaf, delta1, slice_arrow_name, slice_cat
 from tck.site import (
     GrothTopology,
@@ -19,7 +20,6 @@ from tck.site import (
     all_sieves,
     amalgamations,
     empty_sieve,
-    intersect_sieves,
     is_separated,
     is_sheaf,
     is_sieve,
@@ -33,6 +33,7 @@ from tck.site import (
     sieve_generate_at,
     slice_topology,
     subcanonical_check,
+    topology_from_generators,
     transport_plus_iso,
     trivial_topology,
     validate_topology,
@@ -230,23 +231,6 @@ def joint_sieve():
     return sieve_generate(OS, ["L_T", "R_T"])
 
 
-def _raw_matching_families(Z, s):
-    """Independent oracle: filter every assignment by the definition."""
-    arrows = sorted(s.arrows)
-    pools = [Z.on_objects[Z.base.dom(f)] for f in arrows]
-    out = []
-    for choice in itertools.product(*pools):
-        m = dict(zip(arrows, choice))
-        ok = True
-        for f in arrows:
-            for g in Z.base.arrows_into(Z.base.dom(f)):
-                if m[Z.base.compose(f, g)] != Z.on_arrows[g][m[f]]:
-                    ok = False
-        if ok:
-            out.append(m)
-    return out
-
-
 def test_matching_families_maximal_sieve_bijects_with_sections():
     Z = nonseparated_presheaf()
     mx = maximal_sieve(OS, "T")
@@ -269,7 +253,7 @@ def test_matching_families_on_joint_cover_counts():
     # truly constant {0,1}: compatibility through O forces equal choices -> 2
     Zconst = constant_presheaf(OS, ["0", "1"])
     fams = matching_families(Zconst, joint_sieve())
-    raw = _raw_matching_families(Zconst, joint_sieve())
+    raw = raw_matching_families(Zconst, joint_sieve())
     assert len(fams) == len(raw) == 2
     # with a singleton at O the choices over L and R are independent -> 4
     single = ("*",)
@@ -286,7 +270,7 @@ def test_matching_families_on_joint_cover_counts():
     Zfree = SetPresheaf(OS, on_objects, on_arrows)
     Zfree.validate()
     fams = matching_families(Zfree, joint_sieve())
-    raw = _raw_matching_families(Zfree, joint_sieve())
+    raw = raw_matching_families(Zfree, joint_sieve())
     assert len(fams) == len(raw) == 4
 
 
@@ -319,27 +303,9 @@ def test_plus_collapses_nonseparated_fixture():
     Z = nonseparated_presheaf()
     pc = plus(Z, OSJ)
     assert len(pc.presheaf.on_objects["T"]) == 1
-    # independent oracle: enumerate all (cover, family) pairs at T and close
-    # the agree-on-intersection relation transitively by hand
-    pairs = []
-    for s in OSJ.covers["T"]:
-        for m in _raw_matching_families(Z, s):
-            pairs.append((s, m))
-    related = {
-        (i, k)
-        for i, (si, mi) in enumerate(pairs)
-        for k, (sk, mk) in enumerate(pairs)
-        if all(mi[f] == mk[f] for f in (si.arrows & sk.arrows))
-    }
-    changed = True
-    while changed:
-        changed = False
-        for (i, k), (k2, l) in itertools.product(list(related), repeat=2):
-            if k == k2 and (i, l) not in related:
-                related.add((i, l))
-                changed = True
-    classes = len({frozenset(k for i2, k in related if i2 == i) for i in range(len(pairs))})
-    assert classes == 1
+    # independent oracle: close the agree-on-intersection relation on all
+    # (cover, family) pairs at T
+    assert plus_class_count(Z, OSJ.covers["T"]) == 1
 
 
 def test_plus_makes_separated_and_twice_makes_sheaf():
@@ -376,11 +342,35 @@ def test_unit_injective_iff_separated():
         assert injective == is_separated(Z, OSJ).ok
 
 
+def intersect_sieves(a, b):
+    if a.at != b.at:
+        raise InvalidTable("sieve intersection needs a common object")
+    return Sieve(a.at, a.arrows & b.arrows)
+
+
 def test_intersection_of_covers_is_covering():
     for c in OS.objects:
         for s1 in OSJ.covers[c]:
             for s2 in OSJ.covers[c]:
                 assert intersect_sieves(s1, s2) in OSJ.covers[c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimal_cover_algorithms_agree_with_exhaustive_oracle(data):
+    name = data.draw(st.sampled_from(sorted(bases())))
+    cat = bases()[name]
+    gens = {}
+    for c in cat.objects:
+        into = sorted(cat.arrows_into(c))
+        gens[c] = data.draw(st.lists(st.lists(st.sampled_from(into), max_size=3), max_size=2))
+    topo, _ = topology_from_generators(cat, gens)
+    assert dict(topo.covers) == saturate(cat, gens)
+    zs = presheaf_corpus(cat, 6)
+    Z = zs[data.draw(st.integers(0, len(zs) - 1))]
+    pc = plus(Z, topo)
+    for c in cat.objects:
+        assert len(pc.presheaf.on_objects[c]) == plus_class_count(Z, topo.covers[c]), (name, c)
 
 
 def test_transport_plus_iso_on_slices():
