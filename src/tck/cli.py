@@ -363,8 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 3
+    except SystemExit as exc:
+        # --help exits 0 after printing; argparse reports usage errors with 2
+        return 0 if exc.code == 0 else 3
     start = time.monotonic()
     try:
         doc = docformat.parse_file(args.file)

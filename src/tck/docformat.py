@@ -66,6 +66,20 @@ class Document:
         )
 
 
+# the Document tables that hold each block kind's names
+_NAMESPACES = {
+    "category": ("categories",),
+    "functor": ("functors",),
+    "setpresheaf": ("setpresheaves",),
+    "catpresheaf": ("catpresheaves",),
+    "two_nat": ("two_nats",),
+    "topology": ("topologies",),
+    "sieve": ("sieves",),
+    "descent_datum": ("descent_data", "sheaf_descent_data"),
+    "map_to_omega": ("maps_to_omega",),
+}
+
+
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]
@@ -90,6 +104,12 @@ class _Parser:
         raw = self.lines[lineno - 1] if 0 < lineno <= len(self.lines) else ""
         column = raw.find(content) + 1 if content and content in raw else 1
         return ParseError(lineno, column, detail)
+
+    def put(self, table: dict, key, value, line: int, content: str) -> None:
+        """Store one table line; a key given twice is ambiguous."""
+        if key in table:
+            raise self.line_error(line, content, f"repeated key {key!r}")
+        table[key] = value
 
     def next_content_line(self) -> str | None:
         while self.i < len(self.lines):
@@ -147,6 +167,9 @@ class _Parser:
             handler = getattr(self, f"block_{kind}", None)
             if handler is None:
                 raise self.error(f"unknown section kind {kind!r}")
+            if len(tokens) > 1 and any(tokens[1] in getattr(self.doc, table)
+                                       for table in _NAMESPACES[kind]):
+                raise self.error(f"repeated {kind} name {tokens[1]!r}")
             handler(tokens)
 
     def directive_import(self, tokens: list[str]) -> None:
@@ -189,13 +212,13 @@ class _Parser:
             if t[0] == "objects":
                 objects.extend(t[1:])
             elif t[0] == "arrow" and len(t) == 6 and t[2] == ":" and t[4] == "->":
-                arrows[t[1]] = (t[3], t[5])
+                self.put(arrows, t[1], (t[3], t[5]), line, content)
             elif t[0] == "identity" and len(t) == 4 and t[2] == ":":
-                identities[t[1]] = t[3]
+                self.put(identities, t[1], t[3], line, content)
             elif t[0] == "compose" and len(t) == 5 and t[3] == ":":
                 if free:
                     raise ParseError(line, 1, "compose lines not allowed with freely-generate")
-                compose[(t[1], t[2])] = t[4]
+                self.put(compose, (t[1], t[2]), t[4], line, content)
             else:
                 raise self.line_error(line, content, f"bad category line: {content!r}")
         try:
@@ -220,9 +243,9 @@ class _Parser:
         for line, content in self.body():
             t = content.split()
             if t[0] == "ob" and len(t) == 4 and t[2] == ":":
-                ob[t[1]] = t[3]
+                self.put(ob, t[1], t[3], line, content)
             elif t[0] == "arr" and len(t) == 4 and t[2] == ":":
-                ar[t[1]] = t[3]
+                self.put(ar, t[1], t[3], line, content)
             else:
                 raise self.line_error(line, content, f"bad functor line: {content!r}")
         for x in src.objects:
@@ -244,6 +267,8 @@ class _Parser:
                 continue
             if len(rest) < 3 or rest[1] != "->":
                 raise ParseError(line, 1, "expected 'x -> y' pairs")
+            if rest[0] in table:
+                raise ParseError(line, 1, f"repeated key {rest[0]!r} in pairs")
             table[rest[0]] = rest[2]
             rest = rest[3:]
         return table
@@ -259,9 +284,9 @@ class _Parser:
         for line, content in self.body():
             t = content.split()
             if t[0] == "at" and len(t) >= 3 and t[2] == ":":
-                at[t[1]] = tuple(sorted(t[3:]))
+                self.put(at, t[1], tuple(sorted(t[3:])), line, content)
             elif t[0] == "map" and len(t) >= 3 and t[2] == ":":
-                maps[t[1]] = self._pairs(t[3:], line)
+                self.put(maps, t[1], self._pairs(t[3:], line), line, content)
             else:
                 raise self.line_error(line, content, f"bad setpresheaf line: {content!r}")
         for c in base.objects:
@@ -291,11 +316,11 @@ class _Parser:
             if t[0] == "at" and len(t) == 4 and t[2] == ":":
                 if t[3] not in self.doc.categories:
                     raise DanglingReference(line, t[3])
-                at_refs[t[1]] = t[3]
+                self.put(at_refs, t[1], t[3], line, content)
             elif t[0] == "arr" and len(t) == 4 and t[2] == ":":
                 if t[3] not in self.doc.functors:
                     raise DanglingReference(line, t[3])
-                arr_refs[t[1]] = t[3]
+                self.put(arr_refs, t[1], t[3], line, content)
             else:
                 raise self.line_error(line, content, f"bad catpresheaf line: {content!r}")
         on_objects = {c: self.doc.categories[ref] for c, ref in at_refs.items()}
@@ -332,7 +357,7 @@ class _Parser:
             if t[0] == "at" and len(t) == 4 and t[2] == ":":
                 if t[3] not in self.doc.functors:
                     raise DanglingReference(line, t[3])
-                at_refs[t[1]] = t[3]
+                self.put(at_refs, t[1], t[3], line, content)
             else:
                 raise self.line_error(line, content, f"bad two_nat line: {content!r}")
         comps = {c: self.doc.functors[ref][0] for c, ref in at_refs.items()}
@@ -425,9 +450,9 @@ class _Parser:
         for line, content in self.body():
             t = content.split()
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
-                objects[t[1]] = t[3]
+                self.put(objects, t[1], t[3], line, content)
             elif t[0] == "iso" and len(t) == 5 and t[3] == ":":
-                isos[(t[1], t[2])] = t[4]
+                self.put(isos, (t[1], t[2]), t[4], line, content)
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
             else:
@@ -467,9 +492,10 @@ class _Parser:
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
                 if t[3] not in self.doc.setpresheaves:
                     raise DanglingReference(line, t[3])
-                object_refs[t[1]] = t[3]
+                self.put(object_refs, t[1], t[3], line, content)
             elif t[0] == "iso" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
-                iso_tables.setdefault((t[1], t[2]), {})[t[4]] = self._pairs(t[6:], line)
+                self.put(iso_tables.setdefault((t[1], t[2]), {}), t[4],
+                         self._pairs(t[6:], line), line, content)
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
             else:
@@ -513,9 +539,10 @@ class _Parser:
             if t[0] == "part" and len(t) == 5 and t[3] == ":":
                 if t[4] not in self.doc.setpresheaves:
                     raise DanglingReference(line, t[4])
-                part_refs[(t[1], t[2])] = t[4]
+                self.put(part_refs, (t[1], t[2]), t[4], line, content)
             elif t[0] == "arrowpart" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
-                arrow_tables.setdefault((t[1], t[2]), {})[t[4]] = self._pairs(t[6:], line)
+                self.put(arrow_tables.setdefault((t[1], t[2]), {}), t[4],
+                         self._pairs(t[6:], line), line, content)
             else:
                 raise self.line_error(line, content, f"bad map_to_omega line: {content!r}")
         object_part = {}

@@ -5,12 +5,18 @@ consumes these values.  All values are immutable after construction and
 every operation is a pure function.  Identifiers are opaque strings and
 equality is identifier equality; enumeration order is lexicographic on
 identifiers so that oracle outputs are reproducible.
+
+A FinCat indexes its hom-sets once: the first ``hom``/``arrows_into``/
+``arrows_from`` call builds all three as sorted tuples in a cached
+attribute, which stays out of equality, hashing and repr.  Slices are
+cached on the category they are taken of, and die with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -65,14 +71,32 @@ class FinCat:
         d, c = self.arrows[f]
         return d == c and self.identities[d] == f
 
+    @cached_property
+    def _index(self) -> tuple[dict, dict, dict]:
+        """hom-sets, arrows into and arrows from each object, as sorted tuples."""
+        hom: dict[tuple[str, str], list[str]] = {}
+        into: dict[str, list[str]] = {}
+        out: dict[str, list[str]] = {}
+        for f in sorted(self.arrows):
+            d, c = self.arrows[f]
+            hom.setdefault((d, c), []).append(f)
+            into.setdefault(c, []).append(f)
+            out.setdefault(d, []).append(f)
+        return tuple({k: tuple(v) for k, v in t.items()} for t in (hom, into, out))
+
+    @cached_property
+    def _slices(self) -> dict[str, tuple["FinCat", "FinFunctor"]]:
+        """slice_cat results by object."""
+        return {}
+
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(sorted(f for f, (d, c) in self.arrows.items() if d == a and c == b))
+        return self._index[0].get((a, b), ())
 
     def arrows_into(self, c: str) -> tuple[str, ...]:
-        return tuple(sorted(f for f, (_, cc) in self.arrows.items() if cc == c))
+        return self._index[1].get(c, ())
 
     def arrows_from(self, d: str) -> tuple[str, ...]:
-        return tuple(sorted(f for f, (dd, _) in self.arrows.items() if dd == d))
+        return self._index[2].get(d, ())
 
     def sorted_arrows(self) -> tuple[str, ...]:
         return tuple(sorted(self.arrows))
@@ -179,9 +203,6 @@ def slice_arrow_name(g: str, f: str) -> str:
     return f"{g}>{f}"
 
 
-_slice_cache: dict[tuple[int, str], tuple[FinCat, FinCat, "FinFunctor"]] = {}
-
-
 def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
     """The slice over c together with the domain projection.
 
@@ -191,10 +212,9 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
     """
     if c not in cat.objects:
         raise UnknownObject(c)
-    key = (id(cat), c)
-    hit = _slice_cache.get(key)
-    if hit is not None and hit[0] is cat:
-        return hit[1], hit[2]
+    hit = cat._slices.get(c)
+    if hit is not None:
+        return hit
     objs = list(cat.arrows_into(c))
     arrows: dict[str, tuple[str, str]] = {}
     for f in objs:
@@ -220,7 +240,7 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
                                             for g in cat.arrows_into(cat.dom(f)))},
     )
     dom_fun.validate()
-    _slice_cache[key] = (cat, sl, dom_fun)
+    cat._slices[c] = (sl, dom_fun)
     return sl, dom_fun
 
 

@@ -5,15 +5,18 @@ On a finite category the covering sieves at c are exactly the sieves that
 contain one least cover M_c = ∩ J(c).  Topologies are entered as generating
 families per object; M_c is found as a fixpoint of the stability and
 transitivity axioms and the covers are the sieves above it, with every
-cover beyond the generated ones reported so nothing covers silently.  The
-plus construction takes the matching families on M_c, the terminal stage
-of the colimit over covering sieves.
+cover beyond the generated ones reported so nothing covers silently.  A
+raw covers table is validated the same way: transitivity is decided on the
+M_c, and every sieve is enumerated only to list the counterexamples of a
+table that fails.  The plus construction takes the matching families on
+M_c, the terminal stage of the colimit over covering sieves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
@@ -86,6 +89,15 @@ def sieve_generate_at(cat: FinCat, c: str, arrows: Iterable[str]) -> Sieve:
     return s
 
 
+def principal_sieves(cat: FinCat, c: str) -> list[frozenset[str]]:
+    """The arrows of the sieve generated by each arrow into c."""
+    return [sieve_generate(cat, [g]).arrows for g in cat.arrows_into(c)]
+
+
+def _by_arrows(sieves: Iterable[Sieve]) -> list[Sieve]:
+    return sorted(sieves, key=lambda s: s.sorted_arrows())
+
+
 def is_sieve(cat: FinCat, s: Sieve) -> bool:
     return all(cat.cod(f) == s.at for f in s.arrows) and all(
         cat.compose(f, g) in s.arrows
@@ -122,6 +134,11 @@ def all_sieves(cat: FinCat, c: str, bound: int = DEFAULT_BOUND) -> list[Sieve]:
 class GrothTopology:
     base: FinCat
     covers: Mapping[str, frozenset[Sieve]]
+
+    @cached_property
+    def _slices(self) -> dict[str, "GrothTopology"]:
+        """slice_topology results by object."""
+        return {}
 
 
 def trivial_topology(cat: FinCat) -> GrothTopology:
@@ -169,7 +186,7 @@ def topology_from_generators(
     total = 0
     for c, m in minimal.items():
         # every sieve above M_c is reached by adding one principal sieve at a time
-        principal = [sieve_generate(cat, [g]).arrows for g in cat.arrows_into(c)]
+        principal = principal_sieves(cat, c)
         seen = {m.arrows}
         todo = [m.arrows]
         while todo:
@@ -183,40 +200,69 @@ def topology_from_generators(
     report = Report("topology_from_generators")
     for c in sorted(covers):
         mx = maximal_sieve(cat, c)
-        for s in sorted(covers[c], key=lambda s: s.sorted_arrows()):
+        for s in _by_arrows(covers[c]):
             if s not in user and s != mx:
                 report.note(("saturated", c, s.sorted_arrows()))
     return GrothTopology(cat, covers), report
 
 
 def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
-    """Exhaustively verify maximality, stability and transitivity."""
+    """Verify coverage, well-formedness, maximality, stability and
+    transitivity.
+
+    Given maximality, j is transitive iff at every object c the least cover
+    M_c = ∩ J(c) covers, J(c) is closed under adding a principal sieve (so
+    J(c) is every sieve above M_c) and M_c ⊆ {f.h : f in M_c, h in M_dom f};
+    that is checked in polynomial time.  Only a table that fails is scanned
+    over all_sieves, which lists every transitivity counterexample.
+    """
     cat = j.base
     report = Report("validate_topology")
     if set(j.covers) != set(cat.objects):
         return report.fail(("coverage", "covers table not total"))
     for c in cat.objects:
-        for s in j.covers[c]:
+        for s in _by_arrows(j.covers[c]):
             if s.at != c or not is_sieve(cat, s):
                 return report.fail(("well-formed", c, s.sorted_arrows()))
     for c in cat.objects:
         if maximal_sieve(cat, c) not in j.covers[c]:
             report.fail(("maximality", c))
     for c in cat.objects:
-        for s in j.covers[c]:
-            for g in cat.arrows:
-                if cat.cod(g) == c:
-                    if pullback_sieve(cat, g, s) not in j.covers[cat.dom(g)]:
-                        report.fail(("stability", c, s.sorted_arrows(), g))
+        for s in _by_arrows(j.covers[c]):
+            for g in cat.arrows_into(c):
+                if pullback_sieve(cat, g, s) not in j.covers[cat.dom(g)]:
+                    report.fail(("stability", c, s.sorted_arrows(), g))
+    if report.ok and _transitive_on_least_covers(j):
+        return report
     for c in cat.objects:
         for r in all_sieves(cat, c, bound):
             if r in j.covers[c]:
                 continue
-            for s in j.covers[c]:
+            for s in _by_arrows(j.covers[c]):
                 if all(pullback_sieve(cat, f, r) in j.covers[cat.dom(f)] for f in s.arrows):
                     report.fail(("transitivity", c, r.sorted_arrows(), s.sorted_arrows()))
                     break
     return report
+
+
+def _transitive_on_least_covers(j: GrothTopology) -> bool:
+    """Transitivity of a well-formed covers table that holds the maximal
+    sieves, decided on the least covers M_c (see validate_topology)."""
+    cat = j.base
+    minimal = {}
+    for c in cat.objects:
+        covers = {s.arrows for s in j.covers[c]}
+        m = frozenset.intersection(*covers)
+        if m not in covers:
+            return False
+        if any(s | p not in covers
+               for p in principal_sieves(cat, c) for s in covers if not p <= s):
+            return False
+        minimal[c] = m
+    return all(
+        m <= {cat.compose(f, h) for f in m for h in minimal[cat.dom(f)]}
+        for m in minimal.values()
+    )
 
 
 def representable_presheaf(cat: FinCat, b: str) -> SetPresheaf:
@@ -243,17 +289,13 @@ def subcanonical_check(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     return report
 
 
-_slice_topology_cache: dict[tuple[int, str], tuple[GrothTopology, GrothTopology]] = {}
-
-
 def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     """The topology induced on slice(C, c): a sieve covers f iff its
     dom-image covers dom(f) in the base.  The result is validated once and
-    cached."""
-    key = (id(j), c)
-    hit = _slice_topology_cache.get(key)
-    if hit is not None and hit[0] is j:
-        return hit[1]
+    cached on j."""
+    hit = j._slices.get(c)
+    if hit is not None:
+        return hit
     cat = j.base
     sl, _ = slice_cat(cat, c)
 
@@ -267,7 +309,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     rep = validate_topology(out)
     if not rep.ok:
         raise AxiomViolation("slice-topology", (c, rep.counterexamples[0]))
-    _slice_topology_cache[key] = (j, out)
+    j._slices[c] = out
     return out
 
 
@@ -330,7 +372,7 @@ def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
 
 def _sheaf_scan(Z: SetPresheaf, j: GrothTopology, bound: int):
     for c in Z.base.objects:
-        for s in sorted(j.covers[c], key=lambda s: s.sorted_arrows()):
+        for s in _by_arrows(j.covers[c]):
             for m in matching_families(Z, s, bound):
                 yield c, s, m, amalgamations(Z, s, m)
 

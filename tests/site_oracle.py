@@ -2,15 +2,23 @@
 
 ``tck.site`` works from the least cover M_c at each object.  The oracles
 here follow the definitions instead: topology generation saturates every
-candidate sieve under stability and transitivity, matching families are
-filtered from every assignment, and plus sections are the classes of
-(cover, family) pairs that agree on intersections, closed transitively.
-They are slow and meant for small sites only.
+candidate sieve under stability and transitivity, validation tries every
+candidate sieve against transitivity, matching families are filtered from
+every assignment, and plus sections are the classes of (cover, family)
+pairs that agree on intersections, closed transitively.  They are slow and
+meant for small sites only.
 """
 
 import itertools
 
-from tck.site import all_sieves, maximal_sieve, pullback_sieve, sieve_generate_at
+from tck.report import Report
+from tck.site import (
+    all_sieves,
+    is_sieve,
+    maximal_sieve,
+    pullback_sieve,
+    sieve_generate_at,
+)
 
 
 def saturate(cat, generators):
@@ -79,3 +87,39 @@ def plus_class_count(Z, covers):
                     related.add((i, l))
                     changed = True
     return len({frozenset(k for i2, k in related if i2 == i) for i in range(len(pairs))})
+
+
+def validate_topology(j, bound=10**6):
+    """Check coverage, well-formedness, maximality, stability and
+    transitivity by the definitions, trying every sieve as a transitivity
+    counterexample.  Covers and arrows are visited in sorted order, so the
+    counterexample list is the one ``tck.site.validate_topology`` gives."""
+    cat = j.base
+    report = Report("validate_topology")
+    if set(j.covers) != set(cat.objects):
+        return report.fail(("coverage", "covers table not total"))
+
+    def by_arrows(sieves):
+        return sorted(sieves, key=lambda s: s.sorted_arrows())
+
+    for c in cat.objects:
+        for s in by_arrows(j.covers[c]):
+            if s.at != c or not is_sieve(cat, s):
+                return report.fail(("well-formed", c, s.sorted_arrows()))
+    for c in cat.objects:
+        if maximal_sieve(cat, c) not in j.covers[c]:
+            report.fail(("maximality", c))
+    for c in cat.objects:
+        for s in by_arrows(j.covers[c]):
+            for g in sorted(cat.arrows):
+                if cat.cod(g) == c and pullback_sieve(cat, g, s) not in j.covers[cat.dom(g)]:
+                    report.fail(("stability", c, s.sorted_arrows(), g))
+    for c in cat.objects:
+        for r in all_sieves(cat, c, bound):
+            if r in j.covers[c]:
+                continue
+            for s in by_arrows(j.covers[c]):
+                if all(pullback_sieve(cat, f, r) in j.covers[cat.dom(f)] for f in s.arrows):
+                    report.fail(("transitivity", c, r.sorted_arrows(), s.sorted_arrows()))
+                    break
+    return report

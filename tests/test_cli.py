@@ -105,6 +105,17 @@ def test_exit_code_3_on_usage_errors():
     assert res.returncode == 3
 
 
+def test_help_exits_zero_and_usage_errors_exit_three():
+    for args in (["--help"], ["check-site", "--help"], ["-h"]):
+        res = tck(*args)
+        assert res.returncode == 0, args
+        assert res.stdout.startswith("usage: tck"), args
+    for args in ([], ["check-site"], ["--no-such-flag", "validate", "x.site"]):
+        res = tck(*args)
+        assert res.returncode == 3, args
+        assert "usage: tck" in res.stderr, args
+
+
 def test_json_report_shape():
     res = tck("validate", os.path.join(FIXTURES, "OpenSite.site"), "--json")
     assert res.returncode == 0

@@ -189,3 +189,57 @@ def test_parse_error_carries_column_of_offending_token():
         parse("category C\n  objects a\n    zzz junk\nend\n")
     assert err.value.line == 3
     assert err.value.column == 5  # the indented offending content
+
+
+@pytest.mark.parametrize("line", [
+    "  arrow u : a -> a",
+    "  identity a : id_b",
+    "  compose u id_a : u",
+])
+def test_repeated_category_line_names_the_later_line(line):
+    text = WALKING_ARROW_DOC.replace("end\n", line + "\nend\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    lines = text.splitlines()
+    assert err.value.line == len(lines) - lines[::-1].index(line)  # the last copy
+    assert err.value.column == 3
+    assert "repeated key" in str(err.value)
+
+
+def test_repeated_presheaf_lines_are_rejected():
+    head = WALKING_ARROW_DOC + "\nsetpresheaf Z on WA\n"
+    first = head.count("\n") + 1
+    for body, bad in [
+        ("  at a : x\n  at b : y\n  at a : y\n", first + 2),
+        ("  at a : x\n  at b : y\n  map u : y -> x\n  map u : y -> x\n", first + 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(head + body + "end\n")
+        assert err.value.line == bad, body
+
+
+def test_repeated_key_inside_a_pairs_line_is_rejected():
+    text = WALKING_ARROW_DOC + (
+        "\nsetpresheaf Z on WA\n  at a : x\n  at b : y z\n  map u : y -> x , y -> x\nend\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == text.count("\n") - 1
+
+
+def test_repeated_block_name_is_rejected():
+    text = WALKING_ARROW_DOC + WALKING_ARROW_DOC
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == len(WALKING_ARROW_DOC.splitlines()) + 3  # the second header
+    assert "repeated category name 'WA'" in str(err.value)
+    # names of different kinds live apart
+    doc = parse(WALKING_ARROW_DOC + "\nsieve WA on WA at b\n  arrows u\nend\n")
+    assert "WA" in doc.sieves
+
+
+def test_imported_block_name_may_not_be_redefined(tmp_path):
+    (tmp_path / "base.site").write_text(WALKING_ARROW_DOC)
+    main = tmp_path / "main.site"
+    main.write_text("import base.site\n" + WALKING_ARROW_DOC)
+    with pytest.raises(ParseError):
+        parse_file(main)

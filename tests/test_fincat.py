@@ -335,3 +335,53 @@ def test_reindex_is_precomposition_with_postcompose():
             )
             via_functor.validate()
             assert reindex_slice_presheaf(OS, f, Z) == via_functor
+
+
+def _with_slices(cats):
+    for cat in cats:
+        yield cat
+        for c in cat.objects:
+            yield slice_cat(cat, c)[0]
+
+
+def test_hom_index_equals_scan_definitions():
+    from tck.corpus import bases, square
+
+    for cat in _with_slices(list(bases().values()) + [square()]):
+        for a in cat.objects + ("not-an-object",):
+            assert cat.arrows_into(a) == tuple(
+                sorted(f for f, (_, c) in cat.arrows.items() if c == a))
+            assert cat.arrows_from(a) == tuple(
+                sorted(f for f, (d, _) in cat.arrows.items() if d == a))
+            for b in cat.objects:
+                assert cat.hom(a, b) == tuple(
+                    sorted(f for f, (d, c) in cat.arrows.items() if d == a and c == b))
+
+
+def test_hom_index_and_slices_stay_out_of_equality_and_repr():
+    from tck.corpus import open_site
+
+    used, fresh = open_site(), open_site()
+    used.hom("O", "T")
+    sl, _ = slice_cat(used, "T")
+    assert used == fresh and repr(used) == repr(fresh)
+    assert slice_cat(used, "T")[0] is sl
+    # each instance keeps its own slices
+    assert slice_cat(fresh, "T")[0] is not sl
+    assert slice_cat(fresh, "T")[0] == sl
+
+
+def test_slices_die_with_their_base():
+    import gc
+    import weakref
+
+    from tck.corpus import open_site, open_site_topology
+    from tck.site import slice_topology
+
+    cat = open_site()
+    j = open_site_topology()
+    refs = [weakref.ref(x) for x in (cat, slice_cat(cat, "T")[0], j, slice_topology(j, "T"))]
+    assert slice_topology(j, "T") is refs[3]()
+    del cat, j
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4

@@ -1,19 +1,28 @@
 
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import site_oracle
 from site_oracle import plus_class_count, raw_matching_families, saturate
+from tck import site
 from tck.corpus import (
     bases,
     nonseparated_presheaf,
     open_site,
     open_site_topology,
     parallel_pair,
+    poset_category,
     presheaf_corpus,
+    square,
     walking_arrow,
 )
 from tck.errors import InvalidTable, MixedCodomain
-from tck.fincat import constant_presheaf, delta1, slice_arrow_name, slice_cat
+from tck.fincat import DEFAULT_BOUND, constant_presheaf, delta1, slice_arrow_name, slice_cat
 from tck.site import (
     GrothTopology,
     Sieve,
@@ -418,3 +427,127 @@ def test_reindexing_preserves_sheaves_on_slices():
                 d = OS.dom(f)
                 pulled = reindex_slice_presheaf(OS, f, Z)
                 assert is_sheaf(pulled, slice_topology(OSJ, d)).ok, (c, f)
+
+
+# -- validate_topology on least covers against the exhaustive oracle ---------------
+
+
+def raw_topology(cat, chosen, maximal=False, stable=False, upward=False):
+    """A covers table from chosen sieves per object, optionally with the
+    maximal sieves added and closed under pullback and under enlargement."""
+    covers = {c: set(chosen.get(c, ())) for c in cat.objects}
+    if maximal:
+        for c in cat.objects:
+            covers[c].add(maximal_sieve(cat, c))
+    changed = stable or upward
+    while changed:
+        changed = False
+        for c in cat.objects:
+            for s in list(covers[c]):
+                new = set()
+                if stable:
+                    new |= {(cat.dom(g), pullback_sieve(cat, g, s)) for g in cat.arrows_into(c)}
+                if upward:
+                    new |= {(c, Sieve(c, s.arrows | p)) for p in site.principal_sieves(cat, c)}
+                for d, t in new:
+                    if t not in covers[d]:
+                        covers[d].add(t)
+                        changed = True
+    return GrothTopology(cat, {c: frozenset(v) for c, v in covers.items()})
+
+
+def test_validate_topology_agrees_with_oracle_on_every_small_covers_table():
+    outcomes = set()
+    for name in ("point", "walking_arrow", "chain3", "parallel_pair", "span"):
+        cat = bases()[name]
+        candidates = {c: all_sieves(cat, c) for c in cat.objects}
+        for picks in itertools.product(*(
+            itertools.product((False, True), repeat=len(candidates[c])) for c in cat.objects
+        )):
+            chosen = {
+                c: [s for s, keep in zip(candidates[c], pick) if keep]
+                for c, pick in zip(cat.objects, picks)
+            }
+            j = GrothTopology(cat, {c: frozenset(v) for c, v in chosen.items()})
+            rep = validate_topology(j)
+            expected = site_oracle.validate_topology(j)
+            assert (rep.verdict, rep.counterexamples) == \
+                (expected.verdict, expected.counterexamples), (name, chosen)
+            outcomes.add(frozenset(ce[0] for ce in rep.counterexamples))
+    # valid tables and tables failing on transitivity alone both occur
+    assert frozenset() in outcomes
+    assert frozenset({"transitivity"}) in outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validate_topology_agrees_with_oracle_on_random_covers_tables(data):
+    cats = dict(bases(), square=square())
+    cat = cats[data.draw(st.sampled_from(sorted(cats)))]
+    chosen = {
+        c: data.draw(st.lists(st.sampled_from(all_sieves(cat, c)), max_size=3))
+        for c in cat.objects
+    }
+    j = raw_topology(cat, chosen, maximal=data.draw(st.booleans()),
+                     stable=data.draw(st.booleans()), upward=data.draw(st.booleans()))
+    rep = validate_topology(j)
+    expected = site_oracle.validate_topology(j)
+    assert rep.verdict == expected.verdict
+    assert rep.counterexamples == expected.counterexamples
+
+
+def powerset_site(k):
+    """The opens of the discrete k-point space, U covered by its points."""
+    names = {m: "p" + format(m, f"0{k}b") for m in range(2 ** k)}
+    pairs = [(names[a], names[b]) for a in names for b in names if a != b and a & ~b == 0]
+    cat = poset_category(list(names.values()), pairs)
+    gens = {
+        names[u]: [[f"{names[1 << i]}_{names[u]}" for i in range(k) if u >> i & 1]]
+        for u in names
+    }
+    topo, _ = topology_from_generators(cat, gens)
+    return topo
+
+
+def test_validate_topology_on_valid_tables_never_enumerates_sieves(monkeypatch):
+    tops = [OSJ, powerset_site(3), powerset_site(4)]
+    tops += [trivial_topology(cat) for cat in bases().values()]
+    tops += [slice_topology(OSJ, c) for c in OS.objects]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("all_sieves called on a valid topology")
+
+    monkeypatch.setattr(site, "all_sieves", refuse)
+    for j in tops:
+        assert validate_topology(j).verdict == "pass"
+    # a failing table still lists its transitivity counterexamples exhaustively
+    with pytest.raises(AssertionError):
+        validate_topology(broken_transitivity())
+
+
+def test_k5_powerset_topology_validates_under_default_bound():
+    j = powerset_site(5)
+    assert sum(len(v) for v in j.covers.values()) == 7581
+    assert validate_topology(j, DEFAULT_BOUND).verdict == "pass"
+
+
+def test_validate_topology_output_does_not_depend_on_hash_seed():
+    # two covers at b fail stability; their order used to follow set iteration
+    code = (
+        "from tck.corpus import parallel_pair\n"
+        "from tck.site import GrothTopology, Sieve, maximal_sieve, validate_topology\n"
+        "PP = parallel_pair()\n"
+        "b = [maximal_sieve(PP, 'b'), Sieve('b', frozenset('u')), Sieve('b', frozenset('v'))]\n"
+        "j = GrothTopology(PP, {'a': frozenset({maximal_sieve(PP, 'a')}), 'b': frozenset(b)})\n"
+        "print(validate_topology(j).counterexamples)\n"
+    )
+    outs = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                       check=True).stdout
+        for seed in range(6)
+    }
+    assert outs == {
+        "[('stability', 'b', ('u',), 'v'), ('stability', 'b', ('v',), 'u'), "
+        "('transitivity', 'b', ('u', 'v'), ('u',))]\n"
+    }
