@@ -85,20 +85,7 @@ class AxiomViolation(TckError):
         super().__init__(f"topology axiom {kind} fails at {witness}")
 
 
-class NotSubcanonical(TckError):
-    def __init__(self, obj: str, witness):
-        self.obj = obj
-        self.witness = witness
-        super().__init__(f"representable at {obj!r} is not a sheaf: {witness}")
-
-
 # -- descent ------------------------------------------------------------------
-
-class CocycleViolation(TckError):
-    def __init__(self, f: str, g: str, h: str):
-        self.triple = (f, g, h)
-        super().__init__(f"cocycle condition fails on ({f!r}, {g!r}, {h!r})")
-
 
 class FactorizationFailed(TckError):
     def __init__(self, witness):
@@ -107,18 +94,6 @@ class FactorizationFailed(TckError):
 
 
 # -- classifier verification --------------------------------------------------
-
-class NotInjective(TckError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"comparison map is not injective: {witness}")
-
-
-class NotSurjective(TckError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"comparison map is not surjective: {witness}")
-
 
 class NoIsoFound(TckError):
     def __init__(self, detail: str):

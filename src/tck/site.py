@@ -2,14 +2,17 @@
 construction.
 
 On a finite category the covering sieves at c are exactly the sieves that
-contain one least cover M_c = ∩ J(c).  Topologies are entered as generating
-families per object; M_c is found as a fixpoint of the stability and
-transitivity axioms and the covers are the sieves above it, with every
-cover beyond the generated ones reported so nothing covers silently.  A
-raw covers table is validated the same way: transitivity is decided on the
-M_c, and every sieve is enumerated only to list the counterexamples of a
-table that fails.  The plus construction takes the matching families on
-M_c, the terminal stage of the colimit over covering sieves.
+contain one least cover M_c = ∩ J(c), and f*M_c ⊇ M_d for f: d -> c;
+`GrothTopology.minimal` derives M_c from a covers table once per topology.
+Topologies are entered as generating families per object; M_c is found as
+a fixpoint of the stability and transitivity axioms and the covers are the
+sieves above it, with every cover beyond the generated ones reported so
+nothing covers silently.  A raw covers table is validated on the M_c, and
+every cover and sieve is visited only to list the counterexamples of a
+table that fails.  The sheaf conditions and the plus construction take the
+matching families on M_c, the terminal stage of the colimit over covering
+sieves: Z is a sheaf (separated) iff Z(c) -> Match(M_c, Z) is a bijection
+(an injection) at every c.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
 from .fincat import (
@@ -136,6 +139,25 @@ class GrothTopology:
     covers: Mapping[str, frozenset[Sieve]]
 
     @cached_property
+    def minimal(self) -> dict[str, Sieve]:
+        """The least cover M_c = ∩ J(c) per object.  A raw table where M_c
+        does not cover, or f*M_c ⊉ M_d for some f: d -> c, is no topology:
+        AxiomViolation names "intersection" or "stability"."""
+        cat = self.base
+        minimal = {
+            c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(
+                *(s.arrows for s in self.covers[c])))
+            for c in cat.objects
+        }
+        for c, m in minimal.items():
+            if m not in self.covers[c]:
+                raise AxiomViolation("intersection", (c, m.sorted_arrows()))
+        for f, (d, c) in cat.arrows.items():
+            if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
+                raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
+        return minimal
+
+    @cached_property
     def _slices(self) -> dict[str, "GrothTopology"]:
         """slice_topology results by object."""
         return {}
@@ -210,11 +232,12 @@ def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     """Verify coverage, well-formedness, maximality, stability and
     transitivity.
 
-    Given maximality, j is transitive iff at every object c the least cover
-    M_c = ∩ J(c) covers, J(c) is closed under adding a principal sieve (so
-    J(c) is every sieve above M_c) and M_c ⊆ {f.h : f in M_c, h in M_dom f};
-    that is checked in polynomial time.  Only a table that fails is scanned
-    over all_sieves, which lists every transitivity counterexample.
+    Given maximality, j is stable and transitive iff at every object c the
+    least cover M_c = ∩ J(c) covers, J(c) is closed under adding a principal
+    sieve (so J(c) is every sieve above M_c), f*M_c ⊇ M_d for f: d -> c and
+    M_c ⊆ {f.h : f in M_c, h in M_dom f}; that is checked in polynomial time
+    with one pullback per arrow.  Only a table that fails pulls back every
+    cover and is scanned over all_sieves, which lists every counterexample.
     """
     cat = j.base
     report = Report("validate_topology")
@@ -227,13 +250,13 @@ def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     for c in cat.objects:
         if maximal_sieve(cat, c) not in j.covers[c]:
             report.fail(("maximality", c))
+    if report.ok and _axioms_on_least_covers(j):
+        return report
     for c in cat.objects:
         for s in _by_arrows(j.covers[c]):
             for g in cat.arrows_into(c):
                 if pullback_sieve(cat, g, s) not in j.covers[cat.dom(g)]:
                     report.fail(("stability", c, s.sorted_arrows(), g))
-    if report.ok and _transitive_on_least_covers(j):
-        return report
     for c in cat.objects:
         for r in all_sieves(cat, c, bound):
             if r in j.covers[c]:
@@ -245,22 +268,22 @@ def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     return report
 
 
-def _transitive_on_least_covers(j: GrothTopology) -> bool:
-    """Transitivity of a well-formed covers table that holds the maximal
-    sieves, decided on the least covers M_c (see validate_topology)."""
+def _axioms_on_least_covers(j: GrothTopology) -> bool:
+    """Stability and transitivity of a well-formed covers table that holds
+    the maximal sieves, decided on the least covers M_c (see
+    validate_topology)."""
     cat = j.base
-    minimal = {}
+    try:
+        minimal = j.minimal
+    except AxiomViolation:
+        return False
     for c in cat.objects:
         covers = {s.arrows for s in j.covers[c]}
-        m = frozenset.intersection(*covers)
-        if m not in covers:
-            return False
         if any(s | p not in covers
                for p in principal_sieves(cat, c) for s in covers if not p <= s):
             return False
-        minimal[c] = m
     return all(
-        m <= {cat.compose(f, h) for f in m for h in minimal[cat.dom(f)]}
+        m.arrows <= {cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows}
         for m in minimal.values()
     )
 
@@ -370,32 +393,29 @@ def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
     ]
 
 
-def _sheaf_scan(Z: SetPresheaf, j: GrothTopology, bound: int):
-    for c in Z.base.objects:
-        for s in _by_arrows(j.covers[c]):
-            for m in matching_families(Z, s, bound):
-                yield c, s, m, amalgamations(Z, s, m)
-
-
 def is_sheaf(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
-    report = Report("is_sheaf")
-    if Z.base != j.base:
-        raise InvalidTable("presheaf and topology live on different bases")
-    for c, s, m, ams in _sheaf_scan(Z, j, bound):
-        if len(ams) != 1:
-            return report.fail((c, s.sorted_arrows(), dict(sorted(m.assignment.items())),
-                                len(ams)))
-    return report
+    """Z(c) -> Match(M_c, Z) is a bijection at every c."""
+    return _sheaf_condition("is_sheaf", Z, j, bound, lambda n: n != 1)
 
 
 def is_separated(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
-    report = Report("is_separated")
+    """Z(c) -> Match(M_c, Z) is an injection at every c."""
+    return _sheaf_condition("is_separated", Z, j, bound, lambda n: n > 1)
+
+
+def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
+                     fails: Callable[[int], bool]) -> Report:
+    """Fail on the first matching family on some M_c whose number of
+    amalgamations fails; since f*M_c ⊇ M_d, the M_c decide the condition
+    for every cover."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
-    for c, s, m, ams in _sheaf_scan(Z, j, bound):
-        if len(ams) > 1:
-            return report.fail((c, s.sorted_arrows(), dict(sorted(m.assignment.items())),
-                                len(ams)))
+    report = Report(command)
+    for c, m in j.minimal.items():
+        for fam in matching_families(Z, m, bound):
+            n = len(amalgamations(Z, m, fam))
+            if fails(n):
+                return report.fail((c, m.sorted_arrows(), dict(sorted(fam.assignment.items())), n))
     return report
 
 
@@ -423,22 +443,13 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     The colimit over the covers at c has a terminal stage at M_c = ∩ J(c),
     so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
     in sorted family order.  A family restricts along f: d -> c through
-    f*M_c ⊇ M_d.  A raw j where M_c does not cover, or f*M_c ⊉ M_d, is no
-    topology: AxiomViolation names "intersection" or "stability".
+    f*M_c ⊇ M_d.  A raw j that is no topology raises AxiomViolation (see
+    GrothTopology.minimal).
     """
     cat = Z.base
     if cat != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
-    minimal = {
-        c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(*(s.arrows for s in j.covers[c])))
-        for c in cat.objects
-    }
-    for c, m in minimal.items():
-        if m not in j.covers[c]:
-            raise AxiomViolation("intersection", (c, m.sorted_arrows()))
-    for f, (d, c) in cat.arrows.items():
-        if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
-            raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
+    minimal = j.minimal
     families: dict[str, dict[str, dict[str, str]]] = {}
     labels: dict[str, dict[frozenset, str]] = {}
     for c, m in minimal.items():

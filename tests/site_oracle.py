@@ -4,8 +4,9 @@
 here follow the definitions instead: topology generation saturates every
 candidate sieve under stability and transitivity, validation tries every
 candidate sieve against transitivity, matching families are filtered from
-every assignment, and plus sections are the classes of (cover, family)
-pairs that agree on intersections, closed transitively.  They are slow and
+every assignment, the sheaf conditions visit every matching family on
+every cover, and plus sections are the classes of (cover, family) pairs
+that agree on intersections, closed transitively.  They are slow and
 meant for small sites only.
 """
 
@@ -65,6 +66,20 @@ def raw_matching_families(Z, s):
         ):
             out.append(m)
     return out
+
+
+def sheaf_verdicts(Z, j):
+    """(is a sheaf, is separated) by the definitions: every matching family
+    on every cover has exactly one (at most one) amalgamation."""
+    sheaf = separated = True
+    for c in Z.base.objects:
+        for s in j.covers[c]:
+            for m in raw_matching_families(Z, s):
+                n = sum(all(Z.on_arrows[f][x] == m[f] for f in s.arrows)
+                        for x in Z.on_objects[c])
+                sheaf = sheaf and n == 1
+                separated = separated and n <= 1
+    return sheaf, separated
 
 
 def plus_class_count(Z, covers):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import site_oracle
-from site_oracle import plus_class_count, raw_matching_families, saturate
+from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
 from tck import site
 from tck.corpus import (
     bases,
@@ -21,7 +21,7 @@ from tck.corpus import (
     square,
     walking_arrow,
 )
-from tck.errors import InvalidTable, MixedCodomain
+from tck.errors import AxiomViolation, InvalidTable, MixedCodomain
 from tck.fincat import DEFAULT_BOUND, constant_presheaf, delta1, slice_arrow_name, slice_cat
 from tck.site import (
     GrothTopology,
@@ -186,6 +186,18 @@ def test_broken_topologies_fail_with_named_axiom():
         assert not rep.ok
         kinds = {c[0] for c in rep.counterexamples}
         assert kinds == {axiom}, (axiom, rep.counterexamples)
+
+
+def test_sheaf_checks_reject_raw_non_topologies():
+    # a raw table whose M_c does not cover, or is not stable, has no
+    # sheaf condition to check, not even for delta1
+    for build, axiom in [(broken_stability, "stability"),
+                         (broken_maximality, "intersection")]:
+        j = build()
+        for check in (is_sheaf, is_separated):
+            with pytest.raises(AxiomViolation) as exc:
+                check(delta1(j.base), j)
+            assert exc.value.kind == axiom
 
 
 def test_slice_topology_trivial_is_trivial():
@@ -380,6 +392,13 @@ def test_minimal_cover_algorithms_agree_with_exhaustive_oracle(data):
     pc = plus(Z, topo)
     for c in cat.objects:
         assert len(pc.presheaf.on_objects[c]) == plus_class_count(Z, topo.covers[c]), (name, c)
+    # the sheaf conditions on M_c alone agree with every cover, also on a slice
+    c = data.draw(st.sampled_from(cat.objects))
+    sl, _ = slice_cat(cat, c)
+    zs_sl = presheaf_corpus(sl, 6)
+    for W, j in ((Z, topo), (zs_sl[data.draw(st.integers(0, len(zs_sl) - 1))],
+                             slice_topology(topo, c))):
+        assert (is_sheaf(W, j).ok, is_separated(W, j).ok) == sheaf_verdicts(W, j), (name, c)
 
 
 def test_transport_plus_iso_on_slices():
@@ -523,6 +542,13 @@ def test_validate_topology_on_valid_tables_never_enumerates_sieves(monkeypatch):
     # a failing table still lists its transitivity counterexamples exhaustively
     with pytest.raises(AssertionError):
         validate_topology(broken_transitivity())
+    # stability is decided on the M_c: one pullback per arrow
+    j = powerset_site(4)
+    calls = []
+    pullback = site.pullback_sieve
+    monkeypatch.setattr(site, "pullback_sieve", lambda *a: calls.append(a) or pullback(*a))
+    assert validate_topology(j).verdict == "pass"
+    assert len(calls) <= len(j.base.arrows) == 81
 
 
 def test_k5_powerset_topology_validates_under_default_bound():
