@@ -14,6 +14,7 @@ is what makes strict 2-naturality hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import cat2, prestack
@@ -28,11 +29,12 @@ from .fincat import (
     compose_functors,
     compose_presheaf_maps,
     delta1,
-    enumerate_presheaf_maps,
     guard,
     identity_presheaf_map,
+    reindex_slice_components,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
+    search_presheaf_maps,
     slice_arrow_name,
     slice_cat,
 )
@@ -55,6 +57,11 @@ class MapToOmega:
 
     def on_arrow(self, c: str, nu: str) -> PresheafMap:
         return self.arrow_part[(c, nu)]
+
+    @cached_property
+    def _classified(self) -> DiscOpfibPre:
+        """classify's result, kept for the life of this map."""
+        return _classify(self)
 
     def validate(self) -> None:
         F = self.source
@@ -181,9 +188,6 @@ def _fibre_table(z: MapToOmega, c: str) -> FinSetFunctor:
     )
 
 
-_classify_cache: dict[int, tuple[MapToOmega, "DiscOpfibPre"]] = {}
-
-
 def classify(z: MapToOmega) -> DiscOpfibPre:
     """The classified discrete opfibration, built from the fibre formula.
 
@@ -191,9 +195,10 @@ def classify(z: MapToOmega) -> DiscOpfibPre:
     the identity; transitions restrict along the slice arrow f > id.
     Results are memoized per map instance.
     """
-    hit = _classify_cache.get(id(z))
-    if hit is not None and hit[0] is z:
-        return hit[1]
+    return z._classified
+
+
+def _classify(z: MapToOmega) -> DiscOpfibPre:
     z.validate()
     site = z.site
     F = z.source
@@ -224,81 +229,6 @@ def classify(z: MapToOmega) -> DiscOpfibPre:
     G = CatPresheaf(site, {c: totals[c].total for c in site.objects}, on_arrows)
     G.validate()
     s = TwoNat(G, F, {c: totals[c].p for c in site.objects})
-    s.validate()
-    result = certify_dopf_pre(s)
-    _classify_cache[id(z)] = (z, result)
-    return result
-
-
-def classify_via_hom_enumeration(z: MapToOmega,
-                                 bound: int = DEFAULT_BOUND) -> DiscOpfibPre:
-    """Comma-style construction of the classified opfibration.
-
-    Independently of the fibre formula, objects over (c, X) are the
-    enumerated natural maps from the constant singleton into the assigned
-    presheaf; this cross-validates classify on small inputs.
-    """
-    site = z.site
-    F = z.source
-
-    def enc(m: PresheafMap) -> str:
-        return repr(sorted((c, tuple(sorted(t.items()))) for c, t in m.components.items()))
-
-    homs: dict[tuple[str, str], list[PresheafMap]] = {}
-    for c in site.objects:
-        sl, _ = slice_cat(site, c)
-        d1 = delta1(sl)
-        for x in F.on_objects[c].objects:
-            homs[(c, x)] = enumerate_presheaf_maps(d1, z.object_part[(c, x)], bound)
-    labels = {
-        key: {enc(m): f"h{i}" for i, m in enumerate(sorted(maps, key=enc))}
-        for key, maps in homs.items()
-    }
-    comps = {}
-    cats = {}
-    for c in site.objects:
-        Fc = F.on_objects[c]
-        sets = {x: tuple(sorted(labels[(c, x)].values())) for x in Fc.objects}
-        acts = {}
-        for nu in Fc.arrows:
-            x = Fc.dom(nu)
-            table = {}
-            for m in homs[(c, x)]:
-                m2 = compose_presheaf_maps(z.arrow_part[(c, nu)], m)
-                table[labels[(c, x)][enc(m)]] = labels[(c, Fc.cod(nu))][enc(m2)]
-            acts[nu] = table
-        bc = FinSetFunctor(Fc, sets, acts)
-        bc.validate()
-        cats[c] = cat2.elements_of(bc)
-        comps[c] = cats[c].p
-    on_arrows = {}
-    for f, (d, c) in site.arrows.items():
-        src, tgt = cats[c].total, cats[d].total
-        on_objects = {}
-        arr_map = {}
-        inv = {key: {v: k for k, v in lab.items()} for key, lab in labels.items()}
-        by_enc = {key: {enc(m): m for m in maps} for key, maps in homs.items()}
-        for o in src.objects:
-            x = comps[c].on_objects[o]
-            t = o[2 + len(x):-1]
-            m = by_enc[(c, x)][inv[(c, x)][t]]
-            fx = F.on_arrows[f].on_objects[x]
-            m2 = reindex_slice_presheaf_map(site, f, m)
-            on_objects[o] = f"({fx},{labels[(d, fx)][enc(m2)]})"
-        for name, (o1, _) in src.arrows.items():
-            nu = comps[c].on_arrows[name]
-            x = comps[c].on_objects[o1]
-            t = o1[2 + len(x):-1]
-            m = by_enc[(c, x)][inv[(c, x)][t]]
-            m2 = reindex_slice_presheaf_map(site, f, m)
-            fx = F.on_arrows[f].on_objects[x]
-            arr_map[name] = f"({F.on_arrows[f].on_arrows[nu]},{labels[(d, fx)][enc(m2)]})"
-        fun = FinFunctor(src, tgt, on_objects, arr_map)
-        fun.validate()
-        on_arrows[f] = fun
-    G = CatPresheaf(site, {c: cats[c].total for c in site.objects}, on_arrows)
-    G.validate()
-    s = TwoNat(G, F, comps)
     s.validate()
     return certify_dopf_pre(s)
 
@@ -491,74 +421,80 @@ def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
 
 
 def enumerate_omega_modifications(z: MapToOmega, w: MapToOmega,
-                                  bound: int = DEFAULT_BOUND) -> list[OmegaModification]:
+                                  bound: int = DEFAULT_BOUND,
+                                  iso_only: bool = False,
+                                  first_only: bool = False) -> list[OmegaModification]:
     """All omega-modifications z => w, by backtracking with reindex forcing.
 
-    Choosing the component at (c, X) forces the component at (d, F(f)X)
-    for every f: d -> c; remaining freedom is enumerated and vertical
-    naturality filtered at the end.
+    A component at (c, X) forces, by reindexing, the component at
+    (d, F(f)X) for every f: d -> c, so keys are branched on in order of
+    most arrows into c first.  The candidates at a key the search branches
+    on are the natural maps Z_(c,X) => W_(c,X), searched once per key (only
+    the isomorphisms with iso_only); components travel as plain tables, and
+    every complete assignment is checked in full by
+    OmegaModification.validate.  The bound caps the nodes of each search.
     """
     if z.source != w.source or z.site != w.site:
         raise InvalidTable("enumerate_omega_modifications needs parallel maps")
     site = z.site
     F = z.source
-    keys = sorted(z.object_part)
-    candidates = {
-        key: enumerate_presheaf_maps(z.object_part[key], w.object_part[key], bound)
-        for key in keys
-    }
-    total = 1
-    for key in keys:
-        total *= max(1, len(candidates[key]))
-        guard("enumerate_omega_modifications", total, bound)
-
+    keys = sorted(z.object_part, key=lambda key: (-len(site.arrows_into(key[0])), key))
+    candidates: dict[tuple[str, str], list[PresheafMap]] = {}
+    assignment: dict[tuple[str, str], dict] = {}
     out: list[OmegaModification] = []
+    nodes = 0
 
-    def propagate(assignment: dict, key, m) -> bool:
-        stack = [(key, m)]
-        while stack:
-            (c, x), cur = stack.pop()
-            if (c, x) in assignment:
-                if assignment[(c, x)] != cur:
-                    return False
-                continue
-            assignment[(c, x)] = cur
-            for f in site.arrows:
-                if site.cod(f) != c:
-                    continue
-                d = site.dom(f)
-                fx = F.on_arrows[f].on_objects[x]
-                stack.append(((d, fx), reindex_slice_presheaf_map(site, f, cur)))
+    def propagate(key, table, trail) -> bool:
+        c, x = key
+        for f in site.arrows_into(c):
+            forced_key = (site.dom(f), F.on_arrows[f].on_objects[x])
+            forced = reindex_slice_components(site, f, table)
+            cur = assignment.get(forced_key)
+            if cur is None:
+                assignment[forced_key] = forced
+                trail.append(forced_key)
+            elif cur != forced:
+                return False
         return True
 
-    def backtrack(i: int, assignment: dict) -> None:
+    def backtrack(i: int) -> bool:
+        nonlocal nodes
+        while i < len(keys) and keys[i] in assignment:
+            i += 1
         if i == len(keys):
-            mod = OmegaModification(z, w, dict(assignment))
+            mod = OmegaModification(z, w, {
+                key: PresheafMap(z.object_part[key], w.object_part[key], assignment[key])
+                for key in sorted(assignment)
+            })
             try:
                 mod.validate()
             except InvalidTable:
-                return
+                return False
             out.append(mod)
-            return
+            return first_only
         key = keys[i]
-        if key in assignment:
-            backtrack(i + 1, assignment)
-            return
+        if key not in candidates:
+            candidates[key] = search_presheaf_maps(
+                z.object_part[key], w.object_part[key], bound, iso_only=iso_only
+            )
         for m in candidates[key]:
-            trial = dict(assignment)
-            if propagate(trial, key, m):
-                backtrack(i + 1, trial)
+            nodes += 1
+            guard("enumerate_omega_modifications nodes", nodes, bound)
+            trail: list[tuple[str, str]] = []
+            if propagate(key, m.components, trail) and backtrack(i + 1):
+                return True
+            for forced_key in trail:
+                del assignment[forced_key]
+        return False
 
-    backtrack(0, {})
+    backtrack(0)
     return out
 
 
 def find_omega_iso(z: MapToOmega, w: MapToOmega,
                    bound: int = DEFAULT_BOUND) -> OmegaModification | None:
-    for mod in enumerate_omega_modifications(z, w, bound):
-        if mod.is_iso():
-            return mod
-    return None
+    found = enumerate_omega_modifications(z, w, bound, iso_only=True, first_only=True)
+    return found[0] if found else None
 
 
 # -- full faithfulness and round trips -------------------------------------------------------

@@ -46,11 +46,12 @@ class UnknownObject(TckError):
 class SizeBound(TckError):
     """An enumeration would exceed the configured candidate bound."""
 
-    def __init__(self, what: str, estimate: int, bound: int):
+    def __init__(self, what: str, estimate: int | None, bound: int):
         self.what = what
-        self.estimate = estimate
+        self.estimate = estimate  # None when only the tripped bound is known
         self.bound = bound
-        super().__init__(f"{what}: {estimate} candidates exceeds bound {bound}")
+        count = "" if estimate is None else f" {estimate} candidates"
+        super().__init__(f"{what}:{count} exceeds bound {bound}")
 
 
 # -- opfibration certification ------------------------------------------------

@@ -8,8 +8,9 @@ identifiers so that oracle outputs are reproducible.
 
 A FinCat indexes its hom-sets once: the first ``hom``/``arrows_into``/
 ``arrows_from`` call builds all three as sorted tuples in a cached
-attribute, which stays out of equality, hashing and repr.  Slices are
-cached on the category they are taken of, and die with it.
+attribute, which stays out of equality, hashing and repr.  Slices, and
+the postcomposition tables that reindex slice presheaves along an arrow,
+are cached on the category they are taken of, and die with it.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class FinCat:
     @cached_property
     def _slices(self) -> dict[str, tuple["FinCat", "FinFunctor"]]:
         """slice_cat results by object."""
+        return {}
+
+    @cached_property
+    def _postcompositions(self) -> dict[str, tuple]:
+        """postcomposition tables by arrow (see _postcomposition)."""
         return {}
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
@@ -244,18 +250,32 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
     return sl, dom_fun
 
 
+def _postcomposition(cat: FinCat, f: str) -> tuple:
+    """What f: d -> c does to slices, as tables cached on ``cat``.
+
+    Returns slice(C, d), the pairs (g, f.g) for its objects, and the pairs
+    (h>g, h>f.g) of slice-arrow names for its arrows.
+    """
+    hit = cat._postcompositions.get(f)
+    if hit is not None:
+        return hit
+    d, _ = cat.arrows[f]
+    sl_d, _ = slice_cat(cat, d)
+    objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)
+    arrows = tuple(
+        (slice_arrow_name(h, g), slice_arrow_name(h, fg))
+        for g, fg in objects
+        for h in cat.arrows_into(cat.dom(g))
+    )
+    hit = cat._postcompositions[f] = (sl_d, objects, arrows)
+    return hit
+
+
 def postcompose(cat: FinCat, f: str) -> "FinFunctor":
     """slice(C, dom f) -> slice(C, cod f), sending g to f.g."""
-    d, c = cat.arrows[f]
-    src, _ = slice_cat(cat, d)
-    tgt, _ = slice_cat(cat, c)
-    on_objects = {g: cat.compose(f, g) for g in src.objects}
-    on_arrows = {
-        slice_arrow_name(h, g): slice_arrow_name(h, cat.compose(f, g))
-        for g in src.objects
-        for h in cat.arrows_into(cat.dom(g))
-    }
-    fun = FinFunctor(src, tgt, on_objects, on_arrows)
+    src, objects, arrows = _postcomposition(cat, f)
+    tgt, _ = slice_cat(cat, cat.cod(f))
+    fun = FinFunctor(src, tgt, dict(objects), dict(arrows))
     fun.validate()
     return fun
 
@@ -544,26 +564,27 @@ def delta1(base: FinCat) -> SetPresheaf:
 
 def reindex_slice_presheaf(cat: FinCat, f: str, Z: SetPresheaf) -> SetPresheaf:
     """Precompose Z on slice(C, cod f) with postcompose(f); lands on slice(C, dom f)."""
-    d, _ = cat.arrows[f]
-    sl_d, _ = slice_cat(cat, d)
+    sl_d, objects, arrows = _postcomposition(cat, f)
     return SetPresheaf(
         sl_d,
-        {g: Z.on_objects[cat.compose(f, g)] for g in sl_d.objects},
-        {
-            slice_arrow_name(h, g): Z.on_arrows[slice_arrow_name(h, cat.compose(f, g))]
-            for g in sl_d.objects
-            for h in cat.arrows_into(cat.dom(g))
-        },
+        {g: Z.on_objects[fg] for g, fg in objects},
+        {a: Z.on_arrows[b] for a, b in arrows},
     )
 
 
+def reindex_slice_components(cat: FinCat, f: str,
+                             components: Mapping[str, Mapping[str, str]]) -> dict:
+    """The component table of a map of presheaves on slice(C, cod f),
+    reindexed along f to slice(C, dom f)."""
+    _, objects, _ = _postcomposition(cat, f)
+    return {g: components[fg] for g, fg in objects}
+
+
 def reindex_slice_presheaf_map(cat: FinCat, f: str, m: PresheafMap) -> PresheafMap:
-    d, _ = cat.arrows[f]
-    sl_d, _ = slice_cat(cat, d)
     return PresheafMap(
         reindex_slice_presheaf(cat, f, m.source),
         reindex_slice_presheaf(cat, f, m.target),
-        {g: m.components[cat.compose(f, g)] for g in sl_d.objects},
+        reindex_slice_components(cat, f, m.components),
     )
 
 
@@ -708,31 +729,26 @@ def setfunctor_iso(A: FinSetFunctor, B: FinSetFunctor,
     return None
 
 
-def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
-                           bound: int = DEFAULT_BOUND,
-                           iso_only: bool = False,
-                           first_only: bool = False) -> list[SetFunctorMap]:
-    """Natural transformations A => B by element-wise backtracking.
+def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
+                 bound: int, iso_only: bool, first_only: bool,
+                 ) -> list[dict[str, dict[str, str]]]:
+    """Component tables of the natural maps A => B by element-wise backtracking.
 
-    Choosing the image of one element forces images along every arrow out
-    of it, so the search prunes far earlier than the product-and-filter
-    enumerator; results come in lexicographic order.  The bound caps the
-    number of search nodes.
+    ``step[c]`` lists the pairs (f, e) along which a choice at object c
+    forces one at e: choosing v as the image of x in A(c) forces B(f)(v)
+    as the image of A(f)(x) in A(e), whichever way f points.  Variables are visited in sorted
+    order, so the tables come in lexicographic order; the bound caps the
+    number of search nodes, counted under ``what``.
     """
-    if A.base != B.base:
-        raise InvalidTable("set functor maps need a common base")
     base = A.base
     if iso_only and any(
         len(A.on_objects[c]) != len(B.on_objects[c]) for c in base.objects
     ):
         return []
     variables = [(c, x) for c in sorted(base.objects) for x in A.on_objects[c]]
-    out_arrows: dict[str, list[str]] = {c: [] for c in base.objects}
-    for f, (d, _) in base.arrows.items():
-        out_arrows[d].append(f)
     assignment: dict[tuple[str, str], str] = {}
     used: dict[str, set[str]] = {c: set() for c in base.objects}
-    results: list[SetFunctorMap] = []
+    results: list[dict[str, dict[str, str]]] = []
     nodes = 0
 
     def propagate(var, val, trail) -> bool:
@@ -749,9 +765,8 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
             assignment[(c, x)] = v
             used[c].add(v)
             trail.append((c, x))
-            for f in out_arrows[c]:
-                cod = base.cod(f)
-                stack.append(((cod, A.on_arrows[f][x]), B.on_arrows[f][v]))
+            for f, e in step[c]:
+                stack.append(((e, A.on_arrows[f][x]), B.on_arrows[f][v]))
         return True
 
     def undo(trail) -> None:
@@ -761,10 +776,10 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
     def backtrack(i: int) -> bool:
         nonlocal nodes
         if i == len(variables):
-            comps = {c: {} for c in base.objects}
-            for (c, x), v in assignment.items():
-                comps[c][x] = v
-            results.append(SetFunctorMap(A, B, comps))
+            comps: dict[str, dict[str, str]] = {c: {} for c in base.objects}
+            for c, x in variables:
+                comps[c][x] = assignment[(c, x)]
+            results.append(comps)
             return first_only
         var = variables[i]
         if var in assignment:
@@ -772,7 +787,7 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
         c, _ = var
         for v in B.on_objects[c]:
             nodes += 1
-            guard("search_setfunctor_maps nodes", nodes, bound)
+            guard(what, nodes, bound)
             trail: list[tuple[str, str]] = []
             if propagate(var, v, trail) and backtrack(i + 1):
                 return True
@@ -781,6 +796,43 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
 
     backtrack(0)
     return results
+
+
+def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
+                           bound: int = DEFAULT_BOUND,
+                           iso_only: bool = False,
+                           first_only: bool = False) -> list[SetFunctorMap]:
+    """Natural transformations A => B by element-wise backtracking.
+
+    Choosing the image of one element forces images along every arrow out
+    of it, so the search prunes far earlier than the product-and-filter
+    enumerator; results come in lexicographic order.  The bound caps the
+    number of search nodes.
+    """
+    if A.base != B.base:
+        raise InvalidTable("set functor maps need a common base")
+    base = A.base
+    step = {c: [(f, base.cod(f)) for f in base.arrows_from(c)] for c in base.objects}
+    return [SetFunctorMap(A, B, comps) for comps in _search_maps(
+        A, B, step, "search_setfunctor_maps nodes", bound, iso_only, first_only)]
+
+
+def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
+                         bound: int = DEFAULT_BOUND,
+                         iso_only: bool = False,
+                         first_only: bool = False) -> list[PresheafMap]:
+    """Natural transformations Z => W by element-wise backtracking.
+
+    The contravariant twin of search_setfunctor_maps: choosing the image of
+    an element of Z(c) forces images along every arrow into c.  Results are
+    those of enumerate_presheaf_maps, in the same order.
+    """
+    if Z.base != W.base:
+        raise InvalidTable("presheaf maps need a common base")
+    base = Z.base
+    step = {c: [(f, base.dom(f)) for f in base.arrows_into(c)] for c in base.objects}
+    return [PresheafMap(Z, W, comps) for comps in _search_maps(
+        Z, W, step, "search_presheaf_maps nodes", bound, iso_only, first_only)]
 
 
 # -- free categories on acyclic generators ---------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import cat2
@@ -44,6 +45,11 @@ class CatPresheaf:
 
     def act(self, f: str) -> FinFunctor:
         return self.on_arrows[f]
+
+    @cached_property
+    def _elements(self) -> tuple[FinCat, dict, dict]:
+        """The category of elements and its parts (see _elements_tables)."""
+        return _elements_tables(self)
 
     def validate(self) -> None:
         if set(self.on_objects) != set(self.base.objects):
@@ -356,8 +362,9 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
 # -- the category of elements and fibre diagrams ------------------------------------------
 
 
-def _elements_tables(F: CatPresheaf):
-    """Object and arrow tables of the category of elements of F."""
+def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
+    """The category of elements of F with the parts of its objects, name ->
+    (c, X), and of its arrows, name -> (f, mu, X); cached on F."""
     base = F.base
 
     def oname(c: str, x: str) -> str:
@@ -377,19 +384,6 @@ def _elements_tables(F: CatPresheaf):
                     name = f"<{f}|{mu}|{x}>"
                     arrows[name] = (o, oname(d, y))
                     parts[name] = (f, mu, x)
-    return obj_parts, arrows, parts
-
-
-def elements_category(F: CatPresheaf) -> FinCat:
-    """The category of elements of a Cat-valued presheaf.
-
-    Objects are pairs ``<c|X>`` with X in F(c); an arrow ``<f|mu|X>`` from
-    ``<c|X>`` to ``<d|Y>`` is a base arrow f: d -> c together with
-    mu: F(f)(X) -> Y.  Covariant set-valued functors on this category are
-    exactly the fibre tables of discrete opfibrations over F.
-    """
-    base = F.base
-    obj_parts, arrows, parts = _elements_tables(F)
     identities = {
         o: f"<{base.id_of(c)}|{F.on_objects[c].id_of(x)}|{x}>"
         for o, (c, x) in obj_parts.items()
@@ -403,7 +397,19 @@ def elements_category(F: CatPresheaf) -> FinCat:
             fg = base.compose(f, g)
             comp_mu = F.on_objects[e].compose(mu2, F.on_arrows[g].on_arrows[mu])
             compose[(n2, n1)] = f"<{fg}|{comp_mu}|{x}>"
-    return build_category(obj_parts, arrows, identities, compose)
+    return build_category(obj_parts, arrows, identities, compose), obj_parts, parts
+
+
+def elements_category(F: CatPresheaf) -> FinCat:
+    """The category of elements of a Cat-valued presheaf.
+
+    Objects are pairs ``<c|X>`` with X in F(c); an arrow ``<f|mu|X>`` from
+    ``<c|X>`` to ``<d|Y>`` is a base arrow f: d -> c together with
+    mu: F(f)(X) -> Y.  Covariant set-valued functors on this category are
+    exactly the fibre tables of discrete opfibrations over F.  It is built
+    and validated once per presheaf instance.
+    """
+    return F._elements[0]
 
 
 def fibre_diagram(phi: DiscOpfibPre) -> "FinSetFunctor":
@@ -413,8 +419,7 @@ def fibre_diagram(phi: DiscOpfibPre) -> "FinSetFunctor":
     F = phi.codomain
     G = phi.total
     base = F.base
-    el = elements_category(F)
-    obj_parts, _, parts = _elements_tables(F)
+    el, obj_parts, parts = F._elements
     on_objects = {o: phi.fibre(c, x) for o, (c, x) in obj_parts.items()}
     on_arrows = {}
     for name, (f, mu, x) in parts.items():

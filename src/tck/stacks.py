@@ -29,7 +29,7 @@ from .fincat import (
     slice_cat,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
-from .report import Report
+from .report import BOUNDED_PASS, Report
 from .site import (
     GrothTopology,
     Sieve,
@@ -303,13 +303,18 @@ def char_stacks(phi: DiscOpfibPre, j: GrothTopology,
     with sheaf certificates.
 
     With check_endpoints the endpoints are verified to be stacks first;
-    factorization failure signals non-stack endpoints either way.
+    factorization failure signals non-stack endpoints either way.  An
+    endpoint whose stack check only passed up to the bound raises
+    SizeBound naming the first stratum that tripped it.
     """
     if check_endpoints:
         for F in (phi.total, phi.codomain):
             rep = check_stack(F, j, bound)
             if not rep.ok:
                 raise FactorizationFailed(("endpoint-not-a-stack", rep.counterexamples[:1]))
+            if rep.verdict == BOUNDED_PASS:
+                what, stratum_bound = next(iter(rep.bounds.items()))
+                raise SizeBound(what, None, stratum_bound)
     z = char(phi)
     result = ell_factors(z, j, bound)
     if not result.ok:

@@ -1,11 +1,15 @@
-import pytest
+import functools
 
-from tck import cat2, prestack
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import classifier_oracle
+from classifier_oracle import classify_via_hom_enumeration
+from tck import cat2, classifier, fincat, prestack
 from tck.classifier import (
     OmegaModification,
     char,
     classify,
-    classify_via_hom_enumeration,
     enumerate_omega_modifications,
     ff_check,
     find_omega_iso,
@@ -18,15 +22,19 @@ from tck.classifier import (
     roundtrip_z,
 )
 from tck.corpus import (
+    bases,
+    constant_cat_presheaf,
     dopf_corpus,
     elements_category,
     map_to_omega_corpus,
     map_to_omega_from_set_functor,
     map_to_omega_over_representable,
     open_site,
+    poset_category,
     presheaf_corpus,
     walking_arrow,
 )
+from tck.errors import SizeBound
 from tck.fincat import (
     compose_presheaf_maps,
     delta1,
@@ -362,3 +370,84 @@ def test_gamma_mod_over_point_site_is_elements_action():
                 expected = FinFunctor(src.total.on_objects["*"],
                                       tgt.total.on_objects["*"], on_objects, arr_map)
                 assert t.components["*"] == expected
+
+
+def chain(n):
+    objs = [f"c{i}" for i in range(n)]
+    return poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
+
+
+@functools.cache
+def omega_map_pool():
+    """Corpus maps to Omega over representable, terminal and constant
+    walking-arrow presheaves on the shipped bases and chain3-5."""
+    pool = []
+    for cat in list(bases().values()) + [chain(4), chain(5)]:
+        for F in (representable(cat, cat.objects[-1]), terminal_presheaf(cat),
+                  constant_cat_presheaf(cat, walking_arrow())):
+            pool.append(map_to_omega_corpus(F, 6))
+    return pool
+
+
+def component_tables(mods):
+    return sorted(
+        sorted((key, sorted((g, sorted(t.items())) for g, t in m.components.items()))
+               for key, m in mod.components.items())
+        for mod in mods
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_omega_search_agrees_with_product_filter_oracle(data):
+    group = data.draw(st.sampled_from(omega_map_pool()))
+    z = data.draw(st.sampled_from(group))
+    w = data.draw(st.sampled_from(group))
+    try:
+        expected = classifier_oracle.enumerate_omega_modifications(z, w, bound=5000)
+    except SizeBound:
+        return  # too big for the product-and-filter oracle
+    assert component_tables(enumerate_omega_modifications(z, w)) == \
+        component_tables(expected)
+    assert (find_omega_iso(z, w) is not None) == any(m.is_iso() for m in expected)
+
+
+def test_omega_search_names_itself_when_it_trips_the_bound():
+    # three keys that force nothing but themselves, one candidate each:
+    # every presheaf-map search takes one node, the omega search three
+    F = constant_cat_presheaf(PT, fincat.discrete_category(["x0", "x1", "x2"]))
+    z = omega_point(F)
+    assert len(enumerate_omega_modifications(z, z, bound=3)) == 1
+    with pytest.raises(SizeBound) as exc:
+        enumerate_omega_modifications(z, z, bound=2)
+    assert exc.value.what == "enumerate_omega_modifications nodes"
+
+
+def test_classification_dies_with_its_map():
+    import gc
+    import weakref
+
+    F = representable(WA, "b")
+    z = map_to_omega_corpus(F, 2)[1]
+    phi = classify(z)
+    assert classify(z) is phi
+    refs = [weakref.ref(z), weakref.ref(phi)]
+    del z, phi
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_ff_check_and_roundtrip_never_enumerate_presheaf_maps(monkeypatch):
+    F = representable(chain(5), "c4")
+    zs = map_to_omega_corpus(F, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product-and-filter presheaf-map enumeration")
+
+    monkeypatch.setattr(fincat, "enumerate_presheaf_maps", refuse)
+    monkeypatch.setattr(classifier, "enumerate_presheaf_maps", refuse, raising=False)
+    for z in zs:
+        assert roundtrip_z(z).is_iso()
+    for z1 in zs:
+        for z2 in zs:
+            assert ff_check(z1, z2).ok

@@ -275,3 +275,23 @@ def test_sheafify_fails_report_when_output_is_not_a_sheaf(monkeypatch):
     (zname, jname, what, _), = report.counterexamples
     assert (zname, what) == ("ZNonSep", "sheafified-not-a-sheaf")
     assert jname in doc.topologies
+
+
+def test_char_stacks_is_undecided_when_an_endpoint_check_hits_the_bound(tmp_path):
+    from tck import corpus, docformat, prestack
+    from tck.docbuild import DocumentBuilder
+
+    osite = corpus.open_site()
+    F = prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6])
+    phi = prestack.certify_dopf_pre(prestack.identity_two_nat(F))
+    b = DocumentBuilder()
+    b.category("OpenSite", osite)
+    b.topology("J", corpus.open_site_topology(), "OpenSite")
+    b.two_nat("idphi", phi.s, "F", "F", "OpenSite")
+    path = tmp_path / "sheaf.site"
+    path.write_text(docformat.serialize(b.doc))
+    assert tck("char-stacks", str(path)).returncode == 0
+    res = tck("char-stacks", str(path), "--bound", "2", "--json")
+    assert res.returncode == 2, res.stdout
+    bounds = json.loads(res.stdout)["bounds"]
+    assert list(bounds) == ["stack-i at T over ('L_T', 'O_T', 'R_T', 'T_T')"]

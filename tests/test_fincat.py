@@ -385,3 +385,73 @@ def test_slices_die_with_their_base():
     del cat, j
     gc.collect()
     assert [r() for r in refs] == [None] * 4
+
+
+def _old_reindex(cat, f, Z):
+    """reindex_slice_presheaf as defined before postcomposition tables."""
+    d, _ = cat.arrows[f]
+    sl_d, _ = slice_cat(cat, d)
+    return fincat.SetPresheaf(
+        sl_d,
+        {g: Z.on_objects[cat.compose(f, g)] for g in sl_d.objects},
+        {
+            fincat.slice_arrow_name(h, g):
+                Z.on_arrows[fincat.slice_arrow_name(h, cat.compose(f, g))]
+            for g in sl_d.objects
+            for h in cat.arrows_into(cat.dom(g))
+        },
+    )
+
+
+def test_postcomposition_tables_reindex_as_the_definition():
+    from tck.corpus import bases, presheaf_corpus, square
+
+    for cat in list(bases().values()) + [square()]:
+        for f in cat.sorted_arrows():
+            sl_c, _ = slice_cat(cat, cat.cod(f))
+            sl_d, _ = slice_cat(cat, cat.dom(f))
+            post = postcompose(cat, f)
+            assert post.on_objects == {g: cat.compose(f, g) for g in sl_d.objects}
+            assert set(post.on_arrows) == set(sl_d.arrows)
+            zs = presheaf_corpus(sl_c, 3)
+            for Z in zs:
+                assert fincat.reindex_slice_presheaf(cat, f, Z) == _old_reindex(cat, f, Z)
+            for m in fincat.search_presheaf_maps(zs[0], zs[-1]):
+                old = {g: m.components[cat.compose(f, g)] for g in sl_d.objects}
+                assert fincat.reindex_slice_presheaf_map(cat, f, m).components == old
+
+
+def _presheaf_pairs():
+    from tck.corpus import bases, presheaf_corpus
+
+    for cat in bases().values():
+        zs = presheaf_corpus(cat, 5)
+        for Z in zs:
+            for W in zs:
+                yield Z, W
+
+
+def test_search_presheaf_maps_lists_the_product_filter_maps_in_order():
+    for Z, W in _presheaf_pairs():
+        brute = enumerate_presheaf_maps(Z, W)
+        assert [m.components for m in fincat.search_presheaf_maps(Z, W)] == \
+            [m.components for m in brute]
+        isos = [m.components for m in brute if m.is_iso()]
+        assert [m.components for m in fincat.search_presheaf_maps(Z, W, iso_only=True)] == isos
+        first = fincat.search_presheaf_maps(Z, W, iso_only=True, first_only=True)
+        iso = fincat.presheaf_iso(Z, W)
+        assert (first[0].components if first else None) == \
+            (iso.components if iso is not None else None)
+
+
+def test_searches_name_themselves_when_they_trip_the_bound():
+    from tck.corpus import constant_setfunctor
+
+    Z = fincat.constant_presheaf(WA, ["0", "1"])
+    with pytest.raises(SizeBound) as exc:
+        fincat.search_presheaf_maps(Z, Z, bound=1)
+    assert exc.value.what == "search_presheaf_maps nodes"
+    A = constant_setfunctor(WA, ["0", "1"])
+    with pytest.raises(SizeBound) as exc:
+        fincat.search_setfunctor_maps(A, A, bound=1)
+    assert exc.value.what == "search_setfunctor_maps nodes"

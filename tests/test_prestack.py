@@ -336,3 +336,15 @@ def test_yoneda_bijection_is_onto_all_two_nats():
                 assert yoneda(F, c, x) == nat
                 picked.add(x)
             assert sorted(picked) == sorted(F.on_objects[c].objects)
+
+
+def test_elements_category_is_built_once_per_presheaf():
+    F = sample_presheaf()
+    el = elements_category(F)
+    assert elements_category(F) is el
+    phi = dopf_corpus(F, 1)[0]
+    assert prestack.fibre_diagram(phi).base is el
+    # the cache stays out of equality and repr
+    fresh = sample_presheaf()
+    assert fresh == F and repr(fresh) == repr(F)
+    assert elements_category(fresh) is not el and elements_category(fresh) == el

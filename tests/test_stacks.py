@@ -693,3 +693,20 @@ def test_scale_smoke_five_object_chain():
         phi = classify(z)
         for (c, x), Z in z.object_part.items():
             assert len(phi.fibre(c, x)) == len(Z.on_objects[chain5.id_of(c)])
+
+
+def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
+    # at bound 2 the object-gluing stratum over the maximal sieve on T trips
+    # its guard, so neither endpoint is known to be a stack
+    from tck.corpus import open_site_sheaf_corpus
+    from tck.errors import SizeBound
+
+    F = discrete_presheaf(OS, open_site_sheaf_corpus(7)[6])
+    phi = certify_dopf_pre(identity_two_nat(F))
+    report = check_stack(F, OSJ, 2)
+    assert report.verdict == "bounded-pass"
+    with pytest.raises(SizeBound) as exc:
+        char_stacks(phi, OSJ, check_endpoints=True, bound=2)
+    assert exc.value.what == next(iter(report.bounds))
+    assert exc.value.what.startswith("stack-i at T over")
+    assert char_stacks(phi, OSJ, check_endpoints=False, bound=2) is not None
