@@ -164,7 +164,7 @@ def _cmd_check_stack(doc, bound):
                 report.fail((fname, jname) + tuple(ce))
             for what, b in rep.bounds.items():
                 report.bounded(f"{fname}/{jname}: {what}", b)
-            if rep.ok:
+            if rep.verdict == PASS:
                 report.note((fname, jname, "stack"))
     if not checked:
         raise MissingSection("catpresheaf/topology pair")
@@ -298,6 +298,8 @@ def _cmd_probe(doc, bound):
             report.note((name,) + tuple(w))
         for ce in rep.counterexamples:
             report.fail((name,) + tuple(ce))
+        for what, b in rep.bounds.items():
+            report.bounded(f"{name}: {what}", b)
     return report, None
 
 

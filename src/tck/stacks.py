@@ -20,11 +20,11 @@ from .fincat import (
     PresheafMap,
     SetPresheaf,
     compose_presheaf_maps,
-    enumerate_presheaf_maps,
     guard,
     invert_presheaf_map,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
+    search_presheaf_maps,
     slice_arrow_name,
     slice_cat,
 )
@@ -184,78 +184,82 @@ def enumerate_descent_data(F: CatPresheaf, s: Sieve,
 
 
 def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
-    """The three gluing conditions, per covering sieve.
+    """The three gluing conditions, decided on the least cover M_c.
+
+    Checking them on M_c = ∩J(c) at every c decides them for every cover S:
+
+    - S contains M_c, and f*M_c ⊇ M_d for every f: d -> c.
+    - (iii) and (ii) say that each hom-presheaf Hom(x, y) on slice(C, c)
+      is a sheaf; as in site._sheaf_condition, the M_d decide that.
+    - (i) extends from M_c to S: glue the datum restricted to M_c to some
+      M with isos psi_f for f in M_c.  For f: d -> c in S the isos at f.g,
+      g in M_d ⊆ f*M_c, form a compatible family of Hom(f*M, M_f) on M_d;
+      its unique gluing is psi_f, invertible and coherent by uniqueness.
 
     Morphism conditions are decided exhaustively; object gluing enumerates
     descent data and is reported as bounded when a stratum trips the bound.
     """
     report = Report("check_stack")
     base = F.base
-    for c in base.objects:
+    for c, s in j.minimal.items():
         Fc = F.on_objects[c]
-        for s in sorted(j.covers[c], key=lambda s: s.sorted_arrows()):
-            arrows = sorted(s.arrows)
-            # (iii) uniqueness of gluings of morphisms
-            for x in Fc.objects:
-                for y in Fc.objects:
-                    homs = Fc.hom(x, y)
-                    for h in homs:
-                        for k in homs:
-                            if h < k and all(
-                                F.on_arrows[f].on_arrows[h] == F.on_arrows[f].on_arrows[k]
-                                for f in arrows
-                            ):
-                                report.fail(("iii", c, s.sorted_arrows(), x, y, h, k))
-            # (ii) gluing of morphisms
-            for x in Fc.objects:
-                for y in Fc.objects:
-                    pools = [
-                        F.on_objects[base.dom(f)].hom(
-                            F.on_arrows[f].on_objects[x], F.on_arrows[f].on_objects[y]
-                        )
-                        for f in arrows
-                    ]
-                    total = 1
-                    for p in pools:
-                        total *= max(1, len(p))
-                    try:
-                        guard("stack morphism families", total, bound)
-                    except SizeBound:
-                        report.bounded(f"stack-ii at {c}", bound)
-                        continue
-                    if any(not p for p in pools):
-                        continue
-                    for choice in itertools.product(*pools):
-                        fam = dict(zip(arrows, choice))
-                        compatible = all(
-                            F.on_arrows[g].on_arrows[fam[f]] == fam[base.compose(f, g)]
+        arrows = s.sorted_arrows()
+        # (iii) uniqueness of gluings of morphisms
+        for x in Fc.objects:
+            for y in Fc.objects:
+                homs = Fc.hom(x, y)
+                for h in homs:
+                    for k in homs:
+                        if h < k and all(
+                            F.on_arrows[f].on_arrows[h] == F.on_arrows[f].on_arrows[k]
                             for f in arrows
-                            for g in base.arrows_into(base.dom(f))
-                        )
-                        if not compatible:
-                            continue
-                        gluings = [
-                            h for h in Fc.hom(x, y)
-                            if all(F.on_arrows[f].on_arrows[h] == fam[f] for f in arrows)
-                        ]
-                        if not gluings:
-                            report.fail(("ii", c, s.sorted_arrows(), x, y,
-                                         tuple(sorted(fam.items()))))
-            # (i) gluing of objects over enumerated descent data
-            try:
-                data = enumerate_descent_data(F, s, bound)
-            except SizeBound as exc:
-                report.bounded(f"stack-i at {c} over {s.sorted_arrows()}", exc.bound)
-                continue
-            for datum in data:
+                        ):
+                            report.fail(("iii", c, arrows, x, y, h, k))
+        # (ii) gluing of morphisms
+        for x in Fc.objects:
+            for y in Fc.objects:
+                pools = [
+                    F.on_objects[base.dom(f)].hom(
+                        F.on_arrows[f].on_objects[x], F.on_arrows[f].on_objects[y]
+                    )
+                    for f in arrows
+                ]
+                total = 1
+                for p in pools:
+                    total *= max(1, len(p))
                 try:
-                    wits = effectiveness(datum, bound)
-                except SizeBound as exc:
-                    report.bounded(f"stack-i-witness at {c}", exc.bound)
+                    guard("stack morphism families", total, bound)
+                except SizeBound:
+                    report.bounded(f"stack-ii at {c}", bound)
                     continue
-                if not wits:
-                    report.fail(("i", c, s.sorted_arrows(),
-                                 tuple(sorted(datum.objects.items()))))
+                if any(not p for p in pools):
+                    continue
+                for choice in itertools.product(*pools):
+                    fam = dict(zip(arrows, choice))
+                    compatible = all(
+                        F.on_arrows[g].on_arrows[fam[f]] == fam[base.compose(f, g)]
+                        for f in arrows
+                        for g in base.arrows_into(base.dom(f))
+                    )
+                    if compatible and not any(
+                        all(F.on_arrows[f].on_arrows[h] == fam[f] for f in arrows)
+                        for h in Fc.hom(x, y)
+                    ):
+                        report.fail(("ii", c, arrows, x, y, tuple(sorted(fam.items()))))
+        # (i) gluing of objects over enumerated descent data
+        try:
+            data = enumerate_descent_data(F, s, bound)
+        except SizeBound as exc:
+            report.bounded(f"stack-i at {c} over {arrows}", exc.bound)
+            continue
+        for datum in data:
+            try:
+                wits = effectiveness(datum, bound)
+            except SizeBound as exc:
+                report.bounded(f"stack-i-witness at {c}", exc.bound)
+                continue
+            if not wits:
+                report.fail(("i", c, arrows, tuple(sorted(datum.objects.items()))))
     return report
 
 
@@ -565,13 +569,12 @@ def omega_J_probe(j: GrothTopology, data: list[SheafDescentDatum],
             continue
         # morphism gluing: every endomorphism family induced by restriction
         # glues back to the map it came from, uniquely
-        from .fincat import identity_presheaf_map
-
         try:
-            lam_pool = enumerate_presheaf_maps(M, M, min(bound, 50000))
-        except SizeBound:
-            lam_pool = [identity_presheaf_map(M)]
-        for lam0 in lam_pool[: min(len(lam_pool), 4)]:
+            lam_pool = search_presheaf_maps(M, M, bound)
+        except SizeBound as exc:
+            report.bounded(f"morphism-gluing at datum {idx}", exc.bound)
+            lam_pool = []
+        for lam0 in lam_pool[:4]:
             alpha = {}
             ok = True
             for f in d.sieve.arrows:

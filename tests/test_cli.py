@@ -291,7 +291,46 @@ def test_char_stacks_is_undecided_when_an_endpoint_check_hits_the_bound(tmp_path
     path = tmp_path / "sheaf.site"
     path.write_text(docformat.serialize(b.doc))
     assert tck("char-stacks", str(path)).returncode == 0
-    res = tck("char-stacks", str(path), "--bound", "2", "--json")
+    res = tck("char-stacks", str(path), "--bound", "1", "--json")
     assert res.returncode == 2, res.stdout
     bounds = json.loads(res.stdout)["bounds"]
-    assert list(bounds) == ["stack-i at T over ('L_T', 'O_T', 'R_T', 'T_T')"]
+    assert list(bounds) == ["stack-i at R over ('O_R', 'R_R')"]
+
+
+def test_check_stack_notes_no_stack_witness_on_bounded_pass(tmp_path):
+    # at bound 1 the object-gluing strata over M_R and M_T trip their guards:
+    # the verdict is bounded-pass, and F must not be named a stack
+    from tck import corpus, docformat, prestack
+    from tck.docbuild import DocumentBuilder
+
+    osite = corpus.open_site()
+    b = DocumentBuilder()
+    b.topology("J", corpus.open_site_topology(), "OpenSite")
+    b.catpresheaf("F", prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6]),
+                  "OpenSite")
+    path = tmp_path / "sheaf.site"
+    path.write_text(docformat.serialize(b.doc))
+    res = tck("check-stack", str(path))
+    assert res.returncode == 0, res.stdout
+    assert "witness: ('F', 'J', 'stack')" in res.stdout
+    res = tck("check-stack", str(path), "--bound", "1")
+    assert res.returncode == 2, res.stdout
+    assert "verdict: bounded-pass" in res.stdout
+    assert "witness" not in res.stdout
+
+
+def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(tmp_path):
+    from tck import docformat
+    from tck.corpus import open_site
+    from tck.docbuild import DocumentBuilder
+    from test_stacks import local_pair_datum
+
+    b = DocumentBuilder()
+    b.category("OpenSite", open_site())
+    b.sheaf_descent("D", local_pair_datum(2, 2), "OpenSite", "J", "S")
+    path = tmp_path / "pair.site"
+    path.write_text(docformat.serialize(b.doc))
+    assert tck("probe-omega-j", str(path)).returncode == 0
+    res = tck("probe-omega-j", str(path), "--bound", "100", "--json")
+    assert res.returncode == 2, res.stdout
+    assert json.loads(res.stdout)["bounds"] == {"D: morphism-gluing at datum 0": 100}

@@ -190,11 +190,17 @@ def test_broken_topologies_fail_with_named_axiom():
 
 def test_sheaf_checks_reject_raw_non_topologies():
     # a raw table whose M_c does not cover, or is not stable, has no
-    # sheaf condition to check, not even for delta1
+    # sheaf or stack condition to check, not even for delta1
+    from tck.prestack import discrete_presheaf
+    from tck.stacks import check_stack
+
+    def stack_check(Z, j):
+        return check_stack(discrete_presheaf(j.base, Z), j)
+
     for build, axiom in [(broken_stability, "stability"),
                          (broken_maximality, "intersection")]:
         j = build()
-        for check in (is_sheaf, is_separated):
+        for check in (is_sheaf, is_separated, stack_check):
             with pytest.raises(AxiomViolation) as exc:
                 check(delta1(j.base), j)
             assert exc.value.kind == axiom

@@ -1,18 +1,28 @@
-import pytest
+import itertools
+from collections.abc import Mapping
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import stack_oracle
 from tck import prestack
 from tck.classifier import char, classify
 from tck.corpus import (
+    bases,
+    catpresheaf_corpus,
+    constant_cat_presheaf,
     nonseparated_presheaf,
     open_site,
     open_site_topology,
     presheaf_corpus,
+    square,
     walking_arrow,
 )
 from tck.errors import FactorizationFailed, InvalidTable
 from tck.fincat import (
     PresheafMap,
     SetPresheaf,
+    constant_presheaf,
     delta1,
     identity_presheaf_map,
     presheaf_iso,
@@ -32,10 +42,12 @@ from tck.prestack import (
     TwoNat,
 )
 from tck.site import (
+    GrothTopology,
     Sieve,
     is_sheaf,
     sieve_generate,
     slice_topology,
+    topology_from_generators,
     trivial_topology,
 )
 from tck.stacks import (
@@ -405,6 +417,17 @@ def test_omega_J_probe_full_report():
     assert rep.ok, rep.counterexamples
 
 
+def test_omega_J_probe_reports_bounded_when_the_endomorphism_search_trips():
+    # the glued sheaf of local_pair_datum(2, 2) has 16 endomorphisms: at
+    # bound 100 their search trips, and the probe must not pass silently
+    rep = omega_J_probe(OSJ, [local_pair_datum(2, 2)], bound=100)
+    assert rep.verdict == "bounded-pass"
+    assert rep.bounds == {"morphism-gluing at datum 0": 100}
+    # at the default bound even the 729 endomorphisms for (3, 3) are found
+    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)])
+    assert rep.verdict == "pass" and not rep.bounds
+
+
 def test_omega_J_probe_vacuous_on_empty_sieve():
     sl, _ = slice_cat(OS, "O")
     d = SheafDescentDatum(OS, OSJ, Sieve("O", frozenset()), {}, {})
@@ -696,17 +719,113 @@ def test_scale_smoke_five_object_chain():
 
 
 def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
-    # at bound 2 the object-gluing stratum over the maximal sieve on T trips
-    # its guard, so neither endpoint is known to be a stack
+    # at bound 1 the object-gluing strata over M_R and M_T trip their
+    # guards, so neither endpoint is known to be a stack
     from tck.corpus import open_site_sheaf_corpus
     from tck.errors import SizeBound
 
     F = discrete_presheaf(OS, open_site_sheaf_corpus(7)[6])
     phi = certify_dopf_pre(identity_two_nat(F))
-    report = check_stack(F, OSJ, 2)
+    report = check_stack(F, OSJ, 1)
     assert report.verdict == "bounded-pass"
     with pytest.raises(SizeBound) as exc:
-        char_stacks(phi, OSJ, check_endpoints=True, bound=2)
+        char_stacks(phi, OSJ, check_endpoints=True, bound=1)
     assert exc.value.what == next(iter(report.bounds))
-    assert exc.value.what.startswith("stack-i at T over")
-    assert char_stacks(phi, OSJ, check_endpoints=False, bound=2) is not None
+    assert exc.value.what == "stack-i at R over ('O_R', 'R_R')"
+    assert char_stacks(phi, OSJ, check_endpoints=False, bound=1) is not None
+
+
+# -- the stack conditions on the least covers -------------------------------------------
+
+
+def on_least_covers(report, j):
+    """The oracle's counterexamples on the least covers, in its order."""
+    return [ce for ce in report.counterexamples if ce[2] == j.minimal[ce[1]].sorted_arrows()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_stack_on_least_covers_agrees_with_every_cover_oracle(data):
+    cats = dict(bases(), square=square())
+    name = data.draw(st.sampled_from(sorted(cats)))
+    cat = cats[name]
+    gens = {}
+    for c in cat.objects:
+        into = sorted(cat.arrows_into(c))
+        gens[c] = data.draw(st.lists(st.lists(st.sampled_from(into), max_size=3), max_size=2))
+    topo, _ = topology_from_generators(cat, gens)
+    candidates = catpresheaf_corpus(cat, 4) + [constant_cat_presheaf(cat, walking_iso())]
+    candidates += [representable(cat, c) for c in cat.objects]
+    F = candidates[data.draw(st.integers(0, len(candidates) - 1))]
+    expected = stack_oracle.check_stack(F, topo, 10**4)
+    assume(expected.verdict != "bounded-pass")
+    rep = check_stack(F, topo, 10**4)
+    assert rep.verdict == expected.verdict, (name, gens)
+    assert rep.counterexamples == on_least_covers(expected, topo)
+
+
+class RefusingCovers(Mapping):
+    def __getitem__(self, c):
+        raise AssertionError(f"check_stack read a cover of {c!r}")
+
+    def __iter__(self):
+        raise AssertionError("check_stack iterated the covers")
+
+    def __len__(self):
+        raise AssertionError("check_stack counted the covers")
+
+
+def test_check_stack_reads_no_cover_but_the_least_ones():
+    from test_site import powerset_site
+
+    SQ, sq_topo = square_site()
+    p3 = powerset_site(3)
+    cases = [(OSJ, F) for F in catpresheaf_corpus(OS, 4)]
+    cases += [(OSJ, representable(OS, c)) for c in OS.objects]
+    cases += [(OSJ, constant_cat_presheaf(OS, walking_iso())),
+              (sq_topo, constant_cat_presheaf(SQ, walking_arrow())),
+              (p3, constant_cat_presheaf(p3.base, walking_iso()))]
+    for j, F in cases:
+        guarded = GrothTopology(j.base, RefusingCovers())
+        guarded.__dict__["minimal"] = j.minimal
+        expected = stack_oracle.check_stack(F, j)
+        rep = check_stack(F, guarded)
+        assert rep.verdict == expected.verdict
+        assert rep.counterexamples == on_least_covers(expected, j)
+
+
+def two_valued_functions(cat):
+    """U -> {0, 1}^U on a powerset site, restricting by forgetting points:
+    a section is a string over the points with '-' off U."""
+    def restrict(s, V):
+        return "".join(ch if b == "1" else "-" for ch, b in zip(s, V[1:]))
+
+    points = len(cat.objects[0]) - 1
+    every = ["".join(v) for v in itertools.product("01", repeat=points)]
+    on_objects = {U: tuple(sorted({restrict(s, U) for s in every})) for U in cat.objects}
+    on_arrows = {f: {s: restrict(s, V) for s in on_objects[U]}
+                 for f, (V, U) in cat.arrows.items()}
+    Z = SetPresheaf(cat, on_objects, on_arrows)
+    Z.validate()
+    return Z
+
+
+def test_check_stack_at_k4_agrees_with_is_sheaf_on_discrete_presheaves():
+    # the k = 4 powerset site has 114 covers of its top object, the
+    # maximal one with 16 arrows; M_c has 5.  On the maximal sieve the two
+    # 32- and 81-section presheaves have 2^16 descent data and more
+    import time
+
+    from test_site import powerset_site
+
+    j = powerset_site(4)
+    small = [Z for Z in presheaf_corpus(j.base, 60)
+             if sum(len(v) for v in Z.on_objects.values()) <= 20][:40]
+    assert len(small) == 40
+    zs = small + [constant_presheaf(j.base, ["k0", "k1"]), two_valued_functions(j.base)]
+    start = time.monotonic()
+    verdicts = [(check_stack(discrete_presheaf(j.base, Z), j).verdict, is_sheaf(Z, j).verdict)
+                for Z in zs]
+    assert all(stack == sheaf for stack, sheaf in verdicts)
+    assert verdicts[-2:] == [("fail", "fail"), ("pass", "pass")]
+    assert time.monotonic() - start <= 10.0
