@@ -18,10 +18,10 @@ from .fincat import (
     FinFunctor,
     FinSetFunctor,
     NatTransform,
-    build_category,
     compose_functors,
     guard,
     identity_functor,
+    named_parts,
     point_category,
 )
 
@@ -57,6 +57,11 @@ class CommaCone:
 def certify_dopf(p: FinFunctor) -> DiscOpfibCat:
     """Certify the unique-lifting property by exhaustive scan, or reject."""
     p.validate()
+    return certify_valid_dopf(p)
+
+
+def certify_valid_dopf(p: FinFunctor) -> DiscOpfibCat:
+    """certify_dopf for a functor known to be valid."""
     E, B = p.source, p.target
     lifts: dict[tuple[str, str], str] = {}
     for e in E.objects:
@@ -112,90 +117,78 @@ def pullback_named(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFun
     """
     if z.target != p.base:
         raise InvalidTable("pullback: codomains disagree")
+    z.validate()
     F, E = z.source, p.total
-    obj_parts = {
-        _pair(x, e): (x, e)
-        for x in F.objects
-        for e in E.objects
-        if z.on_objects[x] == p.p.on_objects[e]
+    obj_parts = named_parts(((x, e) for x in F.objects for e in E.objects
+                             if z.on_objects[x] == p.p.on_objects[e]), _pair)
+    arr_parts = named_parts(((u, g) for u in F.arrows for g in E.arrows
+                             if z.on_arrows[u] == p.p.on_arrows[g]), _pair)
+    arrows = {
+        name: (_pair(F.dom(u), E.dom(g)), _pair(F.cod(u), E.cod(g)))
+        for name, (u, g) in arr_parts.items()
     }
-    arrows: dict[str, tuple[str, str]] = {}
-    proj_f: dict[str, str] = {}
-    proj_e: dict[str, str] = {}
-    for u in F.arrows:
-        for g in E.arrows:
-            if z.on_arrows[u] == p.p.on_arrows[g]:
-                name = _pair(u, g)
-                arrows[name] = (_pair(F.dom(u), E.dom(g)), _pair(F.cod(u), E.cod(g)))
-                proj_f[name] = u
-                proj_e[name] = g
     identities = {o: _pair(F.id_of(x), E.id_of(e)) for o, (x, e) in obj_parts.items()}
     compose = {}
-    for n2 in arrows:
-        for n1 in arrows:
+    for n2, (u2, g2) in arr_parts.items():
+        for n1, (u1, g1) in arr_parts.items():
             if arrows[n1][1] == arrows[n2][0]:
-                compose[(n2, n1)] = _pair(
-                    F.compose(proj_f[n2], proj_f[n1]), E.compose(proj_e[n2], proj_e[n1])
-                )
-    apex = build_category(obj_parts, arrows, identities, compose)
-    left = FinFunctor(apex, F, {o: x for o, (x, _) in obj_parts.items()}, proj_f)
-    top = FinFunctor(apex, E, {o: e for o, (_, e) in obj_parts.items()}, proj_e)
-    left.validate()
-    top.validate()
-    return certify_dopf(left), top
+                compose[(n2, n1)] = _pair(F.compose(u2, u1), E.compose(g2, g1))
+    # valid because pairs over one base arrow form a subcategory of F x E
+    apex = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
+    left = FinFunctor(apex, F, {o: x for o, (x, _) in obj_parts.items()},
+                      {n: u for n, (u, _) in arr_parts.items()})
+    top = FinFunctor(apex, E, {o: e for o, (_, e) in obj_parts.items()},
+                     {n: g for n, (_, g) in arr_parts.items()})
+    return certify_valid_dopf(left), top
 
 
 def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
     """The comma category (f / g) with canonical tuple-named apex."""
     if f.target != g.target:
         raise InvalidTable("comma: codomains disagree")
+    f.validate()
+    g.validate()
     A, B, C = f.source, g.source, f.target
 
     def oname(a: str, b: str, al: str) -> str:
         return f"({a},{b},{al})"
 
-    parts = {
-        oname(a, b, al): (a, b, al)
-        for a in A.objects
-        for b in B.objects
-        for al in C.hom(f.on_objects[a], g.on_objects[b])
-    }
+    def aname(u: str, v: str, o1: str, o2: str) -> str:
+        return f"[{u},{v}]{o1}->{o2}"
+
+    parts = named_parts(((a, b, al) for a in A.objects for b in B.objects
+                         for al in C.hom(f.on_objects[a], g.on_objects[b])), oname)
     objs = sorted(parts)
-    arrows: dict[str, tuple[str, str]] = {}
-    comp_u: dict[str, str] = {}
-    comp_v: dict[str, str] = {}
-    for o1 in objs:
-        a1, b1, al1 = parts[o1]
-        for o2 in objs:
-            a2, b2, al2 = parts[o2]
-            for u in A.hom(a1, a2):
-                for v in B.hom(b1, b2):
-                    # square: al2 . f(u) == g(v) . al1
-                    if C.compose(al2, f.on_arrows[u]) == C.compose(g.on_arrows[v], al1):
-                        name = f"[{u},{v}]{o1}->{o2}"
-                        arrows[name] = (o1, o2)
-                        comp_u[name] = u
-                        comp_v[name] = v
-    identities = {
-        o: f"[{A.id_of(parts[o][0])},{B.id_of(parts[o][1])}]{o}->{o}" for o in objs
-    }
+
+    def squares():
+        for o1 in objs:
+            a1, b1, al1 = parts[o1]
+            for o2 in objs:
+                a2, b2, al2 = parts[o2]
+                for u in A.hom(a1, a2):
+                    for v in B.hom(b1, b2):
+                        # square: al2 . f(u) == g(v) . al1
+                        if C.compose(al2, f.on_arrows[u]) == C.compose(g.on_arrows[v], al1):
+                            yield u, v, o1, o2
+
+    arr_parts = named_parts(squares(), aname)
+    arrows = {name: (o1, o2) for name, (_, _, o1, o2) in arr_parts.items()}
+    identities = {o: aname(A.id_of(parts[o][0]), B.id_of(parts[o][1]), o, o) for o in objs}
     compose = {}
-    for n2 in arrows:
-        for n1 in arrows:
-            if arrows[n1][1] == arrows[n2][0]:
-                u = A.compose(comp_u[n2], comp_u[n1])
-                v = B.compose(comp_v[n2], comp_v[n1])
-                compose[(n2, n1)] = f"[{u},{v}]{arrows[n1][0]}->{arrows[n2][1]}"
-    apex = build_category(objs, arrows, identities, compose)
-    left = FinFunctor(apex, A, {o: parts[o][0] for o in objs}, comp_u)
-    right = FinFunctor(apex, B, {o: parts[o][1] for o in objs}, comp_v)
-    left.validate()
-    right.validate()
+    for n2, (u2, v2, o, o3) in arr_parts.items():
+        for n1, (u1, v1, o1, o2) in arr_parts.items():
+            if o2 == o:
+                compose[(n2, n1)] = aname(A.compose(u2, u1), B.compose(v2, v1), o1, o3)
+    # valid because squares paste, and the filler is natural at each square
+    apex = FinCat(tuple(objs), arrows, identities, compose)
+    left = FinFunctor(apex, A, {o: parts[o][0] for o in objs},
+                      {n: u for n, (u, _, _, _) in arr_parts.items()})
+    right = FinFunctor(apex, B, {o: parts[o][1] for o in objs},
+                       {n: v for n, (_, v, _, _) in arr_parts.items()})
     filler = NatTransform(
         compose_functors(f, left), compose_functors(g, right),
         {o: parts[o][2] for o in objs},
     )
-    filler.validate()
     return CommaCone(apex, left, right, filler)
 
 
@@ -213,33 +206,36 @@ def lax_limit_of_arrow(omega: FinFunctor) -> tuple[DiscOpfibCat, CommaCone]:
 def elements_of(z: FinSetFunctor) -> DiscOpfibCat:
     """Category of elements of a covariant set-valued functor, certified."""
     z.validate()
+    return elements_of_valid(z)
+
+
+def elements_of_valid(z: FinSetFunctor) -> DiscOpfibCat:
+    """elements_of for a set functor known to be valid."""
     B = z.base
-    obj_parts = {_pair(b, x): (b, x) for b in B.objects for x in z.on_objects[b]}
-    arrows: dict[str, tuple[str, str]] = {}
-    over: dict[str, str] = {}
-    at_elem: dict[str, str] = {}
-    for f, (d, c) in z.base.arrows.items():
-        for x in z.on_objects[d]:
-            name = _pair(f, x)
-            arrows[name] = (_pair(d, x), _pair(c, z.on_arrows[f][x]))
-            over[name] = f
-            at_elem[name] = x
+    obj_parts = named_parts(((b, x) for b in B.objects for x in z.on_objects[b]), _pair)
+    arr_parts = named_parts(((f, x) for f in B.arrows for x in z.on_objects[B.dom(f)]), _pair)
+    arrows = {
+        name: (_pair(B.dom(f), x), _pair(B.cod(f), z.on_arrows[f][x]))
+        for name, (f, x) in arr_parts.items()
+    }
     identities = {o: _pair(B.id_of(b), x) for o, (b, x) in obj_parts.items()}
     compose = {}
-    for n2 in arrows:
-        for n1 in arrows:
-            if arrows[n1][1] == arrows[n2][0]:
-                compose[(n2, n1)] = _pair(B.compose(over[n2], over[n1]), at_elem[n1])
-    total = build_category(obj_parts, arrows, identities, compose)
-    proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()}, over)
-    proj.validate()
-    return certify_dopf(proj)
+    for n1, (f1, x) in arr_parts.items():
+        y = z.on_arrows[f1][x]
+        for f2 in B.arrows_from(B.cod(f1)):
+            compose[(_pair(f2, y), n1)] = _pair(B.compose(f2, f1), x)
+    # valid because z is a functor and names are injective
+    total = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
+    proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()},
+                      {n: f for n, (f, _) in arr_parts.items()})
+    return certify_valid_dopf(proj)
 
 
 def fiber_functor(p: DiscOpfibCat) -> FinSetFunctor:
     """Collect the fibres of p into a covariant set-valued functor."""
     B = p.base
-    z = FinSetFunctor(
+    # valid because unique lifting makes transport functorial
+    return FinSetFunctor(
         B,
         dict(p.fibres),
         {
@@ -247,8 +243,6 @@ def fiber_functor(p: DiscOpfibCat) -> FinSetFunctor:
             for f in B.arrows
         },
     )
-    z.validate()
-    return z
 
 
 # -- morphisms of opfibrations over a fixed base ---------------------------------

@@ -26,7 +26,6 @@ from .fincat import (
     FinSetFunctor,
     PresheafMap,
     SetPresheaf,
-    compose_functors,
     compose_presheaf_maps,
     delta1,
     guard,
@@ -37,8 +36,15 @@ from .fincat import (
     search_presheaf_maps,
     slice_arrow_name,
     slice_cat,
+    validates_once,
 )
-from .prestack import CatPresheaf, DiscOpfibPre, TwoNat, certify_dopf_pre, representable
+from .prestack import (
+    CatPresheaf,
+    DiscOpfibPre,
+    TwoNat,
+    certify_valid_dopf_pre,
+    representable,
+)
 from .report import Report
 
 
@@ -63,6 +69,7 @@ class MapToOmega:
         """classify's result, kept for the life of this map."""
         return _classify(self)
 
+    @validates_once
     def validate(self) -> None:
         F = self.source
         if F.base != self.site:
@@ -121,6 +128,7 @@ class OmegaModification:
     target: MapToOmega
     components: Mapping[tuple[str, str], PresheafMap]
 
+    @validates_once
     def validate(self) -> None:
         z, w = self.source, self.target
         if z.source != w.source or z.site != w.site:
@@ -168,9 +176,8 @@ def omega_point(F: CatPresheaf) -> MapToOmega:
             object_part[(c, x)] = d1
         for nu in F.on_objects[c].arrows:
             arrow_part[(c, nu)] = identity_presheaf_map(d1)
-    z = MapToOmega(site, F, object_part, arrow_part)
-    z.validate()
-    return z
+    # valid because delta1 reindexes to delta1 and identities compose
+    return MapToOmega(site, F, object_part, arrow_part)
 
 
 # -- classification ---------------------------------------------------------------------
@@ -202,7 +209,8 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
     z.validate()
     site = z.site
     F = z.source
-    totals = {c: cat2.elements_of(_fibre_table(z, c)) for c in site.objects}
+    # valid, as are the functors, G and s below, because z is strictly 2-natural
+    totals = {c: cat2.elements_of_valid(_fibre_table(z, c)) for c in site.objects}
     on_arrows = {}
     for f, (d, c) in site.arrows.items():
         idc = site.id_of(c)
@@ -223,14 +231,10 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
                 f"({F.on_arrows[f].on_arrows[nu]},"
                 f"{z.object_part[(c, x)].on_arrows[restrict][t]})"
             )
-        fun = FinFunctor(src, tgt, on_objects, arr_map)
-        fun.validate()
-        on_arrows[f] = fun
+        on_arrows[f] = FinFunctor(src, tgt, on_objects, arr_map)
     G = CatPresheaf(site, {c: totals[c].total for c in site.objects}, on_arrows)
-    G.validate()
     s = TwoNat(G, F, {c: totals[c].p for c in site.objects})
-    s.validate()
-    return certify_dopf_pre(s)
+    return certify_valid_dopf_pre(s)
 
 
 # -- the characteristic morphism ----------------------------------------------------------
@@ -266,9 +270,7 @@ def char(phi: DiscOpfibPre) -> MapToOmega:
                     on_arrows[slice_arrow_name(g, f)] = {
                         y: G.on_arrows[g].on_objects[y] for y in phi.fibre(d, fx)
                     }
-            Z = SetPresheaf(sl, on_objects, on_arrows)
-            Z.validate()
-            object_part[(c, x)] = Z
+            object_part[(c, x)] = SetPresheaf(sl, on_objects, on_arrows)
         for nu in Fc.arrows:
             x = Fc.dom(nu)
             comps = {}
@@ -283,15 +285,16 @@ def char(phi: DiscOpfibPre) -> MapToOmega:
             arrow_part[(c, nu)] = PresheafMap(
                 object_part[(c, x)], object_part[(c, Fc.cod(nu))], comps
             )
-    z = MapToOmega(site, F, object_part, arrow_part)
-    z.validate()
-    return z
+    # valid because phi is certified over a strict F and G is strict
+    return MapToOmega(site, F, object_part, arrow_part)
 
 
 def precompose_map_to_omega(z: MapToOmega, y: TwoNat) -> MapToOmega:
     """Reindex z: F -> Omega-tilde along y: H -> F."""
     if y.target != z.source:
         raise InvalidTable("precompose_map_to_omega: endpoints disagree")
+    z.validate()
+    y.validate()
     H = y.source
     object_part = {
         (c, w): z.object_part[(c, y.components[c].on_objects[w])]
@@ -303,9 +306,8 @@ def precompose_map_to_omega(z: MapToOmega, y: TwoNat) -> MapToOmega:
         for c in H.base.objects
         for nu in H.on_objects[c].arrows
     }
-    out = MapToOmega(z.site, H, object_part, arrow_part)
-    out.validate()
-    return out
+    # valid because y is strictly natural and z strictly 2-natural
+    return MapToOmega(z.site, H, object_part, arrow_part)
 
 
 def gamma_mod(alpha: OmegaModification) -> TwoNat:
@@ -332,16 +334,10 @@ def gamma_mod(alpha: OmegaModification) -> TwoNat:
             x = src.s.components[c].on_objects[o1]
             t = o1[2 + len(x):-1]
             arr_map[name] = f"({nu},{alpha.components[(c, x)].components[idc][t]})"
-        fun = FinFunctor(src.total.on_objects[c], tgt.total.on_objects[c],
-                         on_objects, arr_map)
-        fun.validate()
-        comps[c] = fun
-    out = TwoNat(src.total, tgt.total, comps)
-    out.validate()
-    for c in site.objects:
-        if compose_functors(tgt.s.components[c], comps[c]) != src.s.components[c]:
-            raise InvalidTable("gamma_mod does not commute with the projections")
-    return out
+        comps[c] = FinFunctor(src.total.on_objects[c], tgt.total.on_objects[c],
+                              on_objects, arr_map)
+    # valid and over F because alpha is a modification: (x, t) goes to (x, alpha(t))
+    return TwoNat(src.total, tgt.total, comps)
 
 
 # -- the indexed Grothendieck equivalence over representables ------------------------------
@@ -378,17 +374,14 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
             fg = site.compose(f, g)
             for x in Z.on_objects[f]:
                 on_objects[f"({f},{x})"] = f"({fg},{Z.on_arrows[slice_arrow_name(g, f)][x]})"
-        fun = FinFunctor(
+        on_arrows[g] = FinFunctor(
             cats[d], cats[e], on_objects,
             {f"id_{o}": f"id_{on_objects[o]}" for o in on_objects},
         )
-        fun.validate()
-        on_arrows[g] = fun
+    # valid because Z is a presheaf: H(g) acts on (f, x) as Z(g>f) does
     H = CatPresheaf(site, cats, on_arrows)
-    H.validate()
     s = TwoNat(H, rep, comps)
-    s.validate()
-    return certify_dopf_pre(s)
+    return certify_valid_dopf_pre(s)
 
 
 def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
@@ -412,9 +405,8 @@ def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
             on_arrows[slice_arrow_name(g, f)] = {
                 y: H.on_arrows[g].on_objects[y] for y in on_objects[f]
             }
-    Z = SetPresheaf(sl, on_objects, on_arrows)
-    Z.validate()
-    return Z
+    # valid because psi is over representable(c) and H is strict
+    return SetPresheaf(sl, on_objects, on_arrows)
 
 
 # -- modifications between maps to Omega ---------------------------------------------------

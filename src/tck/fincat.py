@@ -6,6 +6,12 @@ every operation is a pure function.  Identifiers are opaque strings and
 equality is identifier equality; enumeration order is lexicographic on
 identifiers so that oracle outputs are reproducible.
 
+Validation happens at the boundary, once per instance: ``validate`` on
+every value type records its success on the instance, outside equality,
+hashing and repr, so a second call costs nothing; a failure is not
+recorded.  Values the library builds from validated inputs are valid by
+construction and are not re-validated.
+
 A FinCat indexes its hom-sets once: the first ``hom``/``arrows_into``/
 ``arrows_from`` call builds all three as sorted tuples in a cached
 attribute, which stays out of equality, hashing and repr.  Slices, and
@@ -17,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     IllTypedComposite,
@@ -35,6 +41,33 @@ DEFAULT_BOUND = 10**6
 def guard(what: str, estimate: int, bound: int) -> None:
     if estimate > bound:
         raise SizeBound(what, estimate, bound)
+
+
+def validates_once(check):
+    """Turn a check into a ``validate`` that runs it at most once per
+    instance: a success is recorded in the instance dict, where a
+    cached_property would keep it, and a failure raises on every call."""
+
+    @wraps(check)
+    def validate(self) -> None:
+        if "_valid" not in self.__dict__:
+            check(self)
+            self.__dict__["_valid"] = True
+
+    return validate
+
+
+def named_parts(parts: Iterable[tuple[str, ...]], name: Callable[..., str]) -> dict[str, tuple]:
+    """name(*part) -> part for each part.  Generated names need not be
+    injective (``(a,b,c)`` names both ("a", "b,c") and ("a,b", "c")), so two
+    parts sharing a name raise InvalidTable naming both."""
+    out: dict[str, tuple] = {}
+    for part in parts:
+        key = name(*part)
+        other = out.setdefault(key, part)
+        if other != part:
+            raise InvalidTable(f"generated name {key!r} is shared by {other!r} and {part!r}")
+    return out
 
 
 # -- categories ----------------------------------------------------------------
@@ -116,6 +149,7 @@ class FinCat:
 
     # validation
 
+    @validates_once
     def validate(self) -> None:
         seen = set(self.objects)
         if len(seen) != len(self.objects):
@@ -129,17 +163,15 @@ class FinCat:
                 raise MissingIdentity(c, "no identity arrow assigned")
             if self.arrows[i] != (c, c):
                 raise MissingIdentity(c, f"assigned identity {i!r} is not an endo-arrow on {c!r}")
-        # compose defined exactly on composable pairs, with correct endpoints
-        expected = {
-            (g, f)
-            for f in self.arrows
-            for g in self.arrows
-            if self.cod(f) == self.dom(g)
-        }
-        declared = set(self.compose_table)
-        for g, f in declared - expected:
+        # compose defined exactly on composable pairs, with correct endpoints;
+        # the first bad pair in sorted order is reported
+        ill_typed = [(g, f) for g, f in self.compose_table
+                     if g not in self.arrows or f not in self.arrows or self.cod(f) != self.dom(g)]
+        for g, f in sorted(ill_typed)[:1]:
             raise IllTypedComposite(g, f, f"cod({f!r}) != dom({g!r})")
-        for g, f in expected - declared:
+        missing = [(g, f) for f in self.arrows for g in self.arrows_from(self.cod(f))
+                   if (g, f) not in self.compose_table]
+        for g, f in sorted(missing)[:1]:
             raise IllTypedComposite(g, f, "composable pair missing from table")
         for (g, f), h in self.compose_table.items():
             if h not in self.arrows:
@@ -222,30 +254,19 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
     if hit is not None:
         return hit
     objs = list(cat.arrows_into(c))
-    arrows: dict[str, tuple[str, str]] = {}
-    for f in objs:
-        for g in cat.arrows_into(cat.dom(f)):
-            arrows[slice_arrow_name(g, f)] = (cat.compose(f, g), f)
+    parts = named_parts(((g, f) for f in objs for g in cat.arrows_into(cat.dom(f))),
+                        slice_arrow_name)
+    arrows = {name: (cat.compose(f, g), f) for name, (g, f) in parts.items()}
     identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
     compose: dict[tuple[str, str], str] = {}
-    for f1 in objs:
-        for g1 in cat.arrows_into(cat.dom(f1)):
-            a = slice_arrow_name(g1, f1)
-            for f2 in objs:
-                for g2 in cat.arrows_into(cat.dom(f2)):
-                    if cat.compose(f2, g2) == f1:
-                        b = slice_arrow_name(g2, f2)
-                        compose[(b, a)] = slice_arrow_name(cat.compose(g2, g1), f2)
-    sl = build_category(objs, arrows, identities, compose)
-    dom_fun = FinFunctor(
-        source=sl,
-        target=cat,
-        on_objects={f: cat.dom(f) for f in objs},
-        on_arrows={name: g for name, g in ((slice_arrow_name(g, f), g)
-                                            for f in objs
-                                            for g in cat.arrows_into(cat.dom(f)))},
-    )
-    dom_fun.validate()
+    for a, (g1, f1) in parts.items():
+        for b, (g2, f2) in parts.items():
+            if cat.compose(f2, g2) == f1:
+                compose[(b, a)] = slice_arrow_name(cat.compose(g2, g1), f2)
+    # valid because cat is and names are injective; dom_fun keeps composites of g
+    sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
+    dom_fun = FinFunctor(sl, cat, {f: cat.dom(f) for f in objs},
+                         {name: g for name, (g, _) in parts.items()})
     cat._slices[c] = (sl, dom_fun)
     return sl, dom_fun
 
@@ -275,9 +296,8 @@ def postcompose(cat: FinCat, f: str) -> "FinFunctor":
     """slice(C, dom f) -> slice(C, cod f), sending g to f.g."""
     src, objects, arrows = _postcomposition(cat, f)
     tgt, _ = slice_cat(cat, cat.cod(f))
-    fun = FinFunctor(src, tgt, dict(objects), dict(arrows))
-    fun.validate()
-    return fun
+    # valid because h>g goes to h>f.g and slice arrows compose by their h
+    return FinFunctor(src, tgt, dict(objects), dict(arrows))
 
 
 # -- functors and natural transformations ---------------------------------------
@@ -296,6 +316,7 @@ class FinFunctor:
     def ar(self, f: str) -> str:
         return self.on_arrows[f]
 
+    @validates_once
     def validate(self) -> None:
         if set(self.on_objects) != set(self.source.objects):
             raise InvalidTable("functor object map is not total")
@@ -343,6 +364,7 @@ class NatTransform:
     def at(self, x: str) -> str:
         return self.components[x]
 
+    @validates_once
     def validate(self) -> None:
         F, G = self.source, self.target
         if F.source != G.source or F.target != G.target:
@@ -366,158 +388,119 @@ def identity_nat(F: FinFunctor) -> NatTransform:
 # -- set-valued functors ---------------------------------------------------------
 
 
+class _SetValued:
+    """What SetPresheaf and FinSetFunctor share: an arrow acts between the
+    element tables, towards its domain on a presheaf (``_contravariant``)."""
+
+    def at(self, c: str) -> tuple[str, ...]:
+        return self.on_objects[c]
+
+    def act(self, f: str, x: str) -> str:
+        return self.on_arrows[f][x]
+
+    def _ends(self, f: str) -> tuple[str, str]:
+        """The objects f acts from and to."""
+        d, c = self.base.arrows[f]
+        return (c, d) if self._contravariant else (d, c)
+
+    @validates_once
+    def validate(self) -> None:
+        if set(self.on_objects) != set(self.base.objects):
+            raise InvalidTable(f"{self._what} object table is not total")
+        for c, elems in self.on_objects.items():
+            if len(set(elems)) != len(elems) or tuple(sorted(elems)) != tuple(elems):
+                raise InvalidTable(f"element table at {c!r} must be sorted and duplicate-free")
+        if set(self.on_arrows) != set(self.base.arrows):
+            raise InvalidTable(f"{self._what} arrow table is not total")
+        letter = self._letter
+        for f, fun in self.on_arrows.items():
+            src, tgt = self._ends(f)
+            if set(fun) != set(self.on_objects[src]):
+                raise InvalidTable(f"action of {f!r} not defined on all of {letter}({src!r})")
+            for x, y in fun.items():
+                if y not in self.on_objects[tgt]:
+                    raise InvalidTable(f"action of {f!r} sends {x!r} outside {letter}({tgt!r})")
+        for c in self.base.objects:
+            i = self.base.id_of(c)
+            if any(self.on_arrows[i][x] != x for x in self.on_objects[c]):
+                raise InvalidTable(f"identity on {c!r} does not act as identity")
+        acts_from = 1 if self._contravariant else 0  # the end of (dom, cod) f acts from
+        for (f, g), fg in self.base.compose_table.items():
+            # f.g acts as f and then g on a presheaf, as g and then f on a set functor
+            first, then = (f, g) if self._contravariant else (g, f)
+            for x in self.on_objects[self.base.arrows[first][acts_from]]:
+                if self.on_arrows[fg][x] != self.on_arrows[then][self.on_arrows[first][x]]:
+                    raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
+
+
 @dataclass(frozen=True, eq=True)
-class SetPresheaf:
+class SetPresheaf(_SetValued):
     """Contravariant finite-set-valued functor: f: d -> c acts Z(c) -> Z(d)."""
 
     base: FinCat
     on_objects: Mapping[str, tuple[str, ...]]
     on_arrows: Mapping[str, Mapping[str, str]]
-
-    def at(self, c: str) -> tuple[str, ...]:
-        return self.on_objects[c]
-
-    def act(self, f: str, x: str) -> str:
-        return self.on_arrows[f][x]
-
-    def validate(self) -> None:
-        if set(self.on_objects) != set(self.base.objects):
-            raise InvalidTable("presheaf object table is not total")
-        for c, elems in self.on_objects.items():
-            if len(set(elems)) != len(elems) or tuple(sorted(elems)) != tuple(elems):
-                raise InvalidTable(f"element table at {c!r} must be sorted and duplicate-free")
-        if set(self.on_arrows) != set(self.base.arrows):
-            raise InvalidTable("presheaf arrow table is not total")
-        for f, fun in self.on_arrows.items():
-            d, c = self.base.arrows[f]
-            if set(fun) != set(self.on_objects[c]):
-                raise InvalidTable(f"action of {f!r} not defined on all of Z({c!r})")
-            for x, y in fun.items():
-                if y not in self.on_objects[d]:
-                    raise InvalidTable(f"action of {f!r} sends {x!r} outside Z({d!r})")
-        for c in self.base.objects:
-            i = self.base.id_of(c)
-            if any(self.on_arrows[i][x] != x for x in self.on_objects[c]):
-                raise InvalidTable(f"identity on {c!r} does not act as identity")
-        for (f, g), fg in self.base.compose_table.items():
-            # f: d -> c, g: e -> d, so Z(f.g) = Z(g) . Z(f)
-            c = self.base.cod(f)
-            for x in self.on_objects[c]:
-                if self.on_arrows[fg][x] != self.on_arrows[g][self.on_arrows[f][x]]:
-                    raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
+    _contravariant, _what, _letter = True, "presheaf", "Z"
 
 
 @dataclass(frozen=True, eq=True)
-class FinSetFunctor:
+class FinSetFunctor(_SetValued):
     """Covariant finite-set-valued functor: f: d -> c acts A(d) -> A(c)."""
 
     base: FinCat
     on_objects: Mapping[str, tuple[str, ...]]
     on_arrows: Mapping[str, Mapping[str, str]]
+    _contravariant, _what, _letter = False, "set functor", "A"
 
-    def at(self, c: str) -> tuple[str, ...]:
-        return self.on_objects[c]
 
-    def act(self, f: str, x: str) -> str:
-        return self.on_arrows[f][x]
+class _SetValuedMap:
+    """What PresheafMap and SetFunctorMap share: components per object."""
 
+    def at(self, c: str, x: str) -> str:
+        return self.components[c][x]
+
+    @validates_once
     def validate(self) -> None:
-        if set(self.on_objects) != set(self.base.objects):
-            raise InvalidTable("set functor object table is not total")
-        for c, elems in self.on_objects.items():
-            if len(set(elems)) != len(elems) or tuple(sorted(elems)) != tuple(elems):
-                raise InvalidTable(f"element table at {c!r} must be sorted and duplicate-free")
-        if set(self.on_arrows) != set(self.base.arrows):
-            raise InvalidTable("set functor arrow table is not total")
-        for f, fun in self.on_arrows.items():
-            d, c = self.base.arrows[f]
-            if set(fun) != set(self.on_objects[d]):
-                raise InvalidTable(f"action of {f!r} not defined on all of A({d!r})")
-            for x, y in fun.items():
-                if y not in self.on_objects[c]:
-                    raise InvalidTable(f"action of {f!r} sends {x!r} outside A({c!r})")
-        for c in self.base.objects:
-            i = self.base.id_of(c)
-            if any(self.on_arrows[i][x] != x for x in self.on_objects[c]):
-                raise InvalidTable(f"identity on {c!r} does not act as identity")
-        for (f, g), fg in self.base.compose_table.items():
-            # f: d -> c, g: e -> d, so A(f.g) = A(f) . A(g)
-            e = self.base.dom(g)
-            for x in self.on_objects[e]:
-                if self.on_arrows[fg][x] != self.on_arrows[f][self.on_arrows[g][x]]:
-                    raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
+        if self.source.base != self.target.base:
+            raise InvalidTable(f"{self.source._what} map endpoints live on different bases")
+        base = self.source.base
+        for c in base.objects:
+            comp = self.components.get(c)
+            if comp is None or set(comp) != set(self.source.on_objects[c]):
+                raise InvalidTable(f"component at {c!r} missing or not total")
+            for x, y in comp.items():
+                if y not in self.target.on_objects[c]:
+                    raise InvalidTable(f"component at {c!r} sends {x!r} outside target")
+        for f in base.arrows:
+            src, tgt = self.source._ends(f)
+            for x in self.source.on_objects[src]:
+                if self.target.on_arrows[f][self.components[src][x]] != \
+                   self.components[tgt][self.source.on_arrows[f][x]]:
+                    raise InvalidTable(f"naturality fails on arrow {f!r}")
+
+    def is_iso(self) -> bool:
+        return all(
+            len(comp) == len(self.target.on_objects[c]) == len(set(comp.values()))
+            for c, comp in self.components.items()
+        )
 
 
 @dataclass(frozen=True, eq=True)
-class PresheafMap:
+class PresheafMap(_SetValuedMap):
     """Natural transformation between SetPresheaves on the same base."""
 
     source: SetPresheaf
     target: SetPresheaf
     components: Mapping[str, Mapping[str, str]]
 
-    def at(self, c: str, x: str) -> str:
-        return self.components[c][x]
-
-    def validate(self) -> None:
-        if self.source.base != self.target.base:
-            raise InvalidTable("presheaf map endpoints live on different bases")
-        base = self.source.base
-        for c in base.objects:
-            comp = self.components.get(c)
-            if comp is None or set(comp) != set(self.source.on_objects[c]):
-                raise InvalidTable(f"component at {c!r} missing or not total")
-            for x, y in comp.items():
-                if y not in self.target.on_objects[c]:
-                    raise InvalidTable(f"component at {c!r} sends {x!r} outside target")
-        for f in base.arrows:
-            d, c = base.arrows[f]
-            for x in self.source.on_objects[c]:
-                if self.target.on_arrows[f][self.components[c][x]] != \
-                   self.components[d][self.source.on_arrows[f][x]]:
-                    raise InvalidTable(f"naturality fails on arrow {f!r}")
-
-    def is_iso(self) -> bool:
-        return all(
-            len(comp) == len(self.target.on_objects[c]) == len(set(comp.values()))
-            for c, comp in self.components.items()
-        )
-
 
 @dataclass(frozen=True, eq=True)
-class SetFunctorMap:
+class SetFunctorMap(_SetValuedMap):
     """Natural transformation between FinSetFunctors on the same base."""
 
     source: FinSetFunctor
     target: FinSetFunctor
     components: Mapping[str, Mapping[str, str]]
-
-    def at(self, c: str, x: str) -> str:
-        return self.components[c][x]
-
-    def validate(self) -> None:
-        if self.source.base != self.target.base:
-            raise InvalidTable("set functor map endpoints live on different bases")
-        base = self.source.base
-        for c in base.objects:
-            comp = self.components.get(c)
-            if comp is None or set(comp) != set(self.source.on_objects[c]):
-                raise InvalidTable(f"component at {c!r} missing or not total")
-            for x, y in comp.items():
-                if y not in self.target.on_objects[c]:
-                    raise InvalidTable(f"component at {c!r} sends {x!r} outside target")
-        for f in base.arrows:
-            d, c = base.arrows[f]
-            for x in self.source.on_objects[d]:
-                if self.components[c][self.source.on_arrows[f][x]] != \
-                   self.target.on_arrows[f][self.components[d][x]]:
-                    raise InvalidTable(f"naturality fails on arrow {f!r}")
-
-    def is_iso(self) -> bool:
-        return all(
-            len(comp) == len(self.target.on_objects[c]) == len(set(comp.values()))
-            for c, comp in self.components.items()
-        )
 
 
 def compose_presheaf_maps(b: PresheafMap, a: PresheafMap) -> PresheafMap:

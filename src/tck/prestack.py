@@ -28,7 +28,9 @@ from .fincat import (
     enumerate_nats,
     guard,
     identity_functor,
+    named_parts,
     point_category,
+    validates_once,
 )
 
 
@@ -51,6 +53,7 @@ class CatPresheaf:
         """The category of elements and its parts (see _elements_tables)."""
         return _elements_tables(self)
 
+    @validates_once
     def validate(self) -> None:
         if set(self.on_objects) != set(self.base.objects):
             raise InvalidTable("cat presheaf object table is not total")
@@ -81,6 +84,7 @@ class TwoNat:
     def at(self, c: str) -> FinFunctor:
         return self.components[c]
 
+    @validates_once
     def validate(self) -> None:
         if self.source.base != self.target.base:
             raise InvalidTable("two-natural transformation across different sites")
@@ -106,6 +110,7 @@ class Modification:
     target: TwoNat
     components: Mapping[str, NatTransform]
 
+    @validates_once
     def validate(self) -> None:
         z, w = self.source, self.target
         if z.source != w.source or z.target != w.target:
@@ -162,6 +167,7 @@ def terminal_presheaf(base: FinCat) -> CatPresheaf:
 
 def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:
     """View a SetPresheaf as a Cat-valued presheaf with discrete values."""
+    Z.validate()
     cats = {c: discrete_category(Z.on_objects[c]) for c in base.objects}
     on_arrows = {}
     for f, (d, c) in base.arrows.items():
@@ -172,9 +178,8 @@ def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:
             dict(table),
             {f"id_{x}": f"id_{table[x]}" for x in Z.on_objects[c]},
         )
-    F = CatPresheaf(base, cats, on_arrows)
-    F.validate()
-    return F
+    # valid because Z is: each F(f) acts on objects as Z(f) does
+    return CatPresheaf(base, cats, on_arrows)
 
 
 def representable(base: FinCat, c: str) -> CatPresheaf:
@@ -190,6 +195,7 @@ def yoneda(F: CatPresheaf, c: str, x: str) -> TwoNat:
     """The 2-natural transformation representable(c) -> F picking x."""
     if x not in F.on_objects[c].objects:
         raise UnknownObject(x)
+    F.validate()
     rep = representable(F.base, c)
     comps = {}
     for d in F.base.objects:
@@ -198,9 +204,8 @@ def yoneda(F: CatPresheaf, c: str, x: str) -> TwoNat:
             f"id_{f}": F.on_objects[d].id_of(on_objects[f]) for f in F.base.hom(d, c)
         }
         comps[d] = FinFunctor(rep.on_objects[d], F.on_objects[d], on_objects, on_arrows)
-    nat = TwoNat(rep, F, comps)
-    nat.validate()
-    return nat
+    # valid because F is strict: F(g)(F(f)(x)) = F(f.g)(x)
+    return TwoNat(rep, F, comps)
 
 
 def yoneda_inv(nat: TwoNat) -> str:
@@ -256,10 +261,15 @@ def enumerate_two_nats(F: CatPresheaf, G: CatPresheaf,
 def certify_dopf_pre(s: TwoNat) -> DiscOpfibPre:
     """Certify every component, or reject naming the failing one."""
     s.validate()
+    return certify_valid_dopf_pre(s)
+
+
+def certify_valid_dopf_pre(s: TwoNat) -> DiscOpfibPre:
+    """certify_dopf_pre for a 2-natural transformation known to be valid."""
     certs = {}
     for c in sorted(s.source.base.objects):
         try:
-            certs[c] = cat2.certify_dopf(s.components[c])
+            certs[c] = cat2.certify_valid_dopf(s.components[c])
         except NotOpfibration as exc:
             raise NotOpfibrationAt(c, exc) from exc
     fibres = {
@@ -282,6 +292,8 @@ def pointwise_comma(f: TwoNat, g: TwoNat) -> PreCommaCone:
     """Comma object in [C^op, Cat], calculated pointwise."""
     if f.target != g.target:
         raise InvalidTable("pointwise_comma: codomains disagree")
+    f.validate()
+    g.validate()
     base = f.source.base
     cones = {c: cat2.comma(f.components[c], g.components[c]) for c in base.objects}
     on_arrows = {}
@@ -305,21 +317,16 @@ def pointwise_comma(f: TwoNat, g: TwoNat) -> PreCommaCone:
                 f"[{A_u.on_arrows[u1]},{B_u.on_arrows[v1]}]"
                 f"{on_objects[o1]}->{on_objects[o2]}"
             )
-        fun = FinFunctor(src_cone.apex, tgt_cone.apex, on_objects, arr_map)
-        fun.validate()
-        on_arrows[u] = fun
+        on_arrows[u] = FinFunctor(src_cone.apex, tgt_cone.apex, on_objects, arr_map)
+    # valid because f and g are strictly natural, so F(u) maps squares to squares
     apex = CatPresheaf(base, {c: cones[c].apex for c in base.objects}, on_arrows)
-    apex.validate()
     left = TwoNat(apex, f.source, {c: cones[c].left_leg for c in base.objects})
     right = TwoNat(apex, g.source, {c: cones[c].right_leg for c in base.objects})
-    left.validate()
-    right.validate()
     filler = Modification(
         compose_two_nats(f, left),
         compose_two_nats(g, right),
         {c: cones[c].filler for c in base.objects},
     )
-    filler.validate()
     return PreCommaCone(apex, left, right, filler)
 
 
@@ -329,6 +336,7 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
         raise InvalidTable("pointwise_pullback: codomains disagree")
     if z == identity_two_nat(p.codomain):
         return p, identity_two_nat(p.total)
+    z.validate()
     base = z.source.base
     pieces = {c: cat2.pullback_named(p.certificates[c], z.components[c])
               for c in base.objects}
@@ -347,16 +355,12 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
             uu = src_q.p.on_arrows[name]
             gg = pieces[c][1].on_arrows[name]
             arr_map[name] = f"({F_u.on_arrows[uu]},{G_u.on_arrows[gg]})"
-        fun = FinFunctor(src_q.total, tgt_q.total, on_objects, arr_map)
-        fun.validate()
-        on_arrows[u] = fun
+        on_arrows[u] = FinFunctor(src_q.total, tgt_q.total, on_objects, arr_map)
+    # valid because z and p.s are strictly natural, so F(u) x G(u) restricts
     apex = CatPresheaf(base, {c: pieces[c][0].total for c in base.objects}, on_arrows)
-    apex.validate()
     left = TwoNat(apex, z.source, {c: pieces[c][0].p for c in base.objects})
     top = TwoNat(apex, p.total, {c: pieces[c][1] for c in base.objects})
-    left.validate()
-    top.validate()
-    return certify_dopf_pre(left), top
+    return certify_valid_dopf_pre(left), top
 
 
 # -- the category of elements and fibre diagrams ------------------------------------------
@@ -370,23 +374,28 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
     def oname(c: str, x: str) -> str:
         return f"<{c}|{x}>"
 
-    obj_parts = {
-        oname(c, x): (c, x) for c in base.objects for x in F.on_objects[c].objects
+    def aname(f: str, mu: str, x: str) -> str:
+        return f"<{f}|{mu}|{x}>"
+
+    obj_parts = named_parts(
+        ((c, x) for c in base.objects for x in F.on_objects[c].objects), oname)
+
+    def arrow_parts():
+        for c, x in obj_parts.values():
+            for f in base.arrows_into(c):
+                d = base.dom(f)
+                fx = F.on_arrows[f].on_objects[x]
+                for y in F.on_objects[d].objects:
+                    for mu in F.on_objects[d].hom(fx, y):
+                        yield f, mu, x
+
+    parts = named_parts(arrow_parts(), aname)  # name -> (f, mu, x)
+    arrows = {
+        name: (oname(base.cod(f), x), oname(base.dom(f), F.on_objects[base.dom(f)].cod(mu)))
+        for name, (f, mu, x) in parts.items()
     }
-    arrows: dict[str, tuple[str, str]] = {}
-    parts: dict[str, tuple[str, str, str]] = {}  # name -> (f, mu, x)
-    for o, (c, x) in obj_parts.items():
-        for f in base.arrows_into(c):
-            d = base.dom(f)
-            fx = F.on_arrows[f].on_objects[x]
-            for y in F.on_objects[d].objects:
-                for mu in F.on_objects[d].hom(fx, y):
-                    name = f"<{f}|{mu}|{x}>"
-                    arrows[name] = (o, oname(d, y))
-                    parts[name] = (f, mu, x)
     identities = {
-        o: f"<{base.id_of(c)}|{F.on_objects[c].id_of(x)}|{x}>"
-        for o, (c, x) in obj_parts.items()
+        o: aname(base.id_of(c), F.on_objects[c].id_of(x), x) for o, (c, x) in obj_parts.items()
     }
     compose: dict[tuple[str, str], str] = {}
     for n1, (f, mu, x) in parts.items():
@@ -396,7 +405,7 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
             e = base.dom(g)
             fg = base.compose(f, g)
             comp_mu = F.on_objects[e].compose(mu2, F.on_arrows[g].on_arrows[mu])
-            compose[(n2, n1)] = f"<{fg}|{comp_mu}|{x}>"
+            compose[(n2, n1)] = aname(fg, comp_mu, x)
     return build_category(obj_parts, arrows, identities, compose), obj_parts, parts
 
 
@@ -430,9 +439,8 @@ def fibre_diagram(phi: DiscOpfibPre) -> "FinSetFunctor":
             restricted = G.on_arrows[f].on_objects[e]
             table[e] = cat2.transport(phi.certificates[d], restricted, mu)
         on_arrows[name] = table
-    out = FinSetFunctor(el, on_objects, on_arrows)
-    out.validate()
-    return out
+    # valid because transport along unique lifts is functorial and G is strict
+    return FinSetFunctor(el, on_objects, on_arrows)
 
 
 # -- hom-sets in the fibred world -------------------------------------------------------
@@ -452,16 +460,10 @@ def _two_nat_from_fibre_map(phi: DiscOpfibPre, psi: DiscOpfibPre, m) -> TwoNat:
                 (on_objects[e1], phi.s.components[c].on_arrows[g])
             ]
             amap[g] = lifted
-        fun = FinFunctor(phi.total.on_objects[c], psi.total.on_objects[c],
-                         on_objects, amap)
-        fun.validate()
-        comps[c] = fun
-    nat = TwoNat(phi.total, psi.total, comps)
-    nat.validate()
-    for c in base.objects:
-        if compose_functors(psi.s.components[c], comps[c]) != phi.s.components[c]:
-            raise InvalidTable("fibre map does not commute with the projections")
-    return nat
+        comps[c] = FinFunctor(phi.total.on_objects[c], psi.total.on_objects[c],
+                              on_objects, amap)
+    # valid and over the base because m is natural and arrows go to unique lifts
+    return TwoNat(phi.total, psi.total, comps)
 
 
 def fib_hom(phi: DiscOpfibPre, psi: DiscOpfibPre,

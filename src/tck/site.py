@@ -33,6 +33,7 @@ from .fincat import (
     reindex_slice_presheaf,
     slice_arrow_name,
     slice_cat,
+    validates_once,
 )
 from .report import Report
 
@@ -345,6 +346,7 @@ class MatchingFamily:
     sieve: Sieve
     assignment: Mapping[str, str]
 
+    @validates_once
     def validate(self) -> None:
         cat = self.presheaf.base
         if set(self.assignment) != set(self.sieve.arrows):
@@ -465,13 +467,12 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
         for f, (d, c) in cat.arrows.items()
     }
     presheaf = SetPresheaf(cat, sections, on_arrows)
-    presheaf.validate()
     unit = PresheafMap(Z, presheaf, {
         c: {x: labels[c][frozenset((f, Z.on_arrows[f][x]) for f in minimal[c].arrows)]
             for x in Z.on_objects[c]}
         for c in cat.objects
     })
-    unit.validate()
+    # valid because restricting along f then g reads family[f.g.h], as f.g does
     return PlusConstruction(presheaf, unit, minimal, families, labels)
 
 

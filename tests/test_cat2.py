@@ -13,10 +13,12 @@ from tck.cat2 import (
     pullback,
     transport,
 )
-from tck.errors import NotOpfibration
+from tck.corpus import poset_category
+from tck.errors import InvalidTable, NotOpfibration
 from tck.fincat import (
     FinFunctor,
     FinSetFunctor,
+    discrete_category,
     free_category,
     identity_functor,
     point_category,
@@ -256,3 +258,23 @@ def test_comma_universal_property_on_mixed_cone():
     cone = comma(pick_a, identity_functor(WA))
     ok, ce = check_comma_universal(cone, pick_a, identity_functor(WA))
     assert ok, ce
+
+
+def test_generated_names_that_collide_are_rejected():
+    # "(a,b,c)" names both (a, "b,c") and ("a,b", c)
+    P = poset_category(["a", "a,b"], [("a", "a,b")])
+    z = FinSetFunctor(P, {"a": ("b,c",), "a,b": ("c",)},
+                      {"a_a": {"b,c": "b,c"}, "a,b_a,b": {"c": "c"}, "a_a,b": {"b,c": "c"}})
+    z.validate()
+    with pytest.raises(InvalidTable, match=r"\('a', 'b,c'\) and \('a,b', 'c'\)"):
+        elements_of(z)
+    # pullback and comma apexes name their objects the same way
+    E = discrete_category(["b,c", "c"])
+    p = certify_dopf(FinFunctor(E, PT, {"b,c": "*", "c": "*"},
+                                {"id_b,c": "id_*", "id_c": "id_*"}))
+    A = discrete_category(["a", "a,b"])
+    to_point = FinFunctor(A, PT, {"a": "*", "a,b": "*"}, {"id_a": "id_*", "id_a,b": "id_*"})
+    with pytest.raises(InvalidTable, match=r"\('a', 'b,c'\) and \('a,b', 'c'\)"):
+        pullback(p, to_point)
+    with pytest.raises(InvalidTable, match=r"\('a', 'b,c', 'id_\*'\) and \('a,b', 'c', 'id_\*'\)"):
+        comma(to_point, p.p)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,3 +458,29 @@ def test_searches_name_themselves_when_they_trip_the_bound():
     with pytest.raises(SizeBound) as exc:
         fincat.search_setfunctor_maps(A, A, bound=1)
     assert exc.value.what == "search_setfunctor_maps nodes"
+
+
+def test_ill_typed_composite_names_the_same_pair_under_every_hash_seed():
+    # g.f and g.k are both missing; the pair reported used to follow set order
+    code = (
+        "from tck.errors import IllTypedComposite\n"
+        "from tck.fincat import build_category\n"
+        "arrows = {'id_a': ('a', 'a'), 'id_b': ('b', 'b'), 'id_c': ('c', 'c'),\n"
+        "          'f': ('a', 'b'), 'k': ('a', 'b'), 'g': ('b', 'c')}\n"
+        "ids = {x: 'id_' + x for x in 'abc'}\n"
+        "compose = {(ids[arrows[f][1]], f): f for f in arrows}\n"
+        "compose.update({(f, ids[arrows[f][0]]): f for f in arrows})\n"
+        "try:\n"
+        "    build_category('abc', arrows, ids, compose)\n"
+        "except IllTypedComposite as exc:\n"
+        "    print(exc)\n"
+    )
+    outs = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                       check=True).stdout
+        for seed in range(1, 7)
+    }
+    assert len(outs) == 1
+    (out,) = outs
+    assert "'g'" in out and "'f'" in out and "'k'" not in out

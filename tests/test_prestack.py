@@ -6,12 +6,14 @@ from tck.corpus import (
     dopf_from_set_functor,
     elements_category,
     open_site,
+    poset_category,
     setfunctor_corpus,
     walking_arrow,
 )
-from tck.errors import NotOpfibrationAt
+from tck.errors import InvalidTable, NotOpfibrationAt
 from tck.fincat import (
     FinFunctor,
+    SetPresheaf,
     free_category,
     identity_functor,
     point_category,
@@ -348,3 +350,13 @@ def test_elements_category_is_built_once_per_presheaf():
     fresh = sample_presheaf()
     assert fresh == F and repr(fresh) == repr(F)
     assert elements_category(fresh) is not el and elements_category(fresh) == el
+
+
+def test_category_of_elements_rejects_colliding_generated_names():
+    # "<p|q|r>" names both (p, "q|r") and ("p|q", r)
+    P = poset_category(["p", "p|q"], [("p", "p|q")])
+    Z = SetPresheaf(P, {"p": ("q|r",), "p|q": ("r",)},
+                    {"p_p": {"q|r": "q|r"}, "p|q_p|q": {"r": "r"}, "p_p|q": {"r": "q|r"}})
+    F = prestack.discrete_presheaf(P, Z)
+    with pytest.raises(InvalidTable, match=r"\('p', 'q\|r'\) and \('p\|q', 'r'\)"):
+        prestack.elements_category(F)

@@ -1,0 +1,265 @@
+"""Validation at the boundary, once per instance.
+
+``validate`` records its success on the instance, so an argument that was
+validated where it was parsed or searched for is not checked again, and the
+library does not re-validate what it builds from validated inputs.  The
+tests keep ``validate`` as the oracle: every public constructor's output
+passes it with the records cleared.
+"""
+
+from collections import Counter
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from typing import Mapping
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tck import cat2, classifier, fincat, prestack, site
+from tck.classifier import (
+    char,
+    classify,
+    enumerate_omega_modifications,
+    ff_check,
+    gamma_mod,
+    j_forward,
+    j_inverse,
+    precompose_map_to_omega,
+)
+from tck.corpus import (
+    bases,
+    catpresheaf_corpus,
+    dopf_from_set_functor,
+    elements_category,
+    hom_from,
+    map_to_omega_from_set_functor,
+    poset_category,
+    presheaf_corpus,
+    setfunctor_corpus,
+    walking_arrow,
+)
+from tck.errors import InvalidTable
+from tck.fincat import FinCat, SetPresheaf, postcompose, slice_cat
+from tck.prestack import (
+    DiscOpfibPre,
+    certify_dopf_pre,
+    fib_hom,
+    fibre_diagram,
+    pointwise_comma,
+    pointwise_pullback,
+    representable,
+)
+from tck.site import sheafify, topology_from_generators
+
+VALUE_TYPES = (
+    fincat.FinCat, fincat.FinFunctor, fincat.NatTransform, fincat.SetPresheaf,
+    fincat.FinSetFunctor, fincat.PresheafMap, fincat.SetFunctorMap,
+    prestack.CatPresheaf, prestack.TwoNat, prestack.Modification,
+    classifier.MapToOmega, classifier.OmegaModification, site.MatchingFamily,
+)
+RECORD = "_valid"  # the instance-dict key a successful validate() leaves
+WA = walking_arrow()
+
+
+def chain(n: int) -> FinCat:
+    objs = [f"c{i}" for i in range(n)]
+    return poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
+
+
+BASES = {**bases(), "chain4": chain(4), "chain5": chain(5)}
+
+
+def forget_validation(x, seen=None) -> None:
+    """Clear the validate-once record on x and on every value inside it."""
+    seen = set() if seen is None else seen
+    if id(x) in seen or isinstance(x, str):
+        return
+    seen.add(id(x))
+    if is_dataclass(x):
+        x.__dict__.pop(RECORD, None)
+        for f in fields(x):
+            forget_validation(getattr(x, f.name), seen)
+    elif isinstance(x, Mapping):
+        for v in x.values():
+            forget_validation(v, seen)
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            forget_validation(v, seen)
+
+
+def check_output(x) -> None:
+    """Run every check on x afresh; a certified opfibration is re-certified."""
+    forget_validation(x)
+    if isinstance(x, DiscOpfibPre):
+        assert certify_dopf_pre(x.s).fibres == x.fibres
+    elif isinstance(x, cat2.DiscOpfibCat):
+        assert cat2.certify_dopf(x.p).lifts == x.lifts
+    else:
+        x.validate()
+
+
+def count_checks(monkeypatch) -> Counter:
+    """Per class, the validate() calls that run the check, i.e. the calls on
+    an instance with no record."""
+    counts: Counter = Counter()
+    for cls in VALUE_TYPES:
+        def counting(self, validate=cls.validate, name=cls.__name__):
+            if RECORD not in vars(self):
+                counts[name] += 1
+            validate(self)
+        monkeypatch.setattr(cls, "validate", counting)
+    return counts
+
+
+# -- validate-once semantics --------------------------------------------------------
+
+
+def fresh_presheaf() -> SetPresheaf:
+    Z = presheaf_corpus(WA, 6)[-1]
+    return SetPresheaf(Z.base, dict(Z.on_objects), dict(Z.on_arrows))
+
+
+def count_id_of(monkeypatch) -> list:
+    calls: list = []
+    id_of = FinCat.id_of
+    monkeypatch.setattr(FinCat, "id_of", lambda self, c: calls.append(c) or id_of(self, c))
+    return calls
+
+
+def test_second_validate_does_no_work(monkeypatch):
+    Z = fresh_presheaf()
+    calls = count_id_of(monkeypatch)
+    Z.validate()
+    assert calls
+    n = len(calls)
+    Z.validate()
+    assert len(calls) == n
+
+
+def test_equal_but_distinct_instances_are_each_validated(monkeypatch):
+    Z, W = fresh_presheaf(), fresh_presheaf()
+    assert Z == W and Z is not W
+    calls = count_id_of(monkeypatch)
+    Z.validate()
+    n = len(calls)
+    W.validate()
+    assert len(calls) == 2 * n
+
+
+def test_failed_validation_is_not_recorded():
+    Z = fresh_presheaf()
+    bad = SetPresheaf(Z.base, Z.on_objects,
+                      {**Z.on_arrows, "u": {x: "nowhere" for x in Z.on_arrows["u"]}})
+    for _ in range(2):
+        with pytest.raises(InvalidTable, match="outside"):
+            bad.validate()
+    assert RECORD not in vars(bad)
+
+
+class FrozenTable(dict):
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+def test_record_leaves_eq_hash_and_repr_alone():
+    def tables():
+        return FinCat(WA.objects, FrozenTable(WA.arrows), FrozenTable(WA.identities),
+                      FrozenTable(WA.compose_table))
+
+    cat, twin = tables(), tables()
+    before = (hash(cat), repr(cat))
+    cat.validate()
+    assert RECORD in vars(cat) and RECORD not in vars(twin)
+    assert (hash(cat), repr(cat)) == before == (hash(twin), repr(twin))
+    assert cat == twin
+    assert RECORD not in {f.name for f in fields(cat)}
+
+
+# -- what the library no longer re-validates ----------------------------------------------
+
+
+def test_ff_check_runs_only_leaf_and_argument_checks(monkeypatch):
+    F = representable(BASES["chain5"], "c4")
+    el = elements_category(F)
+    x, y = next((x, y) for x in el.objects for y in el.objects
+                if x != y and len(el.hom(y, x)) == 1)
+    z = map_to_omega_from_set_functor(F, hom_from(el, x, "r"))
+    w = map_to_omega_from_set_functor(F, hom_from(el, y, "r"))
+    counts = count_checks(monkeypatch)
+    report = ff_check(z, w)
+    assert report.witnesses == [("bijection", 1)]
+    # the leaves of the omega search check their components; the arguments
+    # of classify and gamma_mod were validated where they were built
+    assert counts["OmegaModification"] >= 1
+    assert set(counts) <= {"OmegaModification", "PresheafMap"}
+
+
+def test_plus_does_not_revalidate_what_it_builds(monkeypatch):
+    names = {m: "p" + format(m, "03b") for m in range(8)}
+    cat = poset_category(list(names.values()), [
+        (names[a], names[b]) for a in names for b in names if a != b and a & ~b == 0])
+    gens = {names[u]: [[f"{names[1 << i]}_{names[u]}" for i in range(3) if u >> i & 1]]
+            for u in names}
+    j, _ = topology_from_generators(cat, gens)
+    Z = max(presheaf_corpus(cat, 0), key=lambda Z: sum(map(len, Z.on_objects.values())))
+    counts = count_checks(monkeypatch)
+    sh = sheafify(Z, j)
+    assert not sh.unit.is_iso()
+    assert counts["SetPresheaf"] == counts["PresheafMap"] == 0
+
+
+# -- outputs still validate ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def inputs(name: str, c: str):
+    """Cat-valued presheaves on the base, with set functors on their elements."""
+    B = BASES[name]
+    out = []
+    for F in [representable(B, c)] + catpresheaf_corpus(B, 3):
+        if elements_category(F).objects:
+            out.append((F, setfunctor_corpus(elements_category(F), 6)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_outputs_of_public_constructors_validate(data):
+    name = data.draw(st.sampled_from(sorted(BASES)))
+    B = BASES[name]
+    c = data.draw(st.sampled_from(B.objects))
+    choices = inputs(name, c)
+    F, funs = choices[data.draw(st.integers(0, len(choices) - 1))]
+    b1, b2 = (funs[data.draw(st.integers(0, len(funs) - 1))] for _ in range(2))
+    phi, psi = dopf_from_set_functor(F, b1), dopf_from_set_functor(F, b2)
+    w = map_to_omega_from_set_functor(F, b2)
+    z = char(phi)
+    f = data.draw(st.sampled_from(B.arrows_into(c)))
+    e1, e2 = cat2.elements_of(b1), cat2.elements_of(b2)
+    cone = cat2.comma(e1.p, e2.p)
+    pcone = pointwise_comma(phi.s, psi.s)
+    outputs = [*slice_cat(B, c), postcompose(B, f), fibre_diagram(phi), z, classify(z),
+               classify(w), char(classify(w)), precompose_map_to_omega(w, phi.s),
+               e1, cat2.fiber_functor(e1), *cat2.pullback(e1, e2.p),
+               cone.apex, cone.left_leg, cone.right_leg, cone.filler,
+               *pointwise_pullback(phi, psi.s),
+               pcone.apex, pcone.left_leg, pcone.right_leg, pcone.filler]
+    outputs += fib_hom(phi, psi)[:3]
+    for mod in enumerate_omega_modifications(z, char(psi))[:3]:
+        outputs.append(gamma_mod(mod))
+    if F == representable(B, c):
+        Zc = j_inverse(phi)
+        outputs += [Zc, j_forward(B, c, Zc)]
+        sl, _ = slice_cat(B, c)
+        zs = presheaf_corpus(sl, 4)
+        outputs.append(j_forward(B, c, zs[data.draw(st.integers(0, len(zs) - 1))]))
+    gens = {}
+    for d in B.objects:
+        into = sorted(B.arrows_into(d))
+        gens[d] = data.draw(st.lists(st.lists(st.sampled_from(into), max_size=3), max_size=2))
+    j, _ = topology_from_generators(B, gens)
+    zs = presheaf_corpus(B, 6)
+    sh = sheafify(zs[data.draw(st.integers(0, len(zs) - 1))], j)
+    outputs += [sh.presheaf, sh.unit, sh.first.presheaf, sh.first.unit, sh.second.unit]
+    for x in outputs:
+        check_output(x)
