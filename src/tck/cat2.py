@@ -7,22 +7,18 @@ table is what classify/char consult downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidTable, NotOpfibration
 from .fincat import (
-    DEFAULT_BOUND,
     FinCat,
     FinFunctor,
     FinSetFunctor,
     NatTransform,
     compose_functors,
-    guard,
     identity_functor,
     named_parts,
-    point_category,
 )
 
 
@@ -243,112 +239,3 @@ def fiber_functor(p: DiscOpfibCat) -> FinSetFunctor:
             for f in B.arrows
         },
     )
-
-
-# -- morphisms of opfibrations over a fixed base ---------------------------------
-
-
-def fib_hom_cat(p: DiscOpfibCat, q: DiscOpfibCat,
-                bound: int = DEFAULT_BOUND) -> list[FinFunctor]:
-    """All functors over the common base from total(p) to total(q).
-
-    Candidates are fibrewise object maps; the arrow map of any such functor
-    is forced by unique lifting and then checked.
-    """
-    if p.base != q.base:
-        raise InvalidTable("fib_hom_cat: different bases")
-    B = p.base
-    total = 1
-    for b in B.objects:
-        n, m = len(p.fibres[b]), len(q.fibres[b])
-        if n > 0 and m == 0:
-            return []
-        total *= max(1, m) ** n
-        guard("fib_hom_cat", total, bound)
-    per_obj = []
-    keys = []
-    for b in sorted(B.objects):
-        elems = list(p.fibres[b])
-        keys.append(elems)
-        per_obj.append([dict(zip(elems, img))
-                        for img in itertools.product(q.fibres[b], repeat=len(elems))])
-    out = []
-    for combo in itertools.product(*per_obj):
-        omap: dict[str, str] = {}
-        for d in combo:
-            omap.update(d)
-        amap = {}
-        ok = True
-        for g, (e, e2) in p.total.arrows.items():
-            base_arrow = p.p.on_arrows[g]
-            lifted = q.lifts[(omap[e], base_arrow)]
-            if q.total.cod(lifted) != omap[e2]:
-                ok = False
-                break
-            amap[g] = lifted
-        if not ok:
-            continue
-        h = FinFunctor(p.total, q.total, omap, amap)
-        try:
-            h.validate()
-        except InvalidTable:
-            continue
-        if compose_functors(q.p, h) == p.p:
-            out.append(h)
-    return out
-
-
-def fib_iso_cat(p: DiscOpfibCat, q: DiscOpfibCat,
-                bound: int = DEFAULT_BOUND) -> FinFunctor | None:
-    """Lexicographically first isomorphism over the base, if any."""
-    if any(len(p.fibres[b]) != len(q.fibres[b]) for b in p.base.objects):
-        return None
-    for h in fib_hom_cat(p, q, bound):
-        if all(
-            len(set(h.on_objects[e] for e in p.fibres[b])) == len(q.fibres[b])
-            for b in p.base.objects
-        ):
-            return h
-    return None
-
-
-# -- universal property spot check ------------------------------------------------
-
-
-def check_comma_universal(cone: CommaCone, f: FinFunctor, g: FinFunctor,
-                          test_cats: list[FinCat] | None = None,
-                          bound: int = DEFAULT_BOUND) -> tuple[bool, object]:
-    """Verify the comma universal property against enumerated test cones.
-
-    For every functor pair (a, b) out of each test category and every filler
-    a-to-b transformation, exactly one mediating functor into the apex must
-    exist.  Returns (ok, counterexample).
-    """
-    from .fincat import enumerate_functors, enumerate_nats, free_category
-
-    if test_cats is None:
-        test_cats = [
-            point_category(),
-            free_category(["a", "b"], {"u": ("a", "b")}),
-            free_category(["a", "b", "c"], {"u": ("a", "b"), "v": ("b", "c")}),
-        ]
-    A, B = f.source, g.source
-    for T in test_cats:
-        for a in enumerate_functors(T, A, bound):
-            fa = compose_functors(f, a)
-            for b in enumerate_functors(T, B, bound):
-                gb = compose_functors(g, b)
-                for lam in enumerate_nats(fa, gb, bound):
-                    mediators = [
-                        m
-                        for m in enumerate_functors(T, cone.apex, bound)
-                        if compose_functors(cone.left_leg, m) == a
-                        and compose_functors(cone.right_leg, m) == b
-                        and all(
-                            cone.filler.components[m.on_objects[t]] == lam.components[t]
-                            for t in T.objects
-                        )
-                    ]
-                    if len(mediators) != 1:
-                        return False, (T, a, b, lam, len(mediators))
-    return True, None

@@ -6,9 +6,10 @@ into it is stored as a MapToOmega: one slice presheaf per (c, X in F(c)),
 one presheaf map per arrow of F(c), with strict reindexing equalities.
 
 classify builds the classified opfibration from the fibre formula (the
-sections of the assigned presheaf at the identity); char implements the
-normalized characteristic-morphism recipe in terms of global fibres, which
-is what makes strict 2-naturality hold on the nose.
+sections of the assigned presheaf at the identity); char packages the
+fibre diagram of an opfibration on the category of elements, the dense
+generator, with map_from_fibres, which is what makes strict 2-naturality
+hold on the nose.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fincat import (
     delta1,
     guard,
     identity_presheaf_map,
+    mark_valid,
     reindex_slice_components,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
@@ -57,12 +59,6 @@ class MapToOmega:
     source: CatPresheaf
     object_part: Mapping[tuple[str, str], SetPresheaf]
     arrow_part: Mapping[tuple[str, str], PresheafMap]
-
-    def part(self, c: str, x: str) -> SetPresheaf:
-        return self.object_part[(c, x)]
-
-    def on_arrow(self, c: str, nu: str) -> PresheafMap:
-        return self.arrow_part[(c, nu)]
 
     @cached_property
     def _classified(self) -> DiscOpfibPre:
@@ -240,17 +236,26 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
 # -- the characteristic morphism ----------------------------------------------------------
 
 
-def char(phi: DiscOpfibPre) -> MapToOmega:
-    """The normalized characteristic morphism of a certified opfibration.
+def map_from_fibres(F: CatPresheaf, B: FinSetFunctor) -> MapToOmega:
+    """Package fibre data on elements_category(F) as a map into the classifier.
 
-    The presheaf assigned to (c, X) sends f: d -> c to the global fibre of
-    the component at d over the reindexed object, and slice arrows act by
-    the total presheaf; arrows of F(c) act by transporting fibres along
-    liftings.
+    The presheaf assigned to (c, X) evaluates at f: d -> c to the set over
+    the reindexed object <d|F(f)X>; the slice arrow g>f acts as B on the
+    restriction arrow <g|id|F(f)X>, and an arrow nu of F(c) acts at f as B
+    on the vertical arrow <id_d|F(f)nu|F(f)X>, so strict 2-naturality holds
+    on the nose.  B is not checked: it must be a set functor on
+    elements_category(F).
     """
-    F = phi.codomain
-    G = phi.total
     site = F.base
+
+    def vert(c: str, nu: str, x: str) -> str:
+        return f"<{site.id_of(c)}|{nu}|{x}>"
+
+    def restr(f: str, x: str) -> str:
+        d = site.dom(f)
+        fx = F.on_arrows[f].on_objects[x]
+        return f"<{f}|{F.on_objects[d].id_of(fx)}|{x}>"
+
     object_part: dict[tuple[str, str], SetPresheaf] = {}
     arrow_part: dict[tuple[str, str], PresheafMap] = {}
     for c in site.objects:
@@ -258,35 +263,41 @@ def char(phi: DiscOpfibPre) -> MapToOmega:
         Fc = F.on_objects[c]
         for x in Fc.objects:
             on_objects = {}
-            for f in sl.objects:
-                d = site.dom(f)
-                fx = F.on_arrows[f].on_objects[x]
-                on_objects[f] = phi.fibre(d, fx)
             on_arrows = {}
             for f in sl.objects:
-                d = site.dom(f)
                 fx = F.on_arrows[f].on_objects[x]
-                for g in site.arrows_into(d):
-                    on_arrows[slice_arrow_name(g, f)] = {
-                        y: G.on_arrows[g].on_objects[y] for y in phi.fibre(d, fx)
-                    }
+                on_objects[f] = B.on_objects[f"<{site.dom(f)}|{fx}>"]
+            for f in sl.objects:
+                fx = F.on_arrows[f].on_objects[x]
+                for g in site.arrows_into(site.dom(f)):
+                    on_arrows[slice_arrow_name(g, f)] = dict(B.on_arrows[restr(g, fx)])
             object_part[(c, x)] = SetPresheaf(sl, on_objects, on_arrows)
         for nu in Fc.arrows:
             x = Fc.dom(nu)
             comps = {}
             for f in sl.objects:
                 d = site.dom(f)
-                fnu = F.on_arrows[f].on_arrows[nu]
                 fx = F.on_arrows[f].on_objects[x]
-                comps[f] = {
-                    y: cat2.transport(phi.certificates[d], y, fnu)
-                    for y in phi.fibre(d, fx)
-                }
+                fnu = F.on_arrows[f].on_arrows[nu]
+                comps[f] = dict(B.on_arrows[vert(d, fnu, fx)])
             arrow_part[(c, nu)] = PresheafMap(
                 object_part[(c, x)], object_part[(c, Fc.cod(nu))], comps
             )
-    # valid because phi is certified over a strict F and G is strict
     return MapToOmega(site, F, object_part, arrow_part)
+
+
+def char(phi: DiscOpfibPre) -> MapToOmega:
+    """The normalized characteristic morphism of a certified opfibration:
+    its fibre diagram on the category of elements, packaged as a map.
+
+    The presheaf assigned to (c, X) sends f: d -> c to the fibre over
+    (d, F(f)X), slice arrows act by the total presheaf, and arrows of F(c)
+    act by transporting fibres along liftings.
+    """
+    # valid because phi is certified over a strict F, so its fibre diagram
+    # is a set functor on elements_category(F); recorded, so that classify
+    # does not check it again
+    return mark_valid(map_from_fibres(phi.codomain, prestack.fibre_diagram(phi)))
 
 
 def precompose_map_to_omega(z: MapToOmega, y: TwoNat) -> MapToOmega:

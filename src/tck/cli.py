@@ -214,14 +214,11 @@ def _cmd_char_stacks(doc, bound):
         raise MissingSection("topology")
     report = Report("char-stacks")
     for name in sorted(doc.two_nats):
-        nat, srcref, dstref, _ = doc.two_nats[name]
-        base_name = None
-        for fname, (F, bname, _, _) in doc.catpresheaves.items():
-            if fname == dstref:
-                base_name = bname
+        nat, _, dstref, _ = doc.two_nats[name]
+        base_name = doc.catpresheaves[dstref][1]
         for jname in sorted(doc.topologies):
             topo, jbase = doc.topologies[jname]
-            if base_name is not None and jbase != base_name:
+            if jbase != base_name:
                 continue
             try:
                 phi = prestack.certify_dopf_pre(nat)

@@ -59,10 +59,12 @@ def poset_category(objects: Iterable[str], strict_pairs: Iterable[tuple[str, str
     changed = True
     while changed:
         changed = False
-        for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
+        snapshot = list(rel)
+        for a, b in snapshot:
+            for c, d in snapshot:
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
     for a, b in rel:
         if a != b and (b, a) in rel:
             raise InvalidTable("not a poset: antisymmetry fails")
@@ -152,7 +154,9 @@ def constant_setfunctor(cat: FinCat, labels: Iterable[str]) -> FinSetFunctor:
     )
 
 
-def sum_setfunctors(parts: list[FinSetFunctor]) -> FinSetFunctor:
+def _disjoint_sum(parts):
+    """The sum of set-valued functors of one variance on a common base whose
+    element names are disjoint, validated."""
     base = parts[0].base
     on_objects = {
         c: tuple(sorted(itertools.chain.from_iterable(p.on_objects[c] for p in parts)))
@@ -164,26 +168,12 @@ def sum_setfunctors(parts: list[FinSetFunctor]) -> FinSetFunctor:
         for p in parts:
             table.update(p.on_arrows[f])
         on_arrows[f] = table
-    out = FinSetFunctor(base, on_objects, on_arrows)
+    out = type(parts[0])(base, on_objects, on_arrows)
     out.validate()
     return out
 
 
-def sum_presheaves(parts: list[SetPresheaf]) -> SetPresheaf:
-    base = parts[0].base
-    on_objects = {
-        c: tuple(sorted(itertools.chain.from_iterable(p.on_objects[c] for p in parts)))
-        for c in base.objects
-    }
-    on_arrows = {}
-    for f in base.arrows:
-        table: dict[str, str] = {}
-        for p in parts:
-            table.update(p.on_arrows[f])
-        on_arrows[f] = table
-    out = SetPresheaf(base, on_objects, on_arrows)
-    out.validate()
-    return out
+sum_setfunctors = sum_presheaves = _disjoint_sum
 
 
 def setfunctor_corpus(cat: FinCat, count: int) -> list[FinSetFunctor]:
@@ -374,57 +364,13 @@ def catpresheaf_corpus(base: FinCat, count: int):
 
 
 def map_to_omega_from_set_functor(F, B: FinSetFunctor):
-    """Package fibre data on elements_category(F) as a map into the classifier.
+    """classifier.map_from_fibres, with B and the packaged map validated."""
+    from .classifier import map_from_fibres
 
-    The presheaf assigned to (c, X) evaluates at f: d -> c to the set over
-    the reindexed object; strict 2-naturality then holds on the nose.
-    """
-    from .classifier import MapToOmega
-    from .fincat import PresheafMap, SetPresheaf, slice_arrow_name, slice_cat
-
-    base = F.base
-    el = elements_category(F)
-    if B.base != el:
+    if B.base != elements_category(F):
         raise InvalidTable("set functor does not live on elements_category(F)")
-
-    def vert(c: str, nu: str, x: str) -> str:
-        return f"<{base.id_of(c)}|{nu}|{x}>"
-
-    def restr(f: str, x: str) -> str:
-        d = base.dom(f)
-        fx = F.on_arrows[f].on_objects[x]
-        return f"<{f}|{F.on_objects[d].id_of(fx)}|{x}>"
-
-    object_part = {}
-    arrow_part = {}
-    for c in base.objects:
-        sl, _ = slice_cat(base, c)
-        Fc = F.on_objects[c]
-        for x in Fc.objects:
-            on_objects = {}
-            on_arrows = {}
-            for f in sl.objects:
-                fx = F.on_arrows[f].on_objects[x]
-                on_objects[f] = B.on_objects[f"<{base.dom(f)}|{fx}>"]
-            for f in sl.objects:
-                fx = F.on_arrows[f].on_objects[x]
-                for g in base.arrows_into(base.dom(f)):
-                    on_arrows[slice_arrow_name(g, f)] = dict(B.on_arrows[restr(g, fx)])
-            Z = SetPresheaf(sl, on_objects, on_arrows)
-            Z.validate()
-            object_part[(c, x)] = Z
-        for nu in Fc.arrows:
-            x = Fc.dom(nu)
-            comps = {}
-            for f in sl.objects:
-                d = base.dom(f)
-                fx = F.on_arrows[f].on_objects[x]
-                fnu = F.on_arrows[f].on_arrows[nu]
-                comps[f] = dict(B.on_arrows[vert(d, fnu, fx)])
-            arrow_part[(c, nu)] = PresheafMap(
-                object_part[(c, x)], object_part[(c, Fc.cod(nu))], comps
-            )
-    z = MapToOmega(base, F, object_part, arrow_part)
+    B.validate()
+    z = map_from_fibres(F, B)
     z.validate()
     return z
 

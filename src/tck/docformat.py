@@ -49,22 +49,6 @@ class Document:
         field(default_factory=dict)
     maps_to_omega: dict[str, tuple[MapToOmega, str, dict]] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (
-            self.categories == other.categories
-            and self.functors == other.functors
-            and self.setpresheaves == other.setpresheaves
-            and self.catpresheaves == other.catpresheaves
-            and self.two_nats == other.two_nats
-            and self.topologies == other.topologies
-            and self.sieves == other.sieves
-            and self.descent_data == other.descent_data
-            and self.sheaf_descent_data == other.sheaf_descent_data
-            and self.maps_to_omega == other.maps_to_omega
-        )
-
 
 # the Document tables that hold each block kind's names
 _NAMESPACES = {

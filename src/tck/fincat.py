@@ -22,9 +22,10 @@ are cached on the category they are taken of, and die with it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     IllTypedComposite,
@@ -43,6 +44,13 @@ def guard(what: str, estimate: int, bound: int) -> None:
         raise SizeBound(what, estimate, bound)
 
 
+def bounded_product(what: str, pools: Sequence[Sequence], bound: int) -> Iterator[tuple]:
+    """itertools.product(*pools), guarded on its exact tuple count: an empty
+    pool makes the count 0, so an empty enumeration never trips the bound."""
+    guard(what, math.prod(map(len, pools)), bound)
+    return itertools.product(*pools)
+
+
 def validates_once(check):
     """Turn a check into a ``validate`` that runs it at most once per
     instance: a success is recorded in the instance dict, where a
@@ -52,9 +60,16 @@ def validates_once(check):
     def validate(self) -> None:
         if "_valid" not in self.__dict__:
             check(self)
-            self.__dict__["_valid"] = True
+            mark_valid(self)
 
     return validate
+
+
+def mark_valid(value):
+    """Record value as validated, as a successful ``validate`` does; for a
+    value valid by construction that a public entry point would check."""
+    value.__dict__["_valid"] = True
+    return value
 
 
 def named_parts(parts: Iterable[tuple[str, ...]], name: Callable[..., str]) -> dict[str, tuple]:
@@ -310,12 +325,6 @@ class FinFunctor:
     on_objects: Mapping[str, str]
     on_arrows: Mapping[str, str]
 
-    def ob(self, x: str) -> str:
-        return self.on_objects[x]
-
-    def ar(self, f: str) -> str:
-        return self.on_arrows[f]
-
     @validates_once
     def validate(self) -> None:
         if set(self.on_objects) != set(self.source.objects):
@@ -361,9 +370,6 @@ class NatTransform:
     target: FinFunctor
     components: Mapping[str, str]
 
-    def at(self, x: str) -> str:
-        return self.components[x]
-
     @validates_once
     def validate(self) -> None:
         F, G = self.source, self.target
@@ -391,12 +397,6 @@ def identity_nat(F: FinFunctor) -> NatTransform:
 class _SetValued:
     """What SetPresheaf and FinSetFunctor share: an arrow acts between the
     element tables, towards its domain on a presheaf (``_contravariant``)."""
-
-    def at(self, c: str) -> tuple[str, ...]:
-        return self.on_objects[c]
-
-    def act(self, f: str, x: str) -> str:
-        return self.on_arrows[f][x]
 
     def _ends(self, f: str) -> tuple[str, str]:
         """The objects f acts from and to."""
@@ -455,9 +455,6 @@ class FinSetFunctor(_SetValued):
 
 class _SetValuedMap:
     """What PresheafMap and SetFunctorMap share: components per object."""
-
-    def at(self, c: str, x: str) -> str:
-        return self.components[c][x]
 
     @validates_once
     def validate(self) -> None:
@@ -571,35 +568,24 @@ def reindex_slice_presheaf_map(cat: FinCat, f: str, m: PresheafMap) -> PresheafM
     )
 
 
-# -- enumeration oracles ----------------------------------------------------------
+# -- brute-force enumerations -----------------------------------------------------
 
 
 def enumerate_functors(A: FinCat, B: FinCat, bound: int = DEFAULT_BOUND) -> list[FinFunctor]:
     """All functors A -> B, by brute force over object and arrow assignments."""
     objs = list(A.objects)
     nonid = [f for f in A.sorted_arrows() if not A.is_identity(f)]
-    est = max(1, len(B.objects)) ** len(objs)
-    guard("enumerate_functors object maps", est, bound)
     out: list[FinFunctor] = []
-    for images in itertools.product(sorted(B.objects), repeat=len(objs)):
+    for images in bounded_product("enumerate_functors object maps",
+                                  [sorted(B.objects)] * len(objs), bound):
         omap = dict(zip(objs, images))
         homs = [B.hom(omap[A.dom(f)], omap[A.cod(f)]) for f in nonid]
-        total = 1
-        for h in homs:
-            total *= len(h)
-        guard("enumerate_functors arrow maps", total, bound)
-        if total == 0:
-            continue
-        for choice in itertools.product(*homs):
+        for choice in bounded_product("enumerate_functors arrow maps", homs, bound):
             amap = dict(zip(nonid, choice))
             for x in objs:
                 amap[A.id_of(x)] = B.id_of(omap[x])
-            ok = True
-            for (g, f), h in A.compose_table.items():
-                if B.compose(amap[g], amap[f]) != amap[h]:
-                    ok = False
-                    break
-            if ok:
+            if all(B.compose(amap[g], amap[f]) == amap[h]
+                   for (g, f), h in A.compose_table.items()):
                 out.append(FinFunctor(A, B, omap, amap))
     return out
 
@@ -611,12 +597,8 @@ def enumerate_nats(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> 
     A, B = F.source, F.target
     objs = list(A.objects)
     homs = [B.hom(F.on_objects[x], G.on_objects[x]) for x in objs]
-    total = 1
-    for h in homs:
-        total *= len(h)
-    guard("enumerate_nats", total, bound)
     out: list[NatTransform] = []
-    for choice in itertools.product(*homs):
+    for choice in bounded_product("enumerate_nats", homs, bound):
         comp = dict(zip(objs, choice))
         if all(
             B.compose(G.on_arrows[u], comp[x]) == B.compose(comp[y], F.on_arrows[u])
@@ -631,84 +613,6 @@ def natural_iso(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> Nat
     for nat in enumerate_nats(F, G, bound):
         if all(F.target.is_invertible(a) for a in nat.components.values()):
             return nat
-    return None
-
-
-def _enumerate_component_maps(sources, targets, bound: int):
-    """All families of functions sources[k] -> targets[k], keyed by k."""
-    keys = sorted(sources)
-    per_key = []
-    total = 1
-    for k in keys:
-        elems = sorted(sources[k])
-        pool = sorted(targets[k])
-        if elems and not pool:
-            return []
-        total *= max(1, len(pool)) ** len(elems)
-        guard("component maps", total, bound)
-        per_key.append([dict(zip(elems, img))
-                        for img in itertools.product(pool, repeat=len(elems))])
-    return (dict(zip(keys, combo)) for combo in itertools.product(*per_key))
-
-
-def enumerate_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
-                            bound: int = DEFAULT_BOUND) -> list[PresheafMap]:
-    """All natural transformations Z => W, by product-and-filter."""
-    if Z.base != W.base:
-        raise InvalidTable("presheaf maps need a common base")
-    base = Z.base
-    out: list[PresheafMap] = []
-    for comp in _enumerate_component_maps(
-        {c: Z.on_objects[c] for c in base.objects},
-        {c: W.on_objects[c] for c in base.objects},
-        bound,
-    ):
-        if all(
-            W.on_arrows[f][comp[c][x]] == comp[d][Z.on_arrows[f][x]]
-            for f, (d, c) in base.arrows.items()
-            for x in Z.on_objects[c]
-        ):
-            out.append(PresheafMap(Z, W, comp))
-    return out
-
-
-def presheaf_iso(Z: SetPresheaf, W: SetPresheaf,
-                 bound: int = DEFAULT_BOUND) -> PresheafMap | None:
-    if any(len(Z.on_objects[c]) != len(W.on_objects[c]) for c in Z.base.objects):
-        return None
-    for m in enumerate_presheaf_maps(Z, W, bound):
-        if m.is_iso():
-            return m
-    return None
-
-
-def enumerate_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
-                              bound: int = DEFAULT_BOUND) -> list[SetFunctorMap]:
-    if A.base != B.base:
-        raise InvalidTable("set functor maps need a common base")
-    base = A.base
-    out: list[SetFunctorMap] = []
-    for comp in _enumerate_component_maps(
-        {c: A.on_objects[c] for c in base.objects},
-        {c: B.on_objects[c] for c in base.objects},
-        bound,
-    ):
-        if all(
-            comp[c][A.on_arrows[f][x]] == B.on_arrows[f][comp[d][x]]
-            for f, (d, c) in base.arrows.items()
-            for x in A.on_objects[d]
-        ):
-            out.append(SetFunctorMap(A, B, comp))
-    return out
-
-
-def setfunctor_iso(A: FinSetFunctor, B: FinSetFunctor,
-                   bound: int = DEFAULT_BOUND) -> SetFunctorMap | None:
-    if any(len(A.on_objects[c]) != len(B.on_objects[c]) for c in A.base.objects):
-        return None
-    for m in enumerate_setfunctor_maps(A, B, bound):
-        if m.is_iso():
-            return m
     return None
 
 
@@ -788,8 +692,8 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
     """Natural transformations A => B by element-wise backtracking.
 
     Choosing the image of one element forces images along every arrow out
-    of it, so the search prunes far earlier than the product-and-filter
-    enumerator; results come in lexicographic order.  The bound caps the
+    of it, so the search prunes far earlier than filtering the product of
+    all component functions; results come in lexicographic order.  The bound caps the
     number of search nodes.
     """
     if A.base != B.base:
@@ -807,8 +711,8 @@ def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
     """Natural transformations Z => W by element-wise backtracking.
 
     The contravariant twin of search_setfunctor_maps: choosing the image of
-    an element of Z(c) forces images along every arrow into c.  Results are
-    those of enumerate_presheaf_maps, in the same order.
+    an element of Z(c) forces images along every arrow into c.  Results come
+    in lexicographic order.
     """
     if Z.base != W.base:
         raise InvalidTable("presheaf maps need a common base")

@@ -8,7 +8,6 @@ comparing opfibrations over a fixed presheaf, where it is searched for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -21,12 +20,12 @@ from .fincat import (
     FinCat,
     FinFunctor,
     NatTransform,
+    bounded_product,
     build_category,
     compose_functors,
     discrete_category,
     enumerate_functors,
     enumerate_nats,
-    guard,
     identity_functor,
     named_parts,
     point_category,
@@ -41,12 +40,6 @@ class CatPresheaf:
     base: FinCat
     on_objects: Mapping[str, FinCat]
     on_arrows: Mapping[str, FinFunctor]
-
-    def at(self, c: str) -> FinCat:
-        return self.on_objects[c]
-
-    def act(self, f: str) -> FinFunctor:
-        return self.on_arrows[f]
 
     @cached_property
     def _elements(self) -> tuple[FinCat, dict, dict]:
@@ -80,9 +73,6 @@ class TwoNat:
     source: CatPresheaf
     target: CatPresheaf
     components: Mapping[str, FinFunctor]
-
-    def at(self, c: str) -> FinFunctor:
-        return self.components[c]
 
     @validates_once
     def validate(self) -> None:
@@ -239,12 +229,8 @@ def enumerate_two_nats(F: CatPresheaf, G: CatPresheaf,
     base = F.base
     objs = sorted(base.objects)
     per_obj = [enumerate_functors(F.on_objects[c], G.on_objects[c], bound) for c in objs]
-    total = 1
-    for fs in per_obj:
-        total *= max(1, len(fs))
-        guard("enumerate_two_nats", total, bound)
     out = []
-    for combo in itertools.product(*per_obj):
+    for combo in bounded_product("enumerate_two_nats", per_obj, bound):
         comps = dict(zip(objs, combo))
         if all(
             compose_functors(G.on_arrows[f], comps[c]) ==
@@ -509,12 +495,8 @@ def enumerate_modifications(z: TwoNat, w: TwoNat,
     base = z.source.base
     objs = sorted(base.objects)
     per_obj = [enumerate_nats(z.components[c], w.components[c], bound) for c in objs]
-    total = 1
-    for ns in per_obj:
-        total *= max(1, len(ns))
-        guard("enumerate_modifications", total, bound)
     out = []
-    for combo in itertools.product(*per_obj):
+    for combo in bounded_product("enumerate_modifications", per_obj, bound):
         comps = dict(zip(objs, combo))
         m = Modification(z, w, comps)
         try:

@@ -28,6 +28,7 @@ from .fincat import (
     FinCat,
     PresheafMap,
     SetPresheaf,
+    bounded_product,
     compose_presheaf_maps,
     guard,
     reindex_slice_presheaf,
@@ -366,15 +367,9 @@ def matching_families(Z: SetPresheaf, s: Sieve,
     """All compatible assignments over the sieve, by product-and-filter."""
     cat = Z.base
     arrows = sorted(s.arrows)
-    total = 1
-    for f in arrows:
-        total *= max(1, len(Z.on_objects[cat.dom(f)]))
-        guard("matching_families", total, bound)
     pools = [Z.on_objects[cat.dom(f)] for f in arrows]
-    if any(not pool for pool in pools):
-        return []
     out = []
-    for choice in itertools.product(*pools):
+    for choice in bounded_product("matching_families", pools, bound):
         m = dict(zip(arrows, choice))
         if all(
             m[cat.compose(f, g)] == Z.on_arrows[g][m[f]]

@@ -9,6 +9,7 @@ morphism gluing by matching-family transport.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,6 +20,7 @@ from .fincat import (
     FinCat,
     PresheafMap,
     SetPresheaf,
+    bounded_product,
     compose_presheaf_maps,
     guard,
     invert_presheaf_map,
@@ -125,27 +127,14 @@ def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[Effective
             Fd = F.on_objects[base.dom(f)]
             fm = F.on_arrows[f].on_objects[m]
             pools.append([a for a in Fd.hom(fm, d.objects[f]) if Fd.is_invertible(a)])
-        total = 1
-        for p in pools:
-            total *= max(1, len(p))
-            guard("effectiveness", total, bound)
-        if any(not p for p in pools):
-            continue
-        for choice in itertools.product(*pools):
+        for choice in bounded_product("effectiveness", pools, bound):
             psi = dict(zip(arrows, choice))
-            ok = True
-            for f in arrows:
-                for g in base.arrows_into(base.dom(f)):
-                    fg = base.compose(f, g)
-                    dcat = F.on_objects[base.dom(g)]
-                    lhs = psi[fg]
-                    rhs = dcat.compose(d.isos[(f, g)], F.on_arrows[g].on_arrows[psi[f]])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(
+                psi[base.compose(f, g)] == F.on_objects[base.dom(g)].compose(
+                    d.isos[(f, g)], F.on_arrows[g].on_arrows[psi[f]])
+                for f in arrows
+                for g in base.arrows_into(base.dom(f))
+            ):
                 out.append(EffectivenessWitness(m, psi))
     return out
 
@@ -156,26 +145,19 @@ def enumerate_descent_data(F: CatPresheaf, s: Sieve,
     base = F.base
     arrows = sorted(s.arrows)
     obj_pools = [F.on_objects[base.dom(f)].objects for f in arrows]
-    total = 1
-    for p in obj_pools:
-        total *= max(1, len(p))
-        guard("descent data objects", total, bound)
+    total = math.prod(map(len, obj_pools))
+    pairs = [(f, g) for f in arrows for g in base.arrows_into(base.dom(f))]
     out = []
-    for objs in itertools.product(*obj_pools):
+    for objs in bounded_product("descent data objects", obj_pools, bound):
         assignment = dict(zip(arrows, objs))
-        pairs = [(f, g) for f in arrows for g in base.arrows_into(base.dom(f))]
         iso_pools = []
         for f, g in pairs:
             Fd = F.on_objects[base.dom(g)]
             src = F.on_arrows[g].on_objects[assignment[f]]
             tgt = assignment[base.compose(f, g)]
             iso_pools.append([a for a in Fd.hom(src, tgt) if Fd.is_invertible(a)])
-        subtotal = total
-        for p in iso_pools:
-            subtotal *= max(1, len(p))
-            guard("descent data isos", subtotal, bound)
-        if any(not p for p in iso_pools):
-            continue
+        # the estimate counts every object assignment, not just this one
+        guard("descent data isos", total * math.prod(map(len, iso_pools)), bound)
         for choice in itertools.product(*iso_pools):
             datum = DescentDatum(F, s, assignment, dict(zip(pairs, choice)))
             if validate_descent(datum).ok:
@@ -224,17 +206,12 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
                     )
                     for f in arrows
                 ]
-                total = 1
-                for p in pools:
-                    total *= max(1, len(p))
                 try:
-                    guard("stack morphism families", total, bound)
+                    families = bounded_product("stack morphism families", pools, bound)
                 except SizeBound:
                     report.bounded(f"stack-ii at {c}", bound)
                     continue
-                if any(not p for p in pools):
-                    continue
-                for choice in itertools.product(*pools):
+                for choice in families:
                     fam = dict(zip(arrows, choice))
                     compatible = all(
                         F.on_arrows[g].on_arrows[fam[f]] == fam[base.compose(f, g)]

@@ -9,6 +9,7 @@ opfibration from enumerated maps out of the constant singleton rather than
 from the fibre formula.  They are slow and meant for small inputs only.
 """
 
+from map_oracle import enumerate_presheaf_maps
 from tck import cat2
 from tck.classifier import MapToOmega, OmegaModification
 from tck.errors import InvalidTable
@@ -19,7 +20,6 @@ from tck.fincat import (
     PresheafMap,
     compose_presheaf_maps,
     delta1,
-    enumerate_presheaf_maps,
     guard,
     reindex_slice_presheaf_map,
     slice_cat,

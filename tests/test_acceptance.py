@@ -7,10 +7,11 @@ import itertools
 from contextlib import contextmanager
 
 import pytest
+from map_oracle import fib_iso_cat, presheaf_iso, setfunctor_iso
 from site_oracle import plus_class_count
 
 from tck import classifier
-from tck.cat2 import elements_of, fib_iso_cat, fiber_functor
+from tck.cat2 import elements_of, fiber_functor
 from tck.classifier import (
     char,
     classify,
@@ -37,7 +38,6 @@ from tck.corpus import (
 from tck.fincat import (
     constant_presheaf,
     point_category,
-    setfunctor_iso,
     slice_cat,
 )
 from tck.prestack import (
@@ -171,7 +171,6 @@ def test_criterion_03_classifier_over_representables():
                 for Z in fixtures:
                     psi = classifier.j_forward(base, c, Z)
                     back = classifier.j_inverse(psi)
-                    from tck.fincat import presheaf_iso
 
                     assert presheaf_iso(back, Z) is not None
                     assert fib_iso(classifier.j_forward(base, c, back), psi) is not None

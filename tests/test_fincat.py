@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from map_oracle import enumerate_presheaf_maps, presheaf_iso
 from tck import fincat
 from tck.errors import (
     IllTypedComposite,
@@ -22,7 +23,6 @@ from tck.fincat import (
     discrete_category,
     enumerate_functors,
     enumerate_nats,
-    enumerate_presheaf_maps,
     free_category,
     identity_functor,
     natural_iso,
@@ -442,9 +442,24 @@ def test_search_presheaf_maps_lists_the_product_filter_maps_in_order():
         isos = [m.components for m in brute if m.is_iso()]
         assert [m.components for m in fincat.search_presheaf_maps(Z, W, iso_only=True)] == isos
         first = fincat.search_presheaf_maps(Z, W, iso_only=True, first_only=True)
-        iso = fincat.presheaf_iso(Z, W)
+        iso = presheaf_iso(Z, W)
         assert (first[0].components if first else None) == \
             (iso.components if iso is not None else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4), st.integers(0, 30))
+def test_bounded_product_trips_exactly_above_the_tuple_count(pools, bound):
+    count = 1
+    for pool in pools:
+        count *= len(pool)
+    if count > bound:
+        with pytest.raises(SizeBound) as exc:
+            fincat.bounded_product("pools", pools, bound)
+        assert (exc.value.what, exc.value.estimate) == ("pools", count)
+    else:
+        assert list(fincat.bounded_product("pools", pools, bound)) == \
+            list(itertools.product(*pools))
 
 
 def test_searches_name_themselves_when_they_trip_the_bound():

@@ -1,5 +1,6 @@
 import pytest
 
+from map_oracle import enumerate_setfunctor_maps, fib_hom_cat
 from tck import cat2, prestack
 from tck.corpus import (
     dopf_corpus,
@@ -256,7 +257,7 @@ def test_modification_counts_match_fib_hom_counts():
 def test_search_setfunctor_maps_agrees_with_product_filter_oracle():
     # the pruned backtracking search and the brute-force enumerator must
     # return exactly the same natural transformations
-    from tck.fincat import enumerate_setfunctor_maps, search_setfunctor_maps
+    from tck.fincat import search_setfunctor_maps
     from tck.corpus import setfunctor_corpus, chain3, parallel_pair
 
     def canon(m):
@@ -282,7 +283,6 @@ def test_fib_hom_counts_agree_with_componentwise_product_oracle():
     # per-component triangle functors filtered by strict naturality
     import itertools
 
-    from tck import cat2
     from tck.fincat import compose_functors
 
     F = sample_presheaf()
@@ -292,7 +292,7 @@ def test_fib_hom_counts_agree_with_componentwise_product_oracle():
         for psi in phis[2:]:
             fast = fib_hom(phi, psi)
             objs = sorted(base.objects)
-            per_obj = [cat2.fib_hom_cat(phi.certificates[c], psi.certificates[c])
+            per_obj = [fib_hom_cat(phi.certificates[c], psi.certificates[c])
                        for c in objs]
             brute = []
             for combo in itertools.product(*per_obj):
@@ -310,8 +310,6 @@ def test_fib_hom_counts_agree_with_componentwise_product_oracle():
 def test_fib_hom_between_elements_constructions_bijects_with_classifying_maps():
     # maps between glued elements-of constructions correspond to natural
     # transformations of the underlying fibre tables (product-filter oracle)
-    from tck.fincat import enumerate_setfunctor_maps
-
     F = sample_presheaf()
     el = elements_category(F)
     tables = setfunctor_corpus(el, 4)

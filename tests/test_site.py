@@ -276,6 +276,21 @@ def test_matching_families_empty_sieve():
     assert amalgamations(Z, s, fams[0]) == list(Z.on_objects["T"])
 
 
+def test_matching_families_with_an_empty_pool_do_not_trip_a_small_bound():
+    # pools of sizes 2, 2 and 0 give no candidate at all, so the bound of 3
+    # is not exceeded, though 2 * 2 candidates over the nonempty pools are
+    from tck.fincat import SetPresheaf
+
+    cat = poset_category("abcz", [("a", "c"), ("b", "c"), ("z", "c")])
+    on_objects = {"a": ("0", "1"), "b": ("0", "1"), "c": (), "z": ()}
+    on_arrows = {f: {x: x for x in on_objects[c]} for f, (_, c) in cat.arrows.items()}
+    Z = SetPresheaf(cat, on_objects, on_arrows)
+    Z.validate()
+    s = Sieve("c", frozenset({"a_c", "b_c", "z_c"}))
+    assert [len(Z.on_objects[cat.dom(f)]) for f in s.sorted_arrows()] == [2, 2, 0]
+    assert matching_families(Z, s, bound=3) == []
+
+
 def test_matching_families_on_joint_cover_counts():
     # truly constant {0,1}: compatibility through O forces equal choices -> 2
     Zconst = constant_presheaf(OS, ["0", "1"])
@@ -425,7 +440,7 @@ def test_all_sieves_on_T():
 
 
 def test_sheafify_is_idempotent_up_to_iso():
-    from tck.fincat import presheaf_iso
+    from map_oracle import presheaf_iso
 
     for Z in presheaf_corpus(OS, 8) + [nonseparated_presheaf()]:
         once = sheafify(Z, OSJ).presheaf

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stack_oracle
+from map_oracle import enumerate_presheaf_maps, presheaf_iso
 from tck import prestack
 from tck.classifier import char, classify
 from tck.corpus import (
@@ -25,7 +26,6 @@ from tck.fincat import (
     constant_presheaf,
     delta1,
     identity_presheaf_map,
-    presheaf_iso,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
     slice_arrow_name,
@@ -439,7 +439,6 @@ def test_omega_J_probe_vacuous_on_empty_sieve():
 def test_glue_sheaf_morphisms_recovers_global_map():
     d = local_pair_datum(2, 2)
     M, _ = construct_effectiveness(d)
-    from tck.fincat import enumerate_presheaf_maps
 
     for lam0 in enumerate_presheaf_maps(M, M)[:5]:
         alpha = {f: reindex_slice_presheaf_map(OS, f, lam0) for f in JOINT.arrows}

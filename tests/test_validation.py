@@ -194,6 +194,18 @@ def test_ff_check_runs_only_leaf_and_argument_checks(monkeypatch):
     assert set(counts) <= {"OmegaModification", "PresheafMap"}
 
 
+def test_classify_does_not_recheck_the_map_char_built(monkeypatch):
+    F = representable(BASES["chain5"], "c4")
+    phi = dopf_from_set_functor(F, setfunctor_corpus(elements_category(F), 6)[-1])
+    counts = count_checks(monkeypatch)
+    z = char(phi)
+    psi = classify(z)
+    assert RECORD in vars(z)
+    assert counts["MapToOmega"] == 0
+    assert {k: len(v) for k, v in psi.fibres.items()} == \
+        {k: len(v) for k, v in phi.fibres.items()}
+
+
 def test_plus_does_not_revalidate_what_it_builds(monkeypatch):
     names = {m: "p" + format(m, "03b") for m in range(8)}
     cat = poset_category(list(names.values()), [
