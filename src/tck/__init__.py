@@ -14,7 +14,7 @@ Layers, bottom up:
   classify/char, the indexed-elements equivalence over representables, and
   full-faithfulness and round-trip verifiers;
 - stacks: descent data, the three stack conditions, the sheaf-valued
-  restriction of the classifier, and the double-plus gluing probe;
+  restriction of the classifier, and the sheaf gluing probe;
 - docformat/cli: the line-oriented document format and the tck command.
 """
 

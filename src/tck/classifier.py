@@ -32,6 +32,7 @@ from .fincat import (
     guard,
     identity_presheaf_map,
     mark_valid,
+    named_parts,
     reindex_slice_components,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
@@ -368,12 +369,10 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
     cats = {}
     comps = {}
     for d in site.objects:
-        elems = sorted(f"({f},{x})" for f in site.hom(d, c) for x in Z.on_objects[f])
-        cats[d] = discrete_category(elems)
-        on_objects = {}
-        for f in site.hom(d, c):
-            for x in Z.on_objects[f]:
-                on_objects[f"({f},{x})"] = f
+        parts = named_parts(((f, x) for f in site.hom(d, c) for x in Z.on_objects[f]),
+                            lambda f, x: f"({f},{x})")
+        cats[d] = discrete_category(sorted(parts))
+        on_objects = {o: f for o, (f, _) in parts.items()}
         comps[d] = FinFunctor(
             cats[d], rep.on_objects[d], on_objects,
             {f"id_{o}": f"id_{on_objects[o]}" for o in on_objects},

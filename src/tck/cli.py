@@ -357,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.file}", file=sys.stderr)
         return 3
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+        return 3
     except TckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -375,6 +378,13 @@ def main(argv: list[str] | None = None) -> int:
         report.fail((type(exc).__name__, str(exc)))
         output = None
     elapsed_ms = (time.monotonic() - start) * 1000.0
+    if output is not None and args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 3
     if args.json:
         payload = report.to_dict()
         if output is not None:
@@ -384,9 +394,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_render_human(report))
         if output is not None and args.out is None:
             sys.stdout.write(output)
-    if output is not None and args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
     print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
     if report.verdict == PASS:
         return 0

@@ -176,7 +176,7 @@ class _Parser:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DanglingReference(self.i + 1, rel) from exc
         _Parser(text, os.path.dirname(path), self.doc, self.seen_paths).parse()
         self.i += 1
@@ -464,11 +464,18 @@ class _Parser:
         base = self.resolve_category(header[4], start)
         if header[6] not in self.doc.topologies:
             raise DanglingReference(start, header[6])
-        topo = self.doc.topologies[header[6]][0]
+        topo, topo_base = self.doc.topologies[header[6]]
+        if topo_base != header[4]:
+            raise InvariantViolation(start, f"topology {header[6]!r} is not on {header[4]!r}")
         if header[10] not in self.doc.sieves:
             raise DanglingReference(start, header[10])
-        s = self.doc.sieves[header[10]][0]
+        s, sieve_base = self.doc.sieves[header[10]]
+        if sieve_base != header[4]:
+            raise InvariantViolation(start, f"sieve {header[10]!r} is not on {header[4]!r}")
+        if s.at != header[8]:
+            raise InvariantViolation(start, "sieve is not based at the stated object")
         object_refs: dict[str, str] = {}
+        object_lines: dict[str, int] = {}
         iso_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
         identity_isos = False
         for line, content in self.body():
@@ -477,6 +484,7 @@ class _Parser:
                 if t[3] not in self.doc.setpresheaves:
                     raise DanglingReference(line, t[3])
                 self.put(object_refs, t[1], t[3], line, content)
+                object_lines[t[1]] = line
             elif t[0] == "iso" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
                 self.put(iso_tables.setdefault((t[1], t[2]), {}), t[4],
                          self._pairs(t[6:], line), line, content)
@@ -485,10 +493,15 @@ class _Parser:
             else:
                 raise self.line_error(line, content, f"bad sheaf descent line: {content!r}")
         objects = {f: self.doc.setpresheaves[ref][0] for f, ref in object_refs.items()}
-        isos: dict[tuple[str, str], PresheafMap] = {}
-        for f in s.arrows:
+        for f in s.sorted_arrows():
             if f not in objects:
                 raise InvariantViolation(start, f"object for {f!r} missing")
+            if objects[f].base != slice_cat(base, base.dom(f))[0]:
+                raise InvariantViolation(
+                    object_lines[f],
+                    f"object for {f!r} is not on slice {header[4]} {base.dom(f)}")
+        isos: dict[tuple[str, str], PresheafMap] = {}
+        for f in s.arrows:
             for g in base.arrows_into(base.dom(f)):
                 src = reindex_slice_presheaf(base, g, objects[f])
                 tgt = objects[base.compose(f, g)]

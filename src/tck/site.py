@@ -31,7 +31,6 @@ from .fincat import (
     bounded_product,
     compose_presheaf_maps,
     guard,
-    reindex_slice_presheaf,
     slice_arrow_name,
     slice_cat,
     validates_once,
@@ -423,15 +422,6 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
 class PlusConstruction:
     presheaf: SetPresheaf
     unit: PresheafMap
-    # per object: the least cover M_c, section label -> matching family on M_c,
-    # and the items of that family -> label
-    minimal: Mapping[str, Sieve]
-    families: Mapping[str, Mapping[str, Mapping[str, str]]]
-    labels: Mapping[str, Mapping[frozenset, str]]
-
-    def label(self, c: str, family: Mapping[str, str]) -> str:
-        """The section at c of a matching family on any sieve containing M_c."""
-        return self.labels[c][frozenset((f, family[f]) for f in self.minimal[c].arrows)]
 
 
 def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusConstruction:
@@ -468,22 +458,7 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
         for c in cat.objects
     })
     # valid because restricting along f then g reads family[f.g.h], as f.g does
-    return PlusConstruction(presheaf, unit, minimal, families, labels)
-
-
-def plus_map(m: PresheafMap, pc_src: PlusConstruction, pc_tgt: PlusConstruction) -> PresheafMap:
-    """Functorial action of plus on a presheaf map."""
-    cat = m.source.base
-    comps = {}
-    for c in cat.objects:
-        table = {}
-        for q in pc_src.presheaf.on_objects[c]:
-            fam = pc_src.families[c][q]
-            table[q] = pc_tgt.label(c, {f: m.components[cat.dom(f)][x] for f, x in fam.items()})
-        comps[c] = table
-    out = PresheafMap(pc_src.presheaf, pc_tgt.presheaf, comps)
-    out.validate()
-    return out
+    return PlusConstruction(presheaf, unit)
 
 
 @dataclass(frozen=True)
@@ -504,39 +479,3 @@ def sheafify(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Sh
         first,
         second,
     )
-
-
-# -- transport of plus along slice reindexing ---------------------------------------
-
-
-def transport_plus_iso(cat: FinCat, j: GrothTopology, f: str, Z: SetPresheaf,
-                       bound: int = DEFAULT_BOUND) -> PresheafMap:
-    """The canonical iso  f*(Z+) -> (f*Z)+  for Z on slice(C, cod f).
-
-    Covering sieves on a slice object g of slice(C, dom f) and on the slice
-    object f.g of slice(C, cod f) both come from base sieves on dom(g), so
-    families transport arrow-by-arrow.
-    """
-    d, c = cat.arrows[f]
-    pc_c = plus(Z, slice_topology(j, c), bound)
-    Zf = reindex_slice_presheaf(cat, f, Z)
-    pc_d = plus(Zf, slice_topology(j, d), bound)
-    sl_d, _ = slice_cat(cat, d)
-    comps: dict[str, dict[str, str]] = {}
-    for g in sl_d.objects:
-        fg = cat.compose(f, g)
-        renames = {
-            slice_arrow_name(h, fg): slice_arrow_name(h, g)
-            for h in cat.arrows_into(cat.dom(g))
-        }
-        table = {}
-        for q in pc_c.presheaf.on_objects[fg]:
-            # rename slice-of-c arrows (h > f.g) to slice-of-d arrows (h > g)
-            fam = pc_c.families[fg][q]
-            table[q] = pc_d.label(g, {renames[name]: x for name, x in fam.items()})
-        comps[g] = table
-    out = PresheafMap(reindex_slice_presheaf(cat, f, pc_c.presheaf), pc_d.presheaf, comps)
-    out.validate()
-    if not out.is_iso():
-        raise InvalidTable("transport_plus_iso produced a non-iso; slice naming out of sync")
-    return out

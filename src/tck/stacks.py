@@ -1,9 +1,12 @@
 """Descent data, stack conditions, and the sheaf-valued classifier.
 
 The stack classifier is never materialized: its gluing property is probed
-on concrete descent data of sheaves-on-slices by running the explicit
-double-plus algorithm and verifying the compatibility squares, and its
-morphism gluing by matching-family transport.
+on concrete descent data of sheaves-on-slices.  A datum glues to the
+sheafification M of its gluing presheaf Z, and the compatibility isos are
+read off the unit Z -> M: reindexing commutes with sheafification, so the
+unit is an iso after reindexing along each arrow of the sieve.  The probe
+verifies the compatibility squares, and morphism gluing by matching-family
+transport.
 """
 
 from __future__ import annotations
@@ -37,12 +40,9 @@ from .site import (
     Sieve,
     amalgamations,
     is_sheaf,
-    plus,
-    plus_map,
     pullback_sieve,
     sheafify,
     slice_topology,
-    transport_plus_iso,
 )
 
 
@@ -404,62 +404,35 @@ def build_gluing_presheaf(d: SheafDescentDatum) -> SetPresheaf:
     return Z
 
 
-def _double_plus_transport(base: FinCat, j: GrothTopology, f: str,
-                           Z: SetPresheaf, bound: int) -> PresheafMap:
-    """The iso f*(Z++) -> (f*Z)++ assembled from single-plus transports."""
-    d = base.dom(f)
-    jd = slice_topology(j, d)
-    pc1_c = plus(Z, slice_topology(j, base.cod(f)), bound)
-    t1 = transport_plus_iso(base, j, f, pc1_c.presheaf, bound)   # f*(Z+)+ -> (f*(Z+))+ ... see below
-    # t0: f*(Z+) -> (f*Z)+
-    t0 = transport_plus_iso(base, j, f, Z, bound)
-    fZ = reindex_slice_presheaf(base, f, Z)
-    pc_src = plus(reindex_slice_presheaf(base, f, pc1_c.presheaf), jd, bound)
-    pc_tgt = plus(plus(fZ, jd, bound).presheaf, jd, bound)
-    t2 = plus_map(t0, pc_src, pc_tgt)                            # (f*(Z+))+ -> ((f*Z)+)+
-    return compose_presheaf_maps(t2, t1)
-
-
 def construct_effectiveness(d: SheafDescentDatum,
                             bound: int = DEFAULT_BOUND) -> tuple[SetPresheaf, dict]:
-    """Run the double-plus gluing algorithm: returns the glued sheaf M and
-    the compatibility isos psi^f: f*M -> M_f."""
+    """Glue the datum: returns the glued sheaf M = Z++ of the gluing
+    presheaf Z and the compatibility isos psi^f: f*M -> M_f.
+
+    The datum comparison e_f: M_f -> f*Z is an iso, so f*Z is a sheaf.
+    Reindexing along f commutes with sheafification, so f*η_Z: f*Z -> f*M
+    is an iso too, and naturality of the unit η gives
+    psi^f = (f*η_Z ∘ e_f)⁻¹.
+    """
     base = d.site
-    c = d.sieve.at
-    jc = slice_topology(d.topology, c)
     Z = build_gluing_presheaf(d)
-    M = sheafify(Z, jc, bound)
+    M = sheafify(Z, slice_topology(d.topology, d.sieve.at), bound)
     psis: dict[str, PresheafMap] = {}
     for f in sorted(d.sieve.arrows):
-        df = base.dom(f)
-        jd = slice_topology(d.topology, df)
         # e_f: M_f -> f*Z; at g the section sets are M_f(g) = (g*M_f)(id) and
         # (f*Z)(g) = M_{f.g}(id), compared by the datum iso at the identity
-        fZ = reindex_slice_presheaf(base, f, Z)
-        sl_d, _ = slice_cat(base, df)
-        comps = {}
-        for g in sl_d.objects:
-            dg = base.dom(g)
-            comps[g] = {
-                x: d.isos[(f, g)].components[base.id_of(dg)][x]
-                for x in d.objects[f].on_objects[g]
-            }
-        e_f = PresheafMap(d.objects[f], fZ, comps)
+        sl_d, _ = slice_cat(base, base.dom(f))
+        comps = {
+            g: {x: d.isos[(f, g)].components[base.id_of(base.dom(g))][x]
+                for x in d.objects[f].on_objects[g]}
+            for g in sl_d.objects
+        }
+        e_f = PresheafMap(d.objects[f], reindex_slice_presheaf(base, f, Z), comps)
         e_f.validate()
         if not e_f.is_iso():
             raise InvalidTable("datum comparison map is not an iso")
-        e_inv = invert_presheaf_map(e_f)
-        pcW1 = plus(fZ, jd, bound)
-        pcM1 = plus(d.objects[f], jd, bound)
-        p1 = plus_map(e_inv, pcW1, pcM1)
-        pcW2 = plus(pcW1.presheaf, jd, bound)
-        pcM2 = plus(pcM1.presheaf, jd, bound)
-        p2 = plus_map(p1, pcW2, pcM2)
-        t = _double_plus_transport(base, d.topology, f, Z, bound)
-        mf_sheafified = sheafify(d.objects[f], jd, bound)
-        collapse = invert_presheaf_map(mf_sheafified.unit)
-        psi = compose_presheaf_maps(collapse, compose_presheaf_maps(p2, t))
-        psis[f] = psi
+        psis[f] = invert_presheaf_map(compose_presheaf_maps(
+            reindex_slice_presheaf_map(base, f, M.unit), e_f))
     return M.presheaf, psis
 
 

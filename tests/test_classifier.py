@@ -206,6 +206,27 @@ def test_j_forward_fibres_scan():
                 assert len(psi.fibre(d, f)) == len(Z.on_objects[f])
 
 
+def test_j_forward_names_both_parts_of_a_clashing_element():
+    from tck.errors import InvalidTable
+    from tck.fincat import FinCat, SetPresheaf
+
+    # "(a,b,c)" names both (a, "b,c") and ("a,b", c) over d
+    arrows = {"id_c": ("c", "c"), "id_d": ("d", "d"), "a": ("d", "c"), "a,b": ("d", "c")}
+    compose = {("id_c", "id_c"): "id_c", ("id_d", "id_d"): "id_d"}
+    for u in ("a", "a,b"):
+        compose[("id_c", u)] = compose[(u, "id_d")] = u
+    site = FinCat(("c", "d"), arrows, {"c": "id_c", "d": "id_d"}, compose)
+    site.validate()
+    sl, _ = slice_cat(site, "c")
+    Z = SetPresheaf(sl, {"a": ("b,c",), "a,b": ("c",), "id_c": ()}, {
+        "id_d>a": {"b,c": "b,c"}, "id_d>a,b": {"c": "c"},
+        "a>id_c": {}, "a,b>id_c": {}, "id_c>id_c": {},
+    })
+    Z.validate()
+    with pytest.raises(InvalidTable, match=r"\('a', 'b,c'\) and \('a,b', 'c'\)"):
+        j_forward(site, "c", Z)
+
+
 def test_j_forward_concentration():
     from tck.fincat import SetPresheaf
 

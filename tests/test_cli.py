@@ -218,13 +218,49 @@ def test_char_output_parses_against_input_document(tmp_path):
     res = tck("char", src, "--out", str(out))
     assert res.returncode == 0
     combined = tmp_path / "combined.site"
-    combined.write_text(
-        open(src, encoding="utf-8").read() + "\n" + out.read_text()
-    )
+    with open(src, encoding="utf-8") as fh:
+        combined.write_text(fh.read() + "\n" + out.read_text())
     from tck import docformat
 
     doc = docformat.parse_file(combined)
     assert any(".char." in name for name in doc.setpresheaves)
+
+
+def assert_clean_usage_error(res):
+    assert res.returncode == 3, (res.stdout, res.stderr)
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_directory_argument_exits_three_without_traceback(tmp_path):
+    res = tck("validate", str(tmp_path))
+    assert_clean_usage_error(res)
+    assert res.stdout == ""
+
+
+def test_non_utf8_file_exits_three_without_traceback(tmp_path):
+    path = tmp_path / "latin1.site"
+    path.write_bytes("category C\n  objects \u00e9\nend\n".encode("latin-1"))
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stdout == ""
+
+
+def test_unwritable_out_prints_only_the_error(tmp_path):
+    out = tmp_path / "missing" / "x.site"
+    res = tck("char", os.path.join(FIXTURES, "Pointed.site"), "--out", str(out))
+    assert_clean_usage_error(res)
+    assert str(out) in res.stderr
+    assert res.stdout == ""
+
+
+def test_non_utf8_import_target_is_dangling_reference(tmp_path):
+    (tmp_path / "latin1.site").write_bytes(
+        "category C\n  objects \u00e9\nend\n".encode("latin-1"))
+    main = tmp_path / "main.site"
+    main.write_text("import latin1.site\n")
+    res = tck("validate", str(main))
+    assert_clean_usage_error(res)
+    assert "line 1: reference 'latin1.site' does not resolve" in res.stderr
 
 
 def test_bad_env_bound_is_usage_error():

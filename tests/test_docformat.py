@@ -243,3 +243,44 @@ def test_imported_block_name_may_not_be_redefined(tmp_path):
     main.write_text("import base.site\n" + WALKING_ARROW_DOC)
     with pytest.raises(ParseError):
         parse_file(main)
+
+
+POINT_BLOCKS = """category Pt
+  objects T
+  arrow T_T : T -> T
+  identity T : T_T
+  compose T_T T_T : T_T
+end
+
+topology JPt on Pt
+  cover T : T_T
+end
+
+sieve SPt on Pt at T
+  arrows T_T
+end
+
+"""
+
+SHEAF_HEADER = "descent_datum DInduced sheaves on OpenSite topology J at T sieve SJoint"
+
+
+@pytest.mark.parametrize("old, new, bad_line, detail", [
+    ("  object L_T : DInduced.obj.L_T", "  object L_T : Sh0",
+     "  object L_T : Sh0", "object for 'L_T' is not on slice OpenSite L"),
+    (SHEAF_HEADER, SHEAF_HEADER.replace("at T", "at L"),
+     SHEAF_HEADER.replace("at T", "at L"), "sieve is not based at the stated object"),
+    (SHEAF_HEADER, POINT_BLOCKS + SHEAF_HEADER.replace("topology J", "topology JPt"),
+     SHEAF_HEADER.replace("topology J", "topology JPt"), "topology 'JPt' is not on 'OpenSite'"),
+    (SHEAF_HEADER, POINT_BLOCKS + SHEAF_HEADER.replace("sieve SJoint", "sieve SPt"),
+     SHEAF_HEADER.replace("sieve SJoint", "sieve SPt"), "sieve 'SPt' is not on 'OpenSite'"),
+], ids=["object-off-slice", "at-object", "topology-base", "sieve-base"])
+def test_sheaf_descent_datum_header_and_objects_are_checked(old, new, bad_line, detail):
+    with open(os.path.join(FIXTURES, "OpenSite.site"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    text = text.replace(old, new)
+    with pytest.raises(InvariantViolation) as err:
+        parse(text)
+    assert err.value.line == text.splitlines().index(bad_line) + 1
+    assert str(err.value) == f"line {err.value.line}: {detail}"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import site_oracle
+import stack_oracle
 from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
 from tck import site
 from tck.corpus import (
@@ -43,7 +44,6 @@ from tck.site import (
     slice_topology,
     subcanonical_check,
     topology_from_generators,
-    transport_plus_iso,
     trivial_topology,
     validate_topology,
 )
@@ -429,7 +429,7 @@ def test_transport_plus_iso_on_slices():
     sl_T, _ = slice_cat(OS, "T")
     for Z in presheaf_corpus(sl_T, 6):
         for f in ("L_T", "O_T", "T_T"):
-            iso = transport_plus_iso(OS, OSJ, f, Z)
+            iso = stack_oracle.transport_plus_iso(OS, OSJ, f, Z)
             assert iso.is_iso()
 
 

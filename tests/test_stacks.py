@@ -618,6 +618,26 @@ def test_double_plus_glues_overlapping_cover_to_pullback():
         assert len(M.on_objects["p_s"]) == 2
 
 
+def test_construct_effectiveness_agrees_with_double_plus_oracle():
+    # the psis read off the sheafification unit are the double-plus psis
+    sl, _ = slice_cat(OS, "T")
+    induced = [induced_sheaf_descent_datum(OS, OSJ, JOINT, Z)
+               for Z in presheaf_corpus(sl, 12)
+               if is_sheaf(Z, slice_topology(OSJ, "T")).ok]
+    assert len(induced) == 5
+    data = (
+        [local_pair_datum(n1, n2)
+         for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 3)]]
+        + [overlap_datum(twist, r_down)
+           for twist in (False, True) for r_down in (None, {"n0": "x0", "n1": "x0"})]
+        + induced
+    )
+    for d in data:
+        M, psis = construct_effectiveness(d)
+        assert (M, psis) == stack_oracle.double_plus_effectiveness(d)
+        assert verify_effectiveness(d, M, psis).ok
+
+
 def test_omega_J_probe_on_overlapping_cover():
     _, topo = square_site()
     data = [overlap_datum(False), overlap_datum(True),
