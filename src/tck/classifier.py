@@ -432,15 +432,27 @@ def enumerate_omega_modifications(z: MapToOmega, w: MapToOmega,
     (d, F(f)X) for every f: d -> c, so keys are branched on in order of
     most arrows into c first.  The candidates at a key the search branches
     on are the natural maps Z_(c,X) => W_(c,X), searched once per key (only
-    the isomorphisms with iso_only); components travel as plain tables, and
-    every complete assignment is checked in full by
-    OmegaModification.validate.  The bound caps the nodes of each search.
+    the isomorphisms with iso_only); components travel as plain tables.
+    Every complete assignment is a family of natural maps satisfying the
+    reindexing axiom by construction, so a leaf checks only naturality in
+    X against the arrow parts.  The bound caps the nodes of each search.
     """
     if z.source != w.source or z.site != w.site:
         raise InvalidTable("enumerate_omega_modifications needs parallel maps")
+    z.validate()
+    w.validate()
     site = z.site
     F = z.source
     keys = sorted(z.object_part, key=lambda key: (-len(site.arrows_into(key[0])), key))
+    # naturality in X: per non-identity nu: X -> X2 of F(c), the keys of its
+    # ends and the component tables of z and w at nu
+    squares = [
+        ((c, Fc.dom(nu)), (c, Fc.cod(nu)),
+         z.arrow_part[(c, nu)].components, w.arrow_part[(c, nu)].components)
+        for c in F.base.objects
+        for Fc in (F.on_objects[c],)
+        for nu in Fc.arrows if not Fc.is_identity(nu)
+    ]
     candidates: dict[tuple[str, str], list[PresheafMap]] = {}
     assignment: dict[tuple[str, str], dict] = {}
     out: list[OmegaModification] = []
@@ -459,20 +471,38 @@ def enumerate_omega_modifications(z: MapToOmega, w: MapToOmega,
                 return False
         return True
 
+    def natural_in_x() -> bool:
+        for key, key2, za, wa in squares:
+            a, a2 = assignment[key], assignment[key2]
+            for g, ag in a.items():
+                a2g, zag, wag = a2[g], za[g], wa[g]
+                if any(a2g[zag[e]] != wag[v] for e, v in ag.items()):
+                    return False
+        return True
+
     def backtrack(i: int) -> bool:
         nonlocal nodes
         while i < len(keys) and keys[i] in assignment:
             i += 1
         if i == len(keys):
+            if not natural_in_x():
+                return False
+            # valid because z and w are, and then:
+            # - every key is assigned, so the component table is total;
+            # - a component branched on comes from search_presheaf_maps, so
+            #   it is a natural map Z_(c,X) => W_(c,X);
+            # - a forced component is f* of a natural map, whose ends are
+            #   Z_(d,F(f)X) and W_(d,F(f)X) by strict 2-naturality of z, w;
+            # - the reindexing axiom holds: propagate forces every f into
+            #   the object of a branched key and rejects a clash, and
+            #   (fg)* = g*f* on the nose covers the keys it forced;
+            # - naturality in X was checked just above
             mod = OmegaModification(z, w, {
-                key: PresheafMap(z.object_part[key], w.object_part[key], assignment[key])
+                key: mark_valid(PresheafMap(z.object_part[key], w.object_part[key],
+                                            assignment[key]))
                 for key in sorted(assignment)
             })
-            try:
-                mod.validate()
-            except InvalidTable:
-                return False
-            out.append(mod)
+            out.append(mark_valid(mod))
             return first_only
         key = keys[i]
         if key not in candidates:

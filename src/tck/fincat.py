@@ -617,15 +617,16 @@ def natural_iso(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> Nat
 
 
 def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
-                 bound: int, iso_only: bool, first_only: bool,
+                 bound: int, iso_only: bool, limit: int | None,
                  ) -> list[dict[str, dict[str, str]]]:
     """Component tables of the natural maps A => B by element-wise backtracking.
 
     ``step[c]`` lists the pairs (f, e) along which a choice at object c
     forces one at e: choosing v as the image of x in A(c) forces B(f)(v)
     as the image of A(f)(x) in A(e), whichever way f points.  Variables are visited in sorted
-    order, so the tables come in lexicographic order; the bound caps the
-    number of search nodes, counted under ``what``.
+    order, so the tables come in lexicographic order; the search stops
+    after the first ``limit`` tables when a limit is given, and the bound
+    caps the number of search nodes, counted under ``what``.
     """
     base = A.base
     if iso_only and any(
@@ -667,7 +668,7 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
             for c, x in variables:
                 comps[c][x] = assignment[(c, x)]
             results.append(comps)
-            return first_only
+            return len(results) == limit
         var = variables[i]
         if var in assignment:
             return backtrack(i + 1)
@@ -688,26 +689,27 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
 def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
                            bound: int = DEFAULT_BOUND,
                            iso_only: bool = False,
-                           first_only: bool = False) -> list[SetFunctorMap]:
+                           limit: int | None = None) -> list[SetFunctorMap]:
     """Natural transformations A => B by element-wise backtracking.
 
     Choosing the image of one element forces images along every arrow out
     of it, so the search prunes far earlier than filtering the product of
-    all component functions; results come in lexicographic order.  The bound caps the
-    number of search nodes.
+    all component functions; results come in lexicographic order, the first
+    ``limit`` of them when a limit is given.  The bound caps the number of
+    search nodes.
     """
     if A.base != B.base:
         raise InvalidTable("set functor maps need a common base")
     base = A.base
     step = {c: [(f, base.cod(f)) for f in base.arrows_from(c)] for c in base.objects}
     return [SetFunctorMap(A, B, comps) for comps in _search_maps(
-        A, B, step, "search_setfunctor_maps nodes", bound, iso_only, first_only)]
+        A, B, step, "search_setfunctor_maps nodes", bound, iso_only, limit)]
 
 
 def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
                          bound: int = DEFAULT_BOUND,
                          iso_only: bool = False,
-                         first_only: bool = False) -> list[PresheafMap]:
+                         limit: int | None = None) -> list[PresheafMap]:
     """Natural transformations Z => W by element-wise backtracking.
 
     The contravariant twin of search_setfunctor_maps: choosing the image of
@@ -719,7 +721,7 @@ def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
     base = Z.base
     step = {c: [(f, base.dom(f)) for f in base.arrows_into(c)] for c in base.objects}
     return [PresheafMap(Z, W, comps) for comps in _search_maps(
-        Z, W, step, "search_presheaf_maps nodes", bound, iso_only, first_only)]
+        Z, W, step, "search_presheaf_maps nodes", bound, iso_only, limit)]
 
 
 # -- free categories on acyclic generators ---------------------------------------

@@ -19,6 +19,7 @@ from .fincat import (
     DEFAULT_BOUND,
     FinCat,
     FinFunctor,
+    FinSetFunctor,
     NatTransform,
     bounded_product,
     build_category,
@@ -29,6 +30,7 @@ from .fincat import (
     identity_functor,
     named_parts,
     point_category,
+    search_setfunctor_maps,
     validates_once,
 )
 
@@ -130,6 +132,11 @@ class DiscOpfibPre:
     s: TwoNat
     certificates: Mapping[str, DiscOpfibCat]
     fibres: Mapping[tuple[str, str], tuple[str, ...]]
+
+    @cached_property
+    def _fibre_diagram(self) -> FinSetFunctor:
+        """fibre_diagram's result, kept for the life of this opfibration."""
+        return _fibre_functor(self)
 
     @property
     def total(self) -> CatPresheaf:
@@ -407,10 +414,14 @@ def elements_category(F: CatPresheaf) -> FinCat:
     return F._elements[0]
 
 
-def fibre_diagram(phi: DiscOpfibPre) -> "FinSetFunctor":
-    """The fibres of phi as a set functor on elements_category(codomain)."""
-    from .fincat import FinSetFunctor
+def fibre_diagram(phi: DiscOpfibPre) -> FinSetFunctor:
+    """The fibres of phi as a set functor on elements_category(codomain).
+    It is built once per opfibration instance."""
+    return phi._fibre_diagram
 
+
+def _fibre_functor(phi: DiscOpfibPre) -> FinSetFunctor:
+    """fibre_diagram, built; cached on phi."""
     F = phi.codomain
     G = phi.total
     base = F.base
@@ -459,8 +470,6 @@ def fib_hom(phi: DiscOpfibPre, psi: DiscOpfibPre,
     Computed as natural maps between the fibre diagrams on the category of
     elements, by pruned backtracking.
     """
-    from .fincat import search_setfunctor_maps
-
     if phi.codomain != psi.codomain:
         raise InvalidTable("fib_hom: different codomains")
     maps = search_setfunctor_maps(fibre_diagram(phi), fibre_diagram(psi), bound)
@@ -470,8 +479,6 @@ def fib_hom(phi: DiscOpfibPre, psi: DiscOpfibPre,
 def fib_iso(phi: DiscOpfibPre, psi: DiscOpfibPre,
             bound: int = DEFAULT_BOUND) -> TwoNat | None:
     """Lexicographically first invertible fibred map, if any."""
-    from .fincat import search_setfunctor_maps
-
     if phi.codomain != psi.codomain:
         raise InvalidTable("fib_iso: different codomains")
     if any(
@@ -480,7 +487,7 @@ def fib_iso(phi: DiscOpfibPre, psi: DiscOpfibPre,
     ):
         return None
     found = search_setfunctor_maps(
-        fibre_diagram(phi), fibre_diagram(psi), bound, iso_only=True, first_only=True
+        fibre_diagram(phi), fibre_diagram(psi), bound, iso_only=True, limit=1
     )
     if not found:
         return None

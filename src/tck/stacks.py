@@ -517,14 +517,14 @@ def omega_J_probe(j: GrothTopology, data: list[SheafDescentDatum],
         if not ver.ok:
             report.fail(("witness", idx, ver.counterexamples[0]))
             continue
-        # morphism gluing: every endomorphism family induced by restriction
-        # glues back to the map it came from, uniquely
+        # morphism gluing: the families induced by restricting the first
+        # 4 endomorphisms glue back to the maps they came from, uniquely
         try:
-            lam_pool = search_presheaf_maps(M, M, bound)
+            lam_pool = search_presheaf_maps(M, M, bound, limit=4)
         except SizeBound as exc:
             report.bounded(f"morphism-gluing at datum {idx}", exc.bound)
             lam_pool = []
-        for lam0 in lam_pool[:4]:
+        for lam0 in lam_pool:
             alpha = {}
             ok = True
             for f in d.sieve.arrows:

@@ -1,7 +1,8 @@
 import functools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import classifier_oracle
 from classifier_oracle import classify_via_hom_enumeration
@@ -26,6 +27,7 @@ from tck.corpus import (
     bases,
     constant_cat_presheaf,
     dopf_corpus,
+    dopf_from_set_functor,
     elements_category,
     map_to_omega_corpus,
     map_to_omega_from_set_functor,
@@ -33,6 +35,7 @@ from tck.corpus import (
     open_site,
     poset_category,
     presheaf_corpus,
+    setfunctor_corpus,
     walking_arrow,
 )
 from tck.errors import SizeBound
@@ -356,6 +359,10 @@ def test_map_to_omega_validation_rejects_broken_naturality():
     z = MapToOmega(WA, F, bad_part, bad_arrow)
     with pytest.raises(InvalidTable):
         z.validate()
+    # the omega search trusts what it builds, so it checks its maps on entry
+    for pair in ((z, good), (good, z)):
+        with pytest.raises(InvalidTable, match="strict naturality"):
+            enumerate_omega_modifications(*pair)
 
 
 def test_gamma_mod_over_point_site_is_elements_action():
@@ -430,6 +437,62 @@ def test_omega_search_agrees_with_product_filter_oracle(data):
     assert component_tables(enumerate_omega_modifications(z, w)) == \
         component_tables(expected)
     assert (find_omega_iso(z, w) is not None) == any(m.is_iso() for m in expected)
+
+
+def test_omega_search_leaves_reject_maps_unnatural_in_x():
+    # over the point, reindexing forces nothing, so every choice of a natural
+    # map per key is reindex-consistent; some of these choices fail
+    # naturality in X along u: a -> b, and only the leaf check rejects them
+    F = constant_cat_presheaf(PT, walking_arrow())
+    maps = map_to_omega_corpus(F, 6)
+    unnatural = 0
+    for z in maps:
+        for w in maps:
+            mods = enumerate_omega_modifications(z, w)
+            assert component_tables(mods) == \
+                component_tables(classifier_oracle.enumerate_omega_modifications(z, w))
+            consistent = math.prod(
+                len(fincat.search_presheaf_maps(z.object_part[key], w.object_part[key]))
+                for key in z.object_part
+            )
+            unnatural += consistent - len(mods)
+    assert unnatural > 0
+
+
+@st.composite
+def generated_categories(draw):
+    """A random poset, or the free category on a random DAG, with at most 4
+    objects; a DAG may carry parallel generators and paths, so its hom-sets
+    need not be thin."""
+    n = draw(st.integers(1, 4))
+    objs = [f"o{i}" for i in range(n)]
+    pairs = [(objs[i], objs[k]) for i in range(n) for k in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    if draw(st.booleans()):
+        return poset_category(objs, edges)
+    return fincat.free_category(objs, {f"g{i}": e for i, e in enumerate(edges)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_categories(), st.data())
+def test_classify_char_round_trips_over_generated_categories(cat, data):
+    c = data.draw(st.sampled_from(cat.objects))
+    # the constant walking-arrow presheaf has non-identity arrows in each
+    # F(c), so the omega search's naturality in X is at stake
+    F = data.draw(st.sampled_from([representable(cat, c), terminal_presheaf(cat),
+                                   constant_cat_presheaf(cat, walking_arrow())]))
+    funs = setfunctor_corpus(elements_category(F), 4)
+    b1, b2 = (data.draw(st.sampled_from(funs)) for _ in range(2))
+    phi, psi = dopf_from_set_functor(F, b1), dopf_from_set_functor(F, b2)
+    try:
+        roundtrip_phi(phi)
+        roundtrip_z(map_to_omega_from_set_functor(F, b2))
+        z, w = char(phi), char(psi)
+        expected = classifier_oracle.enumerate_omega_modifications(z, w, bound=5000)
+        assert component_tables(enumerate_omega_modifications(z, w)) == \
+            component_tables(expected)
+    except SizeBound:
+        reject()
 
 
 def test_omega_search_names_itself_when_it_trips_the_bound():

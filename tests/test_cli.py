@@ -7,17 +7,22 @@ import sys
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 CORPUS = sorted(glob.glob(os.path.join(FIXTURES, "*.site")))
 BROKEN = sorted(glob.glob(os.path.join(FIXTURES, "broken", "*.site")))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+def child_env(**extra: str) -> dict:
+    """This process's environment with the checkout's src first on
+    PYTHONPATH, so that a child interpreter imports tck uninstalled."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def tck(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "tck.cli", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(**(env or {})),
     )
 
 
@@ -363,7 +368,7 @@ def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(
 
     b = DocumentBuilder()
     b.category("OpenSite", open_site())
-    b.sheaf_descent("D", local_pair_datum(2, 2), "OpenSite", "J", "S")
+    b.sheaf_descent("D", local_pair_datum(3, 3), "OpenSite", "J", "S")
     path = tmp_path / "pair.site"
     path.write_text(docformat.serialize(b.doc))
     assert tck("probe-omega-j", str(path)).returncode == 0

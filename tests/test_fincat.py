@@ -1,5 +1,4 @@
 import itertools
-import os
 import subprocess
 import sys
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from map_oracle import enumerate_presheaf_maps, presheaf_iso
+from test_cli import child_env
 from tck import fincat
 from tck.errors import (
     IllTypedComposite,
@@ -441,7 +441,7 @@ def test_search_presheaf_maps_lists_the_product_filter_maps_in_order():
             [m.components for m in brute]
         isos = [m.components for m in brute if m.is_iso()]
         assert [m.components for m in fincat.search_presheaf_maps(Z, W, iso_only=True)] == isos
-        first = fincat.search_presheaf_maps(Z, W, iso_only=True, first_only=True)
+        first = fincat.search_presheaf_maps(Z, W, iso_only=True, limit=1)
         iso = presheaf_iso(Z, W)
         assert (first[0].components if first else None) == \
             (iso.components if iso is not None else None)
@@ -492,7 +492,7 @@ def test_ill_typed_composite_names_the_same_pair_under_every_hash_seed():
     )
     outs = {
         subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                       env=child_env(PYTHONHASHSEED=str(seed)),
                        check=True).stdout
         for seed in range(1, 7)
     }

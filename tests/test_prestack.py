@@ -274,7 +274,7 @@ def test_search_setfunctor_maps_agrees_with_product_filter_oracle():
                 assert sorted(canon(m) for m in brute) == \
                     sorted(canon(m) for m in searched)
                 isos = [m for m in brute if m.is_iso()]
-                first = search_setfunctor_maps(A, B, iso_only=True, first_only=True)
+                first = search_setfunctor_maps(A, B, iso_only=True, limit=1)
                 assert bool(isos) == bool(first)
 
 

@@ -1,6 +1,5 @@
 
 import itertools
-import os
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import site_oracle
 import stack_oracle
 from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
+from test_cli import child_env
 from tck import site
 from tck.corpus import (
     bases,
@@ -590,7 +590,7 @@ def test_validate_topology_output_does_not_depend_on_hash_seed():
     )
     outs = {
         subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                       env=child_env(PYTHONHASHSEED=str(seed)),
                        check=True).stdout
         for seed in range(6)
     }

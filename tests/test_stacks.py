@@ -418,13 +418,21 @@ def test_omega_J_probe_full_report():
 
 
 def test_omega_J_probe_reports_bounded_when_the_endomorphism_search_trips():
-    # the glued sheaf of local_pair_datum(2, 2) has 16 endomorphisms: at
-    # bound 100 their search trips, and the probe must not pass silently
-    rep = omega_J_probe(OSJ, [local_pair_datum(2, 2)], bound=100)
+    # the probe searches for the first 4 endomorphisms of the glued sheaf:
+    # for local_pair_datum(3, 3) that search trips at bound 100, and the
+    # probe must not pass silently
+    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)], bound=100)
     assert rep.verdict == "bounded-pass"
     assert rep.bounds == {"morphism-gluing at datum 0": 100}
-    # at the default bound even the 729 endomorphisms for (3, 3) are found
     rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)])
+    assert rep.verdict == "pass" and not rep.bounds
+
+
+def test_omega_J_probe_searches_only_the_endomorphisms_it_checks():
+    # the glued sheaf of local_pair_datum(3, 3) has 729 endomorphisms, whose
+    # full search visits some 60k nodes; the probe checks 4 of them, and
+    # finding those 4 fits well within bound 1000
+    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)], bound=1000)
     assert rep.verdict == "pass" and not rep.bounds
 
 

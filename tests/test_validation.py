@@ -21,6 +21,7 @@ from tck.classifier import (
     classify,
     enumerate_omega_modifications,
     ff_check,
+    find_omega_iso,
     gamma_mod,
     j_forward,
     j_inverse,
@@ -44,6 +45,7 @@ from tck.prestack import (
     DiscOpfibPre,
     certify_dopf_pre,
     fib_hom,
+    fib_iso,
     fibre_diagram,
     pointwise_comma,
     pointwise_pullback,
@@ -178,7 +180,7 @@ def test_record_leaves_eq_hash_and_repr_alone():
 # -- what the library no longer re-validates ----------------------------------------------
 
 
-def test_ff_check_runs_only_leaf_and_argument_checks(monkeypatch):
+def test_ff_check_on_validated_maps_runs_no_check(monkeypatch):
     F = representable(BASES["chain5"], "c4")
     el = elements_category(F)
     x, y = next((x, y) for x in el.objects for y in el.objects
@@ -188,10 +190,23 @@ def test_ff_check_runs_only_leaf_and_argument_checks(monkeypatch):
     counts = count_checks(monkeypatch)
     report = ff_check(z, w)
     assert report.witnesses == [("bijection", 1)]
-    # the leaves of the omega search check their components; the arguments
-    # of classify and gamma_mod were validated where they were built
-    assert counts["OmegaModification"] >= 1
-    assert set(counts) <= {"OmegaModification", "PresheafMap"}
+    # the omega search's leaves are valid by construction once naturality in
+    # X holds, and the arguments of classify and gamma_mod were validated
+    # where they were built: no OmegaModification or PresheafMap, nor any
+    # other value, is checked
+    assert not counts
+
+
+def test_fib_hom_and_fib_iso_build_the_fibre_diagram_once(monkeypatch):
+    F = representable(BASES["chain5"], "c4")
+    phi = dopf_from_set_functor(F, setfunctor_corpus(elements_category(F), 6)[-1])
+    built = []
+    build = prestack._fibre_functor
+    monkeypatch.setattr(prestack, "_fibre_functor", lambda p: built.append(p) or build(p))
+    assert fib_hom(phi, phi)
+    assert fib_iso(phi, phi) is not None
+    assert fibre_diagram(phi) is fibre_diagram(phi)
+    assert built == [phi]
 
 
 def test_classify_does_not_recheck_the_map_char_built(monkeypatch):
@@ -258,7 +273,8 @@ def test_outputs_of_public_constructors_validate(data):
                pcone.apex, pcone.left_leg, pcone.right_leg, pcone.filler]
     outputs += fib_hom(phi, psi)[:3]
     for mod in enumerate_omega_modifications(z, char(psi))[:3]:
-        outputs.append(gamma_mod(mod))
+        outputs += [mod, gamma_mod(mod)]
+    outputs.append(find_omega_iso(char(classify(w)), w))
     if F == representable(B, c):
         Zc = j_inverse(phi)
         outputs += [Zc, j_forward(B, c, Zc)]
