@@ -424,7 +424,8 @@ def open_site_product_sheaf(a_labels: Iterable[str], b_labels: Iterable[str]) ->
 
 
 def open_site_sheaf_corpus(count: int) -> list[SetPresheaf]:
-    """Distinct sheaves on the open site with its open-cover topology."""
+    """Distinct sheaves on the open site with its open-cover topology; a
+    member that is no sheaf raises InvalidTable with its counterexample."""
     from .fincat import delta1
     from .site import is_sheaf
 
@@ -438,6 +439,9 @@ def open_site_sheaf_corpus(count: int) -> list[SetPresheaf]:
             out.append(open_site_product_sheaf(
                 [f"a{i}" for i in range(n1)], [f"b{i}" for i in range(n2)]
             ))
-    for Z in out:
-        assert is_sheaf(Z, topo).ok
+    for i, Z in enumerate(out):
+        rep = is_sheaf(Z, topo)
+        if not rep.ok:
+            raise InvalidTable(f"open-site corpus member {i} is no sheaf: "
+                               f"{rep.counterexamples[0]}")
     return out[:max(count, 1)]

@@ -13,6 +13,14 @@ table that fails.  The sheaf conditions and the plus construction take the
 matching families on M_c, the terminal stage of the colimit over covering
 sieves: Z is a sheaf (separated) iff Z(c) -> Match(M_c, Z) is a bijection
 (an injection) at every c.
+
+The arrow geometry of the M_c is compiled once per topology into a
+`RestrictionPlan` (`GrothTopology.plan`): each M_c's arrows in sorted
+order, the compatibility triples (i, g, k) with arrows[k] = arrows[i].g,
+and for each f: d -> c the positions in M_c of f.h for h in M_d.  A
+matching family is then a tuple of values in arrow order, checked against
+the triples, restricted along f by reading positions, and compared with
+the restriction tuples of Z(c); no presheaf recomposes arrows.
 """
 
 from __future__ import annotations
@@ -131,6 +139,59 @@ def all_sieves(cat: FinCat, c: str, bound: int = DEFAULT_BOUND) -> list[Sieve]:
     return out
 
 
+# -- restriction plans --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SievePlan:
+    """A sieve's arrows in sorted order, their domains, and its
+    compatibility triples: (i, g, k) for every arrows[i] and every g into
+    its domain, identities included, with arrows[k] = arrows[i].g.  A
+    family over the sieve is a tuple t of values in arrow order, and it is
+    compatible iff t[k] = Z(g)(t[i]) for every triple."""
+
+    arrows: tuple[str, ...]
+    doms: tuple[str, ...]
+    triples: tuple[tuple[int, str, int], ...]
+
+
+def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
+    arrows = s.sorted_arrows()
+    position = {f: i for i, f in enumerate(arrows)}
+    doms = tuple(cat.dom(f) for f in arrows)
+    triples = []
+    for i, f in enumerate(arrows):
+        for g in cat.arrows_into(doms[i]):
+            k = position.get(cat.compose(f, g))
+            if k is None:
+                raise InvalidTable(f"{f!r}.{g!r} leaves the sieve at {s.at!r}")
+            triples.append((i, g, k))
+    return SievePlan(arrows, doms, tuple(triples))
+
+
+@dataclass(frozen=True)
+class RestrictionPlan:
+    """The sieve plan of each least cover M_c, and for each arrow f: d -> c
+    the positions in M_c of f.h for h in M_d, in M_d's arrow order: a
+    family t on M_c restricts along f to tuple(t[i] for i in restrict[f])."""
+
+    covers: Mapping[str, SievePlan]
+    restrict: Mapping[str, tuple[int, ...]]
+
+
+def _restriction_plan(j: "GrothTopology") -> RestrictionPlan:
+    """The plan of j's least covers; f.h lies in M_c for h in M_d because
+    GrothTopology.minimal checked f*M_c ⊇ M_d."""
+    cat = j.base
+    covers = {c: sieve_plan(cat, m) for c, m in j.minimal.items()}
+    position = {c: {f: i for i, f in enumerate(p.arrows)} for c, p in covers.items()}
+    restrict = {
+        f: tuple(position[c][cat.compose(f, h)] for h in covers[d].arrows)
+        for f, (d, c) in cat.arrows.items()
+    }
+    return RestrictionPlan(covers, restrict)
+
+
 # -- topologies ---------------------------------------------------------------------
 
 
@@ -157,6 +218,12 @@ class GrothTopology:
             if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
                 raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
         return minimal
+
+    @cached_property
+    def plan(self) -> RestrictionPlan:
+        """The restriction plan of the least covers, compiled once; a raw
+        table that is no topology raises as `minimal` does."""
+        return _restriction_plan(self)
 
     @cached_property
     def _slices(self) -> dict[str, "GrothTopology"]:
@@ -351,37 +418,47 @@ class MatchingFamily:
         cat = self.presheaf.base
         if set(self.assignment) != set(self.sieve.arrows):
             raise InvalidTable("matching family not defined on exactly the sieve")
-        for f in self.sieve.arrows:
-            if self.assignment[f] not in self.presheaf.on_objects[cat.dom(f)]:
+        p = sieve_plan(cat, self.sieve)
+        t = tuple(self.assignment[f] for f in p.arrows)
+        for f, d, x in zip(p.arrows, p.doms, t):
+            if x not in self.presheaf.on_objects[d]:
                 raise InvalidTable(f"value at {f!r} outside the presheaf")
-        for f in self.sieve.arrows:
-            for g in cat.arrows_into(cat.dom(f)):
-                if self.assignment[cat.compose(f, g)] != \
-                   self.presheaf.on_arrows[g][self.assignment[f]]:
-                    raise InvalidTable(f"compatibility fails on ({f!r}, {g!r})")
+        for i, g, k in p.triples:
+            if t[k] != self.presheaf.on_arrows[g][t[i]]:
+                raise InvalidTable(f"compatibility fails on ({p.arrows[i]!r}, {g!r})")
 
 
 def matching_families(Z: SetPresheaf, s: Sieve,
                       bound: int = DEFAULT_BOUND) -> list[MatchingFamily]:
-    """All compatible assignments over the sieve, by product-and-filter."""
-    cat = Z.base
-    arrows = sorted(s.arrows)
-    pools = [Z.on_objects[cat.dom(f)] for f in arrows]
+    """All compatible assignments over the sieve."""
+    p = sieve_plan(Z.base, s)
+    return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in _families(Z, p, bound)]
+
+
+def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
+    """The matching families on p's sieve as value tuples in arrow order,
+    in the order of the product of the value pools."""
+    pools = [Z.on_objects[d] for d in p.doms]
+    checks = [(i, Z.on_arrows[g], k) for i, g, k in p.triples]
     out = []
-    for choice in bounded_product("matching_families", pools, bound):
-        m = dict(zip(arrows, choice))
-        if all(
-            m[cat.compose(f, g)] == Z.on_arrows[g][m[f]]
-            for f in arrows
-            for g in cat.arrows_into(cat.dom(f))
-        ):
-            out.append(MatchingFamily(Z, s, m))
+    for t in bounded_product("matching_families", pools, bound):
+        for i, z_g, k in checks:
+            if t[k] != z_g[t[i]]:
+                break
+        else:
+            out.append(t)
     return out
+
+
+def _restrictions(Z: SetPresheaf, p: SievePlan, c: str) -> list[tuple[str, ...]]:
+    """The family each x in Z(c) restricts to on p's sieve at c, in the
+    order of Z(c)."""
+    z_fs = [Z.on_arrows[f] for f in p.arrows]
+    return [tuple([z_f[x] for z_f in z_fs]) for x in Z.on_objects[c]]
 
 
 def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
     """All sections at the sieve's object restricting to the family."""
-    cat = Z.base
     return [
         x
         for x in Z.on_objects[s.at]
@@ -403,15 +480,19 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
                      fails: Callable[[int], bool]) -> Report:
     """Fail on the first matching family on some M_c whose number of
     amalgamations fails; since f*M_c ⊇ M_d, the M_c decide the condition
-    for every cover."""
+    for every cover.  The amalgamations of a family are the sections that
+    restrict to it, counted once over Z(c)."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     report = Report(command)
-    for c, m in j.minimal.items():
-        for fam in matching_families(Z, m, bound):
-            n = len(amalgamations(Z, m, fam))
+    for c, p in j.plan.covers.items():
+        amalgamated: dict[tuple[str, ...], int] = {}
+        for t in _restrictions(Z, p, c):
+            amalgamated[t] = amalgamated.get(t, 0) + 1
+        for t in _families(Z, p, bound):
+            n = amalgamated.get(t, 0)
             if fails(n):
-                return report.fail((c, m.sorted_arrows(), dict(sorted(fam.assignment.items())), n))
+                return report.fail((c, p.arrows, dict(zip(p.arrows, t)), n))
     return report
 
 
@@ -430,31 +511,29 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     The colimit over the covers at c has a terminal stage at M_c = ∩ J(c),
     so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
     in sorted family order.  A family restricts along f: d -> c through
-    f*M_c ⊇ M_d.  A raw j that is no topology raises AxiomViolation (see
-    GrothTopology.minimal).
+    f*M_c ⊇ M_d, by the positions the plan holds for f.  A raw j that is no
+    topology raises AxiomViolation (see GrothTopology.minimal).
     """
     cat = Z.base
     if cat != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
-    minimal = j.minimal
-    families: dict[str, dict[str, dict[str, str]]] = {}
-    labels: dict[str, dict[frozenset, str]] = {}
-    for c, m in minimal.items():
-        keys = sorted(tuple(sorted(fam.assignment.items()))
-                      for fam in matching_families(Z, m, bound))
-        families[c] = {f"q{i}": dict(key) for i, key in enumerate(keys)}
-        labels[c] = {frozenset(key): f"q{i}" for i, key in enumerate(keys)}
-    sections = {c: tuple(sorted(families[c])) for c in cat.objects}
-    on_arrows = {
-        f: {q: labels[d][frozenset((h, families[c][q][cat.compose(f, h)])
-                                   for h in minimal[d].arrows)]
-            for q in sections[c]}
-        for f, (d, c) in cat.arrows.items()
-    }
+    plan = j.plan
+    labels: dict[str, dict[tuple[str, ...], str]] = {}
+    families: dict[str, list[tuple[str, tuple[str, ...]]]] = {}  # (q, family) by label
+    for c, p in plan.covers.items():
+        labels[c] = {t: f"q{i}" for i, t in enumerate(sorted(_families(Z, p, bound)))}
+        families[c] = sorted((q, t) for t, q in labels[c].items())
+    sections = {c: tuple(q for q, _ in families[c]) for c in cat.objects}
+
+    def restrict(f: str, d: str, c: str) -> dict[str, str]:
+        at_d, positions = labels[d], plan.restrict[f]
+        return {q: at_d[tuple(map(t.__getitem__, positions))] for q, t in families[c]}
+
+    on_arrows = {f: restrict(f, d, c) for f, (d, c) in cat.arrows.items()}
     presheaf = SetPresheaf(cat, sections, on_arrows)
     unit = PresheafMap(Z, presheaf, {
-        c: {x: labels[c][frozenset((f, Z.on_arrows[f][x]) for f in minimal[c].arrows)]
-            for x in Z.on_objects[c]}
+        c: dict(zip(Z.on_objects[c],
+                    map(labels[c].__getitem__, _restrictions(Z, plan.covers[c], c))))
         for c in cat.objects
     })
     # valid because restricting along f then g reads family[f.g.h], as f.g does

@@ -38,10 +38,12 @@ from .report import BOUNDED_PASS, Report
 from .site import (
     GrothTopology,
     Sieve,
+    SievePlan,
     amalgamations,
     is_sheaf,
     pullback_sieve,
     sheafify,
+    sieve_plan,
     slice_topology,
 )
 
@@ -115,49 +117,55 @@ def induced_descent_datum(F: CatPresheaf, s: Sieve, m: str) -> DescentDatum:
 
 def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[EffectivenessWitness]:
     """All witnesses, by exhaustive search over objects and iso families."""
+    return _effectiveness(d, sieve_plan(d.presheaf.base, d.sieve), bound)
+
+
+def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[EffectivenessWitness]:
+    """effectiveness, with the iso families checked against p's
+    compatibility triples: psi at f.g is d's iso at (f, g) after F(g)(psi_f)."""
     F = d.presheaf
     base = F.base
-    S = d.sieve
-    c = S.at
-    arrows = sorted(S.arrows)
+    arrows = p.arrows
     out: list[EffectivenessWitness] = []
-    for m in F.on_objects[c].objects:
+    for m in F.on_objects[d.sieve.at].objects:
         pools = []
-        for f in arrows:
-            Fd = F.on_objects[base.dom(f)]
+        for f, df in zip(arrows, p.doms):
+            Fd = F.on_objects[df]
             fm = F.on_arrows[f].on_objects[m]
             pools.append([a for a in Fd.hom(fm, d.objects[f]) if Fd.is_invertible(a)])
         for choice in bounded_product("effectiveness", pools, bound):
-            psi = dict(zip(arrows, choice))
             if all(
-                psi[base.compose(f, g)] == F.on_objects[base.dom(g)].compose(
-                    d.isos[(f, g)], F.on_arrows[g].on_arrows[psi[f]])
-                for f in arrows
-                for g in base.arrows_into(base.dom(f))
+                choice[k] == F.on_objects[base.dom(g)].compose(
+                    d.isos[(arrows[i], g)], F.on_arrows[g].on_arrows[choice[i]])
+                for i, g, k in p.triples
             ):
-                out.append(EffectivenessWitness(m, psi))
+                out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
     return out
 
 
 def enumerate_descent_data(F: CatPresheaf, s: Sieve,
                            bound: int = DEFAULT_BOUND) -> list[DescentDatum]:
     """All descent data over the sieve, up to the bound."""
+    return _descent_data(F, s, sieve_plan(F.base, s), bound)
+
+
+def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[DescentDatum]:
+    """enumerate_descent_data, with an iso wanted for each compatibility
+    triple (i, g, k) of p: from F(g)(M_f) to M_{f.g}, f = arrows[i]."""
     base = F.base
-    arrows = sorted(s.arrows)
-    obj_pools = [F.on_objects[base.dom(f)].objects for f in arrows]
+    obj_pools = [F.on_objects[df].objects for df in p.doms]
     total = math.prod(map(len, obj_pools))
-    pairs = [(f, g) for f in arrows for g in base.arrows_into(base.dom(f))]
+    pairs = [(p.arrows[i], g) for i, g, _ in p.triples]
     out = []
     for objs in bounded_product("descent data objects", obj_pools, bound):
-        assignment = dict(zip(arrows, objs))
         iso_pools = []
-        for f, g in pairs:
+        for i, g, k in p.triples:
             Fd = F.on_objects[base.dom(g)]
-            src = F.on_arrows[g].on_objects[assignment[f]]
-            tgt = assignment[base.compose(f, g)]
-            iso_pools.append([a for a in Fd.hom(src, tgt) if Fd.is_invertible(a)])
+            src = F.on_arrows[g].on_objects[objs[i]]
+            iso_pools.append([a for a in Fd.hom(src, objs[k]) if Fd.is_invertible(a)])
         # the estimate counts every object assignment, not just this one
         guard("descent data isos", total * math.prod(map(len, iso_pools)), bound)
+        assignment = dict(zip(p.arrows, objs))
         for choice in itertools.product(*iso_pools):
             datum = DescentDatum(F, s, assignment, dict(zip(pairs, choice)))
             if validate_descent(datum).ok:
@@ -182,10 +190,10 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
     descent data and is reported as bounded when a stratum trips the bound.
     """
     report = Report("check_stack")
-    base = F.base
     for c, s in j.minimal.items():
+        p = j.plan.covers[c]
         Fc = F.on_objects[c]
-        arrows = s.sorted_arrows()
+        arrows = p.arrows
         # (iii) uniqueness of gluings of morphisms
         for x in Fc.objects:
             for y in Fc.objects:
@@ -201,10 +209,10 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
         for x in Fc.objects:
             for y in Fc.objects:
                 pools = [
-                    F.on_objects[base.dom(f)].hom(
+                    F.on_objects[df].hom(
                         F.on_arrows[f].on_objects[x], F.on_arrows[f].on_objects[y]
                     )
-                    for f in arrows
+                    for f, df in zip(arrows, p.doms)
                 ]
                 try:
                     families = bounded_product("stack morphism families", pools, bound)
@@ -212,26 +220,24 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
                     report.bounded(f"stack-ii at {c}", bound)
                     continue
                 for choice in families:
-                    fam = dict(zip(arrows, choice))
                     compatible = all(
-                        F.on_arrows[g].on_arrows[fam[f]] == fam[base.compose(f, g)]
-                        for f in arrows
-                        for g in base.arrows_into(base.dom(f))
+                        F.on_arrows[g].on_arrows[choice[i]] == choice[k]
+                        for i, g, k in p.triples
                     )
                     if compatible and not any(
-                        all(F.on_arrows[f].on_arrows[h] == fam[f] for f in arrows)
+                        all(F.on_arrows[f].on_arrows[h] == v for f, v in zip(arrows, choice))
                         for h in Fc.hom(x, y)
                     ):
-                        report.fail(("ii", c, arrows, x, y, tuple(sorted(fam.items()))))
+                        report.fail(("ii", c, arrows, x, y, tuple(zip(arrows, choice))))
         # (i) gluing of objects over enumerated descent data
         try:
-            data = enumerate_descent_data(F, s, bound)
+            data = _descent_data(F, s, p, bound)
         except SizeBound as exc:
             report.bounded(f"stack-i at {c} over {arrows}", exc.bound)
             continue
         for datum in data:
             try:
-                wits = effectiveness(datum, bound)
+                wits = _effectiveness(datum, p, bound)
             except SizeBound as exc:
                 report.bounded(f"stack-i-witness at {c}", exc.bound)
                 continue

@@ -8,12 +8,21 @@ every assignment, the sheaf conditions visit every matching family on
 every cover, and plus sections are the classes of (cover, family) pairs
 that agree on intersections, closed transitively.  They are slow and
 meant for small sites only.
+
+``is_sheaf``, ``is_separated`` and ``plus`` work on the least covers as
+``tck.site`` does, but without its restriction plan: families are dicts
+filtered from every assignment over M_c by composing arrows, amalgamations
+are found by one scan of Z(c) per family, and a family restricts along f
+by composing f with each arrow of M_d.  Their reports and tables must
+equal ``tck.site``'s exactly, labels and counterexamples included.
 """
 
 import itertools
 
+from tck.fincat import PresheafMap, SetPresheaf
 from tck.report import Report
 from tck.site import (
+    PlusConstruction,
     all_sieves,
     is_sieve,
     maximal_sieve,
@@ -80,6 +89,54 @@ def sheaf_verdicts(Z, j):
                 sheaf = sheaf and n == 1
                 separated = separated and n <= 1
     return sheaf, separated
+
+
+def sheaf_condition(command, Z, j, fails):
+    """Fail on the first matching family on some M_c whose number of
+    amalgamations fails."""
+    report = Report(command)
+    for c, m in j.minimal.items():
+        for fam in raw_matching_families(Z, m):
+            n = sum(all(Z.on_arrows[f][x] == fam[f] for f in m.arrows)
+                    for x in Z.on_objects[c])
+            if fails(n):
+                return report.fail((c, m.sorted_arrows(), dict(sorted(fam.items())), n))
+    return report
+
+
+def is_sheaf(Z, j):
+    return sheaf_condition("is_sheaf", Z, j, lambda n: n != 1)
+
+
+def is_separated(Z, j):
+    return sheaf_condition("is_separated", Z, j, lambda n: n > 1)
+
+
+def plus(Z, j):
+    """Z+(c) is the matching families on M_c, labelled q0, q1, ... in
+    sorted order of their (arrow, value) items."""
+    cat = Z.base
+    minimal = j.minimal
+    families = {}
+    labels = {}
+    for c, m in minimal.items():
+        keys = sorted(tuple(sorted(fam.items())) for fam in raw_matching_families(Z, m))
+        families[c] = {f"q{i}": dict(key) for i, key in enumerate(keys)}
+        labels[c] = {frozenset(key): f"q{i}" for i, key in enumerate(keys)}
+    sections = {c: tuple(sorted(families[c])) for c in cat.objects}
+    on_arrows = {
+        f: {q: labels[d][frozenset((h, families[c][q][cat.compose(f, h)])
+                                   for h in minimal[d].arrows)]
+            for q in sections[c]}
+        for f, (d, c) in cat.arrows.items()
+    }
+    presheaf = SetPresheaf(cat, sections, on_arrows)
+    unit = PresheafMap(Z, presheaf, {
+        c: {x: labels[c][frozenset((f, Z.on_arrows[f][x]) for f in minimal[c].arrows)]
+            for x in Z.on_objects[c]}
+        for c in cat.objects
+    })
+    return PlusConstruction(presheaf, unit)
 
 
 def plus_class_count(Z, covers):

@@ -13,11 +13,14 @@ import contextlib
 import glob
 import io
 import os
+import re
+import subprocess
 import sys
 
 import pytest
 
 from tck import cli
+from test_cli import child_env
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -58,6 +61,32 @@ def test_cli_output_matches_golden(fixture, monkeypatch):
     with open(golden_path(fixture), encoding="utf-8", newline="") as fh:
         expected = fh.read()
     assert render(fixture) == expected
+
+
+def golden_runs(fixture: str) -> dict[str, tuple[int, str]]:
+    """The golden file's runs: head -> (exit code, stdout)."""
+    with open(golden_path(fixture), encoding="utf-8", newline="") as fh:
+        parts = re.split(r"^=== (.*) -> exit (\d+)\n", fh.read(), flags=re.M)
+    return {head: (int(code), out) for head, code, out in zip(*[iter(parts[1:])] * 3)}
+
+
+@pytest.mark.parametrize("fixture", ["NonSeparated.site", "OpenSite.site"])
+def test_sheaf_commands_match_golden_in_a_fresh_process_under_two_hash_seeds(fixture):
+    # tables keyed by value tuples and dicts must not follow set or hash order
+    expected = golden_runs(fixture)
+    env = child_env()
+    env.pop("TCK_BOUND", None)
+    for command in ("sheafify", "check-sheaf"):
+        for flags in ((), ("--json",)):
+            head = " ".join(("tck", command, fixture, *flags))
+            for seed in ("0", "1"):
+                run = subprocess.run(
+                    [sys.executable, "-m", "tck.cli", command,
+                     os.path.join(FIXTURES, fixture), *flags],
+                    capture_output=True, env={**env, "PYTHONHASHSEED": seed},
+                )
+                assert (run.returncode, run.stdout.decode("utf-8")) == expected[head], \
+                    (head, seed)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,14 @@ from tck.corpus import (
     walking_arrow,
 )
 from tck.errors import AxiomViolation, InvalidTable, MixedCodomain
-from tck.fincat import DEFAULT_BOUND, constant_presheaf, delta1, slice_arrow_name, slice_cat
+from tck.fincat import (
+    DEFAULT_BOUND,
+    FinCat,
+    constant_presheaf,
+    delta1,
+    slice_arrow_name,
+    slice_cat,
+)
 from tck.site import (
     GrothTopology,
     Sieve,
@@ -291,6 +298,12 @@ def test_matching_families_with_an_empty_pool_do_not_trip_a_small_bound():
     assert matching_families(Z, s, bound=3) == []
 
 
+def test_matching_families_over_a_family_that_is_no_sieve_raise_invalid_table():
+    # L_T.O_L = O_T is missing, so the plan has no position for it
+    with pytest.raises(InvalidTable, match="leaves the sieve"):
+        matching_families(nonseparated_presheaf(), Sieve("T", frozenset({"L_T"})))
+
+
 def test_matching_families_on_joint_cover_counts():
     # truly constant {0,1}: compatibility through O forces equal choices -> 2
     Zconst = constant_presheaf(OS, ["0", "1"])
@@ -397,9 +410,9 @@ def test_intersection_of_covers_is_covering():
                 assert intersect_sieves(s1, s2) in OSJ.covers[c]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_minimal_cover_algorithms_agree_with_exhaustive_oracle(data):
+def draw_topology(data):
+    """A shipped base with the topology generated by up to two families of
+    up to three arrows at each object."""
     name = data.draw(st.sampled_from(sorted(bases())))
     cat = bases()[name]
     gens = {}
@@ -407,19 +420,70 @@ def test_minimal_cover_algorithms_agree_with_exhaustive_oracle(data):
         into = sorted(cat.arrows_into(c))
         gens[c] = data.draw(st.lists(st.lists(st.sampled_from(into), max_size=3), max_size=2))
     topo, _ = topology_from_generators(cat, gens)
-    assert dict(topo.covers) == saturate(cat, gens)
+    return name, gens, topo
+
+
+def draw_presheaf(data, cat):
     zs = presheaf_corpus(cat, 6)
-    Z = zs[data.draw(st.integers(0, len(zs) - 1))]
+    return zs[data.draw(st.integers(0, len(zs) - 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimal_cover_algorithms_agree_with_exhaustive_oracle(data):
+    name, gens, topo = draw_topology(data)
+    cat = topo.base
+    assert dict(topo.covers) == saturate(cat, gens)
+    Z = draw_presheaf(data, cat)
     pc = plus(Z, topo)
     for c in cat.objects:
         assert len(pc.presheaf.on_objects[c]) == plus_class_count(Z, topo.covers[c]), (name, c)
-    # the sheaf conditions on M_c alone agree with every cover, also on a slice
+    # the sheaf conditions on M_c alone agree with every cover, also on a
+    # slice; the plan-based reports and plus tables are the composing ones
+    # exactly, counterexamples, q labels and units included
     c = data.draw(st.sampled_from(cat.objects))
-    sl, _ = slice_cat(cat, c)
-    zs_sl = presheaf_corpus(sl, 6)
-    for W, j in ((Z, topo), (zs_sl[data.draw(st.integers(0, len(zs_sl) - 1))],
-                             slice_topology(topo, c))):
+    for W, j in ((Z, topo), (draw_presheaf(data, slice_cat(cat, c)[0]), slice_topology(topo, c))):
         assert (is_sheaf(W, j).ok, is_separated(W, j).ok) == sheaf_verdicts(W, j), (name, c)
+        assert is_sheaf(W, j) == site_oracle.is_sheaf(W, j), (name, c)
+        assert is_separated(W, j) == site_oracle.is_separated(W, j), (name, c)
+        expected = site_oracle.plus(W, j)
+        got = plus(W, j)
+        assert got == expected, (name, c)
+        assert list(got.presheaf.on_objects.items()) == list(expected.presheaf.on_objects.items())
+
+
+def test_sheaf_reports_equal_the_composing_oracle_over_a_fixed_sweep():
+    # several failing families at one object, where the first in product
+    # order must be the one reported
+    several = 0
+    for cat in bases().values():
+        tops = [
+            trivial_topology(cat),
+            topology_from_generators(cat, {c: [[]] for c in cat.objects})[0],
+            topology_from_generators(cat, {
+                c: [[f] for f in cat.arrows_into(c) if f != cat.id_of(c)] for c in cat.objects
+            })[0],
+        ]
+        for j in tops:
+            for Z in presheaf_corpus(cat, 12):
+                for check, oracle in ((is_sheaf, site_oracle.is_sheaf),
+                                      (is_separated, site_oracle.is_separated)):
+                    rep = check(Z, j)
+                    assert rep == oracle(Z, j)
+                    several += rep.verdict == "fail" and \
+                        len(matching_families(Z, j.minimal[rep.counterexamples[0][0]])) > 1
+    assert several > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sheafify_yields_a_sheaf_and_is_idempotent_on_generated_topologies(data):
+    name, _, topo = draw_topology(data)
+    Z = draw_presheaf(data, topo.base)
+    sh = sheafify(Z, topo)
+    assert sh.unit.is_iso() == is_sheaf(Z, topo).ok, name
+    assert site_oracle.is_sheaf(sh.presheaf, topo).ok, name
+    assert sheafify(sh.presheaf, topo).unit.is_iso(), name
 
 
 def test_transport_plus_iso_on_slices():
@@ -572,6 +636,33 @@ def test_validate_topology_on_valid_tables_never_enumerates_sieves(monkeypatch):
     assert len(calls) <= len(j.base.arrows) == 81
 
 
+def test_sheaf_checks_and_sheafify_compose_no_arrows_once_the_plan_exists(monkeypatch):
+    j = powerset_site(4)
+    cat = j.base
+    built = []
+    build = site._restriction_plan
+    monkeypatch.setattr(site, "_restriction_plan", lambda t: built.append(t) or build(t))
+    slices = [slice_topology(j, c) for c in cat.objects]
+    for t in (j, *slices, j, *slices):
+        assert t.plan is t.plan
+    assert all(slice_topology(j, c) is t for c, t in zip(cat.objects, slices))
+    assert len(built) == 1 + len(slices)
+    assert all(a is b for a, b in zip(built, (j, *slices)))
+    zs = presheaf_corpus(cat, 0)[:24]
+    composed = []
+    compose = FinCat.compose
+    monkeypatch.setattr(FinCat, "compose",
+                        lambda self, g, f: composed.append((g, f)) or compose(self, g, f))
+    sheaves = 0
+    for Z in zs:
+        sheaves += is_sheaf(Z, j).ok
+        is_separated(Z, j)
+        sheafify(Z, j)
+    assert composed == []
+    assert len(built) == 1 + len(slices)
+    assert 0 < sheaves < 24
+
+
 def test_k5_powerset_topology_validates_under_default_bound():
     j = powerset_site(5)
     assert sum(len(v) for v in j.covers.values()) == 7581
@@ -598,3 +689,20 @@ def test_validate_topology_output_does_not_depend_on_hash_seed():
         "[('stability', 'b', ('u',), 'v'), ('stability', 'b', ('v',), 'u'), "
         "('transitivity', 'b', ('u', 'v'), ('u',))]\n"
     }
+
+
+def test_open_site_sheaf_corpus_rejects_a_non_sheaf_also_under_python_O():
+    # the check must survive -O, which strips assert statements
+    code = (
+        "from tck import corpus\n"
+        "from tck.errors import InvalidTable\n"
+        "corpus.open_site_product_sheaf = lambda a, b: corpus.nonseparated_presheaf()\n"
+        "try:\n"
+        "    corpus.open_site_sheaf_corpus(3)\n"
+        "except InvalidTable as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=child_env(), check=True)
+    assert run.stdout == ("open-site corpus member 5 is no sheaf: ('T', ('L_T', 'O_T', 'R_T'), "
+                          "{'L_T': '*', 'O_T': '*', 'R_T': '*'}, 2)\n")
