@@ -1,20 +1,25 @@
 """The prestack classifier, represented intensionally.
 
 The classifying object sends c to the (infinite) category of set-valued
-presheaves on slice(C, c); it is never materialized.  A morphism from F
-into it is stored as a MapToOmega: one slice presheaf per (c, X in F(c)),
-one presheaf map per arrow of F(c), with strict reindexing equalities.
+presheaves on slice(C, c); it is never materialized.  A morphism z from F
+into it is held on the dense generator, the category of elements of F: as
+its fibre functor B_z, a set functor on elements_category(F).  Its parts,
+one slice presheaf per (c, X in F(c)) and one presheaf map per arrow of
+F(c), are derived from B_z when read: the presheaf at (c, X) is B_z along
+slice(C, c)^op -> elements_category(F), f |-> <dom f|F(f)X>, so strict
+2-naturality holds on the nose.  An omega-modification z => w is likewise
+held as a natural map B_z => B_w; its component at (c, X) and f is the map
+at <dom f|F(f)X>, which is the reindexing axiom.
 
 classify builds the classified opfibration from the fibre formula (the
-sections of the assigned presheaf at the identity); char packages the
-fibre diagram of an opfibration on the category of elements, the dense
-generator, with map_from_fibres, which is what makes strict 2-naturality
-hold on the nose.
+fibres and transports of B_z at the identity slice objects); char is the
+fibre diagram of an opfibration, and the omega-modification search is the
+search for natural maps between fibre functors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -26,17 +31,11 @@ from .fincat import (
     FinFunctor,
     FinSetFunctor,
     PresheafMap,
+    SetFunctorMap,
     SetPresheaf,
-    compose_presheaf_maps,
-    delta1,
-    guard,
-    identity_presheaf_map,
     mark_valid,
     named_parts,
-    reindex_slice_components,
-    reindex_slice_presheaf,
-    reindex_slice_presheaf_map,
-    search_presheaf_maps,
+    search_setfunctor_maps,
     slice_arrow_name,
     slice_cat,
     validates_once,
@@ -46,6 +45,10 @@ from .prestack import (
     DiscOpfibPre,
     TwoNat,
     certify_valid_dopf_pre,
+    element_arrow_name,
+    element_name,
+    elements_category,
+    represented_object,
     representable,
 )
 from .report import Report
@@ -53,109 +56,127 @@ from .report import Report
 
 @dataclass(frozen=True, eq=True)
 class MapToOmega:
-    """A morphism F -> Omega-tilde, given per object of F(c) by a presheaf
-    on slice(C, c) and per arrow by a presheaf map."""
+    """A morphism F -> Omega-tilde, held as its fibre functor on
+    elements_category(F); ``parts`` keeps the parts a map was given by, if
+    any, for validate to check against the derived ones."""
 
     site: FinCat
     source: CatPresheaf
-    object_part: Mapping[tuple[str, str], SetPresheaf]
-    arrow_part: Mapping[tuple[str, str], PresheafMap]
+    fibre_functor: FinSetFunctor
+    parts: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _classified(self) -> DiscOpfibPre:
         """classify's result, kept for the life of this map."""
         return _classify(self)
 
+    @cached_property
+    def object_part(self) -> dict[tuple[str, str], SetPresheaf]:
+        """(c, X) -> the presheaf on slice(C, c) sending f to B_z<dom f|F(f)X>."""
+        B = self.fibre_functor
+        objects, arrows, _ = self.source._slice_elements
+        return {
+            (c, x): SetPresheaf(
+                slice_cat(self.site, c)[0],
+                {f: B.on_objects[o] for f, o in names.items()},
+                {a: B.on_arrows[n] for a, n in arrows[(c, x)].items()},
+            )
+            for (c, x), names in objects.items()
+        }
+
+    @cached_property
+    def arrow_part(self) -> dict[tuple[str, str], PresheafMap]:
+        """(c, nu) -> the presheaf map that B_z acts as on the vertical arrows
+        nu induces."""
+        B = self.fibre_functor
+        parts = self.object_part
+        out = {}
+        for (c, nu), names in self.source._slice_elements[2].items():
+            Fc = self.source.on_objects[c]
+            out[(c, nu)] = PresheafMap(parts[(c, Fc.dom(nu))], parts[(c, Fc.cod(nu))],
+                                       {f: B.on_arrows[n] for f, n in names.items()})
+        return out
+
     @validates_once
     def validate(self) -> None:
         F = self.source
         if F.base != self.site:
             raise InvalidTable("map-to-omega site does not match its source presheaf")
-        expected_obj = {(c, x) for c in F.base.objects for x in F.on_objects[c].objects}
-        if set(self.object_part) != expected_obj:
-            raise InvalidTable("object_part keys do not match the objects of F")
-        expected_arr = {(c, nu) for c in F.base.objects for nu in F.on_objects[c].arrows}
-        if set(self.arrow_part) != expected_arr:
-            raise InvalidTable("arrow_part keys do not match the arrows of F")
-        for (c, x), Z in self.object_part.items():
-            sl, _ = slice_cat(self.site, c)
-            if Z.base != sl:
-                raise InvalidTable(f"object_part({c!r}, {x!r}) not on slice(C, {c!r})")
-            Z.validate()
-        for (c, nu), m in self.arrow_part.items():
-            Fc = F.on_objects[c]
-            if m.source != self.object_part[(c, Fc.dom(nu))] or \
-               m.target != self.object_part[(c, Fc.cod(nu))]:
-                raise InvalidTable(f"arrow_part({c!r}, {nu!r}) has wrong endpoints")
-            m.validate()
-        for c in F.base.objects:
-            Fc = F.on_objects[c]
-            for x in Fc.objects:
-                if self.arrow_part[(c, Fc.id_of(x))] != \
-                   identity_presheaf_map(self.object_part[(c, x)]):
-                    raise InvalidTable(f"arrow_part at identity on {x!r} is not the identity")
-            for (nu2, nu1), comp in Fc.compose_table.items():
-                if self.arrow_part[(c, comp)] != compose_presheaf_maps(
-                    self.arrow_part[(c, nu2)], self.arrow_part[(c, nu1)]
-                ):
-                    raise InvalidTable(
-                        f"arrow_part not functorial on ({nu2!r}, {nu1!r}) at {c!r}"
-                    )
-        # strict 2-naturality of both parts
-        for f, (d, c) in F.base.arrows.items():
-            for x in F.on_objects[c].objects:
-                fx = F.on_arrows[f].on_objects[x]
-                if self.object_part[(d, fx)] != \
-                   reindex_slice_presheaf(self.site, f, self.object_part[(c, x)]):
-                    raise InvalidTable(
-                        f"strict naturality of object_part fails on {f!r} at {x!r}"
-                    )
-            for nu in F.on_objects[c].arrows:
-                fnu = F.on_arrows[f].on_arrows[nu]
-                if self.arrow_part[(d, fnu)] != \
-                   reindex_slice_presheaf_map(self.site, f, self.arrow_part[(c, nu)]):
-                    raise InvalidTable(
-                        f"strict naturality of arrow_part fails on {f!r} at {nu!r}"
-                    )
+        if self.fibre_functor.base != elements_category(F):
+            raise InvalidTable("fibre functor does not live on elements_category(F)")
+        if self.parts is not None:
+            object_part, arrow_part = self.parts
+            for key, Z in object_part.items():
+                if Z.base != self.object_part[key].base:
+                    raise InvalidTable(f"object_part at {key!r} is not on slice(C, {key[0]!r})")
+                if Z != self.object_part[key]:
+                    raise InvalidTable(f"strict naturality of object_part fails at {key!r}")
+            for key, m in arrow_part.items():
+                if m != self.arrow_part[key]:
+                    raise InvalidTable(f"strict naturality of arrow_part fails at {key!r}")
+        self.fibre_functor.validate()
+
+
+def map_from_parts(site: FinCat, F: CatPresheaf,
+                   object_part: Mapping[tuple[str, str], SetPresheaf],
+                   arrow_part: Mapping[tuple[str, str], PresheafMap]) -> MapToOmega:
+    """A map given by its parts, as a document gives it.
+
+    B_z is read off the parts at the identity slice objects: <c|X> holds
+    Z_(c,X)(id_c), and <f|mu|X> acts as Z_(c,X)(f>id_c) and then the arrow
+    part of mu at id_(dom f).  The parts are kept, and validate checks that
+    they are the ones B_z derives and that B_z is a set functor: together,
+    that the parts are strictly 2-natural.
+    """
+    if set(object_part) != {(c, x) for c in F.base.objects for x in F.on_objects[c].objects}:
+        raise InvalidTable("object_part keys do not match the objects of F")
+    if set(arrow_part) != {(c, nu) for c in F.base.objects for nu in F.on_objects[c].arrows}:
+        raise InvalidTable("arrow_part keys do not match the arrows of F")
+    base = F.base
+    el, obj_parts, arr_parts = F._elements
+    on_objects = {o: object_part[(c, x)].on_objects.get(base.id_of(c), ())
+                  for o, (c, x) in obj_parts.items()}
+    on_arrows = {}
+    for name, (f, mu, x) in arr_parts.items():
+        d, c = base.arrows[f]
+        restrict = object_part[(c, x)].on_arrows.get(slice_arrow_name(f, base.id_of(c)), {})
+        move = arrow_part[(d, mu)].components.get(base.id_of(d), {})
+        on_arrows[name] = {t: move.get(v) for t, v in restrict.items()}
+    return MapToOmega(site, F, FinSetFunctor(el, on_objects, on_arrows),
+                      (dict(object_part), dict(arrow_part)))
 
 
 @dataclass(frozen=True, eq=True)
 class OmegaModification:
+    """A modification z => w, held as a natural map B_z => B_w."""
+
     source: MapToOmega
     target: MapToOmega
-    components: Mapping[tuple[str, str], PresheafMap]
+    fibre_map: SetFunctorMap
+
+    @cached_property
+    def components(self) -> dict[tuple[str, str], PresheafMap]:
+        """(c, X) -> the presheaf map f |-> the fibre map at <dom f|F(f)X>."""
+        z, w = self.source, self.target
+        m = self.fibre_map.components
+        return {
+            key: PresheafMap(z.object_part[key], w.object_part[key],
+                             {f: m[o] for f, o in names.items()})
+            for key, names in z.source._slice_elements[0].items()
+        }
 
     @validates_once
     def validate(self) -> None:
         z, w = self.source, self.target
         if z.source != w.source or z.site != w.site:
             raise InvalidTable("omega-modification endpoints are not parallel")
-        if set(self.components) != set(z.object_part):
-            raise InvalidTable("omega-modification component table is not total")
-        F = z.source
-        for (c, x), m in self.components.items():
-            if m.source != z.object_part[(c, x)] or m.target != w.object_part[(c, x)]:
-                raise InvalidTable(f"component at ({c!r}, {x!r}) has wrong endpoints")
-            m.validate()
-        # naturality in x against arrow_part
-        for c in F.base.objects:
-            Fc = F.on_objects[c]
-            for nu in Fc.arrows:
-                x, x2 = Fc.dom(nu), Fc.cod(nu)
-                lhs = compose_presheaf_maps(self.components[(c, x2)], z.arrow_part[(c, nu)])
-                rhs = compose_presheaf_maps(w.arrow_part[(c, nu)], self.components[(c, x)])
-                if lhs != rhs:
-                    raise InvalidTable(f"naturality in x fails at ({c!r}, {nu!r})")
-        # modification axiom under reindexing
-        for f, (d, c) in F.base.arrows.items():
-            for x in F.on_objects[c].objects:
-                fx = F.on_arrows[f].on_objects[x]
-                if self.components[(d, fx)] != \
-                   reindex_slice_presheaf_map(z.site, f, self.components[(c, x)]):
-                    raise InvalidTable(f"reindexing axiom fails on {f!r} at {x!r}")
+        if self.fibre_map.source != z.fibre_functor or \
+           self.fibre_map.target != w.fibre_functor:
+            raise InvalidTable("omega-modification fibre map has wrong endpoints")
+        self.fibre_map.validate()
 
     def is_iso(self) -> bool:
-        return all(m.is_iso() for m in self.components.values())
+        return self.fibre_map.is_iso()
 
 
 # -- the distinguished point -----------------------------------------------------------
@@ -163,41 +184,20 @@ class OmegaModification:
 
 def omega_point(F: CatPresheaf) -> MapToOmega:
     """The composite F -> 1 -> Omega-tilde: constant singleton everywhere."""
-    site = F.base
-    object_part = {}
-    arrow_part = {}
-    for c in site.objects:
-        sl, _ = slice_cat(site, c)
-        d1 = delta1(sl)
-        for x in F.on_objects[c].objects:
-            object_part[(c, x)] = d1
-        for nu in F.on_objects[c].arrows:
-            arrow_part[(c, nu)] = identity_presheaf_map(d1)
-    # valid because delta1 reindexes to delta1 and identities compose
-    return MapToOmega(site, F, object_part, arrow_part)
+    el = elements_category(F)
+    return MapToOmega(F.base, F, FinSetFunctor(
+        el, {o: ("*",) for o in el.objects}, {a: {"*": "*"} for a in el.arrows}))
 
 
 # -- classification ---------------------------------------------------------------------
 
 
-def _fibre_table(z: MapToOmega, c: str) -> FinSetFunctor:
-    """The set functor X |-> Z_X(id_c) on F(c), with transport from arrow_part."""
-    F = z.source
-    Fc = F.on_objects[c]
-    idc = z.site.id_of(c)
-    return FinSetFunctor(
-        Fc,
-        {x: z.object_part[(c, x)].on_objects[idc] for x in Fc.objects},
-        {nu: dict(z.arrow_part[(c, nu)].components[idc]) for nu in Fc.arrows},
-    )
-
-
 def classify(z: MapToOmega) -> DiscOpfibPre:
     """The classified discrete opfibration, built from the fibre formula.
 
-    The fibre over (c, X) is the value of the assigned slice presheaf at
-    the identity; transitions restrict along the slice arrow f > id.
-    Results are memoized per map instance.
+    The fibre over (c, X) is B_z<c|X>; vertical transport is B_z on
+    <id_c|nu|X>, and restriction along f is B_z on <f|id|X>.  Results are
+    memoized per map instance.
     """
     return z._classified
 
@@ -206,149 +206,105 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
     z.validate()
     site = z.site
     F = z.source
-    # valid, as are the functors, G and s below, because z is strictly 2-natural
-    totals = {c: cat2.elements_of_valid(_fibre_table(z, c)) for c in site.objects}
+    B = z.fibre_functor
+    totals = {}
+    for c in site.objects:
+        Fc = F.on_objects[c]
+        idc = site.id_of(c)
+        # valid, as are the functors, G and s below, because B_z is a set functor
+        totals[c] = cat2.elements_of_valid(FinSetFunctor(
+            Fc,
+            {x: B.on_objects[element_name(c, x)] for x in Fc.objects},
+            {nu: B.on_arrows[element_arrow_name(idc, nu, Fc.dom(nu))] for nu in Fc.arrows},
+        ))
     on_arrows = {}
     for f, (d, c) in site.arrows.items():
-        idc = site.id_of(c)
+        Ff = F.on_arrows[f]
+        Fd = F.on_objects[d]
+        restrict = {
+            x: B.on_arrows[element_arrow_name(f, Fd.id_of(Ff.on_objects[x]), x)]
+            for x in F.on_objects[c].objects
+        }
+        p = totals[c].p
         src, tgt = totals[c].total, totals[d].total
-        restrict = slice_arrow_name(f, idc)
         on_objects = {}
         for o in src.objects:
-            x = totals[c].p.on_objects[o]
-            t = o[2 + len(x):-1]
-            fx = F.on_arrows[f].on_objects[x]
-            on_objects[o] = f"({fx},{z.object_part[(c, x)].on_arrows[restrict][t]})"
+            x = p.on_objects[o]
+            on_objects[o] = f"({Ff.on_objects[x]},{restrict[x][o[2 + len(x):-1]]})"
         arr_map = {}
         for name, (o1, _) in src.arrows.items():
-            nu = totals[c].p.on_arrows[name]
-            x = totals[c].p.on_objects[o1]
-            t = o1[2 + len(x):-1]
-            arr_map[name] = (
-                f"({F.on_arrows[f].on_arrows[nu]},"
-                f"{z.object_part[(c, x)].on_arrows[restrict][t]})"
-            )
+            x = p.on_objects[o1]
+            arr_map[name] = f"({Ff.on_arrows[p.on_arrows[name]]},{restrict[x][o1[2 + len(x):-1]]})"
         on_arrows[f] = FinFunctor(src, tgt, on_objects, arr_map)
     G = CatPresheaf(site, {c: totals[c].total for c in site.objects}, on_arrows)
     s = TwoNat(G, F, {c: totals[c].p for c in site.objects})
-    return certify_valid_dopf_pre(s)
+    # elements_of_valid certified each component already
+    return prestack.dopf_pre_from_certificates(s, {c: totals[c] for c in sorted(site.objects)})
 
 
 # -- the characteristic morphism ----------------------------------------------------------
 
 
-def map_from_fibres(F: CatPresheaf, B: FinSetFunctor) -> MapToOmega:
-    """Package fibre data on elements_category(F) as a map into the classifier.
-
-    The presheaf assigned to (c, X) evaluates at f: d -> c to the set over
-    the reindexed object <d|F(f)X>; the slice arrow g>f acts as B on the
-    restriction arrow <g|id|F(f)X>, and an arrow nu of F(c) acts at f as B
-    on the vertical arrow <id_d|F(f)nu|F(f)X>, so strict 2-naturality holds
-    on the nose.  B is not checked: it must be a set functor on
-    elements_category(F).
-    """
-    site = F.base
-
-    def vert(c: str, nu: str, x: str) -> str:
-        return f"<{site.id_of(c)}|{nu}|{x}>"
-
-    def restr(f: str, x: str) -> str:
-        d = site.dom(f)
-        fx = F.on_arrows[f].on_objects[x]
-        return f"<{f}|{F.on_objects[d].id_of(fx)}|{x}>"
-
-    object_part: dict[tuple[str, str], SetPresheaf] = {}
-    arrow_part: dict[tuple[str, str], PresheafMap] = {}
-    for c in site.objects:
-        sl, _ = slice_cat(site, c)
-        Fc = F.on_objects[c]
-        for x in Fc.objects:
-            on_objects = {}
-            on_arrows = {}
-            for f in sl.objects:
-                fx = F.on_arrows[f].on_objects[x]
-                on_objects[f] = B.on_objects[f"<{site.dom(f)}|{fx}>"]
-            for f in sl.objects:
-                fx = F.on_arrows[f].on_objects[x]
-                for g in site.arrows_into(site.dom(f)):
-                    on_arrows[slice_arrow_name(g, f)] = dict(B.on_arrows[restr(g, fx)])
-            object_part[(c, x)] = SetPresheaf(sl, on_objects, on_arrows)
-        for nu in Fc.arrows:
-            x = Fc.dom(nu)
-            comps = {}
-            for f in sl.objects:
-                d = site.dom(f)
-                fx = F.on_arrows[f].on_objects[x]
-                fnu = F.on_arrows[f].on_arrows[nu]
-                comps[f] = dict(B.on_arrows[vert(d, fnu, fx)])
-            arrow_part[(c, nu)] = PresheafMap(
-                object_part[(c, x)], object_part[(c, Fc.cod(nu))], comps
-            )
-    return MapToOmega(site, F, object_part, arrow_part)
-
-
 def char(phi: DiscOpfibPre) -> MapToOmega:
     """The normalized characteristic morphism of a certified opfibration:
-    its fibre diagram on the category of elements, packaged as a map.
+    its fibre diagram on the category of elements.
 
-    The presheaf assigned to (c, X) sends f: d -> c to the fibre over
+    The presheaf derived at (c, X) sends f: d -> c to the fibre over
     (d, F(f)X), slice arrows act by the total presheaf, and arrows of F(c)
     act by transporting fibres along liftings.
     """
+    F = phi.codomain
     # valid because phi is certified over a strict F, so its fibre diagram
     # is a set functor on elements_category(F); recorded, so that classify
     # does not check it again
-    return mark_valid(map_from_fibres(phi.codomain, prestack.fibre_diagram(phi)))
+    return mark_valid(MapToOmega(F.base, F, prestack.fibre_diagram(phi)))
 
 
 def precompose_map_to_omega(z: MapToOmega, y: TwoNat) -> MapToOmega:
-    """Reindex z: F -> Omega-tilde along y: H -> F."""
+    """Reindex z: F -> Omega-tilde along y: H -> F: B_z after the functor
+    elements_category(H) -> elements_category(F) that y induces."""
     if y.target != z.source:
         raise InvalidTable("precompose_map_to_omega: endpoints disagree")
     z.validate()
     y.validate()
     H = y.source
-    object_part = {
-        (c, w): z.object_part[(c, y.components[c].on_objects[w])]
-        for c in H.base.objects
-        for w in H.on_objects[c].objects
+    base = H.base
+    B = z.fibre_functor
+    el, obj_parts, arr_parts = H._elements
+    on_objects = {o: B.on_objects[element_name(c, y.components[c].on_objects[x])]
+                  for o, (c, x) in obj_parts.items()}
+    on_arrows = {
+        name: B.on_arrows[element_arrow_name(
+            f, y.components[base.dom(f)].on_arrows[mu],
+            y.components[base.cod(f)].on_objects[x])]
+        for name, (f, mu, x) in arr_parts.items()
     }
-    arrow_part = {
-        (c, nu): z.arrow_part[(c, y.components[c].on_arrows[nu])]
-        for c in H.base.objects
-        for nu in H.on_objects[c].arrows
-    }
-    # valid because y is strictly natural and z strictly 2-natural
-    return MapToOmega(z.site, H, object_part, arrow_part)
+    # valid because y is strictly natural, so <f|mu|X> goes to <f|y(mu)|y(X)>
+    return MapToOmega(z.site, H, FinSetFunctor(el, on_objects, on_arrows))
 
 
 def gamma_mod(alpha: OmegaModification) -> TwoNat:
     """Action of the classification on 2-cells: a fibred map classify(source)
-    -> classify(target) transporting each fibre element along the component."""
+    -> classify(target) transporting each fibre element along the fibre map."""
     alpha.validate()
     z, w = alpha.source, alpha.target
-    site = z.site
-    F = z.source
     src = classify(z)
     tgt = classify(w)
+    m = alpha.fibre_map.components
     comps = {}
-    for c in site.objects:
-        idc = site.id_of(c)
-        Fc = F.on_objects[c]
+    for c in z.site.objects:
+        total = src.total.on_objects[c]
+        p = src.s.components[c]
         on_objects = {}
-        for o in src.total.on_objects[c].objects:
-            x = src.s.components[c].on_objects[o]
-            t = o[2 + len(x):-1]
-            on_objects[o] = f"({x},{alpha.components[(c, x)].components[idc][t]})"
+        for o in total.objects:
+            x = p.on_objects[o]
+            on_objects[o] = f"({x},{m[element_name(c, x)][o[2 + len(x):-1]]})"
         arr_map = {}
-        for name, (o1, _) in src.total.on_objects[c].arrows.items():
-            nu = src.s.components[c].on_arrows[name]
-            x = src.s.components[c].on_objects[o1]
-            t = o1[2 + len(x):-1]
-            arr_map[name] = f"({nu},{alpha.components[(c, x)].components[idc][t]})"
-        comps[c] = FinFunctor(src.total.on_objects[c], tgt.total.on_objects[c],
-                              on_objects, arr_map)
-    # valid and over F because alpha is a modification: (x, t) goes to (x, alpha(t))
+        for name, (o1, _) in total.arrows.items():
+            x = p.on_objects[o1]
+            arr_map[name] = f"({p.on_arrows[name]},{m[element_name(c, x)][o1[2 + len(x):-1]]})"
+        comps[c] = FinFunctor(total, tgt.total.on_objects[c], on_objects, arr_map)
+    # valid and over F because alpha is natural: (x, t) goes to (x, alpha(t))
     return TwoNat(src.total, tgt.total, comps)
 
 
@@ -397,14 +353,9 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
 def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
     """From an opfibration over representable(c) back to a presheaf on the slice."""
     site = psi.codomain.base
-    target_c = None
-    for c in site.objects:
-        if psi.codomain == representable(site, c):
-            target_c = c
-            break
-    if target_c is None:
+    c = represented_object(psi.codomain)
+    if c is None:
         raise InvalidTable("j_inverse expects an opfibration over a representable")
-    c = target_c
     sl, _ = slice_cat(site, c)
     H = psi.total
     on_objects = {f: psi.fibre(site.dom(f), f) for f in sl.objects}
@@ -425,134 +376,64 @@ def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
 def enumerate_omega_modifications(z: MapToOmega, w: MapToOmega,
                                   bound: int = DEFAULT_BOUND,
                                   iso_only: bool = False,
-                                  first_only: bool = False) -> list[OmegaModification]:
-    """All omega-modifications z => w, by backtracking with reindex forcing.
-
-    A component at (c, X) forces, by reindexing, the component at
-    (d, F(f)X) for every f: d -> c, so keys are branched on in order of
-    most arrows into c first.  The candidates at a key the search branches
-    on are the natural maps Z_(c,X) => W_(c,X), searched once per key (only
-    the isomorphisms with iso_only); components travel as plain tables.
-    Every complete assignment is a family of natural maps satisfying the
-    reindexing axiom by construction, so a leaf checks only naturality in
-    X against the arrow parts.  The bound caps the nodes of each search.
-    """
+                                  limit: int | None = None) -> list[OmegaModification]:
+    """All omega-modifications z => w, the first ``limit`` of them when a
+    limit is given: the natural maps B_z => B_w, by the set-functor search
+    on elements_category(F), in its lexicographic order.  The bound caps
+    the nodes of the search."""
     if z.source != w.source or z.site != w.site:
         raise InvalidTable("enumerate_omega_modifications needs parallel maps")
     z.validate()
     w.validate()
-    site = z.site
-    F = z.source
-    keys = sorted(z.object_part, key=lambda key: (-len(site.arrows_into(key[0])), key))
-    # naturality in X: per non-identity nu: X -> X2 of F(c), the keys of its
-    # ends and the component tables of z and w at nu
-    squares = [
-        ((c, Fc.dom(nu)), (c, Fc.cod(nu)),
-         z.arrow_part[(c, nu)].components, w.arrow_part[(c, nu)].components)
-        for c in F.base.objects
-        for Fc in (F.on_objects[c],)
-        for nu in Fc.arrows if not Fc.is_identity(nu)
-    ]
-    candidates: dict[tuple[str, str], list[PresheafMap]] = {}
-    assignment: dict[tuple[str, str], dict] = {}
-    out: list[OmegaModification] = []
-    nodes = 0
-
-    def propagate(key, table, trail) -> bool:
-        c, x = key
-        for f in site.arrows_into(c):
-            forced_key = (site.dom(f), F.on_arrows[f].on_objects[x])
-            forced = reindex_slice_components(site, f, table)
-            cur = assignment.get(forced_key)
-            if cur is None:
-                assignment[forced_key] = forced
-                trail.append(forced_key)
-            elif cur != forced:
-                return False
-        return True
-
-    def natural_in_x() -> bool:
-        for key, key2, za, wa in squares:
-            a, a2 = assignment[key], assignment[key2]
-            for g, ag in a.items():
-                a2g, zag, wag = a2[g], za[g], wa[g]
-                if any(a2g[zag[e]] != wag[v] for e, v in ag.items()):
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes
-        while i < len(keys) and keys[i] in assignment:
-            i += 1
-        if i == len(keys):
-            if not natural_in_x():
-                return False
-            # valid because z and w are, and then:
-            # - every key is assigned, so the component table is total;
-            # - a component branched on comes from search_presheaf_maps, so
-            #   it is a natural map Z_(c,X) => W_(c,X);
-            # - a forced component is f* of a natural map, whose ends are
-            #   Z_(d,F(f)X) and W_(d,F(f)X) by strict 2-naturality of z, w;
-            # - the reindexing axiom holds: propagate forces every f into
-            #   the object of a branched key and rejects a clash, and
-            #   (fg)* = g*f* on the nose covers the keys it forced;
-            # - naturality in X was checked just above
-            mod = OmegaModification(z, w, {
-                key: mark_valid(PresheafMap(z.object_part[key], w.object_part[key],
-                                            assignment[key]))
-                for key in sorted(assignment)
-            })
-            out.append(mark_valid(mod))
-            return first_only
-        key = keys[i]
-        if key not in candidates:
-            candidates[key] = search_presheaf_maps(
-                z.object_part[key], w.object_part[key], bound, iso_only=iso_only
-            )
-        for m in candidates[key]:
-            nodes += 1
-            guard("enumerate_omega_modifications nodes", nodes, bound)
-            trail: list[tuple[str, str]] = []
-            if propagate(key, m.components, trail) and backtrack(i + 1):
-                return True
-            for forced_key in trail:
-                del assignment[forced_key]
-        return False
-
-    backtrack(0)
-    return out
+    maps = search_setfunctor_maps(z.fibre_functor, w.fibre_functor, bound, iso_only, limit,
+                                  what="enumerate_omega_modifications nodes")
+    # valid because z and w are and every map the search returns is natural
+    return [mark_valid(OmegaModification(z, w, m)) for m in maps]
 
 
 def find_omega_iso(z: MapToOmega, w: MapToOmega,
                    bound: int = DEFAULT_BOUND) -> OmegaModification | None:
-    found = enumerate_omega_modifications(z, w, bound, iso_only=True, first_only=True)
+    found = enumerate_omega_modifications(z, w, bound, iso_only=True, limit=1)
     return found[0] if found else None
 
 
 # -- full faithfulness and round trips -------------------------------------------------------
 
 
+def _tables(t: TwoNat) -> tuple:
+    """The component tables of t, comparable as a set member."""
+    return tuple((c, frozenset(t.components[c].on_objects.items()),
+                  frozenset(t.components[c].on_arrows.items()))
+                 for c in sorted(t.components))
+
+
 def ff_check(z: MapToOmega, w: MapToOmega, bound: int = DEFAULT_BOUND) -> Report:
     """Certify that gamma_mod is a bijection from omega-modifications z => w
-    onto the fibred maps classify(z) -> classify(w)."""
+    onto the fibred maps classify(z) -> classify(w).
+
+    The two sides are built apart: the modifications are searched on B_z
+    and B_w, the fibred maps on the fibre diagrams of the classified
+    opfibrations, which are built by transport along their liftings.
+    """
     report = Report("ff_check")
     mods = enumerate_omega_modifications(z, w, bound)
     homs = prestack.fib_hom(classify(z), classify(w), bound)
-    images = []
-    for mod in mods:
-        images.append(gamma_mod(mod))
-    for i, a in enumerate(images):
-        for b in images[i + 1:]:
-            if a == b:
-                report.fail(("not-injective", repr(a.components)))
-                return report
-    hom_set = list(homs)
-    for img in images:
-        if img not in hom_set:
+    images = [gamma_mod(mod) for mod in mods]
+    image_tables = [_tables(img) for img in images]
+    seen: set[tuple] = set()
+    for img, key in zip(images, image_tables):
+        if key in seen:
+            report.fail(("not-injective", repr(img.components)))
+            return report
+        seen.add(key)
+    hom_tables = [_tables(h) for h in homs]
+    hom_set = set(hom_tables)
+    for img, key in zip(images, image_tables):
+        if key not in hom_set:
             report.fail(("image-outside-homs", repr(img.components)))
             return report
-    for h in hom_set:
-        if h not in images:
+    for h, key in zip(homs, hom_tables):
+        if key not in seen:
             report.fail(("not-surjective", repr(h.components)))
             return report
     report.note(("bijection", len(mods)))

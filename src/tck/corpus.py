@@ -364,13 +364,12 @@ def catpresheaf_corpus(base: FinCat, count: int):
 
 
 def map_to_omega_from_set_functor(F, B: FinSetFunctor):
-    """classifier.map_from_fibres, with B and the packaged map validated."""
-    from .classifier import map_from_fibres
+    """The map into the classifier whose fibre functor is B, validated."""
+    from .classifier import MapToOmega
 
     if B.base != elements_category(F):
         raise InvalidTable("set functor does not live on elements_category(F)")
-    B.validate()
-    z = map_from_fibres(F, B)
+    z = MapToOmega(F.base, F, B)
     z.validate()
     return z
 
@@ -383,7 +382,7 @@ def map_to_omega_corpus(F, count: int):
 def map_to_omega_over_representable(base: FinCat, c: str, Z: SetPresheaf):
     """The map representable(c) -> classifier corresponding to Z on slice(C, c)."""
     from . import prestack
-    from .classifier import MapToOmega
+    from .classifier import map_from_parts
     from .fincat import identity_presheaf_map, reindex_slice_presheaf
 
     rep = prestack.representable(base, c)
@@ -393,7 +392,7 @@ def map_to_omega_over_representable(base: FinCat, c: str, Z: SetPresheaf):
         for f in base.hom(d, c):
             object_part[(d, f)] = reindex_slice_presheaf(base, f, Z)
             arrow_part[(d, f"id_{f}")] = identity_presheaf_map(object_part[(d, f)])
-    z = MapToOmega(base, rep, object_part, arrow_part)
+    z = map_from_parts(base, rep, object_part, arrow_part)
     z.validate()
     return z
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .classifier import MapToOmega
+from .classifier import MapToOmega, map_from_parts
 from .errors import (
     DanglingReference,
     InvariantViolation,
@@ -560,8 +560,8 @@ class _Parser:
                     arrow_part[(c, nu)] = identity_presheaf_map(src)
                 else:
                     raise InvariantViolation(start, f"arrowpart for ({c!r}, {nu!r}) missing")
-        z = MapToOmega(base, F, object_part, arrow_part)
         try:
+            z = map_from_parts(base, F, object_part, arrow_part)
             z.validate()
         except TckError as exc:
             raise InvariantViolation(start, str(exc)) from exc

@@ -134,6 +134,20 @@ class FinCat:
         return tuple({k: tuple(v) for k, v in t.items()} for t in (hom, into, out))
 
     @cached_property
+    def _steps(self) -> tuple[dict, dict]:
+        """Per object, the non-identity arrows out of it with their codomains
+        and into it with their domains: what a choice there forces in a
+        covariant and in a contravariant map search."""
+        out: dict[str, list[tuple[str, str]]] = {c: [] for c in self.objects}
+        into: dict[str, list[tuple[str, str]]] = {c: [] for c in self.objects}
+        for f in sorted(self.arrows):
+            if not self.is_identity(f):
+                d, c = self.arrows[f]
+                out[d].append((f, c))
+                into[c].append((f, d))
+        return out, into
+
+    @cached_property
     def _slices(self) -> dict[str, tuple["FinCat", "FinFunctor"]]:
         """slice_cat results by object."""
         return {}
@@ -155,12 +169,19 @@ class FinCat:
     def sorted_arrows(self) -> tuple[str, ...]:
         return tuple(sorted(self.arrows))
 
+    @cached_property
+    def _inverses(self) -> dict[str, str]:
+        """The inverse of each invertible arrow."""
+        out = {}
+        for f, (d, c) in self.arrows.items():
+            for g in self.hom(c, d):
+                if self.compose(g, f) == self.id_of(d) and self.compose(f, g) == self.id_of(c):
+                    out[f] = g
+                    break
+        return out
+
     def is_invertible(self, f: str) -> bool:
-        d, c = self.arrows[f]
-        for g in self.hom(c, d):
-            if self.compose(g, f) == self.id_of(d) and self.compose(f, g) == self.id_of(c):
-                return True
-        return False
+        return f in self._inverses
 
     # validation
 
@@ -199,12 +220,19 @@ class FinCat:
                 raise MissingIdentity(self.cod(f), f"left identity law fails on {f!r}")
             if self.compose(f, self.id_of(self.dom(f))) != f:
                 raise MissingIdentity(self.dom(f), f"right identity law fails on {f!r}")
-        # associativity over all composable triples
+        # associativity over the composable triples with no identity in them:
+        # the identity laws settle the others, so the first failing triple
+        # is the one a scan of all triples finds first
+        ids = set(self.identities.values())
         for f in self.arrows:
+            if f in ids:
+                continue
             for g in self.arrows_from(self.cod(f)):
+                if g in ids:
+                    continue
                 gf = self.compose(g, f)
                 for h in self.arrows_from(self.cod(g)):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    if h not in ids and self.compose(h, gf) != self.compose(self.compose(h, g), f):
                         raise NonAssociative(h, g, f)
 
 
@@ -623,7 +651,8 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
 
     ``step[c]`` lists the pairs (f, e) along which a choice at object c
     forces one at e: choosing v as the image of x in A(c) forces B(f)(v)
-    as the image of A(f)(x) in A(e), whichever way f points.  Variables are visited in sorted
+    as the image of A(f)(x) in A(e), whichever way f points; identities,
+    which force nothing, are left out.  Variables are visited in sorted
     order, so the tables come in lexicographic order; the search stops
     after the first ``limit`` tables when a limit is given, and the bound
     caps the number of search nodes, counted under ``what``.
@@ -689,21 +718,20 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
 def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
                            bound: int = DEFAULT_BOUND,
                            iso_only: bool = False,
-                           limit: int | None = None) -> list[SetFunctorMap]:
+                           limit: int | None = None,
+                           what: str = "search_setfunctor_maps nodes") -> list[SetFunctorMap]:
     """Natural transformations A => B by element-wise backtracking.
 
     Choosing the image of one element forces images along every arrow out
     of it, so the search prunes far earlier than filtering the product of
     all component functions; results come in lexicographic order, the first
     ``limit`` of them when a limit is given.  The bound caps the number of
-    search nodes.
+    search nodes, counted under ``what``.
     """
     if A.base != B.base:
         raise InvalidTable("set functor maps need a common base")
-    base = A.base
-    step = {c: [(f, base.cod(f)) for f in base.arrows_from(c)] for c in base.objects}
     return [SetFunctorMap(A, B, comps) for comps in _search_maps(
-        A, B, step, "search_setfunctor_maps nodes", bound, iso_only, limit)]
+        A, B, A.base._steps[0], what, bound, iso_only, limit)]
 
 
 def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
@@ -718,10 +746,8 @@ def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
     """
     if Z.base != W.base:
         raise InvalidTable("presheaf maps need a common base")
-    base = Z.base
-    step = {c: [(f, base.dom(f)) for f in base.arrows_into(c)] for c in base.objects}
     return [PresheafMap(Z, W, comps) for comps in _search_maps(
-        Z, W, step, "search_presheaf_maps nodes", bound, iso_only, limit)]
+        Z, W, Z.base._steps[1], "search_presheaf_maps nodes", bound, iso_only, limit)]
 
 
 # -- free categories on acyclic generators ---------------------------------------

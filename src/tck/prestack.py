@@ -31,6 +31,7 @@ from .fincat import (
     named_parts,
     point_category,
     search_setfunctor_maps,
+    slice_arrow_name,
     validates_once,
 )
 
@@ -47,6 +48,12 @@ class CatPresheaf:
     def _elements(self) -> tuple[FinCat, dict, dict]:
         """The category of elements and its parts (see _elements_tables)."""
         return _elements_tables(self)
+
+    @cached_property
+    def _slice_elements(self) -> tuple[dict, dict, dict]:
+        """What each slice reaches of the category of elements (see
+        _slice_element_tables)."""
+        return _slice_element_tables(self)
 
     @validates_once
     def validate(self) -> None:
@@ -205,13 +212,20 @@ def yoneda(F: CatPresheaf, c: str, x: str) -> TwoNat:
     return TwoNat(rep, F, comps)
 
 
+def represented_object(F: CatPresheaf) -> str | None:
+    """The c with F == representable(base, c), if any.  Hom(d, c) holds
+    id_d only for d = c, so c is read off F and compared once."""
+    base = F.base
+    c = next((c for c in base.objects if base.id_of(c) in F.on_objects[c].objects), None)
+    return c if c is not None and F == representable(base, c) else None
+
+
 def yoneda_inv(nat: TwoNat) -> str:
     """Evaluate a 2-natural transformation out of a representable at the identity."""
-    base = nat.source.base
-    for c in base.objects:
-        if nat.source == representable(base, c):
-            return nat.components[c].on_objects[base.id_of(c)]
-    raise InvalidTable("source is not a representable presheaf")
+    c = represented_object(nat.source)
+    if c is None:
+        raise InvalidTable("source is not a representable presheaf")
+    return nat.components[c].on_objects[nat.source.base.id_of(c)]
 
 
 def identity_two_nat(F: CatPresheaf) -> TwoNat:
@@ -265,6 +279,11 @@ def certify_valid_dopf_pre(s: TwoNat) -> DiscOpfibPre:
             certs[c] = cat2.certify_valid_dopf(s.components[c])
         except NotOpfibration as exc:
             raise NotOpfibrationAt(c, exc) from exc
+    return dopf_pre_from_certificates(s, certs)
+
+
+def dopf_pre_from_certificates(s: TwoNat, certs: Mapping[str, DiscOpfibCat]) -> DiscOpfibPre:
+    """s with a certificate for each component, in sorted object order."""
     fibres = {
         (c, x): certs[c].fibres[x]
         for c in certs
@@ -359,19 +378,22 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
 # -- the category of elements and fibre diagrams ------------------------------------------
 
 
+def element_name(c: str, x: str) -> str:
+    """The object <c|X> of a category of elements."""
+    return f"<{c}|{x}>"
+
+
+def element_arrow_name(f: str, mu: str, x: str) -> str:
+    """The arrow <f|mu|X> of a category of elements."""
+    return f"<{f}|{mu}|{x}>"
+
+
 def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
     """The category of elements of F with the parts of its objects, name ->
     (c, X), and of its arrows, name -> (f, mu, X); cached on F."""
     base = F.base
-
-    def oname(c: str, x: str) -> str:
-        return f"<{c}|{x}>"
-
-    def aname(f: str, mu: str, x: str) -> str:
-        return f"<{f}|{mu}|{x}>"
-
     obj_parts = named_parts(
-        ((c, x) for c in base.objects for x in F.on_objects[c].objects), oname)
+        ((c, x) for c in base.objects for x in F.on_objects[c].objects), element_name)
 
     def arrow_parts():
         for c, x in obj_parts.values():
@@ -382,13 +404,15 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
                     for mu in F.on_objects[d].hom(fx, y):
                         yield f, mu, x
 
-    parts = named_parts(arrow_parts(), aname)  # name -> (f, mu, x)
+    parts = named_parts(arrow_parts(), element_arrow_name)  # name -> (f, mu, x)
     arrows = {
-        name: (oname(base.cod(f), x), oname(base.dom(f), F.on_objects[base.dom(f)].cod(mu)))
+        name: (element_name(base.cod(f), x),
+               element_name(base.dom(f), F.on_objects[base.dom(f)].cod(mu)))
         for name, (f, mu, x) in parts.items()
     }
     identities = {
-        o: aname(base.id_of(c), F.on_objects[c].id_of(x), x) for o, (c, x) in obj_parts.items()
+        o: element_arrow_name(base.id_of(c), F.on_objects[c].id_of(x), x)
+        for o, (c, x) in obj_parts.items()
     }
     compose: dict[tuple[str, str], str] = {}
     for n1, (f, mu, x) in parts.items():
@@ -398,8 +422,45 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
             e = base.dom(g)
             fg = base.compose(f, g)
             comp_mu = F.on_objects[e].compose(mu2, F.on_arrows[g].on_arrows[mu])
-            compose[(n2, n1)] = aname(fg, comp_mu, x)
+            compose[(n2, n1)] = element_arrow_name(fg, comp_mu, x)
     return build_category(obj_parts, arrows, identities, compose), obj_parts, parts
+
+
+def _slice_element_tables(F: CatPresheaf) -> tuple[dict, dict, dict]:
+    """Where each slice meets the category of elements; cached on F.
+
+    For (c, X), the functor slice(C, c)^op -> elements_category(F) sending
+    f: d -> c to <d|F(f)X> and g>f to the restriction <g|id|F(f)X>, as two
+    name tables keyed by (c, X); for an arrow nu of F(c), the natural map
+    between two such functors that nu induces, as the vertical arrows
+    <id_d|F(f)nu|F(f)X> by slice object f, keyed by (c, nu).
+    """
+    base = F.base
+    objects: dict[tuple[str, str], dict[str, str]] = {}
+    arrows: dict[tuple[str, str], dict[str, str]] = {}
+    verticals: dict[tuple[str, str], dict[str, str]] = {}
+    for c in base.objects:
+        into = base.arrows_into(c)
+        Fc = F.on_objects[c]
+        for x in Fc.objects:
+            objects[(c, x)] = {}
+            arrows[(c, x)] = {}
+            for f in into:
+                d = base.dom(f)
+                fx = F.on_arrows[f].on_objects[x]
+                objects[(c, x)][f] = element_name(d, fx)
+                for g in base.arrows_into(d):
+                    gfx = F.on_arrows[g].on_objects[fx]
+                    arrows[(c, x)][slice_arrow_name(g, f)] = element_arrow_name(
+                        g, F.on_objects[base.dom(g)].id_of(gfx), fx)
+        for nu in Fc.arrows:
+            x = Fc.dom(nu)
+            verticals[(c, nu)] = {
+                f: element_arrow_name(base.id_of(base.dom(f)), F.on_arrows[f].on_arrows[nu],
+                                      F.on_arrows[f].on_objects[x])
+                for f in into
+            }
+    return objects, arrows, verticals
 
 
 def elements_category(F: CatPresheaf) -> FinCat:

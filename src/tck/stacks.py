@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .classifier import MapToOmega, char
 from .errors import FactorizationFailed, InvalidTable, SizeBound
@@ -88,17 +88,25 @@ def validate_descent(d: DescentDatum) -> Report:
             return report.fail(("iso-typing", f, g, phi))
         if not Fd.is_invertible(phi):
             return report.fail(("iso-invertible", f, g, phi))
-    for f in sorted(S.arrows):
+    for f, g, h in _cocycle_failures(d):
+        report.fail(("cocycle", f, g, h))
+    return report
+
+
+def _cocycle_failures(d: DescentDatum) -> Iterator[tuple[str, str, str]]:
+    """The triples (f, g, h) at which the cocycle condition fails, in order:
+    the iso at (f, g.h) must be the iso at (f.g, h) after F(h) of the iso
+    at (f, g)."""
+    F = d.presheaf
+    base = F.base
+    for f in sorted(d.sieve.arrows):
         for g in base.arrows_into(base.dom(f)):
             for h in base.arrows_into(base.dom(g)):
-                Fh = F.on_arrows[h]
                 lhs = d.isos[(f, base.compose(g, h))]
-                dcat = F.on_objects[base.dom(h)]
-                rhs = dcat.compose(d.isos[(base.compose(f, g), h)],
-                                   Fh.on_arrows[d.isos[(f, g)]])
+                rhs = F.on_objects[base.dom(h)].compose(
+                    d.isos[(base.compose(f, g), h)], F.on_arrows[h].on_arrows[d.isos[(f, g)]])
                 if lhs != rhs:
-                    report.fail(("cocycle", f, g, h))
-    return report
+                    yield f, g, h
 
 
 def induced_descent_datum(F: CatPresheaf, s: Sieve, m: str) -> DescentDatum:
@@ -151,7 +159,9 @@ def enumerate_descent_data(F: CatPresheaf, s: Sieve,
 
 def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[DescentDatum]:
     """enumerate_descent_data, with an iso wanted for each compatibility
-    triple (i, g, k) of p: from F(g)(M_f) to M_{f.g}, f = arrows[i]."""
+    triple (i, g, k) of p: from F(g)(M_f) to M_{f.g}, f = arrows[i].  The
+    candidates are typed and invertible as built, so only the cocycle
+    condition is checked."""
     base = F.base
     obj_pools = [F.on_objects[df].objects for df in p.doms]
     total = math.prod(map(len, obj_pools))
@@ -168,7 +178,7 @@ def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[De
         assignment = dict(zip(p.arrows, objs))
         for choice in itertools.product(*iso_pools):
             datum = DescentDatum(F, s, assignment, dict(zip(pairs, choice)))
-            if validate_descent(datum).ok:
+            if next(_cocycle_failures(datum), None) is None:
                 out.append(datum)
     return out
 

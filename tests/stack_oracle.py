@@ -2,8 +2,9 @@
 
 ``tck.stacks.check_stack`` decides the three gluing conditions on the
 least cover M_c at each object.  The oracle here follows the definition
-instead: it checks them on every covering sieve in ``j.covers[c]``.  It is
-slow and meant for small sites only.
+instead: it checks them on every covering sieve in ``j.covers[c]``, over
+descent data found by filtering every arrow family with
+``validate_descent``.  It is slow and meant for small sites only.
 
 ``tck.stacks.construct_effectiveness`` reads the compatibility isos of a
 glued sheaf descent datum off the sheafification unit.  The oracle here
@@ -12,6 +13,7 @@ action and its transport along slice reindexing.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,7 +31,37 @@ from tck.fincat import (
 )
 from tck.report import Report
 from tck.site import Sieve, matching_families, plus, sheafify, slice_topology
-from tck.stacks import build_gluing_presheaf, effectiveness, enumerate_descent_data
+from tck.stacks import (
+    DescentDatum,
+    build_gluing_presheaf,
+    effectiveness,
+    validate_descent,
+)
+
+
+def enumerate_descent_data(F, s, bound=DEFAULT_BOUND):
+    """All descent data over the sieve: for every object assignment, every
+    family of arrows F(g)(M_f) -> M_{f.g}, kept when validate_descent
+    passes it."""
+    base = F.base
+    arrows = sorted(s.arrows)
+    pairs = [(f, g) for f in arrows for g in base.arrows_into(base.dom(f))]
+    obj_pools = [F.on_objects[base.dom(f)].objects for f in arrows]
+    guard("descent data objects", math.prod(map(len, obj_pools)), bound)
+    out = []
+    for objs in itertools.product(*obj_pools):
+        objects = dict(zip(arrows, objs))
+        pools = [
+            F.on_objects[base.dom(g)].hom(F.on_arrows[g].on_objects[objects[f]],
+                                          objects[base.compose(f, g)])
+            for f, g in pairs
+        ]
+        guard("descent data isos", math.prod(map(len, pools)), bound)
+        for choice in itertools.product(*pools):
+            datum = DescentDatum(F, s, objects, dict(zip(pairs, choice)))
+            if validate_descent(datum).ok:
+                out.append(datum)
+    return out
 
 
 def check_stack(F, j, bound=DEFAULT_BOUND):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -156,27 +157,35 @@ def test_char_tables_enumerate_fibres():
 def test_gamma_mod_on_identity_modification():
     F = representable(WA, "b")
     z = map_to_omega_corpus(F, 2)[1]
-    from tck.fincat import identity_presheaf_map
+    from tck.fincat import SetFunctorMap, identity_presheaf_map
 
+    B = z.fibre_functor
     ident = OmegaModification(
-        z, z, {key: identity_presheaf_map(Z) for key, Z in z.object_part.items()}
+        z, z, SetFunctorMap(B, B, {o: {t: t for t in ts} for o, ts in B.on_objects.items()})
     )
+    assert ident.components == \
+        {key: identity_presheaf_map(Z) for key, Z in z.object_part.items()}
     t = gamma_mod(ident)
     assert t == identity_two_nat(classify(z).total)
 
 
 def test_gamma_mod_functorial_on_composable_modifications():
+    from tck.fincat import SetFunctorMap
+
     F = terminal_presheaf(WA)
     zs = map_to_omega_corpus(F, 3)
     for z in zs:
         mods = enumerate_omega_modifications(z, z)
         for m1 in mods:
             for m2 in mods:
-                comp = OmegaModification(
-                    z, z,
+                a1, a2 = m1.fibre_map.components, m2.fibre_map.components
+                comp = OmegaModification(z, z, SetFunctorMap(
+                    z.fibre_functor, z.fibre_functor,
+                    {o: {t: a2[o][v] for t, v in a1[o].items()} for o in a1},
+                ))
+                assert comp.components == \
                     {k: compose_presheaf_maps(m2.components[k], m1.components[k])
-                     for k in m1.components},
-                )
+                     for k in m1.components}
                 comp.validate()
                 lhs = gamma_mod(comp)
                 rhs_parts = {
@@ -273,6 +282,29 @@ def test_j_round_trips():
             assert fib_iso(again, psi) is not None
 
 
+def test_j_inverse_and_yoneda_inv_reject_non_representables():
+    from tck.errors import InvalidTable
+    from tck.fincat import SetPresheaf
+    from tck.prestack import discrete_presheaf, yoneda_inv
+
+    # the first holds no identity at all; the second holds id_b at b but has
+    # a second element at a; the third holds id_a at a and id_b at b
+    tables = [({"a": ("k",), "b": ("k",)}, {"k": "k"}),
+              ({"a": ("u", "v"), "b": ("id_b",)}, {"id_b": "u"}),
+              ({"a": ("id_a",), "b": ("id_b",)}, {"id_b": "id_a"})]
+    for on_objects, at_u in tables:
+        Z = SetPresheaf(WA, on_objects, {"id_a": {x: x for x in on_objects["a"]},
+                                         "id_b": {x: x for x in on_objects["b"]}, "u": at_u})
+        F = discrete_presheaf(WA, Z)
+        with pytest.raises(InvalidTable, match="expects an opfibration over a representable"):
+            j_inverse(certify_dopf_pre(identity_two_nat(F)))
+        with pytest.raises(InvalidTable, match="source is not a representable presheaf"):
+            yoneda_inv(identity_two_nat(F))
+    for c in WA.objects:
+        rep = representable(WA, c)
+        assert yoneda_inv(identity_two_nat(rep)) == WA.id_of(c)
+
+
 def test_j_inverse_of_classified_map_recovers_Z():
     sl, _ = slice_cat(WA, "b")
     for Z in presheaf_corpus(sl, 5):
@@ -304,6 +336,80 @@ def test_ff_check_over_non_representable():
     for z1 in zs:
         for z2 in zs:
             assert ff_check(z1, z2).ok
+
+
+def swap_first_fibre(m):
+    """The fibre map m with the images of two elements swapped, in the first
+    fibre where they differ; None when no fibre has two such elements."""
+    for o in sorted(m.components):
+        table = m.components[o]
+        for t1, t2 in itertools.combinations(sorted(table), 2):
+            if table[t1] != table[t2]:
+                comps = {k: dict(v) for k, v in m.components.items()}
+                comps[o][t1], comps[o][t2] = table[t2], table[t1]
+                return fincat.SetFunctorMap(m.source, m.target, comps)
+    return None
+
+
+def permute_first_transport(B):
+    """B with the transport along its first non-identity arrow into a fibre
+    of two or more elements followed by a swap of that fibre's first two."""
+    el = B.base
+    for a in sorted(el.arrows):
+        tgt = B.on_objects[el.cod(a)]
+        if not el.is_identity(a) and len(tgt) >= 2:
+            swap = {tgt[0]: tgt[1], tgt[1]: tgt[0]}
+            on_arrows = dict(B.on_arrows)
+            on_arrows[a] = {t: swap.get(v, v) for t, v in B.on_arrows[a].items()}
+            return fincat.FinSetFunctor(el, B.on_objects, on_arrows)
+    return B
+
+
+def maps_with_two_element_fibres():
+    """Per presheaf over the walking arrow, a corpus map with two elements
+    in every fibre, fresh, so that nothing is memoized on it yet."""
+    out = []
+    for F in (representable(WA, "b"), terminal_presheaf(WA),
+              constant_cat_presheaf(WA, walking_arrow())):
+        out.append(next(z for z in map_to_omega_corpus(F, 6)
+                        if {len(v) for v in z.fibre_functor.on_objects.values()} == {2}))
+    return out
+
+
+def test_ff_check_fails_when_the_lift_of_a_modification_is_mutated(monkeypatch):
+    from tck.fincat import mark_valid
+
+    lift = classifier.gamma_mod
+
+    def swapped(alpha):
+        m = swap_first_fibre(alpha.fibre_map)
+        if m is not None:
+            alpha = mark_valid(OmegaModification(alpha.source, alpha.target, m))
+        return lift(alpha)
+
+    zs = maps_with_two_element_fibres()
+    assert all(ff_check(z, z).verdict == "pass" for z in zs)
+    monkeypatch.setattr(classifier, "gamma_mod", swapped)
+    for z in zs:
+        assert ff_check(z, z).verdict == "fail"
+
+
+def test_ff_check_fails_when_classify_permutes_a_transport(monkeypatch):
+    # fib_hom searches the fibre diagrams of classify(z), built by transport
+    # in the classified opfibration, so a wrong transport there is caught
+    from tck.classifier import MapToOmega
+    from tck.fincat import mark_valid
+
+    build = classifier._classify
+
+    def permuted(z):
+        return build(mark_valid(MapToOmega(z.site, z.source,
+                                           permute_first_transport(z.fibre_functor))))
+
+    assert all(ff_check(z, z).verdict == "pass" for z in maps_with_two_element_fibres())
+    monkeypatch.setattr(classifier, "_classify", permuted)
+    for z in maps_with_two_element_fibres():
+        assert ff_check(z, z).verdict == "fail"
 
 
 def test_roundtrip_phi_identity():
@@ -344,7 +450,7 @@ def test_char_pseudonatural_along_pullback():
 
 
 def test_map_to_omega_validation_rejects_broken_naturality():
-    from tck.classifier import MapToOmega
+    from tck.classifier import map_from_parts
     from tck.errors import InvalidTable
     from tck.fincat import constant_presheaf, identity_presheaf_map
 
@@ -356,7 +462,7 @@ def test_map_to_omega_validation_rejects_broken_naturality():
     bad_part[("b", "*")] = constant_presheaf(sl_b, ["0", "1"])
     bad_arrow = dict(good.arrow_part)
     bad_arrow[("b", "id_*")] = identity_presheaf_map(bad_part[("b", "*")])
-    z = MapToOmega(WA, F, bad_part, bad_arrow)
+    z = map_from_parts(WA, F, bad_part, bad_arrow)
     with pytest.raises(InvalidTable):
         z.validate()
     # the omega search trusts what it builds, so it checks its maps on entry
@@ -442,7 +548,8 @@ def test_omega_search_agrees_with_product_filter_oracle(data):
 def test_omega_search_leaves_reject_maps_unnatural_in_x():
     # over the point, reindexing forces nothing, so every choice of a natural
     # map per key is reindex-consistent; some of these choices fail
-    # naturality in X along u: a -> b, and only the leaf check rejects them
+    # naturality in X along u: a -> b, which on the category of elements is
+    # naturality along the arrow <id|u|a>, and the search must reject them
     F = constant_cat_presheaf(PT, walking_arrow())
     maps = map_to_omega_corpus(F, 6)
     unnatural = 0
@@ -473,12 +580,35 @@ def generated_categories(draw):
     return fincat.free_category(objs, {f"g{i}": e for i, e in enumerate(edges)})
 
 
-@settings(max_examples=40, deadline=None)
-@given(generated_categories(), st.data())
-def test_classify_char_round_trips_over_generated_categories(cat, data):
+@st.composite
+def small_monoids(draw):
+    """The one-object category of the monoid of self-maps of a set of at
+    most 3 points that 1 or 2 random maps generate: its endomorphisms need
+    not be invertible.  A map is named by its table, m201 for 0->2, 1->0,
+    2->1; the identity is id_*."""
+    n = draw(st.integers(1, 3))
+    maps = st.tuples(*[st.integers(0, n - 1)] * n)
+    gens = draw(st.lists(maps, min_size=1, max_size=2))
+    ident = tuple(range(n))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            gm = tuple(g[i] for i in m)
+            if gm not in elems:
+                elems.add(gm)
+                frontier.append(gm)
+    names = {e: "id_*" if e == ident else "m" + "".join(map(str, e)) for e in elems}
+    compose = {(names[g], names[f]): names[tuple(g[i] for i in f)]
+               for g in elems for f in elems}
+    return fincat.build_category(["*"], {name: ("*", "*") for name in names.values()},
+                                 {"*": "id_*"}, compose)
+
+
+def check_round_trips_and_omega_search(cat, data):
     c = data.draw(st.sampled_from(cat.objects))
     # the constant walking-arrow presheaf has non-identity arrows in each
-    # F(c), so the omega search's naturality in X is at stake
+    # F(c), so its fibres are not discrete
     F = data.draw(st.sampled_from([representable(cat, c), terminal_presheaf(cat),
                                    constant_cat_presheaf(cat, walking_arrow())]))
     funs = setfunctor_corpus(elements_category(F), 4)
@@ -486,13 +616,25 @@ def test_classify_char_round_trips_over_generated_categories(cat, data):
     phi, psi = dopf_from_set_functor(F, b1), dopf_from_set_functor(F, b2)
     try:
         roundtrip_phi(phi)
-        roundtrip_z(map_to_omega_from_set_functor(F, b2))
+        assert roundtrip_z(map_to_omega_from_set_functor(F, b2)).is_iso()
         z, w = char(phi), char(psi)
         expected = classifier_oracle.enumerate_omega_modifications(z, w, bound=5000)
         assert component_tables(enumerate_omega_modifications(z, w)) == \
             component_tables(expected)
     except SizeBound:
         reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_categories(), st.data())
+def test_classify_char_round_trips_over_generated_categories(cat, data):
+    check_round_trips_and_omega_search(cat, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_monoids(), st.data())
+def test_classify_char_round_trips_over_small_monoids(cat, data):
+    check_round_trips_and_omega_search(cat, data)
 
 
 def test_omega_search_names_itself_when_it_trips_the_bound():

@@ -284,3 +284,25 @@ def test_sheaf_descent_datum_header_and_objects_are_checked(old, new, bad_line, 
         parse(text)
     assert err.value.line == text.splitlines().index(bad_line) + 1
     assert str(err.value) == f"line {err.value.line}: {detail}"
+
+
+PART_B = "setpresheaf z.part.b.id_b on slice WA b\n  at id_b : k0\n  at u : k0\n"
+
+
+@pytest.mark.parametrize("old, new, detail", [
+    ("  part b id_b : z.part.b.id_b", "  part b id_b : z.part.a.u",
+     "object_part at ('b', 'id_b') is not on slice(C, 'b')"),
+    (PART_B, PART_B.replace("at u : k0", "at u : k0 k1"),
+     "strict naturality of object_part fails at ('b', 'id_b')"),
+], ids=["part-off-slice", "part-not-reindexed"])
+def test_map_to_omega_block_is_checked_at_its_start(old, new, detail):
+    # the parts are checked against the ones the fibre functor they give
+    # derives, and a failure names the block's first line
+    with open(os.path.join(FIXTURES, "WalkingArrow.site"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    text = text.replace(old, new)
+    with pytest.raises(InvariantViolation) as err:
+        parse(text)
+    assert err.value.line == text.splitlines().index("map_to_omega z over RepB") + 1
+    assert str(err.value) == f"line {err.value.line}: {detail}"

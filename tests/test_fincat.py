@@ -17,6 +17,7 @@ from tck.errors import (
     UnknownObject,
 )
 from tck.fincat import (
+    FinCat,
     FinFunctor,
     build_category,
     compose_functors,
@@ -96,6 +97,49 @@ def test_build_category_rejects_non_associative():
     }
     with pytest.raises(NonAssociative):
         build_category(["a"], arrows, {"a": "id"}, compose)
+
+
+def first_non_associative_triple(cat):
+    """The first failing triple of a scan over every composable triple,
+    identities included, in the validator's order."""
+    for f in cat.arrows:
+        for g in cat.arrows_from(cat.cod(f)):
+            gf = cat.compose(g, f)
+            for h in cat.arrows_from(cat.cod(g)):
+                if cat.compose(h, gf) != cat.compose(cat.compose(h, g), f):
+                    return h, g, f
+    return None
+
+
+def one_object_table(order, products):
+    """A one-object table on id, a, b with the identity laws and the given
+    products of a and b, its arrows listed in the given order."""
+    compose = dict(zip([("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], products))
+    for x in ("id", "a", "b"):
+        compose[("id", x)] = compose[(x, "id")] = x
+    return FinCat(("*",), {x: ("*", "*") for x in order}, {"*": "id"}, compose)
+
+
+def test_validate_pins_the_first_non_associative_triple():
+    # a.b = a and b.a = b, so (b.a).b = b.b = a while b.(a.b) = b.a = b
+    cat = one_object_table(["id", "a", "b"], ["a", "a", "b", "a"])
+    with pytest.raises(NonAssociative) as exc:
+        cat.validate()
+    assert exc.value.triple == ("b", "a", "b") == first_non_associative_triple(cat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(["id", "a", "b"]), st.lists(st.sampled_from(["id", "a", "b"]),
+                                                    min_size=4, max_size=4))
+def test_validate_skips_identity_triples_but_reports_the_same_one(order, products):
+    cat = one_object_table(order, products)
+    expected = first_non_associative_triple(cat)
+    if expected is None:
+        cat.validate()
+    else:
+        with pytest.raises(NonAssociative) as exc:
+            cat.validate()
+        assert exc.value.triple == expected
 
 
 def test_opposite_point_is_self_dual():

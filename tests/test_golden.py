@@ -70,13 +70,13 @@ def golden_runs(fixture: str) -> dict[str, tuple[int, str]]:
     return {head: (int(code), out) for head, code, out in zip(*[iter(parts[1:])] * 3)}
 
 
-@pytest.mark.parametrize("fixture", ["NonSeparated.site", "OpenSite.site"])
-def test_sheaf_commands_match_golden_in_a_fresh_process_under_two_hash_seeds(fixture):
-    # tables keyed by value tuples and dicts must not follow set or hash order
+def check_fresh_processes(fixture: str, commands: tuple[str, ...]) -> None:
+    """Each command, human and --json, in a new interpreter under two hash
+    seeds, against the golden file's run."""
     expected = golden_runs(fixture)
     env = child_env()
     env.pop("TCK_BOUND", None)
-    for command in ("sheafify", "check-sheaf"):
+    for command in commands:
         for flags in ((), ("--json",)):
             head = " ".join(("tck", command, fixture, *flags))
             for seed in ("0", "1"):
@@ -87,6 +87,19 @@ def test_sheaf_commands_match_golden_in_a_fresh_process_under_two_hash_seeds(fix
                 )
                 assert (run.returncode, run.stdout.decode("utf-8")) == expected[head], \
                     (head, seed)
+
+
+@pytest.mark.parametrize("fixture", ["NonSeparated.site", "OpenSite.site"])
+def test_sheaf_commands_match_golden_in_a_fresh_process_under_two_hash_seeds(fixture):
+    # tables keyed by value tuples and dicts must not follow set or hash order
+    check_fresh_processes(fixture, ("sheafify", "check-sheaf"))
+
+
+@pytest.mark.parametrize("fixture", ["NonSeparated.site", "WalkingArrow.site"])
+def test_classifier_commands_match_golden_in_a_fresh_process_under_two_hash_seeds(fixture):
+    # the parts of a map into the classifier are derived from its fibre
+    # functor when read, and must come out in the same order every time
+    check_fresh_processes(fixture, ("char", "roundtrip", "ff-check"))
 
 
 if __name__ == "__main__":

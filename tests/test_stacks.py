@@ -485,6 +485,47 @@ def test_check_stack_constant_walking_iso_is_a_stack():
         assert effectiveness(d), d.objects
 
 
+def idempotent():
+    """The monoid {1, e} with e.e = e: Hom(x, x) holds an iso and an arrow
+    that is not one."""
+    from tck.fincat import build_category
+
+    return build_category(["x"], {"id_x": ("x", "x"), "e": ("x", "x")}, {"x": "id_x"}, {
+        ("id_x", "id_x"): "id_x", ("e", "id_x"): "e", ("id_x", "e"): "e", ("e", "e"): "e"})
+
+
+def flip():
+    """The group of order 2 as a one-object category: every arrow is an iso,
+    and two of them share each hom-set, so the cocycle condition bites."""
+    from tck.fincat import build_category
+
+    return build_category(["x"], {"id_x": ("x", "x"), "t": ("x", "x")}, {"x": "id_x"}, {
+        ("id_x", "id_x"): "id_x", ("t", "id_x"): "t", ("id_x", "t"): "t", ("t", "t"): "id_x"})
+
+
+def descent_tables(data):
+    return sorted((sorted(d.objects.items()), sorted(d.isos.items())) for d in data)
+
+
+def test_descent_data_agree_with_product_filter_oracle():
+    # the oracle filters every arrow family with validate_descent; the
+    # enumeration builds typed, invertible candidates and checks the cocycle
+    SQ, sq_topo = square_site()
+    values = [walking_iso(), walking_arrow(), idempotent(), flip()]
+    cases = [(OSJ, F) for F in catpresheaf_corpus(OS, 4)]
+    cases += [(j, constant_cat_presheaf(j.base, K)) for j in (OSJ, sq_topo) for K in values]
+    with_isos = 0
+    for j, F in cases:
+        for c in j.base.objects:
+            for s in sorted(j.covers[c], key=lambda s: s.sorted_arrows()):
+                data = enumerate_descent_data(F, s)
+                assert descent_tables(data) == \
+                    descent_tables(stack_oracle.enumerate_descent_data(F, s)), (c, s)
+                with_isos += any(not F.on_objects[j.base.dom(g)].is_identity(phi)
+                                 for d in data for (_, g), phi in d.isos.items())
+    assert with_isos > 0
+
+
 def test_check_stack_reports_condition_i_failure():
     # discrete presheaf with local sections that do not glue: empty at T
     on_objects = {"O": ("*",), "L": ("s",), "R": ("t",), "T": ()}

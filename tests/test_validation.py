@@ -190,10 +190,10 @@ def test_ff_check_on_validated_maps_runs_no_check(monkeypatch):
     counts = count_checks(monkeypatch)
     report = ff_check(z, w)
     assert report.witnesses == [("bijection", 1)]
-    # the omega search's leaves are valid by construction once naturality in
-    # X holds, and the arguments of classify and gamma_mod were validated
-    # where they were built: no OmegaModification or PresheafMap, nor any
-    # other value, is checked
+    # the omega search returns natural maps between fibre functors, valid by
+    # construction, and the arguments of classify and gamma_mod were
+    # validated where they were built: no OmegaModification or
+    # SetFunctorMap, nor any other value, is checked
     assert not counts
 
 
