@@ -3,16 +3,19 @@
 Layers, bottom up:
 
 - fincat: finite categories, functors, natural transformations, slices,
-  set-valued functors, and brute-force enumeration oracles;
+  set-valued functors, and the backtracking search for natural maps;
 - cat2: discrete opfibrations in Cat, comma objects, lax limits of arrows,
-  the category of elements and its fibre-functor inverse;
+  the category of elements and its fibre-functor inverse; the category of
+  elements and pullbacks return the certificates they build, and the lift
+  scan runs only in certify_dopf;
 - site: sieves, Grothendieck topologies, sheaf conditions, the plus
   construction and sheafification;
 - prestack: strict Cat-valued presheaves, 2-naturals, modifications, and
   pointwise-certified discrete opfibrations;
 - classifier: the presheaves-on-slices classifier held intensionally, with
-  classify/char, the indexed-elements equivalence over representables, and
-  full-faithfulness and round-trip verifiers;
+  classify/char, the indexed-elements equivalence over representables (its
+  forward half is classify over a representable), and full-faithfulness
+  and round-trip verifiers;
 - stacks: descent data, the three stack conditions, the sheaf-valued
   restriction of the classifier, and the sheaf gluing probe;
 - docformat/cli: the line-oriented document format and the tck command.
@@ -29,10 +32,7 @@ from .fincat import (
     SetPresheaf,
     build_category,
     discrete_category,
-    enumerate_functors,
-    enumerate_nats,
     free_category,
-    natural_iso,
     opposite,
     point_category,
     postcompose,
@@ -72,7 +72,6 @@ from .prestack import (
     Modification,
     TwoNat,
     certify_dopf_pre,
-    enumerate_modifications,
     fib_hom,
     fib_iso,
     pointwise_comma,

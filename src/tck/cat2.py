@@ -1,8 +1,11 @@
 """Discrete opfibrations, comma objects and the category of elements in Cat.
 
-A functor p: E -> B is certified here when every object of E admits exactly
-one lift of every arrow leaving its image.  Fibres are precomputed; the lift
-table is what classify/char consult downstream.
+A functor p: E -> B is a discrete opfibration when every object of E admits
+exactly one lift of every arrow leaving its image.  Its certificate holds
+the fibres and the lift table that classify/char consult downstream.
+elements_of and pullback name their lifts themselves and return the
+certificate with the functor; certify_dopf certifies any other functor by
+an exhaustive lift scan.
 """
 
 from __future__ import annotations
@@ -50,14 +53,19 @@ class CommaCone:
     filler: NatTransform  # f . left_leg => g . right_leg
 
 
+def _fibres(p: FinFunctor) -> dict[str, tuple[str, ...]]:
+    """The objects of p's source over each object of its target, sorted."""
+    fibres: dict[str, list[str]] = {b: [] for b in p.target.objects}
+    for e, b in p.on_objects.items():
+        fibres[b].append(e)
+    return {b: tuple(sorted(es)) for b, es in fibres.items()}
+
+
 def certify_dopf(p: FinFunctor) -> DiscOpfibCat:
-    """Certify the unique-lifting property by exhaustive scan, or reject."""
+    """Certify the unique-lifting property by exhaustive scan, or reject.
+    A unique lift of each identity makes every arrow over an identity an
+    identity, so discreteness needs no scan of its own."""
     p.validate()
-    return certify_valid_dopf(p)
-
-
-def certify_valid_dopf(p: FinFunctor) -> DiscOpfibCat:
-    """certify_dopf for a functor known to be valid."""
     E, B = p.source, p.target
     lifts: dict[tuple[str, str], str] = {}
     for e in E.objects:
@@ -67,15 +75,7 @@ def certify_valid_dopf(p: FinFunctor) -> DiscOpfibCat:
             if len(cands) != 1:
                 raise NotOpfibration(e, f, len(cands))
             lifts[(e, f)] = cands[0]
-    # redundant discreteness validator: arrows over identities are identities
-    for g in E.arrows:
-        if B.is_identity(p.on_arrows[g]) and not E.is_identity(g):
-            raise NotOpfibration(E.dom(g), p.on_arrows[g], 2)
-    fibres = {
-        b: tuple(sorted(e for e in E.objects if p.on_objects[e] == b))
-        for b in B.objects
-    }
-    return DiscOpfibCat(p, fibres, lifts)
+    return DiscOpfibCat(p, _fibres(p), lifts)
 
 
 def lift(p: DiscOpfibCat, e: str, f: str) -> str:
@@ -135,7 +135,10 @@ def pullback_named(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFun
                       {n: u for n, (u, _) in arr_parts.items()})
     top = FinFunctor(apex, E, {o: e for o, (_, e) in obj_parts.items()},
                      {n: g for n, (_, g) in arr_parts.items()})
-    return certify_valid_dopf(left), top
+    # the lift of u at (x, e) is (u, g), for g the lift of z(u) at e along p
+    lifts = {(o, u): _pair(u, p.lifts[(e, z.on_arrows[u])])
+             for o, (x, e) in obj_parts.items() for u in F.arrows_from(x)}
+    return DiscOpfibCat(left, _fibres(left), lifts), top
 
 
 def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
@@ -200,13 +203,9 @@ def lax_limit_of_arrow(omega: FinFunctor) -> tuple[DiscOpfibCat, CommaCone]:
 
 
 def elements_of(z: FinSetFunctor) -> DiscOpfibCat:
-    """Category of elements of a covariant set-valued functor, certified."""
+    """Category of elements of a covariant set-valued functor, certified:
+    the lift of f at (dom f, x) is (f, x)."""
     z.validate()
-    return elements_of_valid(z)
-
-
-def elements_of_valid(z: FinSetFunctor) -> DiscOpfibCat:
-    """elements_of for a set functor known to be valid."""
     B = z.base
     obj_parts = named_parts(((b, x) for b in B.objects for x in z.on_objects[b]), _pair)
     arr_parts = named_parts(((f, x) for f in B.arrows for x in z.on_objects[B.dom(f)]), _pair)
@@ -224,7 +223,22 @@ def elements_of_valid(z: FinSetFunctor) -> DiscOpfibCat:
     total = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
     proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()},
                       {n: f for n, (f, _) in arr_parts.items()})
-    return certify_valid_dopf(proj)
+    lifts = {(_pair(B.dom(f), x), f): n for n, (f, x) in arr_parts.items()}
+    return DiscOpfibCat(proj, _fibres(proj), lifts)
+
+
+def elements_functor(z: FinSetFunctor, source: FinCat, target: FinCat,
+                     u: FinFunctor, m: Mapping[str, Mapping[str, str]]) -> FinFunctor:
+    """The functor from source = elements_of(z).total to target =
+    elements_of(w).total that a base functor u and a natural fibre map
+    m_b: z(b) -> w(u(b)) induce: (b, x) |-> (u(b), m_b(x)) and
+    (f, x) |-> (u(f), m_(dom f)(x))."""
+    uo, ua, zo = u.on_objects, u.on_arrows, z.on_objects
+    # the names are _pair's, spelled out: this runs once per 2-cell
+    on_objects = {f"({b},{x})": f"({uo[b]},{m[b][x]})" for b, xs in zo.items() for x in xs}
+    on_arrows = {f"({f},{x})": f"({ua[f]},{m[d][x]})"
+                 for f, (d, _) in z.base.arrows.items() for x in zo[d]}
+    return FinFunctor(source, target, on_objects, on_arrows)
 
 
 def fiber_functor(p: DiscOpfibCat) -> FinSetFunctor:

@@ -28,13 +28,11 @@ from .errors import InvalidTable, NoIsoFound, UnknownObject
 from .fincat import (
     DEFAULT_BOUND,
     FinCat,
-    FinFunctor,
     FinSetFunctor,
     PresheafMap,
     SetFunctorMap,
     SetPresheaf,
     mark_valid,
-    named_parts,
     search_setfunctor_maps,
     slice_arrow_name,
     slice_cat,
@@ -44,7 +42,6 @@ from .prestack import (
     CatPresheaf,
     DiscOpfibPre,
     TwoNat,
-    certify_valid_dopf_pre,
     element_arrow_name,
     element_name,
     elements_category,
@@ -69,6 +66,18 @@ class MapToOmega:
     def _classified(self) -> DiscOpfibPre:
         """classify's result, kept for the life of this map."""
         return _classify(self)
+
+    @cached_property
+    def _fibres_at(self) -> dict[str, FinSetFunctor]:
+        """c -> B_z on F(c), X |-> B_z<c|X> and nu |-> B_z<id_c|nu|X>: the set
+        functor whose category of elements is classify(z)'s total at c.
+        Valid, and read, once z is valid."""
+        B, site = self.fibre_functor, self.site
+        return {c: mark_valid(FinSetFunctor(
+            Fc, {x: B.on_objects[element_name(c, x)] for x in Fc.objects},
+            {nu: B.on_arrows[element_arrow_name(site.id_of(c), nu, Fc.dom(nu))]
+             for nu in Fc.arrows}))
+            for c, Fc in self.source.on_objects.items()}
 
     @cached_property
     def object_part(self) -> dict[tuple[str, str], SetPresheaf]:
@@ -207,16 +216,8 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
     site = z.site
     F = z.source
     B = z.fibre_functor
-    totals = {}
-    for c in site.objects:
-        Fc = F.on_objects[c]
-        idc = site.id_of(c)
-        # valid, as are the functors, G and s below, because B_z is a set functor
-        totals[c] = cat2.elements_of_valid(FinSetFunctor(
-            Fc,
-            {x: B.on_objects[element_name(c, x)] for x in Fc.objects},
-            {nu: B.on_arrows[element_arrow_name(idc, nu, Fc.dom(nu))] for nu in Fc.arrows},
-        ))
+    fibres = z._fibres_at
+    totals = {c: cat2.elements_of(fibres[c]) for c in sorted(site.objects)}
     on_arrows = {}
     for f, (d, c) in site.arrows.items():
         Ff = F.on_arrows[f]
@@ -225,21 +226,12 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
             x: B.on_arrows[element_arrow_name(f, Fd.id_of(Ff.on_objects[x]), x)]
             for x in F.on_objects[c].objects
         }
-        p = totals[c].p
-        src, tgt = totals[c].total, totals[d].total
-        on_objects = {}
-        for o in src.objects:
-            x = p.on_objects[o]
-            on_objects[o] = f"({Ff.on_objects[x]},{restrict[x][o[2 + len(x):-1]]})"
-        arr_map = {}
-        for name, (o1, _) in src.arrows.items():
-            x = p.on_objects[o1]
-            arr_map[name] = f"({Ff.on_arrows[p.on_arrows[name]]},{restrict[x][o1[2 + len(x):-1]]})"
-        on_arrows[f] = FinFunctor(src, tgt, on_objects, arr_map)
+        on_arrows[f] = cat2.elements_functor(fibres[c], totals[c].total, totals[d].total,
+                                             Ff, restrict)
+    # valid, as is s, because B_z is a set functor: restriction is natural
     G = CatPresheaf(site, {c: totals[c].total for c in site.objects}, on_arrows)
     s = TwoNat(G, F, {c: totals[c].p for c in site.objects})
-    # elements_of_valid certified each component already
-    return prestack.dopf_pre_from_certificates(s, {c: totals[c] for c in sorted(site.objects)})
+    return DiscOpfibPre(s, totals)
 
 
 # -- the characteristic morphism ----------------------------------------------------------
@@ -290,20 +282,13 @@ def gamma_mod(alpha: OmegaModification) -> TwoNat:
     z, w = alpha.source, alpha.target
     src = classify(z)
     tgt = classify(w)
+    F, site, fibres = z.source, z.site, z._fibres_at
+    G, H = src.total.on_objects, tgt.total.on_objects
     m = alpha.fibre_map.components
-    comps = {}
-    for c in z.site.objects:
-        total = src.total.on_objects[c]
-        p = src.s.components[c]
-        on_objects = {}
-        for o in total.objects:
-            x = p.on_objects[o]
-            on_objects[o] = f"({x},{m[element_name(c, x)][o[2 + len(x):-1]]})"
-        arr_map = {}
-        for name, (o1, _) in total.arrows.items():
-            x = p.on_objects[o1]
-            arr_map[name] = f"({p.on_arrows[name]},{m[element_name(c, x)][o1[2 + len(x):-1]]})"
-        comps[c] = FinFunctor(total, tgt.total.on_objects[c], on_objects, arr_map)
+    # F(id_c) is the identity functor on F(c), since F is strict
+    comps = {c: cat2.elements_functor(fibres[c], G[c], H[c], F.on_arrows[site.id_of(c)],
+                                      {x: m[element_name(c, x)] for x in F.on_objects[c].objects})
+             for c in site.objects}
     # valid and over F because alpha is natural: (x, t) goes to (x, alpha(t))
     return TwoNat(src.total, tgt.total, comps)
 
@@ -312,7 +297,10 @@ def gamma_mod(alpha: OmegaModification) -> TwoNat:
 
 
 def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
-    """From a presheaf on slice(C, c) to an opfibration over representable(c)."""
+    """From a presheaf on slice(C, c) to an opfibration over representable(c):
+    classify of the map whose fibre functor on elements_category of the
+    representable, which is slice(C, c)^op, is Z: <d|f> holds Z(f) and
+    <g|id|f> acts as Z(g>f)."""
     sl, _ = slice_cat(site, c)
     if Z.base != sl:
         raise InvalidTable("j_forward expects a presheaf on slice(C, c)")
@@ -320,34 +308,12 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
         raise UnknownObject(c)
     Z.validate()
     rep = representable(site, c)
-    from .fincat import discrete_category
-
-    cats = {}
-    comps = {}
-    for d in site.objects:
-        parts = named_parts(((f, x) for f in site.hom(d, c) for x in Z.on_objects[f]),
-                            lambda f, x: f"({f},{x})")
-        cats[d] = discrete_category(sorted(parts))
-        on_objects = {o: f for o, (f, _) in parts.items()}
-        comps[d] = FinFunctor(
-            cats[d], rep.on_objects[d], on_objects,
-            {f"id_{o}": f"id_{on_objects[o]}" for o in on_objects},
-        )
-    on_arrows = {}
-    for g, (e, d) in site.arrows.items():
-        on_objects = {}
-        for f in site.hom(d, c):
-            fg = site.compose(f, g)
-            for x in Z.on_objects[f]:
-                on_objects[f"({f},{x})"] = f"({fg},{Z.on_arrows[slice_arrow_name(g, f)][x]})"
-        on_arrows[g] = FinFunctor(
-            cats[d], cats[e], on_objects,
-            {f"id_{o}": f"id_{on_objects[o]}" for o in on_objects},
-        )
-    # valid because Z is a presheaf: H(g) acts on (f, x) as Z(g>f) does
-    H = CatPresheaf(site, cats, on_arrows)
-    s = TwoNat(H, rep, comps)
-    return certify_valid_dopf_pre(s)
+    el, obj_parts, arr_parts = rep._elements
+    B = FinSetFunctor(el, {o: Z.on_objects[f] for o, (_, f) in obj_parts.items()},
+                      {n: Z.on_arrows[slice_arrow_name(g, f)]
+                       for n, (g, _, f) in arr_parts.items()})
+    # valid because Z is a presheaf on slice(C, c)
+    return classify(mark_valid(MapToOmega(site, rep, mark_valid(B))))
 
 
 def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:

@@ -222,7 +222,7 @@ def _cmd_char_stacks(doc, bound):
                 continue
             try:
                 phi = prestack.certify_dopf_pre(nat)
-                zj = stacks.char_stacks(phi, topo, check_endpoints=True, bound=bound)
+                zj = stacks.char_stacks(phi, topo, bound=bound)
             except NotOpfibrationAt as exc:
                 report.fail((name, jname, "not-an-opfibration", str(exc)))
                 continue

@@ -596,52 +596,7 @@ def reindex_slice_presheaf_map(cat: FinCat, f: str, m: PresheafMap) -> PresheafM
     )
 
 
-# -- brute-force enumerations -----------------------------------------------------
-
-
-def enumerate_functors(A: FinCat, B: FinCat, bound: int = DEFAULT_BOUND) -> list[FinFunctor]:
-    """All functors A -> B, by brute force over object and arrow assignments."""
-    objs = list(A.objects)
-    nonid = [f for f in A.sorted_arrows() if not A.is_identity(f)]
-    out: list[FinFunctor] = []
-    for images in bounded_product("enumerate_functors object maps",
-                                  [sorted(B.objects)] * len(objs), bound):
-        omap = dict(zip(objs, images))
-        homs = [B.hom(omap[A.dom(f)], omap[A.cod(f)]) for f in nonid]
-        for choice in bounded_product("enumerate_functors arrow maps", homs, bound):
-            amap = dict(zip(nonid, choice))
-            for x in objs:
-                amap[A.id_of(x)] = B.id_of(omap[x])
-            if all(B.compose(amap[g], amap[f]) == amap[h]
-                   for (g, f), h in A.compose_table.items()):
-                out.append(FinFunctor(A, B, omap, amap))
-    return out
-
-
-def enumerate_nats(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> list[NatTransform]:
-    """All natural transformations between the parallel functors F and G."""
-    if F.source != G.source or F.target != G.target:
-        raise InvalidTable("enumerate_nats needs parallel functors")
-    A, B = F.source, F.target
-    objs = list(A.objects)
-    homs = [B.hom(F.on_objects[x], G.on_objects[x]) for x in objs]
-    out: list[NatTransform] = []
-    for choice in bounded_product("enumerate_nats", homs, bound):
-        comp = dict(zip(objs, choice))
-        if all(
-            B.compose(G.on_arrows[u], comp[x]) == B.compose(comp[y], F.on_arrows[u])
-            for u, (x, y) in A.arrows.items()
-        ):
-            out.append(NatTransform(F, G, comp))
-    return out
-
-
-def natural_iso(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> NatTransform | None:
-    """Lexicographically first natural isomorphism F => G, if any."""
-    for nat in enumerate_nats(F, G, bound):
-        if all(F.target.is_invertible(a) for a in nat.components.values()):
-            return nat
-    return None
+# -- natural maps by backtracking -------------------------------------------------
 
 
 def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,

@@ -21,12 +21,9 @@ from .fincat import (
     FinFunctor,
     FinSetFunctor,
     NatTransform,
-    bounded_product,
     build_category,
     compose_functors,
     discrete_category,
-    enumerate_functors,
-    enumerate_nats,
     identity_functor,
     named_parts,
     point_category,
@@ -134,11 +131,16 @@ class Modification:
 
 @dataclass(frozen=True, eq=True)
 class DiscOpfibPre:
-    """A 2-natural transformation certified pointwise, with cached fibres."""
+    """A 2-natural transformation with a certificate for each component."""
 
     s: TwoNat
     certificates: Mapping[str, DiscOpfibCat]
-    fibres: Mapping[tuple[str, str], tuple[str, ...]]
+
+    @cached_property
+    def fibres(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """(c, X) -> the fibre over X at c, read off the certificates."""
+        return {(c, x): fibre for c in sorted(self.certificates)
+                for x, fibre in self.certificates[c].fibres.items()}
 
     @cached_property
     def _fibre_diagram(self) -> FinSetFunctor:
@@ -154,7 +156,7 @@ class DiscOpfibPre:
         return self.s.target
 
     def fibre(self, c: str, x: str) -> tuple[str, ...]:
-        return self.fibres[(c, x)]
+        return self.certificates[c].fibres[x]
 
 
 # -- constructions ------------------------------------------------------------------
@@ -242,54 +244,21 @@ def compose_two_nats(t: TwoNat, s: TwoNat) -> TwoNat:
     )
 
 
-def enumerate_two_nats(F: CatPresheaf, G: CatPresheaf,
-                       bound: int = DEFAULT_BOUND) -> list[TwoNat]:
-    """All strict 2-natural transformations F => G, by product-and-filter."""
-    if F.base != G.base:
-        raise InvalidTable("presheaves on different sites")
-    base = F.base
-    objs = sorted(base.objects)
-    per_obj = [enumerate_functors(F.on_objects[c], G.on_objects[c], bound) for c in objs]
-    out = []
-    for combo in bounded_product("enumerate_two_nats", per_obj, bound):
-        comps = dict(zip(objs, combo))
-        if all(
-            compose_functors(G.on_arrows[f], comps[c]) ==
-            compose_functors(comps[d], F.on_arrows[f])
-            for f, (d, c) in base.arrows.items()
-        ):
-            out.append(TwoNat(F, G, comps))
-    return out
-
-
 # -- pointwise discrete opfibrations ---------------------------------------------------
 
 
 def certify_dopf_pre(s: TwoNat) -> DiscOpfibPre:
-    """Certify every component, or reject naming the failing one."""
+    """Certify every component by cat2's lift scan, or reject naming the
+    failing one."""
     s.validate()
-    return certify_valid_dopf_pre(s)
-
-
-def certify_valid_dopf_pre(s: TwoNat) -> DiscOpfibPre:
-    """certify_dopf_pre for a 2-natural transformation known to be valid."""
     certs = {}
     for c in sorted(s.source.base.objects):
         try:
-            certs[c] = cat2.certify_valid_dopf(s.components[c])
+            # validating s validated its components, so only the scan runs
+            certs[c] = cat2.certify_dopf(s.components[c])
         except NotOpfibration as exc:
             raise NotOpfibrationAt(c, exc) from exc
-    return dopf_pre_from_certificates(s, certs)
-
-
-def dopf_pre_from_certificates(s: TwoNat, certs: Mapping[str, DiscOpfibCat]) -> DiscOpfibPre:
-    """s with a certificate for each component, in sorted object order."""
-    fibres = {
-        (c, x): certs[c].fibres[x]
-        for c in certs
-        for x in s.target.on_objects[c].objects
-    }
-    return DiscOpfibPre(s, certs, fibres)
+    return DiscOpfibPre(s, certs)
 
 
 @dataclass(frozen=True, eq=True)
@@ -372,7 +341,7 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
     apex = CatPresheaf(base, {c: pieces[c][0].total for c in base.objects}, on_arrows)
     left = TwoNat(apex, z.source, {c: pieces[c][0].p for c in base.objects})
     top = TwoNat(apex, p.total, {c: pieces[c][1] for c in base.objects})
-    return certify_valid_dopf_pre(left), top
+    return DiscOpfibPre(left, {c: pieces[c][0] for c in sorted(base.objects)}), top
 
 
 # -- the category of elements and fibre diagrams ------------------------------------------
@@ -553,23 +522,3 @@ def fib_iso(phi: DiscOpfibPre, psi: DiscOpfibPre,
     if not found:
         return None
     return _two_nat_from_fibre_map(phi, psi, found[0])
-
-
-def enumerate_modifications(z: TwoNat, w: TwoNat,
-                            bound: int = DEFAULT_BOUND) -> list[Modification]:
-    """All modifications z => w between parallel 2-naturals."""
-    if z.source != w.source or z.target != w.target:
-        raise InvalidTable("enumerate_modifications needs parallel 2-naturals")
-    base = z.source.base
-    objs = sorted(base.objects)
-    per_obj = [enumerate_nats(z.components[c], w.components[c], bound) for c in objs]
-    out = []
-    for combo in bounded_product("enumerate_modifications", per_obj, bound):
-        comps = dict(zip(objs, combo))
-        m = Modification(z, w, comps)
-        try:
-            m.validate()
-        except InvalidTable:
-            continue
-        out.append(m)
-    return out

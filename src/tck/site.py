@@ -76,6 +76,9 @@ def sieve_generate(cat: FinCat, arrows: Iterable[str]) -> Sieve:
     arrows = list(arrows)
     if not arrows:
         raise MixedCodomain(arrows)
+    unknown = next((f for f in arrows if f not in cat.arrows), None)
+    if unknown is not None:
+        raise InvalidTable(f"unknown arrow {unknown!r}")
     cods = {cat.cod(f) for f in arrows}
     if len(cods) != 1:
         raise MixedCodomain(arrows)

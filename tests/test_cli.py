@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 CORPUS = sorted(glob.glob(os.path.join(FIXTURES, "*.site")))
 BROKEN = sorted(glob.glob(os.path.join(FIXTURES, "broken", "*.site")))
@@ -215,6 +217,24 @@ def test_parse_error_exits_three(tmp_path):
     res = tck("validate", str(path))
     assert res.returncode == 3
     assert "line 3" in res.stderr
+
+
+UNKNOWN_ARROW_BLOCKS = {
+    "cover": ("topology J on C\n  cover b : zz\nend\n", 6),
+    "raw-sieve": ("topology J on C raw\n  sieve b : zz\nend\n", 7),
+    "sieve-arrows": ("sieve S on C at b\n  arrows zz\nend\n", 6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNKNOWN_ARROW_BLOCKS))
+def test_unknown_arrow_in_a_sieve_exits_three_naming_it(tmp_path, kind):
+    block, line = UNKNOWN_ARROW_BLOCKS[kind]
+    path = tmp_path / "unknown_arrow.site"
+    path.write_text("category C freely-generate\n  objects a b\n  arrow u : a -> b\nend\n\n"
+                    + block)
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stderr == f"error: line {line}: unknown arrow 'zz'\n"
 
 
 def test_char_output_parses_against_input_document(tmp_path):

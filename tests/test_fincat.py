@@ -5,7 +5,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from map_oracle import enumerate_presheaf_maps, presheaf_iso
+from map_oracle import (
+    enumerate_functors,
+    enumerate_nats,
+    enumerate_presheaf_maps,
+    natural_iso,
+    presheaf_iso,
+)
 from test_cli import child_env
 from tck import fincat
 from tck.errors import (
@@ -22,11 +28,8 @@ from tck.fincat import (
     build_category,
     compose_functors,
     discrete_category,
-    enumerate_functors,
-    enumerate_nats,
     free_category,
     identity_functor,
-    natural_iso,
     opposite,
     point_category,
     postcompose,

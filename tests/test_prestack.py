@@ -1,6 +1,11 @@
 import pytest
 
-from map_oracle import enumerate_setfunctor_maps, fib_hom_cat
+from map_oracle import (
+    enumerate_modifications,
+    enumerate_setfunctor_maps,
+    enumerate_two_nats,
+    fib_hom_cat,
+)
 from tck import cat2, prestack
 from tck.corpus import (
     dopf_corpus,
@@ -24,8 +29,6 @@ from tck.prestack import (
     Modification,
     TwoNat,
     certify_dopf_pre,
-    enumerate_modifications,
-    enumerate_two_nats,
     fib_hom,
     fib_iso,
     identity_two_nat,

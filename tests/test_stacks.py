@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stack_oracle
-from map_oracle import enumerate_presheaf_maps, presheaf_iso
+from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
 from tck import prestack
 from tck.classifier import char, classify
 from tck.corpus import (
@@ -34,7 +34,6 @@ from tck.fincat import (
 from tck.prestack import (
     certify_dopf_pre,
     discrete_presheaf,
-    enumerate_two_nats,
     fib_iso,
     identity_two_nat,
     representable,
@@ -732,7 +731,7 @@ def test_char_stacks_pipeline_on_square_site():
         assert is_sheaf(W, topo).ok
         F = discrete_presheaf(SQ, W)
         phi = certify_dopf_pre(identity_two_nat(F))
-        zj = char_stacks(phi, topo, check_endpoints=True)
+        zj = char_stacks(phi, topo)
         assert fib_iso(classify(zj.underlying), phi) is not None
     # the terminal map out of a glued stack also factors and round-trips
     from tck.fincat import FinFunctor, delta1
@@ -749,7 +748,7 @@ def test_char_stacks_pipeline_on_square_site():
     s = TwoNat(Fw, Fone, comps)
     s.validate()
     phi = certify_dopf_pre(s)
-    zj = char_stacks(phi, topo, check_endpoints=True)
+    zj = char_stacks(phi, topo)
     assert fib_iso(classify(zj.underlying), phi) is not None
 
 
@@ -797,10 +796,9 @@ def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
     report = check_stack(F, OSJ, 1)
     assert report.verdict == "bounded-pass"
     with pytest.raises(SizeBound) as exc:
-        char_stacks(phi, OSJ, check_endpoints=True, bound=1)
+        char_stacks(phi, OSJ, bound=1)
     assert exc.value.what == next(iter(report.bounds))
     assert exc.value.what == "stack-i at R over ('O_R', 'R_R')"
-    assert char_stacks(phi, OSJ, check_endpoints=False, bound=1) is not None
 
 
 # -- the stack conditions on the least covers -------------------------------------------
