@@ -6,8 +6,8 @@ Layers, bottom up:
   set-valued functors, and the backtracking search for natural maps;
 - cat2: discrete opfibrations in Cat, comma objects, lax limits of arrows,
   the category of elements and its fibre-functor inverse; the category of
-  elements and pullbacks return the certificates they build, and the lift
-  scan runs only in certify_dopf;
+  elements, pullbacks and lax limits return the certificates they build,
+  and the lift scan runs only in certify_dopf;
 - site: sieves, Grothendieck topologies, sheaf conditions, the plus
   construction and sheafification;
 - prestack: strict Cat-valued presheaves, 2-naturals, modifications, and

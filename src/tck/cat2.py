@@ -3,9 +3,9 @@
 A functor p: E -> B is a discrete opfibration when every object of E admits
 exactly one lift of every arrow leaving its image.  Its certificate holds
 the fibres and the lift table that classify/char consult downstream.
-elements_of and pullback name their lifts themselves and return the
-certificate with the functor; certify_dopf certifies any other functor by
-an exhaustive lift scan.
+elements_of, pullback and lax_limit_of_arrow name their lifts themselves
+and return the certificate with the functor; certify_dopf certifies any
+other functor by an exhaustive lift scan.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ def _pair(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
+def _comma_object(a: str, b: str, al: str) -> str:
+    return f"({a},{b},{al})"
+
+
+def _comma_arrow(u: str, v: str, o1: str, o2: str) -> str:
+    return f"[{u},{v}]{o1}->{o2}"
+
+
 def pullback(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:
     """Strict pullback of p along z, with its projection to E.
 
@@ -148,15 +156,8 @@ def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
     f.validate()
     g.validate()
     A, B, C = f.source, g.source, f.target
-
-    def oname(a: str, b: str, al: str) -> str:
-        return f"({a},{b},{al})"
-
-    def aname(u: str, v: str, o1: str, o2: str) -> str:
-        return f"[{u},{v}]{o1}->{o2}"
-
     parts = named_parts(((a, b, al) for a in A.objects for b in B.objects
-                         for al in C.hom(f.on_objects[a], g.on_objects[b])), oname)
+                         for al in C.hom(f.on_objects[a], g.on_objects[b])), _comma_object)
     objs = sorted(parts)
 
     def squares():
@@ -170,14 +171,15 @@ def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
                         if C.compose(al2, f.on_arrows[u]) == C.compose(g.on_arrows[v], al1):
                             yield u, v, o1, o2
 
-    arr_parts = named_parts(squares(), aname)
+    arr_parts = named_parts(squares(), _comma_arrow)
     arrows = {name: (o1, o2) for name, (_, _, o1, o2) in arr_parts.items()}
-    identities = {o: aname(A.id_of(parts[o][0]), B.id_of(parts[o][1]), o, o) for o in objs}
+    identities = {o: _comma_arrow(A.id_of(parts[o][0]), B.id_of(parts[o][1]), o, o)
+                  for o in objs}
     compose = {}
     for n2, (u2, v2, o, o3) in arr_parts.items():
         for n1, (u1, v1, o1, o2) in arr_parts.items():
             if o2 == o:
-                compose[(n2, n1)] = aname(A.compose(u2, u1), B.compose(v2, v1), o1, o3)
+                compose[(n2, n1)] = _comma_arrow(A.compose(u2, u1), B.compose(v2, v1), o1, o3)
     # valid because squares paste, and the filler is natural at each square
     apex = FinCat(tuple(objs), arrows, identities, compose)
     left = FinFunctor(apex, A, {o: parts[o][0] for o in objs},
@@ -192,14 +194,23 @@ def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
 
 
 def lax_limit_of_arrow(omega: FinFunctor) -> tuple[DiscOpfibCat, CommaCone]:
-    """comma(omega, Id); the projection to the codomain is certified.
+    """comma(omega, Id) with its projection to the codomain, certified by
+    construction: the lift of v: b -> b' at (a, b, al) is the square
+    [id_a, v] from (a, b, al) to (a, b', v.al), the only arrow over v out
+    of (a, b, al) because a has no other endomorphism.
 
     The fibre over b is in bijection with Hom(omega(*), b).
     """
-    if len(omega.source.objects) != 1:
+    A, B = omega.source, omega.target
+    if len(A.objects) != 1 or len(A.arrows) != 1:
         raise InvalidTable("lax_limit_of_arrow: source must be the point category")
-    cone = comma(omega, identity_functor(omega.target))
-    return certify_dopf(cone.right_leg), cone
+    cone = comma(omega, identity_functor(B))
+    (a,) = A.objects
+    p, alphas = cone.right_leg, cone.filler.components
+    lifts = {(o, v): _comma_arrow(A.id_of(a), v, o,
+                                  _comma_object(a, B.cod(v), B.compose(v, al)))
+             for o, al in alphas.items() for v in B.arrows_from(p.on_objects[o])}
+    return DiscOpfibCat(p, _fibres(p), lifts), cone
 
 
 def elements_of(z: FinSetFunctor) -> DiscOpfibCat:

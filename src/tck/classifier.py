@@ -81,15 +81,16 @@ class MapToOmega:
 
     @cached_property
     def object_part(self) -> dict[tuple[str, str], SetPresheaf]:
-        """(c, X) -> the presheaf on slice(C, c) sending f to B_z<dom f|F(f)X>."""
+        """(c, X) -> the presheaf on slice(C, c) sending f to B_z<dom f|F(f)X>.
+        Valid, and read, once z is valid."""
         B = self.fibre_functor
         objects, arrows, _ = self.source._slice_elements
         return {
-            (c, x): SetPresheaf(
+            (c, x): mark_valid(SetPresheaf(
                 slice_cat(self.site, c)[0],
                 {f: B.on_objects[o] for f, o in names.items()},
                 {a: B.on_arrows[n] for a, n in arrows[(c, x)].items()},
-            )
+            ))
             for (c, x), names in objects.items()
         }
 

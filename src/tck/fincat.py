@@ -14,9 +14,11 @@ construction and are not re-validated.
 
 A FinCat indexes its hom-sets once: the first ``hom``/``arrows_into``/
 ``arrows_from`` call builds all three as sorted tuples in a cached
-attribute, which stays out of equality, hashing and repr.  Slices, and
-the postcomposition tables that reindex slice presheaves along an arrow,
-are cached on the category they are taken of, and die with it.
+attribute, which stays out of equality, hashing and repr.  The principal
+sieve of each arrow and the composable pairs with no identity in them are
+cached the same way.  Slices, and the postcomposition tables that reindex
+slice presheaves along an arrow, are cached on the category they are
+taken of, and die with it.
 """
 
 from __future__ import annotations
@@ -182,6 +184,22 @@ class FinCat:
 
     def is_invertible(self, f: str) -> bool:
         return f in self._inverses
+
+    @cached_property
+    def _proper_composites(self) -> tuple[tuple[str, str, str], ...]:
+        """The compose_table entries (g, f, g.f) with neither g nor f an
+        identity, in table order.  On a valid category the identity laws
+        settle the other entries for any functor that preserves identities,
+        so a validator that checks identities first need only scan these."""
+        ids = set(self.identities.values())
+        return tuple((g, f, h) for (g, f), h in self.compose_table.items()
+                     if g not in ids and f not in ids)
+
+    @cached_property
+    def _principal(self) -> dict[str, frozenset[str]]:
+        """The principal sieve of each arrow f: the arrows f.g for g into dom f."""
+        return {f: frozenset(self.compose(f, g) for g in self.arrows_into(d))
+                for f, (d, _) in self.arrows.items()}
 
     # validation
 
@@ -370,7 +388,7 @@ class FinFunctor:
         for x in self.source.objects:
             if self.on_arrows[self.source.id_of(x)] != self.target.id_of(self.on_objects[x]):
                 raise InvalidTable(f"identity on {x!r} not preserved")
-        for (g, f), h in self.source.compose_table.items():
+        for g, f, h in self.source._proper_composites:
             if self.target.compose(self.on_arrows[g], self.on_arrows[f]) != self.on_arrows[h]:
                 raise InvalidTable(f"composition not preserved on ({g!r}, {f!r})")
 
@@ -453,7 +471,7 @@ class _SetValued:
             if any(self.on_arrows[i][x] != x for x in self.on_objects[c]):
                 raise InvalidTable(f"identity on {c!r} does not act as identity")
         acts_from = 1 if self._contravariant else 0  # the end of (dom, cod) f acts from
-        for (f, g), fg in self.base.compose_table.items():
+        for f, g, fg in self.base._proper_composites:
             # f.g acts as f and then g on a presheaf, as g and then f on a set functor
             first, then = (f, g) if self._contravariant else (g, f)
             for x in self.on_objects[self.base.arrows[first][acts_from]]:

@@ -65,12 +65,19 @@ class CatPresheaf:
             if fun.source != self.on_objects[c] or fun.target != self.on_objects[d]:
                 raise InvalidTable(f"action of {f!r} has wrong endpoints")
             fun.validate()
+        # the functors have the right endpoints and are total, so they are
+        # compared by their tables
         for c in self.base.objects:
-            if self.on_arrows[self.base.id_of(c)] != identity_functor(self.on_objects[c]):
+            fun = self.on_arrows[self.base.id_of(c)]
+            if any(x != y for x, y in fun.on_objects.items()) or \
+               any(u != v for u, v in fun.on_arrows.items()):
                 raise InvalidTable(f"identity on {c!r} does not act as the identity functor")
-        for (f, g), fg in self.base.compose_table.items():
+        for f, g, fg in self.base._proper_composites:
             # f: d -> c, g: e -> d; F(f.g) = F(g) . F(f) on the nose
-            if self.on_arrows[fg] != compose_functors(self.on_arrows[g], self.on_arrows[f]):
+            first, then, both = self.on_arrows[f], self.on_arrows[g], self.on_arrows[fg]
+            if any(both.on_objects[x] != then.on_objects[y]
+                   for x, y in first.on_objects.items()) or \
+               any(both.on_arrows[u] != then.on_arrows[v] for u, v in first.on_arrows.items()):
                 raise InvalidTable(f"strict functoriality fails on composite ({f!r}, {g!r})")
 
 

@@ -4,6 +4,9 @@ construction.
 On a finite category the covering sieves at c are exactly the sieves that
 contain one least cover M_c = ∩ J(c), and f*M_c ⊇ M_d for f: d -> c;
 `GrothTopology.minimal` derives M_c from a covers table once per topology.
+A set of arrows into c is a sieve iff it holds the principal sieve
+{f.g : g into dom f} of each of its arrows f; the category caches those,
+so checking, generating and listing sieves composes no arrows.
 Topologies are entered as generating families per object; M_c is found as
 a fixpoint of the stability and transitivity axioms and the covers are the
 sieves above it, with every cover beyond the generated ones reported so
@@ -19,8 +22,10 @@ The arrow geometry of the M_c is compiled once per topology into a
 order, the compatibility triples (i, g, k) with arrows[k] = arrows[i].g,
 and for each f: d -> c the positions in M_c of f.h for h in M_d.  A
 matching family is then a tuple of values in arrow order, checked against
-the triples, restricted along f by reading positions, and compared with
-the restriction tuples of Z(c); no presheaf recomposes arrows.
+the triples whose g is no identity (Z is validated first, and Z(id) = id
+settles the others), restricted along f by reading positions, and
+compared with the restriction tuples of Z(c); no presheaf recomposes
+arrows.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
@@ -39,6 +45,7 @@ from .fincat import (
     bounded_product,
     compose_presheaf_maps,
     guard,
+    mark_valid,
     slice_arrow_name,
     slice_cat,
     validates_once,
@@ -72,7 +79,8 @@ def empty_sieve(c: str) -> Sieve:
 
 
 def sieve_generate(cat: FinCat, arrows: Iterable[str]) -> Sieve:
-    """Close a family of arrows with common codomain under precomposition."""
+    """Close a family of arrows with common codomain under precomposition:
+    the union of their principal sieves."""
     arrows = list(arrows)
     if not arrows:
         raise MixedCodomain(arrows)
@@ -83,20 +91,17 @@ def sieve_generate(cat: FinCat, arrows: Iterable[str]) -> Sieve:
     if len(cods) != 1:
         raise MixedCodomain(arrows)
     (c,) = cods
-    closed = {
-        cat.compose(f, g)
-        for f in arrows
-        for g in cat.arrows_into(cat.dom(f))
-    }
-    return Sieve(c, frozenset(closed))
+    principal = cat._principal
+    return Sieve(c, frozenset().union(*(principal[f] for f in arrows)))
 
 
 def sieve_generate_at(cat: FinCat, c: str, arrows: Iterable[str]) -> Sieve:
-    """Like sieve_generate but tolerates the empty family (empty sieve at c)."""
+    """Like sieve_generate but tolerates the empty family (empty sieve at c);
+    an unknown c raises UnknownObject whatever the family."""
+    if c not in cat.objects:
+        raise UnknownObject(c)
     arrows = list(arrows)
     if not arrows:
-        if c not in cat.objects:
-            raise UnknownObject(c)
         return empty_sieve(c)
     s = sieve_generate(cat, arrows)
     if s.at != c:
@@ -106,7 +111,8 @@ def sieve_generate_at(cat: FinCat, c: str, arrows: Iterable[str]) -> Sieve:
 
 def principal_sieves(cat: FinCat, c: str) -> list[frozenset[str]]:
     """The arrows of the sieve generated by each arrow into c."""
-    return [sieve_generate(cat, [g]).arrows for g in cat.arrows_into(c)]
+    principal = cat._principal
+    return [principal[g] for g in cat.arrows_into(c)]
 
 
 def _by_arrows(sieves: Iterable[Sieve]) -> list[Sieve]:
@@ -114,10 +120,11 @@ def _by_arrows(sieves: Iterable[Sieve]) -> list[Sieve]:
 
 
 def is_sieve(cat: FinCat, s: Sieve) -> bool:
+    """A set of arrows into s.at is a sieve iff it holds the principal sieve
+    of each of its arrows."""
+    principal = cat._principal
     return all(cat.cod(f) == s.at for f in s.arrows) and all(
-        cat.compose(f, g) in s.arrows
-        for f in s.arrows
-        for g in cat.arrows_into(cat.dom(f))
+        principal[f] <= s.arrows for f in s.arrows
     )
 
 
@@ -151,11 +158,20 @@ class SievePlan:
     compatibility triples: (i, g, k) for every arrows[i] and every g into
     its domain, identities included, with arrows[k] = arrows[i].g.  A
     family over the sieve is a tuple t of values in arrow order, and it is
-    compatible iff t[k] = Z(g)(t[i]) for every triple."""
+    compatible iff t[k] = Z(g)(t[i]) for every triple.
+
+    ``checks`` keeps the triples whose g is no identity: on a presheaf
+    Z(id) = id, so an identity triple (i, id, i) holds for every t.  The
+    test is on g, not on i != k: for an idempotent e with f.e = f the
+    triple (i, e, i) is a real check.  ``triples`` stays whole for the
+    pseudo-functorial data (descent data, Cat-valued stacks), where the
+    iso at an identity is data, and for validating a family against a
+    presheaf that is not known to be valid."""
 
     arrows: tuple[str, ...]
     doms: tuple[str, ...]
     triples: tuple[tuple[int, str, int], ...]
+    checks: tuple[tuple[int, str, int], ...]
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
@@ -169,17 +185,27 @@ def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
             if k is None:
                 raise InvalidTable(f"{f!r}.{g!r} leaves the sieve at {s.at!r}")
             triples.append((i, g, k))
-    return SievePlan(arrows, doms, tuple(triples))
+    checks = tuple(t for t in triples if not cat.is_identity(t[1]))
+    return SievePlan(arrows, doms, tuple(triples), checks)
 
 
 @dataclass(frozen=True)
 class RestrictionPlan:
     """The sieve plan of each least cover M_c, and for each arrow f: d -> c
-    the positions in M_c of f.h for h in M_d, in M_d's arrow order: a
-    family t on M_c restricts along f to tuple(t[i] for i in restrict[f])."""
+    a reader of the positions in M_c of f.h for h in M_d, in M_d's arrow
+    order: a family t on M_c restricts along f to restrict[f](t), the
+    tuple of t at those positions."""
 
     covers: Mapping[str, SievePlan]
-    restrict: Mapping[str, tuple[int, ...]]
+    restrict: Mapping[str, Callable[[tuple], tuple]]
+
+
+def _reader(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """t -> tuple(t[i] for i in positions) as one itemgetter call; a slice
+    keeps the result a tuple for fewer than two positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _restriction_plan(j: "GrothTopology") -> RestrictionPlan:
@@ -189,7 +215,7 @@ def _restriction_plan(j: "GrothTopology") -> RestrictionPlan:
     covers = {c: sieve_plan(cat, m) for c, m in j.minimal.items()}
     position = {c: {f: i for i, f in enumerate(p.arrows)} for c, p in covers.items()}
     restrict = {
-        f: tuple(position[c][cat.compose(f, h)] for h in covers[d].arrows)
+        f: _reader(tuple(position[c][cat.compose(f, h)] for h in covers[d].arrows))
         for f, (d, c) in cat.arrows.items()
     }
     return RestrictionPlan(covers, restrict)
@@ -360,17 +386,17 @@ def _axioms_on_least_covers(j: GrothTopology) -> bool:
 
 
 def representable_presheaf(cat: FinCat, b: str) -> SetPresheaf:
-    """Hom(-, b) as a finite-set-valued presheaf."""
+    """Hom(-, b) as a finite-set-valued presheaf, valid because cat is."""
     if b not in cat.objects:
         raise UnknownObject(b)
-    return SetPresheaf(
+    return mark_valid(SetPresheaf(
         cat,
         {d: cat.hom(d, b) for d in cat.objects},
         {
             f: {g: cat.compose(g, f) for g in cat.hom(c, b)}
             for f, (d, c) in cat.arrows.items()
         },
-    )
+    ))
 
 
 def subcanonical_check(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
@@ -434,15 +460,17 @@ class MatchingFamily:
 def matching_families(Z: SetPresheaf, s: Sieve,
                       bound: int = DEFAULT_BOUND) -> list[MatchingFamily]:
     """All compatible assignments over the sieve."""
+    Z.validate()
     p = sieve_plan(Z.base, s)
     return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in _families(Z, p, bound)]
 
 
 def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
     """The matching families on p's sieve as value tuples in arrow order,
-    in the order of the product of the value pools."""
+    in the order of the product of the value pools.  Only p.checks are
+    compared: Z is valid, so Z(id) = id settles the identity triples."""
     pools = [Z.on_objects[d] for d in p.doms]
-    checks = [(i, Z.on_arrows[g], k) for i, g, k in p.triples]
+    checks = [(i, Z.on_arrows[g], k) for i, g, k in p.checks]
     out = []
     for t in bounded_product("matching_families", pools, bound):
         for i, z_g, k in checks:
@@ -487,6 +515,7 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     restrict to it, counted once over Z(c)."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
+    Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
         amalgamated: dict[tuple[str, ...], int] = {}
@@ -514,32 +543,42 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     The colimit over the covers at c has a terminal stage at M_c = ∩ J(c),
     so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
     in sorted family order.  A family restricts along f: d -> c through
-    f*M_c ⊇ M_d, by the positions the plan holds for f.  A raw j that is no
-    topology raises AxiomViolation (see GrothTopology.minimal).
+    f*M_c ⊇ M_d, by the positions the plan holds for f; along an identity
+    it stays put.  The labels' string order, which orders Z+(c), is their
+    numeric order up to q9.  A raw j that is no topology raises
+    AxiomViolation (see GrothTopology.minimal).
     """
     cat = Z.base
     if cat != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
+    Z.validate()
     plan = j.plan
     labels: dict[str, dict[tuple[str, ...], str]] = {}
     families: dict[str, list[tuple[str, tuple[str, ...]]]] = {}  # (q, family) by label
     for c, p in plan.covers.items():
-        labels[c] = {t: f"q{i}" for i, t in enumerate(sorted(_families(Z, p, bound)))}
-        families[c] = sorted((q, t) for t, q in labels[c].items())
+        found = sorted(_families(Z, p, bound))
+        labels[c] = {t: f"q{i}" for i, t in enumerate(found)}
+        families[c] = list(zip(labels[c].values(), found))
+        if len(found) > 10:  # q10 sorts before q2
+            families[c].sort()
     sections = {c: tuple(q for q, _ in families[c]) for c in cat.objects}
-
-    def restrict(f: str, d: str, c: str) -> dict[str, str]:
-        at_d, positions = labels[d], plan.restrict[f]
-        return {q: at_d[tuple(map(t.__getitem__, positions))] for q, t in families[c]}
-
-    on_arrows = {f: restrict(f, d, c) for f, (d, c) in cat.arrows.items()}
-    presheaf = SetPresheaf(cat, sections, on_arrows)
-    unit = PresheafMap(Z, presheaf, {
+    identities = cat.identities
+    on_arrows: dict[str, dict[str, str]] = {}
+    for f, (d, c) in cat.arrows.items():
+        if not families[c]:
+            on_arrows[f] = {}
+        elif d == c and identities[c] == f:
+            on_arrows[f] = {q: q for q in sections[c]}
+        else:
+            at_d, read = labels[d], plan.restrict[f]
+            on_arrows[f] = {q: at_d[read(t)] for q, t in families[c]}
+    # valid because restricting along f then g reads family[f.g.h], as f.g does
+    presheaf = mark_valid(SetPresheaf(cat, sections, on_arrows))
+    unit = mark_valid(PresheafMap(Z, presheaf, {
         c: dict(zip(Z.on_objects[c],
                     map(labels[c].__getitem__, _restrictions(Z, plan.covers[c], c))))
         for c in cat.objects
-    })
-    # valid because restricting along f then g reads family[f.g.h], as f.g does
+    }))
     return PlusConstruction(presheaf, unit)
 
 

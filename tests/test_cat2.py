@@ -1,5 +1,6 @@
 import pytest
 
+from category_strategies import idempotent_monoid
 from map_oracle import (
     check_comma_universal,
     enumerate_setfunctor_maps,
@@ -201,6 +202,26 @@ def test_lax_limit_lift_matches_comma_recipe():
             target = transport(p, e, f)
             # comma recipe: the new filler is f . al
             assert cone.filler.components[target] == CHAIN3.compose(f, al)
+
+
+def test_lax_limit_certificate_matches_the_lift_scan():
+    omegas = [identity_functor(PT)] + [
+        FinFunctor(PT, cat, {"*": x}, {"id_*": f"id_{x}"})
+        for cat in (WA, CHAIN3) for x in cat.objects
+    ]
+    for omega in omegas:
+        p, cone = lax_limit_of_arrow(omega)
+        scanned = certify_dopf(cone.right_leg)
+        assert (p.p, p.lifts, p.fibres) == (scanned.p, scanned.lifts, scanned.fibres)
+
+
+def test_lax_limit_needs_the_point_category_as_source():
+    # a second endomorphism e of * would give (*, a, id_a) two lifts of id_a
+    omega = FinFunctor(idempotent_monoid(), WA, {"*": "a"}, {"id_*": "id_a", "e": "id_a"})
+    with pytest.raises(NotOpfibration):
+        certify_dopf(comma(omega, identity_functor(WA)).right_leg)
+    with pytest.raises(InvalidTable):
+        lax_limit_of_arrow(omega)
 
 
 def test_fiber_functor_of_identity_is_constant_singleton():

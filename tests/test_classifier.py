@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from category_strategies import generated_categories, small_monoids
 import classifier_oracle
 from classifier_oracle import classify_via_hom_enumeration
 from map_oracle import enumerate_presheaf_maps, fib_iso_cat, presheaf_iso
@@ -567,45 +568,6 @@ def test_omega_search_leaves_reject_maps_unnatural_in_x():
     assert unnatural > 0
 
 
-@st.composite
-def generated_categories(draw):
-    """A random poset, or the free category on a random DAG, with at most 4
-    objects; a DAG may carry parallel generators and paths, so its hom-sets
-    need not be thin."""
-    n = draw(st.integers(1, 4))
-    objs = [f"o{i}" for i in range(n)]
-    pairs = [(objs[i], objs[k]) for i in range(n) for k in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
-    if draw(st.booleans()):
-        return poset_category(objs, edges)
-    return fincat.free_category(objs, {f"g{i}": e for i, e in enumerate(edges)})
-
-
-@st.composite
-def small_monoids(draw):
-    """The one-object category of the monoid of self-maps of a set of at
-    most 3 points that 1 or 2 random maps generate: its endomorphisms need
-    not be invertible.  A map is named by its table, m201 for 0->2, 1->0,
-    2->1; the identity is id_*."""
-    n = draw(st.integers(1, 3))
-    maps = st.tuples(*[st.integers(0, n - 1)] * n)
-    gens = draw(st.lists(maps, min_size=1, max_size=2))
-    ident = tuple(range(n))
-    elems, frontier = {ident}, [ident]
-    while frontier:
-        m = frontier.pop()
-        for g in gens:
-            gm = tuple(g[i] for i in m)
-            if gm not in elems:
-                elems.add(gm)
-                frontier.append(gm)
-    names = {e: "id_*" if e == ident else "m" + "".join(map(str, e)) for e in elems}
-    compose = {(names[g], names[f]): names[tuple(g[i] for i in f)]
-               for g in elems for f in elems}
-    return fincat.build_category(["*"], {name: ("*", "*") for name in names.values()},
-                                 {"*": "id_*"}, compose)
-
-
 def draw_presheaf_and_functors(cat, data):
     """A representable, terminal or constant walking-arrow presheaf F on cat,
     the object c a representable is drawn at, and two set functors on the
@@ -685,6 +647,8 @@ def test_constructions_never_scan_for_lifts(monkeypatch):
     assert mods
     for mod in mods:
         gamma_mod(mod)
+    for x in OS.objects:
+        cat2.lax_limit_of_arrow(fincat.FinFunctor(PT, OS, {"*": x}, {"id_*": OS.id_of(x)}))
     assert scans == []
     # the wrapper sees the scans that do run
     certify_dopf_pre(phi.s)

@@ -237,6 +237,24 @@ def test_unknown_arrow_in_a_sieve_exits_three_naming_it(tmp_path, kind):
     assert res.stderr == f"error: line {line}: unknown arrow 'zz'\n"
 
 
+UNKNOWN_OBJECT_BLOCKS = {
+    "raw-sieve": ("topology J on C raw\n  sieve zz : u\nend\n", 7),
+    "sieve-arrows": ("sieve S on C at zz\n  arrows u\nend\n", 6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNKNOWN_OBJECT_BLOCKS))
+def test_unknown_object_of_a_sieve_exits_three_naming_it(tmp_path, kind):
+    # a non-empty family at an unknown object is no codomain clash
+    block, line = UNKNOWN_OBJECT_BLOCKS[kind]
+    path = tmp_path / "unknown_object.site"
+    path.write_text("category C freely-generate\n  objects a b\n  arrow u : a -> b\nend\n\n"
+                    + block)
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stderr == f"error: line {line}: unknown object 'zz'\n"
+
+
 def test_char_output_parses_against_input_document(tmp_path):
     src = os.path.join(FIXTURES, "Pointed.site")
     out = tmp_path / "char_tables.site"

@@ -4,10 +4,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import site_oracle
 import stack_oracle
+from category_strategies import idempotent_monoid, small_monoids
 from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
 from test_cli import child_env
 from tck import site
@@ -26,6 +27,7 @@ from tck.errors import AxiomViolation, InvalidTable, MixedCodomain
 from tck.fincat import (
     DEFAULT_BOUND,
     FinCat,
+    SetPresheaf,
     constant_presheaf,
     delta1,
     slice_arrow_name,
@@ -43,6 +45,7 @@ from tck.site import (
     matching_families,
     maximal_sieve,
     plus,
+    principal_sieves,
     pullback_sieve,
     representable_presheaf,
     sheafify,
@@ -486,6 +489,51 @@ def test_sheafify_yields_a_sheaf_and_is_idempotent_on_generated_topologies(data)
     assert sheafify(sh.presheaf, topo).unit.is_iso(), name
 
 
+def assert_plan_kernels_equal_the_oracle(Z, j):
+    """The plan-based sheaf reports, plus and sheafify equal the composing
+    oracle's, tables, labels, section order and units included, and the
+    plans' checks are their triples less one identity triple per arrow."""
+    cat = j.base
+    for p in j.plan.covers.values():
+        identity_triples = tuple((i, cat.id_of(d), i) for i, d in enumerate(p.doms))
+        assert sorted(p.checks + identity_triples) == sorted(p.triples)
+    assert (is_sheaf(Z, j).ok, is_separated(Z, j).ok) == sheaf_verdicts(Z, j)
+    assert is_sheaf(Z, j) == site_oracle.is_sheaf(Z, j)
+    assert is_separated(Z, j) == site_oracle.is_separated(Z, j)
+    first = site_oracle.plus(Z, j)
+    second = site_oracle.plus(first.presheaf, j)
+    sh = sheafify(Z, j)
+    for got, expected in ((sh.first, first), (sh.second, second)):
+        assert got == expected
+        assert list(got.presheaf.on_objects.items()) == \
+            list(expected.presheaf.on_objects.items())
+
+
+def test_plan_kernels_equal_the_oracle_on_the_idempotent_site():
+    # M_* = {e} and e.e = e: the triple (e, e, e) compares a family with
+    # itself, and is a real check
+    j, _ = topology_from_generators(idempotent_monoid(), {"*": [["e"]]})
+    assert j.minimal["*"].arrows == {"e"}
+    zs = presheaf_corpus(j.base, 12)
+    assert len(zs) >= 12
+    for Z in zs:
+        assert_plan_kernels_equal_the_oracle(Z, j)
+    assert 0 < sum(is_sheaf(Z, j).ok for Z in zs) < len(zs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_monoids(), st.data())
+def test_plan_kernels_equal_the_oracle_on_generated_monoids(cat, data):
+    into = sorted(cat.arrows_into("*"))
+    gens = data.draw(st.lists(st.lists(st.sampled_from(into), max_size=3), max_size=2))
+    j, _ = topology_from_generators(cat, {"*": gens})
+    Z = draw_presheaf(data, cat)
+    # the oracles filter every assignment over every cover, of Z and of Z+
+    assume(len(Z.on_objects["*"]) ** len(into) <= 4096)
+    assume(len(plus(Z, j).presheaf.on_objects["*"]) ** len(j.minimal["*"].arrows) <= 4096)
+    assert_plan_kernels_equal_the_oracle(Z, j)
+
+
 def test_transport_plus_iso_on_slices():
     # f*(Z+) and (f*Z)+ agree along the canonical transport for slice data
     from tck.fincat import reindex_slice_presheaf
@@ -661,6 +709,41 @@ def test_sheaf_checks_and_sheafify_compose_no_arrows_once_the_plan_exists(monkey
     assert composed == []
     assert len(built) == 1 + len(slices)
     assert 0 < sheaves < 24
+
+
+def test_sieve_operations_compose_no_arrows_once_the_principal_table_exists(monkeypatch):
+    j = powerset_site(4)
+    cat = j.base
+    assert len(cat._principal) == 81
+    composed = []
+    compose = FinCat.compose
+    monkeypatch.setattr(FinCat, "compose",
+                        lambda self, g, f: composed.append((g, f)) or compose(self, g, f))
+    for c in cat.objects:
+        into = cat.arrows_into(c)
+        assert set().union(*principal_sieves(cat, c)) == set(into)
+        assert sieve_generate(cat, into) == maximal_sieve(cat, c)
+        assert all(is_sieve(cat, s) for s in j.covers[c])
+        assert is_sieve(cat, Sieve(c, frozenset({cat.id_of(c)}))) == (len(into) == 1)
+    assert composed == []
+
+
+def test_matching_families_never_read_an_identity_action():
+    j = powerset_site(4)
+    cat = j.base
+    looked = []
+
+    class Recording(dict):
+        def __getitem__(self, f):
+            looked.append(f)
+            return dict.__getitem__(self, f)
+
+    for Z in presheaf_corpus(cat, 0)[:24]:
+        W = SetPresheaf(cat, Z.on_objects, Recording(Z.on_arrows))
+        for p in j.plan.covers.values():
+            site._families(W, p, DEFAULT_BOUND)
+    assert looked
+    assert not [f for f in looked if cat.is_identity(f)]
 
 
 def test_k5_powerset_topology_validates_under_default_bound():

@@ -15,6 +15,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from category_strategies import generated_categories, small_monoids
 from tck import cat2, classifier, fincat, prestack, site
 from tck.classifier import (
     char,
@@ -39,7 +40,7 @@ from tck.corpus import (
     setfunctor_corpus,
     walking_arrow,
 )
-from tck.errors import InvalidTable
+from tck.errors import InvalidTable, TckError
 from tck.fincat import FinCat, SetPresheaf, postcompose, slice_cat
 from tck.prestack import (
     DiscOpfibPre,
@@ -275,6 +276,9 @@ def test_outputs_of_public_constructors_validate(data):
     for mod in enumerate_omega_modifications(z, char(psi))[:3]:
         outputs += [mod, gamma_mod(mod)]
     outputs.append(find_omega_iso(char(classify(w)), w))
+    outputs += [*z.object_part.values(), site.representable_presheaf(B, c)]
+    outputs.append(cat2.lax_limit_of_arrow(
+        fincat.FinFunctor(fincat.point_category(), B, {"*": c}, {"id_*": B.id_of(c)}))[0])
     if F == representable(B, c):
         Zc = j_inverse(phi)
         outputs += [Zc, j_forward(B, c, Zc)]
@@ -291,3 +295,161 @@ def test_outputs_of_public_constructors_validate(data):
     outputs += [sh.presheaf, sh.unit, sh.first.presheaf, sh.first.unit, sh.second.unit]
     for x in outputs:
         check_output(x)
+
+
+# -- validators skip the composable pairs an identity settles --------------------------
+
+
+def functor_by_definition(F) -> None:
+    """FinFunctor.validate over every composable pair."""
+    S, T = F.source, F.target
+    if set(F.on_objects) != set(S.objects):
+        raise InvalidTable("functor object map is not total")
+    if set(F.on_arrows) != set(S.arrows):
+        raise InvalidTable("functor arrow map is not total")
+    for x, y in F.on_objects.items():
+        if y not in T.objects:
+            raise InvalidTable(f"object image {y!r} not in target")
+    for f, m in F.on_arrows.items():
+        d, c = S.arrows[f]
+        if m not in T.arrows or T.arrows[m] != (F.on_objects[d], F.on_objects[c]):
+            raise InvalidTable(f"arrow image {m!r} of {f!r} missing or has wrong endpoints")
+    for x in S.objects:
+        if F.on_arrows[S.id_of(x)] != T.id_of(F.on_objects[x]):
+            raise InvalidTable(f"identity on {x!r} not preserved")
+    for (g, f), h in S.compose_table.items():
+        if T.compose(F.on_arrows[g], F.on_arrows[f]) != F.on_arrows[h]:
+            raise InvalidTable(f"composition not preserved on ({g!r}, {f!r})")
+
+
+def set_valued_by_definition(Z) -> None:
+    """SetPresheaf/FinSetFunctor.validate over every composable pair."""
+    B, letter = Z.base, Z._letter
+    if set(Z.on_objects) != set(B.objects):
+        raise InvalidTable(f"{Z._what} object table is not total")
+    for c, elems in Z.on_objects.items():
+        if len(set(elems)) != len(elems) or tuple(sorted(elems)) != tuple(elems):
+            raise InvalidTable(f"element table at {c!r} must be sorted and duplicate-free")
+    if set(Z.on_arrows) != set(B.arrows):
+        raise InvalidTable(f"{Z._what} arrow table is not total")
+    for f, fun in Z.on_arrows.items():
+        src, tgt = Z._ends(f)
+        if set(fun) != set(Z.on_objects[src]):
+            raise InvalidTable(f"action of {f!r} not defined on all of {letter}({src!r})")
+        for x, y in fun.items():
+            if y not in Z.on_objects[tgt]:
+                raise InvalidTable(f"action of {f!r} sends {x!r} outside {letter}({tgt!r})")
+    for c in B.objects:
+        if any(Z.on_arrows[B.id_of(c)][x] != x for x in Z.on_objects[c]):
+            raise InvalidTable(f"identity on {c!r} does not act as identity")
+    for (f, g), fg in B.compose_table.items():
+        first, then = (f, g) if Z._contravariant else (g, f)
+        for x in Z.on_objects[B.arrows[first][1 if Z._contravariant else 0]]:
+            if Z.on_arrows[fg][x] != Z.on_arrows[then][Z.on_arrows[first][x]]:
+                raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
+
+
+def cat_presheaf_by_definition(F) -> None:
+    """CatPresheaf.validate over every composable pair, comparing functors."""
+    B = F.base
+    if set(F.on_objects) != set(B.objects):
+        raise InvalidTable("cat presheaf object table is not total")
+    if set(F.on_arrows) != set(B.arrows):
+        raise InvalidTable("cat presheaf arrow table is not total")
+    for cat in F.on_objects.values():
+        cat.validate()
+    for f, (d, c) in B.arrows.items():
+        fun = F.on_arrows[f]
+        if fun.source != F.on_objects[c] or fun.target != F.on_objects[d]:
+            raise InvalidTable(f"action of {f!r} has wrong endpoints")
+        functor_by_definition(fun)
+    for c in B.objects:
+        if F.on_arrows[B.id_of(c)] != fincat.identity_functor(F.on_objects[c]):
+            raise InvalidTable(f"identity on {c!r} does not act as the identity functor")
+    for (f, g), fg in B.compose_table.items():
+        if F.on_arrows[fg] != fincat.compose_functors(F.on_arrows[g], F.on_arrows[f]):
+            raise InvalidTable(f"strict functoriality fails on composite ({f!r}, {g!r})")
+
+
+def outcome(check, x):
+    try:
+        check(x)
+    except TckError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def mutation_sites(cat, data) -> list[str]:
+    """One or two arrows to mutate the action of, mostly non-identities:
+    a changed identity fails the identity check before any composite."""
+    proper = sorted(f for f in cat.arrows if not cat.is_identity(f))
+    pool = proper if proper and data.draw(st.integers(0, 3)) else sorted(cat.arrows)
+    return data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+
+
+def redraw(data, pool, old):
+    """A value from pool, other than old when pool has another."""
+    others = [x for x in pool if x != old]
+    return data.draw(st.sampled_from(others)) if others else old
+
+
+def mutated_functor(cat, data):
+    """The identity functor on cat with one or two arrow images redrawn,
+    mostly among the arrows parallel to the old image."""
+    on_arrows = {f: f for f in cat.arrows}
+    for f in mutation_sites(cat, data):
+        pool = cat.hom(*cat.arrows[f]) if data.draw(st.integers(0, 3)) else sorted(cat.arrows)
+        on_arrows[f] = redraw(data, pool, f)
+    return fincat.FinFunctor(cat, cat, {x: x for x in cat.objects}, on_arrows)
+
+
+def mutated_set_valued(Z, data):
+    """Z with one or two values of its arrow actions redrawn in their targets."""
+    on_arrows = {f: dict(t) for f, t in Z.on_arrows.items()}
+    for f in mutation_sites(Z.base, data):
+        src, tgt = Z._ends(f)
+        if Z.on_objects[src]:
+            x = data.draw(st.sampled_from(Z.on_objects[src]))
+            on_arrows[f][x] = redraw(data, Z.on_objects[tgt], on_arrows[f][x])
+    return type(Z)(Z.base, Z.on_objects, on_arrows)
+
+
+def mutated_cat_presheaf(F, data):
+    """F with one or two actions replaced by a constant functor."""
+    on_arrows = dict(F.on_arrows)
+    for f in mutation_sites(F.base, data):
+        d, c = F.base.arrows[f]
+        src, tgt = F.on_objects[c], F.on_objects[d]
+        if tgt.objects:
+            y = data.draw(st.sampled_from(tgt.objects))
+            on_arrows[f] = fincat.FinFunctor(src, tgt, {x: y for x in src.objects},
+                                             {u: tgt.id_of(y) for u in src.arrows})
+    return prestack.CatPresheaf(F.base, F.on_objects, on_arrows)
+
+
+def discrete_image(Z):
+    """A presheaf Z, valid or not, as a Cat-valued presheaf of discrete
+    categories, as prestack.discrete_presheaf builds it from a valid one:
+    it fails strict functoriality where Z fails functoriality."""
+    cats = {c: fincat.discrete_category(xs) for c, xs in Z.on_objects.items()}
+    return prestack.CatPresheaf(Z.base, cats, {
+        f: fincat.FinFunctor(cats[c], cats[d], dict(Z.on_arrows[f]),
+                             {f"id_{x}": f"id_{y}" for x, y in Z.on_arrows[f].items()})
+        for f, (d, c) in Z.base.arrows.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generated_categories(), small_monoids()), st.data())
+def test_validators_raise_what_a_scan_of_every_composable_pair_raises(cat, data):
+    # the identity checks run first and settle every pair with an identity
+    # in it, so skipping those pairs never changes the first failure
+    F = mutated_functor(cat, data)
+    assert outcome(fincat.FinFunctor.validate, F) == outcome(functor_by_definition, F)
+    Z, A = (mutated_set_valued(data.draw(st.sampled_from(corpus(cat, 6))), data)
+            for corpus in (presheaf_corpus, setfunctor_corpus))
+    for X in (Z, A):
+        assert outcome(type(X).validate, X) == outcome(set_valued_by_definition, X)
+    G = mutated_cat_presheaf(data.draw(st.sampled_from(catpresheaf_corpus(cat, 4))), data)
+    for G in (G, discrete_image(Z)):
+        assert outcome(prestack.CatPresheaf.validate, G) == \
+            outcome(cat_presheaf_by_definition, G)
