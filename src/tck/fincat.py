@@ -589,13 +589,16 @@ def delta1(base: FinCat) -> SetPresheaf:
 
 
 def reindex_slice_presheaf(cat: FinCat, f: str, Z: SetPresheaf) -> SetPresheaf:
-    """Precompose Z on slice(C, cod f) with postcompose(f); lands on slice(C, dom f)."""
+    """Precompose Z on slice(C, cod f) with postcompose(f); lands on
+    slice(C, dom f).  Z after a functor is valid when Z is, so the result
+    carries Z's validity record."""
     sl_d, objects, arrows = _postcomposition(cat, f)
-    return SetPresheaf(
+    out = SetPresheaf(
         sl_d,
         {g: Z.on_objects[fg] for g, fg in objects},
         {a: Z.on_arrows[b] for a, b in arrows},
     )
+    return mark_valid(out) if "_valid" in Z.__dict__ else out
 
 
 def reindex_slice_components(cat: FinCat, f: str,

@@ -2,20 +2,24 @@
 construction.
 
 On a finite category the covering sieves at c are exactly the sieves that
-contain one least cover M_c = ∩ J(c), and f*M_c ⊇ M_d for f: d -> c;
-`GrothTopology.minimal` derives M_c from a covers table once per topology.
-A set of arrows into c is a sieve iff it holds the principal sieve
-{f.g : g into dom f} of each of its arrows f; the category caches those,
-so checking, generating and listing sieves composes no arrows.
-Topologies are entered as generating families per object; M_c is found as
-a fixpoint of the stability and transitivity axioms and the covers are the
-sieves above it, with every cover beyond the generated ones reported so
-nothing covers silently.  A raw covers table is validated on the M_c, and
-every cover and sieve is visited only to list the counterexamples of a
-table that fails.  The sheaf conditions and the plus construction take the
-matching families on M_c, the terminal stage of the colimit over covering
-sieves: Z is a sheaf (separated) iff Z(c) -> Match(M_c, Z) is a bijection
-(an injection) at every c.
+contain one least cover M_c = ∩ J(c), and f*M_c ⊇ M_d for f: d -> c.  So
+every topology tck builds is held as its M_c (`GrothTopology.from_minimal`:
+generated, trivial and slice topologies), and its `covers` lists the
+sieves above M_c only when read.  A raw covers table, as `raw` document
+blocks give, keeps its table and derives M_c from it.
+`GrothTopology.minimal` is the one place that checks the axioms, once per
+topology and in polynomial time: on a raw table it also checks that each
+cover is a sieve and that J(c) is closed under adding a principal sieve,
+and every cover and sieve is visited only to list the counterexamples of
+a table that fails.  A set of arrows into c is a sieve iff it holds the
+principal sieve {f.g : g into dom f} of each of its arrows f; the
+category caches those, so checking, generating and listing sieves
+composes no arrows.  Topologies are entered as generating families per
+object; M_c is found as a fixpoint of the stability and transitivity
+axioms, and a slice topology lifts M_dom f.  The sheaf conditions and the
+plus construction take the matching families on M_c, the terminal stage
+of the colimit over covering sieves: Z is a sheaf (separated) iff
+Z(c) -> Match(M_c, Z) is a bijection (an injection) at every c.
 
 The arrow geometry of the M_c is compiled once per topology into a
 `RestrictionPlan` (`GrothTopology.plan`): each M_c's arrows in sorted
@@ -224,28 +228,90 @@ def _restriction_plan(j: "GrothTopology") -> RestrictionPlan:
 # -- topologies ---------------------------------------------------------------------
 
 
+def sieves_above(cat: FinCat, m: Sieve) -> frozenset[Sieve]:
+    """Every sieve on m.at that contains m, each reached from m by adding
+    one principal sieve at a time; SizeBound("covering_sieves") trips past
+    the default bound."""
+    principal = principal_sieves(cat, m.at)
+    seen = {m.arrows}
+    todo = [m.arrows]
+    while todo:
+        s = todo.pop()
+        for up in {s | p for p in principal} - seen:
+            seen.add(up)
+            todo.append(up)
+            guard("covering_sieves", len(seen), DEFAULT_BOUND)
+    return frozenset(Sieve(m.at, s) for s in seen)
+
+
+class _SievesAbove(Mapping):
+    """The covers of a topology held as its least covers: c -> the sieves
+    above least[c], listed on the first read of c."""
+
+    def __init__(self, cat: FinCat, least: Mapping[str, Sieve]):
+        self.cat, self.least, self.listed = cat, least, {}
+
+    def __getitem__(self, c: str) -> frozenset[Sieve]:
+        if c not in self.listed:
+            self.listed[c] = sieves_above(self.cat, self.least[c])
+        return self.listed[c]
+
+    def __iter__(self):
+        return iter(self.least)
+
+    def __len__(self) -> int:
+        return len(self.least)
+
+    def __repr__(self) -> str:
+        return f"sieves above {self.least!r}"
+
+
 @dataclass(frozen=True, eq=True)
 class GrothTopology:
     base: FinCat
     covers: Mapping[str, frozenset[Sieve]]
 
+    @classmethod
+    def from_minimal(cls, base: FinCat, minimal: Mapping[str, Sieve]) -> "GrothTopology":
+        """The topology whose covers at c are the sieves above minimal[c];
+        `minimal` checks the axioms on them, and `covers` lists them only
+        when read."""
+        return cls(base, _SievesAbove(base, dict(minimal)))
+
     @cached_property
     def minimal(self) -> dict[str, Sieve]:
-        """The least cover M_c = ∩ J(c) per object.  A raw table where M_c
-        does not cover, or f*M_c ⊉ M_d for some f: d -> c, is no topology:
-        AxiomViolation names "intersection" or "stability"."""
-        cat = self.base
+        """The least cover M_c = ∩ J(c) per object, as built or derived
+        from a raw covers table, with the axioms checked on it once.  A
+        table that is no topology raises AxiomViolation naming
+        "well-formed" (a raw cover, or a built M_c, is no sieve on c),
+        "intersection" (M_c does not cover), "stability" (f*M_c ⊉ M_d for
+        some f: d -> c) or "transitivity" (M_c ⊄ {f.h : f in M_c, h in
+        M_dom f}, or a raw J(c) misses S ∪ ↓g for a cover S).  The raw
+        checks cost a pass over the table and list no sieve."""
+        cat, covers = self.base, self.covers
+        raw = not isinstance(covers, _SievesAbove)
         minimal = {
             c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(
-                *(s.arrows for s in self.covers[c])))
+                *(s.arrows for s in covers[c]))) if raw else covers.least[c]
             for c in cat.objects
         }
         for c, m in minimal.items():
-            if m not in self.covers[c]:
+            for s in _by_arrows(covers[c]) if raw else (m,):
+                if s.at != c or not is_sieve(cat, s):
+                    raise AxiomViolation("well-formed", (c, s.sorted_arrows()))
+            if raw and m not in covers[c]:
                 raise AxiomViolation("intersection", (c, m.sorted_arrows()))
         for f, (d, c) in cat.arrows.items():
             if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
                 raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
+        for c, m in minimal.items():
+            if not m.arrows <= _composite(cat, minimal, m):
+                raise AxiomViolation("transitivity", (c, m.sorted_arrows()))
+            for s in _by_arrows(covers[c]) if raw else ():
+                for up in (Sieve(c, s.arrows | p) for p in principal_sieves(cat, c)):
+                    if up not in covers[c]:
+                        raise AxiomViolation("transitivity",
+                                             (c, up.sorted_arrows(), s.sorted_arrows()))
         return minimal
 
     @cached_property
@@ -261,31 +327,26 @@ class GrothTopology:
 
 
 def trivial_topology(cat: FinCat) -> GrothTopology:
-    return GrothTopology(cat, {c: frozenset({maximal_sieve(cat, c)}) for c in cat.objects})
+    return GrothTopology.from_minimal(cat, {c: maximal_sieve(cat, c) for c in cat.objects})
 
 
 def topology_from_generators(
-    cat: FinCat,
-    generators: Mapping[str, Iterable[Iterable[str]]],
-    bound: int = DEFAULT_BOUND,
+    cat: FinCat, generators: Mapping[str, Iterable[Iterable[str]]]
 ) -> tuple[GrothTopology, Report]:
     """The least topology in which the generated sieves cover.
 
     M_c starts as the intersection of the sieves generated at c and shrinks
     to a fixpoint of stability (M_d ∩= f*M_c for f: d -> c) and
     transitivity (M_c = {f.h : f in M_c, h in M_dom f}); the covers at c
-    are then the sieves containing M_c.  Every cover beyond the maximal and
-    the generated sieves is reported.
+    are the sieves above M_c, listed only when read.  The report notes
+    ("least-cover", c, arrows of M_c) once per object.
     """
     minimal = {c: maximal_sieve(cat, c) for c in cat.objects}
-    user: set[Sieve] = set()
     for c, fams in generators.items():
         if c not in cat.objects:
             raise UnknownObject(c)
         for fam in fams:
-            s = sieve_generate_at(cat, c, fam)
-            minimal[c] = Sieve(c, minimal[c].arrows & s.arrows)
-            user.add(s)
+            minimal[c] = Sieve(c, minimal[c].arrows & sieve_generate_at(cat, c, fam).arrows)
     changed = True
     while changed:
         changed = False
@@ -295,51 +356,41 @@ def topology_from_generators(
                 minimal[d] = Sieve(d, minimal[d].arrows & pulled.arrows)
                 changed = True
         for c, m in minimal.items():
-            composite = frozenset(
-                cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows
-            )
+            composite = _composite(cat, minimal, m)
             if composite != m.arrows:
                 minimal[c] = Sieve(c, composite)
                 changed = True
-    covers = {}
-    total = 0
-    for c, m in minimal.items():
-        # every sieve above M_c is reached by adding one principal sieve at a time
-        principal = principal_sieves(cat, c)
-        seen = {m.arrows}
-        todo = [m.arrows]
-        while todo:
-            s = todo.pop()
-            for up in {s | p for p in principal} - seen:
-                seen.add(up)
-                todo.append(up)
-                guard("covering_sieves", total + len(seen), bound)
-        total += len(seen)
-        covers[c] = frozenset(Sieve(c, s) for s in seen)
-    report = Report("topology_from_generators")
-    for c in sorted(covers):
-        mx = maximal_sieve(cat, c)
-        for s in _by_arrows(covers[c]):
-            if s not in user and s != mx:
-                report.note(("saturated", c, s.sorted_arrows()))
-    return GrothTopology(cat, covers), report
+    report = Report("topology_from_generators", witnesses=[
+        ("least-cover", c, m.sorted_arrows()) for c, m in sorted(minimal.items())])
+    return GrothTopology.from_minimal(cat, minimal), report
+
+
+def _composite(cat: FinCat, minimal: Mapping[str, Sieve], m: Sieve) -> frozenset[str]:
+    """{f.h : f in m, h in M_dom f}, which holds m iff transitivity does at m.at."""
+    return frozenset(cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows)
 
 
 def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     """Verify coverage, well-formedness, maximality, stability and
     transitivity.
 
-    Given maximality, j is stable and transitive iff at every object c the
-    least cover M_c = ∩ J(c) covers, J(c) is closed under adding a principal
-    sieve (so J(c) is every sieve above M_c), f*M_c ⊇ M_d for f: d -> c and
-    M_c ⊆ {f.h : f in M_c, h in M_dom f}; that is checked in polynomial time
-    with one pullback per arrow.  Only a table that fails pulls back every
-    cover and is scanned over all_sieves, which lists every counterexample.
+    j passes iff `GrothTopology.minimal` does: at every object c the least
+    cover M_c = ∩ J(c) covers, f*M_c ⊇ M_d for f: d -> c, M_c ⊆ {f.h : f in
+    M_c, h in M_dom f}, and a raw J(c) is closed under adding a principal
+    sieve (so J(c) is every sieve above M_c; maximality follows).  That
+    takes one pullback per arrow and lists no sieve.  Only a table that
+    fails pulls back every cover and is scanned over all_sieves, which
+    lists every counterexample.
     """
     cat = j.base
     report = Report("validate_topology")
     if set(j.covers) != set(cat.objects):
         return report.fail(("coverage", "covers table not total"))
+    try:
+        j.minimal
+        return report
+    except AxiomViolation:
+        pass
     for c in cat.objects:
         for s in _by_arrows(j.covers[c]):
             if s.at != c or not is_sieve(cat, s):
@@ -347,8 +398,6 @@ def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     for c in cat.objects:
         if maximal_sieve(cat, c) not in j.covers[c]:
             report.fail(("maximality", c))
-    if report.ok and _axioms_on_least_covers(j):
-        return report
     for c in cat.objects:
         for s in _by_arrows(j.covers[c]):
             for g in cat.arrows_into(c):
@@ -363,26 +412,6 @@ def validate_topology(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
                     report.fail(("transitivity", c, r.sorted_arrows(), s.sorted_arrows()))
                     break
     return report
-
-
-def _axioms_on_least_covers(j: GrothTopology) -> bool:
-    """Stability and transitivity of a well-formed covers table that holds
-    the maximal sieves, decided on the least covers M_c (see
-    validate_topology)."""
-    cat = j.base
-    try:
-        minimal = j.minimal
-    except AxiomViolation:
-        return False
-    for c in cat.objects:
-        covers = {s.arrows for s in j.covers[c]}
-        if any(s | p not in covers
-               for p in principal_sieves(cat, c) for s in covers if not p <= s):
-            return False
-    return all(
-        m.arrows <= {cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows}
-        for m in minimal.values()
-    )
 
 
 def representable_presheaf(cat: FinCat, b: str) -> SetPresheaf:
@@ -411,25 +440,18 @@ def subcanonical_check(j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
 
 def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     """The topology induced on slice(C, c): a sieve covers f iff its
-    dom-image covers dom(f) in the base.  The result is validated once and
+    dom-image covers dom(f) in the base, so M_f lifts M_dom f.  A base
+    table that is no topology raises as its `minimal` does; the result is
     cached on j."""
     hit = j._slices.get(c)
     if hit is not None:
         return hit
     cat = j.base
     sl, _ = slice_cat(cat, c)
-
-    def lift_sieve(f: str, s: Sieve) -> Sieve:
-        return Sieve(f, frozenset(slice_arrow_name(g, f) for g in s.arrows))
-
-    covers = {
-        f: frozenset(lift_sieve(f, s) for s in j.covers[cat.dom(f)]) for f in sl.objects
-    }
-    out = GrothTopology(sl, covers)
-    rep = validate_topology(out)
-    if not rep.ok:
-        raise AxiomViolation("slice-topology", (c, rep.counterexamples[0]))
-    j._slices[c] = out
+    out = j._slices[c] = GrothTopology.from_minimal(sl, {
+        f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))
+        for f in sl.objects
+    })
     return out
 
 

@@ -4,10 +4,11 @@
 here follow the definitions instead: topology generation saturates every
 candidate sieve under stability and transitivity, validation tries every
 candidate sieve against transitivity, matching families are filtered from
-every assignment, the sheaf conditions visit every matching family on
-every cover, and plus sections are the classes of (cover, family) pairs
-that agree on intersections, closed transitively.  They are slow and
-meant for small sites only.
+every assignment, a slice topology lifts every cover of dom f and is
+validated by the definitions, the sheaf conditions visit every matching
+family on every cover, and plus sections are the classes of (cover,
+family) pairs that agree on intersections, closed transitively.  They are
+slow and meant for small sites only.
 
 ``is_sheaf``, ``is_separated`` and ``plus`` work on the least covers as
 ``tck.site`` does, but without its restriction plan: families are dicts
@@ -19,10 +20,13 @@ equal ``tck.site``'s exactly, labels and counterexamples included.
 
 import itertools
 
-from tck.fincat import PresheafMap, SetPresheaf
+from tck.errors import AxiomViolation
+from tck.fincat import PresheafMap, SetPresheaf, slice_arrow_name, slice_cat
 from tck.report import Report
 from tck.site import (
+    GrothTopology,
     PlusConstruction,
+    Sieve,
     all_sieves,
     is_sieve,
     maximal_sieve,
@@ -195,3 +199,20 @@ def validate_topology(j, bound=10**6):
                     report.fail(("transitivity", c, r.sorted_arrows(), s.sorted_arrows()))
                     break
     return report
+
+
+def slice_topology(j, c):
+    """The topology induced on slice(C, c) as a raw table: every cover of
+    dom f lifted to f, then validated by the definitions."""
+    cat = j.base
+    sl, _ = slice_cat(cat, c)
+    covers = {
+        f: frozenset(Sieve(f, frozenset(slice_arrow_name(g, f) for g in s.arrows))
+                     for s in j.covers[cat.dom(f)])
+        for f in sl.objects
+    }
+    out = GrothTopology(sl, covers)
+    rep = validate_topology(out)
+    if not rep.ok:
+        raise AxiomViolation("slice-topology", (c, rep.counterexamples[0]))
+    return out

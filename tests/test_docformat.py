@@ -2,8 +2,10 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tck.docbuild import build_broken_topology_fixtures, build_shipped_fixtures
+from category_strategies import generated_categories
+from tck.docbuild import DocumentBuilder, build_broken_topology_fixtures, build_shipped_fixtures
 from tck.docformat import parse, parse_file, serialize
 from tck.errors import DanglingReference, InvariantViolation, ParseError
 
@@ -143,6 +145,45 @@ def test_round_trip_on_corpus(path):
     # serialize . parse is idempotent and byte-stable
     assert serialize(doc2) == text
     assert serialize(parse(text)) == text
+
+
+def assert_topology_round_trips(j):
+    """A built topology through a document: its covers, listed on read,
+    become raw text, which parses to a raw table with the same covers and
+    least covers and serializes to the same bytes."""
+    b = DocumentBuilder()
+    b.topology("J", j, "C")
+    text = serialize(b.doc)
+    doc = parse(text)
+    raw, _ = doc.topologies["J"]
+    assert type(raw.covers) is dict
+    assert raw.covers == dict(j.covers)
+    assert raw.minimal == j.minimal
+    assert serialize(doc) == text
+
+
+@pytest.mark.parametrize("name", sorted(build_shipped_fixtures()))
+def test_topologies_of_the_shipped_fixtures_round_trip(name):
+    from tck.site import GrothTopology
+
+    path = os.path.join(FIXTURES, f"{name}.site")
+    for j, _ in parse_file(path).topologies.values():
+        built = GrothTopology.from_minimal(j.base, j.minimal)
+        assert built == j
+        assert_topology_round_trips(built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_categories(), st.data())
+def test_generated_topologies_round_trip(cat, data):
+    from tck.site import topology_from_generators
+
+    gens = {
+        c: data.draw(st.lists(st.lists(st.sampled_from(sorted(cat.arrows_into(c))),
+                                       max_size=3), max_size=2))
+        for c in cat.objects
+    }
+    assert_topology_round_trips(topology_from_generators(cat, gens)[0])
 
 
 def test_serialize_deterministic_across_runs():

@@ -387,6 +387,23 @@ def test_reindex_is_precomposition_with_postcompose():
             assert reindex_slice_presheaf(OS, f, Z) == via_functor
 
 
+def test_reindexing_carries_the_validity_record_of_its_input():
+    # f*Z is Z after the functor postcompose(f): valid when Z is
+    from tck.corpus import open_site, presheaf_corpus
+    from tck.fincat import SetPresheaf, reindex_slice_presheaf
+
+    OS = open_site()
+    for f, (_, c) in OS.arrows.items():
+        sl_c, _ = slice_cat(OS, c)
+        for Z in presheaf_corpus(sl_c, 4):
+            fresh = SetPresheaf(Z.base, Z.on_objects, Z.on_arrows)
+            assert "_valid" not in reindex_slice_presheaf(OS, f, fresh).__dict__
+            Z.validate()
+            pulled = reindex_slice_presheaf(OS, f, Z)
+            assert "_valid" in pulled.__dict__
+            SetPresheaf(pulled.base, pulled.on_objects, pulled.on_arrows).validate()
+
+
 def _with_slices(cats):
     for cat in cats:
         yield cat

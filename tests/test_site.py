@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import site_oracle
 import stack_oracle
-from category_strategies import idempotent_monoid, small_monoids
+from category_strategies import generated_categories, idempotent_monoid, small_monoids
 from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
 from test_cli import child_env
 from tck import site
@@ -199,27 +199,72 @@ def test_broken_topologies_fail_with_named_axiom():
 
 
 def test_sheaf_checks_reject_raw_non_topologies():
-    # a raw table whose M_c does not cover, or is not stable, has no
-    # sheaf or stack condition to check, not even for delta1
+    # a raw table whose M_c does not cover, is not stable or is not
+    # transitive has no sheaf or stack condition to check, not even for
+    # delta1, and induces no slice topology
     from tck.prestack import discrete_presheaf
     from tck.stacks import check_stack
 
     def stack_check(Z, j):
         return check_stack(discrete_presheaf(j.base, Z), j)
 
+    def slice_check(Z, j):
+        return slice_topology(j, j.base.objects[-1])
+
     for build, axiom in [(broken_stability, "stability"),
-                         (broken_maximality, "intersection")]:
+                         (broken_maximality, "intersection"),
+                         (broken_transitivity, "transitivity")]:
         j = build()
-        for check in (is_sheaf, is_separated, stack_check):
+        for check in (is_sheaf, is_separated, plus, sheafify, stack_check, slice_check):
             with pytest.raises(AxiomViolation) as exc:
                 check(delta1(j.base), j)
-            assert exc.value.kind == axiom
+            assert exc.value.kind == axiom, check
+
+
+def refuse_to_list(*args):
+    raise AssertionError("sieves above a least cover listed")
+
+
+def test_a_raw_table_not_closed_upward_fails_without_listing_sieves(monkeypatch):
+    # the open-site table less the maximal sieve at T: M_T is stable and
+    # transitive, but M_T with the principal sieve of id_T added is missing
+    covers = dict(OSJ.covers)
+    covers["T"] = frozenset({joint_sieve()})
+    j = GrothTopology(OS, covers)
+    monkeypatch.setattr(site, "sieves_above", refuse_to_list)
+    with pytest.raises(AxiomViolation) as exc:
+        is_sheaf(delta1(OS), j)
+    assert exc.value.kind == "transitivity"
+    assert exc.value.witness == ("T", maximal_sieve(OS, "T").sorted_arrows(),
+                                 joint_sieve().sorted_arrows())
+    rep = validate_topology(j)
+    assert rep.counterexamples == site_oracle.validate_topology(j).counterexamples
+    assert ("maximality", "T") in rep.counterexamples
 
 
 def test_slice_topology_trivial_is_trivial():
     for c in OS.objects:
         sl, _ = slice_cat(OS, c)
         assert slice_topology(trivial_topology(OS), c) == trivial_topology(sl)
+
+
+def test_slice_topologies_equal_the_every_cover_oracle():
+    for j in (OSJ, *(powerset_site(k) for k in range(1, 5))):
+        for c in j.base.objects:
+            assert slice_topology(j, c) == site_oracle.slice_topology(j, c), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_categories(), st.data())
+def test_slice_topologies_equal_the_oracle_over_generated_categories(cat, data):
+    gens = {
+        c: data.draw(st.lists(st.lists(st.sampled_from(sorted(cat.arrows_into(c))),
+                                       max_size=3), max_size=2))
+        for c in cat.objects
+    }
+    j, _ = topology_from_generators(cat, gens)
+    for c in cat.objects:
+        assert slice_topology(j, c) == site_oracle.slice_topology(j, c), (gens, c)
 
 
 def test_slice_topology_is_valid_and_joint_cover_reappears():
@@ -648,6 +693,23 @@ def test_validate_topology_agrees_with_oracle_on_random_covers_tables(data):
     assert rep.counterexamples == expected.counterexamples
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_raw_table_that_validates_is_the_topology_above_its_least_covers(data):
+    cats = dict(bases(), square=square())
+    cat = cats[data.draw(st.sampled_from(sorted(cats)))]
+    chosen = {
+        c: data.draw(st.lists(st.sampled_from(all_sieves(cat, c)), max_size=3))
+        for c in cat.objects
+    }
+    j = raw_topology(cat, chosen, maximal=True, stable=True, upward=True)
+    assume(validate_topology(j).ok)
+    built = GrothTopology.from_minimal(j.base, j.minimal)
+    assert built == j
+    assert validate_topology(built).ok
+    assert built.minimal == j.minimal
+
+
 def powerset_site(k):
     """The opens of the discrete k-point space, U covered by its points."""
     names = {m: "p" + format(m, f"0{k}b") for m in range(2 ** k)}
@@ -750,6 +812,33 @@ def test_k5_powerset_topology_validates_under_default_bound():
     j = powerset_site(5)
     assert sum(len(v) for v in j.covers.values()) == 7581
     assert validate_topology(j, DEFAULT_BOUND).verdict == "pass"
+
+
+def test_powerset_k6_decides_every_check_without_listing_a_cover(monkeypatch):
+    # 64 objects and 729 arrows: generation, validation, the 64 slice
+    # topologies with their plans, the sheaf checks, sheafification and
+    # the stack check all read the least covers alone
+    import time
+
+    from tck.prestack import discrete_presheaf
+    from tck.stacks import check_stack
+
+    monkeypatch.setattr(site, "sieves_above", refuse_to_list)
+    start = time.monotonic()
+    j = powerset_site(6)
+    cat = j.base
+    assert (len(cat.objects), len(cat.arrows)) == (64, 729)
+    assert validate_topology(j).verdict == "pass"
+    for c in cat.objects:
+        assert slice_topology(j, c).plan is not None
+    Z = constant_presheaf(cat, ["a", "b"])
+    # the empty family covers the empty set, which Z gives two sections
+    assert is_sheaf(Z, j).verdict == "fail"
+    sh = sheafify(Z, j)
+    assert is_sheaf(sh.presheaf, j).verdict == "pass"
+    assert len(sh.presheaf.on_objects[cat.objects[-1]]) == 2 ** 6
+    assert check_stack(discrete_presheaf(cat, Z), j).verdict == "fail"
+    assert time.monotonic() - start < 10.0
 
 
 def test_validate_topology_output_does_not_depend_on_hash_seed():
