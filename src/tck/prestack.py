@@ -25,6 +25,7 @@ from .fincat import (
     compose_functors,
     discrete_category,
     identity_functor,
+    mark_valid,
     named_parts,
     point_category,
     search_setfunctor_maps,
@@ -179,7 +180,10 @@ def terminal_presheaf(base: FinCat) -> CatPresheaf:
 
 
 def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:
-    """View a SetPresheaf as a Cat-valued presheaf with discrete values."""
+    """View a SetPresheaf on base as a Cat-valued presheaf with discrete
+    values."""
+    if Z.base != base:
+        raise InvalidTable("presheaf lives on a different base")
     Z.validate()
     cats = {c: discrete_category(Z.on_objects[c]) for c in base.objects}
     on_arrows = {}
@@ -192,7 +196,7 @@ def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:
             {f"id_{x}": f"id_{table[x]}" for x in Z.on_objects[c]},
         )
     # valid because Z is: each F(f) acts on objects as Z(f) does
-    return CatPresheaf(base, cats, on_arrows)
+    return mark_valid(CatPresheaf(base, cats, on_arrows))
 
 
 def representable(base: FinCat, c: str) -> CatPresheaf:

@@ -8,13 +8,13 @@ generated, trivial and slice topologies), and its `covers` lists the
 sieves above M_c only when read.  A raw covers table, as `raw` document
 blocks give, keeps its table and derives M_c from it.
 `GrothTopology.minimal` is the one place that checks the axioms, once per
-topology and in polynomial time: on a raw table it also checks that each
-cover is a sieve and that J(c) is closed under adding a principal sieve,
-and every cover and sieve is visited only to list the counterexamples of
-a table that fails.  A set of arrows into c is a sieve iff it holds the
-principal sieve {f.g : g into dom f} of each of its arrows f; the
-category caches those, so checking, generating and listing sieves
-composes no arrows.  Topologies are entered as generating families per
+topology and in polynomial time: on a raw table it also checks that the
+table is total, that each cover is a sieve and that J(c) is closed under
+adding a principal sieve, and every cover and sieve is visited only to
+list the counterexamples of a table that fails.  A set of arrows into c
+is a sieve iff it holds the principal sieve {f.g : g into dom f} of each
+of its arrows f; the category caches those, so checking, generating and
+listing sieves composes no arrows.  Topologies are entered as generating families per
 object; M_c is found as a fixpoint of the stability and transitivity
 axioms, and a slice topology lifts M_dom f.  The sheaf conditions and the
 plus construction take the matching families on M_c, the terminal stage
@@ -29,7 +29,12 @@ matching family is then a tuple of values in arrow order, checked against
 the triples whose g is no identity (Z is validated first, and Z(id) = id
 settles the others), restricted along f by reading positions, and
 compared with the restriction tuples of Z(c); no presheaf recomposes
-arrows.
+arrows.  `compatible_families` is the one enumeration of such tuples:
+the matching families here, and in `stacks` the morphism families of
+the stack conditions and the isos of effectiveness witnesses.  A sieve
+plan also indexes the cocycle condition of descent data
+(`SievePlan.cocycles`), so checking a datum composes no arrow of the
+base.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
 from .fincat import (
@@ -170,12 +175,18 @@ class SievePlan:
     triple (i, e, i) is a real check.  ``triples`` stays whole for the
     pseudo-functorial data (descent data, Cat-valued stacks), where the
     iso at an identity is data, and for validating a family against a
-    presheaf that is not known to be valid."""
+    presheaf that is not known to be valid.
+
+    ``cocycles`` indexes the cocycle condition of such data, which hold
+    one iso per triple: (a, b, n, h) for every triple a = (i, g, k) and
+    every h into dom g, where b is the triple (k, h) and n the triple
+    (i, g.h), in the order of a and then of h."""
 
     arrows: tuple[str, ...]
     doms: tuple[str, ...]
     triples: tuple[tuple[int, str, int], ...]
     checks: tuple[tuple[int, str, int], ...]
+    cocycles: tuple[tuple[int, int, int, str], ...]
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
@@ -190,7 +201,10 @@ def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
                 raise InvalidTable(f"{f!r}.{g!r} leaves the sieve at {s.at!r}")
             triples.append((i, g, k))
     checks = tuple(t for t in triples if not cat.is_identity(t[1]))
-    return SievePlan(arrows, doms, tuple(triples), checks)
+    triple_at = {(i, g): a for a, (i, g, _) in enumerate(triples)}
+    cocycles = tuple((a, triple_at[k, h], triple_at[i, cat.compose(g, h)], h)
+                     for a, (i, g, k) in enumerate(triples) for h in cat.arrows_into(doms[k]))
+    return SievePlan(arrows, doms, tuple(triples), checks, cocycles)
 
 
 @dataclass(frozen=True)
@@ -283,12 +297,16 @@ class GrothTopology:
         """The least cover M_c = ∩ J(c) per object, as built or derived
         from a raw covers table, with the axioms checked on it once.  A
         table that is no topology raises AxiomViolation naming
+        "coverage" (the table misses an object, the first one named),
         "well-formed" (a raw cover, or a built M_c, is no sieve on c),
         "intersection" (M_c does not cover), "stability" (f*M_c ⊉ M_d for
         some f: d -> c) or "transitivity" (M_c ⊄ {f.h : f in M_c, h in
         M_dom f}, or a raw J(c) misses S ∪ ↓g for a cover S).  The raw
         checks cost a pass over the table and list no sieve."""
         cat, covers = self.base, self.covers
+        missing = sorted(set(cat.objects) - set(covers))
+        if missing:
+            raise AxiomViolation("coverage", missing[0])
         raw = not isinstance(covers, _SievesAbove)
         minimal = {
             c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(
@@ -466,17 +484,22 @@ class MatchingFamily:
 
     @validates_once
     def validate(self) -> None:
-        cat = self.presheaf.base
         if set(self.assignment) != set(self.sieve.arrows):
             raise InvalidTable("matching family not defined on exactly the sieve")
-        p = sieve_plan(cat, self.sieve)
-        t = tuple(self.assignment[f] for f in p.arrows)
-        for f, d, x in zip(p.arrows, p.doms, t):
-            if x not in self.presheaf.on_objects[d]:
-                raise InvalidTable(f"value at {f!r} outside the presheaf")
-        for i, g, k in p.triples:
-            if t[k] != self.presheaf.on_arrows[g][t[i]]:
-                raise InvalidTable(f"compatibility fails on ({p.arrows[i]!r}, {g!r})")
+        p = sieve_plan(self.presheaf.base, self.sieve)
+        check_family(self.presheaf, p, tuple(self.assignment[f] for f in p.arrows))
+
+
+def check_family(Z: SetPresheaf, p: SievePlan, t: tuple[str, ...]) -> None:
+    """Raise InvalidTable unless t, a value per arrow of p's sieve in arrow
+    order, is a matching family of Z, which need not be valid: every value
+    lies in Z over its arrow's domain, and every triple of p holds."""
+    for f, d, x in zip(p.arrows, p.doms, t):
+        if x not in Z.on_objects[d]:
+            raise InvalidTable(f"value at {f!r} outside the presheaf")
+    for i, g, k in p.triples:
+        if t[k] != Z.on_arrows[g][t[i]]:
+            raise InvalidTable(f"compatibility fails on ({p.arrows[i]!r}, {g!r})")
 
 
 def matching_families(Z: SetPresheaf, s: Sieve,
@@ -487,27 +510,44 @@ def matching_families(Z: SetPresheaf, s: Sieve,
     return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in _families(Z, p, bound)]
 
 
-def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
-    """The matching families on p's sieve as value tuples in arrow order,
-    in the order of the product of the value pools.  Only p.checks are
-    compared: Z is valid, so Z(id) = id settles the identity triples."""
-    pools = [Z.on_objects[d] for d in p.doms]
-    checks = [(i, Z.on_arrows[g], k) for i, g, k in p.checks]
+def compatible_families(what: str, pools: Sequence[Sequence],
+                        checks: Sequence[tuple[int, Mapping, int]], bound: int) -> list[tuple]:
+    """The tuples t of bounded_product(what, pools, bound), in product
+    order, with t[k] = act[t[i]] for every (i, act, k) in checks, where
+    act maps each value of pools[i]: the one enumeration of compatible
+    families, of sections, of morphisms or of isos, over a sieve plan."""
     out = []
-    for t in bounded_product("matching_families", pools, bound):
-        for i, z_g, k in checks:
-            if t[k] != z_g[t[i]]:
+    for t in bounded_product(what, pools, bound):
+        for i, act, k in checks:
+            if t[k] != act[t[i]]:
                 break
         else:
             out.append(t)
     return out
 
 
-def _restrictions(Z: SetPresheaf, p: SievePlan, c: str) -> list[tuple[str, ...]]:
+def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
+    """The matching families on p's sieve as value tuples in arrow order,
+    in the order of the product of the value pools.  Only p.checks are
+    compared: Z is valid, so Z(id) = id settles the identity triples."""
+    return compatible_families("matching_families", [Z.on_objects[d] for d in p.doms],
+                               [(i, Z.on_arrows[g], k) for i, g, k in p.checks], bound)
+
+
+def restrictions(Z: SetPresheaf, p: SievePlan, c: str) -> list[tuple[str, ...]]:
     """The family each x in Z(c) restricts to on p's sieve at c, in the
     order of Z(c)."""
     z_fs = [Z.on_arrows[f] for f in p.arrows]
     return [tuple([z_f[x] for z_f in z_fs]) for x in Z.on_objects[c]]
+
+
+def tally(items: Iterable[str], keys: Iterable[tuple]) -> dict[tuple, list[str]]:
+    """key -> the items with that key, in the order given: the sections
+    (or arrows) that restrict to each family, found in one pass."""
+    out: dict[tuple, list[str]] = {}
+    for item, key in zip(items, keys):
+        out.setdefault(key, []).append(item)
+    return out
 
 
 def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
@@ -540,11 +580,9 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
-        amalgamated: dict[tuple[str, ...], int] = {}
-        for t in _restrictions(Z, p, c):
-            amalgamated[t] = amalgamated.get(t, 0) + 1
+        by_family = tally(Z.on_objects[c], restrictions(Z, p, c))
         for t in _families(Z, p, bound):
-            n = amalgamated.get(t, 0)
+            n = len(by_family.get(t, ()))
             if fails(n):
                 return report.fail((c, p.arrows, dict(zip(p.arrows, t)), n))
     return report
@@ -598,7 +636,7 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     presheaf = mark_valid(SetPresheaf(cat, sections, on_arrows))
     unit = mark_valid(PresheafMap(Z, presheaf, {
         c: dict(zip(Z.on_objects[c],
-                    map(labels[c].__getitem__, _restrictions(Z, plan.covers[c], c))))
+                    map(labels[c].__getitem__, restrictions(Z, plan.covers[c], c))))
         for c in cat.objects
     }))
     return PlusConstruction(presheaf, unit)

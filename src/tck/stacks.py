@@ -7,6 +7,13 @@ read off the unit Z -> M: reindexing commutes with sheafification, so the
 unit is an iso after reindexing along each arrow of the sieve.  The probe
 verifies the compatibility squares, and morphism gluing by matching-family
 transport.
+
+The stack conditions are decided on the least covers, through the sieve
+plans of `site`: conditions ii and iii are the sheaf condition of each
+hom-presheaf, decided from one tally of restriction tuples per pair of
+objects as `site` decides a sheaf; morphism families and effectiveness
+isos come from `site.compatible_families`; and one walker over the plan's
+cocycle index checks Cat-valued and sheaf-valued descent data alike.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .classifier import MapToOmega, char
 from .errors import FactorizationFailed, InvalidTable, SizeBound
@@ -39,12 +46,15 @@ from .site import (
     GrothTopology,
     Sieve,
     SievePlan,
-    amalgamations,
+    check_family,
+    compatible_families,
     is_sheaf,
     pullback_sieve,
+    restrictions,
     sheafify,
     sieve_plan,
     slice_topology,
+    tally,
 )
 
 
@@ -79,6 +89,7 @@ def validate_descent(d: DescentDatum) -> Report:
     expected = {(f, g) for f in S.arrows for g in base.arrows_into(base.dom(f))}
     if set(d.isos) != expected:
         return report.fail(("isos", "iso keys differ from composable pairs"))
+    p = sieve_plan(base, S)
     for (f, g), phi in d.isos.items():
         dg = base.dom(g)
         Fd = F.on_objects[dg]
@@ -88,25 +99,30 @@ def validate_descent(d: DescentDatum) -> Report:
             return report.fail(("iso-typing", f, g, phi))
         if not Fd.is_invertible(phi):
             return report.fail(("iso-invertible", f, g, phi))
-    for f, g, h in _cocycle_failures(d):
+    isos = [d.isos[(p.arrows[i], g)] for i, g, _ in p.triples]
+    for f, g, h in _cocycle_failures(p, isos, _after_action(F)):
         report.fail(("cocycle", f, g, h))
     return report
 
 
-def _cocycle_failures(d: DescentDatum) -> Iterator[tuple[str, str, str]]:
-    """The triples (f, g, h) at which the cocycle condition fails, in order:
-    the iso at (f, g.h) must be the iso at (f.g, h) after F(h) of the iso
-    at (f, g)."""
-    F = d.presheaf
+def _cocycle_failures(p: SievePlan, isos: Sequence, join: Callable) -> Iterator[tuple]:
+    """The (f, g, h) at which a descent datum over p's sieve fails the
+    cocycle condition, in p.cocycles order.  isos holds the datum's iso at
+    (arrows[i], g) for each triple (i, g, k) of p, and join(h, later,
+    first) is `later` after h's action on `first`: the iso at (f, g.h)
+    must be join(h, iso at (f.g, h), iso at (f, g))."""
+    for a, b, n, h in p.cocycles:
+        if isos[n] != join(h, isos[b], isos[a]):
+            i, g, _ = p.triples[a]
+            yield p.arrows[i], g, h
+
+
+def _after_action(F: CatPresheaf) -> Callable:
+    """The join of Cat-valued descent data: `later` after F(h)(first) in
+    F(dom h)."""
     base = F.base
-    for f in sorted(d.sieve.arrows):
-        for g in base.arrows_into(base.dom(f)):
-            for h in base.arrows_into(base.dom(g)):
-                lhs = d.isos[(f, base.compose(g, h))]
-                rhs = F.on_objects[base.dom(h)].compose(
-                    d.isos[(base.compose(f, g), h)], F.on_arrows[h].on_arrows[d.isos[(f, g)]])
-                if lhs != rhs:
-                    yield f, g, h
+    return lambda h, later, first: F.on_objects[base.dom(h)].compose(
+        later, F.on_arrows[h].on_arrows[first])
 
 
 def induced_descent_datum(F: CatPresheaf, s: Sieve, m: str) -> DescentDatum:
@@ -129,10 +145,10 @@ def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[Effective
 
 
 def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[EffectivenessWitness]:
-    """effectiveness, with the iso families checked against p's
-    compatibility triples: psi at f.g is d's iso at (f, g) after F(g)(psi_f)."""
+    """effectiveness, with the iso families checked against all of p's
+    compatibility triples: psi at f.g is d's iso at (f, g) after
+    F(g)(psi_f), a map composed once per candidate psi_f."""
     F = d.presheaf
-    base = F.base
     arrows = p.arrows
     out: list[EffectivenessWitness] = []
     for m in F.on_objects[d.sieve.at].objects:
@@ -141,13 +157,12 @@ def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[Effectiven
             Fd = F.on_objects[df]
             fm = F.on_arrows[f].on_objects[m]
             pools.append([a for a in Fd.hom(fm, d.objects[f]) if Fd.is_invertible(a)])
-        for choice in bounded_product("effectiveness", pools, bound):
-            if all(
-                choice[k] == F.on_objects[base.dom(g)].compose(
-                    d.isos[(arrows[i], g)], F.on_arrows[g].on_arrows[choice[i]])
-                for i, g, k in p.triples
-            ):
-                out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
+        checks = []
+        for i, g, k in p.triples:
+            Fd, iso, Fg = F.on_objects[p.doms[k]], d.isos[(arrows[i], g)], F.on_arrows[g]
+            checks.append((i, {a: Fd.compose(iso, Fg.on_arrows[a]) for a in pools[i]}, k))
+        for choice in compatible_families("effectiveness", pools, checks, bound):
+            out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
     return out
 
 
@@ -161,25 +176,24 @@ def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[De
     """enumerate_descent_data, with an iso wanted for each compatibility
     triple (i, g, k) of p: from F(g)(M_f) to M_{f.g}, f = arrows[i].  The
     candidates are typed and invertible as built, so only the cocycle
-    condition is checked."""
-    base = F.base
+    condition is checked, on the choice tuple before a datum is built."""
     obj_pools = [F.on_objects[df].objects for df in p.doms]
     total = math.prod(map(len, obj_pools))
     pairs = [(p.arrows[i], g) for i, g, _ in p.triples]
+    join = _after_action(F)
     out = []
     for objs in bounded_product("descent data objects", obj_pools, bound):
         iso_pools = []
         for i, g, k in p.triples:
-            Fd = F.on_objects[base.dom(g)]
+            Fd = F.on_objects[p.doms[k]]
             src = F.on_arrows[g].on_objects[objs[i]]
             iso_pools.append([a for a in Fd.hom(src, objs[k]) if Fd.is_invertible(a)])
         # the estimate counts every object assignment, not just this one
         guard("descent data isos", total * math.prod(map(len, iso_pools)), bound)
         assignment = dict(zip(p.arrows, objs))
         for choice in itertools.product(*iso_pools):
-            datum = DescentDatum(F, s, assignment, dict(zip(pairs, choice)))
-            if next(_cocycle_failures(datum), None) is None:
-                out.append(datum)
+            if next(_cocycle_failures(p, choice, join), None) is None:
+                out.append(DescentDatum(F, s, assignment, dict(zip(pairs, choice))))
     return out
 
 
@@ -190,7 +204,12 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
 
     - S contains M_c, and f*M_c ⊇ M_d for every f: d -> c.
     - (iii) and (ii) say that each hom-presheaf Hom(x, y) on slice(C, c)
-      is a sheaf; as in site._sheaf_condition, the M_d decide that.
+      is a sheaf; as in site._sheaf_condition, the M_d decide that, and
+      one tally of the restriction tuples of Hom(x, y) decides both: (iii)
+      fails on each pair h < k with one tuple, (ii) on each compatible
+      family that is no tuple.  F is validated first, so F(id) = id
+      settles the identity triples and the families are checked against
+      the plan's `checks`.
     - (i) extends from M_c to S: glue the datum restricted to M_c to some
       M with isos psi_f for f in M_c.  For f: d -> c in S the isos at f.g,
       g in M_d ⊆ f*M_c, form a compatible family of Hom(f*M, M_f) on M_d;
@@ -198,47 +217,44 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
 
     Morphism conditions are decided exhaustively; object gluing enumerates
     descent data and is reported as bounded when a stratum trips the bound.
+    An F that is no strict 2-functor, or lives on another base than j,
+    raises InvalidTable.
     """
+    if F.base != j.base:
+        raise InvalidTable("presheaf and topology live on different bases")
+    F.validate()
     report = Report("check_stack")
     for c, s in j.minimal.items():
         p = j.plan.covers[c]
         Fc = F.on_objects[c]
         arrows = p.arrows
+        restrict = [F.on_arrows[f].on_arrows for f in arrows]
+        checks = [(i, F.on_arrows[g].on_arrows, k) for i, g, k in p.checks]
+        pairs = [(x, y) for x in Fc.objects for y in Fc.objects]
+        gluings = []
         # (iii) uniqueness of gluings of morphisms
-        for x in Fc.objects:
-            for y in Fc.objects:
-                homs = Fc.hom(x, y)
-                for h in homs:
-                    for k in homs:
-                        if h < k and all(
-                            F.on_arrows[f].on_arrows[h] == F.on_arrows[f].on_arrows[k]
-                            for f in arrows
-                        ):
-                            report.fail(("iii", c, arrows, x, y, h, k))
+        for x, y in pairs:
+            homs = Fc.hom(x, y)
+            rows = [tuple([r[h] for r in restrict]) for h in homs]
+            glued = tally(homs, rows)
+            gluings.append(glued)
+            for h, t in zip(homs, rows):
+                for k in glued[t]:
+                    if h < k:
+                        report.fail(("iii", c, arrows, x, y, h, k))
         # (ii) gluing of morphisms
-        for x in Fc.objects:
-            for y in Fc.objects:
-                pools = [
-                    F.on_objects[df].hom(
-                        F.on_arrows[f].on_objects[x], F.on_arrows[f].on_objects[y]
-                    )
-                    for f, df in zip(arrows, p.doms)
-                ]
-                try:
-                    families = bounded_product("stack morphism families", pools, bound)
-                except SizeBound:
-                    report.bounded(f"stack-ii at {c}", bound)
-                    continue
-                for choice in families:
-                    compatible = all(
-                        F.on_arrows[g].on_arrows[choice[i]] == choice[k]
-                        for i, g, k in p.triples
-                    )
-                    if compatible and not any(
-                        all(F.on_arrows[f].on_arrows[h] == v for f, v in zip(arrows, choice))
-                        for h in Fc.hom(x, y)
-                    ):
-                        report.fail(("ii", c, arrows, x, y, tuple(zip(arrows, choice))))
+        for (x, y), glued in zip(pairs, gluings):
+            pools = [F.on_objects[df].hom(F.on_arrows[f].on_objects[x],
+                                          F.on_arrows[f].on_objects[y])
+                     for f, df in zip(arrows, p.doms)]
+            try:
+                families = compatible_families("stack morphism families", pools, checks, bound)
+            except SizeBound:
+                report.bounded(f"stack-ii at {c}", bound)
+                continue
+            for t in families:
+                if t not in glued:
+                    report.fail(("ii", c, arrows, x, y, tuple(zip(arrows, t))))
         # (i) gluing of objects over enumerated descent data
         try:
             data = _descent_data(F, s, p, bound)
@@ -348,6 +364,7 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
     expected = {(f, g) for f in S.arrows for g in base.arrows_into(base.dom(f))}
     if set(d.isos) != expected:
         return report.fail(("isos", "iso keys differ from composable pairs"))
+    p = sieve_plan(base, S)
     for (f, g), phi in sorted(d.isos.items()):
         src = reindex_slice_presheaf(base, g, d.objects[f])
         tgt = d.objects[base.compose(f, g)]
@@ -359,16 +376,13 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
             return report.fail(("iso-naturality", f, g, str(exc)))
         if not phi.is_iso():
             return report.fail(("iso-invertible", f, g))
-    for f in sorted(S.arrows):
-        for g in base.arrows_into(base.dom(f)):
-            for h in base.arrows_into(base.dom(g)):
-                lhs = d.isos[(f, base.compose(g, h))]
-                rhs = compose_presheaf_maps(
-                    d.isos[(base.compose(f, g), h)],
-                    reindex_slice_presheaf_map(base, h, d.isos[(f, g)]),
-                )
-                if lhs != rhs:
-                    report.fail(("cocycle", f, g, h))
+    isos = [d.isos[(p.arrows[i], g)] for i, g, _ in p.triples]
+
+    def join(h, later, first):
+        return compose_presheaf_maps(later, reindex_slice_presheaf_map(base, h, first))
+
+    for f, g, h in _cocycle_failures(p, isos, join):
+        report.fail(("cocycle", f, g, h))
     return report
 
 
@@ -481,27 +495,26 @@ def glue_sheaf_morphisms(base: FinCat, j: GrothTopology, s: Sieve,
                          alpha: Mapping[str, PresheafMap],
                          bound: int = DEFAULT_BOUND) -> PresheafMap:
     """Glue a compatible family alpha_f: f*M -> f*N to a map M -> N via
-    matching-family transport; M and N are sheaves on slice(C, at)."""
+    matching-family transport; M and N are sheaves on slice(C, at).  At
+    each slice object g the sieve g*S is lifted and compiled once, each
+    section x of M(g) is carried to the family alpha_{g.h}(M(h)(x)) over
+    it, and the one section of N(g) restricting to that family is found
+    in one tally of N's restrictions."""
     c = s.at
     sl, _ = slice_cat(base, c)
     comps: dict[str, dict[str, str]] = {}
     for g in sl.objects:
-        e = base.dom(g)
-        gs = pullback_sieve(base, g, s)
-        lifted = Sieve(g, frozenset(slice_arrow_name(h, g) for h in gs.arrows))
+        lifted = {slice_arrow_name(h, g): h for h in pullback_sieve(base, g, s).arrows}
+        p = sieve_plan(N.base, Sieve(g, frozenset(lifted)))
+        # in p.arrows order: M(h) then alpha at g.h, for each lifted arrow h > g
+        steps = [(M.on_arrows[a], alpha[base.compose(g, h)].components[base.id_of(base.dom(h))])
+                 for a, h in sorted(lifted.items())]
+        by_family = tally(N.on_objects[g], restrictions(N, p, g))
         table = {}
         for x in M.on_objects[g]:
-            fam = {}
-            for h in gs.arrows:
-                gh = base.compose(g, h)
-                xh = M.on_arrows[slice_arrow_name(h, g)][x]
-                fam[slice_arrow_name(h, g)] = \
-                    alpha[gh].components[base.id_of(base.dom(h))][xh]
-            from .site import MatchingFamily
-
-            mf = MatchingFamily(N, lifted, fam)
-            mf.validate()
-            ams = amalgamations(N, lifted, mf)
+            t = tuple(step[restrict[x]] for restrict, step in steps)
+            check_family(N, p, t)
+            ams = by_family.get(t, [])
             if len(ams) != 1:
                 raise InvalidTable(f"gluing at {g!r} is not unique: {len(ams)} candidates")
             table[x] = ams[0]

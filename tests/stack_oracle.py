@@ -3,8 +3,11 @@
 ``tck.stacks.check_stack`` decides the three gluing conditions on the
 least cover M_c at each object.  The oracle here follows the definition
 instead: it checks them on every covering sieve in ``j.covers[c]``, over
-descent data found by filtering every arrow family with
-``validate_descent``.  It is slow and meant for small sites only.
+descent data filtered from every arrow family, and looks for the gluing
+of each datum among every object and arrow family; invertibility and the
+cocycle and compatibility conditions are checked by composing arrows in
+the base.  It calls none of ``tck.stacks``' checks and is slow, meant for
+small sites only.
 
 ``tck.stacks.construct_effectiveness`` reads the compatibility isos of a
 glued sheaf descent datum off the sheafification unit.  The oracle here
@@ -31,18 +34,50 @@ from tck.fincat import (
 )
 from tck.report import Report
 from tck.site import Sieve, matching_families, plus, sheafify, slice_topology
-from tck.stacks import (
-    DescentDatum,
-    build_gluing_presheaf,
-    effectiveness,
-    validate_descent,
-)
+from tck.stacks import DescentDatum, build_gluing_presheaf
+
+
+def is_cocycle(F, s, isos):
+    """Every iso is invertible, and the iso at (f, g.h) is the iso at
+    (f.g, h) after F(h) of the iso at (f, g)."""
+    base = F.base
+    return all(F.on_objects[base.dom(g)].is_invertible(phi)
+               for (_, g), phi in isos.items()) and all(
+        isos[(f, base.compose(g, h))] == F.on_objects[base.dom(h)].compose(
+            isos[(base.compose(f, g), h)], F.on_arrows[h].on_arrows[isos[(f, g)]])
+        for f in s.arrows
+        for g in base.arrows_into(base.dom(f))
+        for h in base.arrows_into(base.dom(g)))
+
+
+def object_gluings(d, bound=DEFAULT_BOUND):
+    """Every (M, psi) gluing the datum: M in F(c) and an iso psi_f:
+    F(f)(M) -> M_f per f in S with psi_{f.g} the datum's iso at (f, g)
+    after F(g)(psi_f), filtered from every family of isos."""
+    F, s = d.presheaf, d.sieve
+    base = F.base
+    arrows = sorted(s.arrows)
+    out = []
+    for m in F.on_objects[s.at].objects:
+        pools = []
+        for f in arrows:
+            Fd = F.on_objects[base.dom(f)]
+            pools.append([a for a in Fd.hom(F.on_arrows[f].on_objects[m], d.objects[f])
+                          if Fd.is_invertible(a)])
+        guard("effectiveness", math.prod(map(len, pools)), bound)
+        for choice in itertools.product(*pools):
+            psi = dict(zip(arrows, choice))
+            if all(psi[base.compose(f, g)] == F.on_objects[base.dom(g)].compose(
+                    d.isos[(f, g)], F.on_arrows[g].on_arrows[psi[f]])
+                   for f in arrows for g in base.arrows_into(base.dom(f))):
+                out.append((m, psi))
+    return out
 
 
 def enumerate_descent_data(F, s, bound=DEFAULT_BOUND):
     """All descent data over the sieve: for every object assignment, every
-    family of arrows F(g)(M_f) -> M_{f.g}, kept when validate_descent
-    passes it."""
+    family of arrows F(g)(M_f) -> M_{f.g}, kept when it is a cocycle of
+    isos."""
     base = F.base
     arrows = sorted(s.arrows)
     pairs = [(f, g) for f in arrows for g in base.arrows_into(base.dom(f))]
@@ -58,9 +93,9 @@ def enumerate_descent_data(F, s, bound=DEFAULT_BOUND):
         ]
         guard("descent data isos", math.prod(map(len, pools)), bound)
         for choice in itertools.product(*pools):
-            datum = DescentDatum(F, s, objects, dict(zip(pairs, choice)))
-            if validate_descent(datum).ok:
-                out.append(datum)
+            isos = dict(zip(pairs, choice))
+            if is_cocycle(F, s, isos):
+                out.append(DescentDatum(F, s, objects, isos))
     return out
 
 
@@ -126,7 +161,7 @@ def check_stack(F, j, bound=DEFAULT_BOUND):
                 continue
             for datum in data:
                 try:
-                    wits = effectiveness(datum, bound)
+                    wits = object_gluings(datum, bound)
                 except SizeBound as exc:
                     report.bounded(f"stack-i-witness at {c}", exc.bound)
                     continue

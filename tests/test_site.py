@@ -221,6 +221,22 @@ def test_sheaf_checks_reject_raw_non_topologies():
             assert exc.value.kind == axiom, check
 
 
+def test_a_raw_table_that_misses_an_object_names_it():
+    from tck.fincat import discrete_category
+
+    D = discrete_category(["x"])
+    with pytest.raises(AxiomViolation) as exc:
+        is_sheaf(delta1(D), GrothTopology(D, {}))
+    assert (exc.value.kind, exc.value.witness) == ("coverage", "x")
+    # the first missing object in sorted order
+    D3 = discrete_category(["z", "y", "x"])
+    j = GrothTopology(D3, {"x": frozenset({maximal_sieve(D3, "x")})})
+    with pytest.raises(AxiomViolation) as exc:
+        j.minimal
+    assert (exc.value.kind, exc.value.witness) == ("coverage", "y")
+    assert validate_topology(j).counterexamples == [("coverage", "covers table not total")]
+
+
 def refuse_to_list(*args):
     raise AssertionError("sieves above a least cover listed")
 

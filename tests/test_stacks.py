@@ -208,8 +208,9 @@ def test_check_stack_sheaves_are_stacks_nonsheaves_are_not():
         assert check_stack(F, OSJ).ok == is_sheaf(Z, OSJ).ok
 
 
-def test_check_stack_reports_condition_iii_failure():
-    # F(T) has parallel arrows collapsing under every restriction
+def collapsing_pair():
+    """F(T) is the parallel pair a => b, whose two arrows collapse to the
+    one arrow x -> y of F(L) = F(R) = F(O): condition iii fails at T."""
     from tck.corpus import parallel_pair
     from tck.fincat import FinFunctor, free_category, identity_functor
 
@@ -227,9 +228,107 @@ def test_check_stack_reports_condition_iii_failure():
             on_arrows[f] = identity_functor(cats[c0])
     F = prestack.CatPresheaf(OS, cats, on_arrows)
     F.validate()
-    rep = check_stack(F, OSJ)
-    assert not rep.ok
-    assert any(ce[0] == "iii" for ce in rep.counterexamples)
+    return F
+
+
+def arrow_without_gluing():
+    """F(T) is the discrete category on {x, y}, F(L) = F(R) the walking
+    arrow x -> y, F(O) the point: the arrows m of F(L) and F(R) agree on O
+    and glue to no arrow x -> y of F(T), so condition ii fails at T."""
+    from tck.fincat import FinFunctor, discrete_category, free_category, identity_functor
+    from tck.fincat import point_category
+
+    D = discrete_category(["x", "y"])
+    A = free_category(["x", "y"], {"m": ("x", "y")})
+    P = point_category()
+    inclusion = FinFunctor(D, A, {"x": "x", "y": "y"}, {"id_x": "id_x", "id_y": "id_y"})
+    to_point = {c: FinFunctor(K, P, {o: "*" for o in K.objects}, {a: "id_*" for a in K.arrows})
+                for c, K in (("T", D), ("L", A), ("R", A))}
+    cats = {"T": D, "L": A, "R": A, "O": P}
+    on_arrows = {}
+    for f, (d0, c0) in OS.arrows.items():
+        if d0 == c0:
+            on_arrows[f] = identity_functor(cats[c0])
+        elif d0 == "O":
+            on_arrows[f] = to_point[c0]
+        else:
+            on_arrows[f] = inclusion
+    F = prestack.CatPresheaf(OS, cats, on_arrows)
+    F.validate()
+    return F
+
+
+def test_check_stack_reports_condition_iii_failure():
+    rep = check_stack(collapsing_pair(), OSJ)
+    assert rep.verdict == "fail"
+    # the empty family over M_O = {} has no gluing in the empty Hom(y, x)
+    assert rep.counterexamples == [
+        ("ii", "O", (), "y", "x", ()),
+        ("iii", "T", ("L_T", "O_T", "R_T"), "a", "b", "u", "v"),
+    ]
+
+
+def test_check_stack_reports_condition_ii_failure():
+    rep = check_stack(arrow_without_gluing(), OSJ)
+    assert rep.verdict == "fail"
+    cover = ("L_T", "O_T", "R_T")
+    assert rep.counterexamples == [
+        ("ii", "T", cover, "x", "y", (("L_T", "m"), ("O_T", "id_*"), ("R_T", "m"))),
+        ("i", "T", cover, (("L_T", "x"), ("O_T", "*"), ("R_T", "y"))),
+        ("i", "T", cover, (("L_T", "y"), ("O_T", "*"), ("R_T", "x"))),
+    ]
+    assert rep.bounds == {}
+
+
+def test_check_stack_agrees_with_the_oracle_on_pinned_failures():
+    for F in (collapsing_pair(), arrow_without_gluing()):
+        rep, expected = check_stack(F, OSJ), stack_oracle.check_stack(F, OSJ)
+        assert rep.verdict == expected.verdict == "fail"
+        assert {ce[0] for ce in rep.counterexamples} == {ce[0] for ce in expected.counterexamples}
+        assert rep.counterexamples == on_least_covers(expected, OSJ)
+
+
+def test_check_stack_validates_its_presheaf():
+    # F(id_T) swaps the two objects of the discrete category on {x, y}
+    from tck.fincat import FinFunctor, discrete_category, identity_functor
+
+    D = discrete_category(["x", "y"])
+    swap = FinFunctor(D, D, {"x": "y", "y": "x"}, {"id_x": "id_y", "id_y": "id_x"})
+    F = prestack.CatPresheaf(OS, {c: D for c in OS.objects}, {
+        f: swap if f == "T_T" else identity_functor(D) for f in OS.arrows})
+    with pytest.raises(InvalidTable, match="does not act as the identity functor"):
+        check_stack(F, OSJ)
+    with pytest.raises(InvalidTable, match="different bases"):
+        check_stack(catpresheaf_corpus(WA, 1)[0], OSJ)
+
+
+def test_discrete_presheaf_is_valid_and_on_its_base():
+    Z = sheaf_corpus(1)[0]
+    assert "_valid" in discrete_presheaf(OS, Z).__dict__
+    with pytest.raises(InvalidTable, match="different base"):
+        discrete_presheaf(WA, Z)
+
+
+def test_second_check_stack_composes_no_base_arrow(monkeypatch):
+    # the sieve plans, cocycle index included, are compiled once per
+    # topology; a second run reads them and composes only inside F's values
+    from test_site import powerset_site
+    from tck.fincat import FinCat
+
+    j = powerset_site(3)
+    F = discrete_presheaf(j.base, constant_presheaf(j.base, ["a", "b"]))
+    first = check_stack(F, j)
+    compose, calls = FinCat.compose, []
+
+    def counting(self, g, f):
+        if self is j.base:
+            calls.append((g, f))
+        return compose(self, g, f)
+
+    monkeypatch.setattr(FinCat, "compose", counting)
+    second = check_stack(F, j)
+    assert (second.verdict, second.counterexamples) == (first.verdict, first.counterexamples)
+    assert calls == []
 
 
 def test_ell_factors_on_char_of_identity():
@@ -451,6 +550,32 @@ def test_glue_sheaf_morphisms_recovers_global_map():
         alpha = {f: reindex_slice_presheaf_map(OS, f, lam0) for f in JOINT.arrows}
         lam = glue_sheaf_morphisms(OS, OSJ, JOINT, M, M, alpha)
         assert lam == lam0
+
+
+def test_glue_sheaf_morphisms_names_what_does_not_glue():
+    # on the point site a family is one value; N need not be valid
+    from tck.fincat import point_category
+    from tck.site import maximal_sieve
+
+    P = point_category()
+    sl, _ = slice_cat(P, "*")
+    (a,) = sl.arrows
+    M = SetPresheaf(sl, {"id_*": ("x",)}, {a: {"x": "x"}})
+    good = SetPresheaf(sl, {"id_*": ("u", "v")}, {a: {"u": "u", "v": "v"}})
+    collapse = SetPresheaf(sl, {"id_*": ("u", "v")}, {a: {"u": "u", "v": "u"}})
+
+    def glue(N, value):
+        alpha = {"id_*": PresheafMap(reindex_slice_presheaf(P, "id_*", M),
+                                     reindex_slice_presheaf(P, "id_*", N),
+                                     {"id_*": {"x": value}})}
+        with pytest.raises(InvalidTable) as exc:
+            glue_sheaf_morphisms(P, trivial_topology(P), maximal_sieve(P, "*"), M, N, alpha)
+        return str(exc.value)
+
+    assert glue(good, "w") == "value at 'id_*>id_*' outside the presheaf"
+    assert glue(collapse, "v") == \
+        "compatibility fails on ('id_*>id_*', 'id_*>id_*')"
+    assert glue(collapse, "u") == "gluing at 'id_*' is not unique: 2 candidates"
 
 
 def walking_iso():
