@@ -20,6 +20,7 @@ from .fincat import (
     FinSetFunctor,
     NatTransform,
     compose_functors,
+    composition_table,
     identity_functor,
     named_parts,
 )
@@ -123,20 +124,19 @@ def pullback_named(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFun
         raise InvalidTable("pullback: codomains disagree")
     z.validate()
     F, E = z.source, p.total
-    obj_parts = named_parts(((x, e) for x in F.objects for e in E.objects
-                             if z.on_objects[x] == p.p.on_objects[e]), _pair)
-    arr_parts = named_parts(((u, g) for u in F.arrows for g in E.arrows
-                             if z.on_arrows[u] == p.p.on_arrows[g]), _pair)
+    zo, za = z.on_objects, z.on_arrows
+    obj_parts = named_parts(((x, e) for x in F.objects for e in p.fibres[zo[x]]), _pair)
+    # every arrow of E over z(u) is the lift of z(u) at its domain
+    arr_parts = named_parts(((u, p.lifts[(e, za[u])]) for u in F.arrows
+                             for e in p.fibres[zo[F.dom(u)]]), _pair)
     arrows = {
         name: (_pair(F.dom(u), E.dom(g)), _pair(F.cod(u), E.cod(g)))
         for name, (u, g) in arr_parts.items()
     }
     identities = {o: _pair(F.id_of(x), E.id_of(e)) for o, (x, e) in obj_parts.items()}
-    compose = {}
-    for n2, (u2, g2) in arr_parts.items():
-        for n1, (u1, g1) in arr_parts.items():
-            if arrows[n1][1] == arrows[n2][0]:
-                compose[(n2, n1)] = _pair(F.compose(u2, u1), E.compose(g2, g1))
+    compose = composition_table(arrows, lambda n2, n1: _pair(
+        F.compose(arr_parts[n2][0], arr_parts[n1][0]),
+        E.compose(arr_parts[n2][1], arr_parts[n1][1])))
     # valid because pairs over one base arrow form a subcategory of F x E
     apex = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
     left = FinFunctor(apex, F, {o: x for o, (x, _) in obj_parts.items()},
@@ -175,13 +175,13 @@ def comma(f: FinFunctor, g: FinFunctor) -> CommaCone:
     arrows = {name: (o1, o2) for name, (_, _, o1, o2) in arr_parts.items()}
     identities = {o: _comma_arrow(A.id_of(parts[o][0]), B.id_of(parts[o][1]), o, o)
                   for o in objs}
-    compose = {}
-    for n2, (u2, v2, o, o3) in arr_parts.items():
-        for n1, (u1, v1, o1, o2) in arr_parts.items():
-            if o2 == o:
-                compose[(n2, n1)] = _comma_arrow(A.compose(u2, u1), B.compose(v2, v1), o1, o3)
+
+    def paste(n2: str, n1: str) -> str:
+        (u2, v2, _, o3), (u1, v1, o1, _) = arr_parts[n2], arr_parts[n1]
+        return _comma_arrow(A.compose(u2, u1), B.compose(v2, v1), o1, o3)
+
     # valid because squares paste, and the filler is natural at each square
-    apex = FinCat(tuple(objs), arrows, identities, compose)
+    apex = FinCat(tuple(objs), arrows, identities, composition_table(arrows, paste))
     left = FinFunctor(apex, A, {o: parts[o][0] for o in objs},
                       {n: u for n, (u, _, _, _) in arr_parts.items()})
     right = FinFunctor(apex, B, {o: parts[o][1] for o in objs},
@@ -225,11 +225,8 @@ def elements_of(z: FinSetFunctor) -> DiscOpfibCat:
         for name, (f, x) in arr_parts.items()
     }
     identities = {o: _pair(B.id_of(b), x) for o, (b, x) in obj_parts.items()}
-    compose = {}
-    for n1, (f1, x) in arr_parts.items():
-        y = z.on_arrows[f1][x]
-        for f2 in B.arrows_from(B.cod(f1)):
-            compose[(_pair(f2, y), n1)] = _pair(B.compose(f2, f1), x)
+    compose = composition_table(arrows, lambda n2, n1: _pair(
+        B.compose(arr_parts[n2][0], arr_parts[n1][0]), arr_parts[n1][1]))
     # valid because z is a functor and names are injective
     total = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
     proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()},

@@ -17,6 +17,7 @@ from .fincat import (
     FinSetFunctor,
     SetPresheaf,
     build_category,
+    composition_table,
     free_category,
     point_category,
 )
@@ -54,29 +55,21 @@ def span() -> FinCat:
 def poset_category(objects: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) -> FinCat:
     """Category of a finite poset; arrow a <= b is named ``a_b``."""
     objs = sorted(objects)
-    rel = {(a, a) for a in objs} | set(strict_pairs)
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(rel)
-        for a, b in snapshot:
-            for c, d in snapshot:
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+    above = {a: {a} for a in objs}
+    for a, b in strict_pairs:
+        above.setdefault(a, set()).add(b)
+    # transitive closure by Warshall: route every a through each k in turn
+    for k in above:
+        for a in above:
+            if k in above[a]:
+                above[a] |= above[k]
+    rel = {(a, b) for a, bs in above.items() for b in bs}
     for a, b in rel:
         if a != b and (b, a) in rel:
             raise InvalidTable("not a poset: antisymmetry fails")
-    pairs = sorted(rel)
-    arrows = {f"{a}_{b}": (a, b) for a, b in pairs}
+    arrows = {f"{a}_{b}": (a, b) for a, b in sorted(rel)}
     identities = {a: f"{a}_{a}" for a in objs}
-    compose = {
-        (f"{b}_{c}", f"{a}_{b2}"): f"{a}_{c}"
-        for a, b2 in pairs
-        for b, c in pairs
-        if b == b2
-    }
+    compose = composition_table(arrows, lambda b, a: f"{arrows[a][0]}_{arrows[b][1]}")
     return build_category(objs, arrows, identities, compose)
 
 

@@ -87,6 +87,17 @@ def named_parts(parts: Iterable[tuple[str, ...]], name: Callable[..., str]) -> d
     return out
 
 
+def composition_table(arrows: Mapping[str, tuple[str, str]],
+                      compose: Callable[[str, str], str]) -> dict[tuple[str, str], str]:
+    """(b, a) -> compose(b, a) for exactly the composable pairs of the named
+    arrows, cod a == dom b, in the order of a and then of b.  The arrows are
+    indexed by domain once, so no pair is tested."""
+    out_of: dict[str, list[str]] = {}
+    for f, (d, _) in arrows.items():
+        out_of.setdefault(d, []).append(f)
+    return {(b, a): compose(b, a) for a, (_, c) in arrows.items() for b in out_of.get(c, ())}
+
+
 # -- categories ----------------------------------------------------------------
 
 
@@ -319,11 +330,8 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
                         slice_arrow_name)
     arrows = {name: (cat.compose(f, g), f) for name, (g, f) in parts.items()}
     identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
-    compose: dict[tuple[str, str], str] = {}
-    for a, (g1, f1) in parts.items():
-        for b, (g2, f2) in parts.items():
-            if cat.compose(f2, g2) == f1:
-                compose[(b, a)] = slice_arrow_name(cat.compose(g2, g1), f2)
+    compose = composition_table(arrows, lambda b, a: slice_arrow_name(
+        cat.compose(parts[b][0], parts[a][0]), parts[b][1]))
     # valid because cat is and names are injective; dom_fun keeps composites of g
     sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
     dom_fun = FinFunctor(sl, cat, {f: cat.dom(f) for f in objs},

@@ -23,6 +23,7 @@ from .fincat import (
     NatTransform,
     build_category,
     compose_functors,
+    composition_table,
     discrete_category,
     identity_functor,
     mark_valid,
@@ -299,16 +300,15 @@ def pointwise_comma(f: TwoNat, g: TwoNat) -> PreCommaCone:
             a = src_cone.left_leg.on_objects[o]
             b = src_cone.right_leg.on_objects[o]
             al = src_cone.filler.components[o]
-            on_objects[o] = f"({A_u.on_objects[a]},{B_u.on_objects[b]},{C_u.on_arrows[al]})"
+            on_objects[o] = cat2._comma_object(A_u.on_objects[a], B_u.on_objects[b],
+                                               C_u.on_arrows[al])
         arr_map = {}
         for name in src_cone.apex.arrows:
             u1 = src_cone.left_leg.on_arrows[name]
             v1 = src_cone.right_leg.on_arrows[name]
             o1, o2 = src_cone.apex.arrows[name]
-            arr_map[name] = (
-                f"[{A_u.on_arrows[u1]},{B_u.on_arrows[v1]}]"
-                f"{on_objects[o1]}->{on_objects[o2]}"
-            )
+            arr_map[name] = cat2._comma_arrow(A_u.on_arrows[u1], B_u.on_arrows[v1],
+                                              on_objects[o1], on_objects[o2])
         on_arrows[u] = FinFunctor(src_cone.apex, tgt_cone.apex, on_objects, arr_map)
     # valid because f and g are strictly natural, so F(u) maps squares to squares
     apex = CatPresheaf(base, {c: cones[c].apex for c in base.objects}, on_arrows)
@@ -341,12 +341,12 @@ def pointwise_pullback(p: DiscOpfibPre, z: TwoNat) -> tuple[DiscOpfibPre, TwoNat
         for o in src_q.total.objects:
             x = src_q.p.on_objects[o]
             e = pieces[c][1].on_objects[o]
-            on_objects[o] = f"({F_u.on_objects[x]},{G_u.on_objects[e]})"
+            on_objects[o] = cat2._pair(F_u.on_objects[x], G_u.on_objects[e])
         arr_map = {}
         for name in src_q.total.arrows:
             uu = src_q.p.on_arrows[name]
             gg = pieces[c][1].on_arrows[name]
-            arr_map[name] = f"({F_u.on_arrows[uu]},{G_u.on_arrows[gg]})"
+            arr_map[name] = cat2._pair(F_u.on_arrows[uu], G_u.on_arrows[gg])
         on_arrows[u] = FinFunctor(src_q.total, tgt_q.total, on_objects, arr_map)
     # valid because z and p.s are strictly natural, so F(u) x G(u) restricts
     apex = CatPresheaf(base, {c: pieces[c][0].total for c in base.objects}, on_arrows)
@@ -394,16 +394,14 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
         o: element_arrow_name(base.id_of(c), F.on_objects[c].id_of(x), x)
         for o, (c, x) in obj_parts.items()
     }
-    compose: dict[tuple[str, str], str] = {}
-    for n1, (f, mu, x) in parts.items():
-        for n2, (g, mu2, _) in parts.items():
-            if arrows[n1][1] != arrows[n2][0]:
-                continue
-            e = base.dom(g)
-            fg = base.compose(f, g)
-            comp_mu = F.on_objects[e].compose(mu2, F.on_arrows[g].on_arrows[mu])
-            compose[(n2, n1)] = element_arrow_name(fg, comp_mu, x)
-    return build_category(obj_parts, arrows, identities, compose), obj_parts, parts
+
+    def compose(n2: str, n1: str) -> str:
+        (f, mu, x), (g, mu2, _) = parts[n1], parts[n2]
+        comp_mu = F.on_objects[base.dom(g)].compose(mu2, F.on_arrows[g].on_arrows[mu])
+        return element_arrow_name(base.compose(f, g), comp_mu, x)
+
+    return (build_category(obj_parts, arrows, identities, composition_table(arrows, compose)),
+            obj_parts, parts)
 
 
 def _slice_element_tables(F: CatPresheaf) -> tuple[dict, dict, dict]:
@@ -491,7 +489,7 @@ def _two_nat_from_fibre_map(phi: DiscOpfibPre, psi: DiscOpfibPre, m) -> TwoNat:
         on_objects: dict[str, str] = {}
         for x in phi.codomain.on_objects[c].objects:
             for e in phi.fibre(c, x):
-                on_objects[e] = m.components[f"<{c}|{x}>"][e]
+                on_objects[e] = m.components[element_name(c, x)][e]
         amap = {}
         for g, (e1, e2) in phi.total.on_objects[c].arrows.items():
             lifted = psi.certificates[c].lifts[

@@ -490,10 +490,8 @@ def verify_effectiveness(d: SheafDescentDatum, M: SetPresheaf,
     return report
 
 
-def glue_sheaf_morphisms(base: FinCat, j: GrothTopology, s: Sieve,
-                         M: SetPresheaf, N: SetPresheaf,
-                         alpha: Mapping[str, PresheafMap],
-                         bound: int = DEFAULT_BOUND) -> PresheafMap:
+def glue_sheaf_morphisms(base: FinCat, s: Sieve, M: SetPresheaf, N: SetPresheaf,
+                         alpha: Mapping[str, PresheafMap]) -> PresheafMap:
     """Glue a compatible family alpha_f: f*M -> f*N to a map M -> N via
     matching-family transport; M and N are sheaves on slice(C, at).  At
     each slice object g the sieve g*S is lifted and compiled once, each
@@ -551,16 +549,13 @@ def omega_J_probe(j: GrothTopology, data: list[SheafDescentDatum],
             report.bounded(f"morphism-gluing at datum {idx}", exc.bound)
             lam_pool = []
         for lam0 in lam_pool:
-            alpha = {}
-            ok = True
-            for f in d.sieve.arrows:
-                alpha[f] = reindex_slice_presheaf_map(d.site, f, lam0)
+            alpha = {f: reindex_slice_presheaf_map(d.site, f, lam0) for f in d.sieve.arrows}
             try:
-                lam = glue_sheaf_morphisms(d.site, j, d.sieve, M, M, alpha, bound)
+                lam = glue_sheaf_morphisms(d.site, d.sieve, M, M, alpha)
             except InvalidTable as exc:
                 report.fail(("morphism-gluing", idx, str(exc)))
-                ok = False
-            if ok and lam != lam0:
-                report.fail(("morphism-gluing-uniqueness", idx))
+            else:
+                if lam != lam0:
+                    report.fail(("morphism-gluing-uniqueness", idx))
         report.note(("glued", idx, {c2: len(v) for c2, v in M.on_objects.items()}))
     return report

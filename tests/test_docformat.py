@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from category_strategies import generated_categories
-from tck.docbuild import DocumentBuilder, build_broken_topology_fixtures, build_shipped_fixtures
+from tck.docbuild import (
+    DocumentBuilder,
+    build_broken_topology_fixtures,
+    build_shipped_fixtures,
+    write_fixture_tree,
+)
 from tck.docformat import parse, parse_file, serialize
 from tck.errors import DanglingReference, InvariantViolation, ParseError
 
@@ -132,6 +137,21 @@ def test_broken_fixture_files_match_generators(name):
     generated = serialize(build_broken_topology_fixtures()[name])
     with open(os.path.join(FIXTURES, "broken", f"{name}.site"), encoding="utf-8") as fh:
         assert fh.read() == generated
+
+
+def test_write_fixture_tree_regenerates_the_shipped_tree_byte_for_byte(tmp_path):
+    write_fixture_tree(tmp_path)
+
+    def tree(root):
+        out = {}
+        for path in glob.glob(os.path.join(root, "**", "*"), recursive=True):
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, root)] = fh.read()
+        return out
+
+    written = tree(tmp_path)
+    assert written and written == tree(FIXTURES)
 
 
 @pytest.mark.parametrize(

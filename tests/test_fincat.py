@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from category_strategies import generated_categories, idempotent_monoid, small_monoids
 from map_oracle import (
     enumerate_functors,
     enumerate_nats,
@@ -27,6 +28,7 @@ from tck.fincat import (
     FinFunctor,
     build_category,
     compose_functors,
+    composition_table,
     discrete_category,
     free_category,
     identity_functor,
@@ -524,6 +526,82 @@ def test_bounded_product_trips_exactly_above_the_tuple_count(pools, bound):
     else:
         assert list(fincat.bounded_product("pools", pools, bound)) == \
             list(itertools.product(*pools))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_categories(), small_monoids()))
+def test_composition_table_finds_exactly_the_composable_pairs(cat):
+    # validate guarantees compose_table is defined exactly on composable pairs
+    assert composition_table(cat.arrows, cat.compose) == cat.compose_table
+
+
+def test_composition_table_lists_pairs_in_the_order_of_a_then_b():
+    from tck.corpus import bases
+
+    for cat in (idempotent_monoid(), *bases().values()):
+        table = composition_table(cat.arrows, cat.compose)
+        assert table == cat.compose_table
+        assert list(table) == [(b, a) for a, (_, c) in cat.arrows.items()
+                               for b, (d, _) in cat.arrows.items() if c == d]
+
+
+def test_slices_compose_once_per_arrow_and_once_per_composable_pair(monkeypatch):
+    from tck.corpus import poset_category
+
+    # the opens of the discrete 4-point space: 16 slices, 256 slice arrows
+    # (chains x <= y <= c) and 625 composable pairs of them (x <= y <= z <= c)
+    name = {m: format(m, "04b") for m in range(16)}
+    cat = poset_category(name.values(), [(name[a], name[b]) for a in name for b in name
+                                         if a != b and a & ~b == 0])
+    composed = []
+    compose = FinCat.compose
+    monkeypatch.setattr(FinCat, "compose",
+                        lambda self, g, f: composed.append((g, f)) or compose(self, g, f))
+    slices = [slice_cat(cat, c)[0] for c in cat.objects]
+    assert sum(len(sl.arrows) for sl in slices) == 256
+    assert sum(len(sl.compose_table) for sl in slices) == 625
+    assert len(composed) == 256 + 625
+
+
+def _reachable(objs, edges):
+    """The pairs (a, b) with a path from a to b, by depth-first search."""
+    succ = {a: [b for x, b in edges if x == a] for a in objs}
+    pairs = set()
+    for a in objs:
+        stack, seen = [a], {a}
+        while stack:
+            x = stack.pop()
+            pairs.add((a, x))
+            for y in succ[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.permutations([f"o{i}" for i in range(n)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] < e[1]), max_size=8))))
+def test_poset_category_closes_to_the_reachable_pairs(drawn):
+    from tck.corpus import poset_category
+
+    # a DAG: edges go up a random linear order of the objects
+    order, edges = drawn
+    pairs = [(order[i], order[k]) for i, k in edges]
+    cat = poset_category(order, pairs)
+    reach = _reachable(order, pairs)
+    assert cat.arrows == {f"{a}_{b}": (a, b) for a, b in sorted(reach)}
+    assert len(cat.compose_table) == sum(
+        1 for a, b in reach for b2, c in reach if b == b2)
+
+
+def test_poset_category_refuses_a_two_cycle():
+    from tck.corpus import poset_category
+
+    with pytest.raises(InvalidTable, match="^not a poset: antisymmetry fails$"):
+        poset_category(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
 
 
 def test_searches_name_themselves_when_they_trip_the_bound():

@@ -548,7 +548,7 @@ def test_glue_sheaf_morphisms_recovers_global_map():
 
     for lam0 in enumerate_presheaf_maps(M, M)[:5]:
         alpha = {f: reindex_slice_presheaf_map(OS, f, lam0) for f in JOINT.arrows}
-        lam = glue_sheaf_morphisms(OS, OSJ, JOINT, M, M, alpha)
+        lam = glue_sheaf_morphisms(OS, JOINT, M, M, alpha)
         assert lam == lam0
 
 
@@ -569,7 +569,7 @@ def test_glue_sheaf_morphisms_names_what_does_not_glue():
                                      reindex_slice_presheaf(P, "id_*", N),
                                      {"id_*": {"x": value}})}
         with pytest.raises(InvalidTable) as exc:
-            glue_sheaf_morphisms(P, trivial_topology(P), maximal_sieve(P, "*"), M, N, alpha)
+            glue_sheaf_morphisms(P, maximal_sieve(P, "*"), M, N, alpha)
         return str(exc.value)
 
     assert glue(good, "w") == "value at 'id_*>id_*' outside the presheaf"
