@@ -318,23 +318,12 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
 
 
 def j_inverse(psi: DiscOpfibPre) -> SetPresheaf:
-    """From an opfibration over representable(c) back to a presheaf on the slice."""
-    site = psi.codomain.base
+    """From an opfibration over representable(c) back to a presheaf on the
+    slice: char(psi) at (c, id_c), which sends f to the fibre over f."""
     c = represented_object(psi.codomain)
     if c is None:
         raise InvalidTable("j_inverse expects an opfibration over a representable")
-    sl, _ = slice_cat(site, c)
-    H = psi.total
-    on_objects = {f: psi.fibre(site.dom(f), f) for f in sl.objects}
-    on_arrows = {}
-    for f in sl.objects:
-        d = site.dom(f)
-        for g in site.arrows_into(d):
-            on_arrows[slice_arrow_name(g, f)] = {
-                y: H.on_arrows[g].on_objects[y] for y in on_objects[f]
-            }
-    # valid because psi is over representable(c) and H is strict
-    return SetPresheaf(sl, on_objects, on_arrows)
+    return char(psi).object_part[(c, psi.codomain.base.id_of(c))]
 
 
 # -- modifications between maps to Omega ---------------------------------------------------

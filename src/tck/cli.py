@@ -290,7 +290,7 @@ def _cmd_probe(doc, bound):
     report = Report("probe-omega-j")
     for name in sorted(doc.sheaf_descent_data):
         datum = doc.sheaf_descent_data[name][0]
-        rep = stacks.omega_J_probe(datum.topology, [datum], bound)
+        rep = stacks.omega_J_probe([datum], bound)
         for w in rep.witnesses:
             report.note((name,) + tuple(w))
         for ce in rep.counterexamples:

@@ -443,12 +443,16 @@ class _Parser:
                 raise self.line_error(line, content, f"bad descent_datum line: {content!r}")
         base = F.base
         if identity_isos:
-            for f in s.arrows:
+            for f in s.sorted_arrows():
                 for g in base.arrows_into(base.dom(f)):
                     if (f, g) not in isos:
-                        img = F.on_arrows[g].on_objects.get(objects.get(f, ""), None)
-                        if img is None:
+                        if f not in objects:
                             raise InvariantViolation(start, f"object for {f!r} missing")
+                        img = F.on_arrows[g].on_objects.get(objects[f])
+                        if img is None:
+                            raise InvariantViolation(
+                                start, f"object {objects[f]!r} for {f!r} is not in "
+                                       f"{header[3]}({base.dom(f)})")
                         isos[(f, g)] = F.on_objects[base.dom(g)].id_of(img)
         datum = DescentDatum(F, s, objects, isos)
         self.doc.descent_data[name] = (datum, header[3], header[7])
@@ -501,7 +505,7 @@ class _Parser:
                     object_lines[f],
                     f"object for {f!r} is not on slice {header[4]} {base.dom(f)}")
         isos: dict[tuple[str, str], PresheafMap] = {}
-        for f in s.arrows:
+        for f in s.sorted_arrows():
             for g in base.arrows_into(base.dom(f)):
                 src = reindex_slice_presheaf(base, g, objects[f])
                 tgt = objects[base.compose(f, g)]

@@ -520,11 +520,6 @@ def fib_iso(phi: DiscOpfibPre, psi: DiscOpfibPre,
     """Lexicographically first invertible fibred map, if any."""
     if phi.codomain != psi.codomain:
         raise InvalidTable("fib_iso: different codomains")
-    if any(
-        len(phi.fibres[key]) != len(psi.fibres.get(key, ()))
-        for key in phi.fibres
-    ):
-        return None
     found = search_setfunctor_maps(
         fibre_diagram(phi), fibre_diagram(psi), bound, iso_only=True, limit=1
     )

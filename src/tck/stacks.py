@@ -12,8 +12,11 @@ The stack conditions are decided on the least covers, through the sieve
 plans of `site`: conditions ii and iii are the sheaf condition of each
 hom-presheaf, decided from one tally of restriction tuples per pair of
 objects as `site` decides a sheaf; morphism families and effectiveness
-isos come from `site.compatible_families`; and one walker over the plan's
-cocycle index checks Cat-valued and sheaf-valued descent data alike.
+isos come from `site.compatible_families`.  Cat-valued and sheaf-valued
+descent data are validated by one scaffold in sieve-plan order, and they
+differ only in their object and iso checks and their join, which also
+states effectiveness; one walker over the plan's cocycle index checks the
+cocycle condition of both.
 """
 
 from __future__ import annotations
@@ -77,30 +80,47 @@ class EffectivenessWitness:
 
 def validate_descent(d: DescentDatum) -> Report:
     """Verify typing, invertibility and the cocycle condition exhaustively."""
-    report = Report("validate_descent")
     F = d.presheaf
     base = F.base
-    S = d.sieve
-    if set(d.objects) != set(S.arrows):
+
+    def check_object(f, m):
+        return None if m in F.on_objects[base.dom(f)].objects else (m,)
+
+    def check_iso(g, m, target, phi):
+        Fd = F.on_objects[base.dom(g)]
+        if Fd.arrows.get(phi) != (F.on_arrows[g].on_objects[m], target):
+            return "iso-typing", phi
+        return None if Fd.is_invertible(phi) else ("iso-invertible", phi)
+
+    return _check_descent("validate_descent", base, d, check_object, check_iso,
+                          _after_action(F))
+
+
+def _check_descent(command: str, base: FinCat, d: DescentDatum | SheafDescentDatum,
+                   check_object: Callable, check_iso: Callable, join: Callable) -> Report:
+    """The steps both descent kinds share, in the order of d's sieve plan:
+    the object keys, each object, the iso keys, each iso in p.triples
+    order, and then the cocycle condition through join.  check_object(f,
+    M_f) returns None or a detail, reported as ("objects", f, *detail);
+    check_iso(g, M_f, M_{f.g}, iso at (f, g)) returns None or a kind and a
+    detail, reported as (kind, f, g, *detail).  A sieve that is no sieve
+    raises InvalidTable from sieve_plan."""
+    report = Report(command)
+    p = sieve_plan(base, d.sieve)
+    if set(d.objects) != set(p.arrows):
         return report.fail(("objects", "assignment keys differ from the sieve"))
-    for f in S.arrows:
-        if d.objects[f] not in F.on_objects[base.dom(f)].objects:
-            return report.fail(("objects", f, d.objects[f]))
-    expected = {(f, g) for f in S.arrows for g in base.arrows_into(base.dom(f))}
-    if set(d.isos) != expected:
+    for f in p.arrows:
+        bad = check_object(f, d.objects[f])
+        if bad is not None:
+            return report.fail(("objects", f, *bad))
+    pairs = [(p.arrows[i], g) for i, g, _ in p.triples]
+    if set(d.isos) != set(pairs):
         return report.fail(("isos", "iso keys differ from composable pairs"))
-    p = sieve_plan(base, S)
-    for (f, g), phi in d.isos.items():
-        dg = base.dom(g)
-        Fd = F.on_objects[dg]
-        src = F.on_arrows[g].on_objects[d.objects[f]]
-        tgt = d.objects[base.compose(f, g)]
-        if phi not in Fd.arrows or Fd.arrows[phi] != (src, tgt):
-            return report.fail(("iso-typing", f, g, phi))
-        if not Fd.is_invertible(phi):
-            return report.fail(("iso-invertible", f, g, phi))
-    isos = [d.isos[(p.arrows[i], g)] for i, g, _ in p.triples]
-    for f, g, h in _cocycle_failures(p, isos, _after_action(F)):
+    for (f, g), (_, _, k) in zip(pairs, p.triples):
+        bad = check_iso(g, d.objects[f], d.objects[p.arrows[k]], d.isos[f, g])
+        if bad is not None:
+            return report.fail((bad[0], f, g, *bad[1:]))
+    for f, g, h in _cocycle_failures(p, [d.isos[pair] for pair in pairs], join):
         report.fail(("cocycle", f, g, h))
     return report
 
@@ -119,21 +139,28 @@ def _cocycle_failures(p: SievePlan, isos: Sequence, join: Callable) -> Iterator[
 
 def _after_action(F: CatPresheaf) -> Callable:
     """The join of Cat-valued descent data: `later` after F(h)(first) in
-    F(dom h)."""
+    F(dom h).  It also states effectiveness: psi at f.g is the join of g,
+    the iso at (f, g) and psi_f."""
     base = F.base
     return lambda h, later, first: F.on_objects[base.dom(h)].compose(
         later, F.on_arrows[h].on_arrows[first])
 
 
+def _after_reindex(base: FinCat) -> Callable:
+    """The join of sheaf-valued descent data: `later` after h*(first)."""
+    return lambda h, later, first: compose_presheaf_maps(
+        later, reindex_slice_presheaf_map(base, h, first))
+
+
 def induced_descent_datum(F: CatPresheaf, s: Sieve, m: str) -> DescentDatum:
     """The datum induced by a global object: M_f = F(f)(M) with identity isos."""
     base = F.base
-    objects = {f: F.on_arrows[f].on_objects[m] for f in s.arrows}
+    objects = {f: F.on_arrows[f].on_objects[m] for f in s.sorted_arrows()}
     isos = {
         (f, g): F.on_objects[base.dom(g)].id_of(
             F.on_arrows[g].on_objects[objects[f]]
         )
-        for f in s.arrows
+        for f in objects
         for g in base.arrows_into(base.dom(f))
     }
     return DescentDatum(F, s, objects, isos)
@@ -147,9 +174,10 @@ def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[Effective
 def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[EffectivenessWitness]:
     """effectiveness, with the iso families checked against all of p's
     compatibility triples: psi at f.g is d's iso at (f, g) after
-    F(g)(psi_f), a map composed once per candidate psi_f."""
+    F(g)(psi_f), joined once per candidate psi_f."""
     F = d.presheaf
     arrows = p.arrows
+    join = _after_action(F)
     out: list[EffectivenessWitness] = []
     for m in F.on_objects[d.sieve.at].objects:
         pools = []
@@ -157,10 +185,8 @@ def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[Effectiven
             Fd = F.on_objects[df]
             fm = F.on_arrows[f].on_objects[m]
             pools.append([a for a in Fd.hom(fm, d.objects[f]) if Fd.is_invertible(a)])
-        checks = []
-        for i, g, k in p.triples:
-            Fd, iso, Fg = F.on_objects[p.doms[k]], d.isos[(arrows[i], g)], F.on_arrows[g]
-            checks.append((i, {a: Fd.compose(iso, Fg.on_arrows[a]) for a in pools[i]}, k))
+        checks = [(i, {a: join(g, d.isos[(arrows[i], g)], a) for a in pools[i]}, k)
+                  for i, g, k in p.triples]
         for choice in compatible_families("effectiveness", pools, checks, bound):
             out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
     return out
@@ -348,42 +374,28 @@ class SheafDescentDatum:
 
 
 def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> Report:
-    report = Report("validate_sheaf_descent")
+    """validate_descent for sheaf-valued data: each M_f a sheaf on
+    slice(C, dom f), each iso a natural iso g*(M_f) -> M_{f.g}."""
     base = d.site
-    S = d.sieve
-    if set(d.objects) != set(S.arrows):
-        return report.fail(("objects", "assignment keys differ from the sieve"))
-    for f in sorted(S.arrows):
-        sl, _ = slice_cat(base, base.dom(f))
-        M = d.objects[f]
-        if M.base != sl:
-            return report.fail(("objects", f, "not on the expected slice"))
-        sheaf_rep = is_sheaf(M, slice_topology(d.topology, base.dom(f)), bound)
-        if not sheaf_rep.ok:
-            return report.fail(("objects", f, "not a sheaf", sheaf_rep.counterexamples[0]))
-    expected = {(f, g) for f in S.arrows for g in base.arrows_into(base.dom(f))}
-    if set(d.isos) != expected:
-        return report.fail(("isos", "iso keys differ from composable pairs"))
-    p = sieve_plan(base, S)
-    for (f, g), phi in sorted(d.isos.items()):
-        src = reindex_slice_presheaf(base, g, d.objects[f])
-        tgt = d.objects[base.compose(f, g)]
-        if phi.source != src or phi.target != tgt:
-            return report.fail(("iso-typing", f, g))
+
+    def check_object(f, M):
+        c = base.dom(f)
+        if M.base != slice_cat(base, c)[0]:
+            return ("not on the expected slice",)
+        rep = is_sheaf(M, slice_topology(d.topology, c), bound)
+        return None if rep.ok else ("not a sheaf", rep.counterexamples[0])
+
+    def check_iso(g, M, target, phi):
+        if phi.source != reindex_slice_presheaf(base, g, M) or phi.target != target:
+            return ("iso-typing",)
         try:
             phi.validate()
         except InvalidTable as exc:
-            return report.fail(("iso-naturality", f, g, str(exc)))
-        if not phi.is_iso():
-            return report.fail(("iso-invertible", f, g))
-    isos = [d.isos[(p.arrows[i], g)] for i, g, _ in p.triples]
+            return "iso-naturality", str(exc)
+        return None if phi.is_iso() else ("iso-invertible",)
 
-    def join(h, later, first):
-        return compose_presheaf_maps(later, reindex_slice_presheaf_map(base, h, first))
-
-    for f, g, h in _cocycle_failures(p, isos, join):
-        report.fail(("cocycle", f, g, h))
-    return report
+    return _check_descent("validate_sheaf_descent", base, d, check_object, check_iso,
+                          _after_reindex(base))
 
 
 def induced_sheaf_descent_datum(base: FinCat, j: GrothTopology, s: Sieve,
@@ -391,9 +403,9 @@ def induced_sheaf_descent_datum(base: FinCat, j: GrothTopology, s: Sieve,
     """The datum induced by a global sheaf on slice(C, at): M_f = f*M."""
     from .fincat import identity_presheaf_map
 
-    objects = {f: reindex_slice_presheaf(base, f, M) for f in s.arrows}
+    objects = {f: reindex_slice_presheaf(base, f, M) for f in s.sorted_arrows()}
     isos = {}
-    for f in s.arrows:
+    for f in objects:
         for g in base.arrows_into(base.dom(f)):
             # g*(f*M) equals (f.g)*M on the nose
             isos[(f, g)] = identity_presheaf_map(objects[base.compose(f, g)])
@@ -465,10 +477,12 @@ def construct_effectiveness(d: SheafDescentDatum,
 
 def verify_effectiveness(d: SheafDescentDatum, M: SetPresheaf,
                          psis: Mapping[str, PresheafMap]) -> Report:
-    """Check the compatibility squares of the produced witness."""
+    """Check the compatibility squares of the produced witness, in the
+    order of d's sieve plan."""
     report = Report("verify_effectiveness")
     base = d.site
-    for f in sorted(d.sieve.arrows):
+    p = sieve_plan(base, d.sieve)
+    for f in p.arrows:
         psi = psis[f]
         if psi.source != reindex_slice_presheaf(base, f, M) or psi.target != d.objects[f]:
             return report.fail(("typing", f))
@@ -478,15 +492,11 @@ def verify_effectiveness(d: SheafDescentDatum, M: SetPresheaf,
             psi.validate()
         except InvalidTable as exc:
             return report.fail(("naturality", f, str(exc)))
-    for f in sorted(d.sieve.arrows):
-        for g in base.arrows_into(base.dom(f)):
-            fg = base.compose(f, g)
-            lhs = psis[fg]
-            rhs = compose_presheaf_maps(
-                d.isos[(f, g)], reindex_slice_presheaf_map(base, g, psis[f])
-            )
-            if lhs != rhs:
-                report.fail(("square", f, g))
+    join = _after_reindex(base)
+    for i, g, k in p.triples:
+        f = p.arrows[i]
+        if psis[p.arrows[k]] != join(g, d.isos[(f, g)], psis[f]):
+            report.fail(("square", f, g))
     return report
 
 
@@ -522,11 +532,11 @@ def glue_sheaf_morphisms(base: FinCat, s: Sieve, M: SetPresheaf, N: SetPresheaf,
     return lam
 
 
-def omega_J_probe(j: GrothTopology, data: list[SheafDescentDatum],
-                  bound: int = DEFAULT_BOUND) -> Report:
+def omega_J_probe(data: list[SheafDescentDatum], bound: int = DEFAULT_BOUND) -> Report:
     """Probe the stack property of the sheaf-valued classifier on supplied
-    descent data: run the gluing algorithm, verify the witness, and verify
-    morphism gluing and its uniqueness on the glued sheaf."""
+    descent data, each over its own topology: run the gluing algorithm,
+    verify the witness, and verify morphism gluing and its uniqueness on
+    the glued sheaf."""
     report = Report("omega_J_probe")
     for idx, d in enumerate(data):
         val = validate_sheaf_descent(d, bound)
@@ -549,7 +559,8 @@ def omega_J_probe(j: GrothTopology, data: list[SheafDescentDatum],
             report.bounded(f"morphism-gluing at datum {idx}", exc.bound)
             lam_pool = []
         for lam0 in lam_pool:
-            alpha = {f: reindex_slice_presheaf_map(d.site, f, lam0) for f in d.sieve.arrows}
+            alpha = {f: reindex_slice_presheaf_map(d.site, f, lam0)
+                     for f in d.sieve.sorted_arrows()}
             try:
                 lam = glue_sheaf_morphisms(d.site, d.sieve, M, M, alpha)
             except InvalidTable as exc:

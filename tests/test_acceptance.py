@@ -299,7 +299,7 @@ def test_criterion_09_omega_j_probe():
         ]
         data.extend(induced[:3])
         assert len(data) >= 10
-        rep = omega_J_probe(OSJ, data)
+        rep = omega_J_probe(data)
         assert rep.ok, rep.counterexamples
         assert time.monotonic() - start <= 60.0
 

@@ -347,7 +347,28 @@ def test_sheaf_descent_datum_header_and_objects_are_checked(old, new, bad_line, 
     assert str(err.value) == f"line {err.value.line}: {detail}"
 
 
-PART_B = "setpresheaf z.part.b.id_b on slice WA b\n  at id_b : k0\n  at u : k0\n"
+CAT_HEADER = "descent_datum DCat over FStack at T sieve SJoint"
+
+
+@pytest.mark.parametrize("objects, detail", [
+    (["L_T : zz", "O_T : rL.O_L", "R_T : zz"], "object 'zz' for 'L_T' is not in FStack(L)"),
+    (["O_T : rL.O_L"], "object for 'L_T' missing"),
+], ids=["foreign-object", "missing-object"])
+def test_identity_isos_name_an_object_outside_its_category_apart_from_a_missing_one(
+        objects, detail):
+    # an identity iso at (f, g) needs F(g) of the object at f: a given
+    # object that F(dom f) lacks is named with F(dom f), not reported missing
+    with open(os.path.join(FIXTURES, "OpenSite.site"), encoding="utf-8") as fh:
+        text = fh.read()
+    text += "\n".join(["", CAT_HEADER, *(f"  object {o}" for o in objects),
+                       "  identity-isos", "end", ""])
+    with pytest.raises(InvariantViolation) as err:
+        parse(text)
+    assert err.value.line == text.splitlines().index(CAT_HEADER) + 1
+    assert str(err.value) == f"line {err.value.line}: {detail}"
+
+
+PART_B ="setpresheaf z.part.b.id_b on slice WA b\n  at id_b : k0\n  at u : k0\n"
 
 
 @pytest.mark.parametrize("old, new, detail", [

@@ -70,23 +70,25 @@ def golden_runs(fixture: str) -> dict[str, tuple[int, str]]:
     return {head: (int(code), out) for head, code, out in zip(*[iter(parts[1:])] * 3)}
 
 
+def fresh_run(args: list[str], seed: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the interpreter run with args, in a
+    new process under one hash seed, at the default bound."""
+    env = child_env(PYTHONHASHSEED=seed)
+    env.pop("TCK_BOUND", None)
+    run = subprocess.run([sys.executable, *args], capture_output=True, env=env)
+    return run.returncode, run.stdout.decode("utf-8"), run.stderr.decode("utf-8")
+
+
 def check_fresh_processes(fixture: str, commands: tuple[str, ...]) -> None:
     """Each command, human and --json, in a new interpreter under two hash
     seeds, against the golden file's run."""
     expected = golden_runs(fixture)
-    env = child_env()
-    env.pop("TCK_BOUND", None)
     for command in commands:
         for flags in ((), ("--json",)):
             head = " ".join(("tck", command, fixture, *flags))
             for seed in ("0", "1"):
-                run = subprocess.run(
-                    [sys.executable, "-m", "tck.cli", command,
-                     os.path.join(FIXTURES, fixture), *flags],
-                    capture_output=True, env={**env, "PYTHONHASHSEED": seed},
-                )
-                assert (run.returncode, run.stdout.decode("utf-8")) == expected[head], \
-                    (head, seed)
+                args = ["-m", "tck.cli", command, os.path.join(FIXTURES, fixture), *flags]
+                assert fresh_run(args, seed)[:2] == expected[head], (head, seed)
 
 
 @pytest.mark.parametrize("fixture", ["NonSeparated.site", "OpenSite.site"])
@@ -100,6 +102,73 @@ def test_classifier_commands_match_golden_in_a_fresh_process_under_two_hash_seed
     # the parts of a map into the classifier are derived from its fibre
     # functor when read, and must come out in the same order every time
     check_fresh_processes(fixture, ("char", "roundtrip", "ff-check"))
+
+
+def test_descent_commands_match_golden_in_a_fresh_process_under_two_hash_seeds():
+    # validate and probe-omega-j check a sheaf descent datum, check-stack
+    # walks descent data over each least cover
+    check_fresh_processes("OpenSite.site", ("validate", "check-stack", "probe-omega-j"))
+
+
+SIX_SEEDS = [str(seed) for seed in range(1, 7)]
+
+BAD_DESCENT_SCRIPT = """
+from tck.corpus import constant_cat_presheaf, open_site
+from tck.fincat import discrete_category
+from tck.site import maximal_sieve
+from tck.stacks import DescentDatum, validate_descent
+
+OS = open_site()
+F = constant_cat_presheaf(OS, discrete_category(["x", "y"]))
+S = maximal_sieve(OS, "T")
+isos = {(f, g): "u" for f in S.arrows for g in OS.arrows_into(OS.dom(f))}
+for m in ("zz", "x"):
+    d = DescentDatum(F, S, {f: m for f in S.arrows}, isos)
+    print(validate_descent(d).counterexamples)
+"""
+
+
+def test_validate_descent_reports_its_first_failure_in_sieve_plan_order_under_six_seeds():
+    # every object is bad, and then every iso is; the datum's tables are
+    # built in set order, and the failure named is still the first one in
+    # sieve-plan order: sorted arrows, then the arrows into each domain
+    out = "[('objects', 'L_T', 'zz')]\n[('iso-typing', 'L_T', 'L_L', 'u')]\n"
+    for seed in SIX_SEEDS:
+        assert fresh_run(["-c", BAD_DESCENT_SCRIPT], seed) == (0, out, ""), seed
+
+
+def open_site_variant(tmp_path, text: str, header: str) -> tuple[str, int]:
+    """text written to a file, and the line of its block headed by header."""
+    path = tmp_path / "variant.site"
+    path.write_text(text, encoding="utf-8")
+    return str(path), text.splitlines().index(header) + 1
+
+
+def read_open_site() -> str:
+    with open(os.path.join(FIXTURES, "OpenSite.site"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_a_missing_sheaf_iso_is_named_in_sieve_plan_order_under_six_seeds(tmp_path):
+    # without its isos at O_O the datum misses one iso at each of its arrows
+    text, deleted = re.subn(r"^  iso \S+ \S+ at O_O : .*\n", "", read_open_site(), flags=re.M)
+    assert deleted == 3
+    header = "descent_datum DInduced sheaves on OpenSite topology J at T sieve SJoint"
+    path, line = open_site_variant(tmp_path, text, header)
+    err = f"error: line {line}: iso for ('L_T', 'O_L') missing\n"
+    for seed in SIX_SEEDS:
+        assert fresh_run(["-m", "tck.cli", "validate", path], seed) == (3, "", err), seed
+
+
+def test_a_foreign_object_under_identity_isos_is_named_in_sieve_plan_order_under_six_seeds(
+        tmp_path):
+    header = "descent_datum DBad over FStack at T sieve SJoint"
+    block = [header, "  object L_T : zz", "  object O_T : zz", "  object R_T : zz",
+             "  identity-isos", "end", ""]
+    path, line = open_site_variant(tmp_path, read_open_site() + "\n" + "\n".join(block), header)
+    err = f"error: line {line}: object 'zz' for 'L_T' is not in FStack(L)\n"
+    for seed in SIX_SEEDS:
+        assert fresh_run(["-m", "tck.cli", "validate", path], seed) == (3, "", err), seed
 
 
 if __name__ == "__main__":

@@ -511,7 +511,7 @@ def test_omega_J_probe_full_report():
         local_pair_datum(1, 2),
         local_pair_datum(2, 2),
     ]
-    rep = omega_J_probe(OSJ, data)
+    rep = omega_J_probe(data)
     assert rep.ok, rep.counterexamples
 
 
@@ -519,10 +519,10 @@ def test_omega_J_probe_reports_bounded_when_the_endomorphism_search_trips():
     # the probe searches for the first 4 endomorphisms of the glued sheaf:
     # for local_pair_datum(3, 3) that search trips at bound 100, and the
     # probe must not pass silently
-    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)], bound=100)
+    rep = omega_J_probe([local_pair_datum(3, 3)], bound=100)
     assert rep.verdict == "bounded-pass"
     assert rep.bounds == {"morphism-gluing at datum 0": 100}
-    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)])
+    rep = omega_J_probe([local_pair_datum(3, 3)])
     assert rep.verdict == "pass" and not rep.bounds
 
 
@@ -530,14 +530,14 @@ def test_omega_J_probe_searches_only_the_endomorphisms_it_checks():
     # the glued sheaf of local_pair_datum(3, 3) has 729 endomorphisms, whose
     # full search visits some 60k nodes; the probe checks 4 of them, and
     # finding those 4 fits well within bound 1000
-    rep = omega_J_probe(OSJ, [local_pair_datum(3, 3)], bound=1000)
+    rep = omega_J_probe([local_pair_datum(3, 3)], bound=1000)
     assert rep.verdict == "pass" and not rep.bounds
 
 
 def test_omega_J_probe_vacuous_on_empty_sieve():
     sl, _ = slice_cat(OS, "O")
     d = SheafDescentDatum(OS, OSJ, Sieve("O", frozenset()), {}, {})
-    rep = omega_J_probe(OSJ, [d])
+    rep = omega_J_probe([d])
     assert rep.ok
     assert ("vacuous", 0) in rep.witnesses
 
@@ -812,10 +812,9 @@ def test_construct_effectiveness_agrees_with_double_plus_oracle():
 
 
 def test_omega_J_probe_on_overlapping_cover():
-    _, topo = square_site()
     data = [overlap_datum(False), overlap_datum(True),
             overlap_datum(True, {"n0": "x0", "n1": "x0"})]
-    rep = omega_J_probe(topo, data)
+    rep = omega_J_probe(data)
     assert rep.ok, rep.counterexamples
 
 
