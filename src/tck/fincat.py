@@ -441,10 +441,6 @@ class NatTransform:
                 raise InvalidTable(f"naturality square fails on {u!r}")
 
 
-def identity_nat(F: FinFunctor) -> NatTransform:
-    return NatTransform(F, F, {x: F.target.id_of(F.on_objects[x]) for x in F.source.objects})
-
-
 # -- set-valued functors ---------------------------------------------------------
 
 

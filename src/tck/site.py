@@ -29,7 +29,11 @@ matching family is then a tuple of values in arrow order, checked against
 the triples whose g is no identity (Z is validated first, and Z(id) = id
 settles the others), restricted along f by reading positions, and
 compared with the restriction tuples of Z(c); no presheaf recomposes
-arrows.  `compatible_families` is the one enumeration of such tuples:
+arrows.  A family needs a value at every arrow of M_c, so where some
+domain of M_c has no section Match(M_c, Z), Z+(c) and Z(c) are empty and
+the sheaf conditions hold at c vacuously: no family is enumerated there.
+The value pools of a valid Z are sorted, so product order is sorted
+order.  `compatible_families` is the one enumeration of such tuples:
 the matching families here, and in `stacks` the morphism families of
 the stack conditions and the isos of effectiveness witnesses.  A sieve
 plan also indexes the cocycle condition of descent data
@@ -93,15 +97,20 @@ def sieve_generate(cat: FinCat, arrows: Iterable[str]) -> Sieve:
     arrows = list(arrows)
     if not arrows:
         raise MixedCodomain(arrows)
-    unknown = next((f for f in arrows if f not in cat.arrows), None)
-    if unknown is not None:
-        raise InvalidTable(f"unknown arrow {unknown!r}")
+    _known(cat, arrows)
     cods = {cat.cod(f) for f in arrows}
     if len(cods) != 1:
         raise MixedCodomain(arrows)
     (c,) = cods
     principal = cat._principal
     return Sieve(c, frozenset().union(*(principal[f] for f in arrows)))
+
+
+def _known(cat: FinCat, arrows: Iterable[str]) -> None:
+    """Raise InvalidTable naming the first of arrows that cat lacks."""
+    unknown = next((f for f in arrows if f not in cat.arrows), None)
+    if unknown is not None:
+        raise InvalidTable(f"unknown arrow {unknown!r}")
 
 
 def sieve_generate_at(cat: FinCat, c: str, arrows: Iterable[str]) -> Sieve:
@@ -139,6 +148,7 @@ def is_sieve(cat: FinCat, s: Sieve) -> bool:
 
 def pullback_sieve(cat: FinCat, g: str, s: Sieve) -> Sieve:
     """g*S = the arrows h into dom(g) with g.h in S."""
+    _known(cat, [g])
     if cat.cod(g) != s.at:
         raise InvalidTable(f"pullback_sieve: {g!r} does not land at {s.at!r}")
     d = cat.dom(g)
@@ -190,11 +200,16 @@ class SievePlan:
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
+    """The plan of s; InvalidTable if s is no sieve on s.at: an unknown
+    arrow, an arrow into another object, or f.g outside s."""
     arrows = s.sorted_arrows()
+    _known(cat, arrows)
     position = {f: i for i, f in enumerate(arrows)}
     doms = tuple(cat.dom(f) for f in arrows)
     triples = []
     for i, f in enumerate(arrows):
+        if cat.cod(f) != s.at:
+            raise InvalidTable(f"{f!r} does not land at {s.at!r}")
         for g in cat.arrows_into(doms[i]):
             k = position.get(cat.compose(f, g))
             if k is None:
@@ -528,9 +543,14 @@ def compatible_families(what: str, pools: Sequence[Sequence],
 
 def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
     """The matching families on p's sieve as value tuples in arrow order,
-    in the order of the product of the value pools.  Only p.checks are
-    compared: Z is valid, so Z(id) = id settles the identity triples."""
-    return compatible_families("matching_families", [Z.on_objects[d] for d in p.doms],
+    in the order of the product of the value pools, which is sorted order:
+    Z is valid, so each pool is sorted.  A domain with no section leaves
+    no family, and then no action is read.  Only p.checks are compared:
+    Z(id) = id settles the identity triples."""
+    pools = [Z.on_objects[d] for d in p.doms]
+    if not all(pools):
+        return []
+    return compatible_families("matching_families", pools,
                                [(i, Z.on_arrows[g], k) for i, g, k in p.checks], bound)
 
 
@@ -580,8 +600,11 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
+        families = _families(Z, p, bound)
+        if not families:  # no family has amalgamations to count
+            continue
         by_family = tally(Z.on_objects[c], restrictions(Z, p, c))
-        for t in _families(Z, p, bound):
+        for t in families:
             n = len(by_family.get(t, ()))
             if fails(n):
                 return report.fail((c, p.arrows, dict(zip(p.arrows, t)), n))
@@ -602,7 +625,9 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
 
     The colimit over the covers at c has a terminal stage at M_c = ∩ J(c),
     so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
-    in sorted family order.  A family restricts along f: d -> c through
+    in sorted family order, which is the product order of Z's sorted
+    pools.  Z+(c) is empty, with no action read, where some domain of M_c
+    has no section; the unit is then empty at c too.  A family restricts along f: d -> c through
     f*M_c ⊇ M_d, by the positions the plan holds for f; along an identity
     it stays put.  The labels' string order, which orders Z+(c), is their
     numeric order up to q9.  A raw j that is no topology raises
@@ -616,7 +641,7 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     labels: dict[str, dict[tuple[str, ...], str]] = {}
     families: dict[str, list[tuple[str, tuple[str, ...]]]] = {}  # (q, family) by label
     for c, p in plan.covers.items():
-        found = sorted(_families(Z, p, bound))
+        found = _families(Z, p, bound)
         labels[c] = {t: f"q{i}" for i, t in enumerate(found)}
         families[c] = list(zip(labels[c].values(), found))
         if len(found) > 10:  # q10 sorts before q2
@@ -637,6 +662,7 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     unit = mark_valid(PresheafMap(Z, presheaf, {
         c: dict(zip(Z.on_objects[c],
                     map(labels[c].__getitem__, restrictions(Z, plan.covers[c], c))))
+        if Z.on_objects[c] else {}
         for c in cat.objects
     }))
     return PlusConstruction(presheaf, unit)

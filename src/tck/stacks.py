@@ -152,20 +152,6 @@ def _after_reindex(base: FinCat) -> Callable:
         later, reindex_slice_presheaf_map(base, h, first))
 
 
-def induced_descent_datum(F: CatPresheaf, s: Sieve, m: str) -> DescentDatum:
-    """The datum induced by a global object: M_f = F(f)(M) with identity isos."""
-    base = F.base
-    objects = {f: F.on_arrows[f].on_objects[m] for f in s.sorted_arrows()}
-    isos = {
-        (f, g): F.on_objects[base.dom(g)].id_of(
-            F.on_arrows[g].on_objects[objects[f]]
-        )
-        for f in objects
-        for g in base.arrows_into(base.dom(f))
-    }
-    return DescentDatum(F, s, objects, isos)
-
-
 def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[EffectivenessWitness]:
     """All witnesses, by exhaustive search over objects and iso families."""
     return _effectiveness(d, sieve_plan(d.presheaf.base, d.sieve), bound)
@@ -185,10 +171,13 @@ def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[Effectiven
             Fd = F.on_objects[df]
             fm = F.on_arrows[f].on_objects[m]
             pools.append([a for a in Fd.hom(fm, d.objects[f]) if Fd.is_invertible(a)])
-        checks = [(i, {a: join(g, d.isos[(arrows[i], g)], a) for a in pools[i]}, k)
-                  for i, g, k in p.triples]
-        for choice in compatible_families("effectiveness", pools, checks, bound):
-            out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
+            if not pools[-1]:
+                break  # no iso F(f)(m) -> M_f, so no witness at m
+        else:
+            checks = [(i, {a: join(g, d.isos[(arrows[i], g)], a) for a in pools[i]}, k)
+                      for i, g, k in p.triples]
+            for choice in compatible_families("effectiveness", pools, checks, bound):
+                out.append(EffectivenessWitness(m, dict(zip(arrows, choice))))
     return out
 
 
@@ -214,12 +203,15 @@ def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[De
             Fd = F.on_objects[p.doms[k]]
             src = F.on_arrows[g].on_objects[objs[i]]
             iso_pools.append([a for a in Fd.hom(src, objs[k]) if Fd.is_invertible(a)])
-        # the estimate counts every object assignment, not just this one
-        guard("descent data isos", total * math.prod(map(len, iso_pools)), bound)
-        assignment = dict(zip(p.arrows, objs))
-        for choice in itertools.product(*iso_pools):
-            if next(_cocycle_failures(p, choice, join), None) is None:
-                out.append(DescentDatum(F, s, assignment, dict(zip(pairs, choice))))
+            if not iso_pools[-1]:
+                break  # no datum on these objects, whose estimate is 0
+        else:
+            # the estimate counts every object assignment, not just this one
+            guard("descent data isos", total * math.prod(map(len, iso_pools)), bound)
+            assignment = dict(zip(p.arrows, objs))
+            for choice in itertools.product(*iso_pools):
+                if next(_cocycle_failures(p, choice, join), None) is None:
+                    out.append(DescentDatum(F, s, assignment, dict(zip(pairs, choice))))
     return out
 
 

@@ -19,6 +19,7 @@ from tck.corpus import (
 from tck.errors import InvalidTable, NotOpfibrationAt
 from tck.fincat import (
     FinFunctor,
+    NatTransform,
     SetPresheaf,
     free_category,
     identity_functor,
@@ -222,9 +223,11 @@ def test_fib_iso_found_for_relabelled_fixture():
     assert iso is not None
 
 
-def test_enumerate_modifications_identity_present():
-    from tck.fincat import identity_nat
+def identity_nat(F: FinFunctor) -> NatTransform:
+    return NatTransform(F, F, {x: F.target.id_of(F.on_objects[x]) for x in F.source.objects})
 
+
+def test_enumerate_modifications_identity_present():
     F = sample_presheaf()
     phi = dopf_corpus(F, 2)[1]
     z = phi.s

@@ -368,6 +368,21 @@ def test_matching_families_over_a_family_that_is_no_sieve_raise_invalid_table():
         matching_families(nonseparated_presheaf(), Sieve("T", frozenset({"L_T"})))
 
 
+def test_matching_families_over_arrows_that_are_no_sieve_raise_invalid_table():
+    # the maximal sieve on T, held at L, passes every closure check
+    into_t = maximal_sieve(OS, "T").arrows
+    assert not is_sieve(OS, Sieve("L", into_t))
+    with pytest.raises(InvalidTable, match="'L_T' does not land at 'L'"):
+        matching_families(nonseparated_presheaf(), Sieve("L", into_t))
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        matching_families(nonseparated_presheaf(), Sieve("T", frozenset({"L_T", "nope"})))
+
+
+def test_pullback_along_an_unknown_arrow_raises_invalid_table():
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        pullback_sieve(OS, "nope", joint_sieve())
+
+
 def test_matching_families_on_joint_cover_counts():
     # truly constant {0,1}: compatibility through O forces equal choices -> 2
     Zconst = constant_presheaf(OS, ["0", "1"])
@@ -593,6 +608,74 @@ def test_plan_kernels_equal_the_oracle_on_generated_monoids(cat, data):
     assume(len(Z.on_objects["*"]) ** len(into) <= 4096)
     assume(len(plus(Z, j).presheaf.on_objects["*"]) ** len(j.minimal["*"].arrows) <= 4096)
     assert_plan_kernels_equal_the_oracle(Z, j)
+
+
+def test_plan_kernels_equal_the_oracles_on_sparse_presheaves():
+    # a domain of M_c with no section leaves no family at c, and c no section
+    from test_stacks import on_least_covers
+    from tck.corpus import hom_into
+    from tck.prestack import discrete_presheaf
+    from tck.stacks import check_stack
+
+    for k in (2, 3):
+        j = powerset_site(k)
+        cat = j.base
+        zs = [Z for Z in presheaf_corpus(cat, 0) if not all(Z.on_objects.values())]
+        zs += [hom_into(cat, b) for b in cat.objects]
+        assert len(zs) > 2 ** k
+        for Z in zs:
+            Z.validate()
+            assert_plan_kernels_equal_the_oracle(Z, j)
+            F = discrete_presheaf(cat, Z)
+            rep, expected = check_stack(F, j), stack_oracle.check_stack(F, j)
+            assert rep.verdict == expected.verdict
+            assert rep.counterexamples == on_least_covers(expected, j)
+            assert rep.bounds == expected.bounds == {}
+
+
+def dead_objects(Z, j):
+    """The objects c where some domain of M_c has no section."""
+    return {c for c, p in j.plan.covers.items() if not all(Z.on_objects[d] for d in p.doms)}
+
+
+def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
+    j = powerset_site(4)
+    # the member with 8 or more dead objects that has the most live ones
+    Z = min((Z for Z in presheaf_corpus(j.base, 0) if len(dead_objects(Z, j)) >= 8),
+            key=lambda Z: len(dead_objects(Z, j)))
+    calls = []
+    enumerate_families = site.compatible_families
+
+    def recording(what, pools, checks, bound):
+        calls.append(all(pools))
+        return enumerate_families(what, pools, checks, bound)
+
+    monkeypatch.setattr(site, "compatible_families", recording)
+    live = len(j.base.objects) - len(dead_objects(Z, j))
+    assert live == 8
+    assert is_sheaf(Z, j).ok
+    assert calls == [True] * live
+    calls.clear()
+    first = plus(Z, j)
+    assert calls == [True] * live
+    calls.clear()
+    sheafify(Z, j)
+    live_plus = len(j.base.objects) - len(dead_objects(first.presheaf, j))
+    assert calls == [True] * (live + live_plus)
+
+
+def test_sheaf_kernels_trip_the_bound_on_the_maximal_sieves_of_chain13():
+    # the top of chain13 has 13 arrows into it, so 3^13 candidate families
+    from tck.errors import SizeBound
+
+    names = [f"c{i}" for i in range(13)]
+    cat = poset_category(names, list(zip(names, names[1:])))
+    j, Z = trivial_topology(cat), constant_presheaf(cat, "abc")
+    for check in (is_sheaf, is_separated, sheafify):
+        with pytest.raises(SizeBound) as exc:
+            check(Z, j)
+        assert (exc.value.what, exc.value.estimate, exc.value.bound) == \
+            ("matching_families", 3 ** 13, 10 ** 6)
 
 
 def test_transport_plus_iso_on_slices():

@@ -61,7 +61,6 @@ from tck.stacks import (
     ell_factors,
     enumerate_descent_data,
     glue_sheaf_morphisms,
-    induced_descent_datum,
     induced_sheaf_descent_datum,
     omega_J_probe,
     validate_descent,
@@ -91,6 +90,18 @@ def sheaf_maps_corpus(n):
     return out[:n]
 
 
+def induced_descent_datum(F, s, m):
+    """The datum induced by a global object: M_f = F(f)(M) with identity isos."""
+    base = F.base
+    objects = {f: F.on_arrows[f].on_objects[m] for f in s.sorted_arrows()}
+    isos = {
+        (f, g): F.on_objects[base.dom(g)].id_of(F.on_arrows[g].on_objects[objects[f]])
+        for f in objects
+        for g in base.arrows_into(base.dom(f))
+    }
+    return DescentDatum(F, s, objects, isos)
+
+
 def test_validate_descent_induced_by_global_object():
     F = discrete_presheaf(OS, sheaf_corpus(4)[3])
     for m in F.on_objects["T"].objects:
@@ -104,6 +115,13 @@ def test_validate_descent_empty_sieve_vacuous():
     assert validate_descent(d).ok
     wits = effectiveness(d)
     assert len(wits) == len(F.on_objects["O"].objects)
+
+
+def test_validate_descent_over_an_unknown_arrow_raises_invalid_table():
+    F = discrete_presheaf(OS, sheaf_corpus(1)[0])
+    d = DescentDatum(F, Sieve("T", frozenset({"nope"})), {"nope": "x"}, {})
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        validate_descent(d)
 
 
 def test_validate_descent_broken_iso_is_rejected():
