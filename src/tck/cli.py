@@ -28,18 +28,22 @@ from .fincat import DEFAULT_BOUND
 from .report import BOUNDED_PASS, PASS, Report
 
 
+def _topologies_on(doc: docformat.Document, base_name: str):
+    """The (name, topology) pairs of the topologies on base_name, by name."""
+    return [(jname, topo) for jname, (topo, jbase) in sorted(doc.topologies.items())
+            if jbase == base_name]
+
+
 def _presheaf_topology_pairs(doc: docformat.Document):
     """Pair each set-valued presheaf with every applicable topology
     (slice-based presheaves get the induced slice topology)."""
     pairs = []
     for zname in sorted(doc.setpresheaves):
         Z, expr = doc.setpresheaves[zname]
-        for jname in sorted(doc.topologies):
-            topo, base_name = doc.topologies[jname]
-            if expr[0] == "cat" and expr[1] == base_name:
-                pairs.append((zname, Z, jname, topo))
-            elif expr[0] == "slice" and expr[1] == base_name:
-                pairs.append((zname, Z, jname, site_mod.slice_topology(topo, expr[2])))
+        for jname, topo in _topologies_on(doc, expr[1]):
+            if expr[0] == "slice":
+                topo = site_mod.slice_topology(topo, expr[2])
+            pairs.append((zname, Z, jname, topo))
     return pairs
 
 
@@ -154,10 +158,7 @@ def _cmd_check_stack(doc, bound):
     report = Report("check-stack")
     for fname in sorted(doc.catpresheaves):
         F, base_name, _, _ = doc.catpresheaves[fname]
-        for jname in sorted(doc.topologies):
-            topo, jbase = doc.topologies[jname]
-            if jbase != base_name:
-                continue
+        for jname, topo in _topologies_on(doc, base_name):
             checked = True
             rep = stacks.check_stack(F, topo, bound)
             for ce in rep.counterexamples:
@@ -216,10 +217,7 @@ def _cmd_char_stacks(doc, bound):
     for name in sorted(doc.two_nats):
         nat, _, dstref, _ = doc.two_nats[name]
         base_name = doc.catpresheaves[dstref][1]
-        for jname in sorted(doc.topologies):
-            topo, jbase = doc.topologies[jname]
-            if jbase != base_name:
-                continue
+        for jname, topo in _topologies_on(doc, base_name):
             try:
                 phi = prestack.certify_dopf_pre(nat)
                 zj = stacks.char_stacks(phi, topo, bound=bound)

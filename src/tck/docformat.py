@@ -4,16 +4,35 @@ Blocks declare named values; later blocks reference earlier ones by name.
 Tables are explicit (no inference of composites) unless a category block
 carries the ``freely-generate`` flag.  serialize() emits a canonical form:
 sections grouped by kind, names and table lines sorted, byte-stable.
+
+Each block kind has its own reader and writer, since the shape of its
+header and lines is its own.  Four rules are shared by every kind:
+
+- a name resolves through ``ref``: a name missing from its table is a
+  ``DanglingReference`` at the line that names it;
+- a library check runs through ``checked``: its ``TckError`` becomes an
+  ``InvariantViolation`` at the block's first line (a raw ``sieve`` line
+  names its own line);
+- a body line the block cannot read is ``bad``: a ``ParseError`` at that
+  line and the column of its content, ``bad <kind> line: '<content>'``;
+- a block is written by ``_ser_block``: its header, its lines indented by
+  two spaces with trailing spaces stripped, then ``end``.
+
+An id (a block name, an object, an arrow or an element) is a non-empty
+string without whitespace or ``#``, and an element is not the ``,`` that
+separates pairs; serialize() refuses any other id with ``InvalidTable``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .classifier import MapToOmega, map_from_parts
 from .errors import (
     DanglingReference,
+    InvalidTable,
     InvariantViolation,
     ParseError,
     TckError,
@@ -70,6 +89,22 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def ref(table: Mapping, name: str, line: int):
+    """The entry ``name`` names in a document table, read at ``line``."""
+    if name not in table:
+        raise DanglingReference(line, name)
+    return table[name]
+
+
+def checked(start: int, build, *args):
+    """``build(*args)``, a library call whose error is reported at line
+    ``start`` of the document."""
+    try:
+        return build(*args)
+    except TckError as exc:
+        raise InvariantViolation(start, str(exc)) from exc
+
+
 class _Parser:
     def __init__(self, text: str, base_dir: str | None = None,
                  doc: Document | None = None, seen_paths: set | None = None):
@@ -89,6 +124,10 @@ class _Parser:
         column = raw.find(content) + 1 if content and content in raw else 1
         return ParseError(lineno, column, detail)
 
+    def bad(self, line: int, content: str, kind: str) -> ParseError:
+        """A body line that a block of this kind cannot read."""
+        return self.line_error(line, content, f"bad {kind} line: {content!r}")
+
     def put(self, table: dict, key, value, line: int, content: str) -> None:
         """Store one table line; a key given twice is ambiguous."""
         if key in table:
@@ -103,7 +142,8 @@ class _Parser:
             self.i += 1
         return None
 
-    def body(self) -> list[tuple[int, str]]:
+    def body(self) -> list[tuple[int, str, list[str]]]:
+        """The block's content lines up to 'end': line number, content, tokens."""
         out = []
         while True:
             self.i += 1
@@ -115,26 +155,21 @@ class _Parser:
             if content == "end":
                 self.i += 1
                 return out
-            out.append((self.i + 1, content))
-
-    def resolve_category(self, name: str, line: int) -> FinCat:
-        if name not in self.doc.categories:
-            raise DanglingReference(line, name)
-        return self.doc.categories[name]
+            out.append((self.i + 1, content, content.split()))
 
     def resolve_base(self, tokens: list[str], line: int):
         """Base expression: either CAT or 'slice CAT OBJ'."""
         if tokens[0] == "slice":
             if len(tokens) != 3:
                 raise ParseError(line, 1, "slice base needs a category and an object")
-            cat = self.resolve_category(tokens[1], line)
+            cat = ref(self.doc.categories, tokens[1], line)
             if tokens[2] not in cat.objects:
                 raise DanglingReference(line, tokens[2])
             sl, _ = slice_cat(cat, tokens[2])
             return sl, ("slice", tokens[1], tokens[2])
         if len(tokens) != 1:
             raise ParseError(line, 1, "expected a category name or a slice expression")
-        return self.resolve_category(tokens[0], line), ("cat", tokens[0])
+        return ref(self.doc.categories, tokens[0], line), ("cat", tokens[0])
 
     # blocks
 
@@ -154,7 +189,7 @@ class _Parser:
             if len(tokens) > 1 and any(tokens[1] in getattr(self.doc, table)
                                        for table in _NAMESPACES[kind]):
                 raise self.error(f"repeated {kind} name {tokens[1]!r}")
-            handler(tokens)
+            handler(tokens, self.i + 1)
 
     def directive_import(self, tokens: list[str]) -> None:
         """Merge another document's sections; paths resolve relative to the
@@ -181,8 +216,7 @@ class _Parser:
         _Parser(text, os.path.dirname(path), self.doc, self.seen_paths).parse()
         self.i += 1
 
-    def block_category(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_category(self, header: list[str], start: int) -> None:
         if len(header) < 2:
             raise self.error("category block needs a name")
         name = header[1]
@@ -191,8 +225,7 @@ class _Parser:
         arrows: dict[str, tuple[str, str]] = {}
         identities: dict[str, str] = {}
         compose: dict[tuple[str, str], str] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "objects":
                 objects.extend(t[1:])
             elif t[0] == "arrow" and len(t) == 6 and t[2] == ":" and t[4] == "->":
@@ -204,42 +237,35 @@ class _Parser:
                     raise ParseError(line, 1, "compose lines not allowed with freely-generate")
                 self.put(compose, (t[1], t[2]), t[4], line, content)
             else:
-                raise self.line_error(line, content, f"bad category line: {content!r}")
-        try:
-            if free:
-                cat = free_category(objects, arrows)
-            else:
-                cat = build_category(objects, arrows, identities, compose)
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+                raise self.bad(line, content, "category")
+        if free:
+            cat = checked(start, free_category, objects, arrows)
+        else:
+            cat = checked(start, build_category, objects, arrows, identities, compose)
         self.doc.categories[name] = cat
 
-    def block_functor(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_functor(self, header: list[str], start: int) -> None:
         if len(header) != 6 or header[2] != ":" or header[4] != "->":
             raise self.error("functor header: functor NAME : SRC -> DST")
         name = header[1]
         src_name, dst_name = header[3], header[5]
-        src = self.resolve_category(src_name, start)
-        dst = self.resolve_category(dst_name, start)
+        src = ref(self.doc.categories, src_name, start)
+        dst = ref(self.doc.categories, dst_name, start)
         ob: dict[str, str] = {}
         ar: dict[str, str] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "ob" and len(t) == 4 and t[2] == ":":
                 self.put(ob, t[1], t[3], line, content)
             elif t[0] == "arr" and len(t) == 4 and t[2] == ":":
                 self.put(ar, t[1], t[3], line, content)
             else:
-                raise self.line_error(line, content, f"bad functor line: {content!r}")
+                raise self.bad(line, content, "functor")
         for x in src.objects:
-            if x in ob and src.id_of(x) not in ar:
+            # only an image in the target has an identity to default to
+            if x in ob and ob[x] in dst.objects and src.id_of(x) not in ar:
                 ar[src.id_of(x)] = dst.id_of(ob[x])
         fun = FinFunctor(src, dst, ob, ar)
-        try:
-            fun.validate()
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+        checked(start, fun.validate)
         self.doc.functors[name] = (fun, src_name, dst_name)
 
     def _pairs(self, tokens: list[str], line: int) -> dict[str, str]:
@@ -257,22 +283,20 @@ class _Parser:
             rest = rest[3:]
         return table
 
-    def block_setpresheaf(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_setpresheaf(self, header: list[str], start: int) -> None:
         if len(header) < 4 or header[2] != "on":
             raise self.error("setpresheaf header: setpresheaf NAME on BASE")
         name = header[1]
         base, base_expr = self.resolve_base(header[3:], start)
         at: dict[str, tuple[str, ...]] = {}
         maps: dict[str, dict[str, str]] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "at" and len(t) >= 3 and t[2] == ":":
                 self.put(at, t[1], tuple(sorted(t[3:])), line, content)
             elif t[0] == "map" and len(t) >= 3 and t[2] == ":":
                 self.put(maps, t[1], self._pairs(t[3:], line), line, content)
             else:
-                raise self.line_error(line, content, f"bad setpresheaf line: {content!r}")
+                raise self.bad(line, content, "setpresheaf")
         for c in base.objects:
             at.setdefault(c, ())
         for f in base.arrows:
@@ -281,34 +305,27 @@ class _Parser:
             else:
                 maps.setdefault(f, {})
         Z = SetPresheaf(base, at, maps)
-        try:
-            Z.validate()
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+        checked(start, Z.validate)
         self.doc.setpresheaves[name] = (Z, base_expr)
 
-    def block_catpresheaf(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_catpresheaf(self, header: list[str], start: int) -> None:
         if len(header) != 4 or header[2] != "on":
             raise self.error("catpresheaf header: catpresheaf NAME on CAT")
         name = header[1]
-        base = self.resolve_category(header[3], start)
+        base = ref(self.doc.categories, header[3], start)
+        on_objects: dict[str, FinCat] = {}
+        on_arrows: dict[str, FinFunctor] = {}
         at_refs: dict[str, str] = {}
         arr_refs: dict[str, str] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "at" and len(t) == 4 and t[2] == ":":
-                if t[3] not in self.doc.categories:
-                    raise DanglingReference(line, t[3])
-                self.put(at_refs, t[1], t[3], line, content)
+                self.put(on_objects, t[1], ref(self.doc.categories, t[3], line), line, content)
+                at_refs[t[1]] = t[3]
             elif t[0] == "arr" and len(t) == 4 and t[2] == ":":
-                if t[3] not in self.doc.functors:
-                    raise DanglingReference(line, t[3])
-                self.put(arr_refs, t[1], t[3], line, content)
+                self.put(on_arrows, t[1], ref(self.doc.functors, t[3], line)[0], line, content)
+                arr_refs[t[1]] = t[3]
             else:
-                raise self.line_error(line, content, f"bad catpresheaf line: {content!r}")
-        on_objects = {c: self.doc.categories[ref] for c, ref in at_refs.items()}
-        on_arrows = {f: self.doc.functors[ref][0] for f, ref in arr_refs.items()}
+                raise self.bad(line, content, "catpresheaf")
         for c in base.objects:
             if c not in on_objects:
                 raise InvariantViolation(start, f"no category assigned at {c!r}")
@@ -319,50 +336,36 @@ class _Parser:
                 else:
                     raise InvariantViolation(start, f"no functor assigned at {f!r}")
         F = CatPresheaf(base, on_objects, on_arrows)
-        try:
-            F.validate()
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+        checked(start, F.validate)
         self.doc.catpresheaves[name] = (F, header[3], at_refs, arr_refs)
 
-    def block_two_nat(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_two_nat(self, header: list[str], start: int) -> None:
         if len(header) != 6 or header[2] != ":" or header[4] != "->":
             raise self.error("two_nat header: two_nat NAME : F -> G")
         name = header[1]
-        for ref in (header[3], header[5]):
-            if ref not in self.doc.catpresheaves:
-                raise DanglingReference(start, ref)
-        src = self.doc.catpresheaves[header[3]][0]
-        dst = self.doc.catpresheaves[header[5]][0]
+        src = ref(self.doc.catpresheaves, header[3], start)[0]
+        dst = ref(self.doc.catpresheaves, header[5], start)[0]
+        comps: dict[str, FinFunctor] = {}
         at_refs: dict[str, str] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "at" and len(t) == 4 and t[2] == ":":
-                if t[3] not in self.doc.functors:
-                    raise DanglingReference(line, t[3])
-                self.put(at_refs, t[1], t[3], line, content)
+                self.put(comps, t[1], ref(self.doc.functors, t[3], line)[0], line, content)
+                at_refs[t[1]] = t[3]
             else:
-                raise self.line_error(line, content, f"bad two_nat line: {content!r}")
-        comps = {c: self.doc.functors[ref][0] for c, ref in at_refs.items()}
+                raise self.bad(line, content, "two_nat")
         nat = TwoNat(src, dst, comps)
-        try:
-            nat.validate()
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+        checked(start, nat.validate)
         self.doc.two_nats[name] = (nat, header[3], header[5], at_refs)
 
-    def block_topology(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_topology(self, header: list[str], start: int) -> None:
         if len(header) < 4 or header[2] != "on":
             raise self.error("topology header: topology NAME on CAT [raw]")
         name = header[1]
-        base = self.resolve_category(header[3], start)
+        base = ref(self.doc.categories, header[3], start)
         raw = len(header) > 4 and header[4] == "raw"
         gens: dict[str, list[list[str]]] = {}
         raw_sieves: dict[str, list[Sieve]] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "cover" and len(t) >= 3 and t[2] == ":":
                 if raw:
                     raise ParseError(line, 1, "raw topology blocks use 'sieve' lines")
@@ -370,69 +373,51 @@ class _Parser:
             elif t[0] == "sieve" and len(t) >= 3 and t[2] == ":":
                 if not raw:
                     raise ParseError(line, 1, "'sieve' lines need the raw flag")
-                try:
-                    raw_sieves.setdefault(t[1], []).append(
-                        sieve_generate_at(base, t[1], t[3:])
-                    )
-                except TckError as exc:
-                    raise InvariantViolation(line, str(exc)) from exc
+                raw_sieves.setdefault(t[1], []).append(
+                    checked(line, sieve_generate_at, base, t[1], t[3:]))
             else:
-                raise self.line_error(line, content, f"bad topology line: {content!r}")
+                raise self.bad(line, content, "topology")
         if raw:
             covers = {c: frozenset(raw_sieves.get(c, [])) for c in base.objects}
             topo = GrothTopology(base, covers)
         else:
-            try:
-                topo, _ = topology_from_generators(base, gens)
-            except TckError as exc:
-                raise InvariantViolation(start, str(exc)) from exc
+            topo, _ = checked(start, topology_from_generators, base, gens)
         self.doc.topologies[name] = (topo, header[3])
 
-    def block_sieve(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_sieve(self, header: list[str], start: int) -> None:
         if len(header) != 6 or header[2] != "on" or header[4] != "at":
             raise self.error("sieve header: sieve NAME on CAT at OBJ")
         name = header[1]
-        base = self.resolve_category(header[3], start)
+        base = ref(self.doc.categories, header[3], start)
         arrows: list[str] = []
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "arrows":
                 arrows.extend(t[1:])
             else:
-                raise self.line_error(line, content, f"bad sieve line: {content!r}")
-        try:
-            s = sieve_generate_at(base, header[5], arrows)
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+                raise self.bad(line, content, "sieve")
+        s = checked(start, sieve_generate_at, base, header[5], arrows)
         self.doc.sieves[name] = (s, header[3])
 
-    def block_descent_datum(self, header: list[str]) -> None:
+    def block_descent_datum(self, header: list[str], start: int) -> None:
         if len(header) > 2 and header[2] == "sheaves":
-            self._block_sheaf_descent(header)
+            self._block_sheaf_descent(header, start)
         else:
-            self._block_descent(header)
+            self._block_descent(header, start)
 
-    def _block_descent(self, header: list[str]) -> None:
-        start = self.i + 1
+    def _block_descent(self, header: list[str], start: int) -> None:
         if len(header) != 8 or header[2] != "over" or header[4] != "at" or header[6] != "sieve":
             raise self.error(
                 "descent_datum header: descent_datum NAME over F at OBJ sieve S"
             )
         name = header[1]
-        if header[3] not in self.doc.catpresheaves:
-            raise DanglingReference(start, header[3])
-        F = self.doc.catpresheaves[header[3]][0]
-        if header[7] not in self.doc.sieves:
-            raise DanglingReference(start, header[7])
-        s = self.doc.sieves[header[7]][0]
+        F = ref(self.doc.catpresheaves, header[3], start)[0]
+        s = ref(self.doc.sieves, header[7], start)[0]
         if s.at != header[5]:
             raise InvariantViolation(start, "sieve is not based at the stated object")
         objects: dict[str, str] = {}
         isos: dict[tuple[str, str], str] = {}
         identity_isos = False
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
                 self.put(objects, t[1], t[3], line, content)
             elif t[0] == "iso" and len(t) == 5 and t[3] == ":":
@@ -440,7 +425,7 @@ class _Parser:
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
             else:
-                raise self.line_error(line, content, f"bad descent_datum line: {content!r}")
+                raise self.bad(line, content, "descent_datum")
         base = F.base
         if identity_isos:
             for f in s.sorted_arrows():
@@ -457,37 +442,32 @@ class _Parser:
         datum = DescentDatum(F, s, objects, isos)
         self.doc.descent_data[name] = (datum, header[3], header[7])
 
-    def _block_sheaf_descent(self, header: list[str]) -> None:
-        start = self.i + 1
+    def _block_sheaf_descent(self, header: list[str], start: int) -> None:
         if len(header) != 11 or header[3] != "on" or header[5] != "topology" \
            or header[7] != "at" or header[9] != "sieve":
             raise self.error(
                 "header: descent_datum NAME sheaves on CAT topology J at OBJ sieve S"
             )
         name = header[1]
-        base = self.resolve_category(header[4], start)
-        if header[6] not in self.doc.topologies:
-            raise DanglingReference(start, header[6])
-        topo, topo_base = self.doc.topologies[header[6]]
+        base = ref(self.doc.categories, header[4], start)
+        topo, topo_base = ref(self.doc.topologies, header[6], start)
         if topo_base != header[4]:
             raise InvariantViolation(start, f"topology {header[6]!r} is not on {header[4]!r}")
-        if header[10] not in self.doc.sieves:
-            raise DanglingReference(start, header[10])
-        s, sieve_base = self.doc.sieves[header[10]]
+        s, sieve_base = ref(self.doc.sieves, header[10], start)
         if sieve_base != header[4]:
             raise InvariantViolation(start, f"sieve {header[10]!r} is not on {header[4]!r}")
         if s.at != header[8]:
             raise InvariantViolation(start, "sieve is not based at the stated object")
+        objects: dict[str, SetPresheaf] = {}
         object_refs: dict[str, str] = {}
         object_lines: dict[str, int] = {}
         iso_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
         identity_isos = False
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
-                if t[3] not in self.doc.setpresheaves:
-                    raise DanglingReference(line, t[3])
-                self.put(object_refs, t[1], t[3], line, content)
+                self.put(objects, t[1], ref(self.doc.setpresheaves, t[3], line)[0],
+                         line, content)
+                object_refs[t[1]] = t[3]
                 object_lines[t[1]] = line
             elif t[0] == "iso" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
                 self.put(iso_tables.setdefault((t[1], t[2]), {}), t[4],
@@ -495,8 +475,7 @@ class _Parser:
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
             else:
-                raise self.line_error(line, content, f"bad sheaf descent line: {content!r}")
-        objects = {f: self.doc.setpresheaves[ref][0] for f, ref in object_refs.items()}
+                raise self.bad(line, content, "sheaf descent")
         for f in s.sorted_arrows():
             if f not in objects:
                 raise InvariantViolation(start, f"object for {f!r} missing")
@@ -524,34 +503,31 @@ class _Parser:
             datum, header[4], header[6], header[10], object_refs
         )
 
-    def block_map_to_omega(self, header: list[str]) -> None:
-        start = self.i + 1
+    def block_map_to_omega(self, header: list[str], start: int) -> None:
         if len(header) != 4 or header[2] != "over":
             raise self.error("map_to_omega header: map_to_omega NAME over F")
         name = header[1]
-        if header[3] not in self.doc.catpresheaves:
-            raise DanglingReference(start, header[3])
-        F = self.doc.catpresheaves[header[3]][0]
+        F = ref(self.doc.catpresheaves, header[3], start)[0]
         base = F.base
+        parts: dict[tuple[str, str], SetPresheaf] = {}
         part_refs: dict[tuple[str, str], str] = {}
         arrow_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
-        for line, content in self.body():
-            t = content.split()
+        for line, content, t in self.body():
             if t[0] == "part" and len(t) == 5 and t[3] == ":":
-                if t[4] not in self.doc.setpresheaves:
-                    raise DanglingReference(line, t[4])
-                self.put(part_refs, (t[1], t[2]), t[4], line, content)
+                self.put(parts, (t[1], t[2]), ref(self.doc.setpresheaves, t[4], line)[0],
+                         line, content)
+                part_refs[(t[1], t[2])] = t[4]
             elif t[0] == "arrowpart" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
                 self.put(arrow_tables.setdefault((t[1], t[2]), {}), t[4],
                          self._pairs(t[6:], line), line, content)
             else:
-                raise self.line_error(line, content, f"bad map_to_omega line: {content!r}")
+                raise self.bad(line, content, "map_to_omega")
         object_part = {}
         for c in base.objects:
             for x in F.on_objects[c].objects:
-                if (c, x) not in part_refs:
+                if (c, x) not in parts:
                     raise InvariantViolation(start, f"part for ({c!r}, {x!r}) missing")
-                object_part[(c, x)] = self.doc.setpresheaves[part_refs[(c, x)]][0]
+                object_part[(c, x)] = parts[(c, x)]
         arrow_part = {}
         for c in base.objects:
             Fc = F.on_objects[c]
@@ -564,11 +540,8 @@ class _Parser:
                     arrow_part[(c, nu)] = identity_presheaf_map(src)
                 else:
                     raise InvariantViolation(start, f"arrowpart for ({c!r}, {nu!r}) missing")
-        try:
-            z = map_from_parts(base, F, object_part, arrow_part)
-            z.validate()
-        except TckError as exc:
-            raise InvariantViolation(start, str(exc)) from exc
+        z = checked(start, map_from_parts, base, F, object_part, arrow_part)
+        checked(start, z.validate)
         self.doc.maps_to_omega[name] = (z, header[3], part_refs)
 
 
@@ -588,22 +561,46 @@ def parse_file(path) -> Document:
 # -- serialization ---------------------------------------------------------------------
 
 
+def _refuse_unwritable_ids(doc: Document) -> None:
+    """Raise InvalidTable naming the first id that would not read back as
+    itself: block names, the objects and arrows of the categories, and the
+    elements of the set-valued presheaves."""
+    names = [name for table in vars(doc).values() for name in table]
+    parts = [x for cat in doc.categories.values() for x in chain(cat.objects, cat.arrows)]
+    elements = [x for Z, _ in doc.setpresheaves.values()
+                for elems in Z.on_objects.values() for x in elems]
+    for ident in chain(names, parts, elements):
+        if ident.split() != [ident] or "#" in ident:
+            raise InvalidTable(f"id {ident!r} cannot be written")
+    if "," in elements:
+        raise InvalidTable("element ',' cannot be written: it separates pairs")
+    if any(expr == ("cat", "slice") for _, expr in doc.setpresheaves.values()):
+        raise InvalidTable("a presheaf base named 'slice' cannot be written")
+
+
+def _ser_block(header: str, lines: Iterable[str]) -> list[str]:
+    return [header, *(f"  {line}".rstrip() for line in lines), "end"]
+
+
 def _ser_pairs(table: Mapping[str, str]) -> str:
     return " , ".join(f"{k} -> {v}" for k, v in sorted(table.items()))
 
 
+def _ser_components(prefix: str, m: PresheafMap) -> list[str]:
+    """One ``PREFIX at h : x -> y , ...`` line per component h of m."""
+    return [f"{prefix} at {h} : {_ser_pairs(m.components[h])}" for h in sorted(m.components)]
+
+
 def _ser_category(name: str, cat: FinCat) -> list[str]:
-    out = [f"category {name}"]
-    out.append(("  objects " + " ".join(cat.objects)).rstrip())
+    lines = ["objects " + " ".join(cat.objects)]
     for f in cat.sorted_arrows():
         d, c = cat.arrows[f]
-        out.append(f"  arrow {f} : {d} -> {c}")
+        lines.append(f"arrow {f} : {d} -> {c}")
     for c in cat.objects:
-        out.append(f"  identity {c} : {cat.id_of(c)}")
+        lines.append(f"identity {c} : {cat.id_of(c)}")
     for (g, f), h in sorted(cat.compose_table.items()):
-        out.append(f"  compose {g} {f} : {h}")
-    out.append("end")
-    return out
+        lines.append(f"compose {g} {f} : {h}")
+    return _ser_block(f"category {name}", lines)
 
 
 def _ser_base(expr: tuple) -> str:
@@ -613,104 +610,65 @@ def _ser_base(expr: tuple) -> str:
 
 
 def _ser_setpresheaf(name: str, Z: SetPresheaf, expr: tuple) -> list[str]:
-    out = [f"setpresheaf {name} on {_ser_base(expr)}"]
-    for c in sorted(Z.on_objects):
-        elems = " ".join(Z.on_objects[c])
-        out.append(f"  at {c} :" + (f" {elems}" if elems else ""))
+    lines = [f"at {c} : " + " ".join(Z.on_objects[c]) for c in sorted(Z.on_objects)]
     for f in sorted(Z.on_arrows):
-        if Z.base.is_identity(f):
-            continue
-        pairs = _ser_pairs(Z.on_arrows[f])
-        out.append(f"  map {f} :" + (f" {pairs}" if pairs else ""))
-    out.append("end")
-    return out
+        if not Z.base.is_identity(f):
+            lines.append(f"map {f} : {_ser_pairs(Z.on_arrows[f])}")
+    return _ser_block(f"setpresheaf {name} on {_ser_base(expr)}", lines)
 
 
 def serialize(doc: Document) -> str:
-    out: list[str] = []
-    for name in sorted(doc.categories):
-        out.extend(_ser_category(name, doc.categories[name]))
-        out.append("")
+    _refuse_unwritable_ids(doc)
+    blocks = [_ser_category(name, doc.categories[name]) for name in sorted(doc.categories)]
     for name in sorted(doc.functors):
         fun, src, dst = doc.functors[name]
-        out.append(f"functor {name} : {src} -> {dst}")
-        for x in sorted(fun.on_objects):
-            out.append(f"  ob {x} : {fun.on_objects[x]}")
+        lines = [f"ob {x} : {fun.on_objects[x]}" for x in sorted(fun.on_objects)]
         for f in sorted(fun.on_arrows):
             if not fun.source.is_identity(f):
-                out.append(f"  arr {f} : {fun.on_arrows[f]}")
-        out.append("end")
-        out.append("")
+                lines.append(f"arr {f} : {fun.on_arrows[f]}")
+        blocks.append(_ser_block(f"functor {name} : {src} -> {dst}", lines))
     for name in sorted(doc.setpresheaves):
         Z, expr = doc.setpresheaves[name]
-        out.extend(_ser_setpresheaf(name, Z, expr))
-        out.append("")
+        blocks.append(_ser_setpresheaf(name, Z, expr))
     for name in sorted(doc.catpresheaves):
         F, base, at_refs, arr_refs = doc.catpresheaves[name]
-        out.append(f"catpresheaf {name} on {base}")
-        for c in sorted(at_refs):
-            out.append(f"  at {c} : {at_refs[c]}")
-        for f in sorted(arr_refs):
-            out.append(f"  arr {f} : {arr_refs[f]}")
-        out.append("end")
-        out.append("")
+        lines = [f"at {c} : {at_refs[c]}" for c in sorted(at_refs)]
+        lines += [f"arr {f} : {arr_refs[f]}" for f in sorted(arr_refs)]
+        blocks.append(_ser_block(f"catpresheaf {name} on {base}", lines))
     for name in sorted(doc.two_nats):
         nat, src, dst, at_refs = doc.two_nats[name]
-        out.append(f"two_nat {name} : {src} -> {dst}")
-        for c in sorted(at_refs):
-            out.append(f"  at {c} : {at_refs[c]}")
-        out.append("end")
-        out.append("")
+        lines = [f"at {c} : {at_refs[c]}" for c in sorted(at_refs)]
+        blocks.append(_ser_block(f"two_nat {name} : {src} -> {dst}", lines))
     for name in sorted(doc.topologies):
         topo, base = doc.topologies[name]
-        out.append(f"topology {name} on {base} raw")
+        lines = []
         for c in sorted(topo.covers):
             for s in sorted(topo.covers[c], key=lambda s: s.sorted_arrows()):
-                arrows = " ".join(s.sorted_arrows())
-                out.append(f"  sieve {c} :" + (f" {arrows}" if arrows else ""))
-        out.append("end")
-        out.append("")
+                lines.append(f"sieve {c} : " + " ".join(s.sorted_arrows()))
+        blocks.append(_ser_block(f"topology {name} on {base} raw", lines))
     for name in sorted(doc.sieves):
         s, base = doc.sieves[name]
-        out.append(f"sieve {name} on {base} at {s.at}")
-        out.append("  arrows " + " ".join(s.sorted_arrows()))
-        out.append("end")
-        out.append("")
+        blocks.append(_ser_block(f"sieve {name} on {base} at {s.at}",
+                                 ["arrows " + " ".join(s.sorted_arrows())]))
     for name in sorted(doc.descent_data):
         datum, over, sieve_ref = doc.descent_data[name]
-        out.append(f"descent_datum {name} over {over} at {datum.sieve.at} sieve {sieve_ref}")
-        for f in sorted(datum.objects):
-            out.append(f"  object {f} : {datum.objects[f]}")
-        for (f, g), phi in sorted(datum.isos.items()):
-            out.append(f"  iso {f} {g} : {phi}")
-        out.append("end")
-        out.append("")
+        lines = [f"object {f} : {datum.objects[f]}" for f in sorted(datum.objects)]
+        lines += [f"iso {f} {g} : {phi}" for (f, g), phi in sorted(datum.isos.items())]
+        blocks.append(_ser_block(
+            f"descent_datum {name} over {over} at {datum.sieve.at} sieve {sieve_ref}", lines))
     for name in sorted(doc.sheaf_descent_data):
         datum, base, topo_ref, sieve_ref, object_refs = doc.sheaf_descent_data[name]
-        out.append(
-            f"descent_datum {name} sheaves on {base} topology {topo_ref} "
-            f"at {datum.sieve.at} sieve {sieve_ref}"
-        )
-        for f in sorted(object_refs):
-            out.append(f"  object {f} : {object_refs[f]}")
+        lines = [f"object {f} : {object_refs[f]}" for f in sorted(object_refs)]
         for (f, g), m in sorted(datum.isos.items()):
-            for h in sorted(m.components):
-                pairs = _ser_pairs(m.components[h])
-                out.append(f"  iso {f} {g} at {h} :" + (f" {pairs}" if pairs else ""))
-        out.append("end")
-        out.append("")
+            lines += _ser_components(f"iso {f} {g}", m)
+        blocks.append(_ser_block(
+            f"descent_datum {name} sheaves on {base} topology {topo_ref} "
+            f"at {datum.sieve.at} sieve {sieve_ref}", lines))
     for name in sorted(doc.maps_to_omega):
         z, over, part_refs = doc.maps_to_omega[name]
-        out.append(f"map_to_omega {name} over {over}")
-        for (c, x) in sorted(part_refs):
-            out.append(f"  part {c} {x} : {part_refs[(c, x)]}")
-        F = z.source
+        lines = [f"part {c} {x} : {part_refs[(c, x)]}" for (c, x) in sorted(part_refs)]
         for (c, nu), m in sorted(z.arrow_part.items()):
-            if F.on_objects[c].is_identity(nu):
-                continue
-            for h in sorted(m.components):
-                pairs = _ser_pairs(m.components[h])
-                out.append(f"  arrowpart {c} {nu} at {h} :" + (f" {pairs}" if pairs else ""))
-        out.append("end")
-        out.append("")
-    return "\n".join(out).rstrip("\n") + "\n"
+            if not z.source.on_objects[c].is_identity(nu):
+                lines += _ser_components(f"arrowpart {c} {nu}", m)
+        blocks.append(_ser_block(f"map_to_omega {name} over {over}", lines))
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"

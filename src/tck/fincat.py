@@ -383,11 +383,11 @@ class FinFunctor:
     def validate(self) -> None:
         if set(self.on_objects) != set(self.source.objects):
             raise InvalidTable("functor object map is not total")
-        if set(self.on_arrows) != set(self.source.arrows):
-            raise InvalidTable("functor arrow map is not total")
         for x, y in self.on_objects.items():
             if y not in self.target.objects:
                 raise InvalidTable(f"object image {y!r} not in target")
+        if set(self.on_arrows) != set(self.source.arrows):
+            raise InvalidTable("functor arrow map is not total")
         for f, m in self.on_arrows.items():
             d, c = self.source.arrows[f]
             if m not in self.target.arrows or \

@@ -274,6 +274,16 @@ def assert_clean_usage_error(res):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+def test_functor_object_image_outside_the_target_exits_three(tmp_path):
+    path = tmp_path / "functor.site"
+    path.write_text("category A\n  objects a\n  arrow id_a : a -> a\n  identity a : id_a\n"
+                    "  compose id_a id_a : id_a\nend\n\n"
+                    "functor F : A -> A\n  ob a : nope\nend\n")
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stderr == "error: line 8: object image 'nope' not in target\n"
+
+
 def test_directory_argument_exits_three_without_traceback(tmp_path):
     res = tck("validate", str(tmp_path))
     assert_clean_usage_error(res)

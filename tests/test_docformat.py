@@ -12,7 +12,14 @@ from tck.docbuild import (
     write_fixture_tree,
 )
 from tck.docformat import parse, parse_file, serialize
-from tck.errors import DanglingReference, InvariantViolation, ParseError
+from tck.fincat import constant_presheaf
+from tck.errors import (
+    DanglingReference,
+    InvalidTable,
+    InvariantViolation,
+    ParseError,
+    TckError,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -388,3 +395,391 @@ def test_map_to_omega_block_is_checked_at_its_start(old, new, detail):
         parse(text)
     assert err.value.line == text.splitlines().index("map_to_omega z over RepB") + 1
     assert str(err.value) == f"line {err.value.line}: {detail}"
+
+
+# Every block kind in one document that parses: the error table below edits
+# it, and each error must name the line marked "#<" (a comment to the parser).
+BLOCKS = """\
+category WA
+  objects a b
+  arrow id_a : a -> a
+  arrow id_b : b -> b
+  arrow u : a -> b
+  identity a : id_a
+  identity b : id_b
+  compose id_a id_a : id_a
+  compose id_b id_b : id_b
+  compose id_b u : u
+  compose u id_a : u
+end
+
+category Pt
+  objects p
+  arrow id_p : p -> p
+  identity p : id_p
+  compose id_p id_p : id_p
+end
+
+functor I : Pt -> Pt
+  ob p : p
+end
+
+catpresheaf F on WA
+  at a : Pt
+  at b : Pt
+  arr u : I
+end
+
+two_nat N : F -> F
+  at a : I
+  at b : I
+end
+
+topology J on WA
+  cover b : u
+end
+
+sieve S on WA at b
+  arrows u
+end
+
+descent_datum D over F at b sieve S
+  object u : p
+  identity-isos
+end
+
+setpresheaf Za on slice WA a
+  at id_a : x
+end
+
+descent_datum DS sheaves on WA topology J at b sieve S
+  object u : Za
+  identity-isos
+end
+
+setpresheaf Pa on slice WA a
+  at id_a : p
+end
+
+setpresheaf Pb on slice WA b
+  at id_b : p
+  at u : p
+  map u>id_b : p -> p
+end
+
+map_to_omega M over F
+  part a p : Pa
+  part b p : Pb
+  arrowpart a id_p at id_a : p -> p
+end
+"""
+
+
+def edit_blocks(edits):
+    text = BLOCKS
+    for old, new in edits:
+        if old is None:
+            text += new
+        else:
+            assert old in text, old
+            text = text.replace(old, new, 1)
+    return text
+
+
+# (case, error class, column or None, message after its line prefix, edits)
+BLOCK_ERRORS = [
+    ("category-header", ParseError, 1, "category block needs a name",
+     [("category Pt\n", "category #<\n")]),
+    ("category-line", ParseError, 3, "bad category line: 'zzz junk'",
+     [("  objects p\n", "  objects p\n  zzz junk #<\n")]),
+    ("category-repeated", ParseError, 3, "repeated key 'u'",
+     [("  arrow u : a -> b\n", "  arrow u : a -> b\n  arrow u : a -> a #<\n")]),
+    ("category-free-compose", ParseError, 1, "compose lines not allowed with freely-generate",
+     [("category Pt\n", "category Pt freely-generate\n"),
+      ("  compose id_p id_p : id_p\n", "  compose id_p id_p : id_p #<\n")]),
+    ("category-invalid", InvariantViolation, None,
+     "composite ('id_p', 'id_p'): result 'ghost' is not an arrow",
+     [("category Pt\n", "category Pt #<\n"),
+      ("  compose id_p id_p : id_p\n", "  compose id_p id_p : ghost\n")]),
+    ("block-name-repeated", ParseError, 1, "repeated category name 'WA'",
+     [(None, "\ncategory WA #<\nend\n")]),
+    ("unknown-kind", ParseError, 1, "unknown section kind 'widget'",
+     [(None, "\nwidget W #<\nend\n")]),
+    ("functor-header", ParseError, 1, "functor header: functor NAME : SRC -> DST",
+     [("functor I : Pt -> Pt\n", "functor I : Pt Pt #<\n")]),
+    ("functor-dangling-source", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("functor I : Pt -> Pt\n", "functor I : Nowhere -> Pt #<\n")]),
+    ("functor-dangling-target", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("functor I : Pt -> Pt\n", "functor I : Pt -> Nowhere #<\n")]),
+    ("functor-line", ParseError, 3, "bad functor line: 'obb p : p'",
+     [("  ob p : p\n", "  ob p : p\n  obb p : p #<\n")]),
+    ("functor-repeated", ParseError, 3, "repeated key 'p'",
+     [("  ob p : p\n", "  ob p : p\n  ob p : p #<\n")]),
+    ("functor-invalid", InvariantViolation, None,
+     "arrow image 'ghost' of 'id_p' missing or has wrong endpoints",
+     [("functor I : Pt -> Pt\n", "functor I : Pt -> Pt #<\n"),
+      ("  ob p : p\n", "  ob p : p\n  arr id_p : ghost\n")]),
+    ("setpresheaf-header", ParseError, 1, "setpresheaf header: setpresheaf NAME on BASE",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za #<\n")]),
+    ("setpresheaf-slice-arity", ParseError, 1, "slice base needs a category and an object",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za on slice WA #<\n")]),
+    ("setpresheaf-base-arity", ParseError, 1, "expected a category name or a slice expression",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za on WA a #<\n")]),
+    ("setpresheaf-dangling-base", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za on Nowhere #<\n")]),
+    ("setpresheaf-dangling-slice", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za on slice Nowhere a #<\n")]),
+    ("setpresheaf-dangling-slice-object", DanglingReference, None,
+     "reference 'zz' does not resolve",
+     [("setpresheaf Za on slice WA a\n", "setpresheaf Za on slice WA zz #<\n")]),
+    ("setpresheaf-line", ParseError, 3, "bad setpresheaf line: 'att id_a : x'",
+     [("  at id_a : x\n", "  at id_a : x\n  att id_a : x #<\n")]),
+    ("setpresheaf-repeated-at", ParseError, 3, "repeated key 'id_a'",
+     [("  at id_a : x\n", "  at id_a : x\n  at id_a : y #<\n")]),
+    ("setpresheaf-repeated-map", ParseError, 3, "repeated key 'u>id_b'",
+     [("  map u>id_b : p -> p\n", "  map u>id_b : p -> p\n  map u>id_b : p -> p #<\n")]),
+    ("setpresheaf-pairs", ParseError, 1, "expected 'x -> y' pairs",
+     [("  map u>id_b : p -> p\n", "  map u>id_b : p p #<\n")]),
+    ("setpresheaf-pairs-repeated", ParseError, 1, "repeated key 'p' in pairs",
+     [("  map u>id_b : p -> p\n", "  map u>id_b : p -> p , p -> p #<\n")]),
+    ("setpresheaf-invalid", InvariantViolation, None,
+     "action of 'u>id_b' sends 'p' outside Z('u')",
+     [("setpresheaf Pb on slice WA b\n", "setpresheaf Pb on slice WA b #<\n"),
+      ("  map u>id_b : p -> p\n", "  map u>id_b : p -> q\n")]),
+    ("catpresheaf-header", ParseError, 1, "catpresheaf header: catpresheaf NAME on CAT",
+     [("catpresheaf F on WA\n", "catpresheaf F WA #<\n")]),
+    ("catpresheaf-dangling-base", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("catpresheaf F on WA\n", "catpresheaf F on Nowhere #<\n")]),
+    ("catpresheaf-dangling-category", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("  at a : Pt\n", "  at a : Nowhere #<\n")]),
+    ("catpresheaf-dangling-functor", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("  arr u : I\n", "  arr u : Nowhere #<\n")]),
+    ("catpresheaf-line", ParseError, 3, "bad catpresheaf line: 'arrow u : I'",
+     [("  arr u : I\n", "  arr u : I\n  arrow u : I #<\n")]),
+    ("catpresheaf-repeated", ParseError, 3, "repeated key 'u'",
+     [("  arr u : I\n", "  arr u : I\n  arr u : I #<\n")]),
+    ("catpresheaf-no-category", InvariantViolation, None, "no category assigned at 'b'",
+     [("catpresheaf F on WA\n", "catpresheaf F on WA #<\n"),
+      ("  at b : Pt\n", "")]),
+    ("catpresheaf-no-functor", InvariantViolation, None, "no functor assigned at 'u'",
+     [("catpresheaf F on WA\n", "catpresheaf F on WA #<\n"),
+      ("  arr u : I\n", "")]),
+    ("catpresheaf-invalid", InvariantViolation, None, "action of 'u' has wrong endpoints",
+     [("catpresheaf F on WA\n", "catpresheaf F on WA #<\n"),
+      ("  at b : Pt\n", "  at b : WA\n")]),
+    ("two_nat-header", ParseError, 1, "two_nat header: two_nat NAME : F -> G",
+     [("two_nat N : F -> F\n", "two_nat N : F F #<\n")]),
+    ("two_nat-dangling-source", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("two_nat N : F -> F\n", "two_nat N : Nowhere -> F #<\n")]),
+    ("two_nat-dangling-target", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("two_nat N : F -> F\n", "two_nat N : F -> Nowhere #<\n")]),
+    ("two_nat-dangling-component", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("  at a : I\n", "  at a : Nowhere #<\n")]),
+    ("two_nat-line", ParseError, 3, "bad two_nat line: 'at b I'",
+     [("  at b : I\n", "  at b : I\n  at b I #<\n")]),
+    ("two_nat-repeated", ParseError, 3, "repeated key 'b'",
+     [("  at b : I\n", "  at b : I\n  at b : I #<\n")]),
+    ("two_nat-invalid", InvariantViolation, None, "component table is not total",
+     [("two_nat N : F -> F\n", "two_nat N : F -> F #<\n"),
+      ("  at b : I\n", "")]),
+    ("topology-header", ParseError, 1, "topology header: topology NAME on CAT [raw]",
+     [("topology J on WA\n", "topology J WA #<\n")]),
+    ("topology-dangling", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("topology J on WA\n", "topology J on Nowhere #<\n")]),
+    ("topology-line", ParseError, 3, "bad topology line: 'covers b : u'",
+     [("  cover b : u\n", "  cover b : u\n  covers b : u #<\n")]),
+    ("topology-cover-in-raw", ParseError, 1, "raw topology blocks use 'sieve' lines",
+     [("topology J on WA\n", "topology J on WA raw\n"),
+      ("  cover b : u\n", "  cover b : u #<\n")]),
+    ("topology-sieve-not-raw", ParseError, 1, "'sieve' lines need the raw flag",
+     [("  cover b : u\n", "  sieve b : u #<\n")]),
+    ("topology-raw-sieve-invalid", InvariantViolation, None, "unknown arrow 'ghost'",
+     [("topology J on WA\n", "topology J on WA raw\n"),
+      ("  cover b : u\n", "  sieve b : ghost #<\n")]),
+    ("topology-invalid", InvariantViolation, None, "unknown arrow 'ghost'",
+     [("topology J on WA\n", "topology J on WA #<\n"),
+      ("  cover b : u\n", "  cover b : ghost\n")]),
+    ("sieve-header", ParseError, 1, "sieve header: sieve NAME on CAT at OBJ",
+     [("sieve S on WA at b\n", "sieve S on WA b #<\n")]),
+    ("sieve-dangling", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("sieve S on WA at b\n", "sieve S on Nowhere at b #<\n")]),
+    ("sieve-line", ParseError, 3, "bad sieve line: 'arrow u'",
+     [("  arrows u\n", "  arrows u\n  arrow u #<\n")]),
+    ("sieve-invalid", InvariantViolation, None, "unknown arrow 'ghost'",
+     [("sieve S on WA at b\n", "sieve S on WA at b #<\n"),
+      ("  arrows u\n", "  arrows ghost\n")]),
+    ("descent-header", ParseError, 1,
+     "descent_datum header: descent_datum NAME over F at OBJ sieve S",
+     [("D over F at b sieve S\n", "D over F at b #<\n")]),
+    ("descent-dangling-presheaf", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("D over F at b sieve S\n", "D over Nowhere at b sieve S #<\n")]),
+    ("descent-dangling-sieve", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("D over F at b sieve S\n", "D over F at b sieve Nowhere #<\n")]),
+    ("descent-at", InvariantViolation, None, "sieve is not based at the stated object",
+     [("D over F at b sieve S\n", "D over F at a sieve S #<\n")]),
+    ("descent-line", ParseError, 3, "bad descent_datum line: 'objects u : p'",
+     [("  object u : p\n", "  object u : p\n  objects u : p #<\n")]),
+    ("descent-repeated-object", ParseError, 3, "repeated key 'u'",
+     [("  object u : p\n", "  object u : p\n  object u : p #<\n")]),
+    ("descent-repeated-iso", ParseError, 3, "repeated key ('u', 'id_a')",
+     [("  object u : p\n", "  object u : p\n  iso u id_a : id_p\n  iso u id_a : id_p #<\n")]),
+    ("descent-missing-object", InvariantViolation, None, "object for 'u' missing",
+     [("D over F at b sieve S\n", "D over F at b sieve S #<\n"),
+      ("  object u : p\n", "")]),
+    ("sheaf-descent-header", ParseError, 1,
+     "header: descent_datum NAME sheaves on CAT topology J at OBJ sieve S",
+     [("WA topology J at b sieve S\n", "WA topology J at b #<\n")]),
+    ("sheaf-descent-dangling-base", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("WA topology J at b sieve S\n", "Nowhere topology J at b sieve S #<\n")]),
+    ("sheaf-descent-dangling-topology", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("WA topology J at b sieve S\n", "WA topology Nowhere at b sieve S #<\n")]),
+    ("sheaf-descent-dangling-sieve", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("WA topology J at b sieve S\n", "WA topology J at b sieve Nowhere #<\n")]),
+    ("sheaf-descent-at", InvariantViolation, None, "sieve is not based at the stated object",
+     [("WA topology J at b sieve S\n", "WA topology J at a sieve S #<\n")]),
+    ("sheaf-descent-dangling-object", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("  object u : Za\n", "  object u : Nowhere #<\n")]),
+    ("sheaf-descent-line", ParseError, 3, "bad sheaf descent line: 'objects u : Za'",
+     [("  object u : Za\n", "  object u : Za\n  objects u : Za #<\n")]),
+    ("sheaf-descent-repeated-object", ParseError, 3, "repeated key 'u'",
+     [("  object u : Za\n", "  object u : Za\n  object u : Za #<\n")]),
+    ("sheaf-descent-repeated-iso", ParseError, 3, "repeated key 'id_a'",
+     [("  object u : Za\n", "  object u : Za\n  iso u id_a at id_a : x -> x\n"
+                           "  iso u id_a at id_a : x -> x #<\n")]),
+    ("sheaf-descent-pairs", ParseError, 1, "expected 'x -> y' pairs",
+     [("  object u : Za\n", "  object u : Za\n  iso u id_a at id_a : x #<\n")]),
+    ("sheaf-descent-off-slice", InvariantViolation, None, "object for 'u' is not on slice WA a",
+     [("  at id_a : x\nend\n", "  at id_a : x\nend\n\nsetpresheaf Zb on slice WA b\n"
+                             "  at id_b : x\n  at u : x\n  map u>id_b : x -> x\nend\n"),
+      ("  object u : Za\n", "  object u : Zb #<\n")]),
+    ("sheaf-descent-missing-object", InvariantViolation, None, "object for 'u' missing",
+     [("WA topology J at b sieve S\n", "WA topology J at b sieve S #<\n"),
+      ("  object u : Za\n", "")]),
+    ("sheaf-descent-missing-iso", InvariantViolation, None, "iso for ('u', 'id_a') missing",
+     [("WA topology J at b sieve S\n", "WA topology J at b sieve S #<\n"),
+      ("  object u : Za\n  identity-isos\n", "  object u : Za\n")]),
+    ("map_to_omega-header", ParseError, 1, "map_to_omega header: map_to_omega NAME over F",
+     [("map_to_omega M over F\n", "map_to_omega M F #<\n")]),
+    ("map_to_omega-dangling-presheaf", DanglingReference, None,
+     "reference 'Nowhere' does not resolve",
+     [("map_to_omega M over F\n", "map_to_omega M over Nowhere #<\n")]),
+    ("map_to_omega-dangling-part", DanglingReference, None, "reference 'Nowhere' does not resolve",
+     [("  part b p : Pb\n", "  part b p : Nowhere #<\n")]),
+    ("map_to_omega-line", ParseError, 3, "bad map_to_omega line: 'parts b p : Pb'",
+     [("  part b p : Pb\n", "  part b p : Pb\n  parts b p : Pb #<\n")]),
+    ("map_to_omega-repeated-part", ParseError, 3, "repeated key ('b', 'p')",
+     [("  part b p : Pb\n", "  part b p : Pb\n  part b p : Pb #<\n")]),
+    ("map_to_omega-repeated-arrowpart", ParseError, 3, "repeated key 'id_a'",
+     [("  arrowpart a id_p at id_a : p -> p\n",
+       "  arrowpart a id_p at id_a : p -> p\n  arrowpart a id_p at id_a : p -> p #<\n")]),
+    ("map_to_omega-pairs", ParseError, 1, "expected 'x -> y' pairs",
+     [("  arrowpart a id_p at id_a : p -> p\n", "  arrowpart a id_p at id_a : p #<\n")]),
+    ("map_to_omega-missing-part", InvariantViolation, None, "part for ('b', 'p') missing",
+     [("map_to_omega M over F\n", "map_to_omega M over F #<\n"),
+      ("  part b p : Pb\n", "")]),
+    ("map_to_omega-invalid", InvariantViolation, None,
+     "object_part at ('b', 'p') is not on slice(C, 'b')",
+     [("map_to_omega M over F\n", "map_to_omega M over F #<\n"),
+      ("  part b p : Pb\n", "  part b p : Pa\n")]),
+
+]
+
+
+def test_the_error_table_edits_a_document_that_parses():
+    doc = parse(BLOCKS)
+    assert doc.maps_to_omega and doc.sheaf_descent_data and doc.descent_data
+
+
+@pytest.mark.parametrize("cls, column, detail, edits",
+                         [case[1:] for case in BLOCK_ERRORS],
+                         ids=[case[0] for case in BLOCK_ERRORS])
+def test_every_block_error_names_its_line_column_and_message(cls, column, detail, edits):
+    text = edit_blocks(edits)
+    marked = [i + 1 for i, line in enumerate(text.splitlines()) if "#<" in line]
+    assert len(marked) == 1
+    with pytest.raises(TckError) as err:
+        parse(text)
+    exc = err.value
+    assert type(exc) is cls
+    assert exc.line == marked[0]
+    assert getattr(exc, "column", None) == column
+    prefix = f"line {exc.line}" + (f", column {column}" if column is not None else "")
+    assert str(exc) == f"{prefix}: {detail}"
+
+
+def test_functor_object_image_outside_the_target_is_an_invariant_violation():
+    # the identity default for ob p is read off the target only when p's
+    # image is one of its objects; otherwise validation names the image
+    text = edit_blocks([("functor I : Pt -> Pt\n  ob p : p\n",
+                         "functor I : Pt -> Pt\n  ob p : nope\n")])
+    with pytest.raises(InvariantViolation) as err:
+        parse(text)
+    assert err.value.line == text.splitlines().index("functor I : Pt -> Pt") + 1
+    assert str(err.value) == f"line {err.value.line}: object image 'nope' not in target"
+
+
+# pieces of hostile ids: the format's own tokens, whitespace and '#'
+ID_PIECES = [",", "(", ")", "<", ">", "|", "#", ":", "->", "end", " ", "\t", "a", "b"]
+ids = st.lists(st.sampled_from(ID_PIECES), max_size=3).map("".join)
+
+
+def writable(ident, element=False):
+    return ident.split() == [ident] and "#" not in ident and not (element and ident == ",")
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_categories(), st.data())
+def test_serialize_refuses_unwritable_ids_and_round_trips_the_rest(cat, data):
+    from tck.fincat import build_category, constant_presheaf, identity_functor
+    from tck.site import maximal_sieve
+
+    obj = dict(zip(cat.objects, data.draw(
+        st.lists(ids, min_size=len(cat.objects), max_size=len(cat.objects), unique=True))))
+    arr = dict(zip(cat.arrows, data.draw(
+        st.lists(ids, min_size=len(cat.arrows), max_size=len(cat.arrows), unique=True))))
+    hostile = build_category(
+        [obj[c] for c in cat.objects],
+        {arr[f]: (obj[d], obj[c]) for f, (d, c) in cat.arrows.items()},
+        {obj[c]: arr[i] for c, i in cat.identities.items()},
+        {(arr[g], arr[f]): arr[h] for (g, f), h in cat.compose_table.items()})
+    names = data.draw(st.lists(ids, min_size=4, max_size=4))
+    labels = data.draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    b = DocumentBuilder()
+    b.category(names[0], hostile)
+    b.functor(names[1], identity_functor(hostile))
+    b.setpresheaf(names[2], constant_presheaf(hostile, labels), ("cat", names[0]))
+    b.sieve(names[3], maximal_sieve(hostile, hostile.objects[0]), names[0])
+    ok = (all(map(writable, [*names, *obj.values(), *arr.values()]))
+          and all(writable(x, element=True) for x in labels))
+    try:
+        text = serialize(b.doc)
+    except InvalidTable:
+        assert not ok
+        return
+    assert ok
+    assert parse(text) == b.doc
+
+
+@pytest.mark.parametrize("build, detail", [
+    (lambda b, cat: b.category("", cat), "id '' cannot be written"),
+    (lambda b, cat: b.category("W A", cat), "id 'W A' cannot be written"),
+    (lambda b, cat: b.setpresheaf("Z", constant_presheaf(cat, ["x", "#"]), ("cat", "WA")),
+     "id '#' cannot be written"),
+    (lambda b, cat: b.setpresheaf("Z", constant_presheaf(cat, ["x", ","]), ("cat", "WA")),
+     "element ',' cannot be written: it separates pairs"),
+    (lambda b, cat: b.setpresheaf("Z", constant_presheaf(cat, ["x"]), ("cat", "slice")),
+     "a presheaf base named 'slice' cannot be written"),
+], ids=["empty", "space", "hash", "comma-element", "slice-base"])
+def test_serialize_names_the_id_it_cannot_write(build, detail):
+    # each of these documents would not parse back as itself
+    b = DocumentBuilder()
+    build(b, parse(WALKING_ARROW_DOC).categories["WA"])
+    with pytest.raises(InvalidTable) as err:
+        serialize(b.doc)
+    assert str(err.value) == detail

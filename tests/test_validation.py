@@ -305,11 +305,11 @@ def functor_by_definition(F) -> None:
     S, T = F.source, F.target
     if set(F.on_objects) != set(S.objects):
         raise InvalidTable("functor object map is not total")
-    if set(F.on_arrows) != set(S.arrows):
-        raise InvalidTable("functor arrow map is not total")
     for x, y in F.on_objects.items():
         if y not in T.objects:
             raise InvalidTable(f"object image {y!r} not in target")
+    if set(F.on_arrows) != set(S.arrows):
+        raise InvalidTable("functor arrow map is not total")
     for f, m in F.on_arrows.items():
         d, c = S.arrows[f]
         if m not in T.arrows or T.arrows[m] != (F.on_objects[d], F.on_objects[c]):
