@@ -564,7 +564,8 @@ def parse_file(path) -> Document:
 def _refuse_unwritable_ids(doc: Document) -> None:
     """Raise InvalidTable naming the first id that would not read back as
     itself: block names, the objects and arrows of the categories, and the
-    elements of the set-valued presheaves."""
+    elements of the set-valued presheaves; or the first name that two
+    tables of one block kind share, which parse refuses as repeated."""
     names = [name for table in vars(doc).values() for name in table]
     parts = [x for cat in doc.categories.values() for x in chain(cat.objects, cat.arrows)]
     elements = [x for Z, _ in doc.setpresheaves.values()
@@ -576,6 +577,11 @@ def _refuse_unwritable_ids(doc: Document) -> None:
         raise InvalidTable("element ',' cannot be written: it separates pairs")
     if any(expr == ("cat", "slice") for _, expr in doc.setpresheaves.values()):
         raise InvalidTable("a presheaf base named 'slice' cannot be written")
+    for kind, tables in _NAMESPACES.items():
+        for name in sorted({name for table in tables for name in getattr(doc, table)}):
+            holders = [table for table in tables if name in getattr(doc, table)]
+            if len(holders) > 1:
+                raise InvalidTable(f"{kind} name {name!r} is shared by {' and '.join(holders)}")
 
 
 def _ser_block(header: str, lines: Iterable[str]) -> list[str]:

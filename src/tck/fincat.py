@@ -636,6 +636,11 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
     order, so the tables come in lexicographic order; the search stops
     after the first ``limit`` tables when a limit is given, and the bound
     caps the number of search nodes, counted under ``what``.
+
+    The search is iterative: one frame per chosen variable holds its index,
+    the values left to try and the trail of what the current value forced,
+    so its depth is bounded by memory, not by the interpreter's recursion
+    limit, and no closure keeps the search state in a reference cycle.
     """
     base = A.base
     if iso_only and any(
@@ -647,52 +652,68 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
     used: dict[str, set[str]] = {c: set() for c in base.objects}
     results: list[dict[str, dict[str, str]]] = []
     nodes = 0
-
-    def propagate(var, val, trail) -> bool:
-        stack = [(var, val)]
-        while stack:
-            (c, x), v = stack.pop()
-            cur = assignment.get((c, x))
-            if cur is not None:
-                if cur != v:
-                    return False
-                continue
-            if iso_only and v in used[c]:
-                return False
-            assignment[(c, x)] = v
-            used[c].add(v)
-            trail.append((c, x))
-            for f, e in step[c]:
-                stack.append(((e, A.on_arrows[f][x]), B.on_arrows[f][v]))
-        return True
-
-    def undo(trail) -> None:
-        for c, x in trail:
-            used[c].discard(assignment.pop((c, x)))
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes
-        if i == len(variables):
+    frames: list[tuple[int, Iterator[str], list[tuple[str, str]]]] = []
+    i: int | None = 0
+    while i is not None:
+        while i < len(variables) and variables[i] in assignment:
+            i += 1  # forced by an earlier choice
+        if i < len(variables):
+            frames.append((i, iter(B.on_objects[variables[i][0]]), []))
+        else:
             comps: dict[str, dict[str, str]] = {c: {} for c in base.objects}
             for c, x in variables:
                 comps[c][x] = assignment[(c, x)]
             results.append(comps)
-            return len(results) == limit
-        var = variables[i]
-        if var in assignment:
-            return backtrack(i + 1)
-        c, _ = var
-        for v in B.on_objects[c]:
-            nodes += 1
-            guard(what, nodes, bound)
-            trail: list[tuple[str, str]] = []
-            if propagate(var, v, trail) and backtrack(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    backtrack(0)
+            if len(results) == limit:
+                break
+        # the next value of the innermost frame that propagates; None when
+        # every frame is spent
+        i = None
+        while frames and i is None:
+            k, values, trail = frames[-1]
+            _undo(assignment, used, trail)
+            for v in values:
+                nodes += 1
+                guard(what, nodes, bound)
+                if _propagate(A, B, step, iso_only, assignment, used, variables[k], v, trail):
+                    i = k + 1
+                    break
+                _undo(assignment, used, trail)
+            else:
+                frames.pop()
     return results
+
+
+def _propagate(A, B, step: Mapping[str, Iterable[tuple[str, str]]], iso_only: bool,
+               assignment: dict, used: dict, var: tuple[str, str], val: str,
+               trail: list) -> bool:
+    """Assign val to var and everything it forces along ``step``, appending
+    each new assignment to trail; False at the first clash: a variable
+    forced to a second value, or with iso_only a value used twice at one
+    object."""
+    stack = [(var, val)]
+    while stack:
+        (c, x), v = stack.pop()
+        cur = assignment.get((c, x))
+        if cur is not None:
+            if cur != v:
+                return False
+            continue
+        if iso_only and v in used[c]:
+            return False
+        assignment[(c, x)] = v
+        used[c].add(v)
+        trail.append((c, x))
+        for f, e in step[c]:
+            stack.append(((e, A.on_arrows[f][x]), B.on_arrows[f][v]))
+    return True
+
+
+def _undo(assignment: dict, used: dict, trail: list) -> None:
+    """Take back the assignments on trail, leaving it empty."""
+    while trail:
+        c, x = trail.pop()
+        used[c].discard(assignment.pop((c, x)))
 
 
 def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,

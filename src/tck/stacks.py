@@ -12,7 +12,12 @@ The stack conditions are decided on the least covers, through the sieve
 plans of `site`: conditions ii and iii are the sheaf condition of each
 hom-presheaf, decided from one tally of restriction tuples per pair of
 objects as `site` decides a sheaf; morphism families and effectiveness
-isos come from `site.compatible_families`.  Cat-valued and sheaf-valued
+isos come from `site.compatible_families`.  A presheaf with discrete
+values is a set-valued one, whose stack conditions are the sheaf
+conditions of its object presheaf: with at most one arrow per hom-set, a
+morphism family is a pair of sections with one restriction tuple, and a
+descent datum is a matching family.  `check_stack` decides such an F on
+the site kernels, with the report the Cat-valued search would give.  Cat-valued and sheaf-valued
 descent data are validated by one scaffold in sieve-plan order, and they
 differ only in their object and iso checks and their join, which also
 states effectiveness; one walker over the plan's cocycle index checks the
@@ -37,6 +42,7 @@ from .fincat import (
     compose_presheaf_maps,
     guard,
     invert_presheaf_map,
+    mark_valid,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
     search_presheaf_maps,
@@ -49,6 +55,7 @@ from .site import (
     GrothTopology,
     Sieve,
     SievePlan,
+    _families,
     check_family,
     compatible_families,
     is_sheaf,
@@ -237,10 +244,35 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
     descent data and is reported as bounded when a stratum trips the bound.
     An F that is no strict 2-functor, or lives on another base than j,
     raises InvalidTable.
+
+    An F whose every value is discrete (a valid category with as many
+    arrows as objects has only identities) is a set-valued presheaf, and
+    its stack conditions are the sheaf conditions of its object presheaf
+    Z (c -> F(c).objects, f -> F(f) on objects), decided with the site
+    kernels.  That is exact, and gives the report the Cat-valued search
+    gives, because every hom-set of F(d) holds at most one arrow:
+
+    - (iii) never fails;
+    - x, y in F(c) have a morphism family on M_c, the identities at F(f)x,
+      iff they restrict to one tuple of Z, and it glues iff x = y;
+    - a descent datum is a matching family t of Z on M_c with identity
+      isos, and it is effective iff some m in F(c) restricts to t.
+
+    Each enumeration is guarded on the estimate the Cat-valued search gives
+    it, so the same strata trip the bound.
     """
     if F.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     F.validate()
+    if all(len(Fc.arrows) == len(Fc.objects) for Fc in F.on_objects.values()):
+        return _check_discrete_stack(F, j, bound)
+    return _check_cat_stack(F, j, bound)
+
+
+def _check_cat_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
+    """check_stack on a validated F on j's base, by the Cat-valued search:
+    hom-set tallies for (iii) and (ii), enumerated descent data and their
+    effectiveness witnesses for (i)."""
     report = Report("check_stack")
     for c, s in j.minimal.items():
         p = j.plan.covers[c]
@@ -287,6 +319,46 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
                 continue
             if not wits:
                 report.fail(("i", c, arrows, tuple(sorted(datum.objects.items()))))
+    return report
+
+
+def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
+    """check_stack on a validated F on j's base whose values are discrete,
+    read off one tally of the restriction tuples of its object presheaf Z
+    at each c, in F(c).objects order (see check_stack)."""
+    base = F.base
+    # valid because F is; Z keeps the order of F's values, which
+    # _check_cat_stack reads and products in
+    Z = mark_valid(SetPresheaf(base, {c: F.on_objects[c].objects for c in base.objects},
+                               {f: F.on_arrows[f].on_objects for f in base.arrows}))
+    report = Report("check_stack")
+    for c, p in j.plan.covers.items():
+        arrows = p.arrows
+        rows = restrictions(Z, p, c)
+        by_family = tally(Z.on_objects[c], rows)
+        # (ii): one family of identities for each y restricting as x does
+        for x, row in zip(Z.on_objects[c], rows):
+            for y in by_family[row]:
+                try:
+                    guard("stack morphism families", 1, bound)
+                except SizeBound:
+                    report.bounded(f"stack-ii at {c}", bound)
+                    continue
+                if x != y:
+                    ids = tuple((f, F.on_objects[d].id_of(v))
+                                for f, d, v in zip(arrows, p.doms, row))
+                    report.fail(("ii", c, arrows, x, y, ids))
+        # (i): one datum per matching family, effective iff some m restricts
+        # to it; a witness search spends an estimate of 1, which cannot trip
+        # a bound that a nonempty list of families passed
+        try:
+            families = _families(Z, p, bound)
+        except SizeBound as exc:
+            report.bounded(f"stack-i at {c} over {arrows}", exc.bound)
+            continue
+        for t in families:
+            if t not in by_family:
+                report.fail(("i", c, arrows, tuple(zip(arrows, t))))
     return report
 
 

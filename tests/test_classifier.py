@@ -324,6 +324,39 @@ def test_ff_check_trivial_over_terminal():
     assert rep.witnesses[0] == ("bijection", 1)
 
 
+def test_searches_leave_no_reference_cycles():
+    # under DEBUG_SAVEALL a collection keeps what it frees in gc.garbage, so
+    # a search state held in a cycle of closures shows there
+    import gc
+    import types
+
+    phis = dopf_corpus(representable(WA, "b"), 3)
+    zs = map_to_omega_corpus(terminal_presheaf(WA), 3)
+    sections = presheaf_corpus(OS, 6)
+    enabled, debug, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[saved:]
+        for a, b in itertools.product(phis, repeat=2):
+            fib_iso(a, b)
+        for z1, z2 in itertools.product(zs, repeat=2):
+            ff_check(z1, z2)
+        for Z, W in itertools.product(sections, repeat=2):
+            fincat.search_presheaf_maps(Z, W)
+        gc.collect()
+        cyclic = sorted({f"{o.__module__}.{o.__qualname__}" for o in gc.garbage[saved:]
+                         if isinstance(o, types.FunctionType)
+                         and (o.__module__ or "").split(".")[0] == "tck"})
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[saved:]
+        if enabled:
+            gc.enable()
+    assert cyclic == []
+
+
 def test_ff_check_over_representables():
     sl, _ = slice_cat(WA, "b")
     zs = [map_to_omega_over_representable(WA, "b", Z) for Z in presheaf_corpus(sl, 4)]

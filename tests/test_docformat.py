@@ -766,6 +766,22 @@ def test_serialize_refuses_unwritable_ids_and_round_trips_the_rest(cat, data):
     assert parse(text) == b.doc
 
 
+def test_serialize_names_a_descent_datum_name_both_kinds_hold():
+    # both kinds are written as descent_datum blocks, and parse refuses a
+    # repeated descent_datum name
+    doc = parse(BLOCKS)
+    b = DocumentBuilder()
+    b.sheaf_descent("D", *doc.sheaf_descent_data["DS"][:4])
+    b.catpresheaf("F", doc.catpresheaves["F"][0], "WA")
+    b.doc.descent_data["D"] = doc.descent_data["D"]
+    with pytest.raises(InvalidTable) as err:
+        serialize(b.doc)
+    assert str(err.value) == \
+        "descent_datum name 'D' is shared by descent_data and sheaf_descent_data"
+    b.doc.descent_data["DC"] = b.doc.descent_data.pop("D")
+    assert parse(serialize(b.doc)) == b.doc
+
+
 @pytest.mark.parametrize("build, detail", [
     (lambda b, cat: b.category("", cat), "id '' cannot be written"),
     (lambda b, cat: b.category("W A", cat), "id 'W A' cannot be written"),

@@ -617,6 +617,19 @@ def test_searches_name_themselves_when_they_trip_the_bound():
     assert exc.value.what == "search_setfunctor_maps nodes"
 
 
+def test_search_runs_deeper_than_the_recursion_limit():
+    # 1,200 elements at one object are 1,200 variables in one search; a
+    # search that recursed once per variable raised RecursionError here
+    elems = tuple(f"x{i:04d}" for i in range(1200))
+    A = fincat.FinSetFunctor(PT, {"*": elems}, {"id_*": {x: x for x in elems}})
+    A.validate()
+    (m,) = fincat.search_setfunctor_maps(A, A, limit=1)
+    assert m.components == {"*": dict.fromkeys(elems, elems[0])}
+    Z = fincat.SetPresheaf(PT, A.on_objects, A.on_arrows)
+    (m,) = fincat.search_presheaf_maps(Z, Z, limit=1)
+    assert m.components == {"*": dict.fromkeys(elems, elems[0])}
+
+
 def test_ill_typed_composite_names_the_same_pair_under_every_hash_seed():
     # g.f and g.k are both missing; the pair reported used to follow set order
     code = (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stack_oracle
+from category_strategies import generated_categories, idempotent_monoid
 from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
 from tck import prestack
 from tck.classifier import char, classify
@@ -15,6 +16,7 @@ from tck.corpus import (
     nonseparated_presheaf,
     open_site,
     open_site_topology,
+    poset_category,
     presheaf_corpus,
     square,
     walking_arrow,
@@ -53,6 +55,8 @@ from tck.stacks import (
     DescentDatum,
     MapToOmegaJ,
     SheafDescentDatum,
+    _check_cat_stack,
+    _check_discrete_stack,
     build_gluing_presheaf,
     char_stacks,
     check_stack,
@@ -1037,3 +1041,73 @@ def test_check_stack_at_k4_agrees_with_is_sheaf_on_discrete_presheaves():
     assert all(stack == sheaf for stack, sheaf in verdicts)
     assert verdicts[-2:] == [("fail", "fail"), ("pass", "pass")]
     assert time.monotonic() - start <= 10.0
+
+
+# -- discrete values: the object presheaf's kernels against the Cat-valued search ------
+
+
+BOUNDS = (0, 1, 2, 5, 10**6)
+
+
+def assert_paths_agree(F, j, label=None):
+    """Both check_stack paths give one report, bounds in insertion order."""
+    F.validate()
+    for bound in BOUNDS:
+        fast, full = (path(F, j, bound) for path in (_check_discrete_stack, _check_cat_stack))
+        assert ((fast.verdict, fast.counterexamples, list(fast.bounds.items()), fast.witnesses)
+                == (full.verdict, full.counterexamples, list(full.bounds.items()),
+                    full.witnesses)), (label, bound)
+
+
+def chain_with_a_lower_cover(n):
+    """chain_n with its top covered by the arrow from the object below it."""
+    objs = [f"c{i}" for i in range(n)]
+    cat = poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
+    j, _ = topology_from_generators(cat, {objs[-1]: [[f"{objs[-2]}_{objs[-1]}"]]})
+    return j
+
+
+def test_discrete_stack_path_matches_the_cat_valued_search_on_the_corpora():
+    from test_site import powerset_site
+
+    sites = [powerset_site(k) for k in (1, 2, 3)] + [chain_with_a_lower_cover(n) for n in (3, 4, 5)]
+    monoid = idempotent_monoid()
+    sites.append(topology_from_generators(monoid, {"*": [["e"]]})[0])
+    sites += [trivial_topology(j.base) for j in sites]
+    outcomes = set()
+    for j in sites:
+        for Z in presheaf_corpus(j.base, 12 if j.base is monoid else 0):
+            F = discrete_presheaf(j.base, Z)
+            assert_paths_agree(F, j, (j.base.objects, Z.on_objects))
+            outcomes.add(check_stack(F, j).verdict)
+    assert outcomes == {"pass", "fail"}
+
+
+def test_discrete_stack_path_meets_the_idempotent_check():
+    # M = {e} on the monoid {1, e}: the triple (e, e, e) is no identity
+    # triple, so a matching family is a fixed point of e, and (ii) fails
+    # on the two sections that e identifies
+    monoid = idempotent_monoid()
+    j, _ = topology_from_generators(monoid, {"*": [["e"]]})
+    assert j.plan.covers["*"].checks == ((0, "e", 0),)
+    Z = SetPresheaf(monoid, {"*": ("a", "b", "c")},
+                    {"id_*": {"a": "a", "b": "b", "c": "c"}, "e": {"a": "a", "b": "a", "c": "c"}})
+    F = discrete_presheaf(monoid, Z)
+    assert_paths_agree(F, j)
+    rep = check_stack(F, j)
+    assert rep.counterexamples == [("ii", "*", ("e",), "a", "b", (("e", "id_a"),)),
+                                   ("ii", "*", ("e",), "b", "a", (("e", "id_a"),))]
+    assert rep.verdict == is_sheaf(Z, j).verdict == "fail"
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_categories(), st.data())
+def test_discrete_stack_path_matches_the_cat_valued_search_on_generated_sites(cat, data):
+    gens = {
+        c: data.draw(st.lists(st.lists(st.sampled_from(sorted(cat.arrows_into(c))),
+                                       max_size=3), max_size=2))
+        for c in cat.objects
+    }
+    j, _ = topology_from_generators(cat, gens)
+    Z = data.draw(st.sampled_from(presheaf_corpus(cat, 8)))
+    assert_paths_agree(discrete_presheaf(cat, Z), j, (gens, Z.on_objects))
