@@ -35,7 +35,7 @@ from .fincat import (
     mark_valid,
     search_setfunctor_maps,
     slice_arrow_name,
-    slice_cat,
+    slice_category,
     validates_once,
 )
 from .prestack import (
@@ -87,7 +87,7 @@ class MapToOmega:
         objects, arrows, _ = self.source._slice_elements
         return {
             (c, x): mark_valid(SetPresheaf(
-                slice_cat(self.site, c)[0],
+                slice_category(self.site, c),
                 {f: B.on_objects[o] for f, o in names.items()},
                 {a: B.on_arrows[n] for a, n in arrows[(c, x)].items()},
             ))
@@ -302,7 +302,7 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
     classify of the map whose fibre functor on elements_category of the
     representable, which is slice(C, c)^op, is Z: <d|f> holds Z(f) and
     <g|id|f> acts as Z(g>f)."""
-    sl, _ = slice_cat(site, c)
+    sl = slice_category(site, c)
     if Z.base != sl:
         raise InvalidTable("j_forward expects a presheaf on slice(C, c)")
     if c not in site.objects:

@@ -161,8 +161,9 @@ class FinCat:
         return out, into
 
     @cached_property
-    def _slices(self) -> dict[str, tuple["FinCat", "FinFunctor"]]:
-        """slice_cat results by object."""
+    def _slices(self) -> dict[str, tuple["FinCat", dict, dict]]:
+        """slice_category results by object: the slice and its
+        projection's object and arrow tables (see slice_cat)."""
         return {}
 
     @cached_property
@@ -313,8 +314,9 @@ def slice_arrow_name(g: str, f: str) -> str:
     return f"{g}>{f}"
 
 
-def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
-    """The slice over c together with the domain projection.
+def slice_category(cat: FinCat, c: str) -> FinCat:
+    """The slice over c, cached on ``cat`` with the tables of its domain
+    projection (see slice_cat).
 
     Objects are the arrows of ``cat`` into ``c``, named by the arrow they
     wrap; for every g composable into f there is one arrow (f.g) -> f named
@@ -324,7 +326,7 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
         raise UnknownObject(c)
     hit = cat._slices.get(c)
     if hit is not None:
-        return hit
+        return hit[0]
     objs = list(cat.arrows_into(c))
     parts = named_parts(((g, f) for f in objs for g in cat.arrows_into(cat.dom(f))),
                         slice_arrow_name)
@@ -332,12 +334,20 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
     identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
     compose = composition_table(arrows, lambda b, a: slice_arrow_name(
         cat.compose(parts[b][0], parts[a][0]), parts[b][1]))
-    # valid because cat is and names are injective; dom_fun keeps composites of g
+    # valid because cat is and names are injective; the projection keeps composites of g
     sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
-    dom_fun = FinFunctor(sl, cat, {f: cat.dom(f) for f in objs},
-                         {name: g for name, (g, _) in parts.items()})
-    cat._slices[c] = (sl, dom_fun)
-    return sl, dom_fun
+    cat._slices[c] = (sl, {f: cat.dom(f) for f in objs},
+                      {name: g for name, (g, _) in parts.items()})
+    return sl
+
+
+def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
+    """The slice over c together with the domain projection.  The
+    projection is built on each call from the cached tables: cached, it
+    would target ``cat`` from ``cat``'s own cache, a reference cycle."""
+    sl = slice_category(cat, c)
+    _, on_objects, on_arrows = cat._slices[c]
+    return sl, FinFunctor(sl, cat, on_objects, on_arrows)
 
 
 def _postcomposition(cat: FinCat, f: str) -> tuple:
@@ -350,7 +360,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
     if hit is not None:
         return hit
     d, _ = cat.arrows[f]
-    sl_d, _ = slice_cat(cat, d)
+    sl_d = slice_category(cat, d)
     objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)
     arrows = tuple(
         (slice_arrow_name(h, g), slice_arrow_name(h, fg))
@@ -364,7 +374,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
 def postcompose(cat: FinCat, f: str) -> "FinFunctor":
     """slice(C, dom f) -> slice(C, cod f), sending g to f.g."""
     src, objects, arrows = _postcomposition(cat, f)
-    tgt, _ = slice_cat(cat, cat.cod(f))
+    tgt = slice_category(cat, cat.cod(f))
     # valid because h>g goes to h>f.g and slice arrows compose by their h
     return FinFunctor(src, tgt, dict(objects), dict(arrows))
 

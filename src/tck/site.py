@@ -24,14 +24,20 @@ Z(c) -> Match(M_c, Z) is a bijection (an injection) at every c.
 The arrow geometry of the M_c is compiled once per topology into a
 `RestrictionPlan` (`GrothTopology.plan`): each M_c's arrows in sorted
 order, the compatibility triples (i, g, k) with arrows[k] = arrows[i].g,
-and for each f: d -> c the positions in M_c of f.h for h in M_d.  A
-matching family is then a tuple of values in arrow order, checked against
-the triples whose g is no identity (Z is validated first, and Z(id) = id
+whether M_c is maximal, and every f: d -> c in the base's arrow order
+with a reader of the positions in M_c of f.h for h in M_d.  A matching
+family is then a tuple of values in arrow order, checked against the
+triples whose g is no identity (Z is validated first, and Z(id) = id
 settles the others), restricted along f by reading positions, and
 compared with the restriction tuples of Z(c); no presheaf recomposes
-arrows.  A family needs a value at every arrow of M_c, so where some
-domain of M_c has no section Match(M_c, Z), Z+(c) and Z(c) are empty and
-the sheaf conditions hold at c vacuously: no family is enumerated there.
+arrows.  The kernels search only where a least cover can fail:
+- where some domain of M_c has no section, Match(M_c, Z), Z+(c) and Z(c)
+  are empty and the sheaf conditions hold at c vacuously;
+- where M_c is maximal (id_c ∈ M_c), every family is the restriction
+  tuple of its value at id_c, so Match(M_c, Z) ≅ Z(c) and the sheaf
+  conditions hold at c; the families are the sorted restriction tuples.
+No family is enumerated at such a c, but the guard of the product the
+enumeration would take is still spent, so a bound trips where it did.
 The value pools of a valid Z are sorted, so product order is sorted
 order.  `compatible_families` is the one enumeration of such tuples:
 the matching families here, and in `stacks` the morphism families of
@@ -44,6 +50,7 @@ base.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -60,7 +67,7 @@ from .fincat import (
     guard,
     mark_valid,
     slice_arrow_name,
-    slice_cat,
+    slice_category,
     validates_once,
 )
 from .report import Report
@@ -190,13 +197,19 @@ class SievePlan:
     ``cocycles`` indexes the cocycle condition of such data, which hold
     one iso per triple: (a, b, n, h) for every triple a = (i, g, k) and
     every h into dom g, where b is the triple (k, h) and n the triple
-    (i, g.h), in the order of a and then of h."""
+    (i, g.h), in the order of a and then of h.
+
+    ``maximal`` says that the sieve holds the identity of its object c, so
+    it is every arrow into c.  A compatible family t is then the
+    restriction tuple of its value at id_c, and each x in Z(c) restricts
+    to its own family: Match(S, Z) ≅ Z(c), with no search."""
 
     arrows: tuple[str, ...]
     doms: tuple[str, ...]
     triples: tuple[tuple[int, str, int], ...]
     checks: tuple[tuple[int, str, int], ...]
     cocycles: tuple[tuple[int, int, int, str], ...]
+    maximal: bool
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
@@ -219,18 +232,20 @@ def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
     triple_at = {(i, g): a for a, (i, g, _) in enumerate(triples)}
     cocycles = tuple((a, triple_at[k, h], triple_at[i, cat.compose(g, h)], h)
                      for a, (i, g, k) in enumerate(triples) for h in cat.arrows_into(doms[k]))
-    return SievePlan(arrows, doms, tuple(triples), checks, cocycles)
+    return SievePlan(arrows, doms, tuple(triples), checks, cocycles,
+                     cat.identities.get(s.at) in s.arrows)
 
 
 @dataclass(frozen=True)
 class RestrictionPlan:
-    """The sieve plan of each least cover M_c, and for each arrow f: d -> c
-    a reader of the positions in M_c of f.h for h in M_d, in M_d's arrow
-    order: a family t on M_c restricts along f to restrict[f](t), the
-    tuple of t at those positions."""
+    """The sieve plan of each least cover M_c, and every arrow f: d -> c as
+    (f, d, c, read) in the base's arrow order.  read takes a family t on
+    M_c to its restriction along f, the tuple of t at the positions in M_c
+    of f.h for h in M_d, in M_d's arrow order; it is None at an identity,
+    along which a family stays put."""
 
     covers: Mapping[str, SievePlan]
-    restrict: Mapping[str, Callable[[tuple], tuple]]
+    arrows: tuple[tuple[str, str, str, Callable[[tuple], tuple] | None], ...]
 
 
 def _reader(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -247,11 +262,12 @@ def _restriction_plan(j: "GrothTopology") -> RestrictionPlan:
     cat = j.base
     covers = {c: sieve_plan(cat, m) for c, m in j.minimal.items()}
     position = {c: {f: i for i, f in enumerate(p.arrows)} for c, p in covers.items()}
-    restrict = {
-        f: _reader(tuple(position[c][cat.compose(f, h)] for h in covers[d].arrows))
+    arrows = tuple(
+        (f, d, c, None if cat.is_identity(f) else
+         _reader(tuple(position[c][cat.compose(f, h)] for h in covers[d].arrows)))
         for f, (d, c) in cat.arrows.items()
-    }
-    return RestrictionPlan(covers, restrict)
+    )
+    return RestrictionPlan(covers, arrows)
 
 
 # -- topologies ---------------------------------------------------------------------
@@ -480,7 +496,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     if hit is not None:
         return hit
     cat = j.base
-    sl, _ = slice_cat(cat, c)
+    sl = slice_category(cat, c)
     out = j._slices[c] = GrothTopology.from_minimal(sl, {
         f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))
         for f in sl.objects
@@ -522,7 +538,10 @@ def matching_families(Z: SetPresheaf, s: Sieve,
     """All compatible assignments over the sieve."""
     Z.validate()
     p = sieve_plan(Z.base, s)
-    return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in _families(Z, p, bound)]
+    found = _families(Z, p, bound)
+    if found is None:
+        found = sorted(restrictions(Z, p, s.at))
+    return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in found]
 
 
 def compatible_families(what: str, pools: Sequence[Sequence],
@@ -541,15 +560,24 @@ def compatible_families(what: str, pools: Sequence[Sequence],
     return out
 
 
-def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
+def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]] | None:
     """The matching families on p's sieve as value tuples in arrow order,
     in the order of the product of the value pools, which is sorted order:
     Z is valid, so each pool is sorted.  A domain with no section leaves
     no family, and then no action is read.  Only p.checks are compared:
-    Z(id) = id settles the identity triples."""
+    Z(id) = id settles the identity triples.
+
+    None on a maximal sieve with no empty pool: its families are the
+    restriction tuples of Z(c), one per section, and sorted(restrictions)
+    lists them in product order (see SievePlan.maximal).  The guard the
+    product would spend is spent all the same, so a bound trips where
+    the enumeration would."""
     pools = [Z.on_objects[d] for d in p.doms]
     if not all(pools):
         return []
+    if p.maximal:
+        guard("matching_families", math.prod(map(len, pools)), bound)
+        return None
     return compatible_families("matching_families", pools,
                                [(i, Z.on_arrows[g], k) for i, g, k in p.checks], bound)
 
@@ -594,14 +622,15 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     """Fail on the first matching family on some M_c whose number of
     amalgamations fails; since f*M_c ⊇ M_d, the M_c decide the condition
     for every cover.  The amalgamations of a family are the sections that
-    restrict to it, counted once over Z(c)."""
+    restrict to it, counted once over Z(c).  A maximal M_c settles c after
+    its guard: each family there has exactly one amalgamation."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
         families = _families(Z, p, bound)
-        if not families:  # no family has amalgamations to count
+        if not families:  # no family, or one amalgamation for each (maximal M_c)
             continue
         by_family = tally(Z.on_objects[c], restrictions(Z, p, c))
         for t in families:
@@ -620,6 +649,9 @@ class PlusConstruction:
     unit: PresheafMap
 
 
+_LABELS = tuple(f"q{i}" for i in range(10))  # the sections of a Z+(c) of up to ten
+
+
 def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusConstruction:
     """One application of the plus construction.
 
@@ -627,42 +659,51 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     so Z+(c) is the set of matching families on M_c, labelled q0, q1, ...
     in sorted family order, which is the product order of Z's sorted
     pools.  Z+(c) is empty, with no action read, where some domain of M_c
-    has no section; the unit is then empty at c too.  A family restricts along f: d -> c through
-    f*M_c ⊇ M_d, by the positions the plan holds for f; along an identity
-    it stays put.  The labels' string order, which orders Z+(c), is their
-    numeric order up to q9.  A raw j that is no topology raises
-    AxiomViolation (see GrothTopology.minimal).
+    has no section.  The restriction tuples of Z(c) are read once per
+    object: they give the unit, and at a maximal M_c they are the
+    families, sorted, with no enumeration.  A family restricts along f by
+    the reader the plan compiled for f, and along an identity it stays
+    put; the arrow tables are built in one pass over the plan's arrows.
+    The labels' string order, which orders Z+(c), is their numeric order
+    up to q9.  A raw j that is no topology raises AxiomViolation (see
+    GrothTopology.minimal).
     """
     cat = Z.base
     if cat != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     Z.validate()
     plan = j.plan
+    rows: dict[str, list[tuple[str, ...]]] = {}
     labels: dict[str, dict[tuple[str, ...], str]] = {}
-    families: dict[str, list[tuple[str, tuple[str, ...]]]] = {}  # (q, family) by label
+    sections: dict[str, tuple[str, ...]] = {}
+    families: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {}  # (q, family)
     for c, p in plan.covers.items():
         found = _families(Z, p, bound)
-        labels[c] = {t: f"q{i}" for i, t in enumerate(found)}
-        families[c] = list(zip(labels[c].values(), found))
-        if len(found) > 10:  # q10 sorts before q2
-            families[c].sort()
-    sections = {c: tuple(q for q, _ in families[c]) for c in cat.objects}
-    identities = cat.identities
+        if found == []:  # and so no section, as each restricts to a family
+            rows[c], labels[c], sections[c], families[c] = [], {}, (), ()
+            continue
+        rows[c] = restrictions(Z, p, c)
+        if found is None:
+            found = sorted(rows[c])
+        n = len(found)
+        qs = _LABELS[:n] if n <= 10 else tuple(f"q{i}" for i in range(n))
+        labels[c] = dict(zip(found, qs))
+        if n > 10:  # q10 sorts before q2
+            qs, found = zip(*sorted(zip(qs, found)))
+        sections[c], families[c] = qs, tuple(zip(qs, found))
     on_arrows: dict[str, dict[str, str]] = {}
-    for f, (d, c) in cat.arrows.items():
+    for f, d, c, read in plan.arrows:
         if not families[c]:
             on_arrows[f] = {}
-        elif d == c and identities[c] == f:
+        elif read is None:
             on_arrows[f] = {q: q for q in sections[c]}
         else:
-            at_d, read = labels[d], plan.restrict[f]
+            at_d = labels[d]
             on_arrows[f] = {q: at_d[read(t)] for q, t in families[c]}
     # valid because restricting along f then g reads family[f.g.h], as f.g does
     presheaf = mark_valid(SetPresheaf(cat, sections, on_arrows))
     unit = mark_valid(PresheafMap(Z, presheaf, {
-        c: dict(zip(Z.on_objects[c],
-                    map(labels[c].__getitem__, restrictions(Z, plan.covers[c], c))))
-        if Z.on_objects[c] else {}
+        c: dict(zip(Z.on_objects[c], map(labels[c].__getitem__, rows[c]))) if rows[c] else {}
         for c in cat.objects
     }))
     return PlusConstruction(presheaf, unit)

@@ -17,7 +17,9 @@ values is a set-valued one, whose stack conditions are the sheaf
 conditions of its object presheaf: with at most one arrow per hom-set, a
 morphism family is a pair of sections with one restriction tuple, and a
 descent datum is a matching family.  `check_stack` decides such an F on
-the site kernels, with the report the Cat-valued search would give.  Cat-valued and sheaf-valued
+the site kernels, with the report the Cat-valued search would give; at a
+maximal least cover, where every datum is the restriction of an object,
+it enumerates no datum.  Cat-valued and sheaf-valued
 descent data are validated by one scaffold in sieve-plan order, and they
 differ only in their object and iso checks and their join, which also
 states effectiveness; one walker over the plan's cocycle index checks the
@@ -47,7 +49,7 @@ from .fincat import (
     reindex_slice_presheaf_map,
     search_presheaf_maps,
     slice_arrow_name,
-    slice_cat,
+    slice_category,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
 from .report import BOUNDED_PASS, Report
@@ -325,7 +327,9 @@ def _check_cat_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
 def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
     """check_stack on a validated F on j's base whose values are discrete,
     read off one tally of the restriction tuples of its object presheaf Z
-    at each c, in F(c).objects order (see check_stack)."""
+    at each c, in F(c).objects order (see check_stack).  At a maximal M_c
+    every descent datum is the restriction of a section, so (i) cannot
+    fail: only its guard is spent, and no datum is enumerated."""
     base = F.base
     # valid because F is; Z keeps the order of F's values, which
     # _check_cat_stack reads and products in
@@ -356,7 +360,7 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
         except SizeBound as exc:
             report.bounded(f"stack-i at {c} over {arrows}", exc.bound)
             continue
-        for t in families:
+        for t in families or ():  # None at a maximal M_c: every datum is a row
             if t not in by_family:
                 report.fail(("i", c, arrows, tuple(zip(arrows, t))))
     return report
@@ -444,7 +448,7 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
 
     def check_object(f, M):
         c = base.dom(f)
-        if M.base != slice_cat(base, c)[0]:
+        if M.base != slice_category(base, c):
             return ("not on the expected slice",)
         rep = is_sheaf(M, slice_topology(d.topology, c), bound)
         return None if rep.ok else ("not a sheaf", rep.counterexamples[0])
@@ -481,7 +485,7 @@ def build_gluing_presheaf(d: SheafDescentDatum) -> SetPresheaf:
     sections of M_f, empty outside the sieve."""
     base = d.site
     c = d.sieve.at
-    sl, _ = slice_cat(base, c)
+    sl = slice_category(base, c)
     S = d.sieve.arrows
     on_objects = {}
     for f in sl.objects:
@@ -524,7 +528,7 @@ def construct_effectiveness(d: SheafDescentDatum,
     for f in sorted(d.sieve.arrows):
         # e_f: M_f -> f*Z; at g the section sets are M_f(g) = (g*M_f)(id) and
         # (f*Z)(g) = M_{f.g}(id), compared by the datum iso at the identity
-        sl_d, _ = slice_cat(base, base.dom(f))
+        sl_d = slice_category(base, base.dom(f))
         comps = {
             g: {x: d.isos[(f, g)].components[base.id_of(base.dom(g))][x]
                 for x in d.objects[f].on_objects[g]}
@@ -573,7 +577,7 @@ def glue_sheaf_morphisms(base: FinCat, s: Sieve, M: SetPresheaf, N: SetPresheaf,
     it, and the one section of N(g) restricting to that family is found
     in one tally of N's restrictions."""
     c = s.at
-    sl, _ = slice_cat(base, c)
+    sl = slice_category(base, c)
     comps: dict[str, dict[str, str]] = {}
     for g in sl.objects:
         lifted = {slice_arrow_name(h, g): h for h in pullback_sieve(base, g, s).arrows}

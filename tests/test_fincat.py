@@ -456,6 +456,37 @@ def test_slices_die_with_their_base():
     assert [r() for r in refs] == [None] * 4
 
 
+def test_slicing_leaves_no_reference_cycles():
+    # under DEBUG_SAVEALL a collection keeps what it frees in gc.garbage; a
+    # cached projection targets the category it is cached on, a cycle
+    import gc
+
+    from tck.corpus import poset_category
+
+    names = ["0", "a", "b", "ab"]
+    enabled, debug, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[saved:]
+        cat = poset_category(names, [("0", "a"), ("0", "b"), ("a", "ab"), ("b", "ab")])
+        for c in cat.objects:
+            sl, proj = slice_cat(cat, c)
+            assert slice_cat(cat, c)[0] is sl and proj.target is cat
+            proj.validate()
+        del cat, sl, proj
+        gc.collect()
+        cyclic = sorted({type(o).__name__ for o in gc.garbage[saved:]
+                         if isinstance(o, (FinCat, FinFunctor))})
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[saved:]
+        if enabled:
+            gc.enable()
+    assert cyclic == []
+
+
 def _old_reindex(cat, f, Z):
     """reindex_slice_presheaf as defined before postcomposition tables."""
     d, _ = cat.arrows[f]

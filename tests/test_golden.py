@@ -171,6 +171,34 @@ def test_a_foreign_object_under_identity_isos_is_named_in_sieve_plan_order_under
         assert fresh_run(["-m", "tck.cli", "validate", path], seed) == (3, "", err), seed
 
 
+def test_sheaf_commands_do_not_depend_on_the_hash_seed(tmp_path):
+    # plus walks the plan's compiled arrow list and sorts the restriction
+    # tuples of a maximal cover; neither may follow set or hash order.  The
+    # constant presheaf on four values has 64 sections at the top of Z++, so
+    # its labels are sorted past q9
+    from test_site import powerset_site
+    from tck.corpus import presheaf_corpus
+    from tck.docbuild import DocumentBuilder
+    from tck.docformat import serialize
+    from tck.fincat import constant_presheaf
+
+    j = powerset_site(3)
+    cat = j.base
+    b = DocumentBuilder()
+    b.category("P3", cat)
+    b.topology("J", j, "P3")
+    zs = presheaf_corpus(cat, 0)
+    for name, Z in (("Z0", zs[0]), ("Z46", zs[46]), ("K4", constant_presheaf(cat, "abcd"))):
+        b.setpresheaf(name, Z, ("cat", "P3"))
+    generated = tmp_path / "Powerset3.site"
+    generated.write_text(serialize(b.doc), encoding="utf-8")
+    for path in (os.path.join(FIXTURES, "NonSeparated.site"), str(generated)):
+        for command in ("sheafify", "check-sheaf"):
+            runs = [fresh_run(["-m", "tck.cli", command, path], str(seed)) for seed in range(6)]
+            assert all(run[0] in (0, 1) for run in runs), (command, path, runs[0][2])
+            assert len({run[1] for run in runs}) == 1, (command, path)
+
+
 if __name__ == "__main__":
     os.environ.pop("TCK_BOUND", None)
     for fixture in SHIPPED:
@@ -179,3 +207,4 @@ if __name__ == "__main__":
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(render(fixture))
         print(target, file=sys.stderr)
+

@@ -1,4 +1,5 @@
 
+import dataclasses
 import itertools
 import subprocess
 import sys
@@ -639,6 +640,8 @@ def dead_objects(Z, j):
 
 
 def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
+    # and only where the least cover is not maximal: at a point {x}, M_{x}
+    # holds the identity, and its families are the restrictions of Z({x})
     j = powerset_site(4)
     # the member with 8 or more dead objects that has the most live ones
     Z = min((Z for Z in presheaf_corpus(j.base, 0) if len(dead_objects(Z, j)) >= 8),
@@ -647,21 +650,34 @@ def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
     enumerate_families = site.compatible_families
 
     def recording(what, pools, checks, bound):
-        calls.append(all(pools))
+        calls.append(tuple(map(len, pools)))
         return enumerate_families(what, pools, checks, bound)
 
+    def searched(W):
+        """The live objects whose least cover is not maximal."""
+        dead = dead_objects(W, j)
+        return [c for c in j.base.objects if c not in dead and not j.plan.covers[c].maximal]
+
     monkeypatch.setattr(site, "compatible_families", recording)
-    live = len(j.base.objects) - len(dead_objects(Z, j))
-    assert live == 8
-    assert is_sheaf(Z, j).ok
-    assert calls == [True] * live
-    calls.clear()
     first = plus(Z, j)
-    assert calls == [True] * live
+    assert len(j.base.objects) - len(dead_objects(Z, j)) == 8
+    assert searched(Z) == searched(first.presheaf) == \
+        ["p0000", "p0011", "p0101", "p0110", "p0111"]
+    pools = [tuple(len(Z.on_objects[d]) for d in j.plan.covers[c].doms) for c in searched(Z)]
+    pools_plus = [tuple(len(first.presheaf.on_objects[d]) for d in j.plan.covers[c].doms)
+                  for c in searched(first.presheaf)]
+    calls.clear()
+    assert is_sheaf(Z, j).ok
+    assert calls == pools
+    calls.clear()
+    assert is_separated(Z, j).ok
+    assert calls == pools
+    calls.clear()
+    plus(Z, j)
+    assert calls == pools
     calls.clear()
     sheafify(Z, j)
-    live_plus = len(j.base.objects) - len(dead_objects(first.presheaf, j))
-    assert calls == [True] * (live + live_plus)
+    assert calls == pools + pools_plus
 
 
 def test_sheaf_kernels_trip_the_bound_on_the_maximal_sieves_of_chain13():
@@ -676,6 +692,127 @@ def test_sheaf_kernels_trip_the_bound_on_the_maximal_sieves_of_chain13():
             check(Z, j)
         assert (exc.value.what, exc.value.estimate, exc.value.bound) == \
             ("matching_families", 3 ** 13, 10 ** 6)
+
+
+# -- maximal least covers settle themselves: the kernels against their enumeration ----
+
+
+def enumerating(j):
+    """j with no least cover marked maximal, so that every kernel enumerates
+    the product of the value pools at every object."""
+    out = GrothTopology.from_minimal(j.base, j.minimal)
+    covers = {c: dataclasses.replace(p, maximal=False) for c, p in j.plan.covers.items()}
+    out.__dict__["plan"] = site.RestrictionPlan(covers, j.plan.arrows)
+    return out
+
+
+def outcome(kernel, *args):
+    """What kernel(*args) gives, as a value to compare: a report's verdict,
+    ordered counterexamples, bounds in insertion order and witnesses; the
+    repr of a plus construction or sheafification, which holds its tables,
+    section order and units; or the SizeBound it raises."""
+    from tck.errors import SizeBound
+    from tck.report import Report
+
+    try:
+        got = kernel(*args)
+    except SizeBound as exc:
+        return ("SizeBound", exc.what, exc.estimate, exc.bound)
+    if isinstance(got, Report):
+        return got.verdict, got.counterexamples, list(got.bounds.items()), got.witnesses
+    return repr(got)
+
+
+def assert_kernels_match_their_enumeration(Z, j, label=None):
+    """is_sheaf, is_separated, plus, sheafify and check_stack on the discrete
+    presheaf of Z give, at every bound, what they give when no cover is
+    taken as maximal, and at the default bound what the oracles give."""
+    from test_stacks import BOUNDS, on_least_covers
+    from tck.prestack import discrete_presheaf
+    from tck.stacks import check_stack
+
+    Z.validate()
+    F = discrete_presheaf(j.base, Z)
+    full = enumerating(j)
+    for bound in BOUNDS:
+        for kernel, arg in ((is_sheaf, Z), (is_separated, Z), (plus, Z), (sheafify, Z),
+                            (check_stack, F)):
+            assert outcome(kernel, arg, j, bound) == outcome(kernel, arg, full, bound), \
+                (label, kernel.__name__, bound)
+    assert_plan_kernels_equal_the_oracle(Z, j)
+    assert list(plus(Z, j).presheaf.on_arrows) == list(j.base.arrows)
+    rep, expected = check_stack(F, j), stack_oracle.check_stack(F, j)
+    assert rep.verdict == expected.verdict
+    assert rep.counterexamples == on_least_covers(expected, j)
+
+
+def reversed_at_alternate_objects(Z):
+    """Z carried along the bijection that reverses the elements at every
+    other object, so that restricting need not keep their order."""
+    rename = {}
+    for n, c in enumerate(Z.base.objects):
+        xs = Z.on_objects[c]
+        rename[c] = dict(zip(xs, xs[::-1] if n % 2 else xs))
+    return SetPresheaf(Z.base, dict(Z.on_objects), {
+        f: {rename[c][x]: rename[d][y] for x, y in Z.on_arrows[f].items()}
+        for f, (d, c) in Z.base.arrows.items()
+    })
+
+
+def test_kernels_match_their_enumeration_on_the_corpora():
+    # a maximal cover lists its families as the sorted restriction tuples of
+    # Z(c); where restricting does not keep the order of Z(c), the sort moves
+    from test_stacks import chain_with_a_lower_cover
+
+    sites = [powerset_site(k) for k in (1, 2, 3)] + [chain_with_a_lower_cover(n) for n in (3, 4, 5)]
+    monoid = idempotent_monoid()
+    sites.append(topology_from_generators(monoid, {"*": [["e"]]})[0])
+    sites += [trivial_topology(j.base) for j in sites]
+    verdicts, settled, unsorted = set(), 0, 0
+    for j in sites:
+        for Z in presheaf_corpus(j.base, 12 if j.base is monoid else 0):
+            for W in (Z, reversed_at_alternate_objects(Z)):
+                assert_kernels_match_their_enumeration(W, j, (j.base.objects, W.on_arrows))
+                verdicts.add(is_sheaf(W, j).verdict)
+                for c, p in j.plan.covers.items():
+                    rows = site.restrictions(W, p, c)
+                    settled += p.maximal and bool(rows)
+                    unsorted += p.maximal and rows != sorted(rows)
+    assert verdicts == {"pass", "fail"}
+    assert settled > unsorted > 0
+    # Z++ has 16 sections at the top of the powerset site on two points:
+    # q10 sorts before q2
+    j = powerset_site(2)
+    Z = constant_presheaf(j.base, "abcd")
+    assert_kernels_match_their_enumeration(Z, j)
+    assert len(sheafify(Z, j).presheaf.on_objects["p11"]) == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_categories(), st.data())
+def test_kernels_match_their_enumeration_on_generated_sites(cat, data):
+    gens = {
+        c: data.draw(st.lists(st.lists(st.sampled_from(sorted(cat.arrows_into(c))),
+                                       max_size=3), max_size=2))
+        for c in cat.objects
+    }
+    j, _ = topology_from_generators(cat, gens)
+    Z = data.draw(st.sampled_from(presheaf_corpus(cat, 8)))
+    if data.draw(st.booleans()):
+        Z = reversed_at_alternate_objects(Z)
+    assert_kernels_match_their_enumeration(Z, j, (gens, Z.on_arrows))
+    assert_kernels_match_their_enumeration(Z, trivial_topology(cat), Z.on_arrows)
+
+
+def test_maximal_plans_hold_the_identity():
+    # a sieve is maximal iff it holds the identity of its object
+    for j in (OSJ, powerset_site(3), trivial_topology(OS)):
+        for c, p in j.plan.covers.items():
+            assert p.maximal == (j.minimal[c] == maximal_sieve(j.base, c))
+    assert [c for c, p in OSJ.plan.covers.items() if p.maximal] == ["L", "R"]
+    assert [c for c, p in powerset_site(2).plan.covers.items() if p.maximal] == ["p01", "p10"]
+    assert site.sieve_plan(OS, empty_sieve("T")).maximal is False
+    assert site.sieve_plan(OS, Sieve("nowhere", frozenset())).maximal is False
 
 
 def test_transport_plus_iso_on_slices():
