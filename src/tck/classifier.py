@@ -35,7 +35,7 @@ from .fincat import (
     mark_valid,
     search_setfunctor_maps,
     slice_arrow_name,
-    slice_category,
+    slice_cat,
     validates_once,
 )
 from .prestack import (
@@ -85,9 +85,10 @@ class MapToOmega:
         Valid, and read, once z is valid."""
         B = self.fibre_functor
         objects, arrows, _ = self.source._slice_elements
+        slices = {c: slice_cat(self.site, c)[0] for c in self.source.on_objects}
         return {
             (c, x): mark_valid(SetPresheaf(
-                slice_category(self.site, c),
+                slices[c],
                 {f: B.on_objects[o] for f, o in names.items()},
                 {a: B.on_arrows[n] for a, n in arrows[(c, x)].items()},
             ))
@@ -302,7 +303,7 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
     classify of the map whose fibre functor on elements_category of the
     representable, which is slice(C, c)^op, is Z: <d|f> holds Z(f) and
     <g|id|f> acts as Z(g>f)."""
-    sl = slice_category(site, c)
+    sl, _ = slice_cat(site, c)
     if Z.base != sl:
         raise InvalidTable("j_forward expects a presheaf on slice(C, c)")
     if c not in site.objects:

@@ -117,7 +117,7 @@ def build_shipped_fixtures() -> dict[str, Document]:
     roundtrip command can exercise."""
     from . import corpus, prestack
     from .classifier import omega_point
-    from .fincat import point_category, slice_category
+    from .fincat import point_category, slice_cat
     from .site import is_sheaf, sieve_generate, slice_topology, trivial_topology
     from .stacks import induced_sheaf_descent_datum
 
@@ -148,7 +148,7 @@ def build_shipped_fixtures() -> dict[str, Document]:
     b.two_nat("idphi", phi2.s, "FStack", "FStack", "OpenSite")
     joint = sieve_generate(osite, ["L_T", "R_T"])
     b.sieve("SJoint", joint, "OpenSite")
-    sl = slice_category(osite, "T")
+    sl, _ = slice_cat(osite, "T")
     slj = slice_topology(osj, "T")
     global_sheaf = next(Z for Z in corpus.presheaf_corpus(sl, 8) if is_sheaf(Z, slj).ok)
     datum = induced_sheaf_descent_datum(osite, osj, joint, global_sheaf)

@@ -47,7 +47,7 @@ from .fincat import (
     identity_functor,
     identity_presheaf_map,
     reindex_slice_presheaf,
-    slice_category,
+    slice_cat,
 )
 from .prestack import CatPresheaf, TwoNat
 from .site import GrothTopology, Sieve, sieve_generate_at, topology_from_generators
@@ -165,7 +165,7 @@ class _Parser:
             cat = ref(self.doc.categories, tokens[1], line)
             if tokens[2] not in cat.objects:
                 raise DanglingReference(line, tokens[2])
-            sl = slice_category(cat, tokens[2])
+            sl, _ = slice_cat(cat, tokens[2])
             return sl, ("slice", tokens[1], tokens[2])
         if len(tokens) != 1:
             raise ParseError(line, 1, "expected a category name or a slice expression")
@@ -479,7 +479,7 @@ class _Parser:
         for f in s.sorted_arrows():
             if f not in objects:
                 raise InvariantViolation(start, f"object for {f!r} missing")
-            if objects[f].base != slice_category(base, base.dom(f)):
+            if objects[f].base != slice_cat(base, base.dom(f))[0]:
                 raise InvariantViolation(
                     object_lines[f],
                     f"object for {f!r} is not on slice {header[4]} {base.dom(f)}")

@@ -162,8 +162,8 @@ class FinCat:
 
     @cached_property
     def _slices(self) -> dict[str, tuple["FinCat", dict, dict]]:
-        """slice_category results by object: the slice and its
-        projection's object and arrow tables (see slice_cat)."""
+        """slice_cat's cache by object: the slice and its projection's
+        object and arrow tables."""
         return {}
 
     @cached_property
@@ -314,39 +314,31 @@ def slice_arrow_name(g: str, f: str) -> str:
     return f"{g}>{f}"
 
 
-def slice_category(cat: FinCat, c: str) -> FinCat:
-    """The slice over c, cached on ``cat`` with the tables of its domain
-    projection (see slice_cat).
+def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
+    """The slice over c together with the domain projection.
 
     Objects are the arrows of ``cat`` into ``c``, named by the arrow they
     wrap; for every g composable into f there is one arrow (f.g) -> f named
-    ``g>f``.
+    ``g>f``.  The slice and the projection's tables are cached on ``cat``,
+    and the projection is built on each call: cached, it would target
+    ``cat`` from ``cat``'s own cache, a reference cycle.
     """
     if c not in cat.objects:
         raise UnknownObject(c)
     hit = cat._slices.get(c)
-    if hit is not None:
-        return hit[0]
-    objs = list(cat.arrows_into(c))
-    parts = named_parts(((g, f) for f in objs for g in cat.arrows_into(cat.dom(f))),
-                        slice_arrow_name)
-    arrows = {name: (cat.compose(f, g), f) for name, (g, f) in parts.items()}
-    identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
-    compose = composition_table(arrows, lambda b, a: slice_arrow_name(
-        cat.compose(parts[b][0], parts[a][0]), parts[b][1]))
-    # valid because cat is and names are injective; the projection keeps composites of g
-    sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
-    cat._slices[c] = (sl, {f: cat.dom(f) for f in objs},
-                      {name: g for name, (g, _) in parts.items()})
-    return sl
-
-
-def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
-    """The slice over c together with the domain projection.  The
-    projection is built on each call from the cached tables: cached, it
-    would target ``cat`` from ``cat``'s own cache, a reference cycle."""
-    sl = slice_category(cat, c)
-    _, on_objects, on_arrows = cat._slices[c]
+    if hit is None:
+        objs = list(cat.arrows_into(c))
+        parts = named_parts(((g, f) for f in objs for g in cat.arrows_into(cat.dom(f))),
+                            slice_arrow_name)
+        arrows = {name: (cat.compose(f, g), f) for name, (g, f) in parts.items()}
+        identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
+        compose = composition_table(arrows, lambda b, a: slice_arrow_name(
+            cat.compose(parts[b][0], parts[a][0]), parts[b][1]))
+        # valid because cat is and names are injective; the projection keeps composites of g
+        sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
+        hit = cat._slices[c] = (sl, {f: cat.dom(f) for f in objs},
+                                {name: g for name, (g, _) in parts.items()})
+    sl, on_objects, on_arrows = hit
     return sl, FinFunctor(sl, cat, on_objects, on_arrows)
 
 
@@ -360,7 +352,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
     if hit is not None:
         return hit
     d, _ = cat.arrows[f]
-    sl_d = slice_category(cat, d)
+    sl_d, _ = slice_cat(cat, d)
     objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)
     arrows = tuple(
         (slice_arrow_name(h, g), slice_arrow_name(h, fg))
@@ -374,7 +366,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
 def postcompose(cat: FinCat, f: str) -> "FinFunctor":
     """slice(C, dom f) -> slice(C, cod f), sending g to f.g."""
     src, objects, arrows = _postcomposition(cat, f)
-    tgt = slice_category(cat, cat.cod(f))
+    tgt, _ = slice_cat(cat, cat.cod(f))
     # valid because h>g goes to h>f.g and slice arrows compose by their h
     return FinFunctor(src, tgt, dict(objects), dict(arrows))
 

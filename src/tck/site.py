@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,7 +67,7 @@ from .fincat import (
     guard,
     mark_valid,
     slice_arrow_name,
-    slice_category,
+    slice_cat,
     validates_once,
 )
 from .report import Report
@@ -496,7 +496,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     if hit is not None:
         return hit
     cat = j.base
-    sl = slice_category(cat, c)
+    sl, _ = slice_cat(cat, c)
     out = j._slices[c] = GrothTopology.from_minimal(sl, {
         f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))
         for f in sl.objects
@@ -538,10 +538,7 @@ def matching_families(Z: SetPresheaf, s: Sieve,
     """All compatible assignments over the sieve."""
     Z.validate()
     p = sieve_plan(Z.base, s)
-    found = _families(Z, p, bound)
-    if found is None:
-        found = sorted(restrictions(Z, p, s.at))
-    return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in found]
+    return [MatchingFamily(Z, s, dict(zip(p.arrows, t))) for t in _families(Z, p, bound)]
 
 
 def compatible_families(what: str, pools: Sequence[Sequence],
@@ -560,26 +557,27 @@ def compatible_families(what: str, pools: Sequence[Sequence],
     return out
 
 
-def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]] | None:
+def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]:
     """The matching families on p's sieve as value tuples in arrow order,
     in the order of the product of the value pools, which is sorted order:
     Z is valid, so each pool is sorted.  A domain with no section leaves
     no family, and then no action is read.  Only p.checks are compared:
-    Z(id) = id settles the identity triples.
-
-    None on a maximal sieve with no empty pool: its families are the
-    restriction tuples of Z(c), one per section, and sorted(restrictions)
-    lists them in product order (see SievePlan.maximal).  The guard the
-    product would spend is spent all the same, so a bound trips where
-    the enumeration would."""
+    Z(id) = id settles the identity triples."""
     pools = [Z.on_objects[d] for d in p.doms]
     if not all(pools):
         return []
-    if p.maximal:
-        guard("matching_families", math.prod(map(len, pools)), bound)
-        return None
     return compatible_families("matching_families", pools,
                                [(i, Z.on_arrows[g], k) for i, g, k in p.checks], bound)
+
+
+def _guard_maximal(Z: SetPresheaf, p: SievePlan, bound: int) -> None:
+    """Spend, on a maximal sieve, the guard of the product that _families
+    would take, so that a bound trips where the enumeration would; the
+    kernels read the families there off Z(c) instead (see
+    SievePlan.maximal).  With an empty pool no product is taken."""
+    sizes = [len(Z.on_objects[d]) for d in p.doms]
+    if all(sizes):
+        guard("matching_families", math.prod(sizes), bound)
 
 
 def restrictions(Z: SetPresheaf, p: SievePlan, c: str) -> list[tuple[str, ...]]:
@@ -629,8 +627,11 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
+        if p.maximal:  # each family has one amalgamation
+            _guard_maximal(Z, p, bound)
+            continue
         families = _families(Z, p, bound)
-        if not families:  # no family, or one amalgamation for each (maximal M_c)
+        if not families:  # no family has amalgamations to count
             continue
         by_family = tally(Z.on_objects[c], restrictions(Z, p, c))
         for t in families:
@@ -649,7 +650,10 @@ class PlusConstruction:
     unit: PresheafMap
 
 
-_LABELS = tuple(f"q{i}" for i in range(10))  # the sections of a Z+(c) of up to ten
+@cache
+def _labels(n: int) -> tuple[str, ...]:
+    """q0, ..., q(n-1): the sections of a Z+(c) with n of them."""
+    return tuple(f"q{i}" for i in range(n))
 
 
 def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusConstruction:
@@ -678,15 +682,18 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     sections: dict[str, tuple[str, ...]] = {}
     families: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {}  # (q, family)
     for c, p in plan.covers.items():
-        found = _families(Z, p, bound)
-        if found == []:  # and so no section, as each restricts to a family
-            rows[c], labels[c], sections[c], families[c] = [], {}, (), ()
-            continue
-        rows[c] = restrictions(Z, p, c)
-        if found is None:
+        if p.maximal:
+            _guard_maximal(Z, p, bound)
+            rows[c] = restrictions(Z, p, c)
             found = sorted(rows[c])
+        else:
+            found = _families(Z, p, bound)
+            rows[c] = restrictions(Z, p, c) if found else []
+        if not found:  # and so no section, as each restricts to a family
+            labels[c], sections[c], families[c] = {}, (), ()
+            continue
         n = len(found)
-        qs = _LABELS[:n] if n <= 10 else tuple(f"q{i}" for i in range(n))
+        qs = _labels(n)
         labels[c] = dict(zip(found, qs))
         if n > 10:  # q10 sorts before q2
             qs, found = zip(*sorted(zip(qs, found)))

@@ -49,7 +49,7 @@ from .fincat import (
     reindex_slice_presheaf_map,
     search_presheaf_maps,
     slice_arrow_name,
-    slice_category,
+    slice_cat,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
 from .report import BOUNDED_PASS, Report
@@ -58,6 +58,7 @@ from .site import (
     Sieve,
     SievePlan,
     _families,
+    _guard_maximal,
     check_family,
     compatible_families,
     is_sheaf,
@@ -354,13 +355,17 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
                     report.fail(("ii", c, arrows, x, y, ids))
         # (i): one datum per matching family, effective iff some m restricts
         # to it; a witness search spends an estimate of 1, which cannot trip
-        # a bound that a nonempty list of families passed
+        # a bound that a nonempty list of families passed.  At a maximal M_c
+        # every datum is a row, and only the guard is spent
         try:
+            if p.maximal:
+                _guard_maximal(Z, p, bound)
+                continue
             families = _families(Z, p, bound)
         except SizeBound as exc:
             report.bounded(f"stack-i at {c} over {arrows}", exc.bound)
             continue
-        for t in families or ():  # None at a maximal M_c: every datum is a row
+        for t in families:
             if t not in by_family:
                 report.fail(("i", c, arrows, tuple(zip(arrows, t))))
     return report
@@ -448,7 +453,7 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
 
     def check_object(f, M):
         c = base.dom(f)
-        if M.base != slice_category(base, c):
+        if M.base != slice_cat(base, c)[0]:
             return ("not on the expected slice",)
         rep = is_sheaf(M, slice_topology(d.topology, c), bound)
         return None if rep.ok else ("not a sheaf", rep.counterexamples[0])
@@ -485,7 +490,7 @@ def build_gluing_presheaf(d: SheafDescentDatum) -> SetPresheaf:
     sections of M_f, empty outside the sieve."""
     base = d.site
     c = d.sieve.at
-    sl = slice_category(base, c)
+    sl, _ = slice_cat(base, c)
     S = d.sieve.arrows
     on_objects = {}
     for f in sl.objects:
@@ -528,7 +533,7 @@ def construct_effectiveness(d: SheafDescentDatum,
     for f in sorted(d.sieve.arrows):
         # e_f: M_f -> f*Z; at g the section sets are M_f(g) = (g*M_f)(id) and
         # (f*Z)(g) = M_{f.g}(id), compared by the datum iso at the identity
-        sl_d = slice_category(base, base.dom(f))
+        sl_d, _ = slice_cat(base, base.dom(f))
         comps = {
             g: {x: d.isos[(f, g)].components[base.id_of(base.dom(g))][x]
                 for x in d.objects[f].on_objects[g]}
@@ -577,7 +582,7 @@ def glue_sheaf_morphisms(base: FinCat, s: Sieve, M: SetPresheaf, N: SetPresheaf,
     it, and the one section of N(g) restricting to that family is found
     in one tally of N's restrictions."""
     c = s.at
-    sl = slice_category(base, c)
+    sl, _ = slice_cat(base, c)
     comps: dict[str, dict[str, str]] = {}
     for g in sl.objects:
         lifted = {slice_arrow_name(h, g): h for h in pullback_sieve(base, g, s).arrows}
