@@ -761,7 +761,8 @@ def free_category(objects: Iterable[str], generators: Mapping[str, tuple[str, st
 
     A composite path (g1 then g2) is named ``g2*g1``; identities are named
     ``id_<object>``.  Cyclic generators are rejected (the free category
-    would be infinite).
+    would be infinite), and so is a graph whose composites, counted exactly
+    before any path is listed, exceed the default bound (SizeBound).
     """
     objs = sorted(objects)
     adj: dict[str, list[tuple[str, str]]] = {x: [] for x in objs}
@@ -769,36 +770,33 @@ def free_category(objects: Iterable[str], generators: Mapping[str, tuple[str, st
         if d not in adj or c not in objs:
             raise InvalidTable(f"generator {g!r} has unknown endpoint")
         adj[d].append((g, c))
-    # reject cycles (DFS colouring)
-    state = {x: 0 for x in objs}  # 0 unseen, 1 on stack, 2 done
-
-    def visit(x: str) -> None:
-        state[x] = 1
-        for _, y in adj[x]:
-            if state[y] == 1:
+    # x -> (the paths out of x, the composites of one with a path out of its
+    # end), in depth-first post-order: each object after every object it
+    # reaches.  The walk keeps its own stack, and reaching an object still
+    # on it closes a cycle
+    size: dict[str, tuple[int, int]] = {}
+    for root in objs:
+        walk = {} if root in size else {root: iter(adj[root])}
+        while walk:
+            x = next(reversed(walk))
+            y = next((y for _, y in walk[x] if y not in size), None)
+            if y is None:
+                del walk[x]
+                n = 1 + sum(size[z][0] for _, z in adj[x])
+                size[x] = n, n + sum(size[z][1] for _, z in adj[x])
+            elif y in walk:
                 raise InvalidTable("generating graph has a cycle; free category would be infinite")
-            if state[y] == 0:
-                visit(y)
-        state[x] = 2
+            else:
+                walk[y] = iter(adj[y])
+    guard("free_category composites", sum(c for _, c in size.values()), DEFAULT_BOUND)
 
-    for x in objs:
-        if state[x] == 0:
-            visit(x)
-
-    # enumerate all paths out of each object; finite since acyclic
+    # every path out of each object, listed in the same order
     paths: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-
-    def extend(x: str) -> list[tuple[tuple[str, ...], str]]:
-        if x in paths:
-            return paths[x]
+    for x in size:
         items: list[tuple[tuple[str, ...], str]] = [((), x)]
         for g, y in adj[x]:
-            items.extend(((g,) + rest, end) for rest, end in extend(y))
+            items.extend(((g,) + rest, end) for rest, end in paths[y])
         paths[x] = items
-        return items
-
-    for x in objs:
-        extend(x)
 
     def name(path: tuple[str, ...], start: str) -> str:
         return "*".join(reversed(path)) if path else f"id_{start}"

@@ -36,21 +36,19 @@ arrows.  The kernels search only where a least cover can fail:
 - where M_c is maximal (id_c ∈ M_c), every family is the restriction
   tuple of its value at id_c, so Match(M_c, Z) ≅ Z(c) and the sheaf
   conditions hold at c; the families are the sorted restriction tuples.
-No family is enumerated at such a c, but the guard of the product the
-enumeration would take is still spent, so a bound trips where it did.
-The value pools of a valid Z are sorted, so product order is sorted
-order.  `compatible_families` is the one enumeration of such tuples:
-the matching families here, and in `stacks` the morphism families of
-the stack conditions and the isos of effectiveness witnesses.  A sieve
-plan also indexes the cocycle condition of descent data
-(`SievePlan.cocycles`), so checking a datum composes no arrow of the
-base.
+No family is enumerated at such a c and no bound is spent there, so no
+SizeBound names a maximal least cover.  The value pools of a valid Z are
+sorted, so product order is sorted order.  `compatible_families` is the
+one enumeration of such tuples: the matching families here, and in
+`stacks` the morphism families of the stack conditions and the isos of
+effectiveness witnesses.  A sieve plan also indexes the cocycle
+condition of descent data (`SievePlan.cocycles`), so checking a datum
+composes no arrow of the base.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter
@@ -570,16 +568,6 @@ def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]
                                [(i, Z.on_arrows[g], k) for i, g, k in p.checks], bound)
 
 
-def _guard_maximal(Z: SetPresheaf, p: SievePlan, bound: int) -> None:
-    """Spend, on a maximal sieve, the guard of the product that _families
-    would take, so that a bound trips where the enumeration would; the
-    kernels read the families there off Z(c) instead (see
-    SievePlan.maximal).  With an empty pool no product is taken."""
-    sizes = [len(Z.on_objects[d]) for d in p.doms]
-    if all(sizes):
-        guard("matching_families", math.prod(sizes), bound)
-
-
 def restrictions(Z: SetPresheaf, p: SievePlan, c: str) -> list[tuple[str, ...]]:
     """The family each x in Z(c) restricts to on p's sieve at c, in the
     order of Z(c)."""
@@ -620,15 +608,15 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     """Fail on the first matching family on some M_c whose number of
     amalgamations fails; since f*M_c ⊇ M_d, the M_c decide the condition
     for every cover.  The amalgamations of a family are the sections that
-    restrict to it, counted once over Z(c).  A maximal M_c settles c after
-    its guard: each family there has exactly one amalgamation."""
+    restrict to it, counted once over Z(c).  A maximal M_c settles c with
+    no search and no bound: each family there has exactly one
+    amalgamation."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
         if p.maximal:  # each family has one amalgamation
-            _guard_maximal(Z, p, bound)
             continue
         families = _families(Z, p, bound)
         if not families:  # no family has amalgamations to count
@@ -665,12 +653,12 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     pools.  Z+(c) is empty, with no action read, where some domain of M_c
     has no section.  The restriction tuples of Z(c) are read once per
     object: they give the unit, and at a maximal M_c they are the
-    families, sorted, with no enumeration.  A family restricts along f by
-    the reader the plan compiled for f, and along an identity it stays
-    put; the arrow tables are built in one pass over the plan's arrows.
-    The labels' string order, which orders Z+(c), is their numeric order
-    up to q9.  A raw j that is no topology raises AxiomViolation (see
-    GrothTopology.minimal).
+    families, sorted, with no enumeration and no bound spent.  A family
+    restricts along f by the reader the plan compiled for f, and along an
+    identity it stays put; the arrow tables are built in one pass over the
+    plan's arrows.  The labels' string order, which orders Z+(c), is their
+    numeric order up to q9.  A raw j that is no topology raises
+    AxiomViolation (see GrothTopology.minimal).
     """
     cat = Z.base
     if cat != j.base:
@@ -683,7 +671,6 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     families: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {}  # (q, family)
     for c, p in plan.covers.items():
         if p.maximal:
-            _guard_maximal(Z, p, bound)
             rows[c] = restrictions(Z, p, c)
             found = sorted(rows[c])
         else:

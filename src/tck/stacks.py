@@ -17,9 +17,9 @@ values is a set-valued one, whose stack conditions are the sheaf
 conditions of its object presheaf: with at most one arrow per hom-set, a
 morphism family is a pair of sections with one restriction tuple, and a
 descent datum is a matching family.  `check_stack` decides such an F on
-the site kernels, with the report the Cat-valued search would give; at a
-maximal least cover, where every datum is the restriction of an object,
-it enumerates no datum.  Cat-valued and sheaf-valued
+the site kernels, with the report the Cat-valued search would give.  Both
+paths skip a maximal least cover, where no condition can fail, so they
+search nothing and spend no bound there.  Cat-valued and sheaf-valued
 descent data are validated by one scaffold in sieve-plan order, and they
 differ only in their object and iso checks and their join, which also
 states effectiveness; one walker over the plan's cocycle index checks the
@@ -58,7 +58,6 @@ from .site import (
     Sieve,
     SievePlan,
     _families,
-    _guard_maximal,
     check_family,
     compatible_families,
     is_sheaf,
@@ -245,6 +244,9 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
 
     Morphism conditions are decided exhaustively; object gluing enumerates
     descent data and is reported as bounded when a stratum trips the bound.
+    A maximal M_c is skipped, with no search and no bound spent: every
+    condition holds there (see _check_cat_stack), so no bounded stratum
+    names it.
     An F that is no strict 2-functor, or lives on another base than j,
     raises InvalidTable.
 
@@ -275,10 +277,23 @@ def check_stack(F: CatPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) ->
 def _check_cat_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
     """check_stack on a validated F on j's base, by the Cat-valued search:
     hom-set tallies for (iii) and (ii), enumerated descent data and their
-    effectiveness witnesses for (i)."""
+    effectiveness witnesses for (i).
+
+    A maximal M_c (id_c ∈ M_c) is skipped, since every condition holds
+    there:
+
+    - (iii): F(id_c) is the identity, so distinct arrows h ≠ k: x -> y
+      have distinct restriction tuples;
+    - (ii): a compatible morphism family t satisfies t_f = F(f)(t_{id_c}),
+      so it is the restriction of t_{id_c} ∈ Hom(x, y);
+    - (i): a datum (x, φ) is effective with M = x_{id_c} and ψ_f =
+      φ_{id_c,f}: the cocycle condition at (id_c, f, g) is exactly the
+      witness equation ψ_{f.g} = φ_{f,g} ∘ F(g)(ψ_f)."""
     report = Report("check_stack")
     for c, s in j.minimal.items():
         p = j.plan.covers[c]
+        if p.maximal:
+            continue
         Fc = F.on_objects[c]
         arrows = p.arrows
         restrict = [F.on_arrows[f].on_arrows for f in arrows]
@@ -328,9 +343,10 @@ def _check_cat_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
 def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Report:
     """check_stack on a validated F on j's base whose values are discrete,
     read off one tally of the restriction tuples of its object presheaf Z
-    at each c, in F(c).objects order (see check_stack).  At a maximal M_c
-    every descent datum is the restriction of a section, so (i) cannot
-    fail: only its guard is spent, and no datum is enumerated."""
+    at each c, in F(c).objects order (see check_stack).  A maximal M_c is
+    skipped before any row is built: the id_c coordinate of a restriction
+    tuple is the section itself, so no two sections share one and (ii)
+    cannot fail, and every matching family is a row, so (i) cannot."""
     base = F.base
     # valid because F is; Z keeps the order of F's values, which
     # _check_cat_stack reads and products in
@@ -338,6 +354,8 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
                                {f: F.on_arrows[f].on_objects for f in base.arrows}))
     report = Report("check_stack")
     for c, p in j.plan.covers.items():
+        if p.maximal:
+            continue
         arrows = p.arrows
         rows = restrictions(Z, p, c)
         by_family = tally(Z.on_objects[c], rows)
@@ -355,12 +373,8 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
                     report.fail(("ii", c, arrows, x, y, ids))
         # (i): one datum per matching family, effective iff some m restricts
         # to it; a witness search spends an estimate of 1, which cannot trip
-        # a bound that a nonempty list of families passed.  At a maximal M_c
-        # every datum is a row, and only the guard is spent
+        # a bound that a nonempty list of families passed
         try:
-            if p.maximal:
-                _guard_maximal(Z, p, bound)
-                continue
             families = _families(Z, p, bound)
         except SizeBound as exc:
             report.bounded(f"stack-i at {c} over {arrows}", exc.bound)

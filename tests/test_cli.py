@@ -274,6 +274,19 @@ def assert_clean_usage_error(res):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+def test_a_long_freely_generated_chain_exits_three_at_its_block(tmp_path):
+    # 1,200 objects in a row: the cycle check walks them without recursion,
+    # and the composites are counted and refused before any is listed
+    objs = [f"c{i:04d}" for i in range(1200)]
+    lines = ["category C freely-generate", "  objects " + " ".join(objs)]
+    lines += [f"  arrow s{i:04d} : {objs[i]} -> {objs[i + 1]}" for i in range(1199)]
+    path = tmp_path / "long_chain.site"
+    path.write_text("\n".join(lines + ["end", ""]))
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stderr.startswith("error: line 1: free_category composites")
+
+
 def test_functor_object_image_outside_the_target_exits_three(tmp_path):
     path = tmp_path / "functor.site"
     path.write_text("category A\n  objects a\n  arrow id_a : a -> a\n  identity a : id_a\n"
@@ -383,12 +396,12 @@ def test_char_stacks_is_undecided_when_an_endpoint_check_hits_the_bound(tmp_path
     res = tck("char-stacks", str(path), "--bound", "1", "--json")
     assert res.returncode == 2, res.stdout
     bounds = json.loads(res.stdout)["bounds"]
-    assert list(bounds) == ["stack-i at R over ('O_R', 'R_R')"]
+    assert list(bounds) == ["stack-i at T over ('L_T', 'O_T', 'R_T')"]
 
 
 def test_check_stack_notes_no_stack_witness_on_bounded_pass(tmp_path):
-    # at bound 1 the object-gluing strata over M_R and M_T trip their guards:
-    # the verdict is bounded-pass, and F must not be named a stack
+    # at bound 1 the object-gluing stratum over M_T trips its guard: the
+    # verdict is bounded-pass, and F must not be named a stack
     from tck import corpus, docformat, prestack
     from tck.docbuild import DocumentBuilder
 

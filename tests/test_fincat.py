@@ -331,6 +331,32 @@ def test_free_category_rejects_cycles():
         free_category(["a"], {"e": ("a", "a")})
 
 
+def test_free_category_checks_long_graphs_without_recursion_and_bounds_its_size():
+    # a chain of 1,200 objects is acyclic and has 288,720,400 composites,
+    # counted before any path is listed; closing it into a cycle is found
+    # by the same walk.  A recursive walk raised RecursionError on both
+    objs = [f"c{i:04d}" for i in range(1200)]
+    gens = {f"s{i:04d}": (objs[i], objs[i + 1]) for i in range(1199)}
+    with pytest.raises(SizeBound) as exc:
+        free_category(objs, gens)
+    assert (exc.value.what, exc.value.estimate) == ("free_category composites", 288_720_400)
+    with pytest.raises(InvalidTable, match="cycle"):
+        free_category(objs, {**gens, "back": (objs[-1], objs[0])})
+    # n pairs of parallel generators in a row give 2^(n+2) - n - 3 arrows
+    # and a composite count that doubles per pair; 11 pairs stay under the
+    # bound, 15 do not
+    for n, composites in ((11, 81_936), (15, 1_835_028)):
+        objs = [f"x{i:02d}" for i in range(n + 1)]
+        pairs = {f"{g}{i:02d}": (objs[i], objs[i + 1]) for i in range(n) for g in "ab"}
+        if composites <= 10 ** 6:
+            cat = free_category(objs, pairs)
+            assert (len(cat.arrows), len(cat.compose_table)) == (8_178, composites)
+            continue
+        with pytest.raises(SizeBound) as exc:
+            free_category(objs, pairs)
+        assert (exc.value.what, exc.value.estimate) == ("free_category composites", composites)
+
+
 def test_free_category_square_commutes_by_construction():
     sq = free_category(["p", "q", "r", "s"],
                        {"f": ("p", "q"), "g": ("p", "r"), "h": ("q", "s"), "k": ("r", "s")})

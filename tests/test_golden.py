@@ -199,6 +199,37 @@ def test_sheaf_commands_do_not_depend_on_the_hash_seed(tmp_path):
             assert len({run[1] for run in runs}) == 1, (command, path)
 
 
+def test_stack_commands_do_not_depend_on_the_hash_seed(tmp_path):
+    # both check_stack paths skip the maximal least covers, and a bounded
+    # run names its first stratum at a non-maximal one; neither may follow
+    # set or hash order.  The open-cover topology mixes maximal covers (L,
+    # R) with others (O, T), and the trivial topology has only maximal ones
+    from test_stacks import walking_iso
+    from tck import corpus, prestack
+    from tck.docbuild import DocumentBuilder
+    from tck.docformat import serialize
+    from tck.site import trivial_topology
+
+    osite = corpus.open_site()
+    iso = corpus.constant_cat_presheaf(osite, walking_iso())
+    disc = prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6])
+    b = DocumentBuilder()
+    b.category("OpenSite", osite)
+    b.topology("J", corpus.open_site_topology(), "OpenSite")
+    b.topology("Triv", trivial_topology(osite), "OpenSite")
+    for name, F in (("Iso", iso), ("Disc", disc)):
+        b.two_nat(f"id{name}", prestack.certify_dopf_pre(prestack.identity_two_nat(F)).s,
+                  name, name, "OpenSite")
+    generated = tmp_path / "OpenStacks.site"
+    generated.write_text(serialize(b.doc), encoding="utf-8")
+    for command in ("check-stack", "char-stacks"):
+        for flags, code in (((), 0), (("--bound", "1"), 2)):
+            args = ["-m", "tck.cli", command, str(generated), *flags]
+            runs = [fresh_run(args, str(seed)) for seed in range(6)]
+            assert all(run[0] == code for run in runs), (command, flags, runs[0][2])
+            assert len({run[1] for run in runs}) == 1, (command, flags)
+
+
 if __name__ == "__main__":
     os.environ.pop("TCK_BOUND", None)
     for fixture in SHIPPED:

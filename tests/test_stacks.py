@@ -932,8 +932,9 @@ def test_scale_smoke_five_object_chain():
 
 
 def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
-    # at bound 1 the object-gluing strata over M_R and M_T trip their
-    # guards, so neither endpoint is known to be a stack
+    # at bound 1 the object-gluing stratum over M_T trips its guard, so
+    # neither endpoint is known to be a stack; M_R is maximal and settles
+    # itself
     from tck.corpus import open_site_sheaf_corpus
     from tck.errors import SizeBound
 
@@ -944,7 +945,7 @@ def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
     with pytest.raises(SizeBound) as exc:
         char_stacks(phi, OSJ, bound=1)
     assert exc.value.what == next(iter(report.bounds))
-    assert exc.value.what == "stack-i at R over ('O_R', 'R_R')"
+    assert exc.value.what == "stack-i at T over ('L_T', 'O_T', 'R_T')"
 
 
 # -- the stack conditions on the least covers -------------------------------------------
@@ -1111,3 +1112,62 @@ def test_discrete_stack_path_matches_the_cat_valued_search_on_generated_sites(ca
     j, _ = topology_from_generators(cat, gens)
     Z = data.draw(st.sampled_from(presheaf_corpus(cat, 8)))
     assert_paths_agree(discrete_presheaf(cat, Z), j, (gens, Z.on_objects))
+
+
+# -- maximal least covers settle themselves: the Cat-valued search skips them ------------
+
+
+def chain_step_topology(n):
+    """chain_n with each c(i) covered by the arrow from c(i-1): the least
+    covers shrink to {c0 -> c(i)}, and only c0's is maximal."""
+    cat = chain_with_a_lower_cover(n).base
+    j, _ = topology_from_generators(cat, {f"c{i}": [[f"c{i - 1}_c{i}"]] for i in range(1, n)})
+    return j
+
+
+def test_check_stack_skips_maximal_covers_and_agrees_with_the_every_cover_oracle():
+    # every condition holds at a maximal least cover, so skipping it leaves
+    # the report the oracle gives on the least covers; the pinned failures
+    # of the open site fail at T only, and hold on its maximal covers
+    cases = [(j, F) for j in (OSJ, trivial_topology(OS))
+             for F in (collapsing_pair(), arrow_without_gluing())]
+    for n in range(3, 7):
+        lower = chain_with_a_lower_cover(n)
+        cat = lower.base
+        for j in (trivial_topology(cat), lower, chain_step_topology(n)):
+            cases += [(j, F) for F in catpresheaf_corpus(cat, 4)]
+            cases.append((j, constant_cat_presheaf(cat, walking_iso())))
+    verdicts, mixed = set(), 0
+    for j, F in cases:
+        rep, expected = check_stack(F, j), stack_oracle.check_stack(F, j)
+        assert rep.verdict == expected.verdict, (j.minimal, F.on_objects)
+        assert rep.counterexamples == on_least_covers(expected, j)
+        verdicts.add(rep.verdict)
+        mixed += len({p.maximal for p in j.plan.covers.values()}) == 2
+    assert verdicts == {"pass", "fail"}
+    assert mixed > 0
+
+
+def test_check_stack_enumerates_descent_data_at_non_maximal_covers_only(monkeypatch):
+    from tck import stacks
+
+    seen = []
+    descent_data = stacks._descent_data
+
+    def recording(F, s, p, bound):
+        seen.append((s.at, p.maximal))
+        return descent_data(F, s, p, bound)
+
+    monkeypatch.setattr(stacks, "_descent_data", recording)
+    # the top of chain12 has 12 arrows into it: 2^12 object tuples that the
+    # search never takes
+    chain12 = chain_with_a_lower_cover(12).base
+    assert check_stack(constant_cat_presheaf(chain12, walking_iso()),
+                       trivial_topology(chain12)).verdict == "pass"
+    for F in (collapsing_pair(), arrow_without_gluing()):
+        assert check_stack(F, trivial_topology(OS)).verdict == "pass"
+    assert seen == []
+    for j in (OSJ, chain_with_a_lower_cover(5), chain_step_topology(5)):
+        seen.clear()
+        check_stack(constant_cat_presheaf(j.base, walking_iso()), j)
+        assert seen == [(c, False) for c, p in j.plan.covers.items() if not p.maximal] != []
