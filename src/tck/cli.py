@@ -98,7 +98,7 @@ def _cmd_check_site(doc, bound):
     report = Report("check-site")
     for name in sorted(doc.topologies):
         topo, _ = doc.topologies[name]
-        rep = site_mod.validate_topology(topo, bound)
+        rep = site_mod.validate_topology(topo)
         for ce in rep.counterexamples:
             report.fail((name,) + tuple(ce))
         if not rep.ok:

@@ -382,9 +382,10 @@ def map_to_omega_over_representable(base: FinCat, c: str, Z: SetPresheaf):
     object_part = {}
     arrow_part = {}
     for d in base.objects:
+        hom = rep.on_objects[d]
         for f in base.hom(d, c):
             object_part[(d, f)] = reindex_slice_presheaf(base, f, Z)
-            arrow_part[(d, f"id_{f}")] = identity_presheaf_map(object_part[(d, f)])
+            arrow_part[(d, hom.id_of(f))] = identity_presheaf_map(object_part[(d, f)])
     z = map_from_parts(base, rep, object_part, arrow_part)
     z.validate()
     return z

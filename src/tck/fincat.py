@@ -761,10 +761,14 @@ def free_category(objects: Iterable[str], generators: Mapping[str, tuple[str, st
 
     A composite path (g1 then g2) is named ``g2*g1``; identities are named
     ``id_<object>``.  Cyclic generators are rejected (the free category
-    would be infinite), and so is a graph whose composites, counted exactly
-    before any path is listed, exceed the default bound (SizeBound).
+    would be infinite), as is a graph whose composites, counted exactly
+    before any path is listed, exceed the default bound (SizeBound).  Two
+    paths that share a name, as a generator named ``h*g`` does with the
+    composite of g and h, raise InvalidTable.
     """
     objs = sorted(objects)
+    if len(set(objs)) != len(objs):
+        raise InvalidTable("duplicate object identifiers")
     adj: dict[str, list[tuple[str, str]]] = {x: [] for x in objs}
     for g, (d, c) in sorted(generators.items()):
         if d not in adj or c not in objs:
@@ -801,7 +805,9 @@ def free_category(objects: Iterable[str], generators: Mapping[str, tuple[str, st
     def name(path: tuple[str, ...], start: str) -> str:
         return "*".join(reversed(path)) if path else f"id_{start}"
 
-    arrows = {name(path, x): (x, end) for x, items in paths.items() for path, end in items}
+    parts = named_parts(((path, x, end) for x, items in paths.items() for path, end in items),
+                        lambda path, x, end: name(path, x))
+    arrows = {f: (x, end) for f, (_, x, end) in parts.items()}
     identities = {x: f"id_{x}" for x in objs}
     compose: dict[tuple[str, str], str] = {}
     for x, items in paths.items():
@@ -809,4 +815,6 @@ def free_category(objects: Iterable[str], generators: Mapping[str, tuple[str, st
             f = name(path, x)
             for path2, _ in paths[end]:
                 compose[(name(path2, end), f)] = name(path + path2, x)
-    return build_category(objs, arrows, identities, compose)
+    # valid because paths are: the names are distinct, the empty path is a
+    # unit and concatenation is associative
+    return mark_valid(FinCat(tuple(objs), arrows, identities, compose))

@@ -194,7 +194,7 @@ def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:
             cats[c],
             cats[d],
             dict(table),
-            {f"id_{x}": f"id_{table[x]}" for x in Z.on_objects[c]},
+            {cats[c].id_of(x): cats[d].id_of(table[x]) for x in Z.on_objects[c]},
         )
     # valid because Z is: each F(f) acts on objects as Z(f) does
     return mark_valid(CatPresheaf(base, cats, on_arrows))
@@ -219,7 +219,8 @@ def yoneda(F: CatPresheaf, c: str, x: str) -> TwoNat:
     for d in F.base.objects:
         on_objects = {f: F.on_arrows[f].on_objects[x] for f in F.base.hom(d, c)}
         on_arrows = {
-            f"id_{f}": F.on_objects[d].id_of(on_objects[f]) for f in F.base.hom(d, c)
+            rep.on_objects[d].id_of(f): F.on_objects[d].id_of(on_objects[f])
+            for f in F.base.hom(d, c)
         }
         comps[d] = FinFunctor(rep.on_objects[d], F.on_objects[d], on_objects, on_arrows)
     # valid because F is strict: F(g)(F(f)(x)) = F(f.g)(x)

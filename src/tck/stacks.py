@@ -359,18 +359,19 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
         arrows = p.arrows
         rows = restrictions(Z, p, c)
         by_family = tally(Z.on_objects[c], rows)
-        # (ii): one family of identities for each y restricting as x does
-        for x, row in zip(Z.on_objects[c], rows):
-            for y in by_family[row]:
-                try:
-                    guard("stack morphism families", 1, bound)
-                except SizeBound:
-                    report.bounded(f"stack-ii at {c}", bound)
-                    continue
-                if x != y:
-                    ids = tuple((f, F.on_objects[d].id_of(v))
-                                for f, d, v in zip(arrows, p.doms, row))
-                    report.fail(("ii", c, arrows, x, y, ids))
+        # (ii): one family of identities for each y restricting as x does.
+        # The Cat-valued search spends an estimate of 1 on each such pair,
+        # (x, x) among them, so it is bounded exactly when bound < 1 and
+        # Z(c) is not empty
+        if bound < 1 and Z.on_objects[c]:
+            report.bounded(f"stack-ii at {c}", bound)
+        else:
+            for x, row in zip(Z.on_objects[c], rows):
+                for y in by_family[row]:
+                    if x != y:
+                        ids = tuple((f, F.on_objects[d].id_of(v))
+                                    for f, d, v in zip(arrows, p.doms, row))
+                        report.fail(("ii", c, arrows, x, y, ids))
         # (i): one datum per matching family, effective iff some m restricts
         # to it; a witness search spends an estimate of 1, which cannot trip
         # a bound that a nonempty list of families passed

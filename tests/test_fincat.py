@@ -364,6 +364,36 @@ def test_free_category_square_commutes_by_construction():
     assert len(sq.hom("p", "s")) == 2
 
 
+def test_free_category_refuses_a_generator_named_like_a_composite(tmp_path):
+    # the generator h*g and the composite of g and h would be one arrow
+    gens = {"g": ("x", "y"), "h": ("y", "z"), "h*g": ("x", "z")}
+    with pytest.raises(InvalidTable, match="generated name 'h\\*g' is shared"):
+        free_category(["x", "y", "z"], gens)
+    with pytest.raises(InvalidTable, match="duplicate object identifiers"):
+        free_category(["x", "y", "x"], {"g": ("x", "y")})
+    from test_cli import assert_clean_usage_error, tck
+
+    path = tmp_path / "clash.site"
+    path.write_text("\n\ncategory C freely-generate\n  objects x y z\n"
+                    + "".join(f"  arrow {g} : {d} -> {c}\n" for g, (d, c) in gens.items())
+                    + "end\n")
+    res = tck("validate", str(path))
+    assert_clean_usage_error(res)
+    assert res.stderr.startswith("error: line 3: generated name 'h*g' is shared")
+
+
+def test_free_category_trusts_its_table(monkeypatch):
+    # concatenation of paths is associative and the empty path is a unit,
+    # so the table is not scanned again; the result reads as validated
+    calls = []
+    monkeypatch.setattr(FinCat, "validate", lambda self: calls.append(self))
+    cat = free_category(["p", "q", "r", "s"],
+                        {"f": ("p", "q"), "g": ("p", "r"), "h": ("q", "s"), "k": ("r", "s")})
+    assert calls == []
+    assert cat.__dict__.get("_valid") is True
+    assert (len(cat.arrows), len(cat.compose_table)) == (10, 18)
+
+
 @st.composite
 def small_categories(draw):
     kind = draw(st.integers(0, 3))

@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 import site_oracle
 import stack_oracle
 from category_strategies import generated_categories, idempotent_monoid, small_monoids
-from site_oracle import plus_class_count, raw_matching_families, saturate, sheaf_verdicts
+from site_oracle import (
+    all_sieves,
+    plus_class_count,
+    raw_matching_families,
+    saturate,
+    sheaf_verdicts,
+)
 from test_cli import child_env
 from tck import site
 from tck.corpus import (
@@ -38,7 +44,6 @@ from tck.fincat import (
 from tck.site import (
     GrothTopology,
     Sieve,
-    all_sieves,
     amalgamations,
     empty_sieve,
     is_separated,
@@ -214,7 +219,7 @@ def test_sheaf_checks_reject_raw_non_topologies():
         return slice_topology(j, j.base.objects[-1])
 
     for build, axiom in [(broken_stability, "stability"),
-                         (broken_maximality, "intersection"),
+                         (broken_maximality, "maximality"),
                          (broken_transitivity, "transitivity")]:
         j = build()
         for check in (is_sheaf, is_separated, plus, sheafify, stack_check, slice_check):
@@ -236,7 +241,7 @@ def test_a_raw_table_that_misses_an_object_names_it():
     with pytest.raises(AxiomViolation) as exc:
         j.minimal
     assert (exc.value.kind, exc.value.witness) == ("coverage", "y")
-    assert validate_topology(j).counterexamples == [("coverage", "covers table not total")]
+    assert validate_topology(j).counterexamples == [("coverage", "y")]
 
 
 def refuse_to_list(*args):
@@ -244,20 +249,19 @@ def refuse_to_list(*args):
 
 
 def test_a_raw_table_not_closed_upward_fails_without_listing_sieves(monkeypatch):
-    # the open-site table less the maximal sieve at T: M_T is stable and
-    # transitive, but M_T with the principal sieve of id_T added is missing
-    covers = dict(OSJ.covers)
-    covers["T"] = frozenset({joint_sieve()})
-    j = GrothTopology(OS, covers)
+    # the empty sieve and the maximal sieve at every object of the open
+    # site: each M_c is empty, so maximality, stability and transitivity
+    # hold on the M_c, but J(L) misses the empty sieve with O_L added
+    j = GrothTopology(OS, {c: frozenset({maximal_sieve(OS, c), empty_sieve(c)})
+                           for c in OS.objects})
     monkeypatch.setattr(site, "sieves_above", refuse_to_list)
     with pytest.raises(AxiomViolation) as exc:
         is_sheaf(delta1(OS), j)
     assert exc.value.kind == "transitivity"
-    assert exc.value.witness == ("T", maximal_sieve(OS, "T").sorted_arrows(),
-                                 joint_sieve().sorted_arrows())
+    assert exc.value.witness == ("L", ("O_L",), ())
     rep = validate_topology(j)
-    assert rep.counterexamples == site_oracle.validate_topology(j).counterexamples
-    assert ("maximality", "T") in rep.counterexamples
+    assert rep.counterexamples == [("transitivity", "L", ("O_L",), ())]
+    assert rep.counterexamples[0] in site_oracle.validate_topology(j).counterexamples
 
 
 def test_slice_topology_trivial_is_trivial():
@@ -928,6 +932,28 @@ def raw_topology(cat, chosen, maximal=False, stable=False, upward=False):
     return GrothTopology(cat, {c: frozenset(v) for c, v in covers.items()})
 
 
+def assert_witness_among_oracle_failures(rep, expected):
+    """validate_topology names the first axiom GrothTopology.minimal finds
+    broken; the oracle lists every counterexample by the definitions.  The
+    verdicts are equal.  A maximality or stability witness is one of the
+    oracle's, a transitivity failure is among its kinds, and an intersection
+    failure (M_c does not cover) shows in the oracle as the stability or
+    transitivity failure it causes."""
+    assert rep.verdict == expected.verdict
+    if rep.ok:
+        assert expected.counterexamples == []
+        return None
+    (witness,) = rep.counterexamples
+    kinds = {ce[0] for ce in expected.counterexamples}
+    if witness[0] in ("maximality", "stability"):
+        assert witness in expected.counterexamples
+    elif witness[0] == "transitivity":
+        assert "transitivity" in kinds
+    else:
+        assert witness[0] == "intersection" and kinds & {"stability", "transitivity"}
+    return witness[0]
+
+
 def test_validate_topology_agrees_with_oracle_on_every_small_covers_table():
     outcomes = set()
     for name in ("point", "walking_arrow", "chain3", "parallel_pair", "span"):
@@ -941,14 +967,10 @@ def test_validate_topology_agrees_with_oracle_on_every_small_covers_table():
                 for c, pick in zip(cat.objects, picks)
             }
             j = GrothTopology(cat, {c: frozenset(v) for c, v in chosen.items()})
-            rep = validate_topology(j)
             expected = site_oracle.validate_topology(j)
-            assert (rep.verdict, rep.counterexamples) == \
-                (expected.verdict, expected.counterexamples), (name, chosen)
-            outcomes.add(frozenset(ce[0] for ce in rep.counterexamples))
-    # valid tables and tables failing on transitivity alone both occur
-    assert frozenset() in outcomes
-    assert frozenset({"transitivity"}) in outcomes
+            outcomes.add(assert_witness_among_oracle_failures(validate_topology(j), expected))
+    # valid tables and failures of every axiom a table of sieves can break occur
+    assert outcomes == {None, "maximality", "intersection", "stability", "transitivity"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -962,10 +984,7 @@ def test_validate_topology_agrees_with_oracle_on_random_covers_tables(data):
     }
     j = raw_topology(cat, chosen, maximal=data.draw(st.booleans()),
                      stable=data.draw(st.booleans()), upward=data.draw(st.booleans()))
-    rep = validate_topology(j)
-    expected = site_oracle.validate_topology(j)
-    assert rep.verdict == expected.verdict
-    assert rep.counterexamples == expected.counterexamples
+    assert_witness_among_oracle_failures(validate_topology(j), site_oracle.validate_topology(j))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1002,16 +1021,17 @@ def test_validate_topology_on_valid_tables_never_enumerates_sieves(monkeypatch):
     tops = [OSJ, powerset_site(3), powerset_site(4)]
     tops += [trivial_topology(cat) for cat in bases().values()]
     tops += [slice_topology(OSJ, c) for c in OS.objects]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("all_sieves called on a valid topology")
-
-    monkeypatch.setattr(site, "all_sieves", refuse)
+    monkeypatch.setattr(site, "sieves_above", refuse_to_list)
     for j in tops:
         assert validate_topology(j).verdict == "pass"
-    # a failing table still lists its transitivity counterexamples exhaustively
-    with pytest.raises(AssertionError):
-        validate_topology(broken_transitivity())
+    # a failing table is reported by the one axiom GrothTopology.minimal
+    # finds broken, again without listing a sieve
+    for build, witness in [
+        (broken_maximality, ("maximality", "x")),
+        (broken_stability, ("stability", "b", ("u",), "v")),
+        (broken_transitivity, ("transitivity", "b", ("u",))),
+    ]:
+        assert validate_topology(build()).counterexamples == [witness]
     # stability is decided on the M_c: one pullback per arrow
     j = powerset_site(4)
     calls = []
@@ -1086,7 +1106,7 @@ def test_matching_families_never_read_an_identity_action():
 def test_k5_powerset_topology_validates_under_default_bound():
     j = powerset_site(5)
     assert sum(len(v) for v in j.covers.values()) == 7581
-    assert validate_topology(j, DEFAULT_BOUND).verdict == "pass"
+    assert validate_topology(j).verdict == "pass"
 
 
 def test_powerset_k6_decides_every_check_without_listing_a_cover(monkeypatch):
@@ -1117,7 +1137,8 @@ def test_powerset_k6_decides_every_check_without_listing_a_cover(monkeypatch):
 
 
 def test_validate_topology_output_does_not_depend_on_hash_seed():
-    # two covers at b fail stability; their order used to follow set iteration
+    # two covers at b whose intersection, the least cover, is not one; the
+    # covers used to be visited in set iteration order
     code = (
         "from tck.corpus import parallel_pair\n"
         "from tck.site import GrothTopology, Sieve, maximal_sieve, validate_topology\n"
@@ -1132,10 +1153,7 @@ def test_validate_topology_output_does_not_depend_on_hash_seed():
                        check=True).stdout
         for seed in range(6)
     }
-    assert outs == {
-        "[('stability', 'b', ('u',), 'v'), ('stability', 'b', ('v',), 'u'), "
-        "('transitivity', 'b', ('u', 'v'), ('u',))]\n"
-    }
+    assert outs == {"[('intersection', 'b', ())]\n"}
 
 
 def test_open_site_sheaf_corpus_rejects_a_non_sheaf_also_under_python_O():
@@ -1153,3 +1171,48 @@ def test_open_site_sheaf_corpus_rejects_a_non_sheaf_also_under_python_O():
                          env=child_env(), check=True)
     assert run.stdout == ("open-site corpus member 5 is no sheaf: ('T', ('L_T', 'O_T', 'R_T'), "
                           "{'L_T': '*', 'O_T': '*', 'R_T': '*'}, 2)\n")
+
+
+def chain_missing_bottom_covers(n=21):
+    """The trivial topology's table on the chain c00 < ... < c(n-1), less
+    every cover of c00: J(c00) is empty, so maximality fails there.  c19
+    and c20 have 20 and 21 arrows into them, so the subsets of those arrows
+    number more than the default bound."""
+    objs = [f"c{i:02d}" for i in range(n)]
+    cat = poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
+    covers = {c: frozenset({maximal_sieve(cat, c)}) for c in objs}
+    covers["c00"] = frozenset()
+    return GrothTopology(cat, covers)
+
+
+def chain21_document():
+    """chain_missing_bottom_covers() as document text: topology J on C."""
+    from tck.docbuild import DocumentBuilder
+    from tck.docformat import serialize
+
+    b = DocumentBuilder()
+    b.topology("J", chain_missing_bottom_covers(), "C")
+    return serialize(b.doc)
+
+
+def test_a_broken_table_with_many_arrows_into_an_object_fails_at_once(tmp_path, monkeypatch):
+    # c20 has 21 arrows into it: listing its 2^21 candidate sets used to
+    # trip the bound after the failures were found, and read bounded-pass
+    import time
+
+    from test_cli import tck
+
+    j = chain_missing_bottom_covers()
+    monkeypatch.setattr(site, "sieves_above", refuse_to_list)
+    start = time.monotonic()
+    rep = validate_topology(j)
+    assert (rep.verdict, rep.counterexamples, rep.bounds) == \
+        ("fail", [("maximality", "c00")], {})
+    assert time.monotonic() - start < 1.0
+    path = tmp_path / "chain21.site"
+    path.write_text(chain21_document())
+    res = tck("check-site", str(path))
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert res.stdout.splitlines()[1:] == [
+        "verdict: fail", "counterexample: ('J', 'maximality', 'c00')"]
+    assert "aborted" not in res.stdout
