@@ -25,6 +25,8 @@ separates pairs; serialize() refuses any other id with ``InvalidTable``.
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
@@ -83,12 +85,6 @@ _NAMESPACES = {
 }
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def ref(table: Mapping, name: str, line: int):
     """The entry ``name`` names in a document table, read at ``line``."""
     if name not in table:
@@ -109,6 +105,8 @@ class _Parser:
     def __init__(self, text: str, base_dir: str | None = None,
                  doc: Document | None = None, seen_paths: set | None = None):
         self.lines = text.splitlines()
+        # each line's content, without its comment and surrounding space
+        self.content = [line.partition("#")[0].strip() for line in self.lines]
         self.i = 0
         self.base_dir = base_dir
         self.doc = doc if doc is not None else Document()
@@ -134,28 +132,27 @@ class _Parser:
             raise self.line_error(line, content, f"repeated key {key!r}")
         table[key] = value
 
+    def extra_token(self, header: list[str], k: int) -> ParseError:
+        """Header token k, which its block does not read, at its column."""
+        column = [m.start() + 1 for m in re.finditer(r"\S+", self.lines[self.i])][k]
+        return ParseError(self.i + 1, column, f"unexpected {header[k]!r} in {header[0]} header")
+
     def next_content_line(self) -> str | None:
-        while self.i < len(self.lines):
-            content = _strip(self.lines[self.i])
-            if content:
-                return content
+        content = self.content
+        while self.i < len(content) and not content[self.i]:
             self.i += 1
-        return None
+        return content[self.i] if self.i < len(content) else None
 
     def body(self) -> list[tuple[int, str, list[str]]]:
         """The block's content lines up to 'end': line number, content, tokens."""
-        out = []
-        while True:
-            self.i += 1
-            if self.i >= len(self.lines):
-                raise self.error("unterminated block (missing 'end')")
-            content = _strip(self.lines[self.i])
-            if not content:
-                continue
-            if content == "end":
-                self.i += 1
-                return out
-            out.append((self.i + 1, content, content.split()))
+        content, start = self.content, self.i + 1
+        try:
+            end = content.index("end", start)
+        except ValueError:
+            self.i = len(content)
+            raise self.error("unterminated block (missing 'end')") from None
+        self.i = end + 1
+        return [(n + 1, content[n], content[n].split()) for n in range(start, end) if content[n]]
 
     def resolve_base(self, tokens: list[str], line: int):
         """Base expression: either CAT or 'slice CAT OBJ'."""
@@ -194,8 +191,6 @@ class _Parser:
     def directive_import(self, tokens: list[str]) -> None:
         """Merge another document's sections; paths resolve relative to the
         importing file."""
-        import os
-
         if len(tokens) != 2:
             raise self.error("import takes exactly one path")
         rel = tokens[1]
@@ -221,6 +216,8 @@ class _Parser:
             raise self.error("category block needs a name")
         name = header[1]
         free = len(header) > 2 and header[2] == "freely-generate"
+        if len(header) > 2 + free:
+            raise self.extra_token(header, 2 + free)
         objects: list[str] = []
         arrows: dict[str, tuple[str, str]] = {}
         identities: dict[str, str] = {}
@@ -270,17 +267,17 @@ class _Parser:
 
     def _pairs(self, tokens: list[str], line: int) -> dict[str, str]:
         table: dict[str, str] = {}
-        rest = list(tokens)
-        while rest:
-            if rest[0] == ",":
-                rest = rest[1:]
+        i, n = 0, len(tokens)
+        while i < n:
+            if tokens[i] == ",":
+                i += 1
                 continue
-            if len(rest) < 3 or rest[1] != "->":
+            if n - i < 3 or tokens[i + 1] != "->":
                 raise ParseError(line, 1, "expected 'x -> y' pairs")
-            if rest[0] in table:
-                raise ParseError(line, 1, f"repeated key {rest[0]!r} in pairs")
-            table[rest[0]] = rest[2]
-            rest = rest[3:]
+            if tokens[i] in table:
+                raise ParseError(line, 1, f"repeated key {tokens[i]!r} in pairs")
+            table[tokens[i]] = tokens[i + 2]
+            i += 3
         return table
 
     def block_setpresheaf(self, header: list[str], start: int) -> None:
@@ -299,11 +296,9 @@ class _Parser:
                 raise self.bad(line, content, "setpresheaf")
         for c in base.objects:
             at.setdefault(c, ())
-        for f in base.arrows:
-            if base.is_identity(f):
-                maps.setdefault(f, {x: x for x in at[base.dom(f)]})
-            else:
-                maps.setdefault(f, {})
+        for f, (d, _) in base.arrows.items():
+            if f not in maps:
+                maps[f] = {x: x for x in at[d]} if base.is_identity(f) else {}
         Z = SetPresheaf(base, at, maps)
         checked(start, Z.validate)
         self.doc.setpresheaves[name] = (Z, base_expr)
@@ -360,9 +355,11 @@ class _Parser:
     def block_topology(self, header: list[str], start: int) -> None:
         if len(header) < 4 or header[2] != "on":
             raise self.error("topology header: topology NAME on CAT [raw]")
+        raw = len(header) > 4 and header[4] == "raw"
+        if len(header) > 4 + raw:
+            raise self.extra_token(header, 4 + raw)
         name = header[1]
         base = ref(self.doc.categories, header[3], start)
-        raw = len(header) > 4 and header[4] == "raw"
         gens: dict[str, list[list[str]]] = {}
         raw_sieves: dict[str, list[Sieve]] = {}
         for line, content, t in self.body():
@@ -550,8 +547,6 @@ def parse(text: str, base_dir: str | None = None) -> Document:
 
 
 def parse_file(path) -> Document:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return _Parser(text, os.path.dirname(os.path.abspath(path)),

@@ -217,52 +217,54 @@ class FinCat:
 
     @validates_once
     def validate(self) -> None:
+        arrows, identities, table = self.arrows, self.identities, self.compose_table
         seen = set(self.objects)
         if len(seen) != len(self.objects):
             raise InvalidTable("duplicate object identifiers")
-        for f, (d, c) in self.arrows.items():
+        for f, (d, c) in arrows.items():
             if d not in seen or c not in seen:
                 raise InvalidTable(f"arrow {f!r} has unknown endpoint ({d!r}, {c!r})")
         for c in self.objects:
-            i = self.identities.get(c)
-            if i is None or i not in self.arrows:
+            i = identities.get(c)
+            if i is None or i not in arrows:
                 raise MissingIdentity(c, "no identity arrow assigned")
-            if self.arrows[i] != (c, c):
+            if arrows[i] != (c, c):
                 raise MissingIdentity(c, f"assigned identity {i!r} is not an endo-arrow on {c!r}")
         # compose defined exactly on composable pairs, with correct endpoints;
         # the first bad pair in sorted order is reported
-        ill_typed = [(g, f) for g, f in self.compose_table
-                     if g not in self.arrows or f not in self.arrows or self.cod(f) != self.dom(g)]
+        ill_typed = [(g, f) for g, f in table
+                     if g not in arrows or f not in arrows or arrows[f][1] != arrows[g][0]]
         for g, f in sorted(ill_typed)[:1]:
             raise IllTypedComposite(g, f, f"cod({f!r}) != dom({g!r})")
-        missing = [(g, f) for f in self.arrows for g in self.arrows_from(self.cod(f))
-                   if (g, f) not in self.compose_table]
+        out = self._index[2]
+        missing = [(g, f) for f, (_, c) in arrows.items() for g in out.get(c, ())
+                   if (g, f) not in table]
         for g, f in sorted(missing)[:1]:
             raise IllTypedComposite(g, f, "composable pair missing from table")
-        for (g, f), h in self.compose_table.items():
-            if h not in self.arrows:
+        for (g, f), h in table.items():
+            if h not in arrows:
                 raise IllTypedComposite(g, f, f"result {h!r} is not an arrow")
-            if self.arrows[h] != (self.dom(f), self.cod(g)):
+            if arrows[h] != (arrows[f][0], arrows[g][1]):
                 raise IllTypedComposite(g, f, f"result {h!r} has wrong endpoints")
         # identity laws
-        for f in self.arrows:
-            if self.compose(self.id_of(self.cod(f)), f) != f:
-                raise MissingIdentity(self.cod(f), f"left identity law fails on {f!r}")
-            if self.compose(f, self.id_of(self.dom(f))) != f:
-                raise MissingIdentity(self.dom(f), f"right identity law fails on {f!r}")
+        for f, (d, c) in arrows.items():
+            if table[(identities[c], f)] != f:
+                raise MissingIdentity(c, f"left identity law fails on {f!r}")
+            if table[(f, identities[d])] != f:
+                raise MissingIdentity(d, f"right identity law fails on {f!r}")
         # associativity over the composable triples with no identity in them:
         # the identity laws settle the others, so the first failing triple
         # is the one a scan of all triples finds first
-        ids = set(self.identities.values())
-        for f in self.arrows:
+        ids = set(identities.values())
+        for f, (_, c) in arrows.items():
             if f in ids:
                 continue
-            for g in self.arrows_from(self.cod(f)):
+            for g in out.get(c, ()):
                 if g in ids:
                     continue
-                gf = self.compose(g, f)
-                for h in self.arrows_from(self.cod(g)):
-                    if h not in ids and self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                gf = table[(g, f)]
+                for h in out.get(arrows[g][1], ()):
+                    if h not in ids and table[(h, gf)] != table[(table[(h, g)], f)]:
                         raise NonAssociative(h, g, f)
 
 
@@ -457,31 +459,33 @@ class _SetValued:
 
     @validates_once
     def validate(self) -> None:
-        if set(self.on_objects) != set(self.base.objects):
+        base, on_objects, on_arrows = self.base, self.on_objects, self.on_arrows
+        if set(on_objects) != set(base.objects):
             raise InvalidTable(f"{self._what} object table is not total")
-        for c, elems in self.on_objects.items():
+        for c, elems in on_objects.items():
             if len(set(elems)) != len(elems) or tuple(sorted(elems)) != tuple(elems):
                 raise InvalidTable(f"element table at {c!r} must be sorted and duplicate-free")
-        if set(self.on_arrows) != set(self.base.arrows):
+        if set(on_arrows) != set(base.arrows):
             raise InvalidTable(f"{self._what} arrow table is not total")
-        letter = self._letter
-        for f, fun in self.on_arrows.items():
+        letter, contravariant = self._letter, self._contravariant
+        members = {c: set(elems) for c, elems in on_objects.items()}
+        for f, fun in on_arrows.items():
             src, tgt = self._ends(f)
-            if set(fun) != set(self.on_objects[src]):
+            if set(fun) != members[src]:
                 raise InvalidTable(f"action of {f!r} not defined on all of {letter}({src!r})")
             for x, y in fun.items():
-                if y not in self.on_objects[tgt]:
+                if y not in members[tgt]:
                     raise InvalidTable(f"action of {f!r} sends {x!r} outside {letter}({tgt!r})")
-        for c in self.base.objects:
-            i = self.base.id_of(c)
-            if any(self.on_arrows[i][x] != x for x in self.on_objects[c]):
+        for c in base.objects:
+            if any(on_arrows[base.identities[c]][x] != x for x in on_objects[c]):
                 raise InvalidTable(f"identity on {c!r} does not act as identity")
-        acts_from = 1 if self._contravariant else 0  # the end of (dom, cod) f acts from
-        for f, g, fg in self.base._proper_composites:
+        acts_from = 1 if contravariant else 0  # the end of (dom, cod) f acts from
+        for f, g, fg in base._proper_composites:
             # f.g acts as f and then g on a presheaf, as g and then f on a set functor
-            first, then = (f, g) if self._contravariant else (g, f)
-            for x in self.on_objects[self.base.arrows[first][acts_from]]:
-                if self.on_arrows[fg][x] != self.on_arrows[then][self.on_arrows[first][x]]:
+            first, then = (f, g) if contravariant else (g, f)
+            act_first, act_then, act_both = on_arrows[first], on_arrows[then], on_arrows[fg]
+            for x in on_objects[base.arrows[first][acts_from]]:
+                if act_both[x] != act_then[act_first[x]]:
                     raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
 
 

@@ -21,7 +21,6 @@ from .fincat import (
     FinFunctor,
     FinSetFunctor,
     NatTransform,
-    build_category,
     compose_functors,
     composition_table,
     discrete_category,
@@ -91,21 +90,23 @@ class TwoNat:
 
     @validates_once
     def validate(self) -> None:
-        if self.source.base != self.target.base:
+        F, G, comps = self.source, self.target, self.components
+        if F.base != G.base:
             raise InvalidTable("two-natural transformation across different sites")
-        base = self.source.base
-        if set(self.components) != set(base.objects):
+        F.validate()
+        G.validate()
+        if set(comps) != set(F.base.objects):
             raise InvalidTable("component table is not total")
-        for c in base.objects:
-            comp = self.components[c]
-            if comp.source != self.source.on_objects[c] or \
-               comp.target != self.target.on_objects[c]:
+        for c in F.base.objects:
+            comp = comps[c]
+            if comp.source != F.on_objects[c] or comp.target != G.on_objects[c]:
                 raise InvalidTable(f"component at {c!r} has wrong endpoints")
             comp.validate()
-        for f, (d, c) in base.arrows.items():
-            lhs = compose_functors(self.target.on_arrows[f], self.components[c])
-            rhs = compose_functors(self.components[d], self.source.on_arrows[f])
-            if lhs != rhs:
+        # for f: d -> c, G(f).s_c and s_d.F(f) are functors F(c) -> G(d), so they
+        # are equal when their arrow tables are: an object goes where its identity does
+        for f, (d, c) in F.base.arrows.items():
+            Ff, Gf, s_d = F.on_arrows[f].on_arrows, G.on_arrows[f].on_arrows, comps[d].on_arrows
+            if any(Gf[v] != s_d[Ff[u]] for u, v in comps[c].on_arrows.items()):
                 raise InvalidTable(f"strict naturality fails on {f!r}")
 
 
@@ -372,6 +373,7 @@ def element_arrow_name(f: str, mu: str, x: str) -> str:
 def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
     """The category of elements of F with the parts of its objects, name ->
     (c, X), and of its arrows, name -> (f, mu, X); cached on F."""
+    F.validate()
     base = F.base
     obj_parts = named_parts(
         ((c, x) for c in base.objects for x in F.on_objects[c].objects), element_name)
@@ -401,8 +403,9 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
         comp_mu = F.on_objects[base.dom(g)].compose(mu2, F.on_arrows[g].on_arrows[mu])
         return element_arrow_name(base.compose(f, g), comp_mu, x)
 
-    return (build_category(obj_parts, arrows, identities, composition_table(arrows, compose)),
-            obj_parts, parts)
+    # valid because F is strict and named_parts keeps the names apart
+    el = FinCat(tuple(sorted(obj_parts)), arrows, identities, composition_table(arrows, compose))
+    return mark_valid(el), obj_parts, parts
 
 
 def _slice_element_tables(F: CatPresheaf) -> tuple[dict, dict, dict]:
@@ -449,7 +452,8 @@ def elements_category(F: CatPresheaf) -> FinCat:
     ``<c|X>`` to ``<d|Y>`` is a base arrow f: d -> c together with
     mu: F(f)(X) -> Y.  Covariant set-valued functors on this category are
     exactly the fibre tables of discrete opfibrations over F.  It is built
-    and validated once per presheaf instance.
+    once per presheaf instance, after F is validated, and is a category by
+    construction, so it is not validated again.
     """
     return F._elements[0]
 

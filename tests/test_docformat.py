@@ -1,3 +1,4 @@
+import functools
 import glob
 import os
 
@@ -11,7 +12,14 @@ from tck.docbuild import (
     build_shipped_fixtures,
     write_fixture_tree,
 )
-from tck.docformat import parse, parse_file, serialize
+from tck.corpus import (
+    dopf_from_set_functor,
+    map_to_omega_from_set_functor,
+    poset_category,
+    presheaf_corpus,
+    setfunctor_corpus,
+)
+from tck.docformat import Document, parse, parse_file, serialize
 from tck.fincat import constant_presheaf
 from tck.errors import (
     DanglingReference,
@@ -20,6 +28,8 @@ from tck.errors import (
     ParseError,
     TckError,
 )
+from tck.prestack import elements_category, representable
+from tck.site import topology_from_generators
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -687,7 +697,20 @@ BLOCK_ERRORS = [
      "object_part at ('b', 'p') is not on slice(C, 'b')",
      [("map_to_omega M over F\n", "map_to_omega M over F #<\n"),
       ("  part b p : Pb\n", "  part b p : Pa\n")]),
-
+    ("category-header-token", ParseError, 13, "unexpected 'junk' in category header",
+     [("category Pt\n", "category Pt junk #<\n")]),
+    ("category-header-token-repeats-name", ParseError, 13, "unexpected 'Pt' in category header",
+     [("category Pt\n", "category Pt Pt #<\n")]),
+    ("category-free-header-token", ParseError, 29, "unexpected 'junk' in category header",
+     [("category Pt\n", "category Pt freely-generate junk #<\n")]),
+    ("category-free-typo", ParseError, 13, "unexpected 'freely-generat' in category header",
+     [("category Pt\n", "category Pt freely-generat #<\n")]),
+    ("topology-header-token", ParseError, 18, "unexpected 'junk' in topology header",
+     [("topology J on WA\n", "topology J on WA junk #<\n")]),
+    ("topology-raw-header-token", ParseError, 22, "unexpected 'junk' in topology header",
+     [("topology J on WA\n", "topology J on WA raw junk #<\n")]),
+    ("topology-raw-typo", ParseError, 18, "unexpected 'Raw' in topology header",
+     [("topology J on WA\n", "topology J on WA Raw #<\n")]),
 ]
 
 
@@ -799,3 +822,86 @@ def test_serialize_names_the_id_it_cannot_write(build, detail):
     with pytest.raises(InvalidTable) as err:
         serialize(b.doc)
     assert str(err.value) == detail
+
+
+# -- mutated documents parse or fail at one of their lines -----------------------------
+
+
+def chain5_document() -> str:
+    """A DocumentBuilder document on the chain c0 < ... < c4: an
+    opfibration over the representable at c4 and a map into its classifier."""
+    objs = [f"c{i}" for i in range(5)]
+    cat = poset_category(objs, [(objs[i], objs[i + 1]) for i in range(4)])
+    F = representable(cat, "c4")
+    funs = setfunctor_corpus(elements_category(F), 6)
+    b = DocumentBuilder()
+    b.category("Chain5", cat)
+    b.two_nat("phi", dopf_from_set_functor(F, funs[-1]).s, "phi.total", "Rep", "Chain5")
+    b.map_to_omega("z", map_to_omega_from_set_functor(F, funs[-2]), "Rep", "Chain5")
+    return serialize(b.doc)
+
+
+def powerset3_document() -> str:
+    """A DocumentBuilder document on the opens of the 3-point discrete
+    space: its open-cover topology and four presheaves."""
+    names = {m: "p" + format(m, "03b") for m in range(8)}
+    cat = poset_category(list(names.values()), [
+        (names[a], names[b]) for a in names for b in names if a != b and a & ~b == 0])
+    gens = {names[u]: [[f"{names[1 << i]}_{names[u]}" for i in range(3) if u >> i & 1]]
+            for u in names}
+    j, _ = topology_from_generators(cat, gens)
+    b = DocumentBuilder()
+    b.topology("J", j, "P3")
+    zs = presheaf_corpus(cat, 0)
+    for i in (1, 4, 10, 20):
+        b.setpresheaf(f"Z{i}", zs[i], ("cat", "P3"))
+    return serialize(b.doc)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_documents() -> tuple[str, ...]:
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "**", "*.site"), recursive=True))
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return (*texts, chain5_document(), powerset3_document())
+
+
+def mutate(lines: list[str], data) -> list[str]:
+    """lines with one line dropped, duplicated or swapped with another, the
+    document cut before a block's 'end', or a token appended to a header."""
+    i, k = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "header"]))
+    if kind == "drop":
+        return lines[:i] + lines[i + 1:]
+    if kind == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    if kind == "swap":
+        lines = list(lines)
+        lines[i], lines[k] = lines[k], lines[i]
+        return lines
+    if kind == "cut":
+        ends = [n for n, line in enumerate(lines) if line == "end"]
+        return lines[:data.draw(st.sampled_from(ends))] if ends else lines
+    headers = [n for n, line in enumerate(lines) if line[:1].isalpha() and line != "end"]
+    if not headers:
+        return lines
+    n = data.draw(st.sampled_from(headers))
+    token = data.draw(st.sampled_from(["junk", "raw", "freely-generate", "->", ","]))
+    return lines[:n] + [f"{lines[n]} {token}"] + lines[n + 1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_documents_parse_or_fail_at_one_of_their_lines(data):
+    lines = data.draw(st.sampled_from(fuzz_documents())).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if lines:
+            lines = mutate(lines, data)
+    try:
+        assert isinstance(parse("\n".join(lines)), Document)
+    except TckError as exc:
+        # only a block that runs off the end is named past the last line
+        last = len(lines) + ("unterminated block" in str(exc))
+        assert 1 <= exc.line <= last, exc

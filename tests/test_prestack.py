@@ -142,6 +142,15 @@ def test_certify_rejects_broken_component():
     assert err.value.component == "*"
 
 
+def test_two_nat_names_a_source_presheaf_with_no_value_at_an_object():
+    # the endpoints are validated before a component is compared with them
+    F = sample_presheaf()
+    partial = CatPresheaf(WA, {"a": F.on_objects["a"]}, F.on_arrows)
+    nat = TwoNat(partial, F, identity_two_nat(F).components)
+    with pytest.raises(InvalidTable, match="cat presheaf object table is not total"):
+        nat.validate()
+
+
 def test_pointwise_comma_of_identities_is_arrow_category():
     F = sample_presheaf()
     idf = identity_two_nat(F)

@@ -15,6 +15,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import validation_oracle
 from category_strategies import generated_categories, small_monoids
 from tck import cat2, classifier, fincat, prestack, site
 from tck.classifier import (
@@ -31,10 +32,13 @@ from tck.classifier import (
 from tck.corpus import (
     bases,
     catpresheaf_corpus,
+    constant_cat_presheaf,
+    dopf_corpus,
     dopf_from_set_functor,
     elements_category,
     hom_from,
     map_to_omega_from_set_functor,
+    parallel_pair,
     poset_category,
     presheaf_corpus,
     setfunctor_corpus,
@@ -122,31 +126,52 @@ def fresh_presheaf() -> SetPresheaf:
     return SetPresheaf(Z.base, dict(Z.on_objects), dict(Z.on_arrows))
 
 
-def count_id_of(monkeypatch) -> list:
-    calls: list = []
-    id_of = FinCat.id_of
-    monkeypatch.setattr(FinCat, "id_of", lambda self, c: calls.append(c) or id_of(self, c))
-    return calls
+class ReadCounter(Mapping):
+    """A table that records each read made of it: a key looked up, or None
+    for a walk over its keys."""
+
+    def __init__(self, table: Mapping, reads: list):
+        self.table, self.reads = table, reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self.table[key]
+
+    def __iter__(self):
+        self.reads.append(None)
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
 
 
-def test_second_validate_does_no_work(monkeypatch):
+def counted_presheaf(reads: list) -> SetPresheaf:
+    """fresh_presheaf on its own copy of the base, whose arrow table records
+    its reads in ``reads``: a check reads it, whichever lookups it makes."""
     Z = fresh_presheaf()
-    calls = count_id_of(monkeypatch)
-    Z.validate()
-    assert calls
-    n = len(calls)
-    Z.validate()
-    assert len(calls) == n
+    base = FinCat(WA.objects, ReadCounter(WA.arrows, reads), WA.identities, WA.compose_table)
+    return SetPresheaf(base, Z.on_objects, Z.on_arrows)
 
 
-def test_equal_but_distinct_instances_are_each_validated(monkeypatch):
-    Z, W = fresh_presheaf(), fresh_presheaf()
+def test_second_validate_does_no_work():
+    reads: list = []
+    Z = counted_presheaf(reads)
+    Z.validate()
+    assert reads
+    n = len(reads)
+    Z.validate()
+    assert len(reads) == n
+
+
+def test_equal_but_distinct_instances_are_each_validated():
+    reads: list = []
+    Z, W = counted_presheaf(reads), counted_presheaf(reads)
     assert Z == W and Z is not W
-    calls = count_id_of(monkeypatch)
+    reads.clear()
     Z.validate()
-    n = len(calls)
+    n = len(reads)
     W.validate()
-    assert len(calls) == 2 * n
+    assert len(reads) == 2 * n
 
 
 def test_failed_validation_is_not_recorded():
@@ -453,3 +478,119 @@ def test_validators_raise_what_a_scan_of_every_composable_pair_raises(cat, data)
     for G in (G, discrete_image(Z)):
         assert outcome(prestack.CatPresheaf.validate, G) == \
             outcome(cat_presheaf_by_definition, G)
+
+
+# -- the validators against the oracles of their earlier bodies -------------------------
+
+
+def category_corruptions(cat, rnd):
+    """Builders of cat's tables with one entry corrupted: a composite dropped
+    or redirected, an identity dropped or redirected, an ill-typed composite
+    added, an object repeated, or an arrow reversed."""
+    names = sorted(cat.arrows)
+    arrows, ids, table = dict(cat.arrows), dict(cat.identities), dict(cat.compose_table)
+
+    def build(objects=cat.objects, arrows=arrows, identities=ids, table=table):
+        return lambda: FinCat(tuple(objects), dict(arrows), dict(identities), dict(table))
+
+    for key in table:
+        yield build(table={k: v for k, v in table.items() if k != key})
+        yield build(table={**table, key: rnd.choice(names)})
+    for c in cat.objects:
+        yield build(identities={k: v for k, v in ids.items() if k != c})
+        yield build(identities={**ids, c: rnd.choice(names)})
+    yield build(table={**table, (rnd.choice(names), rnd.choice(names)): rnd.choice(names)})
+    yield build(objects=cat.objects + cat.objects[:1])
+    f = rnd.choice(names)
+    yield build(arrows={**arrows, f: arrows[f][::-1]})
+
+
+def set_valued_corruptions(Z, rnd):
+    """Builders of Z's tables with one entry corrupted: an element sent
+    outside its target, to another element there, or nowhere; an element
+    table repeated; or an arrow's action dropped."""
+    ob, ar = Z.on_objects, Z.on_arrows
+
+    def build(ob=ob, ar=ar):
+        return lambda: type(Z)(Z.base, dict(ob), {f: dict(t) for f, t in ar.items()})
+
+    for f, act in ar.items():
+        tgt = ob[Z._ends(f)[1]]
+        for x in act:
+            yield build(ar={**ar, f: {**act, x: "outside"}})
+            yield build(ar={**ar, f: {**act, x: rnd.choice(tgt)}})
+            yield build(ar={**ar, f: {k: v for k, v in act.items() if k != x}})
+    for c, elems in ob.items():
+        yield build(ob={**ob, c: elems + elems[:1]})
+    f = rnd.choice(sorted(ar))
+    yield build(ar={k: v for k, v in ar.items() if k != f})
+
+
+def two_nat_corruptions(nat, rnd):
+    """Builders of nat with one component entry corrupted: an object sent to
+    another object, its identity with it, which keeps a discrete component a
+    functor and breaks naturality squares; an arrow sent to a parallel arrow
+    or to any other; or a component dropped."""
+
+    def build(c=None, tables=None):
+        def make():
+            comps = {d: fincat.FinFunctor(s.source, s.target, dict(s.on_objects),
+                                          dict(s.on_arrows))
+                     for d, s in nat.components.items() if d != c}
+            if tables is not None:
+                comps[c] = fincat.FinFunctor(nat.components[c].source,
+                                             nat.components[c].target, *tables)
+            return prestack.TwoNat(nat.source, nat.target, comps)
+        return make
+
+    def other(pool, old):
+        return rnd.choice([x for x in pool if x != old] or [old])
+
+    for c, s in nat.components.items():
+        S, T = s.source, s.target
+        for x in S.objects:
+            y = other(T.objects, s.on_objects[x])
+            yield build(c, ({**s.on_objects, x: y}, {**s.on_arrows, S.id_of(x): T.id_of(y)}))
+        for u, v in s.on_arrows.items():
+            for pool in (T.hom(*T.arrows[v]), sorted(T.arrows)):
+                yield build(c, (s.on_objects, {**s.on_arrows, u: other(pool, v)}))
+        yield build(c)
+
+
+def corruption_outcomes(cat, data, rnd) -> set:
+    """Validate valid tables on cat and every corruption of them, each on a
+    fresh instance, with the library and with its oracle; assert that the
+    two agree, valid tables pass, and return the failures seen."""
+    Z, A = (data.draw(st.sampled_from(corpus(cat, 6)))
+            for corpus in (presheaf_corpus, setfunctor_corpus))
+    # a presheaf with two objects in some value, where a component can move one
+    F = data.draw(st.sampled_from([F for F in catpresheaf_corpus(cat, 6)
+                                   if any(len(K.objects) > 1 for K in F.on_objects.values())]))
+    # with parallel arrows in its values, a component can move an arrow alone
+    K = constant_cat_presheaf(cat, parallel_pair())
+    nats = [prestack.identity_two_nat(G) for G in (F, K)] + [phi.s for phi in dopf_corpus(F, 0)]
+    cases = [(validation_oracle.validate_category, category_corruptions(cat, rnd),
+              lambda: FinCat(cat.objects, dict(cat.arrows), dict(cat.identities),
+                             dict(cat.compose_table))),
+             *((validation_oracle.validate_set_valued, set_valued_corruptions(X, rnd),
+                lambda X=X: type(X)(X.base, dict(X.on_objects), dict(X.on_arrows)))
+               for X in (Z, A)),
+             *((validation_oracle.validate_two_nat, two_nat_corruptions(nat, rnd),
+                lambda nat=nat: prestack.TwoNat(nat.source, nat.target, dict(nat.components)))
+               for nat in nats)]
+    failures = set()
+    for oracle, corruptions, valid in cases:
+        assert outcome(oracle, valid()) is None
+        assert outcome(lambda x: x.validate(), valid()) is None
+        for corrupted in corruptions:
+            expected = outcome(oracle, corrupted())
+            assert outcome(lambda x: x.validate(), corrupted()) == expected
+            failures.add(expected)
+    return failures - {None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_categories(), small_monoids()), st.data(),
+       st.randoms(use_true_random=False))
+def test_validators_raise_what_their_earlier_bodies_raise(cat, data, rnd):
+    assert corruption_outcomes(cat, data, rnd)
