@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidTable, NotOpfibration
+from .errors import InvalidTable, NotOpfibration, UnknownObject
 from .fincat import (
     FinCat,
     FinFunctor,
@@ -80,13 +80,22 @@ def certify_dopf(p: FinFunctor) -> DiscOpfibCat:
 
 
 def lift(p: DiscOpfibCat, e: str, f: str) -> str:
-    """The unique arrow of E with domain e lying over f."""
-    return p.lifts[(e, f)]
+    """The unique arrow of E with domain e lying over f; UnknownObject for
+    an e outside E, InvalidTable for an f that is no arrow of B or does
+    not leave p(e)."""
+    try:
+        return p.lifts[(e, f)]
+    except KeyError:
+        if e not in p.total.objects:
+            raise UnknownObject(e) from None
+        if f not in p.base.arrows:
+            raise InvalidTable(f"unknown arrow {f!r}") from None
+        raise InvalidTable(f"{f!r} does not leave p({e!r})") from None
 
 
 def transport(p: DiscOpfibCat, e: str, f: str) -> str:
-    """Codomain of the unique lift of f at e."""
-    return p.total.cod(p.lifts[(e, f)])
+    """Codomain of the unique lift of f at e; raises as lift does."""
+    return p.total.cod(lift(p, e, f))
 
 
 def _pair(x: str, y: str) -> str:
@@ -215,23 +224,32 @@ def lax_limit_of_arrow(omega: FinFunctor) -> tuple[DiscOpfibCat, CommaCone]:
 
 def elements_of(z: FinSetFunctor) -> DiscOpfibCat:
     """Category of elements of a covariant set-valued functor, certified:
-    the lift of f at (dom f, x) is (f, x)."""
+    the lift of f at (dom f, x) is (f, x).  The arrows, the lifts and the
+    arrows out of each object come from one walk over the arrows, and
+    each composite is read from B's table."""
     z.validate()
     B = z.base
+    table = B.compose_table
     obj_parts = named_parts(((b, x) for b in B.objects for x in z.on_objects[b]), _pair)
     arr_parts = named_parts(((f, x) for f in B.arrows for x in z.on_objects[B.dom(f)]), _pair)
-    arrows = {
-        name: (_pair(B.dom(f), x), _pair(B.cod(f), z.on_arrows[f][x]))
-        for name, (f, x) in arr_parts.items()
-    }
+    arrows: dict[str, tuple[str, str]] = {}
+    on_arrows: dict[str, str] = {}
+    lifts: dict[tuple[str, str], str] = {}
+    out_of: dict[str, list[tuple[str, str]]] = {}
+    for n, (f, x) in arr_parts.items():
+        d, c = B.arrows[f]
+        o = _pair(d, x)
+        arrows[n] = (o, _pair(c, z.on_arrows[f][x]))
+        on_arrows[n] = f
+        lifts[(o, f)] = n
+        out_of.setdefault(o, []).append((n, f))
+    # (m, n) -> m.n for n = (f, x) and m = (g, z(f)x), in the order of n and then m
+    compose = {(m, n): _pair(table[(g, f)], x) for n, (f, x) in arr_parts.items()
+               for m, g in out_of.get(arrows[n][1], ())}
     identities = {o: _pair(B.id_of(b), x) for o, (b, x) in obj_parts.items()}
-    compose = composition_table(arrows, lambda n2, n1: _pair(
-        B.compose(arr_parts[n2][0], arr_parts[n1][0]), arr_parts[n1][1]))
     # valid because z is a functor and names are injective
     total = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
-    proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()},
-                      {n: f for n, (f, _) in arr_parts.items()})
-    lifts = {(_pair(B.dom(f), x), f): n for n, (f, x) in arr_parts.items()}
+    proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()}, on_arrows)
     return DiscOpfibCat(proj, _fibres(proj), lifts)
 
 

@@ -9,6 +9,7 @@ deterministic; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,10 +120,11 @@ def _cmd_check_sheaf(doc, bound):
     report = Report("check-sheaf")
     for zname, Z, jname, topo in pairs:
         sheaf = site_mod.is_sheaf(Z, topo, bound)
-        separated = site_mod.is_separated(Z, topo, bound)
         if sheaf.ok:
             report.note((zname, jname, "sheaf"))
         else:
+            # a sheaf is separated, so only a presheaf that is none asks
+            separated = site_mod.is_separated(Z, topo, bound)
             report.fail((zname, jname, "not-a-sheaf", sheaf.counterexamples[0],
                          "separated" if separated.ok else "not-separated"))
     return report, None
@@ -333,8 +335,11 @@ def _bound(text: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a fixed width, the 80-column fallback less argparse's margin, so help
+    # reads the same on every terminal and no formatter probes for one
     parser = argparse.ArgumentParser(
-        prog="tck", description="finite-site 2-classifier toolkit"
+        prog="tck", description="finite-site 2-classifier toolkit",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=78),
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("file")

@@ -348,11 +348,14 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
     """What f: d -> c does to slices, as tables cached on ``cat``.
 
     Returns slice(C, d), the pairs (g, f.g) for its objects, and the pairs
-    (h>g, h>f.g) of slice-arrow names for its arrows.
+    (h>g, h>f.g) of slice-arrow names for its arrows.  An unknown f raises
+    InvalidTable, checked only when the cache misses.
     """
     hit = cat._postcompositions.get(f)
     if hit is not None:
         return hit
+    if f not in cat.arrows:
+        raise InvalidTable(f"unknown arrow {f!r}")
     d, _ = cat.arrows[f]
     sl_d, _ = slice_cat(cat, d)
     objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)

@@ -212,6 +212,8 @@ def representable(base: FinCat, c: str) -> CatPresheaf:
 
 def yoneda(F: CatPresheaf, c: str, x: str) -> TwoNat:
     """The 2-natural transformation representable(c) -> F picking x."""
+    if c not in F.base.objects:
+        raise UnknownObject(c)
     if x not in F.on_objects[c].objects:
         raise UnknownObject(x)
     F.validate()

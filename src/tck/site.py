@@ -12,12 +12,16 @@ topology and in polynomial time: on a raw table it also checks that the
 table is total, that each J(c) holds the maximal sieve, that each cover is
 a sieve and that J(c) is closed under adding a principal sieve.  No sieve
 is listed to validate a table; one that fails is reported by the first
-axiom `minimal` finds broken, with its witness.  A set of arrows into c
-is a sieve iff it holds the principal sieve {f.g : g into dom f} of each
-of its arrows f; the category caches those, so checking, generating and
-listing sieves composes no arrows.  Topologies are entered as generating families per
-object; M_c is found as a fixpoint of the stability and transitivity
-axioms, and a slice topology lifts M_dom f.  The sheaf conditions and the
+axiom `minimal` finds broken, with its witness.  The generated, trivial
+and slice topologies satisfy the axioms as built, so they are recorded
+as checked when built, the way `mark_valid` records a value; a
+`from_minimal` topology and a raw table are checked on first read.  A
+set of arrows into c is a sieve iff it holds the principal sieve
+{f.g : g into dom f} of each of its arrows f; the category caches
+those, so checking, generating and listing sieves composes no arrows.
+Topologies are entered as generating families per object; M_c is found
+as a fixpoint of the stability and transitivity axioms, and a slice
+topology lifts M_dom f.  The sheaf conditions and the
 plus construction take the matching families on M_c, the terminal stage
 of the colimit over covering sieves: Z is a sheaf (separated) iff
 Z(c) -> Match(M_c, Z) is a bijection (an injection) at every c.
@@ -44,12 +48,13 @@ one enumeration of such tuples: the matching families here, and in
 `stacks` the morphism families of the stack conditions and the isos of
 effectiveness witnesses.  A sieve plan also indexes the cocycle
 condition of descent data (`SievePlan.cocycles`), so checking a datum
-composes no arrow of the base.
+composes no arrow of the base; the index is built on its first read, so
+the sheaf kernels and `plus`, which never read it, never build it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -144,9 +149,9 @@ def _by_arrows(sieves: Iterable[Sieve]) -> list[Sieve]:
 
 def is_sieve(cat: FinCat, s: Sieve) -> bool:
     """A set of arrows into s.at is a sieve iff it holds the principal sieve
-    of each of its arrows."""
+    of each of its arrows; a set holding an unknown arrow is none."""
     principal = cat._principal
-    return all(cat.cod(f) == s.at for f in s.arrows) and all(
+    return s.arrows <= frozenset(cat.arrows_into(s.at)) and all(
         principal[f] <= s.arrows for f in s.arrows
     )
 
@@ -179,22 +184,33 @@ class SievePlan:
     iso at an identity is data, and for validating a family against a
     presheaf that is not known to be valid.
 
-    ``cocycles`` indexes the cocycle condition of such data, which hold
-    one iso per triple: (a, b, n, h) for every triple a = (i, g, k) and
-    every h into dom g, where b is the triple (k, h) and n the triple
-    (i, g.h), in the order of a and then of h.
-
     ``maximal`` says that the sieve holds the identity of its object c, so
     it is every arrow into c.  A compatible family t is then the
     restriction tuple of its value at id_c, and each x in Z(c) restricts
-    to its own family: Match(S, Z) ≅ Z(c), with no search."""
+    to its own family: Match(S, Z) ≅ Z(c), with no search.
+
+    ``base`` is the category the plan is on; it stays out of equality,
+    hashing and repr."""
 
     arrows: tuple[str, ...]
     doms: tuple[str, ...]
     triples: tuple[tuple[int, str, int], ...]
     checks: tuple[tuple[int, str, int], ...]
-    cocycles: tuple[tuple[int, int, int, str], ...]
     maximal: bool
+    base: FinCat = field(compare=False, repr=False)
+
+    @cached_property
+    def cocycles(self) -> tuple[tuple[int, int, int, str], ...]:
+        """The index of the cocycle condition of data that hold one iso per
+        triple: (a, b, n, h) for every triple a = (i, g, k) and every h
+        into dom g, where b is the triple (k, h) and n the triple
+        (i, g.h), in the order of a and then of h.  Built on first read:
+        only descent data read it, and the sheaf kernels never do."""
+        cat, triples = self.base, self.triples
+        triple_at = {(i, g): a for a, (i, g, _) in enumerate(triples)}
+        return tuple((a, triple_at[k, h], triple_at[i, cat.compose(g, h)], h)
+                     for a, (i, g, k) in enumerate(triples)
+                     for h in cat.arrows_into(self.doms[k]))
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
@@ -214,11 +230,8 @@ def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
                 raise InvalidTable(f"{f!r}.{g!r} leaves the sieve at {s.at!r}")
             triples.append((i, g, k))
     checks = tuple(t for t in triples if not cat.is_identity(t[1]))
-    triple_at = {(i, g): a for a, (i, g, _) in enumerate(triples)}
-    cocycles = tuple((a, triple_at[k, h], triple_at[i, cat.compose(g, h)], h)
-                     for a, (i, g, k) in enumerate(triples) for h in cat.arrows_into(doms[k]))
-    return SievePlan(arrows, doms, tuple(triples), checks, cocycles,
-                     cat.identities.get(s.at) in s.arrows)
+    return SievePlan(arrows, doms, tuple(triples), checks,
+                     cat.identities.get(s.at) in s.arrows, cat)
 
 
 @dataclass(frozen=True)
@@ -304,7 +317,8 @@ class GrothTopology:
     @classmethod
     def from_minimal(cls, base: FinCat, minimal: Mapping[str, Sieve]) -> "GrothTopology":
         """The topology whose covers at c are the sieves above minimal[c];
-        `minimal` checks the axioms on them, and `covers` lists them only
+        `minimal` checks the axioms on them on its first read, since
+        nothing is recorded as checked here, and `covers` lists them only
         when read."""
         return cls(base, _SievesAbove(base, dict(minimal)))
 
@@ -317,11 +331,18 @@ class GrothTopology:
         "coverage" (the table misses an object, the first one named);
         then object by object, "maximality" (a raw J(c) misses the
         maximal sieve on c), "well-formed" (a raw cover, or a built M_c,
-        is no sieve on c) and "intersection" (M_c does not cover); then
-        "stability" (f*M_c ⊉ M_d for some f: d -> c, in arrow order); then
-        "transitivity" (M_c ⊄ {f.h : f in M_c, h in M_dom f}, or a raw
-        J(c) misses S ∪ ↓g for a cover S).  The raw checks cost a pass
-        over the table and list no sieve."""
+        is no sieve on c; one that holds an unknown arrow raises
+        InvalidTable naming it instead) and "intersection" (M_c does not
+        cover); then "stability" (f*M_c ⊉ M_d for some f: d -> c, in
+        arrow order); then "transitivity" (M_c ⊄ {f.h : f in M_c, h in
+        M_dom f}, or a raw J(c) misses S ∪ ↓g for a cover S).  Where
+        several covers in one J(c) fail, the first in sorted arrow order
+        is named.  The raw checks cost a pass over the table, list no
+        sieve and sort only the covers that fail.
+
+        `trivial_topology`, `topology_from_generators` and
+        `slice_topology` build least covers that satisfy the axioms, and
+        record them here as checked; `from_minimal` records nothing."""
         cat, covers = self.base, self.covers
         missing = sorted(set(cat.objects) - set(covers))
         if missing:
@@ -335,9 +356,11 @@ class GrothTopology:
         for c, m in minimal.items():
             if raw and maximal_sieve(cat, c) not in covers[c]:
                 raise AxiomViolation("maximality", c)
-            for s in _by_arrows(covers[c]) if raw else (m,):
-                if s.at != c or not is_sieve(cat, s):
-                    raise AxiomViolation("well-formed", (c, s.sorted_arrows()))
+            bad = [s for s in (covers[c] if raw else (m,)) if s.at != c or not is_sieve(cat, s)]
+            if bad:
+                s = _by_arrows(bad)[0]
+                _known(cat, s.sorted_arrows())
+                raise AxiomViolation("well-formed", (c, s.sorted_arrows()))
             if raw and m not in covers[c]:
                 raise AxiomViolation("intersection", (c, m.sorted_arrows()))
         for f, (d, c) in cat.arrows.items():
@@ -346,11 +369,8 @@ class GrothTopology:
         for c, m in minimal.items():
             if not m.arrows <= _composite(cat, minimal, m):
                 raise AxiomViolation("transitivity", (c, m.sorted_arrows()))
-            for s in _by_arrows(covers[c]) if raw else ():
-                for up in (Sieve(c, s.arrows | p) for p in principal_sieves(cat, c)):
-                    if up not in covers[c]:
-                        raise AxiomViolation("transitivity",
-                                             (c, up.sorted_arrows(), s.sorted_arrows()))
+            if raw:
+                _check_upward_closed(cat, c, covers[c])
         return minimal
 
     @cached_property
@@ -365,8 +385,18 @@ class GrothTopology:
         return {}
 
 
+def _built(base: FinCat, least: Mapping[str, Sieve]) -> GrothTopology:
+    """GrothTopology.from_minimal(base, least) for least covers tck built
+    to satisfy the axioms, with `minimal` recorded as checked, the way
+    mark_valid records a value."""
+    j = GrothTopology.from_minimal(base, least)
+    j.__dict__["minimal"] = j.covers.least
+    return j
+
+
 def trivial_topology(cat: FinCat) -> GrothTopology:
-    return GrothTopology.from_minimal(cat, {c: maximal_sieve(cat, c) for c in cat.objects})
+    """The maximal sieves, which form a topology."""
+    return _built(cat, {c: maximal_sieve(cat, c) for c in cat.objects})
 
 
 def topology_from_generators(
@@ -401,7 +431,8 @@ def topology_from_generators(
                 changed = True
     report = Report("topology_from_generators", witnesses=[
         ("least-cover", c, m.sorted_arrows()) for c, m in sorted(minimal.items())])
-    return GrothTopology.from_minimal(cat, minimal), report
+    # the last round changed nothing, so every axiom holds
+    return _built(cat, minimal), report
 
 
 def _composite(cat: FinCat, minimal: Mapping[str, Sieve], m: Sieve) -> frozenset[str]:
@@ -409,14 +440,38 @@ def _composite(cat: FinCat, minimal: Mapping[str, Sieve], m: Sieve) -> frozenset
     return frozenset(cat.compose(f, h) for f in m.arrows for h in minimal[cat.dom(f)].arrows)
 
 
+def _check_upward_closed(cat: FinCat, c: str, covers: Iterable[Sieve]) -> None:
+    """Raise AxiomViolation("transitivity") unless S ∪ ↓g is a cover for
+    every cover S and every g into c, naming the first failing S in
+    sorted arrow order and its first g.  The covers are sieves on c, so
+    they are compared as arrow sets, and S ∪ ↓g = S for g in S."""
+    table = {s.arrows for s in covers}
+    principal, into = cat._principal, cat.arrows_into(c)
+
+    def first_up(s: Sieve) -> frozenset[str] | None:
+        for g in into:
+            if g not in s.arrows:
+                up = s.arrows | principal[g]
+                if up not in table:
+                    return up
+        return None
+
+    bad = [s for s in covers if first_up(s) is not None]
+    if bad:
+        s = _by_arrows(bad)[0]
+        raise AxiomViolation("transitivity", (c, tuple(sorted(first_up(s))), s.sorted_arrows()))
+
+
 def validate_topology(j: GrothTopology) -> Report:
     """Verify coverage, well-formedness, maximality, stability and
     transitivity, as `GrothTopology.minimal` decides them.
 
     j passes iff `minimal` does: one pass over a raw table, one pullback
-    per arrow and no sieve listed.  A table that is no topology fails with
-    the one axiom `minimal` finds broken first, as (kind, *witness), the
-    way `is_sheaf` reports its first failing family.
+    per arrow and no sieve listed, and nothing at all on a topology tck
+    built, which recorded `minimal` as checked.  A table that is no
+    topology fails with the one axiom `minimal` finds broken first, as
+    (kind, *witness), the way `is_sheaf` reports its first failing
+    family.
     """
     report = Report("validate_topology")
     try:
@@ -461,7 +516,8 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
         return hit
     cat = j.base
     sl, _ = slice_cat(cat, c)
-    out = j._slices[c] = GrothTopology.from_minimal(sl, {
+    # lifted from j's checked least covers, so a topology
+    out = j._slices[c] = _built(sl, {
         f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))
         for f in sl.objects
     })

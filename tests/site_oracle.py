@@ -16,6 +16,12 @@ filtered from every assignment over M_c by composing arrows, amalgamations
 are found by one scan of Z(c) per family, and a family restricts along f
 by composing f with each arrow of M_d.  Their reports and tables must
 equal ``tck.site``'s exactly, labels and counterexamples included.
+
+``least_covers`` is ``GrothTopology.minimal`` as it was before it sorted
+only the covers that fail and before built topologies recorded it: it
+checks every topology in full, and its witnesses must equal the
+library's.  ``cocycle_index`` is the cocycle index as every sieve plan
+once built it.
 """
 
 import itertools
@@ -27,8 +33,11 @@ from tck.site import (
     GrothTopology,
     PlusConstruction,
     Sieve,
+    _composite,
+    _SievesAbove,
     is_sieve,
     maximal_sieve,
+    principal_sieves,
     pullback_sieve,
     sieve_generate_at,
 )
@@ -230,3 +239,63 @@ def slice_topology(j, c):
     if not rep.ok:
         raise AxiomViolation("slice-topology", (c, rep.counterexamples[0]))
     return out
+
+
+def least_covers(j):
+    """What ``GrothTopology.minimal`` computed before it sorted only the
+    covers that fail, checking every topology in full, a built one too:
+    each raw J(c) is scanned in sorted arrow order for well-formedness and
+    for upward closure, which tests one ``Sieve`` per cover and principal
+    sieve.  The witnesses must equal ``minimal``'s."""
+    cat, covers = j.base, j.covers
+    missing = sorted(set(cat.objects) - set(covers))
+    if missing:
+        raise AxiomViolation("coverage", missing[0])
+    raw = not isinstance(covers, _SievesAbove)
+    minimal = {
+        c: Sieve(c, maximal_sieve(cat, c).arrows.intersection(
+            *(s.arrows for s in covers[c]))) if raw else covers.least[c]
+        for c in cat.objects
+    }
+
+    def by_arrows(sieves):
+        return sorted(sieves, key=lambda s: s.sorted_arrows())
+
+    for c, m in minimal.items():
+        if raw and maximal_sieve(cat, c) not in covers[c]:
+            raise AxiomViolation("maximality", c)
+        for s in by_arrows(covers[c]) if raw else (m,):
+            if s.at != c or not is_sieve(cat, s):
+                raise AxiomViolation("well-formed", (c, s.sorted_arrows()))
+        if raw and m not in covers[c]:
+            raise AxiomViolation("intersection", (c, m.sorted_arrows()))
+    for f, (d, c) in cat.arrows.items():
+        if not minimal[d] <= pullback_sieve(cat, f, minimal[c]):
+            raise AxiomViolation("stability", (c, minimal[c].sorted_arrows(), f))
+    for c, m in minimal.items():
+        if not m.arrows <= _composite(cat, minimal, m):
+            raise AxiomViolation("transitivity", (c, m.sorted_arrows()))
+        for s in by_arrows(covers[c]) if raw else ():
+            for up in (Sieve(c, s.arrows | p) for p in principal_sieves(cat, c)):
+                if up not in covers[c]:
+                    raise AxiomViolation("transitivity",
+                                         (c, up.sorted_arrows(), s.sorted_arrows()))
+    return minimal
+
+
+def validate_least_covers(j):
+    """``tck.site.validate_topology`` over ``least_covers``."""
+    report = Report("validate_topology")
+    try:
+        least_covers(j)
+    except AxiomViolation as exc:
+        witness = exc.witness if isinstance(exc.witness, tuple) else (exc.witness,)
+        report.fail((exc.kind, *witness))
+    return report
+
+
+def cocycle_index(cat, p):
+    """``SievePlan.cocycles`` as ``sieve_plan`` built it for every plan."""
+    triple_at = {(i, g): a for a, (i, g, _) in enumerate(p.triples)}
+    return tuple((a, triple_at[k, h], triple_at[i, cat.compose(g, h)], h)
+                 for a, (i, g, k) in enumerate(p.triples) for h in cat.arrows_into(p.doms[k]))

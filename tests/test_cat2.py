@@ -301,3 +301,19 @@ def test_generated_names_that_collide_are_rejected():
         pullback(p, to_point)
     with pytest.raises(InvalidTable, match=r"\('a', 'b,c', 'id_\*'\) and \('a,b', 'c', 'id_\*'\)"):
         comma(to_point, p.p)
+
+
+def test_lift_and_transport_name_what_they_cannot_lift():
+    from tck.errors import UnknownObject
+
+    p = elements_of(two_point_fibre_functor())
+    assert lift(p, "(a,x0)", "u") == "(u,x0)"
+    assert transport(p, "(a,x0)", "u") == "(b,y)"
+    for look in (lift, transport):
+        with pytest.raises(UnknownObject):
+            look(p, "nope", "u")
+        with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+            look(p, "(a,x0)", "nope")
+        # u leaves a, not b
+        with pytest.raises(InvalidTable, match="does not leave"):
+            look(p, "(b,y)", "u")

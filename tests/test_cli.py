@@ -114,6 +114,25 @@ def test_exit_code_3_on_usage_errors():
     assert res.returncode == 3
 
 
+HELP = """\
+usage: tck [-h] [--bound BOUND] [--json] [--out OUT]
+           {validate,classify,char,char-stacks,sheafify,check-sheaf,check-stack,check-site,roundtrip,ff-check,probe-omega-j}
+           file
+
+finite-site 2-classifier toolkit
+
+positional arguments:
+  {validate,classify,char,char-stacks,sheafify,check-sheaf,check-stack,check-site,roundtrip,ff-check,probe-omega-j}
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --bound BOUND
+  --json
+  --out OUT
+"""
+
+
 def test_help_exits_zero_and_usage_errors_exit_three():
     for args in (["--help"], ["check-site", "--help"], ["-h"]):
         res = tck(*args)
@@ -123,6 +142,15 @@ def test_help_exits_zero_and_usage_errors_exit_three():
         res = tck(*args)
         assert res.returncode == 3, args
         assert "usage: tck" in res.stderr, args
+    # help is laid out at a fixed width, whatever the terminal says
+    for columns in (None, "40", "200"):
+        env = child_env()
+        env.pop("COLUMNS", None)
+        if columns is not None:
+            env["COLUMNS"] = columns
+        res = subprocess.run([sys.executable, "-m", "tck.cli", "--help"],
+                             capture_output=True, text=True, env=env)
+        assert res.stdout == HELP, columns
 
 
 def test_json_report_shape():
@@ -436,3 +464,28 @@ def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(
     res = tck("probe-omega-j", str(path), "--bound", "100", "--json")
     assert res.returncode == 2, res.stdout
     assert json.loads(res.stdout)["bounds"] == {"D: morphism-gluing at datum 0": 100}
+
+
+def test_check_sheaf_asks_separated_only_of_presheaves_that_are_no_sheaf(monkeypatch):
+    from tck import cli, docformat, site
+
+    asked, failed = [], []
+    is_sheaf, is_separated = site.is_sheaf, site.is_separated
+
+    def sheaf(Z, j, bound):
+        rep = is_sheaf(Z, j, bound)
+        if not rep.ok:
+            failed.append((Z, j))
+        return rep
+
+    monkeypatch.setattr(site, "is_sheaf", sheaf)
+    monkeypatch.setattr(site, "is_separated", lambda Z, j, bound: asked.append((Z, j)) or
+                        is_separated(Z, j, bound))
+    pairs = 0
+    for path in CORPUS:
+        doc = docformat.parse_file(path)
+        if cli._presheaf_topology_pairs(doc):
+            pairs += len(cli._presheaf_topology_pairs(doc))
+            cli.run("check-sheaf", doc)
+    assert failed and pairs > len(failed)
+    assert asked == failed

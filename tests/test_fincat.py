@@ -741,3 +741,10 @@ def test_ill_typed_composite_names_the_same_pair_under_every_hash_seed():
     assert len(outs) == 1
     (out,) = outs
     assert "'g'" in out and "'f'" in out and "'k'" not in out
+
+
+def test_postcompose_along_an_unknown_arrow_raises_invalid_table():
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        postcompose(WA, "nope")
+    # a cached arrow still reads its table
+    assert postcompose(WA, "u").on_objects == {"id_a": "u"}

@@ -373,3 +373,13 @@ def test_category_of_elements_rejects_colliding_generated_names():
     F = prestack.discrete_presheaf(P, Z)
     with pytest.raises(InvalidTable, match=r"\('p', 'q\|r'\) and \('p\|q', 'r'\)"):
         prestack.elements_category(F)
+
+
+def test_yoneda_at_an_unknown_object_raises_unknown_object():
+    from tck.errors import UnknownObject
+
+    F = sample_presheaf()
+    with pytest.raises(UnknownObject):
+        yoneda(F, "nope", "x")
+    with pytest.raises(UnknownObject):
+        yoneda(F, "b", "nope")

@@ -18,7 +18,7 @@ from site_oracle import (
     saturate,
     sheaf_verdicts,
 )
-from test_cli import child_env
+from test_cli import BROKEN, CORPUS, child_env
 from tck import site
 from tck.corpus import (
     bases,
@@ -968,7 +968,9 @@ def test_validate_topology_agrees_with_oracle_on_every_small_covers_table():
             }
             j = GrothTopology(cat, {c: frozenset(v) for c, v in chosen.items()})
             expected = site_oracle.validate_topology(j)
-            outcomes.add(assert_witness_among_oracle_failures(validate_topology(j), expected))
+            rep = validate_topology(j)
+            outcomes.add(assert_witness_among_oracle_failures(rep, expected))
+            assert rep == site_oracle.validate_least_covers(j)
     # valid tables and failures of every axiom a table of sieves can break occur
     assert outcomes == {None, "maximality", "intersection", "stability", "transitivity"}
 
@@ -984,7 +986,9 @@ def test_validate_topology_agrees_with_oracle_on_random_covers_tables(data):
     }
     j = raw_topology(cat, chosen, maximal=data.draw(st.booleans()),
                      stable=data.draw(st.booleans()), upward=data.draw(st.booleans()))
-    assert_witness_among_oracle_failures(validate_topology(j), site_oracle.validate_topology(j))
+    rep = validate_topology(j)
+    assert_witness_among_oracle_failures(rep, site_oracle.validate_topology(j))
+    assert rep == site_oracle.validate_least_covers(j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1216,3 +1220,98 @@ def test_a_broken_table_with_many_arrows_into_an_object_fails_at_once(tmp_path, 
     assert res.stdout.splitlines()[1:] == [
         "verdict: fail", "counterexample: ('J', 'maximality', 'c00')"]
     assert "aborted" not in res.stdout
+
+
+# -- least covers: sorted only to name a failure, recorded where tck built them --------
+
+
+def fixture_topologies(paths):
+    from tck.docformat import parse_file
+
+    return [topo for path in paths
+            for topo, _ in parse_file(path).topologies.values()]
+
+
+def test_raw_tables_sort_only_the_covers_that_fail(monkeypatch):
+    passing, broken = fixture_topologies(CORPUS), fixture_topologies(BROKEN)
+    assert any(not isinstance(t.covers, site._SievesAbove) for t in passing)
+    sorted_ = []
+    by_arrows = site._by_arrows
+    monkeypatch.setattr(site, "_by_arrows", lambda s: sorted_.append(s) or by_arrows(s))
+    for j in passing:
+        assert validate_topology(j).verdict == "pass"
+    assert sorted_ == []
+    reps = [validate_topology(j) for j in broken]
+    assert [r.counterexamples[0][0] for r in reps] == ["maximality", "stability", "transitivity"]
+    assert reps == [site_oracle.validate_least_covers(j) for j in broken]
+
+
+def test_a_cover_with_an_unknown_arrow_raises_invalid_table():
+    j = GrothTopology(WA, {"a": frozenset({maximal_sieve(WA, "a")}),
+                           "b": frozenset({maximal_sieve(WA, "b"),
+                                           Sieve("b", frozenset({"u", "nope"}))})})
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        validate_topology(j)
+    with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
+        is_sheaf(delta1(WA), j)
+    built = GrothTopology.from_minimal(WA, {"a": maximal_sieve(WA, "a"),
+                                            "b": Sieve("b", frozenset({"zz"}))})
+    with pytest.raises(InvalidTable, match="unknown arrow 'zz'"):
+        validate_topology(built)
+
+
+def built_topologies():
+    """Generated, trivial and slice topologies, each built afresh."""
+    tops = [open_site_topology(), powerset_site(3)]
+    tops += [trivial_topology(cat) for cat in bases().values()]
+    tops += [slice_topology(j, c) for j in tops[:2] for c in j.base.objects]
+    return tops
+
+
+def test_built_topologies_are_checked_as_built(monkeypatch):
+    tops = built_topologies()
+    calls = []
+    for name in ("pullback_sieve", "_composite"):
+        real = getattr(site, name)
+        monkeypatch.setattr(site, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for j in tops:
+        assert validate_topology(j).verdict == "pass"
+        assert j.plan.covers.keys() == j.minimal.keys()
+        for c in j.base.objects:
+            slice_topology(j, c).plan
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_categories(), small_monoids()), st.data())
+def test_what_a_built_topology_records_is_what_a_full_check_returns(cat, data):
+    gens = {c: data.draw(st.lists(st.lists(st.sampled_from(cat.arrows_into(c)), max_size=2),
+                                  max_size=2))
+            for c in cat.objects}
+    j, _ = topology_from_generators(cat, gens)
+    tops = [j, trivial_topology(cat)]
+    tops += [slice_topology(t, c) for t in tops for c in cat.objects]
+    for t in tops:
+        # checked in full, with no record, by the earlier body and by minimal
+        assert site_oracle.least_covers(t) == t.minimal
+        assert GrothTopology.from_minimal(t.base, t.minimal).minimal == t.minimal
+
+
+def test_from_minimal_records_nothing_and_checks_in_full():
+    # M_a = {id_a} but M_b = {}: u*M_b = {} misses id_a
+    j = GrothTopology.from_minimal(WA, {"a": maximal_sieve(WA, "a"), "b": empty_sieve("b")})
+    assert "minimal" not in vars(j)
+    assert validate_topology(j).counterexamples == [("stability", "b", (), "u")]
+    with pytest.raises(AxiomViolation, match="stability"):
+        is_sheaf(delta1(WA), j)
+
+
+def test_cocycle_index_holds_the_tuples_sieve_plan_built():
+    cats = dict(bases(), square=square(), idempotent=idempotent_monoid())
+    for cat in cats.values():
+        for c in cat.objects:
+            for s in all_sieves(cat, c):
+                p = site.sieve_plan(cat, s)
+                assert "cocycles" not in vars(p)
+                assert p.cocycles == site_oracle.cocycle_index(cat, p)
+                assert p.cocycles is p.cocycles

@@ -1171,3 +1171,31 @@ def test_check_stack_enumerates_descent_data_at_non_maximal_covers_only(monkeypa
         seen.clear()
         check_stack(constant_cat_presheaf(j.base, walking_iso()), j)
         assert seen == [(c, False) for c, p in j.plan.covers.items() if not p.maximal] != []
+
+
+def test_only_descent_checks_build_the_cocycle_index_once_per_plan(monkeypatch):
+    from functools import cached_property
+
+    from tck import site
+
+    built = []
+    index = site.SievePlan.cocycles.func
+    spy = cached_property(lambda p: built.append(p) or index(p))
+    spy.__set_name__(site.SievePlan, "cocycles")
+    monkeypatch.setattr(site.SievePlan, "cocycles", spy)
+    j = open_site_topology()
+    for Z in presheaf_corpus(OS, 12) + [nonseparated_presheaf()]:
+        is_sheaf(Z, j)
+        site.is_separated(Z, j)
+        site.sheafify(Z, j)
+        assert check_stack(discrete_presheaf(OS, Z), j).verdict in ("pass", "fail")
+    assert built == []
+    F = constant_cat_presheaf(OS, walking_iso())
+    assert check_stack(F, j).ok
+    data = enumerate_descent_data(F, JOINT)[:4]
+    for d in data:
+        assert validate_descent(d).ok
+    for n1, n2 in [(1, 1), (2, 1)]:
+        assert validate_sheaf_descent(local_pair_datum(n1, n2)).ok
+    assert built
+    assert len({id(p) for p in built}) == len(built)

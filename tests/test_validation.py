@@ -557,6 +557,43 @@ def two_nat_corruptions(nat, rnd):
         yield build(c)
 
 
+def map_part_corruptions(z, rnd):
+    """Builders of z given by its parts, with one entry of one part
+    corrupted, at two object parts and two arrow parts: an object part's
+    value at a slice object grown or cut, a restriction redirected, its
+    base swapped for another slice or its class changed; an arrow part's
+    component entry redirected, or its ends swapped."""
+    obj, arr = dict(z.object_part), dict(z.arrow_part)
+    sl = {c: slice_cat(z.site, c)[0] for c in z.site.objects}
+
+    def build(o=obj, a=arr):
+        return lambda: classifier.map_from_parts(z.site, z.source, dict(o), dict(a))
+
+    def part(key, Z, ob=None, ar=None, base=None, kind=SetPresheaf):
+        return build(o={**obj, key: kind(base or Z.base, {**Z.on_objects, **(ob or {})},
+                                          {**Z.on_arrows, **(ar or {})})})
+
+    for key in rnd.sample(sorted(obj), min(2, len(obj))):
+        Z = obj[key]
+        f = rnd.choice(sorted(Z.on_objects))
+        yield part(key, Z, ob={f: Z.on_objects[f] + ("new",)})
+        yield part(key, Z, ob={f: Z.on_objects[f][1:]})
+        for g, act in Z.on_arrows.items():
+            pool = ("outside",) + tuple(act.values())
+            for x in act:
+                yield part(key, Z, ar={g: {**act, x: rnd.choice(pool)}})
+        yield part(key, Z, base=sl[rnd.choice(z.site.objects)])
+        yield part(key, Z, kind=fincat.FinSetFunctor)
+    for key in rnd.sample(sorted(arr), min(2, len(arr))):
+        m = arr[key]
+        for f, comp in m.components.items():
+            for x in comp:
+                pool = ("outside",) + m.target.on_objects[f]
+                yield build(a={**arr, key: fincat.PresheafMap(m.source, m.target, {
+                    **m.components, f: {**comp, x: rnd.choice(pool)}})})
+        yield build(a={**arr, key: fincat.PresheafMap(m.target, m.source, m.components)})
+
+
 def corruption_outcomes(cat, data, rnd) -> set:
     """Validate valid tables on cat and every corruption of them, each on a
     fresh instance, with the library and with its oracle; assert that the
@@ -569,6 +606,7 @@ def corruption_outcomes(cat, data, rnd) -> set:
     # with parallel arrows in its values, a component can move an arrow alone
     K = constant_cat_presheaf(cat, parallel_pair())
     nats = [prestack.identity_two_nat(G) for G in (F, K)] + [phi.s for phi in dopf_corpus(F, 0)]
+    z = map_to_omega_from_set_functor(F, rnd.choice(setfunctor_corpus(elements_category(F), 2)))
     cases = [(validation_oracle.validate_category, category_corruptions(cat, rnd),
               lambda: FinCat(cat.objects, dict(cat.arrows), dict(cat.identities),
                              dict(cat.compose_table))),
@@ -577,7 +615,10 @@ def corruption_outcomes(cat, data, rnd) -> set:
                for X in (Z, A)),
              *((validation_oracle.validate_two_nat, two_nat_corruptions(nat, rnd),
                 lambda nat=nat: prestack.TwoNat(nat.source, nat.target, dict(nat.components)))
-               for nat in nats)]
+               for nat in nats),
+             (validation_oracle.validate_map_to_omega, map_part_corruptions(z, rnd),
+              lambda: classifier.map_from_parts(cat, F, dict(z.object_part),
+                                                dict(z.arrow_part)))]
     failures = set()
     for oracle, corruptions, valid in cases:
         assert outcome(oracle, valid()) is None
@@ -594,3 +635,32 @@ def corruption_outcomes(cat, data, rnd) -> set:
        st.randoms(use_true_random=False))
 def test_validators_raise_what_their_earlier_bodies_raise(cat, data, rnd):
     assert corruption_outcomes(cat, data, rnd)
+
+
+def element_tables(p) -> tuple:
+    """Every table of an opfibration, each as its list of items."""
+    E = p.total
+    return (E.objects, *(list(t.items()) for t in (
+        E.arrows, E.identities, E.compose_table, p.p.on_objects, p.p.on_arrows,
+        p.fibres, p.lifts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(generated_categories(), small_monoids()))
+def test_elements_of_builds_the_tables_of_its_earlier_body(cat):
+    functors = setfunctor_corpus(cat, 6)
+    for F in catpresheaf_corpus(cat, 2)[:2]:
+        if elements_category(F).objects:
+            functors += setfunctor_corpus(elements_category(F), 3)
+    for A in functors:
+        assert element_tables(cat2.elements_of(A)) == \
+            element_tables(validation_oracle.elements_of(A))
+
+
+def test_elements_of_refuses_a_shared_name_as_its_earlier_body_does():
+    # (a,b,c) names both ("a", "b,c") and ("a,b", "c")
+    D = fincat.discrete_category(["a", "a,b"])
+    A = fincat.FinSetFunctor(D, {"a": ("b,c",), "a,b": ("c",)},
+                             {"id_a": {"b,c": "b,c"}, "id_a,b": {"c": "c"}})
+    got = outcome(cat2.elements_of, A)
+    assert got is not None and got == outcome(validation_oracle.elements_of, A)

@@ -1,17 +1,25 @@
-"""Reference validators for categories, set-valued functors and 2-natural
-transformations.
+"""Reference validators for categories, set-valued functors, 2-natural
+transformations and maps into the classifier, and the category of
+elements as it was first built.
 
 ``tck.fincat`` and ``tck.prestack`` validate on tables bound to locals,
 one set of elements per object, and, for a 2-natural transformation, on
 the tables of its naturality squares.  The oracles here read every table
 through the accessor methods, test membership in the element tuples, and
 compare each square as two composite functors built with
-``compose_functors``.  They run the same checks in the same order, so
-the first failure, its class and its message must equal the library's.
+``compose_functors``.  ``tck.classifier`` compares the parts a map was
+given by with its fibre functor in place; the oracle builds the derived
+parts and compares them whole.  They run the same checks in the same
+order, so the first failure, its class and its message must equal the
+library's.  ``elements_of`` builds its composition table through
+``composition_table`` with a composite per pair, and its tables must
+equal ``tck.cat2``'s, in dict order.
 """
 
+from tck.cat2 import DiscOpfibCat, _fibres, _pair
 from tck.errors import IllTypedComposite, InvalidTable, MissingIdentity, NonAssociative
-from tck.fincat import compose_functors
+from tck.fincat import FinCat, FinFunctor, compose_functors, composition_table, named_parts
+from tck.prestack import elements_category
 
 
 def validate_category(self) -> None:
@@ -106,3 +114,44 @@ def validate_two_nat(self) -> None:
         rhs = compose_functors(self.components[d], self.source.on_arrows[f])
         if lhs != rhs:
             raise InvalidTable(f"strict naturality fails on {f!r}")
+
+
+def validate_map_to_omega(self) -> None:
+    """What ``MapToOmega.validate`` checks, against the derived parts."""
+    F = self.source
+    if F.base != self.site:
+        raise InvalidTable("map-to-omega site does not match its source presheaf")
+    if self.fibre_functor.base != elements_category(F):
+        raise InvalidTable("fibre functor does not live on elements_category(F)")
+    if self.parts is not None:
+        object_part, arrow_part = self.parts
+        for key, Z in object_part.items():
+            if Z.base != self.object_part[key].base:
+                raise InvalidTable(f"object_part at {key!r} is not on slice(C, {key[0]!r})")
+            if Z != self.object_part[key]:
+                raise InvalidTable(f"strict naturality of object_part fails at {key!r}")
+        for key, m in arrow_part.items():
+            if m != self.arrow_part[key]:
+                raise InvalidTable(f"strict naturality of arrow_part fails at {key!r}")
+    self.fibre_functor.validate()
+
+
+def elements_of(z):
+    """``cat2.elements_of``, with each composite found through the part
+    tables of a pair."""
+    z.validate()
+    B = z.base
+    obj_parts = named_parts(((b, x) for b in B.objects for x in z.on_objects[b]), _pair)
+    arr_parts = named_parts(((f, x) for f in B.arrows for x in z.on_objects[B.dom(f)]), _pair)
+    arrows = {
+        name: (_pair(B.dom(f), x), _pair(B.cod(f), z.on_arrows[f][x]))
+        for name, (f, x) in arr_parts.items()
+    }
+    identities = {o: _pair(B.id_of(b), x) for o, (b, x) in obj_parts.items()}
+    compose = composition_table(arrows, lambda n2, n1: _pair(
+        B.compose(arr_parts[n2][0], arr_parts[n1][0]), arr_parts[n1][1]))
+    total = FinCat(tuple(sorted(obj_parts)), arrows, identities, compose)
+    proj = FinFunctor(total, B, {o: b for o, (b, _) in obj_parts.items()},
+                      {n: f for n, (f, _) in arr_parts.items()})
+    lifts = {(_pair(B.dom(f), x), f): n for n, (f, x) in arr_parts.items()}
+    return DiscOpfibCat(proj, _fibres(proj), lifts)
