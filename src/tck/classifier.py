@@ -118,13 +118,18 @@ class MapToOmega:
             raise InvalidTable("fibre functor does not live on elements_category(F)")
         if self.parts is not None:
             object_part, arrow_part = self.parts
+            objects, _, verticals = F._slice_elements
             for key, Z in object_part.items():
+                if key not in objects:
+                    raise InvalidTable(f"object_part key {key!r} is no object of F")
                 if Z.base != slice_cat(self.site, key[0])[0]:
                     raise InvalidTable(f"object_part at {key!r} is not on slice(C, {key[0]!r})")
                 if not self._is_object_part(Z, key):
                     raise InvalidTable(f"strict naturality of object_part fails at {key!r}")
-            verticals, on_arrows = F._slice_elements[2], self.fibre_functor.on_arrows
+            on_arrows = self.fibre_functor.on_arrows
             for key, m in arrow_part.items():
+                if key not in verticals:
+                    raise InvalidTable(f"arrow_part key {key!r} is no arrow of F")
                 c, nu = key
                 # an end that is the given part at its key was checked above
                 ends = ((m.source, (c, F.on_objects[c].dom(nu))),
@@ -275,29 +280,6 @@ def char(phi: DiscOpfibPre) -> MapToOmega:
     # is a set functor on elements_category(F); recorded, so that classify
     # does not check it again
     return mark_valid(MapToOmega(F.base, F, prestack.fibre_diagram(phi)))
-
-
-def precompose_map_to_omega(z: MapToOmega, y: TwoNat) -> MapToOmega:
-    """Reindex z: F -> Omega-tilde along y: H -> F: B_z after the functor
-    elements_category(H) -> elements_category(F) that y induces."""
-    if y.target != z.source:
-        raise InvalidTable("precompose_map_to_omega: endpoints disagree")
-    z.validate()
-    y.validate()
-    H = y.source
-    base = H.base
-    B = z.fibre_functor
-    el, obj_parts, arr_parts = H._elements
-    on_objects = {o: B.on_objects[element_name(c, y.components[c].on_objects[x])]
-                  for o, (c, x) in obj_parts.items()}
-    on_arrows = {
-        name: B.on_arrows[element_arrow_name(
-            f, y.components[base.dom(f)].on_arrows[mu],
-            y.components[base.cod(f)].on_objects[x])]
-        for name, (f, mu, x) in arr_parts.items()
-    }
-    # valid because y is strictly natural, so <f|mu|X> goes to <f|y(mu)|y(X)>
-    return MapToOmega(z.site, H, FinSetFunctor(el, on_objects, on_arrows))
 
 
 def gamma_mod(alpha: OmegaModification) -> TwoNat:

@@ -1,8 +1,11 @@
-"""Deterministic desk-scale fixtures: base categories, sites, presheaf and
-opfibration generators.
+"""Deterministic generators the benchmark draws from: poset categories,
+representables, corpora of set-valued functors and presheaves, and the
+opfibrations and maps into the classifier built from a set functor on
+the category of elements.
 
 Everything here is randomness-free; corpora are generated in a fixed order
-so reports and frozen test values are reproducible.
+so reports and frozen test values are reproducible.  The fixtures that
+only tests use live in tests/fixture_corpus.py.
 """
 
 from __future__ import annotations
@@ -18,38 +21,10 @@ from .fincat import (
     SetPresheaf,
     build_category,
     composition_table,
-    free_category,
-    point_category,
 )
-from .site import GrothTopology, topology_from_generators
 
 
 # -- base categories ---------------------------------------------------------------
-
-
-def walking_arrow() -> FinCat:
-    return free_category(["a", "b"], {"u": ("a", "b")})
-
-
-def chain3() -> FinCat:
-    return free_category(["a", "b", "c"], {"u": ("a", "b"), "v": ("b", "c")})
-
-
-def parallel_pair() -> FinCat:
-    arrows = {"id_a": ("a", "a"), "id_b": ("b", "b"), "u": ("a", "b"), "v": ("a", "b")}
-    compose = {
-        ("id_a", "id_a"): "id_a",
-        ("id_b", "id_b"): "id_b",
-        ("u", "id_a"): "u",
-        ("id_b", "u"): "u",
-        ("v", "id_a"): "v",
-        ("id_b", "v"): "v",
-    }
-    return build_category(["a", "b"], arrows, {"a": "id_a", "b": "id_b"}, compose)
-
-
-def span() -> FinCat:
-    return free_category(["a", "b", "c"], {"f": ("a", "b"), "g": ("a", "c")})
 
 
 def poset_category(objects: Iterable[str], strict_pairs: Iterable[tuple[str, str]]) -> FinCat:
@@ -71,42 +46,6 @@ def poset_category(objects: Iterable[str], strict_pairs: Iterable[tuple[str, str
     identities = {a: f"{a}_{a}" for a in objs}
     compose = composition_table(arrows, lambda b, a: f"{arrows[a][0]}_{arrows[b][1]}")
     return build_category(objs, arrows, identities, compose)
-
-
-def open_site() -> FinCat:
-    """Opens of the 2-point discrete space: O (empty), L, R, T (whole)."""
-    return poset_category(
-        ["O", "L", "R", "T"],
-        [("O", "L"), ("O", "R"), ("O", "T"), ("L", "T"), ("R", "T")],
-    )
-
-
-def square() -> FinCat:
-    """The commutative square poset p -> q, p -> r, q -> s, r -> s."""
-    return poset_category(
-        ["p", "q", "r", "s"],
-        [("p", "q"), ("p", "r"), ("p", "s"), ("q", "s"), ("r", "s")],
-    )
-
-
-def bases() -> dict[str, FinCat]:
-    """The six shipped base categories (each with at most 4 objects)."""
-    return {
-        "point": point_category(),
-        "walking_arrow": walking_arrow(),
-        "chain3": chain3(),
-        "parallel_pair": parallel_pair(),
-        "span": span(),
-        "open_site": open_site(),
-    }
-
-
-def open_site_topology() -> GrothTopology:
-    """The open-cover topology: L, R jointly cover T; the empty family covers O."""
-    topo, _ = topology_from_generators(
-        open_site(), {"T": [["L_T", "R_T"]], "O": [[]]}
-    )
-    return topo
 
 
 # -- deterministic set-valued fixtures ------------------------------------------------
@@ -233,24 +172,6 @@ def presheaf_corpus(cat: FinCat, count: int) -> list[SetPresheaf]:
     return out
 
 
-def nonseparated_presheaf() -> SetPresheaf:
-    """Two global sections on T that agree on the joint cover of open_site."""
-    cat = open_site()
-    single = ("*",)
-    on_objects = {"O": single, "L": single, "R": single, "T": ("0", "1")}
-    on_arrows = {}
-    for f, (d, c) in cat.arrows.items():
-        if c == "T" and d != "T":
-            on_arrows[f] = {"0": "*", "1": "*"}
-        elif c == "T":
-            on_arrows[f] = {"0": "0", "1": "1"}
-        else:
-            on_arrows[f] = {"*": "*"}
-    z = SetPresheaf(cat, on_objects, on_arrows)
-    z.validate()
-    return z
-
-
 # -- opfibrations over a Cat-valued presheaf --------------------------------------------
 
 # fibre tables live on the category of elements of F, defined in prestack
@@ -316,43 +237,6 @@ def dopf_from_set_functor(F, B: FinSetFunctor):
     return prestack.certify_dopf_pre(s)
 
 
-def dopf_corpus(F, count: int):
-    """At least ``count`` certified opfibrations over F, fibres <= 3."""
-    el = elements_category(F)
-    return [dopf_from_set_functor(F, B) for B in setfunctor_corpus(el, count)]
-
-
-# -- Cat-valued presheaf fixtures ---------------------------------------------------
-
-
-def constant_cat_presheaf(base: FinCat, K: FinCat):
-    from . import prestack
-    from .fincat import identity_functor
-
-    F = prestack.CatPresheaf(
-        base,
-        {c: K for c in base.objects},
-        {f: identity_functor(K) for f in base.arrows},
-    )
-    F.validate()
-    return F
-
-
-def catpresheaf_corpus(base: FinCat, count: int):
-    """Non-representable Cat-valued presheaves on the base, deterministic."""
-    from . import prestack
-
-    out = []
-    # pushout-like discrete presheaf: two points upstairs collapsing downstream
-    for Z in presheaf_corpus(base, max(3, count)):
-        out.append(prestack.discrete_presheaf(base, Z))
-        if len(out) >= count - 2:
-            break
-    out.append(constant_cat_presheaf(base, walking_arrow()))
-    out.append(constant_cat_presheaf(base, point_category()))
-    return out[:max(count, 3)]
-
-
 # -- maps into the classifier -----------------------------------------------------------
 
 
@@ -365,76 +249,3 @@ def map_to_omega_from_set_functor(F, B: FinSetFunctor):
     z = MapToOmega(F.base, F, B)
     z.validate()
     return z
-
-
-def map_to_omega_corpus(F, count: int):
-    el = elements_category(F)
-    return [map_to_omega_from_set_functor(F, B) for B in setfunctor_corpus(el, count)]
-
-
-def map_to_omega_over_representable(base: FinCat, c: str, Z: SetPresheaf):
-    """The map representable(c) -> classifier corresponding to Z on slice(C, c)."""
-    from . import prestack
-    from .classifier import map_from_parts
-    from .fincat import identity_presheaf_map, reindex_slice_presheaf
-
-    rep = prestack.representable(base, c)
-    object_part = {}
-    arrow_part = {}
-    for d in base.objects:
-        hom = rep.on_objects[d]
-        for f in base.hom(d, c):
-            object_part[(d, f)] = reindex_slice_presheaf(base, f, Z)
-            arrow_part[(d, hom.id_of(f))] = identity_presheaf_map(object_part[(d, f)])
-    z = map_from_parts(base, rep, object_part, arrow_part)
-    z.validate()
-    return z
-
-
-def open_site_product_sheaf(a_labels: Iterable[str], b_labels: Iterable[str]) -> SetPresheaf:
-    """Sections over a disjoint union: A over L, B over R, A x B over T."""
-    cat = open_site()
-    A = tuple(sorted(a_labels))
-    B = tuple(sorted(b_labels))
-    prod = {f"{x}&{y}": (x, y) for x in A for y in B}
-    on_objects = {"O": ("*",), "L": A, "R": B, "T": tuple(sorted(prod))}
-    on_arrows = {}
-    for f, (d, c) in cat.arrows.items():
-        src = on_objects[c]
-        if d == c:
-            on_arrows[f] = {x: x for x in src}
-        elif d == "O":
-            on_arrows[f] = {x: "*" for x in src}
-        elif (d, c) == ("L", "T"):
-            on_arrows[f] = {p: prod[p][0] for p in src}
-        elif (d, c) == ("R", "T"):
-            on_arrows[f] = {p: prod[p][1] for p in src}
-        else:
-            raise InvalidTable(f"unexpected arrow {f!r} in open_site")
-    Z = SetPresheaf(cat, on_objects, on_arrows)
-    Z.validate()
-    return Z
-
-
-def open_site_sheaf_corpus(count: int) -> list[SetPresheaf]:
-    """Distinct sheaves on the open site with its open-cover topology; a
-    member that is no sheaf raises InvalidTable with its counterexample."""
-    from .fincat import delta1
-    from .site import is_sheaf
-
-    cat = open_site()
-    topo = open_site_topology()
-    out = [delta1(cat)]
-    for x in cat.objects:
-        out.append(hom_into(cat, x, f"r{x}"))
-    for n1 in (1, 2, 3):
-        for n2 in (1, 2, 3):
-            out.append(open_site_product_sheaf(
-                [f"a{i}" for i in range(n1)], [f"b{i}" for i in range(n2)]
-            ))
-    for i, Z in enumerate(out):
-        rep = is_sheaf(Z, topo)
-        if not rep.ok:
-            raise InvalidTable(f"open-site corpus member {i} is no sheaf: "
-                               f"{rep.counterexamples[0]}")
-    return out[:max(count, 1)]

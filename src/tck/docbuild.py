@@ -1,8 +1,10 @@
 """Assemble Documents from semantic values.
 
-Backs the shipped fixture corpus: every referenced category/functor gets a
-synthesized named block, deduplicated by value, so the serialized file is
-self-contained and parses back to equal values.
+Every referenced category/functor gets a synthesized named block,
+deduplicated by value, so the serialized file is self-contained and
+parses back to equal values.  The benchmark builds its generated
+documents with it; tests/fixture_corpus.py builds the shipped fixture
+corpus with it.
 """
 
 from __future__ import annotations
@@ -107,126 +109,3 @@ class DocumentBuilder:
         self.doc.sheaf_descent_data[name] = (d, base_name, topo_name, sieve_name,
                                              object_refs)
         return name
-
-
-# -- shipped fixture corpus ----------------------------------------------------------
-
-
-def build_shipped_fixtures() -> dict[str, Document]:
-    """The positive fixture corpus: each document carries something the
-    roundtrip command can exercise."""
-    from . import corpus, prestack
-    from .classifier import omega_point
-    from .fincat import point_category, slice_cat
-    from .site import is_sheaf, sieve_generate, slice_topology, trivial_topology
-    from .stacks import induced_sheaf_descent_datum
-
-    out: dict[str, Document] = {}
-
-    # walking arrow: a representable with an opfibration over it
-    wa = corpus.walking_arrow()
-    rep_b = prestack.representable(wa, "b")
-    b = DocumentBuilder()
-    b.category("WA", wa)
-    b.topology("Jtrivial", trivial_topology(wa), "WA")
-    phi = corpus.dopf_corpus(rep_b, 4)[3]
-    b.two_nat("phi", phi.s, "E", "RepB", "WA")
-    z = corpus.map_to_omega_corpus(rep_b, 2)[1]
-    b.map_to_omega("z", z, "RepB", "WA")
-    out["WalkingArrow"] = b.doc
-
-    # open site: topology, sheaves, a stack opfibration, a sheaf descent datum
-    osite = corpus.open_site()
-    osj = corpus.open_site_topology()
-    b = DocumentBuilder()
-    b.category("OpenSite", osite)
-    b.topology("J", osj, "OpenSite")
-    sheaves = [Z for Z in corpus.presheaf_corpus(osite, 10) if is_sheaf(Z, osj).ok]
-    b.setpresheaf("Sh0", sheaves[0], ("cat", "OpenSite"))
-    F = prestack.discrete_presheaf(osite, sheaves[1])
-    phi2 = prestack.certify_dopf_pre(prestack.identity_two_nat(F))
-    b.two_nat("idphi", phi2.s, "FStack", "FStack", "OpenSite")
-    joint = sieve_generate(osite, ["L_T", "R_T"])
-    b.sieve("SJoint", joint, "OpenSite")
-    sl, _ = slice_cat(osite, "T")
-    slj = slice_topology(osj, "T")
-    global_sheaf = next(Z for Z in corpus.presheaf_corpus(sl, 8) if is_sheaf(Z, slj).ok)
-    datum = induced_sheaf_descent_datum(osite, osj, joint, global_sheaf)
-    b.sheaf_descent("DInduced", datum, "OpenSite", "J", "SJoint")
-    out["OpenSite"] = b.doc
-
-    # the non-separated fixture over the open site
-    b = DocumentBuilder()
-    b.category("OpenSite", osite)
-    b.topology("J", osj, "OpenSite")
-    b.setpresheaf("ZNonSep", corpus.nonseparated_presheaf(), ("cat", "OpenSite"))
-    T = prestack.terminal_presheaf(osite)
-    zpt = omega_point(T)
-    b.map_to_omega("zpoint", zpt, "One", "OpenSite")
-    out["NonSeparated"] = b.doc
-
-    # pointed fixture over the one-object site: char emits the fibre table
-    pt = point_category()
-    Fp = corpus.constant_cat_presheaf(pt, corpus.chain3())
-    phip = corpus.dopf_corpus(Fp, 4)[3]
-    b = DocumentBuilder()
-    b.category("Pt", pt)
-    b.topology("Jtrivial", trivial_topology(pt), "Pt")
-    b.two_nat("pointed", phip.s, "Total", "Base", "Pt")
-    out["Pointed"] = b.doc
-
-    return out
-
-
-def build_broken_topology_fixtures() -> dict[str, Document]:
-    """Negative fixtures: each raw topology violates exactly one axiom."""
-    from . import corpus
-    from .fincat import discrete_category
-    from .site import Sieve, empty_sieve, maximal_sieve
-
-    out: dict[str, Document] = {}
-
-    D = discrete_category(["x", "y"])
-    b = DocumentBuilder()
-    b.category("D", D)
-    topo = GrothTopology(D, {"x": frozenset(), "y": frozenset({maximal_sieve(D, "y")})})
-    b.topology("JBrokenMax", topo, "D")
-    out["BrokenMaximality"] = b.doc
-
-    PP = corpus.parallel_pair()
-    b = DocumentBuilder()
-    b.category("PP", PP)
-    topo = GrothTopology(PP, {
-        "a": frozenset({maximal_sieve(PP, "a")}),
-        "b": frozenset({maximal_sieve(PP, "b"),
-                        Sieve("b", frozenset({"u"})),
-                        Sieve("b", frozenset({"u", "v"}))}),
-    })
-    b.topology("JBrokenStab", topo, "PP")
-    out["BrokenStability"] = b.doc
-
-    b = DocumentBuilder()
-    b.category("PP", PP)
-    topo = GrothTopology(PP, {
-        "a": frozenset({maximal_sieve(PP, "a"), empty_sieve("a")}),
-        "b": frozenset({maximal_sieve(PP, "b"), Sieve("b", frozenset({"u"}))}),
-    })
-    b.topology("JBrokenTrans", topo, "PP")
-    out["BrokenTransitivity"] = b.doc
-
-    return out
-
-
-def write_fixture_tree(root) -> None:
-    """Write the shipped corpus under root/ and root/broken/."""
-    import os
-
-    from .docformat import serialize
-
-    os.makedirs(os.path.join(root, "broken"), exist_ok=True)
-    for name, doc in sorted(build_shipped_fixtures().items()):
-        with open(os.path.join(root, f"{name}.site"), "w", encoding="utf-8") as fh:
-            fh.write(serialize(doc))
-    for name, doc in sorted(build_broken_topology_fixtures().items()):
-        with open(os.path.join(root, "broken", f"{name}.site"), "w", encoding="utf-8") as fh:
-            fh.write(serialize(doc))

@@ -593,11 +593,6 @@ def constant_presheaf(base: FinCat, labels: Iterable[str]) -> SetPresheaf:
     )
 
 
-def delta1(base: FinCat) -> SetPresheaf:
-    """The constant singleton presheaf."""
-    return constant_presheaf(base, ("*",))
-
-
 # -- reindexing of slice presheaves ----------------------------------------------
 
 

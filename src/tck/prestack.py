@@ -27,7 +27,6 @@ from .fincat import (
     identity_functor,
     mark_valid,
     named_parts,
-    point_category,
     search_setfunctor_maps,
     slice_arrow_name,
     validates_once,
@@ -170,15 +169,6 @@ class DiscOpfibPre:
 
 
 # -- constructions ------------------------------------------------------------------
-
-
-def terminal_presheaf(base: FinCat) -> CatPresheaf:
-    pt = point_category()
-    return CatPresheaf(
-        base,
-        {c: pt for c in base.objects},
-        {f: identity_functor(pt) for f in base.arrows},
-    )
 
 
 def discrete_presheaf(base: FinCat, Z) -> CatPresheaf:

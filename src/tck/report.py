@@ -23,7 +23,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.verdict in (PASS, BOUNDED_PASS)
+        """True on a checked pass only: a bounded-pass is not ok."""
+        return self.verdict == PASS
 
     def fail(self, counterexample) -> "Report":
         self.verdict = FAIL

@@ -340,9 +340,9 @@ class GrothTopology:
         is named.  The raw checks cost a pass over the table, list no
         sieve and sort only the covers that fail.
 
-        `trivial_topology`, `topology_from_generators` and
-        `slice_topology` build least covers that satisfy the axioms, and
-        record them here as checked; `from_minimal` records nothing."""
+        `topology_from_generators` and `slice_topology` build least
+        covers that satisfy the axioms, and record them here as checked
+        (`_built`); `from_minimal` records nothing."""
         cat, covers = self.base, self.covers
         missing = sorted(set(cat.objects) - set(covers))
         if missing:
@@ -392,11 +392,6 @@ def _built(base: FinCat, least: Mapping[str, Sieve]) -> GrothTopology:
     j = GrothTopology.from_minimal(base, least)
     j.__dict__["minimal"] = j.covers.least
     return j
-
-
-def trivial_topology(cat: FinCat) -> GrothTopology:
-    """The maximal sieves, which form a topology."""
-    return _built(cat, {c: maximal_sieve(cat, c) for c in cat.objects})
 
 
 def topology_from_generators(

@@ -52,7 +52,7 @@ from .fincat import (
     slice_cat,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
-from .report import BOUNDED_PASS, Report
+from .report import BOUNDED_PASS, FAIL, Report
 from .site import (
     GrothTopology,
     Sieve,
@@ -190,17 +190,12 @@ def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[Effectiven
     return out
 
 
-def enumerate_descent_data(F: CatPresheaf, s: Sieve,
-                           bound: int = DEFAULT_BOUND) -> list[DescentDatum]:
-    """All descent data over the sieve, up to the bound."""
-    return _descent_data(F, s, sieve_plan(F.base, s), bound)
-
-
 def _descent_data(F: CatPresheaf, s: Sieve, p: SievePlan, bound: int) -> list[DescentDatum]:
-    """enumerate_descent_data, with an iso wanted for each compatibility
-    triple (i, g, k) of p: from F(g)(M_f) to M_{f.g}, f = arrows[i].  The
-    candidates are typed and invertible as built, so only the cocycle
-    condition is checked, on the choice tuple before a datum is built."""
+    """All descent data over the sieve s, up to the bound, with an iso
+    wanted for each compatibility triple (i, g, k) of p, the plan of s:
+    from F(g)(M_f) to M_{f.g}, f = arrows[i].  The candidates are typed
+    and invertible as built, so only the cocycle condition is checked, on
+    the choice tuple before a datum is built."""
     obj_pools = [F.on_objects[df].objects for df in p.doms]
     total = math.prod(map(len, obj_pools))
     pairs = [(p.arrows[i], g) for i, g, _ in p.triples]
@@ -434,7 +429,7 @@ def char_stacks(phi: DiscOpfibPre, j: GrothTopology,
     """
     for F in (phi.total, phi.codomain):
         rep = check_stack(F, j, bound)
-        if not rep.ok:
+        if rep.verdict == FAIL:
             raise FactorizationFailed(("endpoint-not-a-stack", rep.counterexamples[:1]))
         if rep.verdict == BOUNDED_PASS:
             what, stratum_bound = next(iter(rep.bounds.items()))
@@ -484,20 +479,6 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
 
     return _check_descent("validate_sheaf_descent", base, d, check_object, check_iso,
                           _after_reindex(base))
-
-
-def induced_sheaf_descent_datum(base: FinCat, j: GrothTopology, s: Sieve,
-                                M: SetPresheaf) -> SheafDescentDatum:
-    """The datum induced by a global sheaf on slice(C, at): M_f = f*M."""
-    from .fincat import identity_presheaf_map
-
-    objects = {f: reindex_slice_presheaf(base, f, M) for f in s.sorted_arrows()}
-    isos = {}
-    for f in objects:
-        for g in base.arrows_into(base.dom(f)):
-            # g*(f*M) equals (f.g)*M on the nose
-            isos[(f, g)] = identity_presheaf_map(objects[base.compose(f, g)])
-    return SheafDescentDatum(base, j, s, objects, isos)
 
 
 def build_gluing_presheaf(d: SheafDescentDatum) -> SetPresheaf:

@@ -23,7 +23,7 @@ from tck.fincat import (
     FinSetFunctor,
     PresheafMap,
     compose_presheaf_maps,
-    delta1,
+    constant_presheaf,
     guard,
     reindex_slice_presheaf_map,
     slice_cat,
@@ -48,7 +48,7 @@ def classify_via_hom_enumeration(z: MapToOmega,
     homs: dict[tuple[str, str], list[PresheafMap]] = {}
     for c in site.objects:
         sl, _ = slice_cat(site, c)
-        d1 = delta1(sl)
+        d1 = constant_presheaf(sl, "*")
         for x in F.on_objects[c].objects:
             homs[(c, x)] = enumerate_presheaf_maps(d1, z.object_part[(c, x)], bound)
     labels = {

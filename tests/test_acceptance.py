@@ -7,6 +7,20 @@ import itertools
 from contextlib import contextmanager
 
 import pytest
+from fixture_corpus import (
+    bases,
+    constant_cat_presheaf,
+    dopf_corpus,
+    map_to_omega_corpus,
+    map_to_omega_over_representable,
+    nonseparated_presheaf,
+    open_site,
+    open_site_topology,
+    square,
+    terminal_presheaf,
+    trivial_topology,
+    walking_arrow,
+)
 from map_oracle import enumerate_two_nats, fib_iso_cat, presheaf_iso, setfunctor_iso
 from site_oracle import plus_class_count
 
@@ -20,20 +34,10 @@ from tck.classifier import (
     roundtrip_z,
 )
 from tck.corpus import (
-    bases,
-    constant_cat_presheaf,
-    dopf_corpus,
-    map_to_omega_corpus,
-    map_to_omega_over_representable,
-    nonseparated_presheaf,
-    open_site,
-    open_site_topology,
     presheaf_corpus,
     setfunctor_corpus,
-    square,
     sum_presheaves,
     hom_into,
-    walking_arrow,
 )
 from tck.fincat import (
     constant_presheaf,
@@ -46,13 +50,11 @@ from tck.prestack import (
     discrete_presheaf,
     fib_iso,
     representable,
-    terminal_presheaf,
 )
 from tck.site import (
     is_sheaf,
     sheafify,
     subcanonical_check,
-    trivial_topology,
     validate_topology,
 )
 from tck.stacks import char_stacks, ell_factors
@@ -95,11 +97,11 @@ def _discrete_two_nat(m):
 @pytest.fixture(scope="module")
 def stack_map_corpus():
     """>= 20 certified opfibrations between sheaf-valued stacks on OpenSite."""
-    from tck.corpus import open_site_sheaf_corpus
-    from tck.fincat import PresheafMap, delta1, identity_presheaf_map
+    from fixture_corpus import open_site_sheaf_corpus
+    from tck.fincat import PresheafMap, constant_presheaf, identity_presheaf_map
 
     sheaves = open_site_sheaf_corpus(12)
-    one = delta1(OS)
+    one = constant_presheaf(OS, "*")
     maps = []
     for Z in sheaves:
         maps.append(identity_presheaf_map(Z))
@@ -238,7 +240,7 @@ def test_criterion_06_site_axioms_and_subcanonicity():
             triv = trivial_topology(base)
             assert validate_topology(triv).ok
             assert subcanonical_check(triv).ok
-        from tck.docbuild import build_broken_topology_fixtures
+        from fixture_corpus import build_broken_topology_fixtures
 
         expectations = {
             "BrokenMaximality": "maximality",
@@ -280,7 +282,8 @@ def test_criterion_08_stack_classifier_roundtrip(stack_map_corpus):
 def test_criterion_09_omega_j_probe():
     import time
 
-    from tck.stacks import induced_sheaf_descent_datum, omega_J_probe
+    from fixture_corpus import induced_sheaf_descent_datum
+    from tck.stacks import omega_J_probe
     from tck.site import sieve_generate, slice_topology
 
     with criterion(9, "stack property probe"):

@@ -8,9 +8,21 @@ from hypothesis import given, reject, settings, strategies as st
 from category_strategies import generated_categories, small_monoids
 import classifier_oracle
 from classifier_oracle import classify_via_hom_enumeration
+from fixture_corpus import (
+    bases,
+    constant_cat_presheaf,
+    dopf_corpus,
+    map_to_omega_corpus,
+    map_to_omega_over_representable,
+    open_site,
+    precompose_map_to_omega,
+    terminal_presheaf,
+    walking_arrow,
+)
 from map_oracle import enumerate_presheaf_maps, fib_iso_cat, presheaf_iso
 from tck import cat2, classifier, fincat, prestack
 from tck.classifier import (
+    MapToOmega,
     OmegaModification,
     char,
     classify,
@@ -21,29 +33,21 @@ from tck.classifier import (
     j_forward,
     j_inverse,
     omega_point,
-    precompose_map_to_omega,
     roundtrip_phi,
     roundtrip_z,
 )
 from tck.corpus import (
-    bases,
-    constant_cat_presheaf,
-    dopf_corpus,
     dopf_from_set_functor,
     elements_category,
-    map_to_omega_corpus,
     map_to_omega_from_set_functor,
-    map_to_omega_over_representable,
-    open_site,
     poset_category,
     presheaf_corpus,
     setfunctor_corpus,
-    walking_arrow,
 )
 from tck.errors import SizeBound
 from tck.fincat import (
     compose_presheaf_maps,
-    delta1,
+    constant_presheaf,
     point_category,
     slice_cat,
 )
@@ -53,7 +57,6 @@ from tck.prestack import (
     identity_two_nat,
     pointwise_pullback,
     representable,
-    terminal_presheaf,
 )
 
 PT = point_category()
@@ -66,7 +69,7 @@ def test_omega_point_is_constant_singleton():
     z = omega_point(F)
     for (c, x), Z in z.object_part.items():
         sl, _ = slice_cat(WA, c)
-        assert Z == delta1(sl)
+        assert Z == constant_presheaf(sl, "*")
     for m in z.arrow_part.values():
         assert all(v == {"*": "*"} for v in m.components.values())
 
@@ -86,7 +89,7 @@ def test_fibre_formula_against_hom_enumeration():
         phi = classify(z)
         for (c, x), Z in z.object_part.items():
             sl, _ = slice_cat(WA, c)
-            homs = enumerate_presheaf_maps(delta1(sl), Z)
+            homs = enumerate_presheaf_maps(constant_presheaf(sl, "*"), Z)
             assert len(phi.fibre(c, x)) == len(homs)
             assert len(phi.fibre(c, x)) == len(Z.on_objects[WA.id_of(c)])
 
@@ -102,7 +105,7 @@ def test_classify_agrees_with_comma_style_construction():
 def test_classify_on_point_site_reduces_to_elements_of():
     # over the one-object site, prestacks are categories and classify is the
     # category of elements
-    from tck.corpus import chain3, constant_cat_presheaf
+    from fixture_corpus import chain3, constant_cat_presheaf
 
     F = constant_cat_presheaf(PT, chain3())
     for z in map_to_omega_corpus(F, 3):
@@ -135,7 +138,7 @@ def test_char_of_identity_is_singleton_valued():
 
 
 def test_char_on_point_site_is_fiber_functor():
-    from tck.corpus import chain3, constant_cat_presheaf
+    from fixture_corpus import chain3, constant_cat_presheaf
 
     F = constant_cat_presheaf(PT, chain3())
     for phi in dopf_corpus(F, 3):
@@ -206,7 +209,7 @@ def test_gamma_mod_functorial_on_composable_modifications():
 def test_j_forward_of_delta1_is_maximal_two_sieve():
     for base, c in ((WA, "b"), (OS, "T")):
         sl, _ = slice_cat(base, c)
-        psi = j_forward(base, c, delta1(sl))
+        psi = j_forward(base, c, constant_presheaf(sl, "*"))
         rep = representable(base, c)
         assert fib_iso(psi, certify_dopf_pre(identity_two_nat(rep))) is not None
 
@@ -270,7 +273,7 @@ def test_j_inverse_of_identity_is_singleton_valued():
     psi = certify_dopf_pre(identity_two_nat(rep))
     Z = j_inverse(psi)
     sl, _ = slice_cat(WA, "b")
-    assert presheaf_iso(Z, delta1(sl)) is not None
+    assert presheaf_iso(Z, constant_presheaf(sl, "*")) is not None
 
 
 def test_j_round_trips():
@@ -455,7 +458,7 @@ def test_roundtrip_phi_identity():
 
 
 def test_roundtrip_over_point_site_reproduces_cat_equivalence():
-    from tck.corpus import chain3, constant_cat_presheaf
+    from fixture_corpus import chain3, constant_cat_presheaf
 
     F = constant_cat_presheaf(PT, chain3())
     for phi in dopf_corpus(F, 3):
@@ -506,10 +509,28 @@ def test_map_to_omega_validation_rejects_broken_naturality():
             enumerate_omega_modifications(*pair)
 
 
+def test_map_to_omega_validation_names_an_object_part_keyed_outside_f():
+    from tck.errors import InvalidTable
+
+    z = omega_point(terminal_presheaf(WA))
+    parts = ({("b", "nope"): z.object_part[("b", "*")]}, {})
+    with pytest.raises(InvalidTable, match=r"object_part key \('b', 'nope'\)"):
+        MapToOmega(z.site, z.source, z.fibre_functor, parts).validate()
+
+
+def test_map_to_omega_validation_names_an_arrow_part_keyed_outside_f():
+    from tck.errors import InvalidTable
+
+    z = omega_point(terminal_presheaf(WA))
+    parts = ({}, {("b", "nope"): z.arrow_part[("b", "id_*")]})
+    with pytest.raises(InvalidTable, match=r"arrow_part key \('b', 'nope'\)"):
+        MapToOmega(z.site, z.source, z.fibre_functor, parts).validate()
+
+
 def test_gamma_mod_over_point_site_is_elements_action():
     # over the one-object site the action on 2-cells is the category of
     # elements construction applied to the underlying set-level map
-    from tck.corpus import chain3, constant_cat_presheaf
+    from fixture_corpus import chain3, constant_cat_presheaf
     from tck.fincat import FinFunctor
 
     F = constant_cat_presheaf(PT, chain3())

@@ -10,12 +10,14 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 CORPUS = sorted(glob.glob(os.path.join(FIXTURES, "*.site")))
 BROKEN = sorted(glob.glob(os.path.join(FIXTURES, "broken", "*.site")))
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+TESTS = os.path.abspath(os.path.dirname(__file__))
 
 
 def child_env(**extra: str) -> dict:
-    """This process's environment with the checkout's src first on
-    PYTHONPATH, so that a child interpreter imports tck uninstalled."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    """This process's environment with the checkout's src and tests first
+    on PYTHONPATH, so that a child interpreter imports tck uninstalled and
+    can import the test fixtures."""
+    path = os.pathsep.join(filter(None, (SRC, TESTS, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
@@ -408,15 +410,16 @@ def test_sheafify_fails_report_when_output_is_not_a_sheaf(monkeypatch):
 
 
 def test_char_stacks_is_undecided_when_an_endpoint_check_hits_the_bound(tmp_path):
-    from tck import corpus, docformat, prestack
+    from fixture_corpus import open_site, open_site_sheaf_corpus, open_site_topology
+    from tck import docformat, prestack
     from tck.docbuild import DocumentBuilder
 
-    osite = corpus.open_site()
-    F = prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6])
+    osite = open_site()
+    F = prestack.discrete_presheaf(osite, open_site_sheaf_corpus(7)[6])
     phi = prestack.certify_dopf_pre(prestack.identity_two_nat(F))
     b = DocumentBuilder()
     b.category("OpenSite", osite)
-    b.topology("J", corpus.open_site_topology(), "OpenSite")
+    b.topology("J", open_site_topology(), "OpenSite")
     b.two_nat("idphi", phi.s, "F", "F", "OpenSite")
     path = tmp_path / "sheaf.site"
     path.write_text(docformat.serialize(b.doc))
@@ -430,13 +433,14 @@ def test_char_stacks_is_undecided_when_an_endpoint_check_hits_the_bound(tmp_path
 def test_check_stack_notes_no_stack_witness_on_bounded_pass(tmp_path):
     # at bound 1 the object-gluing stratum over M_T trips its guard: the
     # verdict is bounded-pass, and F must not be named a stack
-    from tck import corpus, docformat, prestack
+    from fixture_corpus import open_site, open_site_sheaf_corpus, open_site_topology
+    from tck import docformat, prestack
     from tck.docbuild import DocumentBuilder
 
-    osite = corpus.open_site()
+    osite = open_site()
     b = DocumentBuilder()
-    b.topology("J", corpus.open_site_topology(), "OpenSite")
-    b.catpresheaf("F", prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6]),
+    b.topology("J", open_site_topology(), "OpenSite")
+    b.catpresheaf("F", prestack.discrete_presheaf(osite, open_site_sheaf_corpus(7)[6]),
                   "OpenSite")
     path = tmp_path / "sheaf.site"
     path.write_text(docformat.serialize(b.doc))
@@ -451,7 +455,7 @@ def test_check_stack_notes_no_stack_witness_on_bounded_pass(tmp_path):
 
 def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(tmp_path):
     from tck import docformat
-    from tck.corpus import open_site
+    from fixture_corpus import open_site
     from tck.docbuild import DocumentBuilder
     from test_stacks import local_pair_datum
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from category_strategies import generated_categories
-from tck.docbuild import (
-    DocumentBuilder,
+from fixture_corpus import (
     build_broken_topology_fixtures,
     build_shipped_fixtures,
     write_fixture_tree,
 )
+from tck.docbuild import DocumentBuilder
 from tck.corpus import (
     dopf_from_set_functor,
     map_to_omega_from_set_functor,

@@ -426,7 +426,8 @@ def test_slice_objects_are_arrows_into(cat, data):
 
 
 def test_reindex_is_precomposition_with_postcompose():
-    from tck.corpus import open_site, presheaf_corpus
+    from fixture_corpus import open_site
+    from tck.corpus import presheaf_corpus
     from tck.fincat import SetPresheaf, reindex_slice_presheaf
 
     OS = open_site()
@@ -447,7 +448,8 @@ def test_reindex_is_precomposition_with_postcompose():
 
 def test_reindexing_carries_the_validity_record_of_its_input():
     # f*Z is Z after the functor postcompose(f): valid when Z is
-    from tck.corpus import open_site, presheaf_corpus
+    from fixture_corpus import open_site
+    from tck.corpus import presheaf_corpus
     from tck.fincat import SetPresheaf, reindex_slice_presheaf
 
     OS = open_site()
@@ -470,7 +472,7 @@ def _with_slices(cats):
 
 
 def test_hom_index_equals_scan_definitions():
-    from tck.corpus import bases, square
+    from fixture_corpus import bases, square
 
     for cat in _with_slices(list(bases().values()) + [square()]):
         for a in cat.objects + ("not-an-object",):
@@ -484,7 +486,7 @@ def test_hom_index_equals_scan_definitions():
 
 
 def test_hom_index_and_slices_stay_out_of_equality_and_repr():
-    from tck.corpus import open_site
+    from fixture_corpus import open_site
 
     used, fresh = open_site(), open_site()
     used.hom("O", "T")
@@ -500,7 +502,7 @@ def test_slices_die_with_their_base():
     import gc
     import weakref
 
-    from tck.corpus import open_site, open_site_topology
+    from fixture_corpus import open_site, open_site_topology
     from tck.site import slice_topology
 
     cat = open_site()
@@ -560,7 +562,8 @@ def _old_reindex(cat, f, Z):
 
 
 def test_postcomposition_tables_reindex_as_the_definition():
-    from tck.corpus import bases, presheaf_corpus, square
+    from fixture_corpus import bases, square
+    from tck.corpus import presheaf_corpus
 
     for cat in list(bases().values()) + [square()]:
         for f in cat.sorted_arrows():
@@ -578,7 +581,8 @@ def test_postcomposition_tables_reindex_as_the_definition():
 
 
 def _presheaf_pairs():
-    from tck.corpus import bases, presheaf_corpus
+    from fixture_corpus import bases
+    from tck.corpus import presheaf_corpus
 
     for cat in bases().values():
         zs = presheaf_corpus(cat, 5)
@@ -623,7 +627,7 @@ def test_composition_table_finds_exactly_the_composable_pairs(cat):
 
 
 def test_composition_table_lists_pairs_in_the_order_of_a_then_b():
-    from tck.corpus import bases
+    from fixture_corpus import bases
 
     for cat in (idempotent_monoid(), *bases().values()):
         table = composition_table(cat.arrows, cat.compose)

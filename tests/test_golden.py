@@ -113,7 +113,7 @@ def test_descent_commands_match_golden_in_a_fresh_process_under_two_hash_seeds()
 SIX_SEEDS = [str(seed) for seed in range(1, 7)]
 
 BAD_DESCENT_SCRIPT = """
-from tck.corpus import constant_cat_presheaf, open_site
+from fixture_corpus import constant_cat_presheaf, open_site
 from tck.fincat import discrete_category
 from tck.site import maximal_sieve
 from tck.stacks import DescentDatum, validate_descent
@@ -204,18 +204,24 @@ def test_stack_commands_do_not_depend_on_the_hash_seed(tmp_path):
     # run names its first stratum at a non-maximal one; neither may follow
     # set or hash order.  The open-cover topology mixes maximal covers (L,
     # R) with others (O, T), and the trivial topology has only maximal ones
+    from fixture_corpus import (
+        constant_cat_presheaf,
+        open_site,
+        open_site_sheaf_corpus,
+        open_site_topology,
+        trivial_topology,
+    )
     from test_stacks import walking_iso
-    from tck import corpus, prestack
+    from tck import prestack
     from tck.docbuild import DocumentBuilder
     from tck.docformat import serialize
-    from tck.site import trivial_topology
 
-    osite = corpus.open_site()
-    iso = corpus.constant_cat_presheaf(osite, walking_iso())
-    disc = prestack.discrete_presheaf(osite, corpus.open_site_sheaf_corpus(7)[6])
+    osite = open_site()
+    iso = constant_cat_presheaf(osite, walking_iso())
+    disc = prestack.discrete_presheaf(osite, open_site_sheaf_corpus(7)[6])
     b = DocumentBuilder()
     b.category("OpenSite", osite)
-    b.topology("J", corpus.open_site_topology(), "OpenSite")
+    b.topology("J", open_site_topology(), "OpenSite")
     b.topology("Triv", trivial_topology(osite), "OpenSite")
     for name, F in (("Iso", iso), ("Disc", disc)):
         b.two_nat(f"id{name}", prestack.certify_dopf_pre(prestack.identity_two_nat(F)).s,

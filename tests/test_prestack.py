@@ -1,5 +1,6 @@
 import pytest
 
+from fixture_corpus import dopf_corpus, open_site, terminal_presheaf, walking_arrow
 from map_oracle import (
     enumerate_modifications,
     enumerate_setfunctor_maps,
@@ -8,13 +9,10 @@ from map_oracle import (
 )
 from tck import cat2, prestack
 from tck.corpus import (
-    dopf_corpus,
     dopf_from_set_functor,
     elements_category,
-    open_site,
     poset_category,
     setfunctor_corpus,
-    walking_arrow,
 )
 from tck.errors import InvalidTable, NotOpfibrationAt
 from tck.fincat import (
@@ -36,7 +34,6 @@ from tck.prestack import (
     pointwise_comma,
     pointwise_pullback,
     representable,
-    terminal_presheaf,
     yoneda,
     yoneda_inv,
 )
@@ -273,7 +270,8 @@ def test_search_setfunctor_maps_agrees_with_product_filter_oracle():
     # the pruned backtracking search and the brute-force enumerator must
     # return exactly the same natural transformations
     from tck.fincat import search_setfunctor_maps
-    from tck.corpus import setfunctor_corpus, chain3, parallel_pair
+    from fixture_corpus import chain3, parallel_pair
+    from tck.corpus import setfunctor_corpus
 
     def canon(m):
         return tuple(sorted(
@@ -340,7 +338,7 @@ def test_fib_hom_between_elements_constructions_bijects_with_classifying_maps():
 def test_yoneda_bijection_is_onto_all_two_nats():
     # every 2-natural out of a representable is the image of the object it
     # picks at the identity, for a corpus of targets
-    from tck.corpus import catpresheaf_corpus
+    from fixture_corpus import catpresheaf_corpus
 
     for F in [sample_presheaf()] + catpresheaf_corpus(WA, 3):
         for c in WA.objects:

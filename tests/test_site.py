@@ -11,6 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 import site_oracle
 import stack_oracle
 from category_strategies import generated_categories, idempotent_monoid, small_monoids
+from fixture_corpus import (
+    bases,
+    nonseparated_presheaf,
+    open_site,
+    open_site_topology,
+    parallel_pair,
+    square,
+    trivial_topology,
+    walking_arrow,
+)
 from site_oracle import (
     all_sieves,
     plus_class_count,
@@ -20,24 +30,13 @@ from site_oracle import (
 )
 from test_cli import BROKEN, CORPUS, child_env
 from tck import site
-from tck.corpus import (
-    bases,
-    nonseparated_presheaf,
-    open_site,
-    open_site_topology,
-    parallel_pair,
-    poset_category,
-    presheaf_corpus,
-    square,
-    walking_arrow,
-)
+from tck.corpus import poset_category, presheaf_corpus
 from tck.errors import AxiomViolation, InvalidTable, MixedCodomain
 from tck.fincat import (
     DEFAULT_BOUND,
     FinCat,
     SetPresheaf,
     constant_presheaf,
-    delta1,
     slice_arrow_name,
     slice_cat,
 )
@@ -61,7 +60,6 @@ from tck.site import (
     slice_topology,
     subcanonical_check,
     topology_from_generators,
-    trivial_topology,
     validate_topology,
 )
 
@@ -139,7 +137,7 @@ def test_open_site_topology_saturation():
 
 
 def test_trivial_topology_valid_everywhere():
-    from tck.corpus import bases
+    from fixture_corpus import bases
 
     for cat in bases().values():
         rep = validate_topology(trivial_topology(cat))
@@ -152,7 +150,7 @@ def test_open_site_topology_valid_and_subcanonical():
 
 
 def test_trivial_topology_subcanonical_on_poset_sites():
-    from tck.corpus import square
+    from fixture_corpus import square
 
     for cat in (OS, square()):
         assert subcanonical_check(trivial_topology(cat)).ok
@@ -224,7 +222,7 @@ def test_sheaf_checks_reject_raw_non_topologies():
         j = build()
         for check in (is_sheaf, is_separated, plus, sheafify, stack_check, slice_check):
             with pytest.raises(AxiomViolation) as exc:
-                check(delta1(j.base), j)
+                check(constant_presheaf(j.base, "*"), j)
             assert exc.value.kind == axiom, check
 
 
@@ -233,7 +231,7 @@ def test_a_raw_table_that_misses_an_object_names_it():
 
     D = discrete_category(["x"])
     with pytest.raises(AxiomViolation) as exc:
-        is_sheaf(delta1(D), GrothTopology(D, {}))
+        is_sheaf(constant_presheaf(D, "*"), GrothTopology(D, {}))
     assert (exc.value.kind, exc.value.witness) == ("coverage", "x")
     # the first missing object in sorted order
     D3 = discrete_category(["z", "y", "x"])
@@ -256,7 +254,7 @@ def test_a_raw_table_not_closed_upward_fails_without_listing_sieves(monkeypatch)
                            for c in OS.objects})
     monkeypatch.setattr(site, "sieves_above", refuse_to_list)
     with pytest.raises(AxiomViolation) as exc:
-        is_sheaf(delta1(OS), j)
+        is_sheaf(constant_presheaf(OS, "*"), j)
     assert exc.value.kind == "transitivity"
     assert exc.value.witness == ("L", ("O_L",), ())
     rep = validate_topology(j)
@@ -416,7 +414,7 @@ def test_matching_families_on_joint_cover_counts():
 
 def test_delta1_is_sheaf_for_every_topology():
     for topo in (OSJ, trivial_topology(OS)):
-        assert is_sheaf(delta1(OS), topo).ok
+        assert is_sheaf(constant_presheaf(OS, "*"), topo).ok
 
 
 def test_representables_on_open_site_are_sheaves():
@@ -467,7 +465,7 @@ def test_sheafify_fixes_sheaves_up_to_unit_iso():
 
 
 def test_delta1_fixed_by_plus():
-    pc = plus(delta1(OS), OSJ)
+    pc = plus(constant_presheaf(OS, "*"), OSJ)
     assert pc.unit.is_iso()
 
 
@@ -888,12 +886,12 @@ def test_sheafify_is_idempotent_up_to_iso():
 def test_reindexing_preserves_sheaves_on_slices():
     # pulling a sheaf on slice(C, c) back along any f: d -> c yields a
     # sheaf on slice(C, d) for the induced topologies
-    from tck.fincat import delta1, reindex_slice_presheaf
+    from tck.fincat import constant_presheaf, reindex_slice_presheaf
 
     for c in OS.objects:
         sl, _ = slice_cat(OS, c)
         slj = slice_topology(OSJ, c)
-        assert is_sheaf(delta1(sl), slj).ok
+        assert is_sheaf(constant_presheaf(sl, "*"), slj).ok
         for Z in presheaf_corpus(sl, 8):
             if not is_sheaf(Z, slj).ok:
                 continue
@@ -1144,7 +1142,7 @@ def test_validate_topology_output_does_not_depend_on_hash_seed():
     # two covers at b whose intersection, the least cover, is not one; the
     # covers used to be visited in set iteration order
     code = (
-        "from tck.corpus import parallel_pair\n"
+        "from fixture_corpus import parallel_pair\n"
         "from tck.site import GrothTopology, Sieve, maximal_sieve, validate_topology\n"
         "PP = parallel_pair()\n"
         "b = [maximal_sieve(PP, 'b'), Sieve('b', frozenset('u')), Sieve('b', frozenset('v'))]\n"
@@ -1163,7 +1161,7 @@ def test_validate_topology_output_does_not_depend_on_hash_seed():
 def test_open_site_sheaf_corpus_rejects_a_non_sheaf_also_under_python_O():
     # the check must survive -O, which strips assert statements
     code = (
-        "from tck import corpus\n"
+        "import fixture_corpus as corpus\n"
         "from tck.errors import InvalidTable\n"
         "corpus.open_site_product_sheaf = lambda a, b: corpus.nonseparated_presheaf()\n"
         "try:\n"
@@ -1253,7 +1251,7 @@ def test_a_cover_with_an_unknown_arrow_raises_invalid_table():
     with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
         validate_topology(j)
     with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
-        is_sheaf(delta1(WA), j)
+        is_sheaf(constant_presheaf(WA, "*"), j)
     built = GrothTopology.from_minimal(WA, {"a": maximal_sieve(WA, "a"),
                                             "b": Sieve("b", frozenset({"zz"}))})
     with pytest.raises(InvalidTable, match="unknown arrow 'zz'"):
@@ -1303,7 +1301,7 @@ def test_from_minimal_records_nothing_and_checks_in_full():
     assert "minimal" not in vars(j)
     assert validate_topology(j).counterexamples == [("stability", "b", (), "u")]
     with pytest.raises(AxiomViolation, match="stability"):
-        is_sheaf(delta1(WA), j)
+        is_sheaf(constant_presheaf(WA, "*"), j)
 
 
 def test_cocycle_index_holds_the_tuples_sieve_plan_built():

@@ -1,4 +1,5 @@
 import itertools
+import os
 from collections.abc import Mapping
 
 import pytest
@@ -6,27 +7,29 @@ from hypothesis import assume, given, settings, strategies as st
 
 import stack_oracle
 from category_strategies import generated_categories, idempotent_monoid
-from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
-from tck import prestack
-from tck.classifier import char, classify
-from tck.corpus import (
+from fixture_corpus import (
     bases,
     catpresheaf_corpus,
     constant_cat_presheaf,
+    induced_sheaf_descent_datum,
     nonseparated_presheaf,
     open_site,
     open_site_topology,
-    poset_category,
-    presheaf_corpus,
     square,
+    terminal_presheaf,
+    trivial_topology,
     walking_arrow,
 )
+from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
+from tck import prestack, stacks
+from tck.classifier import char, classify
+from tck.corpus import poset_category, presheaf_corpus
 from tck.errors import FactorizationFailed, InvalidTable
 from tck.fincat import (
+    DEFAULT_BOUND,
     PresheafMap,
     SetPresheaf,
     constant_presheaf,
-    delta1,
     identity_presheaf_map,
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
@@ -39,7 +42,6 @@ from tck.prestack import (
     fib_iso,
     identity_two_nat,
     representable,
-    terminal_presheaf,
     TwoNat,
 )
 from tck.site import (
@@ -47,9 +49,9 @@ from tck.site import (
     Sieve,
     is_sheaf,
     sieve_generate,
+    sieve_plan,
     slice_topology,
     topology_from_generators,
-    trivial_topology,
 )
 from tck.stacks import (
     DescentDatum,
@@ -63,9 +65,7 @@ from tck.stacks import (
     construct_effectiveness,
     effectiveness,
     ell_factors,
-    enumerate_descent_data,
     glue_sheaf_morphisms,
-    induced_sheaf_descent_datum,
     omega_J_probe,
     validate_descent,
     validate_sheaf_descent,
@@ -85,7 +85,7 @@ def sheaf_corpus(n):
 def sheaf_maps_corpus(n):
     """Presheaf morphisms between sheaves on the open site, as discrete stacks."""
     out = []
-    one = delta1(OS)
+    one = constant_presheaf(OS, "*")
     for Z in sheaf_corpus(n):
         out.append((Z, Z, identity_presheaf_map(Z)))
         out.append((Z, one, PresheafMap(Z, one, {
@@ -130,7 +130,7 @@ def test_validate_descent_over_an_unknown_arrow_raises_invalid_table():
 
 def test_validate_descent_broken_iso_is_rejected():
     # a non-discrete presheaf where a wrong iso choice breaks the cocycle
-    from tck.corpus import constant_cat_presheaf
+    from fixture_corpus import constant_cat_presheaf
     from tck.fincat import discrete_category
 
     K = discrete_category(["x", "y"])
@@ -193,7 +193,7 @@ def test_effectiveness_empty_for_non_stack():
 def test_effectiveness_matches_amalgamations_for_discrete_presheaves():
     for Z in presheaf_corpus(OS, 8):
         F = discrete_presheaf(OS, Z)
-        for datum in enumerate_descent_data(F, JOINT)[:20]:
+        for datum in stack_oracle.enumerate_descent_data(F, JOINT)[:20]:
             fam = {f: datum.objects[f] for f in JOINT.arrows}
             from tck.site import MatchingFamily, amalgamations
 
@@ -213,7 +213,7 @@ def test_effectiveness_matches_amalgamations_for_discrete_presheaves():
 
 
 def test_check_stack_trivial_topology():
-    from tck.corpus import catpresheaf_corpus
+    from fixture_corpus import catpresheaf_corpus
 
     for F in catpresheaf_corpus(WA, 4):
         assert check_stack(F, trivial_topology(WA)).ok
@@ -233,7 +233,7 @@ def test_check_stack_sheaves_are_stacks_nonsheaves_are_not():
 def collapsing_pair():
     """F(T) is the parallel pair a => b, whose two arrows collapse to the
     one arrow x -> y of F(L) = F(R) = F(O): condition iii fails at T."""
-    from tck.corpus import parallel_pair
+    from fixture_corpus import parallel_pair
     from tck.fincat import FinFunctor, free_category, identity_functor
 
     PP = parallel_pair()
@@ -409,7 +409,7 @@ def test_char_stacks_rejects_non_stack_endpoint():
 
 
 def test_char_stacks_point_site_reduces_to_cat():
-    from tck.corpus import chain3, constant_cat_presheaf, dopf_corpus
+    from fixture_corpus import chain3, constant_cat_presheaf, dopf_corpus
     from tck.fincat import point_category
 
     PT = point_category()
@@ -616,13 +616,13 @@ def walking_iso():
 def test_check_stack_constant_walking_iso_is_a_stack():
     # non-identity descent isos: every datum glues because all objects are
     # isomorphic and hom-sets are singletons
-    from tck.corpus import constant_cat_presheaf
+    from fixture_corpus import constant_cat_presheaf
 
     F = constant_cat_presheaf(OS, walking_iso())
     rep = check_stack(F, OSJ)
     assert rep.ok, rep.counterexamples
     # and the enumeration really does produce data with non-identity isos
-    data = enumerate_descent_data(F, JOINT)
+    data = stack_oracle.enumerate_descent_data(F, JOINT)
     assert any(
         any(not F.on_objects[OS.dom(g)].is_identity(phi) for (f, g), phi in d.isos.items())
         for d in data
@@ -664,7 +664,7 @@ def test_descent_data_agree_with_product_filter_oracle():
     for j, F in cases:
         for c in j.base.objects:
             for s in sorted(j.covers[c], key=lambda s: s.sorted_arrows()):
-                data = enumerate_descent_data(F, s)
+                data = stacks._descent_data(F, s, sieve_plan(F.base, s), DEFAULT_BOUND)
                 assert descent_tables(data) == \
                     descent_tables(stack_oracle.enumerate_descent_data(F, s)), (c, s)
                 with_isos += any(not F.on_objects[j.base.dom(g)].is_identity(phi)
@@ -691,10 +691,10 @@ def test_check_stack_reports_condition_i_failure():
 def test_effectiveness_witnesses_unique_up_to_iso():
     # on a stack, any two witnesses for the same datum have isomorphic
     # global objects
-    from tck.corpus import constant_cat_presheaf
+    from fixture_corpus import constant_cat_presheaf
 
     F = constant_cat_presheaf(OS, walking_iso())
-    for d in enumerate_descent_data(F, JOINT)[:40]:
+    for d in stack_oracle.enumerate_descent_data(F, JOINT)[:40]:
         wits = effectiveness(d)
         assert wits
         Fc = F.on_objects["T"]
@@ -709,7 +709,7 @@ def test_effectiveness_witnesses_unique_up_to_iso():
 
 
 def square_site():
-    from tck.corpus import square
+    from fixture_corpus import square
     from tck.site import topology_from_generators
 
     SQ = square()
@@ -880,9 +880,9 @@ def test_char_stacks_pipeline_on_square_site():
         zj = char_stacks(phi, topo)
         assert fib_iso(classify(zj.underlying), phi) is not None
     # the terminal map out of a glued stack also factors and round-trips
-    from tck.fincat import FinFunctor, delta1
+    from tck.fincat import FinFunctor, constant_presheaf
 
-    one = delta1(SQ)
+    one = constant_presheaf(SQ, "*")
     Fw, Fone = discrete_presheaf(SQ, w1), discrete_presheaf(SQ, one)
     comps = {}
     for c in SQ.objects:
@@ -899,7 +899,7 @@ def test_char_stacks_pipeline_on_square_site():
 
 
 def test_check_stack_reports_bounded_pass_when_bound_trips():
-    from tck.corpus import constant_cat_presheaf
+    from fixture_corpus import constant_cat_presheaf
     from tck.report import BOUNDED_PASS
 
     F = constant_cat_presheaf(OS, walking_iso())
@@ -908,14 +908,33 @@ def test_check_stack_reports_bounded_pass_when_bound_trips():
     assert rep.bounds
 
 
+def test_a_bounded_check_stack_is_not_ok():
+    # a bound hit is no pass, so a library caller reading ok cannot take it
+    # for "is a stack"
+    rep = check_stack(constant_cat_presheaf(OS, walking_iso()), OSJ, bound=3)
+    assert rep.verdict == "bounded-pass"
+    assert not rep.ok
+
+
+def test_a_bounded_omega_j_probe_is_not_ok():
+    # the endomorphism search on the glued sheaf trips at bound 1
+    from tck.docformat import parse_file
+
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "OpenSite.site")
+    datum = parse_file(path).sheaf_descent_data["DInduced"][0]
+    rep = omega_J_probe([datum], bound=1)
+    assert (rep.verdict, rep.bounds) == ("bounded-pass", {"morphism-gluing at datum 0": 1})
+    assert not rep.ok
+
+
 def test_scale_smoke_five_object_chain():
     # a slightly larger site than the shipped corpus: end-to-end classify,
     # char, roundtrip and sheaf checks stay fast
-    from tck.corpus import dopf_corpus, map_to_omega_corpus
+    from fixture_corpus import dopf_corpus, map_to_omega_corpus, trivial_topology
     from tck.classifier import char, classify, roundtrip_phi
     from tck.fincat import free_category
     from tck.prestack import representable
-    from tck.site import is_sheaf, subcanonical_check, trivial_topology
+    from tck.site import is_sheaf, subcanonical_check
 
     chain5 = free_category(
         ["a", "b", "c", "d", "e"],
@@ -935,7 +954,7 @@ def test_char_stacks_refuses_endpoints_that_only_bounded_pass():
     # at bound 1 the object-gluing stratum over M_T trips its guard, so
     # neither endpoint is known to be a stack; M_R is maximal and settles
     # itself
-    from tck.corpus import open_site_sheaf_corpus
+    from fixture_corpus import open_site_sheaf_corpus
     from tck.errors import SizeBound
 
     F = discrete_presheaf(OS, open_site_sheaf_corpus(7)[6])
@@ -1192,7 +1211,7 @@ def test_only_descent_checks_build_the_cocycle_index_once_per_plan(monkeypatch):
     assert built == []
     F = constant_cat_presheaf(OS, walking_iso())
     assert check_stack(F, j).ok
-    data = enumerate_descent_data(F, JOINT)[:4]
+    data = stack_oracle.enumerate_descent_data(F, JOINT)[:4]
     for d in data:
         assert validate_descent(d).ok
     for n1, n2 in [(1, 1), (2, 1)]:

@@ -17,6 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 import validation_oracle
 from category_strategies import generated_categories, small_monoids
+from fixture_corpus import (
+    bases,
+    catpresheaf_corpus,
+    constant_cat_presheaf,
+    dopf_corpus,
+    parallel_pair,
+    precompose_map_to_omega,
+    walking_arrow,
+)
 from tck import cat2, classifier, fincat, prestack, site
 from tck.classifier import (
     char,
@@ -27,22 +36,15 @@ from tck.classifier import (
     gamma_mod,
     j_forward,
     j_inverse,
-    precompose_map_to_omega,
 )
 from tck.corpus import (
-    bases,
-    catpresheaf_corpus,
-    constant_cat_presheaf,
-    dopf_corpus,
     dopf_from_set_functor,
     elements_category,
     hom_from,
     map_to_omega_from_set_functor,
-    parallel_pair,
     poset_category,
     presheaf_corpus,
     setfunctor_corpus,
-    walking_arrow,
 )
 from tck.errors import InvalidTable, TckError
 from tck.fincat import FinCat, SetPresheaf, postcompose, slice_cat
