@@ -11,17 +11,20 @@ only tests use live in tests/fixture_corpus.py.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
+from .classifier import MapToOmega, classify
 from .errors import InvalidTable
 from .fincat import (
     FinCat,
-    FinFunctor,
     FinSetFunctor,
     SetPresheaf,
     build_category,
     composition_table,
+    constant_presheaf,
 )
+from .prestack import certify_dopf_pre, elements_category
 
 
 # -- base categories ---------------------------------------------------------------
@@ -105,145 +108,71 @@ def _disjoint_sum(parts):
     return out
 
 
-sum_setfunctors = sum_presheaves = _disjoint_sum
+sum_presheaves = _disjoint_sum
+
+
+def _corpus(cat: FinCat, count: int, constant, hom, enough: float) -> list:
+    """At least ``count`` distinct functors of one variance, given its
+    constant functor and its representables: constants, representables,
+    sums of two representables until ``enough`` members exist, then sums
+    of a representable and a constant."""
+    out: list = []
+    seen = set()
+
+    def push(z) -> None:
+        key = repr((z.on_objects, sorted((f, tuple(sorted(t.items())))
+                                         for f, t in z.on_arrows.items())))
+        if key not in seen:
+            z.validate()
+            seen.add(key)
+            out.append(z)
+
+    push(constant(cat, []))
+    push(constant(cat, ["k0"]))
+    push(constant(cat, ["k0", "k1"]))
+    for x in cat.objects:
+        push(hom(cat, x, f"r{x}"))
+    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
+        push(_disjoint_sum([hom(cat, x, f"s{x}"), hom(cat, y, f"t{y}")]))
+        if len(out) >= enough:
+            break
+    if len(out) < count and not cat.objects:
+        raise InvalidTable(f"a category with no objects carries one functor of each "
+                           f"variance, not {count}")
+    i = 0
+    while len(out) < count:
+        push(_disjoint_sum([
+            hom(cat, cat.objects[i % len(cat.objects)], f"u{i}"),
+            constant(cat, [f"w{i}"]),
+        ]))
+        i += 1
+    return out
 
 
 def setfunctor_corpus(cat: FinCat, count: int) -> list[FinSetFunctor]:
     """At least ``count`` distinct covariant set-valued functors, fibres <= 3."""
-    out: list[FinSetFunctor] = []
-    seen = set()
-
-    def push(z: FinSetFunctor) -> None:
-        key = repr((z.on_objects, sorted((f, tuple(sorted(t.items())))
-                                         for f, t in z.on_arrows.items())))
-        if key not in seen:
-            z.validate()
-            seen.add(key)
-            out.append(z)
-
-    push(constant_setfunctor(cat, []))
-    push(constant_setfunctor(cat, ["k0"]))
-    push(constant_setfunctor(cat, ["k0", "k1"]))
-    for x in cat.objects:
-        push(hom_from(cat, x, f"r{x}"))
-    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
-        push(sum_setfunctors([hom_from(cat, x, f"s{x}"), hom_from(cat, y, f"t{y}")]))
-        if len(out) >= count and len(out) >= 6:
-            break
-    i = 0
-    while len(out) < count:
-        push(sum_setfunctors([
-            hom_from(cat, cat.objects[i % len(cat.objects)], f"u{i}"),
-            constant_setfunctor(cat, [f"w{i}"]),
-        ]))
-        i += 1
-    return out
+    return _corpus(cat, count, constant_setfunctor, hom_from, max(count, 6))
 
 
 def presheaf_corpus(cat: FinCat, count: int) -> list[SetPresheaf]:
     """At least ``count`` distinct presheaves, sections <= 4 per object."""
-    out: list[SetPresheaf] = []
-    seen = set()
-
-    def push(z: SetPresheaf) -> None:
-        key = repr((z.on_objects, sorted((f, tuple(sorted(t.items())))
-                                         for f, t in z.on_arrows.items())))
-        if key not in seen:
-            z.validate()
-            seen.add(key)
-            out.append(z)
-
-    from .fincat import constant_presheaf
-
-    push(constant_presheaf(cat, []))
-    push(constant_presheaf(cat, ["k0"]))
-    push(constant_presheaf(cat, ["k0", "k1"]))
-    for x in cat.objects:
-        push(hom_into(cat, x, f"r{x}"))
-    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
-        push(sum_presheaves([hom_into(cat, x, f"s{x}"), hom_into(cat, y, f"t{y}")]))
-    i = 0
-    while len(out) < count:
-        push(sum_presheaves([
-            hom_into(cat, cat.objects[i % len(cat.objects)], f"u{i}"),
-            constant_presheaf(cat, [f"w{i}"]),
-        ]))
-        i += 1
-    return out
+    return _corpus(cat, count, constant_presheaf, hom_into, math.inf)
 
 
-# -- opfibrations over a Cat-valued presheaf --------------------------------------------
-
-# fibre tables live on the category of elements of F, defined in prestack
-from .prestack import elements_category  # noqa: E402
+# -- opfibrations and maps into the classifier built from a set functor ---------------
 
 
 def dopf_from_set_functor(F, B: FinSetFunctor):
-    """Glue pointwise categories of elements into a certified opfibration over F.
+    """The certified opfibration over F with fibre B(<c|X>) over (c, X).
 
-    B is a covariant set functor on elements_category(F); the result has
-    fibre B(<c|X>) over (c, X).
+    B is a covariant set functor on elements_category(F); classify builds
+    the opfibration and certify_dopf_pre certifies each component.
     """
-    from . import cat2, prestack
-
-    base = F.base
-    el = elements_category(F)
-    if B.base != el:
-        raise InvalidTable("set functor does not live on elements_category(F)")
-
-    def vert(c: str, nu: str, x: str) -> str:
-        return f"<{base.id_of(c)}|{nu}|{x}>"
-
-    def restr(f: str, x: str) -> str:
-        d = base.dom(f)
-        fx = F.on_arrows[f].on_objects[x]
-        return f"<{f}|{F.on_objects[d].id_of(fx)}|{x}>"
-
-    comps = {}
-    totals = {}
-    for c in base.objects:
-        Fc = F.on_objects[c]
-        bc = FinSetFunctor(
-            Fc,
-            {x: B.on_objects[f"<{c}|{x}>"] for x in Fc.objects},
-            {nu: dict(B.on_arrows[vert(c, nu, Fc.dom(nu))]) for nu in Fc.arrows},
-        )
-        bc.validate()
-        totals[c] = cat2.elements_of(bc)
-        comps[c] = totals[c].p
-    on_arrows = {}
-    for f, (d, c) in base.arrows.items():
-        src, tgt = totals[c].total, totals[d].total
-        on_objects = {}
-        for o in src.objects:
-            x = comps[c].on_objects[o]
-            t = o[1 + len(x) + 1:-1]
-            on_objects[o] = f"({F.on_arrows[f].on_objects[x]},{B.on_arrows[restr(f, x)][t]})"
-        arr_map = {}
-        for name, (o1, _) in src.arrows.items():
-            nu = comps[c].on_arrows[name]
-            x = comps[c].on_objects[o1]
-            t = o1[1 + len(x) + 1:-1]
-            arr_map[name] = (
-                f"({F.on_arrows[f].on_arrows[nu]},{B.on_arrows[restr(f, x)][t]})"
-            )
-        fun = FinFunctor(src, tgt, on_objects, arr_map)
-        fun.validate()
-        on_arrows[f] = fun
-    G = prestack.CatPresheaf(base, {c: totals[c].total for c in base.objects}, on_arrows)
-    G.validate()
-    s = prestack.TwoNat(G, F, comps)
-    s.validate()
-    return prestack.certify_dopf_pre(s)
-
-
-# -- maps into the classifier -----------------------------------------------------------
+    return certify_dopf_pre(classify(map_to_omega_from_set_functor(F, B)).s)
 
 
 def map_to_omega_from_set_functor(F, B: FinSetFunctor):
     """The map into the classifier whose fibre functor is B, validated."""
-    from .classifier import MapToOmega
-
     if B.base != elements_category(F):
         raise InvalidTable("set functor does not live on elements_category(F)")
     z = MapToOmega(F.base, F, B)

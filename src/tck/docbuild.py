@@ -20,7 +20,6 @@ from .stacks import SheafDescentDatum
 class DocumentBuilder:
     def __init__(self):
         self.doc = Document()
-        self._cat_names: dict[int, str] = {}
         self._cat_by_value: list[tuple[FinCat, str]] = []
         self._fun_by_value: list[tuple[FinFunctor, str]] = []
 

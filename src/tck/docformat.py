@@ -459,6 +459,7 @@ class _Parser:
         object_refs: dict[str, str] = {}
         object_lines: dict[str, int] = {}
         iso_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
+        iso_lines: dict[tuple[str, str], int] = {}
         identity_isos = False
         for line, content, t in self.body():
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
@@ -469,6 +470,7 @@ class _Parser:
             elif t[0] == "iso" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
                 self.put(iso_tables.setdefault((t[1], t[2]), {}), t[4],
                          self._pairs(t[6:], line), line, content)
+                iso_lines.setdefault((t[1], t[2]), line)
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
             else:
@@ -495,6 +497,10 @@ class _Parser:
                     isos[(f, g)] = identity_presheaf_map(src)
                 else:
                     raise InvariantViolation(start, f"iso for ({f!r}, {g!r}) missing")
+        for key, line in iso_lines.items():
+            if key not in isos:
+                raise InvariantViolation(
+                    line, f"iso for {key!r} is no composable pair of sieve {header[10]}")
         datum = SheafDescentDatum(base, topo, s, objects, isos)
         self.doc.sheaf_descent_data[name] = (
             datum, header[4], header[6], header[10], object_refs
@@ -509,14 +515,18 @@ class _Parser:
         parts: dict[tuple[str, str], SetPresheaf] = {}
         part_refs: dict[tuple[str, str], str] = {}
         arrow_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
+        part_lines: dict[tuple[str, str], int] = {}
+        arrow_lines: dict[tuple[str, str], int] = {}
         for line, content, t in self.body():
             if t[0] == "part" and len(t) == 5 and t[3] == ":":
                 self.put(parts, (t[1], t[2]), ref(self.doc.setpresheaves, t[4], line)[0],
                          line, content)
                 part_refs[(t[1], t[2])] = t[4]
+                part_lines[(t[1], t[2])] = line
             elif t[0] == "arrowpart" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
                 self.put(arrow_tables.setdefault((t[1], t[2]), {}), t[4],
                          self._pairs(t[6:], line), line, content)
+                arrow_lines.setdefault((t[1], t[2]), line)
             else:
                 raise self.bad(line, content, "map_to_omega")
         object_part = {}
@@ -537,6 +547,12 @@ class _Parser:
                     arrow_part[(c, nu)] = identity_presheaf_map(src)
                 else:
                     raise InvariantViolation(start, f"arrowpart for ({c!r}, {nu!r}) missing")
+        for key, line in part_lines.items():
+            if key not in object_part:
+                raise InvariantViolation(line, f"part for {key!r} is no object of {header[3]}")
+        for key, line in arrow_lines.items():
+            if key not in arrow_part:
+                raise InvariantViolation(line, f"arrowpart for {key!r} is no arrow of {header[3]}")
         z = checked(start, map_from_parts, base, F, object_part, arrow_part)
         checked(start, z.validate)
         self.doc.maps_to_omega[name] = (z, header[3], part_refs)

@@ -7,6 +7,8 @@ at every key of the derived parts with the product-and-filter enumerator
 and filters by naturality in X and the reindexing axiom, and the
 comma-style construction builds the classified opfibration from enumerated
 maps out of the constant singleton rather than from the fibre formula.
+The hand-glued opfibration of a set functor on the category of elements
+spells the element and pair names itself rather than classifying.
 They are slow and meant for small inputs only.
 """
 
@@ -28,7 +30,13 @@ from tck.fincat import (
     reindex_slice_presheaf_map,
     slice_cat,
 )
-from tck.prestack import CatPresheaf, DiscOpfibPre, TwoNat, certify_dopf_pre
+from tck.prestack import (
+    CatPresheaf,
+    DiscOpfibPre,
+    TwoNat,
+    certify_dopf_pre,
+    elements_category,
+)
 
 
 def classify_via_hom_enumeration(z: MapToOmega,
@@ -98,6 +106,66 @@ def classify_via_hom_enumeration(z: MapToOmega,
         fun.validate()
         on_arrows[f] = fun
     G = CatPresheaf(site, {c: cats[c].total for c in site.objects}, on_arrows)
+    G.validate()
+    s = TwoNat(G, F, comps)
+    s.validate()
+    return certify_dopf_pre(s)
+
+
+def dopf_from_set_functor_by_hand(F, B: FinSetFunctor) -> DiscOpfibPre:
+    """Glue pointwise categories of elements into a certified opfibration over F.
+
+    B is a covariant set functor on elements_category(F); the result has
+    fibre B(<c|X>) over (c, X).  This is the hand-glued reference for
+    tck.corpus.dopf_from_set_functor, which classifies the map into the
+    classifier whose fibre functor is B: it spells the element names and
+    takes the pair names of cat2.elements_of apart itself.
+    """
+    base = F.base
+    el = elements_category(F)
+    if B.base != el:
+        raise InvalidTable("set functor does not live on elements_category(F)")
+
+    def vert(c: str, nu: str, x: str) -> str:
+        return f"<{base.id_of(c)}|{nu}|{x}>"
+
+    def restr(f: str, x: str) -> str:
+        d = base.dom(f)
+        fx = F.on_arrows[f].on_objects[x]
+        return f"<{f}|{F.on_objects[d].id_of(fx)}|{x}>"
+
+    comps = {}
+    totals = {}
+    for c in base.objects:
+        Fc = F.on_objects[c]
+        bc = FinSetFunctor(
+            Fc,
+            {x: B.on_objects[f"<{c}|{x}>"] for x in Fc.objects},
+            {nu: dict(B.on_arrows[vert(c, nu, Fc.dom(nu))]) for nu in Fc.arrows},
+        )
+        bc.validate()
+        totals[c] = cat2.elements_of(bc)
+        comps[c] = totals[c].p
+    on_arrows = {}
+    for f, (d, c) in base.arrows.items():
+        src, tgt = totals[c].total, totals[d].total
+        on_objects = {}
+        for o in src.objects:
+            x = comps[c].on_objects[o]
+            t = o[1 + len(x) + 1:-1]
+            on_objects[o] = f"({F.on_arrows[f].on_objects[x]},{B.on_arrows[restr(f, x)][t]})"
+        arr_map = {}
+        for name, (o1, _) in src.arrows.items():
+            nu = comps[c].on_arrows[name]
+            x = comps[c].on_objects[o1]
+            t = o1[1 + len(x) + 1:-1]
+            arr_map[name] = (
+                f"({F.on_arrows[f].on_arrows[nu]},{B.on_arrows[restr(f, x)][t]})"
+            )
+        fun = FinFunctor(src, tgt, on_objects, arr_map)
+        fun.validate()
+        on_arrows[f] = fun
+    G = CatPresheaf(base, {c: totals[c].total for c in base.objects}, on_arrows)
     G.validate()
     s = TwoNat(G, F, comps)
     s.validate()

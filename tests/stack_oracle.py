@@ -42,12 +42,20 @@ def is_cocycle(F, s, isos):
     (f.g, h) after F(h) of the iso at (f, g)."""
     base = F.base
     return all(F.on_objects[base.dom(g)].is_invertible(phi)
-               for (_, g), phi in isos.items()) and all(
-        isos[(f, base.compose(g, h))] == F.on_objects[base.dom(h)].compose(
-            isos[(base.compose(f, g), h)], F.on_arrows[h].on_arrows[isos[(f, g)]])
+               for (_, g), phi in isos.items()) and not cocycle_failures(F, s, isos)
+
+
+def cocycle_failures(F, s, isos):
+    """The (f, g, h) at which the cocycle equation of is_cocycle fails."""
+    base = F.base
+    return {
+        (f, g, h)
         for f in s.arrows
         for g in base.arrows_into(base.dom(f))
-        for h in base.arrows_into(base.dom(g)))
+        for h in base.arrows_into(base.dom(g))
+        if isos[(f, base.compose(g, h))] != F.on_objects[base.dom(h)].compose(
+            isos[(base.compose(f, g), h)], F.on_arrows[h].on_arrows[isos[(f, g)]])
+    }
 
 
 def object_gluings(d, bound=DEFAULT_BOUND):

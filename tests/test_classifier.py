@@ -1,6 +1,9 @@
 import functools
+import importlib.util
 import itertools
 import math
+import os
+import random
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -10,6 +13,7 @@ import classifier_oracle
 from classifier_oracle import classify_via_hom_enumeration
 from fixture_corpus import (
     bases,
+    catpresheaf_corpus,
     constant_cat_presheaf,
     dopf_corpus,
     map_to_omega_corpus,
@@ -39,6 +43,7 @@ from tck.classifier import (
 from tck.corpus import (
     dopf_from_set_functor,
     elements_category,
+    hom_from,
     map_to_omega_from_set_functor,
     poset_category,
     presheaf_corpus,
@@ -100,6 +105,54 @@ def test_classify_agrees_with_comma_style_construction():
         a = classify(z)
         b = classify_via_hom_enumeration(z)
         assert fib_iso(a, b) is not None
+
+
+def _bench_set_functors(seed: int):
+    """The (F, B) pairs classify-roundtrip builds its opfibrations from:
+    each chain site's representable at the top, and every relabelled
+    member of the set functor corpus on its elements, drawn as the
+    workload draws them."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "gen.py")
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(seed)
+    out = []
+    for n in range(3, 9):
+        cat = gen.chain_site(n)
+        F = representable(cat, cat.objects[-1])
+        el = elements_category(F)
+        bs = setfunctor_corpus(el, 12)
+        out += [(F, gen.relabel_setfunctor(B, rng)) for _, B in gen.draw(bs, rng)]
+        # the maps into the classifier and the Yoneda pool draw next
+        for _, B in gen.draw(bs, rng):
+            gen.relabel_setfunctor(B, rng)
+        for x in el.objects:
+            gen.relabel_setfunctor(hom_from(el, x, "r"), rng)
+    return out
+
+
+def _test_set_functors():
+    """Every fixture base with its Cat-valued corpus, the terminal presheaf
+    and each representable, times the set functor corpus on the elements."""
+    for base in bases().values():
+        Fs = catpresheaf_corpus(base, 6) + [terminal_presheaf(base)]
+        Fs += [representable(base, c) for c in base.objects]
+        for F in Fs:
+            el = elements_category(F)
+            if el.objects:
+                yield from ((F, B) for B in setfunctor_corpus(el, 8))
+
+
+def test_dopf_from_set_functor_matches_the_hand_glued_oracle():
+    # corpus classifies the map into the classifier whose fibre functor is
+    # B; the oracle glues the same opfibration by hand from element names
+    pairs = _bench_set_functors(701)
+    assert len(pairs) == 72
+    pairs += list(_test_set_functors())
+    for F, B in pairs:
+        assert repr(dopf_from_set_functor(F, B)) == \
+            repr(classifier_oracle.dopf_from_set_functor_by_hand(F, B))
 
 
 def test_classify_on_point_site_reduces_to_elements_of():

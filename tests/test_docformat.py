@@ -407,6 +407,28 @@ def test_map_to_omega_block_is_checked_at_its_start(old, new, detail):
     assert str(err.value) == f"line {err.value.line}: {detail}"
 
 
+@pytest.mark.parametrize("name, after, line, detail", [
+    ("WalkingArrow.site", "  part b id_b : z.part.b.id_b", "  part b nope : z.part.b.id_b",
+     "part for ('b', 'nope') is no object of RepB"),
+    ("WalkingArrow.site", "  part b id_b : z.part.b.id_b", "  arrowpart a bogus at id_a :",
+     "arrowpart for ('a', 'bogus') is no arrow of RepB"),
+    ("OpenSite.site", "  iso R_T R_R at R_R : k0 -> k0", "  iso T_T T_T at T_T : k0 -> k0",
+     "iso for ('T_T', 'T_T') is no composable pair of sieve SJoint"),
+], ids=["map-part", "map-arrowpart", "sheaf-descent-iso"])
+def test_a_line_keyed_outside_its_block_is_refused_at_that_line(name, after, line, detail):
+    # a part of a map into the classifier keyed by no element or vertical
+    # arrow of F, or an iso of a sheaf descent datum keyed by no composable
+    # pair of its sieve, was read and then never looked at
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(after + "\n") == 1
+    text = text.replace(after + "\n", f"{after}\n{line}\n")
+    with pytest.raises(InvariantViolation) as err:
+        parse(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+    assert str(err.value) == f"line {err.value.line}: {detail}"
+
+
 # Every block kind in one document that parses: the error table below edits
 # it, and each error must name the line marked "#<" (a comment to the parser).
 BLOCKS = """\
@@ -674,6 +696,10 @@ BLOCK_ERRORS = [
     ("sheaf-descent-missing-iso", InvariantViolation, None, "iso for ('u', 'id_a') missing",
      [("WA topology J at b sieve S\n", "WA topology J at b sieve S #<\n"),
       ("  object u : Za\n  identity-isos\n", "  object u : Za\n")]),
+    ("sheaf-descent-stray-iso", InvariantViolation, None,
+     "iso for ('id_b', 'id_b') is no composable pair of sieve S",
+     [("  object u : Za\n  identity-isos\n",
+       "  object u : Za\n  identity-isos\n  iso id_b id_b at id_b : x -> x #<\n")]),
     ("map_to_omega-header", ParseError, 1, "map_to_omega header: map_to_omega NAME over F",
      [("map_to_omega M over F\n", "map_to_omega M F #<\n")]),
     ("map_to_omega-dangling-presheaf", DanglingReference, None,
@@ -697,6 +723,12 @@ BLOCK_ERRORS = [
      "object_part at ('b', 'p') is not on slice(C, 'b')",
      [("map_to_omega M over F\n", "map_to_omega M over F #<\n"),
       ("  part b p : Pb\n", "  part b p : Pa\n")]),
+    ("map_to_omega-stray-part", InvariantViolation, None, "part for ('b', 'nope') is no object of F",
+     [("  part b p : Pb\n", "  part b p : Pb\n  part b nope : Pb #<\n")]),
+    ("map_to_omega-stray-arrowpart", InvariantViolation, None,
+     "arrowpart for ('a', 'bogus') is no arrow of F",
+     [("  arrowpart a id_p at id_a : p -> p\n",
+       "  arrowpart a id_p at id_a : p -> p\n  arrowpart a bogus at id_a : p -> p #<\n")]),
     ("category-header-token", ParseError, 13, "unexpected 'junk' in category header",
      [("category Pt\n", "category Pt junk #<\n")]),
     ("category-header-token-repeats-name", ParseError, 13, "unexpected 'Pt' in category header",

@@ -695,6 +695,20 @@ def test_poset_category_refuses_a_two_cycle():
         poset_category(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
 
 
+@pytest.mark.parametrize("name", ["setfunctor_corpus", "presheaf_corpus"])
+def test_corpora_on_the_category_with_no_objects_hold_its_one_functor(name):
+    # the elements of a Cat-valued presheaf with empty values form such a
+    # category; asking it for two functors cycled through no objects
+    from tck import corpus
+
+    build = getattr(corpus, name)
+    empty = build_category([], {}, {}, {})
+    assert len(build(empty, 1)) == 1
+    with pytest.raises(InvalidTable, match="^a category with no objects carries one "
+                                           "functor of each variance, not 2$"):
+        build(empty, 2)
+
+
 def test_searches_name_themselves_when_they_trip_the_bound():
     from tck.corpus import constant_setfunctor
 

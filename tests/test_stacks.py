@@ -29,6 +29,7 @@ from tck.fincat import (
     DEFAULT_BOUND,
     PresheafMap,
     SetPresheaf,
+    build_category,
     constant_presheaf,
     identity_presheaf_map,
     reindex_slice_presheaf,
@@ -147,6 +148,47 @@ def test_validate_descent_broken_iso_is_rejected():
     bad_isos[("L_T", "O_L")] = "id_y"
     bad = DescentDatum(F, JOINT, objects, bad_isos)
     assert not validate_descent(bad).ok
+
+
+def _z2_datum():
+    """The constant presheaf at the group Z/2 on the open site, with the
+    joint cover's object * everywhere and the identity iso at every pair."""
+    Z2 = build_category(["*"], {"e": ("*", "*"), "t": ("*", "*")}, {"*": "e"},
+                        {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"})
+    F = constant_cat_presheaf(OS, Z2)
+    objects = {f: "*" for f in JOINT.arrows}
+    isos = {(f, g): "e" for f in JOINT.arrows for g in OS.arrows_into(OS.dom(f))}
+    return F, objects, isos
+
+
+def test_validate_descent_reports_each_cocycle_failure_the_oracle_finds():
+    # t is typed and invertible, but at (L_T, L_L) the cocycle asks t = t.t
+    F, objects, isos = _z2_datum()
+    assert validate_descent(DescentDatum(F, JOINT, objects, isos)).ok
+    isos[("L_T", "L_L")] = "t"
+    assert all(F.on_objects[OS.dom(g)].is_invertible(phi) for (_, g), phi in isos.items())
+    rep = validate_descent(DescentDatum(F, JOINT, objects, isos))
+    assert not rep.ok and not stack_oracle.is_cocycle(F, JOINT, isos)
+    assert {ce[0] for ce in rep.counterexamples} == {"cocycle"}
+    assert {ce[1:] for ce in rep.counterexamples} == \
+        stack_oracle.cocycle_failures(F, JOINT, isos)
+    assert ("L_T", "L_L", "L_L") in {ce[1:] for ce in rep.counterexamples}
+
+
+@pytest.mark.parametrize("edit, counterexample", [
+    (lambda objects, isos: objects.pop("O_T"),
+     ("objects", "assignment keys differ from the sieve")),
+    (lambda objects, isos: objects.update(L_T="zz"), ("objects", "L_T", "zz")),
+    (lambda objects, isos: isos.pop(("R_T", "O_R")),
+     ("isos", "iso keys differ from composable pairs")),
+    (lambda objects, isos: isos.update({("L_T", "T_T"): "e"}),
+     ("isos", "iso keys differ from composable pairs")),
+], ids=["object-missing", "object-outside", "iso-missing", "iso-extra"])
+def test_validate_descent_names_the_key_or_object_it_refuses(edit, counterexample):
+    F, objects, isos = _z2_datum()
+    edit(objects, isos)
+    rep = validate_descent(DescentDatum(F, JOINT, objects, isos))
+    assert rep.verdict == "fail" and rep.counterexamples == [counterexample]
 
 
 def test_effectiveness_finds_global_object():
@@ -488,6 +530,32 @@ def test_local_pair_datum_is_valid():
     for n1, n2 in [(1, 1), (2, 1), (2, 3)]:
         d = local_pair_datum(n1, n2)
         assert validate_sheaf_descent(d).ok
+
+
+def _with(table, key, value):
+    out = dict(table)
+    out[key] = value
+    return out
+
+
+def test_validate_sheaf_descent_names_each_kind_of_broken_datum():
+    d = local_pair_datum(2, 3)
+    off_slice = SheafDescentDatum(OS, OSJ, JOINT, _with(d.objects, "L_T", d.objects["R_T"]),
+                                  d.isos)
+    assert validate_sheaf_descent(off_slice).counterexamples == [
+        ("objects", "L_T", "not on the expected slice")]
+    mistyped = SheafDescentDatum(OS, OSJ, JOINT, d.objects,
+                                 _with(d.isos, ("L_T", "L_L"), d.isos[("R_T", "R_R")]))
+    assert validate_sheaf_descent(mistyped).counterexamples == [
+        ("iso-typing", "L_T", "L_L")]
+    m = d.isos[("L_T", "L_L")]
+    unnatural = PresheafMap(m.source, m.target, _with(m.components, "L_L", {}))
+    with pytest.raises(InvalidTable) as err:
+        unnatural.validate()
+    broken = SheafDescentDatum(OS, OSJ, JOINT, d.objects,
+                               _with(d.isos, ("L_T", "L_L"), unnatural))
+    assert validate_sheaf_descent(broken).counterexamples == [
+        ("iso-naturality", "L_T", "L_L", str(err.value))]
 
 
 def test_gluing_presheaf_tables():
