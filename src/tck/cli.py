@@ -29,23 +29,41 @@ from .fincat import DEFAULT_BOUND
 from .report import BOUNDED_PASS, PASS, Report
 
 
-def _topologies_on(doc: docformat.Document, base_name: str):
-    """The (name, topology) pairs of the topologies on base_name, by name."""
-    return [(jname, topo) for jname, (topo, jbase) in sorted(doc.topologies.items())
-            if jbase == base_name]
-
-
-def _presheaf_topology_pairs(doc: docformat.Document):
-    """Pair each set-valued presheaf with every applicable topology
-    (slice-based presheaves get the induced slice topology)."""
+def _pairs(doc: docformat.Document, kind: str) -> list[tuple]:
+    """The (name, value, topology name, topology) pairs of each setpresheaf,
+    catpresheaf or two_nat of doc with each topology on its base, by name;
+    a setpresheaf on a slice gets the slice topology.  MissingSection when
+    there is no pair, so no command passes having checked nothing."""
     pairs = []
-    for zname in sorted(doc.setpresheaves):
-        Z, expr = doc.setpresheaves[zname]
-        for jname, topo in _topologies_on(doc, expr[1]):
-            if expr[0] == "slice":
-                topo = site_mod.slice_topology(topo, expr[2])
-            pairs.append((zname, Z, jname, topo))
+    topologies = sorted(doc.topologies.items())
+    for name, entry in sorted(getattr(doc, docformat._NAMESPACES[kind][0]).items()):
+        if kind == "setpresheaf":  # ("cat", BASE) or ("slice", BASE, OBJ)
+            expr = entry[1]
+        elif kind == "catpresheaf":
+            expr = ("cat", entry[1])
+        else:  # a two_nat lives on its target's base
+            expr = ("cat", doc.catpresheaves[entry[2]][1])
+        for jname, (topo, jbase) in topologies:
+            if jbase == expr[1]:
+                if expr[0] == "slice":
+                    topo = site_mod.slice_topology(topo, expr[2])
+                pairs.append((name, entry[0], jname, topo))
+    if not pairs:
+        raise MissingSection(f"{kind}/topology pair")
     return pairs
+
+
+def _attempt(kind: str, error: type, call, *args) -> tuple:
+    """(call(*args), None), or (None, (kind, message)) when it raises error."""
+    try:
+        return call(*args), None
+    except error as exc:
+        return None, (kind, str(exc))
+
+
+def _certify(nat) -> tuple:
+    """(nat's discrete opfibration, None), or (None, the refusal)."""
+    return _attempt("not-an-opfibration", NotOpfibrationAt, prestack.certify_dopf_pre, nat)
 
 
 def run(command: str, doc: docformat.Document,
@@ -60,35 +78,18 @@ def _cmd_validate(doc, bound):
     report = Report("validate")
     for name in sorted(doc.categories):
         doc.categories[name].validate()
-    for name in sorted(doc.functors):
-        doc.functors[name][0].validate()
-    for name in sorted(doc.setpresheaves):
-        doc.setpresheaves[name][0].validate()
-    for name in sorted(doc.catpresheaves):
-        doc.catpresheaves[name][0].validate()
-    for name in sorted(doc.two_nats):
-        doc.two_nats[name][0].validate()
+    for table in (doc.functors, doc.setpresheaves, doc.catpresheaves, doc.two_nats):
+        for name in sorted(table):
+            table[name][0].validate()
     for name in sorted(doc.descent_data):
-        rep = stacks.validate_descent(doc.descent_data[name][0])
-        rep.command = f"validate_descent {name}"
-        report.merge(rep)
+        report.merge(stacks.validate_descent(doc.descent_data[name][0]))
     for name in sorted(doc.sheaf_descent_data):
-        rep = stacks.validate_sheaf_descent(doc.sheaf_descent_data[name][0], bound)
-        rep.command = f"validate_sheaf_descent {name}"
-        report.merge(rep)
+        report.merge(stacks.validate_sheaf_descent(doc.sheaf_descent_data[name][0], bound))
     for name in sorted(doc.maps_to_omega):
         doc.maps_to_omega[name][0].validate()
-    counts = {
-        "categories": len(doc.categories),
-        "functors": len(doc.functors),
-        "setpresheaves": len(doc.setpresheaves),
-        "catpresheaves": len(doc.catpresheaves),
-        "two_nats": len(doc.two_nats),
-        "topologies": len(doc.topologies),
-        "sieves": len(doc.sieves),
-        "descent_data": len(doc.descent_data) + len(doc.sheaf_descent_data),
-        "maps_to_omega": len(doc.maps_to_omega),
-    }
+    # one count per block kind, over every table that holds its names
+    counts = {tables[0]: sum(len(getattr(doc, table)) for table in tables)
+              for tables in docformat._NAMESPACES.values()}
     report.note(("sections", sorted(counts.items())))
     return report, None
 
@@ -100,25 +101,20 @@ def _cmd_check_site(doc, bound):
     for name in sorted(doc.topologies):
         topo, _ = doc.topologies[name]
         rep = site_mod.validate_topology(topo)
-        for ce in rep.counterexamples:
-            report.fail((name,) + tuple(ce))
+        report.merge(rep, name)
         if not rep.ok:
             # the sheaf checks are defined only on a topology
             continue
         sub = site_mod.subcanonical_check(topo, bound)
-        for ce in sub.counterexamples:
-            report.fail((name, "subcanonical") + tuple(ce))
+        report.merge(sub, name, "subcanonical")
         if sub.ok:
             report.note((name, "valid-and-subcanonical"))
     return report, None
 
 
 def _cmd_check_sheaf(doc, bound):
-    pairs = _presheaf_topology_pairs(doc)
-    if not pairs:
-        raise MissingSection("setpresheaf/topology pair")
     report = Report("check-sheaf")
-    for zname, Z, jname, topo in pairs:
+    for zname, Z, jname, topo in _pairs(doc, "setpresheaf"):
         sheaf = site_mod.is_sheaf(Z, topo, bound)
         if sheaf.ok:
             report.note((zname, jname, "sheaf"))
@@ -131,12 +127,9 @@ def _cmd_check_sheaf(doc, bound):
 
 
 def _cmd_sheafify(doc, bound):
-    pairs = _presheaf_topology_pairs(doc)
-    if not pairs:
-        raise MissingSection("setpresheaf/topology pair")
     report = Report("sheafify")
-    out_doc = docformat.Document()
-    for zname, Z, jname, topo in pairs:
+    out = {}
+    for zname, Z, jname, topo in _pairs(doc, "setpresheaf"):
         sh = site_mod.sheafify(Z, topo, bound)
         check = site_mod.is_sheaf(sh.presheaf, topo, bound)
         if not check.ok:
@@ -144,33 +137,22 @@ def _cmd_sheafify(doc, bound):
             continue
         sizes = sorted((c, len(v)) for c, v in sh.presheaf.on_objects.items())
         report.note((zname, jname, "sections", sizes, "unit-iso", sh.unit.is_iso()))
-        out_doc.setpresheaves[f"{zname}.sheafified.{jname}"] = (
-            sh.presheaf, doc.setpresheaves[zname][1]
-        )
+        out[f"{zname}.sheafified.{jname}"] = (sh.presheaf, doc.setpresheaves[zname][1])
     # emit only the presheaf blocks; bases are referenced by name from input
     text = "\n".join(
         "\n".join(docformat._ser_setpresheaf(n, Z, expr))
-        for n, (Z, expr) in sorted(out_doc.setpresheaves.items())
+        for n, (Z, expr) in sorted(out.items())
     ) + "\n"
     return report, text
 
 
 def _cmd_check_stack(doc, bound):
-    checked = False
     report = Report("check-stack")
-    for fname in sorted(doc.catpresheaves):
-        F, base_name, _, _ = doc.catpresheaves[fname]
-        for jname, topo in _topologies_on(doc, base_name):
-            checked = True
-            rep = stacks.check_stack(F, topo, bound)
-            for ce in rep.counterexamples:
-                report.fail((fname, jname) + tuple(ce))
-            for what, b in rep.bounds.items():
-                report.bounded(f"{fname}/{jname}: {what}", b)
-            if rep.verdict == PASS:
-                report.note((fname, jname, "stack"))
-    if not checked:
-        raise MissingSection("catpresheaf/topology pair")
+    for fname, F, jname, topo in _pairs(doc, "catpresheaf"):
+        rep = stacks.check_stack(F, topo, bound)
+        report.merge(rep, fname, jname)
+        if rep.ok:
+            report.note((fname, jname, "stack"))
     return report, None
 
 
@@ -194,10 +176,9 @@ def _cmd_char(doc, bound):
     for name in sorted(doc.two_nats):
         nat, _, dstref, _ = doc.two_nats[name]
         base_name = doc.catpresheaves[dstref][1]
-        try:
-            phi = prestack.certify_dopf_pre(nat)
-        except NotOpfibrationAt as exc:
-            report.fail((name, "not-an-opfibration", str(exc)))
+        phi, refused = _certify(nat)
+        if refused:
+            report.fail((name, *refused))
             continue
         z = classifier.char(phi)
         for (c, x) in sorted(z.object_part):
@@ -216,25 +197,20 @@ def _cmd_char_stacks(doc, bound):
     if not doc.topologies:
         raise MissingSection("topology")
     report = Report("char-stacks")
-    for name in sorted(doc.two_nats):
-        nat, _, dstref, _ = doc.two_nats[name]
-        base_name = doc.catpresheaves[dstref][1]
-        for jname, topo in _topologies_on(doc, base_name):
-            try:
-                phi = prestack.certify_dopf_pre(nat)
-                zj = stacks.char_stacks(phi, topo, bound=bound)
-            except NotOpfibrationAt as exc:
-                report.fail((name, jname, "not-an-opfibration", str(exc)))
-                continue
-            except FactorizationFailed as exc:
-                report.fail((name, jname, "factorization-failed", str(exc)))
-                continue
-            back = classifier.classify(zj.underlying)
-            iso = prestack.fib_iso(back, phi, bound)
-            if iso is None:
-                report.fail((name, jname, "no-roundtrip-iso"))
-            else:
-                report.note((name, jname, "factors-and-roundtrips"))
+    certified = {}
+    for name, nat, jname, topo in _pairs(doc, "two_nat"):
+        if name not in certified:
+            certified[name] = _certify(nat)
+        phi, refused = certified[name]
+        if not refused:
+            zj, refused = _attempt("factorization-failed", FactorizationFailed,
+                                   stacks.char_stacks, phi, topo, bound)
+        if refused:
+            report.fail((name, jname, *refused))
+        elif prestack.fib_iso(classifier.classify(zj.underlying), phi, bound) is None:
+            report.fail((name, jname, "no-roundtrip-iso"))
+        else:
+            report.note((name, jname, "factors-and-roundtrips"))
     return report, None
 
 
@@ -243,25 +219,20 @@ def _cmd_roundtrip(doc, bound):
         raise MissingSection("two_nat or map_to_omega")
     report = Report("roundtrip")
     for name in sorted(doc.two_nats):
-        nat = doc.two_nats[name][0]
-        try:
-            phi = prestack.certify_dopf_pre(nat)
-            classifier.roundtrip_phi(phi, bound)
-        except NotOpfibrationAt as exc:
-            report.fail((name, "not-an-opfibration", str(exc)))
-            continue
-        except NoIsoFound as exc:
-            report.fail((name, "no-iso", str(exc)))
-            continue
-        report.note((name, "roundtrip-ok"))
+        phi, refused = _certify(doc.two_nats[name][0])
+        if not refused:
+            _, refused = _attempt("no-iso", NoIsoFound, classifier.roundtrip_phi, phi, bound)
+        if refused:
+            report.fail((name, *refused))
+        else:
+            report.note((name, "roundtrip-ok"))
     for name in sorted(doc.maps_to_omega):
-        z = doc.maps_to_omega[name][0]
-        try:
-            classifier.roundtrip_z(z, bound)
-        except NoIsoFound as exc:
-            report.fail((name, "no-iso", str(exc)))
-            continue
-        report.note((name, "roundtrip-ok"))
+        _, refused = _attempt("no-iso", NoIsoFound, classifier.roundtrip_z,
+                              doc.maps_to_omega[name][0], bound)
+        if refused:
+            report.fail((name, *refused))
+        else:
+            report.note((name, "roundtrip-ok"))
     return report, None
 
 
@@ -290,13 +261,7 @@ def _cmd_probe(doc, bound):
     report = Report("probe-omega-j")
     for name in sorted(doc.sheaf_descent_data):
         datum = doc.sheaf_descent_data[name][0]
-        rep = stacks.omega_J_probe([datum], bound)
-        for w in rep.witnesses:
-            report.note((name,) + tuple(w))
-        for ce in rep.counterexamples:
-            report.fail((name,) + tuple(ce))
-        for what, b in rep.bounds.items():
-            report.bounded(f"{name}: {what}", b)
+        report.merge(stacks.omega_J_probe([datum], bound), name)
     return report, None
 
 

@@ -108,9 +108,6 @@ def _disjoint_sum(parts):
     return out
 
 
-sum_presheaves = _disjoint_sum
-
-
 def _corpus(cat: FinCat, count: int, constant, hom, enough: float) -> list:
     """At least ``count`` distinct functors of one variance, given its
     constant functor and its representables: constants, representables,

@@ -41,14 +41,19 @@ class Report:
         self.bounds[what] = bound
         return self
 
-    def merge(self, other: "Report") -> "Report":
+    def merge(self, other: "Report", *prefix: str) -> "Report":
+        """Take in other's verdict, witnesses, counterexamples and bounds:
+        with a prefix (a, b), each witness and counterexample w becomes
+        (a, b, *w) and each bound is named "a/b: what"."""
         if other.verdict == FAIL:
             self.verdict = FAIL
         elif other.verdict == BOUNDED_PASS and self.verdict == PASS:
             self.verdict = BOUNDED_PASS
-        self.witnesses.extend(other.witnesses)
-        self.counterexamples.extend(other.counterexamples)
-        self.bounds.update(other.bounds)
+        tag = (lambda w: (*prefix, *w)) if prefix else (lambda w: w)
+        self.witnesses.extend(map(tag, other.witnesses))
+        self.counterexamples.extend(map(tag, other.counterexamples))
+        name = "/".join(prefix) + ": " if prefix else ""
+        self.bounds.update((name + what, b) for what, b in other.bounds.items())
         return self
 
     def to_dict(self) -> dict:

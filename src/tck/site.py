@@ -149,9 +149,10 @@ def _by_arrows(sieves: Iterable[Sieve]) -> list[Sieve]:
 
 def is_sieve(cat: FinCat, s: Sieve) -> bool:
     """A set of arrows into s.at is a sieve iff it holds the principal sieve
-    of each of its arrows; a set holding an unknown arrow is none."""
+    of each of its arrows; a set holding an unknown arrow, or at an unknown
+    object, is none."""
     principal = cat._principal
-    return s.arrows <= frozenset(cat.arrows_into(s.at)) and all(
+    return s.at in cat.identities and s.arrows <= frozenset(cat.arrows_into(s.at)) and all(
         principal[f] <= s.arrows for f in s.arrows
     )
 
@@ -214,8 +215,11 @@ class SievePlan:
 
 
 def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
-    """The plan of s; InvalidTable if s is no sieve on s.at: an unknown
-    arrow, an arrow into another object, or f.g outside s."""
+    """The plan of s; UnknownObject if s.at is no object of cat, and
+    InvalidTable if s is no sieve on s.at: an unknown arrow, an arrow into
+    another object, or f.g outside s."""
+    if s.at not in cat.identities:
+        raise UnknownObject(s.at)
     arrows = s.sorted_arrows()
     _known(cat, arrows)
     position = {f: i for i, f in enumerate(arrows)}
@@ -530,6 +534,7 @@ class MatchingFamily:
 
     @validates_once
     def validate(self) -> None:
+        self.presheaf.validate()  # check_family reads Z(g) at each value
         if set(self.assignment) != set(self.sieve.arrows):
             raise InvalidTable("matching family not defined on exactly the sieve")
         p = sieve_plan(self.presheaf.base, self.sieve)
@@ -602,7 +607,11 @@ def tally(items: Iterable[str], keys: Iterable[tuple]) -> dict[tuple, list[str]]
 
 
 def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
-    """All sections at the sieve's object restricting to the family."""
+    """All sections at the sieve's object restricting to the family;
+    InvalidTable if m is no matching family of Z on s."""
+    if m.sieve != s or m.presheaf != Z:
+        raise InvalidTable("matching family is on another sieve or presheaf")
+    m.validate()
     return [
         x
         for x in Z.on_objects[s.at]

@@ -34,9 +34,9 @@ from tck.classifier import (
     roundtrip_z,
 )
 from tck.corpus import (
+    _disjoint_sum,
     presheaf_corpus,
     setfunctor_corpus,
-    sum_presheaves,
     hom_into,
 )
 from tck.fincat import (
@@ -184,7 +184,7 @@ def test_criterion_03_classifier_over_representables():
 def _item4_presheaves(base):
     two = constant_presheaf(base, ["k0", "k1"])
     objs = sorted(base.objects)
-    mixed = sum_presheaves([hom_into(base, objs[0], "s"), hom_into(base, objs[-1], "t")])
+    mixed = _disjoint_sum([hom_into(base, objs[0], "s"), hom_into(base, objs[-1], "t")])
     return [
         discrete_presheaf(base, mixed),
         discrete_presheaf(base, two),

@@ -102,9 +102,10 @@ def _references(node, names, modules, top, mod) -> set:
 
 
 def _tck_graph() -> tuple[set, dict]:
-    """Every top-level def (function or class) of src/tck as (module,
-    name), and the references out of every top-level name: a def's body,
-    an assignment's value, or an import's source."""
+    """Every top-level def (function or class) and assigned name, dunders
+    aside, of src/tck as (module, name), and the references out of every
+    top-level name: a def's body, an assignment's value, or an import's
+    source."""
     defs, edges = set(), {}
     for path in sorted(glob.glob(os.path.join(TCK_DIR, "*.py"))):
         mod = os.path.splitext(os.path.basename(path))[0]
@@ -118,7 +119,10 @@ def _tck_graph() -> tuple[set, dict]:
                 defs.add((mod, node.name))
                 top[node.name] = node
             elif isinstance(node, ast.Assign):
-                top.update((t.id, node.value) for t in node.targets)
+                for t in node.targets:
+                    top[t.id] = node.value
+                    if not t.id.startswith("__"):
+                        defs.add((mod, t.id))
         for name, (src, attr) in names.items():
             edges.setdefault((mod, name), set()).add((src, attr))
         for name, node in top.items():
@@ -146,7 +150,7 @@ def _bench_roots() -> set:
 
 
 def test_every_top_level_def_in_src_tck_is_reached_from_a_command_a_public_name_or_bench():
-    # oracles and fixtures that only tests call live under tests/
+    # oracles, fixtures and aliases that only tests call live under tests/
     defs, edges = _tck_graph()
     roots = {("", name) for name in PUBLIC_NAMES}
     roots |= {("cli", "main"), ("cli", "_HANDLERS")} | _bench_roots()

@@ -472,6 +472,7 @@ def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(
 
 def test_check_sheaf_asks_separated_only_of_presheaves_that_are_no_sheaf(monkeypatch):
     from tck import cli, docformat, site
+    from tck.errors import MissingSection
 
     asked, failed = [], []
     is_sheaf, is_separated = site.is_sheaf, site.is_separated
@@ -487,9 +488,97 @@ def test_check_sheaf_asks_separated_only_of_presheaves_that_are_no_sheaf(monkeyp
                         is_separated(Z, j, bound))
     pairs = 0
     for path in CORPUS:
-        doc = docformat.parse_file(path)
-        if cli._presheaf_topology_pairs(doc):
-            pairs += len(cli._presheaf_topology_pairs(doc))
-            cli.run("check-sheaf", doc)
+        try:
+            report, _ = cli.run("check-sheaf", docformat.parse_file(path))
+        except MissingSection:  # no setpresheaf/topology pair
+            continue
+        # one witness or one counterexample per pair
+        pairs += len(report.witnesses) + len(report.counterexamples)
     assert failed and pairs > len(failed)
     assert asked == failed
+
+
+# the walking arrow over the point, collapsed onto the point: its object a
+# lifts id_* twice (id_a and u), so p is no discrete opfibration
+COLLAPSE_DOC = """
+category Pt
+  objects *
+  arrow id_* : * -> *
+  identity * : id_*
+  compose id_* id_* : id_*
+end
+
+category A
+  objects a b
+  arrow id_a : a -> a
+  arrow id_b : b -> b
+  arrow u : a -> b
+  identity a : id_a
+  identity b : id_b
+  compose id_a id_a : id_a
+  compose id_b id_b : id_b
+  compose id_b u : u
+  compose u id_a : u
+end
+
+functor collapse : A -> Pt
+  ob a : *
+  ob b : *
+  arr u : id_*
+end
+
+catpresheaf Tot on Pt
+  at * : A
+end
+
+catpresheaf One on Pt
+  at * : Pt
+end
+
+two_nat p : Tot -> One
+  at * : collapse
+end
+"""
+TOPOLOGY_ON_PT = "\ntopology {} on Pt raw\n  sieve * : id_*\nend\n"
+NOT_AN_OPFIBRATION = ("'not-an-opfibration', \"component at '*': object 'a' has 2 lifts"
+                      " of 'id_*' (need exactly 1)\"")
+
+
+@pytest.mark.parametrize("command, where", [
+    ("char", "'p'"), ("char-stacks", "'p', 'J'"), ("roundtrip", "'p'"),
+])
+def test_a_two_nat_that_is_no_opfibration_fails_each_command_that_certifies_it(
+        tmp_path, command, where):
+    path = tmp_path / "collapse.site"
+    path.write_text(COLLAPSE_DOC + TOPOLOGY_ON_PT.format("J"))
+    res = tck(command, str(path))
+    assert res.returncode == 1, (res.stdout, res.stderr)
+    assert res.stdout == (f"command: {command}\nverdict: fail\n"
+                          f"counterexample: ({where}, {NOT_AN_OPFIBRATION})\n")
+
+
+def test_char_stacks_certifies_each_two_nat_once_and_fails_it_at_each_topology(monkeypatch):
+    from tck import cli, docformat, prestack
+
+    calls = []
+    certify = prestack.certify_dopf_pre
+    monkeypatch.setattr(prestack, "certify_dopf_pre",
+                        lambda nat: calls.append(nat) or certify(nat))
+    doc = docformat.parse(COLLAPSE_DOC + TOPOLOGY_ON_PT.format("J")
+                          + TOPOLOGY_ON_PT.format("K"))
+    report, _ = cli.run("char-stacks", doc)
+    assert report.verdict == "fail"
+    assert [ce[:3] for ce in report.counterexamples] == [
+        ("p", "J", "not-an-opfibration"), ("p", "K", "not-an-opfibration")]
+    assert len(calls) == 1
+
+
+def test_char_stacks_with_no_two_nat_topology_pair_exits_three(tmp_path):
+    # the only topology lives on A, and p on Pt: nothing to check
+    path = tmp_path / "unpaired.site"
+    path.write_text(COLLAPSE_DOC + "\ntopology J on A raw\n  sieve a : id_a\n"
+                    "  sieve b : id_b u\nend\n")
+    for command, kind in (("char-stacks", "two_nat"), ("check-stack", "catpresheaf")):
+        res = tck(command, str(path))
+        assert res.returncode == 3, (command, res.stdout)
+        assert res.stderr == f"error: document has no {kind}/topology pair section to operate on\n"

@@ -31,7 +31,7 @@ from site_oracle import (
 from test_cli import BROKEN, CORPUS, child_env
 from tck import site
 from tck.corpus import poset_category, presheaf_corpus
-from tck.errors import AxiomViolation, InvalidTable, MixedCodomain
+from tck.errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
 from tck.fincat import (
     DEFAULT_BOUND,
     FinCat,
@@ -380,6 +380,44 @@ def test_matching_families_over_arrows_that_are_no_sieve_raise_invalid_table():
         matching_families(nonseparated_presheaf(), Sieve("L", into_t))
     with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
         matching_families(nonseparated_presheaf(), Sieve("T", frozenset({"L_T", "nope"})))
+
+
+def test_a_sieve_at_an_unknown_object_is_no_sieve():
+    # an empty family at 'nope' passes every check on its arrows
+    nowhere = Sieve("nope", frozenset())
+    assert not is_sieve(WA, nowhere)
+    with pytest.raises(UnknownObject, match="nope"):
+        site.sieve_plan(WA, nowhere)
+    with pytest.raises(UnknownObject, match="nope"):
+        matching_families(constant_presheaf(WA, "ab"), nowhere)
+
+
+def test_amalgamations_refuse_a_family_on_another_sieve_or_presheaf():
+    Z = constant_presheaf(WA, "ab")
+    on_b, on_none = maximal_sieve(WA, "b"), empty_sieve("b")
+    m = matching_families(Z, on_b)[0]
+    assert amalgamations(Z, on_b, m) == ["a"]
+    with pytest.raises(InvalidTable, match="another sieve or presheaf"):
+        amalgamations(Z, on_none, m)
+    with pytest.raises(InvalidTable, match="another sieve or presheaf"):
+        amalgamations(Z, on_b, matching_families(Z, on_none)[0])
+    with pytest.raises(InvalidTable, match="another sieve or presheaf"):
+        amalgamations(constant_presheaf(WA, "abc"), on_b, m)
+
+
+def test_amalgamations_refuse_an_assignment_that_is_no_matching_family():
+    Z = constant_presheaf(WA, "ab")
+    on_b = maximal_sieve(WA, "b")
+    with pytest.raises(InvalidTable, match="compatibility"):
+        amalgamations(Z, on_b, site.MatchingFamily(Z, on_b, {"id_b": "a", "u": "b"}))
+    with pytest.raises(InvalidTable, match="exactly the sieve"):
+        amalgamations(Z, on_b, site.MatchingFamily(Z, on_b, {"id_b": "a"}))
+    # u sends no section y of Z(b) to Z(a): Z is no presheaf
+    broken = SetPresheaf(WA, {"a": ("x",), "b": ("y",)},
+                         {"id_a": {"x": "x"}, "id_b": {"y": "y"}, "u": {}})
+    m = site.MatchingFamily(broken, on_b, {"id_b": "y", "u": "x"})
+    with pytest.raises(InvalidTable, match="action of 'u'"):
+        amalgamations(broken, on_b, m)
 
 
 def test_pullback_along_an_unknown_arrow_raises_invalid_table():
@@ -853,7 +891,8 @@ def test_maximal_plans_hold_the_identity():
     assert [c for c, p in OSJ.plan.covers.items() if p.maximal] == ["L", "R"]
     assert [c for c, p in powerset_site(2).plan.covers.items() if p.maximal] == ["p01", "p10"]
     assert site.sieve_plan(OS, empty_sieve("T")).maximal is False
-    assert site.sieve_plan(OS, Sieve("nowhere", frozenset())).maximal is False
+    with pytest.raises(UnknownObject, match="nowhere"):  # no object, so no identity
+        site.sieve_plan(OS, Sieve("nowhere", frozenset()))
 
 
 def test_transport_plus_iso_on_slices():

@@ -24,7 +24,7 @@ from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
 from tck import prestack, stacks
 from tck.classifier import char, classify
 from tck.corpus import poset_category, presheaf_corpus
-from tck.errors import FactorizationFailed, InvalidTable
+from tck.errors import FactorizationFailed, InvalidTable, UnknownObject
 from tck.fincat import (
     DEFAULT_BOUND,
     PresheafMap,
@@ -127,6 +127,17 @@ def test_validate_descent_over_an_unknown_arrow_raises_invalid_table():
     d = DescentDatum(F, Sieve("T", frozenset({"nope"})), {"nope": "x"}, {})
     with pytest.raises(InvalidTable, match="unknown arrow 'nope'"):
         validate_descent(d)
+
+
+def test_descent_over_a_sieve_at_an_unknown_object_raises_unknown_object():
+    from fixture_corpus import constant_cat_presheaf, walking_arrow
+
+    F = constant_cat_presheaf(walking_arrow(), walking_arrow())
+    d = DescentDatum(F, Sieve("nope", frozenset()), {}, {})
+    with pytest.raises(UnknownObject, match="nope"):
+        validate_descent(d)
+    with pytest.raises(UnknownObject, match="nope"):
+        effectiveness(d)
 
 
 def test_validate_descent_broken_iso_is_rejected():
