@@ -147,18 +147,15 @@ class FinCat:
         return tuple({k: tuple(v) for k, v in t.items()} for t in (hom, into, out))
 
     @cached_property
-    def _steps(self) -> tuple[dict, dict]:
-        """Per object, the non-identity arrows out of it with their codomains
-        and into it with their domains: what a choice there forces in a
-        covariant and in a contravariant map search."""
+    def _steps(self) -> dict[str, list[tuple[str, str]]]:
+        """Per object, the non-identity arrows out of it with their
+        codomains: what a choice there forces in a map search."""
         out: dict[str, list[tuple[str, str]]] = {c: [] for c in self.objects}
-        into: dict[str, list[tuple[str, str]]] = {c: [] for c in self.objects}
         for f in sorted(self.arrows):
             if not self.is_identity(f):
                 d, c = self.arrows[f]
                 out[d].append((f, c))
-                into[c].append((f, d))
-        return out, into
+        return out
 
     @cached_property
     def _slices(self) -> dict[str, tuple["FinCat", dict, dict]]:
@@ -628,18 +625,17 @@ def reindex_slice_presheaf_map(cat: FinCat, f: str, m: PresheafMap) -> PresheafM
 # -- natural maps by backtracking -------------------------------------------------
 
 
-def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
-                 bound: int, iso_only: bool, limit: int | None,
+def _search_maps(A, B, what: str, bound: int, iso_only: bool, limit: int | None,
                  ) -> list[dict[str, dict[str, str]]]:
     """Component tables of the natural maps A => B by element-wise backtracking.
 
-    ``step[c]`` lists the pairs (f, e) along which a choice at object c
-    forces one at e: choosing v as the image of x in A(c) forces B(f)(v)
-    as the image of A(f)(x) in A(e), whichever way f points; identities,
-    which force nothing, are left out.  Variables are visited in sorted
-    order, so the tables come in lexicographic order; the search stops
-    after the first ``limit`` tables when a limit is given, and the bound
-    caps the number of search nodes, counted under ``what``.
+    ``A.base._steps[c]`` lists the pairs (f, e) along which a choice at
+    object c forces one at e: choosing v as the image of x in A(c) forces
+    B(f)(v) as the image of A(f)(x) in A(e); identities, which force
+    nothing, are left out.  Variables are visited in sorted order, so the
+    tables come in lexicographic order; the search stops after the first
+    ``limit`` tables when a limit is given, and the bound caps the number
+    of search nodes, counted under ``what``.
 
     The search is iterative: one frame per chosen variable holds its index,
     the values left to try and the trail of what the current value forced,
@@ -647,6 +643,7 @@ def _search_maps(A, B, step: Mapping[str, Iterable[tuple[str, str]]], what: str,
     limit, and no closure keeps the search state in a reference cycle.
     """
     base = A.base
+    step = base._steps
     if iso_only and any(
         len(A.on_objects[c]) != len(B.on_objects[c]) for c in base.objects
     ):
@@ -736,23 +733,7 @@ def search_setfunctor_maps(A: FinSetFunctor, B: FinSetFunctor,
     if A.base != B.base:
         raise InvalidTable("set functor maps need a common base")
     return [SetFunctorMap(A, B, comps) for comps in _search_maps(
-        A, B, A.base._steps[0], what, bound, iso_only, limit)]
-
-
-def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf,
-                         bound: int = DEFAULT_BOUND,
-                         iso_only: bool = False,
-                         limit: int | None = None) -> list[PresheafMap]:
-    """Natural transformations Z => W by element-wise backtracking.
-
-    The contravariant twin of search_setfunctor_maps: choosing the image of
-    an element of Z(c) forces images along every arrow into c.  Results come
-    in lexicographic order.
-    """
-    if Z.base != W.base:
-        raise InvalidTable("presheaf maps need a common base")
-    return [PresheafMap(Z, W, comps) for comps in _search_maps(
-        Z, W, Z.base._steps[1], "search_presheaf_maps nodes", bound, iso_only, limit)]
+        A, B, what, bound, iso_only, limit)]
 
 
 # -- free categories on acyclic generators ---------------------------------------

@@ -1,10 +1,12 @@
 """Product-and-filter reference enumerations of maps.
 
-The library finds natural maps between set-valued functors, and fibred
-maps between opfibrations, by pruned backtracking (``search_presheaf_maps``,
-``search_setfunctor_maps``, ``prestack.fib_hom``).  The oracles here follow
-the definitions instead: they enumerate every family of component
-functions, or every fibrewise object map, and keep those that are natural.
+The library finds natural maps between set functors, and fibred maps
+between opfibrations, by pruned backtracking (``search_setfunctor_maps``,
+``prestack.fib_hom``); ``search_presheaf_maps`` here runs the first of
+these on the opposite base, for the tests that search presheaf maps.  The
+other oracles here follow the definitions instead: they enumerate every
+family of component functions, or every fibrewise object map, and keep
+those that are natural.
 The functor, natural-transformation, 2-natural and modification
 enumerators assign every object and arrow and keep the assignments that are
 functorial or natural.  The comma checker enumerates test cones out of
@@ -29,7 +31,9 @@ from tck.fincat import (
     compose_functors,
     free_category,
     guard,
+    opposite,
     point_category,
+    search_setfunctor_maps,
 )
 from tck.prestack import CatPresheaf, Modification, TwoNat
 
@@ -113,6 +117,21 @@ def setfunctor_iso(A: FinSetFunctor, B: FinSetFunctor,
         if m.is_iso():
             return m
     return None
+
+
+def search_presheaf_maps(Z: SetPresheaf, W: SetPresheaf, bound: int = DEFAULT_BOUND,
+                         iso_only: bool = False, limit: int | None = None) -> list[PresheafMap]:
+    """Natural transformations Z => W by tck's backtracking search, in
+    lexicographic order: a presheaf on C is a set functor on C^op, whose
+    search forces images along the arrows of C^op out of an object, which
+    are the arrows of C into it."""
+    if Z.base != W.base:
+        raise InvalidTable("presheaf maps need a common base")
+    op = opposite(Z.base)
+    A, B = (FinSetFunctor(op, X.on_objects, X.on_arrows) for X in (Z, W))
+    return [PresheafMap(Z, W, m.components)
+            for m in search_setfunctor_maps(A, B, bound, iso_only, limit,
+                                            what="search_presheaf_maps nodes")]
 
 
 # -- morphisms of opfibrations over a fixed base ---------------------------------

@@ -1,18 +1,29 @@
 """Reference implementations of the stack conditions and of sheaf gluing.
 
 ``tck.stacks.check_stack`` decides the three gluing conditions on the
-least cover M_c at each object.  The oracle here follows the definition
-instead: it checks them on every covering sieve in ``j.covers[c]``, over
-descent data filtered from every arrow family, and looks for the gluing
-of each datum among every object and arrow family; invertibility and the
-cocycle and compatibility conditions are checked by composing arrows in
-the base.  It calls none of ``tck.stacks``' checks and is slow, meant for
-small sites only.
+least cover M_c at each object.  ``check_stack`` here follows the
+definition instead: it checks them on every covering sieve in
+``j.covers[c]``, over descent data filtered from every arrow family, and
+looks for the gluing of each datum among every object and arrow family;
+invertibility and the cocycle and compatibility conditions are checked by
+composing arrows in the base.  It calls none of ``tck.stacks``' checks
+and is slow, meant for small sites only.
+
+``tck.stacks.char_stacks`` checks only the codomain F of an opfibration
+E -> F to be a stack, and leaves E to the factorization of its
+characteristic morphism through Ω_J.  ``char_stacks`` here checks both
+endpoints with ``tck.stacks.check_stack`` before it factors.
 
 ``tck.stacks.construct_effectiveness`` reads the compatibility isos of a
 glued sheaf descent datum off the sheafification unit.  The oracle here
 assembles them the long way, through the plus construction's functorial
 action and its transport along slice reindexing.
+
+``tck.stacks.omega_J_probe`` decides morphism gluing on a glued sheaf M by
+checking that M is a sheaf.  ``glue_sheaf_morphisms`` here glues a
+compatible family of maps by matching-family transport instead, and
+``endomorphisms_glue_back`` checks, on every endomorphism of M, that its
+restrictions to the sieve glue back to it.
 """
 
 import itertools
@@ -20,21 +31,42 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from tck.errors import SizeBound
+from map_oracle import search_presheaf_maps
+from tck import stacks
+from tck.classifier import char
+from tck.errors import FactorizationFailed, InvalidTable, SizeBound
 from tck.fincat import (
     DEFAULT_BOUND,
+    FinCat,
     PresheafMap,
     SetPresheaf,
     compose_presheaf_maps,
     guard,
     invert_presheaf_map,
     reindex_slice_presheaf,
+    reindex_slice_presheaf_map,
     slice_arrow_name,
     slice_cat,
 )
-from tck.report import Report
-from tck.site import Sieve, matching_families, plus, sheafify, slice_topology
-from tck.stacks import DescentDatum, build_gluing_presheaf
+from tck.report import BOUNDED_PASS, FAIL, Report
+from tck.site import (
+    Sieve,
+    check_family,
+    matching_families,
+    plus,
+    pullback_sieve,
+    restrictions,
+    sheafify,
+    sieve_plan,
+    slice_topology,
+    tally,
+)
+from tck.stacks import (
+    DescentDatum,
+    build_gluing_presheaf,
+    construct_effectiveness,
+    ell_factors,
+)
 
 
 def is_cocycle(F, s, isos):
@@ -177,6 +209,76 @@ def check_stack(F, j, bound=DEFAULT_BOUND):
                     report.fail(("i", c, s.sorted_arrows(),
                                  tuple(sorted(datum.objects.items()))))
     return report
+
+
+# -- the characteristic morphism of an opfibration between stacks ------------------
+
+
+def char_stacks(phi, j, bound=DEFAULT_BOUND):
+    """``tck.stacks.char_stacks`` with both endpoints checked: the total E
+    and then the codomain F must be stacks before char(phi) is factored
+    through Ω_J.  An endpoint whose check only passed up to the bound
+    raises SizeBound naming the first stratum that tripped it."""
+    for F in (phi.total, phi.codomain):
+        rep = stacks.check_stack(F, j, bound)
+        if rep.verdict == FAIL:
+            raise FactorizationFailed(("endpoint-not-a-stack", rep.counterexamples[:1]))
+        if rep.verdict == BOUNDED_PASS:
+            what, stratum_bound = next(iter(rep.bounds.items()))
+            raise SizeBound(what, None, stratum_bound)
+    result = ell_factors(char(phi), j, bound)
+    if not result.ok:
+        raise FactorizationFailed(result.witness)
+    return result.certified
+
+
+# -- gluing maps between sheaves on a slice ------------------------------------------
+
+
+def glue_sheaf_morphisms(base: FinCat, s: Sieve, M: SetPresheaf, N: SetPresheaf,
+                         alpha: Mapping[str, PresheafMap]) -> PresheafMap:
+    """Glue a compatible family alpha_f: f*M -> f*N to a map M -> N via
+    matching-family transport; M and N are sheaves on slice(C, at).  At
+    each slice object g the sieve g*S is lifted and compiled once, each
+    section x of M(g) is carried to the family alpha_{g.h}(M(h)(x)) over
+    it, and the one section of N(g) restricting to that family is found
+    in one tally of N's restrictions."""
+    c = s.at
+    sl, _ = slice_cat(base, c)
+    comps: dict[str, dict[str, str]] = {}
+    for g in sl.objects:
+        lifted = {slice_arrow_name(h, g): h for h in pullback_sieve(base, g, s).arrows}
+        p = sieve_plan(N.base, Sieve(g, frozenset(lifted)))
+        # in p.arrows order: M(h) then alpha at g.h, for each lifted arrow h > g
+        steps = [(M.on_arrows[a], alpha[base.compose(g, h)].components[base.id_of(base.dom(h))])
+                 for a, h in sorted(lifted.items())]
+        by_family = tally(N.on_objects[g], restrictions(N, p, g))
+        table = {}
+        for x in M.on_objects[g]:
+            t = tuple(step[restrict[x]] for restrict, step in steps)
+            check_family(N, p, t)
+            ams = by_family.get(t, [])
+            if len(ams) != 1:
+                raise InvalidTable(f"gluing at {g!r} is not unique: {len(ams)} candidates")
+            table[x] = ams[0]
+        comps[g] = table
+    lam = PresheafMap(M, N, comps)
+    lam.validate()
+    return lam
+
+
+def endomorphisms_glue_back(d, bound=DEFAULT_BOUND):
+    """Glue the sheaf descent datum d to M, and check that every
+    endomorphism of M, restricted along each arrow of d's sieve, glues
+    back to itself; returns how many endomorphisms were checked.  M is a
+    sheaf, so Hom(-, M) is one and each such family glues, uniquely: the
+    fact ``tck.stacks.omega_J_probe`` reads off the sheaf check of M."""
+    M, _ = construct_effectiveness(d, bound)
+    lams = search_presheaf_maps(M, M, bound)
+    for lam in lams:
+        alpha = {f: reindex_slice_presheaf_map(d.site, f, lam) for f in d.sieve.sorted_arrows()}
+        assert glue_sheaf_morphisms(d.site, d.sieve, M, M, alpha) == lam, lam.components
+    return len(lams)
 
 
 # -- the double-plus route to the effectiveness isos -------------------------------

@@ -23,7 +23,7 @@ from fixture_corpus import (
     terminal_presheaf,
     walking_arrow,
 )
-from map_oracle import enumerate_presheaf_maps, fib_iso_cat, presheaf_iso
+from map_oracle import enumerate_presheaf_maps, fib_iso_cat, presheaf_iso, search_presheaf_maps
 from tck import cat2, classifier, fincat, prestack
 from tck.classifier import (
     MapToOmega,
@@ -400,7 +400,7 @@ def test_searches_leave_no_reference_cycles():
         for z1, z2 in itertools.product(zs, repeat=2):
             ff_check(z1, z2)
         for Z, W in itertools.product(sections, repeat=2):
-            fincat.search_presheaf_maps(Z, W)
+            search_presheaf_maps(Z, W)
         gc.collect()
         cyclic = sorted({f"{o.__module__}.{o.__qualname__}" for o in gc.garbage[saved:]
                          if isinstance(o, types.FunctionType)
@@ -668,7 +668,7 @@ def test_omega_search_leaves_reject_maps_unnatural_in_x():
             assert component_tables(mods) == \
                 component_tables(classifier_oracle.enumerate_omega_modifications(z, w))
             consistent = math.prod(
-                len(fincat.search_presheaf_maps(z.object_part[key], w.object_part[key]))
+                len(search_presheaf_maps(z.object_part[key], w.object_part[key]))
                 for key in z.object_part
             )
             unnatural += consistent - len(mods)
@@ -792,12 +792,13 @@ MAP_ORACLES = ("enumerate_presheaf_maps", "presheaf_iso", "enumerate_setfunctor_
                "setfunctor_iso", "_enumerate_component_maps", "fib_hom_cat",
                "fib_iso_cat", "check_comma_universal", "enumerate_functors",
                "enumerate_nats", "natural_iso", "enumerate_two_nats",
-               "enumerate_modifications")
+               "enumerate_modifications", "search_presheaf_maps")
 
 
 def test_ff_check_and_roundtrip_never_enumerate_presheaf_maps():
-    # the product-and-filter enumerators live in tests/map_oracle.py: no tck
-    # module defines, imports or names them, so no search can fall back on them
+    # the product-and-filter enumerators and the presheaf-map search live in
+    # tests/map_oracle.py: no tck module defines, imports or names them, so
+    # no search can fall back on them
     import importlib
     import pathlib
     import re

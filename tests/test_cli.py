@@ -453,7 +453,7 @@ def test_check_stack_notes_no_stack_witness_on_bounded_pass(tmp_path):
     assert "witness" not in res.stdout
 
 
-def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(tmp_path):
+def test_probe_omega_j_is_undecided_when_a_datum_hits_the_bound(tmp_path):
     from tck import docformat
     from fixture_corpus import open_site
     from tck.docbuild import DocumentBuilder
@@ -465,9 +465,9 @@ def test_probe_omega_j_is_undecided_when_the_endomorphism_search_hits_the_bound(
     path = tmp_path / "pair.site"
     path.write_text(docformat.serialize(b.doc))
     assert tck("probe-omega-j", str(path)).returncode == 0
-    res = tck("probe-omega-j", str(path), "--bound", "100", "--json")
+    res = tck("probe-omega-j", str(path), "--bound", "8", "--json")
     assert res.returncode == 2, res.stdout
-    assert json.loads(res.stdout)["bounds"] == {"D: morphism-gluing at datum 0": 100}
+    assert json.loads(res.stdout)["bounds"] == {"D: datum 0: matching_families": 8}
 
 
 def test_check_sheaf_asks_separated_only_of_presheaves_that_are_no_sheaf(monkeypatch):

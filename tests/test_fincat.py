@@ -12,6 +12,7 @@ from map_oracle import (
     enumerate_presheaf_maps,
     natural_iso,
     presheaf_iso,
+    search_presheaf_maps,
 )
 from test_cli import child_env
 from tck import fincat
@@ -575,7 +576,7 @@ def test_postcomposition_tables_reindex_as_the_definition():
             zs = presheaf_corpus(sl_c, 3)
             for Z in zs:
                 assert fincat.reindex_slice_presheaf(cat, f, Z) == _old_reindex(cat, f, Z)
-            for m in fincat.search_presheaf_maps(zs[0], zs[-1]):
+            for m in search_presheaf_maps(zs[0], zs[-1]):
                 old = {g: m.components[cat.compose(f, g)] for g in sl_d.objects}
                 assert fincat.reindex_slice_presheaf_map(cat, f, m).components == old
 
@@ -594,11 +595,11 @@ def _presheaf_pairs():
 def test_search_presheaf_maps_lists_the_product_filter_maps_in_order():
     for Z, W in _presheaf_pairs():
         brute = enumerate_presheaf_maps(Z, W)
-        assert [m.components for m in fincat.search_presheaf_maps(Z, W)] == \
+        assert [m.components for m in search_presheaf_maps(Z, W)] == \
             [m.components for m in brute]
         isos = [m.components for m in brute if m.is_iso()]
-        assert [m.components for m in fincat.search_presheaf_maps(Z, W, iso_only=True)] == isos
-        first = fincat.search_presheaf_maps(Z, W, iso_only=True, limit=1)
+        assert [m.components for m in search_presheaf_maps(Z, W, iso_only=True)] == isos
+        first = search_presheaf_maps(Z, W, iso_only=True, limit=1)
         iso = presheaf_iso(Z, W)
         assert (first[0].components if first else None) == \
             (iso.components if iso is not None else None)
@@ -714,7 +715,7 @@ def test_searches_name_themselves_when_they_trip_the_bound():
 
     Z = fincat.constant_presheaf(WA, ["0", "1"])
     with pytest.raises(SizeBound) as exc:
-        fincat.search_presheaf_maps(Z, Z, bound=1)
+        search_presheaf_maps(Z, Z, bound=1)
     assert exc.value.what == "search_presheaf_maps nodes"
     A = constant_setfunctor(WA, ["0", "1"])
     with pytest.raises(SizeBound) as exc:
@@ -731,7 +732,7 @@ def test_search_runs_deeper_than_the_recursion_limit():
     (m,) = fincat.search_setfunctor_maps(A, A, limit=1)
     assert m.components == {"*": dict.fromkeys(elems, elems[0])}
     Z = fincat.SetPresheaf(PT, A.on_objects, A.on_arrows)
-    (m,) = fincat.search_presheaf_maps(Z, Z, limit=1)
+    (m,) = search_presheaf_maps(Z, Z, limit=1)
     assert m.components == {"*": dict.fromkeys(elems, elems[0])}
 
 

@@ -11,6 +11,7 @@ from fixture_corpus import (
     bases,
     catpresheaf_corpus,
     constant_cat_presheaf,
+    dopf_corpus,
     induced_sheaf_descent_datum,
     nonseparated_presheaf,
     open_site,
@@ -24,7 +25,7 @@ from map_oracle import enumerate_presheaf_maps, enumerate_two_nats, presheaf_iso
 from tck import prestack, stacks
 from tck.classifier import char, classify
 from tck.corpus import poset_category, presheaf_corpus
-from tck.errors import FactorizationFailed, InvalidTable, UnknownObject
+from tck.errors import FactorizationFailed, InvalidTable, SizeBound, UnknownObject
 from tck.fincat import (
     DEFAULT_BOUND,
     PresheafMap,
@@ -66,7 +67,6 @@ from tck.stacks import (
     construct_effectiveness,
     effectiveness,
     ell_factors,
-    glue_sheaf_morphisms,
     omega_J_probe,
     validate_descent,
     validate_sheaf_descent,
@@ -616,23 +616,31 @@ def test_omega_J_probe_full_report():
     assert rep.ok, rep.counterexamples
 
 
-def test_omega_J_probe_reports_bounded_when_the_endomorphism_search_trips():
-    # the probe searches for the first 4 endomorphisms of the glued sheaf:
-    # for local_pair_datum(3, 3) that search trips at bound 100, and the
-    # probe must not pass silently
-    rep = omega_J_probe([local_pair_datum(3, 3)], bound=100)
+def test_omega_J_probe_reports_a_bound_under_its_datum_whichever_stage_trips():
+    # sheafifying the gluing presheaf of local_pair_datum(3, 3) enumerates
+    # matching families, which trips at bound 8: the probe reports that
+    # under the datum instead of raising, and at bound 9 every stage fits
+    rep = omega_J_probe([local_pair_datum(3, 3)], bound=8)
     assert rep.verdict == "bounded-pass"
-    assert rep.bounds == {"morphism-gluing at datum 0": 100}
-    rep = omega_J_probe([local_pair_datum(3, 3)])
+    assert rep.bounds == {"datum 0: matching_families": 8}
+    rep = omega_J_probe([local_pair_datum(3, 3)], bound=9)
     assert rep.verdict == "pass" and not rep.bounds
 
 
-def test_omega_J_probe_searches_only_the_endomorphisms_it_checks():
-    # the glued sheaf of local_pair_datum(3, 3) has 729 endomorphisms, whose
-    # full search visits some 60k nodes; the probe checks 4 of them, and
-    # finding those 4 fits well within bound 1000
-    rep = omega_J_probe([local_pair_datum(3, 3)], bound=1000)
-    assert rep.verdict == "pass" and not rep.bounds
+def test_omega_J_probe_fails_a_glued_presheaf_that_is_no_sheaf(monkeypatch):
+    # a sheafify that hands back the gluing presheaf Z with the identity as
+    # its unit: the witness squares still hold, but Z is empty at T_T, so
+    # the one matching family of local_pair_datum(1, 1) on the joint cover
+    # has no amalgamation
+    from dataclasses import replace
+
+    sheafify = stacks.sheafify
+    monkeypatch.setattr(stacks, "sheafify", lambda Z, j, bound: replace(
+        sheafify(Z, j, bound), presheaf=Z, unit=identity_presheaf_map(Z)))
+    rep = omega_J_probe([local_pair_datum(1, 1)])
+    assert rep.verdict == "fail"
+    (kind, idx, (c, arrows, family, n)), = rep.counterexamples
+    assert (kind, idx, c, n) == ("glued-not-a-sheaf", 0, "T_T", 0)
 
 
 def test_omega_J_probe_vacuous_on_empty_sieve():
@@ -649,7 +657,7 @@ def test_glue_sheaf_morphisms_recovers_global_map():
 
     for lam0 in enumerate_presheaf_maps(M, M)[:5]:
         alpha = {f: reindex_slice_presheaf_map(OS, f, lam0) for f in JOINT.arrows}
-        lam = glue_sheaf_morphisms(OS, JOINT, M, M, alpha)
+        lam = stack_oracle.glue_sheaf_morphisms(OS, JOINT, M, M, alpha)
         assert lam == lam0
 
 
@@ -670,7 +678,7 @@ def test_glue_sheaf_morphisms_names_what_does_not_glue():
                                      reindex_slice_presheaf(P, "id_*", N),
                                      {"id_*": {"x": value}})}
         with pytest.raises(InvalidTable) as exc:
-            glue_sheaf_morphisms(P, maximal_sieve(P, "*"), M, N, alpha)
+            stack_oracle.glue_sheaf_morphisms(P, maximal_sieve(P, "*"), M, N, alpha)
         return str(exc.value)
 
     assert glue(good, "w") == "value at 'id_*>id_*' outside the presheaf"
@@ -919,6 +927,25 @@ def test_omega_J_probe_on_overlapping_cover():
     assert rep.ok, rep.counterexamples
 
 
+def open_site_induced_datum():
+    from tck.docformat import parse_file
+
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "OpenSite.site")
+    return parse_file(path).sheaf_descent_data["DInduced"][0]
+
+
+def test_every_endomorphism_of_a_glued_sheaf_glues_back_from_its_restrictions():
+    # the fact the probe reads off the sheaf check of the glued M: Hom(-, M)
+    # is a sheaf, so the restrictions of each endomorphism glue back to it
+    data = ([local_pair_datum(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3)]
+            + [open_site_induced_datum()]
+            + [overlap_datum(twist, r_down)
+               for twist in (False, True) for r_down in (None, {"n0": "x0", "n1": "x0"})])
+    assert omega_J_probe(data).ok
+    assert [stack_oracle.endomorphisms_glue_back(d) for d in data] == \
+        [1, 4, 27, 4, 16, 108, 27, 108, 729, 1, 4, 8, 4, 8]
+
+
 def test_char_stacks_pipeline_on_square_site():
     # discrete stacks from glued sheaves on the square site: char factors
     # through sheaf values and classify recovers the opfibration
@@ -996,13 +1023,10 @@ def test_a_bounded_check_stack_is_not_ok():
 
 
 def test_a_bounded_omega_j_probe_is_not_ok():
-    # the endomorphism search on the glued sheaf trips at bound 1
-    from tck.docformat import parse_file
-
-    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "OpenSite.site")
-    datum = parse_file(path).sheaf_descent_data["DInduced"][0]
-    rep = omega_J_probe([datum], bound=1)
-    assert (rep.verdict, rep.bounds) == ("bounded-pass", {"morphism-gluing at datum 0": 1})
+    # at bound 0 validating the datum, which checks that each M_f is a
+    # sheaf, trips on its first matching-family enumeration
+    rep = omega_J_probe([open_site_induced_datum()], bound=0)
+    assert (rep.verdict, rep.bounds) == ("bounded-pass", {"datum 0: matching_families": 0})
     assert not rep.ok
 
 
@@ -1297,3 +1321,64 @@ def test_only_descent_checks_build_the_cocycle_index_once_per_plan(monkeypatch):
         assert validate_sheaf_descent(local_pair_datum(n1, n2)).ok
     assert built
     assert len({id(p) for p in built}) == len(built)
+
+
+# -- char_stacks checks the codomain only ------------------------------------------------
+
+
+def largest_top_fibre(F, top):
+    """The member of dopf_corpus(F, 4) with the largest fibre over top."""
+    return max(dopf_corpus(F, 4),
+               key=lambda phi: max(len(phi.fibre(top, x)) for x in F.on_objects[top].objects))
+
+
+def test_char_stacks_agrees_with_the_two_endpoint_oracle():
+    # over a stack F, the total E of phi is a stack iff char(phi) factors
+    # through Ω_J, so checking F alone decides what checking both did
+    _, sq_topo = square_site()
+    values = [walking_iso(), walking_arrow(), idempotent(), flip()]
+    checked = cat_valued = failing = 0
+    for j in [OSJ, sq_topo] + [chain_with_a_lower_cover(n) for n in (3, 4, 5)]:
+        presheaves = [constant_cat_presheaf(j.base, K) for K in values]
+        for F in presheaves + catpresheaf_corpus(j.base, 6):
+            if not check_stack(F, j).ok or not any(Fc.objects for Fc in F.on_objects.values()):
+                continue
+            for phi in dopf_corpus(F, 8):
+                outcomes = []
+                for run in (char_stacks, stack_oracle.char_stacks):
+                    try:
+                        outcomes.append(run(phi, j))
+                    except FactorizationFailed:
+                        outcomes.append(FactorizationFailed)
+                assert outcomes[0] == outcomes[1], (j.minimal, phi.total.on_objects)
+                checked += 1
+                cat_valued += any(len(Ec.arrows) != len(Ec.objects)
+                                  for Ec in phi.total.on_objects.values())
+                failing += outcomes[0] is FactorizationFailed
+    assert (checked, cat_valued, failing) == (392, 169, 54)
+
+
+def test_char_stacks_decides_a_total_whose_own_stack_check_would_bound():
+    # the two-endpoint check trips on E's descent data at bound 8, while F,
+    # the constant walking iso, is a stack within that bound
+    j = chain_with_a_lower_cover(4)
+    F = constant_cat_presheaf(j.base, walking_iso())
+    phi = largest_top_fibre(F, "c3")
+    with pytest.raises(SizeBound) as exc:
+        stack_oracle.char_stacks(phi, j, bound=8)
+    assert exc.value.what == "stack-i at c3 over ('c0_c3', 'c1_c3', 'c2_c3')"
+    assert check_stack(F, j, bound=8).ok
+    zj = char_stacks(phi, j, bound=8)
+    assert isinstance(zj, MapToOmegaJ) and zj == stack_oracle.char_stacks(phi, j)
+
+
+def test_char_stacks_checks_the_codomain_once_and_the_total_never(monkeypatch):
+    checked = []
+    check = stacks.check_stack
+    monkeypatch.setattr(stacks, "check_stack",
+                        lambda F, j, bound: checked.append(F) or check(F, j, bound))
+    j = chain_with_a_lower_cover(4)
+    phi = largest_top_fibre(constant_cat_presheaf(j.base, walking_iso()), "c3")
+    assert phi.total != phi.codomain
+    char_stacks(phi, j)
+    assert len(checked) == 1 and checked[0] is phi.codomain
