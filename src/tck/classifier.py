@@ -35,7 +35,7 @@ from .fincat import (
     mark_valid,
     search_setfunctor_maps,
     slice_arrow_name,
-    slice_cat,
+    _slice_of,
     validates_once,
 )
 from .prestack import (
@@ -86,7 +86,7 @@ class MapToOmega:
         Valid, and read, once z is valid."""
         B = self.fibre_functor
         objects, arrows, _ = self.source._slice_elements
-        slices = {c: slice_cat(self.site, c)[0] for c in self.source.on_objects}
+        slices = {c: _slice_of(self.site, c) for c in self.source.on_objects}
         return {
             (c, x): mark_valid(SetPresheaf(
                 slices[c],
@@ -122,7 +122,7 @@ class MapToOmega:
             for key, Z in object_part.items():
                 if key not in objects:
                     raise InvalidTable(f"object_part key {key!r} is no object of F")
-                if Z.base != slice_cat(self.site, key[0])[0]:
+                if Z.base != _slice_of(self.site, key[0]):
                     raise InvalidTable(f"object_part at {key!r} is not on slice(C, {key[0]!r})")
                 if not self._is_object_part(Z, key):
                     raise InvalidTable(f"strict naturality of object_part fails at {key!r}")
@@ -146,7 +146,7 @@ class MapToOmega:
         no part is built."""
         objects, arrows, _ = self.source._slice_elements
         B = self.fibre_functor
-        return (type(Z) is SetPresheaf and Z.base == slice_cat(self.site, key[0])[0]
+        return (type(Z) is SetPresheaf and Z.base == _slice_of(self.site, key[0])
                 and Z.on_objects == _read(B.on_objects, objects[key])
                 and Z.on_arrows == _read(B.on_arrows, arrows[key]))
 
@@ -308,7 +308,7 @@ def j_forward(site: FinCat, c: str, Z: SetPresheaf) -> DiscOpfibPre:
     classify of the map whose fibre functor on elements_category of the
     representable, which is slice(C, c)^op, is Z: <d|f> holds Z(f) and
     <g|id|f> acts as Z(g>f)."""
-    sl, _ = slice_cat(site, c)
+    sl = _slice_of(site, c)
     if Z.base != sl:
         raise InvalidTable("j_forward expects a presheaf on slice(C, c)")
     if c not in site.objects:

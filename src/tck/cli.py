@@ -299,7 +299,10 @@ def _bound(text: str) -> int:
     return int(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; main sets its --bound default on each
+    call, so that no call sees another's environment."""
     # a fixed width, the 80-column fallback less argparse's margin, so help
     # reads the same on every terminal and no formatter probes for one
     parser = argparse.ArgumentParser(
@@ -308,12 +311,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("file")
-    # a string default goes through the type check too, so a bad TCK_BOUND
-    # is a usage error like a bad --bound
-    parser.add_argument("--bound", type=_bound,
-                        default=os.environ.get("TCK_BOUND", str(DEFAULT_BOUND)))
+    parser.add_argument("--bound", type=_bound)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", default=None)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    # a string default goes through the type check too, so a bad TCK_BOUND
+    # is a usage error like a bad --bound
+    parser.set_defaults(bound=os.environ.get("TCK_BOUND", str(DEFAULT_BOUND)))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -49,7 +49,7 @@ from .fincat import (
     identity_functor,
     identity_presheaf_map,
     reindex_slice_presheaf,
-    slice_cat,
+    _slice_of,
 )
 from .prestack import CatPresheaf, TwoNat
 from .site import GrothTopology, Sieve, sieve_generate_at, topology_from_generators
@@ -162,7 +162,7 @@ class _Parser:
             cat = ref(self.doc.categories, tokens[1], line)
             if tokens[2] not in cat.objects:
                 raise DanglingReference(line, tokens[2])
-            sl, _ = slice_cat(cat, tokens[2])
+            sl = _slice_of(cat, tokens[2])
             return sl, ("slice", tokens[1], tokens[2])
         if len(tokens) != 1:
             raise ParseError(line, 1, "expected a category name or a slice expression")
@@ -478,7 +478,7 @@ class _Parser:
         for f in s.sorted_arrows():
             if f not in objects:
                 raise InvariantViolation(start, f"object for {f!r} missing")
-            if objects[f].base != slice_cat(base, base.dom(f))[0]:
+            if objects[f].base != _slice_of(base, base.dom(f)):
                 raise InvariantViolation(
                     object_lines[f],
                     f"object for {f!r} is not on slice {header[4]} {base.dom(f)}")

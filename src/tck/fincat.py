@@ -18,7 +18,8 @@ attribute, which stays out of equality, hashing and repr.  The principal
 sieve of each arrow and the composable pairs with no identity in them are
 cached the same way.  Slices, and the postcomposition tables that reindex
 slice presheaves along an arrow, are cached on the category they are
-taken of, and die with it.
+taken of, and die with it.  tck reads a slice through ``_slice_of``; the
+domain projection is built only for public callers of ``slice_cat``.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class FinCat:
 
     @cached_property
     def _slices(self) -> dict[str, tuple["FinCat", dict, dict]]:
-        """slice_cat's cache by object: the slice and its projection's
-        object and arrow tables."""
+        """_slice_of's cache by object: the slice and its projection's
+        object and arrow tables, from which slice_cat builds the projection
+        for public callers."""
         return {}
 
     @cached_property
@@ -313,14 +315,12 @@ def slice_arrow_name(g: str, f: str) -> str:
     return f"{g}>{f}"
 
 
-def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
-    """The slice over c together with the domain projection.
+def _slice_of(cat: FinCat, c: str) -> FinCat:
+    """The slice over c, cached on ``cat`` with its projection's tables.
 
     Objects are the arrows of ``cat`` into ``c``, named by the arrow they
     wrap; for every g composable into f there is one arrow (f.g) -> f named
-    ``g>f``.  The slice and the projection's tables are cached on ``cat``,
-    and the projection is built on each call: cached, it would target
-    ``cat`` from ``cat``'s own cache, a reference cycle.
+    ``g>f``.  tck reads only the slice, so it builds no projection.
     """
     if c not in cat.objects:
         raise UnknownObject(c)
@@ -337,7 +337,17 @@ def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
         sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
         hit = cat._slices[c] = (sl, {f: cat.dom(f) for f in objs},
                                 {name: g for name, (g, _) in parts.items()})
-    sl, on_objects, on_arrows = hit
+    return hit[0]
+
+
+def slice_cat(cat: FinCat, c: str) -> tuple[FinCat, "FinFunctor"]:
+    """The slice over c (see _slice_of) together with the domain projection.
+
+    The projection is built on each call, for public callers only: cached,
+    it would target ``cat`` from ``cat``'s own cache, a reference cycle.
+    """
+    sl = _slice_of(cat, c)
+    _, on_objects, on_arrows = cat._slices[c]
     return sl, FinFunctor(sl, cat, on_objects, on_arrows)
 
 
@@ -354,7 +364,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
     if f not in cat.arrows:
         raise InvalidTable(f"unknown arrow {f!r}")
     d, _ = cat.arrows[f]
-    sl_d, _ = slice_cat(cat, d)
+    sl_d = _slice_of(cat, d)
     objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)
     arrows = tuple(
         (slice_arrow_name(h, g), slice_arrow_name(h, fg))
@@ -368,7 +378,7 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
 def postcompose(cat: FinCat, f: str) -> "FinFunctor":
     """slice(C, dom f) -> slice(C, cod f), sending g to f.g."""
     src, objects, arrows = _postcomposition(cat, f)
-    tgt, _ = slice_cat(cat, cat.cod(f))
+    tgt = _slice_of(cat, cat.cod(f))
     # valid because h>g goes to h>f.g and slice arrows compose by their h
     return FinFunctor(src, tgt, dict(objects), dict(arrows))
 

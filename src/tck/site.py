@@ -70,7 +70,7 @@ from .fincat import (
     guard,
     mark_valid,
     slice_arrow_name,
-    slice_cat,
+    _slice_of,
     validates_once,
 )
 from .report import Report
@@ -514,7 +514,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     if hit is not None:
         return hit
     cat = j.base
-    sl, _ = slice_cat(cat, c)
+    sl = _slice_of(cat, c)
     # lifted from j's checked least covers, so a topology
     out = j._slices[c] = _built(sl, {
         f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))

@@ -49,7 +49,7 @@ from .fincat import (
     reindex_slice_presheaf,
     reindex_slice_presheaf_map,
     slice_arrow_name,
-    slice_cat,
+    _slice_of,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
 from .report import BOUNDED_PASS, FAIL, Report
@@ -463,7 +463,7 @@ def validate_sheaf_descent(d: SheafDescentDatum, bound: int = DEFAULT_BOUND) -> 
 
     def check_object(f, M):
         c = base.dom(f)
-        if M.base != slice_cat(base, c)[0]:
+        if M.base != _slice_of(base, c):
             return ("not on the expected slice",)
         rep = is_sheaf(M, slice_topology(d.topology, c), bound)
         return None if rep.ok else ("not a sheaf", rep.counterexamples[0])
@@ -486,7 +486,7 @@ def build_gluing_presheaf(d: SheafDescentDatum) -> SetPresheaf:
     sections of M_f, empty outside the sieve."""
     base = d.site
     c = d.sieve.at
-    sl, _ = slice_cat(base, c)
+    sl = _slice_of(base, c)
     S = d.sieve.arrows
     on_objects = {}
     for f in sl.objects:
@@ -529,7 +529,7 @@ def construct_effectiveness(d: SheafDescentDatum,
     for f in sorted(d.sieve.arrows):
         # e_f: M_f -> f*Z; at g the section sets are M_f(g) = (g*M_f)(id) and
         # (f*Z)(g) = M_{f.g}(id), compared by the datum iso at the identity
-        sl_d, _ = slice_cat(base, base.dom(f))
+        sl_d = _slice_of(base, base.dom(f))
         comps = {
             g: {x: d.isos[(f, g)].components[base.id_of(base.dom(g))][x]
                 for x in d.objects[f].on_objects[g]}

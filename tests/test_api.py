@@ -163,6 +163,26 @@ def test_every_top_level_def_in_src_tck_is_reached_from_a_command_a_public_name_
     assert sorted(defs - seen) == []
 
 
+def test_no_module_in_src_tck_but_fincat_refers_to_the_public_slice_cat():
+    # tck reads a slice through fincat._slice_of: a caller of slice_cat in
+    # src would build the domain projection only to discard it.  The
+    # package's __init__ names slice_cat to re-export it.
+    refs = []
+    for path in sorted(glob.glob(os.path.join(TCK_DIR, "*.py"))):
+        mod = os.path.splitext(os.path.basename(path))[0]
+        if mod in ("fincat", "__init__"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "slice_cat":
+                refs.append((mod, node.lineno))
+    assert refs == []
+
+
 def _warm_pass():
     """One call of each layer's main entry points on corpus inputs built
     here, so that everything the pass makes dies when it returns."""

@@ -1,6 +1,9 @@
+import contextlib
 import functools
 import glob
+import io
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from fixture_corpus import (
     build_shipped_fixtures,
     write_fixture_tree,
 )
+from tck import cli
 from tck.docbuild import DocumentBuilder
 from tck.corpus import (
     dopf_from_set_functor,
@@ -937,3 +941,28 @@ def test_mutated_documents_parse_or_fail_at_one_of_their_lines(data):
         # only a block that runs off the end is named past the last line
         last = len(lines) + ("unterminated block" in str(exc))
         assert 1 <= exc.line <= last, exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_command_on_a_mutated_document_that_parses_exits_cleanly_and_repeats(data):
+    # one mutation, so that more of them parse; each command runs twice
+    # in-process through the one shared parser
+    text = "\n".join(mutate(data.draw(st.sampled_from(fuzz_documents())).splitlines(), data))
+    try:
+        parse(text)
+    except TckError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.site")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in cli.COMMANDS:
+            runs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([command, path, "--bound", "200"])
+                runs.append((code, out.getvalue()))
+            assert runs[0][0] in (0, 1, 2, 3), (command, text)
+            assert runs[0] == runs[1], (command, text)

@@ -37,6 +37,7 @@ from tck.fincat import (
     point_category,
     postcompose,
     slice_cat,
+    _slice_of,
 )
 
 
@@ -193,8 +194,9 @@ def test_slice_of_point_is_point():
 
 
 def test_slice_unknown_object():
-    with pytest.raises(UnknownObject):
-        slice_cat(WA, "zzz")
+    for lookup in (slice_cat, _slice_of):
+        with pytest.raises(UnknownObject):
+            lookup(WA, "zzz")
 
 
 def test_slice_dom_compatibility():
@@ -544,6 +546,21 @@ def test_slicing_leaves_no_reference_cycles():
         if enabled:
             gc.enable()
     assert cyclic == []
+
+
+def test_slice_cat_projects_the_cached_slice_that_tck_reads():
+    # tck reads slices through _slice_of; slice_cat adds a projection that
+    # is built anew on each call, so none is cached on its own target
+    from fixture_corpus import bases
+
+    for cat in bases().values():
+        for c in cat.objects:
+            sl = _slice_of(cat, c)
+            got, proj = slice_cat(cat, c)
+            assert got is sl and _slice_of(cat, c) is sl
+            proj.validate()
+            again = slice_cat(cat, c)[1]
+            assert again is not proj and again == proj
 
 
 def _old_reindex(cat, f, Z):

@@ -70,11 +70,13 @@ def golden_runs(fixture: str) -> dict[str, tuple[int, str]]:
     return {head: (int(code), out) for head, code, out in zip(*[iter(parts[1:])] * 3)}
 
 
-def fresh_run(args: list[str], seed: str) -> tuple[int, str, str]:
+def fresh_run(args: list[str], seed: str, **extra: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of the interpreter run with args, in a
-    new process under one hash seed, at the default bound."""
+    new process under one hash seed, at the default bound unless extra
+    sets TCK_BOUND."""
     env = child_env(PYTHONHASHSEED=seed)
     env.pop("TCK_BOUND", None)
+    env.update(extra)
     run = subprocess.run([sys.executable, *args], capture_output=True, env=env)
     return run.returncode, run.stdout.decode("utf-8"), run.stderr.decode("utf-8")
 
@@ -108,6 +110,36 @@ def test_descent_commands_match_golden_in_a_fresh_process_under_two_hash_seeds()
     # validate and probe-omega-j check a sheaf descent datum, check-stack
     # walks descent data over each least cover
     check_fresh_processes("OpenSite.site", ("validate", "check-stack", "probe-omega-j"))
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state_between_them(monkeypatch):
+    # main reads TCK_BOUND afresh on each call into the one cached parser, so
+    # no call's bound, flag or usage error may leak into the next
+    path = os.path.join(FIXTURES, "NonSeparated.site")
+    calls = [
+        ({}, ["ff-check", path]),
+        ({"TCK_BOUND": "abc"}, ["ff-check", path]),
+        ({"TCK_BOUND": "0"}, ["ff-check", path]),
+        ({}, ["ff-check", path, "--bound", "5"]),
+        ({}, ["--help"]),
+        ({}, ["no-such-command", path]),
+    ]
+    expected = [fresh_run(["-m", "tck.cli", *argv], "0", **env) for env, argv in calls]
+    assert [run[0] for run in expected] == [0, 3, 2, 0, 0, 3]
+    assert "argument --bound" in expected[1][2]
+    cli._parser.cache_clear()
+    for (env, argv), (code, out, err) in [*zip(calls, expected)] * 2:
+        monkeypatch.delenv("TCK_BOUND", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        got_out, got_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            got = cli.main(argv)
+        assert (got, got_out.getvalue()) == (code, out), (env, argv)
+        if code == 3:  # a usage error has no timing line, so all of stderr
+            assert got_err.getvalue() == err, (env, argv)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(calls) - 1)
 
 
 SIX_SEEDS = [str(seed) for seed in range(1, 7)]
