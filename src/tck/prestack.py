@@ -229,7 +229,10 @@ def represented_object(F: CatPresheaf) -> str | None:
 
 
 def yoneda_inv(nat: TwoNat) -> str:
-    """Evaluate a 2-natural transformation out of a representable at the identity."""
+    """Evaluate a 2-natural transformation out of a representable at the
+    identity; a nat that is no valid 2-natural transformation raises
+    InvalidTable."""
+    nat.validate()
     c = represented_object(nat.source)
     if c is None:
         raise InvalidTable("source is not a representable presheaf")

@@ -46,7 +46,10 @@ SizeBound names a maximal least cover.  The value pools of a valid Z are
 sorted, so product order is sorted order.  `compatible_families` is the
 one enumeration of such tuples: the matching families here, and in
 `stacks` the morphism families of the stack conditions and the isos of
-effectiveness witnesses.  A sieve plan also indexes the cocycle
+effectiveness witnesses.  `_first_miscount` is the one count of
+amalgamations, one tally of restriction tuples per object: the sheaf
+conditions here call it, and so does `stacks.ell_factors`, on the
+pools it reads from a fibre functor.  A sieve plan also indexes the cocycle
 condition of descent data (`SievePlan.cocycles`), so checking a datum
 composes no arrow of the base; the index is built on its first read, so
 the sheaf kernels and `plus`, which never read it, never build it.
@@ -647,12 +650,26 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
         families = _families(Z, p, bound)
         if not families:  # no family has amalgamations to count
             continue
-        by_family = tally(Z.on_objects[c], restrictions(Z, p, c))
-        for t in families:
-            n = len(by_family.get(t, ()))
-            if fails(n):
-                return report.fail((c, p.arrows, dict(zip(p.arrows, t)), n))
+        hit = _first_miscount(families, Z.on_objects[c], [Z.on_arrows[f] for f in p.arrows], fails)
+        if hit is not None:
+            return report.fail((c, p.arrows, dict(zip(p.arrows, hit[0])), hit[1]))
     return report
+
+
+def _first_miscount(families: list[tuple], sections: Sequence[str], restrict: Sequence[Mapping],
+                    fails: Callable[[int], bool] = lambda n: n != 1) -> tuple[tuple, int] | None:
+    """(t, n) for the first of the matching families t, in their order,
+    whose number n of amalgamations fails, or None: the condition at one
+    object of one presheaf, given its families from compatible_families.
+    The default fails is the sheaf condition; is_separated passes n > 1.
+    The amalgamations of t are the sections x with restrict[i][x] = t[i]
+    at every position i, counted once over the sections with one tally."""
+    by_family = tally(sections, [tuple([r[x] for r in restrict]) for x in sections])
+    for t in families:
+        n = len(by_family.get(t, ()))
+        if fails(n):
+            return t, n
+    return None
 
 
 # -- plus construction ------------------------------------------------------------------

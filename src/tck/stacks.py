@@ -58,6 +58,7 @@ from .site import (
     Sieve,
     SievePlan,
     _families,
+    _first_miscount,
     compatible_families,
     is_sheaf,
     restrictions,
@@ -160,8 +161,15 @@ def _after_reindex(base: FinCat) -> Callable:
 
 
 def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[EffectivenessWitness]:
-    """All witnesses, by exhaustive search over objects and iso families."""
-    return _effectiveness(d, sieve_plan(d.presheaf.base, d.sieve), bound)
+    """All witnesses, by exhaustive search over objects and iso families.
+    A datum whose objects are not keyed by the sieve's arrows, or whose
+    isos are not keyed by its composable pairs, raises InvalidTable."""
+    p = sieve_plan(d.presheaf.base, d.sieve)
+    if set(d.objects) != set(p.arrows):
+        raise InvalidTable("assignment keys differ from the sieve")
+    if set(d.isos) != {(p.arrows[i], g) for i, g, _ in p.triples}:
+        raise InvalidTable("iso keys differ from composable pairs")
+    return _effectiveness(d, p, bound)
 
 
 def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[EffectivenessWitness]:
@@ -404,15 +412,38 @@ class FactorResult:
 
 def ell_factors(z: MapToOmega, j: GrothTopology, bound: int = DEFAULT_BOUND) -> FactorResult:
     """Certify that every assigned presheaf is a sheaf, or report the first
-    failing (c, X, slice object, sieve)."""
+    failing element (c, X), in sorted order, as (c, X, id_c, arrows of
+    M_c, n): n is the number of amalgamations of the first matching family
+    whose count is not 1.
+
+    One sheaf condition per element of F, the dense generator, decides it,
+    read from B_z with no slice built.  z is strict, so the presheaf at
+    (c, X) restricted along Σ_f: C/d -> C/c, for a slice object
+    f: d -> c, is the presheaf at (d, F(f)X), and the slice topology on
+    C/d is the one induced from C/c: the sheaf condition of the presheaf
+    at (c, X) at f is the condition of the presheaf at (d, F(f)X) at
+    id_d.  So each element (c, X) is checked at id_c only, on M_c lifted
+    to id_c, which has M_c's arrows and compatibility triples: the value
+    at g in M_c is B_z<dom g|F(g)X>, g.h acts as B_z on <h|id|F(g)X>,
+    and a section at id_c restricts along g as B_z on <g|id|X>.  A
+    maximal M_c is skipped, as the site kernels skip it.  A z that is no
+    valid map, or lives on another site than j, raises InvalidTable.
+    """
     if j.base != z.site:
         raise InvalidTable("topology and map live on different sites")
-    topologies = {c: slice_topology(j, c) for c in z.site.objects}
-    for (c, x) in sorted(z.object_part):
-        rep = is_sheaf(z.object_part[(c, x)], topologies[c], bound)
-        if not rep.ok:
-            f, sieve_arrows, fam, n = rep.counterexamples[0]
-            return FactorResult(None, (c, x, f, sieve_arrows, n))
+    z.validate()
+    B, (objects, arrows, _) = z.fibre_functor, z.source._slice_elements
+    # nothing can fail at a maximal M_c, as in the site kernels
+    for c, x in sorted(e for e in objects if not j.plan.covers[e[0]].maximal):
+        p, values, acts, idc = j.plan.covers[c], objects[(c, x)], arrows[(c, x)], z.site.id_of(c)
+        families = compatible_families(
+            "matching_families", [B.on_objects[values[g]] for g in p.arrows],
+            [(i, B.on_arrows[acts[slice_arrow_name(h, p.arrows[i])]], k) for i, h, k in p.checks],
+            bound)
+        hit = _first_miscount(families, B.on_objects[values[idc]],
+                              [B.on_arrows[acts[slice_arrow_name(g, idc)]] for g in p.arrows])
+        if hit is not None:
+            return FactorResult(None, (c, x, idc, p.arrows, hit[1]))
     return FactorResult(MapToOmegaJ(z, j), None)
 
 

@@ -12,7 +12,14 @@ and is slow, meant for small sites only.
 ``tck.stacks.char_stacks`` checks only the codomain F of an opfibration
 E -> F to be a stack, and leaves E to the factorization of its
 characteristic morphism through Ω_J.  ``char_stacks`` here checks both
-endpoints with ``tck.stacks.check_stack`` before it factors.
+endpoints with ``tck.stacks.check_stack`` before it factors with
+``ell_factors`` here.
+
+``tck.stacks.ell_factors`` checks one sheaf condition per element (c, X)
+of F, at id_c, read from the fibre functor.  ``ell_factors`` here runs a
+full ``is_sheaf`` on every assigned presheaf z(c)(X), over the slice
+topology on slice(C, c), so it decides each element's condition again
+at every slice object that reaches it.
 
 ``tck.stacks.construct_effectiveness`` reads the compatibility isos of a
 glued sheaf descent datum off the sheafification unit.  The oracle here
@@ -52,6 +59,7 @@ from tck.report import BOUNDED_PASS, FAIL, Report
 from tck.site import (
     Sieve,
     check_family,
+    is_sheaf,
     matching_families,
     plus,
     pullback_sieve,
@@ -63,9 +71,10 @@ from tck.site import (
 )
 from tck.stacks import (
     DescentDatum,
+    FactorResult,
+    MapToOmegaJ,
     build_gluing_presheaf,
     construct_effectiveness,
-    ell_factors,
 )
 
 
@@ -212,6 +221,23 @@ def check_stack(F, j, bound=DEFAULT_BOUND):
 
 
 # -- the characteristic morphism of an opfibration between stacks ------------------
+
+
+def ell_factors(z, j, bound=DEFAULT_BOUND):
+    """``tck.stacks.ell_factors`` by a full sheaf check of every assigned
+    presheaf on its slice topology: the first (c, X) in sorted order whose
+    presheaf is no sheaf is reported as (c, X, slice object, sieve
+    arrows, n), from that check's first counterexample."""
+    if j.base != z.site:
+        raise InvalidTable("topology and map live on different sites")
+    topologies = {c: slice_topology(j, c) for c in z.site.objects}
+    for (c, x) in sorted(z.object_part):
+        rep = is_sheaf(z.object_part[(c, x)], topologies[c], bound)
+        if not rep.ok:
+            f, sieve_arrows, fam, n = rep.counterexamples[0]
+            return FactorResult(None, (c, x, f, sieve_arrows, n))
+    return FactorResult(MapToOmegaJ(z, j), None)
+
 
 
 def char_stacks(phi, j, bound=DEFAULT_BOUND):

@@ -88,6 +88,12 @@ def test_yoneda_round_trip():
             assert yoneda_inv(nat) == x
 
 
+def test_yoneda_inv_refuses_a_nat_with_a_partial_component_table():
+    nat = TwoNat(representable(OS, "T"), terminal_presheaf(OS), {})
+    with pytest.raises(InvalidTable, match="component table is not total"):
+        yoneda_inv(nat)
+
+
 def test_yoneda_at_identity():
     F = sample_presheaf()
     nat = yoneda(F, "b", "x")

@@ -210,6 +210,17 @@ def test_effectiveness_finds_global_object():
         assert any(w.obj == m for w in wits)
 
 
+def test_effectiveness_refuses_a_datum_keyed_off_the_sieve():
+    F = constant_cat_presheaf(OS, walking_iso())
+    m = F.on_objects["T"].objects[0]
+    d = induced_descent_datum(F, OSJ.minimal["T"], m)
+    with pytest.raises(InvalidTable, match="assignment keys differ from the sieve"):
+        effectiveness(DescentDatum(F, d.sieve, {}, d.isos))
+    with pytest.raises(InvalidTable, match="iso keys differ from composable pairs"):
+        effectiveness(DescentDatum(F, d.sieve, d.objects, {}))
+    assert any(w.obj == m for w in effectiveness(d))
+
+
 def test_effectiveness_empty_for_non_stack():
     # the nonseparated fixture has two local-sections patterns that do not glue
     Z = nonseparated_presheaf()
@@ -1382,3 +1393,61 @@ def test_char_stacks_checks_the_codomain_once_and_the_total_never(monkeypatch):
     assert phi.total != phi.codomain
     char_stacks(phi, j)
     assert len(checked) == 1 and checked[0] is phi.codomain
+
+
+# -- ell_factors decides one sheaf condition per element ---------------------------------
+
+
+def test_ell_factors_agrees_with_the_slice_by_slice_oracle():
+    # each element's condition at id_c decides what is_sheaf decides on
+    # every slice; a failing witness is checked with the public family oracles
+    from fixture_corpus import map_to_omega_corpus
+    from tck.prestack import elements_category
+    from tck.site import amalgamations, matching_families
+
+    _, sq_topo = square_site()
+    values = [walking_iso(), walking_arrow(), idempotent(), flip()]
+    checked = failing = moved = 0
+    for j in [OSJ, sq_topo] + [chain_with_a_lower_cover(n) for n in (3, 4, 5)]:
+        presheaves = [constant_cat_presheaf(j.base, K) for K in values]
+        for F in presheaves + catpresheaf_corpus(j.base, 6):
+            if not elements_category(F).objects:
+                continue
+            for z in map_to_omega_corpus(F, 8):
+                result, expected = ell_factors(z, j), stack_oracle.ell_factors(z, j)
+                assert result.ok == expected.ok, (j.minimal, z.fibre_functor.on_objects)
+                checked += 1
+                if result.ok:
+                    assert result.certified == expected.certified
+                    continue
+                failing += 1
+                c, x, idc, arrows, n = result.witness
+                assert idc == j.base.id_of(c) and arrows == j.minimal[c].sorted_arrows()
+                # the oracle fails first at (c0, x0) over a slice object f, whose
+                # element (dom f, F(f)x0) is the one reported, with the same n
+                c0, x0, f = expected.witness[:3]
+                assert (j.base.dom(f), F.on_arrows[f].on_objects[x0], n) == \
+                    (c, x, expected.witness[4])
+                moved += (c0, x0) != (c, x)
+                Z = z.object_part[(c, x)]
+                lifted = Sieve(idc, frozenset(slice_arrow_name(g, idc) for g in arrows))
+                counts = [len(amalgamations(Z, lifted, m)) for m in matching_families(Z, lifted)]
+                assert n != 1 and n in counts
+    assert (checked, failing, moved) == (444, 93, 53)
+
+
+def test_char_stacks_builds_no_slice():
+    j = chain_with_a_lower_cover(4)
+    phi = largest_top_fibre(constant_cat_presheaf(j.base, walking_iso()), "c3")
+    char_stacks(phi, j)
+    assert j.base._slices == {} and j._slices == {}
+
+
+def test_ell_factors_refuses_a_fibre_functor_on_another_category():
+    from tck.fincat import FinSetFunctor
+    from tck.classifier import MapToOmega
+
+    F = constant_cat_presheaf(OS, walking_arrow())
+    z = MapToOmega(OS, F, FinSetFunctor(OS, {}, {}))
+    with pytest.raises(InvalidTable, match="fibre functor does not live on elements_category"):
+        ell_factors(z, OSJ)
