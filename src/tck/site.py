@@ -49,7 +49,7 @@ one enumeration of such tuples: the matching families here, and in
 effectiveness witnesses.  `_first_miscount` is the one count of
 amalgamations, one tally of restriction tuples per object: the sheaf
 conditions here call it, and so does `stacks.ell_factors`, on the
-pools it reads from a fibre functor.  A sieve plan also indexes the cocycle
+families and restriction rows it reads from a fibre functor.  A sieve plan also indexes the cocycle
 condition of descent data (`SievePlan.cocycles`), so checking a datum
 composes no arrow of the base; the index is built on its first read, so
 the sheaf kernels and `plus`, which never read it, never build it.

@@ -239,7 +239,6 @@ def ell_factors(z, j, bound=DEFAULT_BOUND):
     return FactorResult(MapToOmegaJ(z, j), None)
 
 
-
 def char_stacks(phi, j, bound=DEFAULT_BOUND):
     """``tck.stacks.char_stacks`` with both endpoints checked: the total E
     and then the codomain F must be stacks before char(phi) is factored
