@@ -41,8 +41,14 @@ arrows.  The kernels search only where a least cover can fail:
 - where M_c is maximal (id_c ∈ M_c), every family is the restriction
   tuple of its value at id_c, so Match(M_c, Z) ≅ Z(c) and the sheaf
   conditions hold at c; the families are the sorted restriction tuples.
-No family is enumerated at such a c and no bound is spent there, so no
-SizeBound names a maximal least cover.  The value pools of a valid Z are
+  No family is enumerated at such a c and no bound is spent there, so no
+  SizeBound names a maximal least cover;
+- where M_c is empty (the empty open of a spatial site), the one family
+  is the empty one and every section amalgamates it, so Z is a sheaf at
+  c iff |Z(c)| = 1 and separated iff |Z(c)| <= 1.  No family is
+  enumerated there either, but the empty product's estimate of 1 is
+  still spent, so a bound below 1 trips there as before.
+The value pools of a valid Z are
 sorted, so product order is sorted order.  `compatible_families` is the
 one enumeration of such tuples: the matching families here, and in
 `stacks` the morphism families of the stack conditions and the isos of
@@ -584,8 +590,13 @@ def _families(Z: SetPresheaf, p: SievePlan, bound: int) -> list[tuple[str, ...]]
     """The matching families on p's sieve as value tuples in arrow order,
     in the order of the product of the value pools, which is sorted order:
     Z is valid, so each pool is sorted.  A domain with no section leaves
-    no family, and then no action is read.  Only p.checks are compared:
-    Z(id) = id settles the identity triples."""
+    no family, and then no action is read.  An empty sieve has one family,
+    the empty one, and it spends the empty product's estimate of 1 with
+    no pool built.  Only p.checks are compared: Z(id) = id settles the
+    identity triples."""
+    if not p.arrows:
+        guard("matching_families", 1, bound)
+        return [()]
     pools = [Z.on_objects[d] for d in p.doms]
     if not all(pools):
         return []
@@ -639,13 +650,23 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
     for every cover.  The amalgamations of a family are the sections that
     restrict to it, counted once over Z(c).  A maximal M_c settles c with
     no search and no bound: each family there has exactly one
-    amalgamation."""
+    amalgamation.  An empty M_c settles c from |Z(c)| with no search: its
+    one family, the empty one, is amalgamated by every section, so the
+    condition fails there iff fails(|Z(c)|).  Unlike a maximal M_c it
+    still spends the empty product's estimate of 1, so every SizeBound
+    stays where the enumeration would raise it."""
     if Z.base != j.base:
         raise InvalidTable("presheaf and topology live on different bases")
     Z.validate()
     report = Report(command)
     for c, p in j.plan.covers.items():
         if p.maximal:  # each family has one amalgamation
+            continue
+        if not p.arrows:  # the empty family, amalgamated by every section
+            guard("matching_families", 1, bound)
+            n = len(Z.on_objects[c])
+            if fails(n):
+                return report.fail((c, (), {}, n))
             continue
         families = _families(Z, p, bound)
         if not families:  # no family has amalgamations to count

@@ -20,7 +20,10 @@ morphism family is a pair of sections with one restriction tuple, and a
 descent datum is a matching family.  `check_stack` decides such an F on
 the site kernels, with the report the Cat-valued search would give.  Both
 paths skip a maximal least cover, where no condition can fail, so they
-search nothing and spend no bound there.  Cat-valued and sheaf-valued
+search nothing and spend no bound there.  The discrete path meets an
+empty least cover through `site._families`, which returns its one
+family, the empty one, with no pool built and the estimate of 1 spent,
+so the same strata trip the bound.  Cat-valued and sheaf-valued
 descent data are validated by one scaffold in sieve-plan order, and they
 differ only in their object and iso checks and their join, which also
 states effectiveness; one walker over the plan's cocycle index checks the
@@ -162,14 +165,14 @@ def _after_reindex(base: FinCat) -> Callable:
 
 def effectiveness(d: DescentDatum, bound: int = DEFAULT_BOUND) -> list[EffectivenessWitness]:
     """All witnesses, by exhaustive search over objects and iso families.
-    A datum whose objects are not keyed by the sieve's arrows, or whose
-    isos are not keyed by its composable pairs, raises InvalidTable."""
-    p = sieve_plan(d.presheaf.base, d.sieve)
-    if set(d.objects) != set(p.arrows):
-        raise InvalidTable("assignment keys differ from the sieve")
-    if set(d.isos) != {(p.arrows[i], g) for i, g, _ in p.triples}:
-        raise InvalidTable("iso keys differ from composable pairs")
-    return _effectiveness(d, p, bound)
+    A datum that validate_descent refuses for anything but the cocycle
+    condition (its keys, an object outside F, an iso of the wrong type or
+    not invertible) raises InvalidTable naming the first such failure; a
+    datum that fails only the cocycle condition has no witness."""
+    rep = validate_descent(d)
+    if rep.counterexamples and rep.counterexamples[0][0] != "cocycle":
+        raise InvalidTable(f"descent datum refused: {rep.counterexamples[0]!r}")
+    return _effectiveness(d, sieve_plan(d.presheaf.base, d.sieve), bound)
 
 
 def _effectiveness(d: DescentDatum, p: SievePlan, bound: int) -> list[EffectivenessWitness]:

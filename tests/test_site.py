@@ -681,8 +681,10 @@ def dead_objects(Z, j):
 
 
 def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
-    # and only where the least cover is not maximal: at a point {x}, M_{x}
-    # holds the identity, and its families are the restrictions of Z({x})
+    # and only where the least cover is neither maximal nor empty: at a
+    # point {x}, M_{x} holds the identity, and its families are the
+    # restrictions of Z({x}); at the empty open, M is empty and its one
+    # family is the empty one
     j = powerset_site(4)
     # the member with 8 or more dead objects that has the most live ones
     Z = min((Z for Z in presheaf_corpus(j.base, 0) if len(dead_objects(Z, j)) >= 8),
@@ -695,15 +697,15 @@ def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
         return enumerate_families(what, pools, checks, bound)
 
     def searched(W):
-        """The live objects whose least cover is not maximal."""
+        """The live objects whose least cover is neither maximal nor empty."""
         dead = dead_objects(W, j)
-        return [c for c in j.base.objects if c not in dead and not j.plan.covers[c].maximal]
+        return [c for c in j.base.objects if c not in dead
+                and j.plan.covers[c].arrows and not j.plan.covers[c].maximal]
 
     monkeypatch.setattr(site, "compatible_families", recording)
     first = plus(Z, j)
     assert len(j.base.objects) - len(dead_objects(Z, j)) == 8
-    assert searched(Z) == searched(first.presheaf) == \
-        ["p0000", "p0011", "p0101", "p0110", "p0111"]
+    assert searched(Z) == searched(first.presheaf) == ["p0011", "p0101", "p0110", "p0111"]
     pools = [tuple(len(Z.on_objects[d]) for d in j.plan.covers[c].doms) for c in searched(Z)]
     pools_plus = [tuple(len(first.presheaf.on_objects[d]) for d in j.plan.covers[c].doms)
                   for c in searched(first.presheaf)]
@@ -719,6 +721,31 @@ def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
     calls.clear()
     sheafify(Z, j)
     assert calls == pools + pools_plus
+
+
+def test_an_empty_least_cover_is_decided_from_its_section_count():
+    # the empty open p000 is covered by the empty sieve: its one family, the
+    # empty one, is amalgamated by every section, so |Z(p000)| decides there.
+    # Z is empty elsewhere, so no other object has a family to count.  The
+    # empty product's estimate of 1 is still spent, so bound 0 trips at
+    # p000 as the enumeration did, and bound 1 decides
+    j = powerset_site(3)
+    cat = j.base
+    assert j.plan.covers["p000"].arrows == () and list(cat.objects)[0] == "p000"
+    for n in (0, 1, 2):
+        at = {c: ("a", "b")[:n] if c == "p000" else () for c in cat.objects}
+        Z = SetPresheaf(cat, at, {f: {x: x for x in at[c]} for f, (d, c) in cat.arrows.items()})
+        for kernel in (is_sheaf, is_separated, plus, sheafify):
+            assert outcome(kernel, Z, j, 0) == ("SizeBound", "matching_families", 1, 0)
+        for kernel, oracle, holds in ((is_sheaf, site_oracle.is_sheaf, n == 1),
+                                      (is_separated, site_oracle.is_separated, n <= 1)):
+            rep, expected = kernel(Z, j, 1), oracle(Z, j)
+            assert (rep.verdict, rep.counterexamples) == (expected.verdict, expected.counterexamples)
+            assert rep.counterexamples == ([] if holds else [("p000", (), {}, n)])
+        # Z+(p000) is the one empty family; every other Z+(c) is empty
+        assert plus(Z, j, 1).presheaf.on_objects == sheafify(Z, j, 1).presheaf.on_objects == \
+            {c: ("q0",) if c == "p000" else () for c in cat.objects}
+        assert repr(plus(Z, j, 1)) == repr(plus(Z, j))
 
 
 def test_sheaf_kernels_decide_the_maximal_sieves_of_chain13_at_any_bound():

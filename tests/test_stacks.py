@@ -221,6 +221,40 @@ def test_effectiveness_refuses_a_datum_keyed_off_the_sieve():
     assert any(w.obj == m for w in effectiveness(d))
 
 
+def altered_datum(F, **change):
+    """The datum induced by F's first object at T on the least cover of T,
+    with the objects and isos named in change replaced."""
+    d = induced_descent_datum(F, OSJ.minimal["T"], F.on_objects["T"].objects[0])
+    objects = {f: change.get(f, m) for f, m in d.objects.items()}
+    isos = {(f, g): change.get(f"{f}.{g}", phi) for (f, g), phi in d.isos.items()}
+    return DescentDatum(F, d.sieve, objects, isos)
+
+
+def test_effectiveness_refuses_a_datum_whose_values_validate_descent_refuses():
+    # an object outside F(L) was answered with "no witness", and an iso that
+    # is no arrow raised a bare KeyError; both are refused with the detail
+    # validate_descent reports, as is an iso that is typed but not invertible
+    cases = [(constant_cat_presheaf(OS, walking_iso()), {"L_T": "zzz"}),
+             (constant_cat_presheaf(OS, walking_iso()), {"L_T.O_L": "nope"}),
+             (constant_cat_presheaf(OS, idempotent()), {"L_T.O_L": "e"})]
+    expected = [("objects", "L_T", "zzz"), ("iso-typing", "L_T", "O_L", "nope"),
+                ("iso-invertible", "L_T", "O_L", "e")]
+    for (F, change), detail in zip(cases, expected):
+        d = altered_datum(F, **change)
+        assert validate_descent(d).counterexamples == [detail]
+        with pytest.raises(InvalidTable) as exc:
+            effectiveness(d)
+        assert str(exc.value) == f"descent datum refused: {detail!r}"
+
+
+def test_effectiveness_of_a_datum_failing_only_its_cocycle_condition_is_empty():
+    # typed, invertible isos that break the cocycle condition: an effective
+    # datum satisfies it, so there is no witness, and nothing is refused
+    d = altered_datum(constant_cat_presheaf(OS, flip()), **{"L_T.L_L": "t"})
+    assert {w[0] for w in validate_descent(d).counterexamples} == {"cocycle"}
+    assert effectiveness(d) == []
+
+
 def test_effectiveness_empty_for_non_stack():
     # the nonseparated fixture has two local-sections patterns that do not glue
     Z = nonseparated_presheaf()
@@ -1398,12 +1432,36 @@ def test_char_stacks_checks_the_codomain_once_and_the_total_never(monkeypatch):
 # -- ell_factors decides one sheaf condition per element ---------------------------------
 
 
+def ell_factors_against_the_oracle(z, j):
+    """Compare ell_factors(z, j) with the slice-by-slice oracle: the same
+    verdict and certificate, and on a failure the element (dom f, F(f)x0)
+    of the oracle's first failing slice object f over (c0, x0), with the
+    same n, re-checked with the public family oracles.  None on a pass;
+    on a failure, whether the element reported is another than (c0, x0)."""
+    from tck.site import amalgamations, matching_families
+
+    F = z.source
+    result, expected = ell_factors(z, j), stack_oracle.ell_factors(z, j)
+    assert result.ok == expected.ok, (j.minimal, z.fibre_functor.on_objects)
+    if result.ok:
+        assert result.certified == expected.certified
+        return None
+    c, x, idc, arrows, n = result.witness
+    assert idc == j.base.id_of(c) and arrows == j.minimal[c].sorted_arrows()
+    c0, x0, f = expected.witness[:3]
+    assert (j.base.dom(f), F.on_arrows[f].on_objects[x0], n) == (c, x, expected.witness[4])
+    Z = z.object_part[(c, x)]
+    lifted = Sieve(idc, frozenset(slice_arrow_name(g, idc) for g in arrows))
+    counts = [len(amalgamations(Z, lifted, m)) for m in matching_families(Z, lifted)]
+    assert n != 1 and n in counts
+    return (c0, x0) != (c, x)
+
+
 def test_ell_factors_agrees_with_the_slice_by_slice_oracle():
     # each element's condition at id_c decides what is_sheaf decides on
     # every slice; a failing witness is checked with the public family oracles
     from fixture_corpus import map_to_omega_corpus
     from tck.prestack import elements_category
-    from tck.site import amalgamations, matching_families
 
     _, sq_topo = square_site()
     values = [walking_iso(), walking_arrow(), idempotent(), flip()]
@@ -1414,26 +1472,33 @@ def test_ell_factors_agrees_with_the_slice_by_slice_oracle():
             if not elements_category(F).objects:
                 continue
             for z in map_to_omega_corpus(F, 8):
-                result, expected = ell_factors(z, j), stack_oracle.ell_factors(z, j)
-                assert result.ok == expected.ok, (j.minimal, z.fibre_functor.on_objects)
+                elsewhere = ell_factors_against_the_oracle(z, j)
                 checked += 1
-                if result.ok:
-                    assert result.certified == expected.certified
-                    continue
-                failing += 1
-                c, x, idc, arrows, n = result.witness
-                assert idc == j.base.id_of(c) and arrows == j.minimal[c].sorted_arrows()
-                # the oracle fails first at (c0, x0) over a slice object f, whose
-                # element (dom f, F(f)x0) is the one reported, with the same n
-                c0, x0, f = expected.witness[:3]
-                assert (j.base.dom(f), F.on_arrows[f].on_objects[x0], n) == \
-                    (c, x, expected.witness[4])
-                moved += (c0, x0) != (c, x)
-                Z = z.object_part[(c, x)]
-                lifted = Sieve(idc, frozenset(slice_arrow_name(g, idc) for g in arrows))
-                counts = [len(amalgamations(Z, lifted, m)) for m in matching_families(Z, lifted)]
-                assert n != 1 and n in counts
+                failing += elsewhere is not None
+                moved += bool(elsewhere)
     assert (checked, failing, moved) == (444, 93, 53)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_categories(), st.data())
+def test_ell_factors_agrees_with_the_slice_by_slice_oracle_on_generated_sites(cat, data):
+    # generators drawn as for the discrete stack path, the empty family
+    # among them, so least covers may be empty, maximal or neither
+    from fixture_corpus import map_to_omega_corpus
+    from tck.prestack import elements_category
+
+    gens = {
+        c: data.draw(st.lists(st.lists(st.sampled_from(sorted(cat.arrows_into(c))),
+                                       max_size=3), max_size=2))
+        for c in cat.objects
+    }
+    j, _ = topology_from_generators(cat, gens)
+    values = [walking_iso(), walking_arrow(), idempotent(), flip()]
+    F = data.draw(st.sampled_from([constant_cat_presheaf(cat, K) for K in values]
+                                  + catpresheaf_corpus(cat, 4)))
+    assume(elements_category(F).objects)
+    z = data.draw(st.sampled_from(map_to_omega_corpus(F, 4)))
+    ell_factors_against_the_oracle(z, j)
 
 
 def test_char_stacks_builds_no_slice():
