@@ -6,11 +6,16 @@ the fibres and the lift table that classify/char consult downstream.
 elements_of, pullback and lax_limit_of_arrow name their lifts themselves
 and return the certificate with the functor; certify_dopf certifies any
 other functor by an exhaustive lift scan.
+
+The pair, comma-object and comma-arrow names these constructions (and
+elements_functor and prestack's pointwise ones) store are interned, so a
+name is one string in every table that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Mapping
 
 from .errors import InvalidTable, NotOpfibration, UnknownObject
@@ -99,15 +104,15 @@ def transport(p: DiscOpfibCat, e: str, f: str) -> str:
 
 
 def _pair(x: str, y: str) -> str:
-    return f"({x},{y})"
+    return intern(f"({x},{y})")
 
 
 def _comma_object(a: str, b: str, al: str) -> str:
-    return f"({a},{b},{al})"
+    return intern(f"({a},{b},{al})")
 
 
 def _comma_arrow(u: str, v: str, o1: str, o2: str) -> str:
-    return f"[{u},{v}]{o1}->{o2}"
+    return intern(f"[{u},{v}]{o1}->{o2}")
 
 
 def pullback(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:
@@ -260,9 +265,8 @@ def elements_functor(z: FinSetFunctor, source: FinCat, target: FinCat,
     m_b: z(b) -> w(u(b)) induce: (b, x) |-> (u(b), m_b(x)) and
     (f, x) |-> (u(f), m_(dom f)(x))."""
     uo, ua, zo = u.on_objects, u.on_arrows, z.on_objects
-    # the names are _pair's, spelled out: this runs once per 2-cell
-    on_objects = {f"({b},{x})": f"({uo[b]},{m[b][x]})" for b, xs in zo.items() for x in xs}
-    on_arrows = {f"({f},{x})": f"({ua[f]},{m[d][x]})"
+    on_objects = {_pair(b, x): _pair(uo[b], m[b][x]) for b, xs in zo.items() for x in xs}
+    on_arrows = {_pair(f, x): _pair(ua[f], m[d][x])
                  for f, (d, _) in z.base.arrows.items() for x in zo[d]}
     return FinFunctor(source, target, on_objects, on_arrows)
 

@@ -20,6 +20,13 @@ cached the same way.  Slices, and the postcomposition tables that reindex
 slice presheaves along an arrow, are cached on the category they are
 taken of, and die with it.  tck reads a slice through ``_slice_of``; the
 domain projection is built only for public callers of ``slice_cat``.
+
+A construction interns (``sys.intern``) each name it stores: a slice's
+objects, arrows, identities and composites, and a postcomposition's
+tables, here; cat2 and prestack do the same for the categories they
+build.  Equal names are then one string, however many tables hold them.
+A name formatted only to look a table up, such as ``slice_arrow_name``'s
+result, stays a plain string.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from sys import intern
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -315,6 +323,11 @@ def slice_arrow_name(g: str, f: str) -> str:
     return f"{g}>{f}"
 
 
+def _slice_arrow(g: str, f: str) -> str:
+    """slice_arrow_name, interned: the name a slice stores."""
+    return intern(slice_arrow_name(g, f))
+
+
 def _slice_of(cat: FinCat, c: str) -> FinCat:
     """The slice over c, cached on ``cat`` with its projection's tables.
 
@@ -326,12 +339,12 @@ def _slice_of(cat: FinCat, c: str) -> FinCat:
         raise UnknownObject(c)
     hit = cat._slices.get(c)
     if hit is None:
-        objs = list(cat.arrows_into(c))
+        objs = [intern(f) for f in cat.arrows_into(c)]
         parts = named_parts(((g, f) for f in objs for g in cat.arrows_into(cat.dom(f))),
-                            slice_arrow_name)
-        arrows = {name: (cat.compose(f, g), f) for name, (g, f) in parts.items()}
-        identities = {f: slice_arrow_name(cat.id_of(cat.dom(f)), f) for f in objs}
-        compose = composition_table(arrows, lambda b, a: slice_arrow_name(
+                            _slice_arrow)
+        arrows = {name: (intern(cat.compose(f, g)), f) for name, (g, f) in parts.items()}
+        identities = {f: _slice_arrow(cat.id_of(cat.dom(f)), f) for f in objs}
+        compose = composition_table(arrows, lambda b, a: _slice_arrow(
             cat.compose(parts[b][0], parts[a][0]), parts[b][1]))
         # valid because cat is and names are injective; the projection keeps composites of g
         sl = FinCat(tuple(sorted(objs)), arrows, identities, compose)
@@ -365,9 +378,9 @@ def _postcomposition(cat: FinCat, f: str) -> tuple:
         raise InvalidTable(f"unknown arrow {f!r}")
     d, _ = cat.arrows[f]
     sl_d = _slice_of(cat, d)
-    objects = tuple((g, cat.compose(f, g)) for g in sl_d.objects)
+    objects = tuple((g, intern(cat.compose(f, g))) for g in sl_d.objects)
     arrows = tuple(
-        (slice_arrow_name(h, g), slice_arrow_name(h, fg))
+        (_slice_arrow(h, g), _slice_arrow(h, fg))
         for g, fg in objects
         for h in cat.arrows_into(cat.dom(g))
     )

@@ -4,12 +4,18 @@ transformations and modifications, and pointwise discrete opfibrations.
 Strictness is checked on the nose everywhere: functoriality and naturality
 are equalities of tables, never isomorphisms.  Isomorphism only enters when
 comparing opfibrations over a fixed presheaf, where it is searched for.
+
+The category of elements, the slice tables into it and the pointwise
+constructions intern each name they store; ``element_name`` and
+``element_arrow_name``, which callers use to look those tables up, return
+plain strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from sys import intern
 from typing import Mapping
 
 from . import cat2
@@ -28,8 +34,8 @@ from .fincat import (
     mark_valid,
     named_parts,
     search_setfunctor_maps,
-    slice_arrow_name,
     validates_once,
+    _slice_arrow,
 )
 
 
@@ -365,13 +371,23 @@ def element_arrow_name(f: str, mu: str, x: str) -> str:
     return f"<{f}|{mu}|{x}>"
 
 
+def _element(c: str, x: str) -> str:
+    """element_name, interned: the name a category of elements stores."""
+    return intern(element_name(c, x))
+
+
+def _element_arrow(f: str, mu: str, x: str) -> str:
+    """element_arrow_name, interned."""
+    return intern(element_arrow_name(f, mu, x))
+
+
 def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
     """The category of elements of F with the parts of its objects, name ->
     (c, X), and of its arrows, name -> (f, mu, X); cached on F."""
     F.validate()
     base = F.base
     obj_parts = named_parts(
-        ((c, x) for c in base.objects for x in F.on_objects[c].objects), element_name)
+        ((c, x) for c in base.objects for x in F.on_objects[c].objects), _element)
 
     def arrow_parts():
         for c, x in obj_parts.values():
@@ -382,21 +398,21 @@ def _elements_tables(F: CatPresheaf) -> tuple[FinCat, dict, dict]:
                     for mu in F.on_objects[d].hom(fx, y):
                         yield f, mu, x
 
-    parts = named_parts(arrow_parts(), element_arrow_name)  # name -> (f, mu, x)
+    parts = named_parts(arrow_parts(), _element_arrow)  # name -> (f, mu, x)
     arrows = {
-        name: (element_name(base.cod(f), x),
-               element_name(base.dom(f), F.on_objects[base.dom(f)].cod(mu)))
+        name: (_element(base.cod(f), x),
+               _element(base.dom(f), F.on_objects[base.dom(f)].cod(mu)))
         for name, (f, mu, x) in parts.items()
     }
     identities = {
-        o: element_arrow_name(base.id_of(c), F.on_objects[c].id_of(x), x)
+        o: _element_arrow(base.id_of(c), F.on_objects[c].id_of(x), x)
         for o, (c, x) in obj_parts.items()
     }
 
     def compose(n2: str, n1: str) -> str:
         (f, mu, x), (g, mu2, _) = parts[n1], parts[n2]
         comp_mu = F.on_objects[base.dom(g)].compose(mu2, F.on_arrows[g].on_arrows[mu])
-        return element_arrow_name(base.compose(f, g), comp_mu, x)
+        return _element_arrow(base.compose(f, g), comp_mu, x)
 
     # valid because F is strict and named_parts keeps the names apart
     el = FinCat(tuple(sorted(obj_parts)), arrows, identities, composition_table(arrows, compose))
@@ -425,16 +441,16 @@ def _slice_element_tables(F: CatPresheaf) -> tuple[dict, dict, dict]:
             for f in into:
                 d = base.dom(f)
                 fx = F.on_arrows[f].on_objects[x]
-                objects[(c, x)][f] = element_name(d, fx)
+                objects[(c, x)][f] = _element(d, fx)
                 for g in base.arrows_into(d):
                     gfx = F.on_arrows[g].on_objects[fx]
-                    arrows[(c, x)][slice_arrow_name(g, f)] = element_arrow_name(
+                    arrows[(c, x)][_slice_arrow(g, f)] = _element_arrow(
                         g, F.on_objects[base.dom(g)].id_of(gfx), fx)
         for nu in Fc.arrows:
             x = Fc.dom(nu)
             verticals[(c, nu)] = {
-                f: element_arrow_name(base.id_of(base.dom(f)), F.on_arrows[f].on_arrows[nu],
-                                      F.on_arrows[f].on_objects[x])
+                f: _element_arrow(base.id_of(base.dom(f)), F.on_arrows[f].on_arrows[nu],
+                                  F.on_arrows[f].on_objects[x])
                 for f in into
             }
     return objects, arrows, verticals

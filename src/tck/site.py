@@ -78,7 +78,7 @@ from .fincat import (
     compose_presheaf_maps,
     guard,
     mark_valid,
-    slice_arrow_name,
+    _slice_arrow,
     _slice_of,
     validates_once,
 )
@@ -526,7 +526,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
     sl = _slice_of(cat, c)
     # lifted from j's checked least covers, so a topology
     out = j._slices[c] = _built(sl, {
-        f: Sieve(f, frozenset(slice_arrow_name(g, f) for g in j.minimal[cat.dom(f)].arrows))
+        f: Sieve(f, frozenset(_slice_arrow(g, f) for g in j.minimal[cat.dom(f)].arrows))
         for f in sl.objects
     })
     return out
