@@ -23,8 +23,9 @@ domain projection is built only for public callers of ``slice_cat``.
 
 A construction interns (``sys.intern``) each name it stores: a slice's
 objects, arrows, identities and composites, and a postcomposition's
-tables, here; cat2 and prestack do the same for the categories they
-build.  Equal names are then one string, however many tables hold them.
+tables, here; cat2, prestack and site's slice topologies do the same
+for what they build.  Equal names are then one string, however many
+tables hold them.
 A name formatted only to look a table up, such as ``slice_arrow_name``'s
 result, stays a plain string.
 """

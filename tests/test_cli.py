@@ -582,3 +582,48 @@ def test_char_stacks_with_no_two_nat_topology_pair_exits_three(tmp_path):
         res = tck(command, str(path))
         assert res.returncode == 3, (command, res.stdout)
         assert res.stderr == f"error: document has no {kind}/topology pair section to operate on\n"
+
+
+# -- in-process: what only the subprocess tests above reach ---------------------------
+
+
+def test_a_bounded_pass_merged_into_a_pass_bounds_it():
+    from tck.report import Report
+
+    inner = Report("inner").bounded("search", 7).note(("w",))
+    got = Report("outer").merge(inner, "Z", "J")
+    assert (got.verdict, got.bounds, got.witnesses) == \
+        ("bounded-pass", {"Z/J: search": 7}, [("Z", "J", "w")])
+    assert Report("outer").fail(("x",)).merge(inner).verdict == "fail"
+
+
+def test_main_on_a_missing_file_exits_three(tmp_path, capsys):
+    from tck import cli
+
+    path = tmp_path / "nowhere.site"
+    assert cli.main(["validate", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: no such file: {path}\n")
+
+
+def test_main_writes_the_output_to_out_in_place_of_stdout(tmp_path, capsys):
+    from tck import cli
+
+    src = os.path.join(FIXTURES, "NonSeparated.site")
+    assert cli.main(["sheafify", src]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "sheafified.site"
+    assert cli.main(["sheafify", src, "--out", str(out)]) == 0
+    assert printed == capsys.readouterr().out + out.read_text(encoding="utf-8")
+    assert "setpresheaf" in out.read_text(encoding="utf-8")
+
+
+def test_a_tck_error_that_escapes_a_command_fails_it_with_exit_one(tmp_path, capsys):
+    from tck import cli
+
+    path = tmp_path / "stability.site"
+    with open(os.path.join(FIXTURES, "broken", "BrokenStability.site"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + ONE_SECTION_ON_PP)
+    assert cli.main(["sheafify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "command: sheafify\nverdict: fail\ncounterexample: ('AxiomViolation', "
+        "\"topology axiom stability fails at ('b', ('u',), 'v')\")\n")

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from category_strategies import generated_categories
 from fixture_corpus import (
+    bases,
     build_broken_topology_fixtures,
     build_shipped_fixtures,
+    catpresheaf_corpus,
+    map_to_omega_corpus,
     write_fixture_tree,
 )
 from tck import cli
@@ -225,6 +228,46 @@ def test_generated_topologies_round_trip(cat, data):
         for c in cat.objects
     }
     assert_topology_round_trips(topology_from_generators(cat, gens)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def maps_with_arrowparts() -> tuple:
+    """(label, document text, map) for every map of map_to_omega_corpus(F, 3)
+    over each catpresheaf_corpus member F of a shipped base whose values
+    have an arrow that is no identity, so the map has arrowpart lines."""
+    out = []
+    for name, base in sorted(bases().items()):
+        for F in catpresheaf_corpus(base, 6):
+            if all(K.is_identity(a) for K in F.on_objects.values() for a in K.arrows):
+                continue
+            for i, z in enumerate(map_to_omega_corpus(F, 3)):
+                b = DocumentBuilder()
+                b.map_to_omega("z", z, "F", "C")
+                out.append((f"{name}.{i}", serialize(b.doc), z))
+    return tuple(out)
+
+
+def test_maps_with_arrowparts_round_trip_exactly():
+    maps = maps_with_arrowparts()
+    assert len(maps) == 54
+    for label, text, z in maps:
+        assert "\n  arrowpart " in text, label
+        doc = parse(text)
+        assert doc.maps_to_omega["z"][0] == z, label
+        assert serialize(doc) == text, label
+
+
+def test_a_missing_arrowpart_of_an_arrow_that_is_no_identity_is_refused():
+    _, text, z = maps_with_arrowparts()[0]
+    c, nu = next((c, nu) for c, K in sorted(z.source.on_objects.items())
+                 for nu in K.sorted_arrows() if not K.is_identity(nu))
+    lines = text.splitlines()
+    kept = [line for line in lines if not line.startswith(f"  arrowpart {c} {nu} at ")]
+    assert len(kept) < len(lines)
+    with pytest.raises(InvariantViolation) as err:
+        parse("\n".join(kept))
+    assert err.value.line == kept.index("map_to_omega z over F") + 1
+    assert str(err.value) == f"line {err.value.line}: arrowpart for ({c!r}, {nu!r}) missing"
 
 
 def test_serialize_deterministic_across_runs():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import validation_oracle
-from category_strategies import generated_categories, small_monoids
+from category_strategies import generated_categories, idempotent_monoid, small_monoids
 from fixture_corpus import (
     bases,
     catpresheaf_corpus,
@@ -24,9 +24,10 @@ from fixture_corpus import (
     dopf_corpus,
     parallel_pair,
     precompose_map_to_omega,
+    trivial_topology,
     walking_arrow,
 )
-from tck import cat2, classifier, fincat, prestack, site
+from tck import cat2, classifier, fincat, prestack, site, stacks
 from tck.classifier import (
     char,
     classify,
@@ -666,3 +667,105 @@ def test_elements_of_refuses_a_shared_name_as_its_earlier_body_does():
                              {"id_a": {"b,c": "b,c"}, "id_a,b": {"c": "c"}})
     got = outcome(cat2.elements_of, A)
     assert got is not None and got == outcome(validation_oracle.elements_of, A)
+
+
+# -- refusals of malformed library arguments ------------------------------------------
+
+PP, PT, M = parallel_pair(), fincat.point_category(), idempotent_monoid()
+# Cat-valued presheaves on WA, constant at the point and at M = {1, e}
+ON_PT, ON_M = constant_cat_presheaf(WA, PT), constant_cat_presheaf(WA, M)
+ID_PT, ID_M = prestack.identity_two_nat(ON_PT), prestack.identity_two_nat(ON_M)
+
+
+def _on_m(at_a, at_b):
+    """Components at a and b of a modification ID_M => ID_M, each the
+    natural transformation id_M => id_M with the given component."""
+    idM = fincat.identity_functor(M)
+    return {"a": fincat.NatTransform(idM, idM, {"*": at_a}),
+            "b": fincat.NatTransform(idM, idM, {"*": at_b})}
+
+
+def _wa_to_pp(u_to):
+    """The functor WA -> PP sending u to u_to."""
+    return fincat.FinFunctor(WA, PP, {"a": "a", "b": "b"},
+                             {"id_a": "id_a", "id_b": "id_b", "u": u_to})
+
+
+def _sets(*labels):
+    return fincat.constant_presheaf(WA, labels)
+
+
+def _dopf(F):
+    return certify_dopf_pre(prestack.identity_two_nat(F))
+
+
+REFUSALS = [
+    ("modification-not-parallel", lambda: prestack.Modification(ID_PT, ID_M, {}).validate(),
+     "modification endpoints are not parallel"),
+    ("modification-not-total", lambda: prestack.Modification(ID_M, ID_M, {}).validate(),
+     "modification component table is not total"),
+    ("modification-component-endpoints",
+     lambda: prestack.Modification(ID_M, ID_M, {c: fincat.NatTransform(
+         fincat.identity_functor(WA), fincat.identity_functor(WA), {}) for c in "ab"}).validate(),
+     "modification component at 'a' has wrong endpoints"),
+    # e at a and 1 at b are each natural, but restriction along u carries e to e
+    ("modification-axiom",
+     lambda: prestack.Modification(ID_M, ID_M, _on_m("e", "id_*")).validate(),
+     "modification axiom fails on 'u' at '*'"),
+    ("nat-not-parallel",
+     lambda: fincat.NatTransform(fincat.identity_functor(WA), fincat.identity_functor(PT),
+                                 {}).validate(),
+     "natural transformation endpoints are not parallel"),
+    ("nat-component",
+     lambda: fincat.NatTransform(fincat.identity_functor(WA), fincat.identity_functor(WA),
+                                 {"a": "id_a"}).validate(),
+     "component at 'b' missing or ill-typed"),
+    ("nat-naturality",
+     lambda: fincat.NatTransform(_wa_to_pp("u"), _wa_to_pp("v"),
+                                 {"a": "id_a", "b": "id_b"}).validate(),
+     "naturality square fails on 'u'"),
+    ("functor-objects-not-total", lambda: fincat.FinFunctor(WA, WA, {}, {}).validate(),
+     "functor object map is not total"),
+    ("functor-arrows-not-total",
+     lambda: fincat.FinFunctor(WA, WA, {"a": "a", "b": "b"}, {}).validate(),
+     "functor arrow map is not total"),
+    ("compose-functors",
+     lambda: fincat.compose_functors(fincat.identity_functor(WA), fincat.identity_functor(PT)),
+     "functors not composable"),
+    ("compose-presheaf-maps",
+     lambda: fincat.compose_presheaf_maps(fincat.identity_presheaf_map(_sets("x")),
+                                          fincat.identity_presheaf_map(_sets("x", "y"))),
+     "presheaf maps not composable"),
+    ("compose-two-nats", lambda: prestack.compose_two_nats(ID_PT, ID_M),
+     "two-natural transformations not composable"),
+    ("invert-presheaf-map",
+     lambda: fincat.invert_presheaf_map(fincat.PresheafMap(
+         _sets("x", "y"), _sets("x"), {c: {"x": "x", "y": "x"} for c in "ab"})),
+     "presheaf map is not invertible"),
+    ("fib-hom", lambda: fib_hom(_dopf(ON_PT), _dopf(ON_M)), "fib_hom: different codomains"),
+    ("fib-iso", lambda: fib_iso(_dopf(ON_PT), _dopf(ON_M)), "fib_iso: different codomains"),
+    ("pointwise-comma", lambda: pointwise_comma(ID_PT, ID_M),
+     "pointwise_comma: codomains disagree"),
+    ("pointwise-pullback", lambda: pointwise_pullback(_dopf(ON_PT), ID_M),
+     "pointwise_pullback: codomains disagree"),
+    ("is-sheaf", lambda: site.is_sheaf(_sets("x"), trivial_topology(PP)),
+     "presheaf and topology live on different bases"),
+    ("plus", lambda: site.plus(_sets("x"), trivial_topology(PP)),
+     "presheaf and topology live on different bases"),
+    ("ell-factors",
+     lambda: stacks.ell_factors(classifier.omega_point(ON_PT), trivial_topology(PP)),
+     "topology and map live on different sites"),
+    ("search-setfunctor-maps",
+     lambda: fincat.search_setfunctor_maps(setfunctor_corpus(WA, 1)[0],
+                                           setfunctor_corpus(PP, 1)[0]),
+     "set functor maps need a common base"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_malformed_arguments_are_refused_with_their_message(call, message):
+    with pytest.raises(TckError) as err:
+        call()
+    assert type(err.value) is InvalidTable
+    assert str(err.value) == message
