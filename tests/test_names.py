@@ -34,8 +34,7 @@ def unshared_names(cat) -> list:
     for d, c in cat.arrows.values():
         out += [x for x in (d, c) if x is not objs[x]]
     for o, i in cat.identities.items():
-        out += [o] if o is not objs[o] else []
-        out += [i] if i is not arrs[i] else []
+        out += [n for n, names in ((o, objs), (i, arrs)) if n is not names[n]]
     for (g, f), h in cat.compose_table.items():
         out += [x for x in (g, f, h) if x is not arrs[x]]
     return out
