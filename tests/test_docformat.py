@@ -257,13 +257,18 @@ def test_maps_with_arrowparts_round_trip_exactly():
         assert serialize(doc) == text, label
 
 
-def test_a_missing_arrowpart_of_an_arrow_that_is_no_identity_is_refused():
+@pytest.mark.parametrize("stray", [False, True], ids=["alone", "before-a-stray-part"])
+def test_a_missing_arrowpart_of_an_arrow_that_is_no_identity_is_refused(stray):
+    # a missing arrowpart is named before a part keyed by no object of F
     _, text, z = maps_with_arrowparts()[0]
     c, nu = next((c, nu) for c, K in sorted(z.source.on_objects.items())
                  for nu in K.sorted_arrows() if not K.is_identity(nu))
     lines = text.splitlines()
     kept = [line for line in lines if not line.startswith(f"  arrowpart {c} {nu} at ")]
     assert len(kept) < len(lines)
+    if stray:
+        n = next(n for n, line in enumerate(kept) if line.startswith("  part "))
+        kept.insert(n, "  part " + " ".join([c, "nope", *kept[n].split()[3:]]))
     with pytest.raises(InvariantViolation) as err:
         parse("\n".join(kept))
     assert err.value.line == kept.index("map_to_omega z over F") + 1
@@ -584,6 +589,10 @@ BLOCK_ERRORS = [
      [(None, "\ncategory WA #<\nend\n")]),
     ("unknown-kind", ParseError, 1, "unknown section kind 'widget'",
      [(None, "\nwidget W #<\nend\n")]),
+    ("import-no-path", ParseError, 1, "import takes exactly one path",
+     [(None, "\nimport #<\n")]),
+    ("import-two-paths", ParseError, 1, "import takes exactly one path",
+     [(None, "\nimport a.site b.site #<\n")]),
     ("functor-header", ParseError, 1, "functor header: functor NAME : SRC -> DST",
      [("functor I : Pt -> Pt\n", "functor I : Pt Pt #<\n")]),
     ("functor-dangling-source", DanglingReference, None, "reference 'Nowhere' does not resolve",
@@ -743,6 +752,14 @@ BLOCK_ERRORS = [
     ("sheaf-descent-missing-iso", InvariantViolation, None, "iso for ('u', 'id_a') missing",
      [("WA topology J at b sieve S\n", "WA topology J at b sieve S #<\n"),
       ("  object u : Za\n  identity-isos\n", "  object u : Za\n")]),
+    ("sheaf-descent-identity-iso-ill-typed", InvariantViolation, None,
+     "identity iso ill-typed at ('id_b', 'u')",
+     [("sieve S on WA at b\n  arrows u\nend\n",
+       "sieve S on WA at b\n  arrows u\nend\n\nsieve Sb on WA at b\n  arrows id_b\nend\n"),
+      ("  at id_a : x\nend\n", "  at id_a : x\nend\n\nsetpresheaf Zb on slice WA b\n"
+                             "  at id_b : x\n  at u : y\n  map u>id_b : x -> y\nend\n"),
+      ("WA topology J at b sieve S\n", "WA topology J at b sieve Sb #<\n"),
+      ("  object u : Za\n", "  object u : Za\n  object id_b : Zb\n")]),
     ("sheaf-descent-stray-iso", InvariantViolation, None,
      "iso for ('id_b', 'id_b') is no composable pair of sieve S",
      [("  object u : Za\n  identity-isos\n",
