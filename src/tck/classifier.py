@@ -32,6 +32,7 @@ from .fincat import (
     PresheafMap,
     SetFunctorMap,
     SetPresheaf,
+    identity_functor,
     mark_valid,
     search_setfunctor_maps,
     slice_arrow_name,
@@ -250,6 +251,10 @@ def _classify(z: MapToOmega) -> DiscOpfibPre:
     totals = {c: cat2.elements_of(fibres[c]) for c in sorted(site.objects)}
     on_arrows = {}
     for f, (d, c) in site.arrows.items():
+        if site.is_identity(f):
+            # F and B_z are strict, so F(id_c) and B_z<id_c|id|X> are identities
+            on_arrows[f] = identity_functor(totals[c].total)
+            continue
         Ff = F.on_arrows[f]
         Fd = F.on_objects[d]
         restrict = {
