@@ -18,6 +18,20 @@ header and lines is its own.  Four rules are shared by every kind:
 - a block is written by ``_ser_block``: its header, its lines indented by
   two spaces with trailing spaces stripped, then ``end``.
 
+Two more are shared by the kinds they fit:
+
+- a fixed-shape header (functor, catpresheaf, two_nat, sieve, both
+  descent_datum kinds and map_to_omega) is read by ``header`` against the
+  usage message it raises for any other shape, whose capitalized words
+  are the fields it returns; category, topology and setpresheaf headers
+  carry flags or a base expression and are read by their blocks;
+- a presheaf map keyed by a pair (a sheaf descent datum's ``iso``, a
+  map_to_omega's ``arrowpart``) is read line by line by ``keyed_line``
+  from ``KIND K1 K2 at H : x -> y , ...``, built by ``_keyed_map`` from its
+  tables, else as an identity where the block allows one, else refused
+  as missing; a keyed line (``part`` too) whose key the block never
+  builds is refused at its line by ``_refuse_strays``.
+
 An id (a block name, an object, an arrow or an element) is a non-empty
 string without whitespace or ``#``, and an element is not the ``,`` that
 separates pairs; serialize() refuses any other id with ``InvalidTable``.
@@ -28,7 +42,9 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .classifier import MapToOmega, map_from_parts
@@ -101,6 +117,40 @@ def checked(start: int, build, *args):
         raise InvariantViolation(start, str(exc)) from exc
 
 
+@cache
+def _header_shape(usage: str):
+    """The shape a fixed-shape header's usage message spells after its
+    colon: its length, a getter of its literal tokens and their values,
+    and a getter of its fields, the capitalized words."""
+    words = usage.partition(": ")[2].split()
+    literals = [k for k, word in enumerate(words) if not word.isupper()]
+    fields = [k for k, word in enumerate(words) if word.isupper()]
+    return (len(words), itemgetter(*literals), tuple(words[k] for k in literals),
+            itemgetter(*fields))
+
+
+def _keyed_map(kind: str, tables: Mapping, key, src, tgt, identity: bool,
+              start: int) -> PresheafMap:
+    """The presheaf map src -> tgt that the ``kind`` lines keyed ``key``
+    give; else, where ``identity`` allows it, the identity of src, which
+    must be tgt; else the block at line ``start`` is missing it."""
+    if key in tables:
+        return PresheafMap(src, tgt, tables[key][1])
+    if not identity:
+        raise InvariantViolation(start, f"{kind} for {key!r} missing")
+    if src != tgt:
+        raise InvariantViolation(start, f"identity {kind} ill-typed at {key!r}")
+    return identity_presheaf_map(src)
+
+
+def _refuse_strays(kind: str, tables: Mapping, known, what: str) -> None:
+    """Refuse, at its first line, a ``kind`` line whose key is none of
+    ``known``: it would be read and never looked at."""
+    for key, (line, _) in tables.items():
+        if key not in known:
+            raise InvariantViolation(line, f"{kind} for {key!r} is no {what}")
+
+
 class _Parser:
     def __init__(self, text: str, base_dir: str | None = None,
                  doc: Document | None = None, seen_paths: set | None = None):
@@ -136,6 +186,25 @@ class _Parser:
         """Header token k, which its block does not read, at its column."""
         column = [m.start() + 1 for m in re.finditer(r"\S+", self.lines[self.i])][k]
         return ParseError(self.i + 1, column, f"unexpected {header[k]!r} in {header[0]} header")
+
+    def header(self, tokens: list[str], usage: str) -> tuple[str, ...]:
+        """The fields of a fixed-shape header, which ``usage`` spells out
+        and names when the header has another shape."""
+        n, literals, words, fields = _header_shape(usage)
+        if len(tokens) != n or literals(tokens) != words:
+            raise self.error(usage)
+        return fields(tokens)
+
+    def keyed_line(self, kind: str, tables: dict, line: int, content: str,
+                   t: list[str]) -> bool:
+        """Read a ``KIND K1 K2 at H : x -> y , ...`` line into the table at
+        H of the map keyed (K1, K2), which keeps the line that first keys
+        it; False for a line of another shape."""
+        if t[0] != kind or len(t) < 6 or t[3] != "at" or t[5] != ":":
+            return False
+        self.put(tables.setdefault((t[1], t[2]), (line, {}))[1], t[4],
+                 self._pairs(t[6:], line), line, content)
+        return True
 
     def next_content_line(self) -> str | None:
         content = self.content
@@ -242,10 +311,7 @@ class _Parser:
         self.doc.categories[name] = cat
 
     def block_functor(self, header: list[str], start: int) -> None:
-        if len(header) != 6 or header[2] != ":" or header[4] != "->":
-            raise self.error("functor header: functor NAME : SRC -> DST")
-        name = header[1]
-        src_name, dst_name = header[3], header[5]
+        name, src_name, dst_name = self.header(header, "functor header: functor NAME : SRC -> DST")
         src = ref(self.doc.categories, src_name, start)
         dst = ref(self.doc.categories, dst_name, start)
         ob: dict[str, str] = {}
@@ -304,10 +370,8 @@ class _Parser:
         self.doc.setpresheaves[name] = (Z, base_expr)
 
     def block_catpresheaf(self, header: list[str], start: int) -> None:
-        if len(header) != 4 or header[2] != "on":
-            raise self.error("catpresheaf header: catpresheaf NAME on CAT")
-        name = header[1]
-        base = ref(self.doc.categories, header[3], start)
+        name, base_name = self.header(header, "catpresheaf header: catpresheaf NAME on CAT")
+        base = ref(self.doc.categories, base_name, start)
         on_objects: dict[str, FinCat] = {}
         on_arrows: dict[str, FinFunctor] = {}
         at_refs: dict[str, str] = {}
@@ -332,14 +396,12 @@ class _Parser:
                     raise InvariantViolation(start, f"no functor assigned at {f!r}")
         F = CatPresheaf(base, on_objects, on_arrows)
         checked(start, F.validate)
-        self.doc.catpresheaves[name] = (F, header[3], at_refs, arr_refs)
+        self.doc.catpresheaves[name] = (F, base_name, at_refs, arr_refs)
 
     def block_two_nat(self, header: list[str], start: int) -> None:
-        if len(header) != 6 or header[2] != ":" or header[4] != "->":
-            raise self.error("two_nat header: two_nat NAME : F -> G")
-        name = header[1]
-        src = ref(self.doc.catpresheaves, header[3], start)[0]
-        dst = ref(self.doc.catpresheaves, header[5], start)[0]
+        name, src_name, dst_name = self.header(header, "two_nat header: two_nat NAME : F -> G")
+        src = ref(self.doc.catpresheaves, src_name, start)[0]
+        dst = ref(self.doc.catpresheaves, dst_name, start)[0]
         comps: dict[str, FinFunctor] = {}
         at_refs: dict[str, str] = {}
         for line, content, t in self.body():
@@ -350,7 +412,7 @@ class _Parser:
                 raise self.bad(line, content, "two_nat")
         nat = TwoNat(src, dst, comps)
         checked(start, nat.validate)
-        self.doc.two_nats[name] = (nat, header[3], header[5], at_refs)
+        self.doc.two_nats[name] = (nat, src_name, dst_name, at_refs)
 
     def block_topology(self, header: list[str], start: int) -> None:
         if len(header) < 4 or header[2] != "on":
@@ -382,18 +444,16 @@ class _Parser:
         self.doc.topologies[name] = (topo, header[3])
 
     def block_sieve(self, header: list[str], start: int) -> None:
-        if len(header) != 6 or header[2] != "on" or header[4] != "at":
-            raise self.error("sieve header: sieve NAME on CAT at OBJ")
-        name = header[1]
-        base = ref(self.doc.categories, header[3], start)
+        name, base_name, at = self.header(header, "sieve header: sieve NAME on CAT at OBJ")
+        base = ref(self.doc.categories, base_name, start)
         arrows: list[str] = []
         for line, content, t in self.body():
             if t[0] == "arrows":
                 arrows.extend(t[1:])
             else:
                 raise self.bad(line, content, "sieve")
-        s = checked(start, sieve_generate_at, base, header[5], arrows)
-        self.doc.sieves[name] = (s, header[3])
+        s = checked(start, sieve_generate_at, base, at, arrows)
+        self.doc.sieves[name] = (s, base_name)
 
     def block_descent_datum(self, header: list[str], start: int) -> None:
         if len(header) > 2 and header[2] == "sheaves":
@@ -402,14 +462,11 @@ class _Parser:
             self._block_descent(header, start)
 
     def _block_descent(self, header: list[str], start: int) -> None:
-        if len(header) != 8 or header[2] != "over" or header[4] != "at" or header[6] != "sieve":
-            raise self.error(
-                "descent_datum header: descent_datum NAME over F at OBJ sieve S"
-            )
-        name = header[1]
-        F = ref(self.doc.catpresheaves, header[3], start)[0]
-        s = ref(self.doc.sieves, header[7], start)[0]
-        if s.at != header[5]:
+        name, over, at, sieve_name = self.header(
+            header, "descent_datum header: descent_datum NAME over F at OBJ sieve S")
+        F = ref(self.doc.catpresheaves, over, start)[0]
+        s = ref(self.doc.sieves, sieve_name, start)[0]
+        if s.at != at:
             raise InvariantViolation(start, "sieve is not based at the stated object")
         objects: dict[str, str] = {}
         isos: dict[tuple[str, str], str] = {}
@@ -434,32 +491,27 @@ class _Parser:
                         if img is None:
                             raise InvariantViolation(
                                 start, f"object {objects[f]!r} for {f!r} is not in "
-                                       f"{header[3]}({base.dom(f)})")
+                                       f"{over}({base.dom(f)})")
                         isos[(f, g)] = F.on_objects[base.dom(g)].id_of(img)
         datum = DescentDatum(F, s, objects, isos)
-        self.doc.descent_data[name] = (datum, header[3], header[7])
+        self.doc.descent_data[name] = (datum, over, sieve_name)
 
     def _block_sheaf_descent(self, header: list[str], start: int) -> None:
-        if len(header) != 11 or header[3] != "on" or header[5] != "topology" \
-           or header[7] != "at" or header[9] != "sieve":
-            raise self.error(
-                "header: descent_datum NAME sheaves on CAT topology J at OBJ sieve S"
-            )
-        name = header[1]
-        base = ref(self.doc.categories, header[4], start)
-        topo, topo_base = ref(self.doc.topologies, header[6], start)
-        if topo_base != header[4]:
-            raise InvariantViolation(start, f"topology {header[6]!r} is not on {header[4]!r}")
-        s, sieve_base = ref(self.doc.sieves, header[10], start)
-        if sieve_base != header[4]:
-            raise InvariantViolation(start, f"sieve {header[10]!r} is not on {header[4]!r}")
-        if s.at != header[8]:
+        name, cat, topo_name, at, sieve_name = self.header(
+            header, "header: descent_datum NAME sheaves on CAT topology J at OBJ sieve S")
+        base = ref(self.doc.categories, cat, start)
+        topo, topo_base = ref(self.doc.topologies, topo_name, start)
+        if topo_base != cat:
+            raise InvariantViolation(start, f"topology {topo_name!r} is not on {cat!r}")
+        s, sieve_base = ref(self.doc.sieves, sieve_name, start)
+        if sieve_base != cat:
+            raise InvariantViolation(start, f"sieve {sieve_name!r} is not on {cat!r}")
+        if s.at != at:
             raise InvariantViolation(start, "sieve is not based at the stated object")
         objects: dict[str, SetPresheaf] = {}
         object_refs: dict[str, str] = {}
         object_lines: dict[str, int] = {}
-        iso_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
-        iso_lines: dict[tuple[str, str], int] = {}
+        iso_tables: dict[tuple[str, str], tuple[int, dict[str, dict[str, str]]]] = {}
         identity_isos = False
         for line, content, t in self.body():
             if t[0] == "object" and len(t) == 4 and t[2] == ":":
@@ -467,95 +519,56 @@ class _Parser:
                          line, content)
                 object_refs[t[1]] = t[3]
                 object_lines[t[1]] = line
-            elif t[0] == "iso" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
-                self.put(iso_tables.setdefault((t[1], t[2]), {}), t[4],
-                         self._pairs(t[6:], line), line, content)
-                iso_lines.setdefault((t[1], t[2]), line)
             elif t[0] == "identity-isos" and len(t) == 1:
                 identity_isos = True
-            else:
+            elif not self.keyed_line("iso", iso_tables, line, content, t):
                 raise self.bad(line, content, "sheaf descent")
         for f in s.sorted_arrows():
             if f not in objects:
                 raise InvariantViolation(start, f"object for {f!r} missing")
             if objects[f].base != _slice_of(base, base.dom(f)):
                 raise InvariantViolation(
-                    object_lines[f],
-                    f"object for {f!r} is not on slice {header[4]} {base.dom(f)}")
-        isos: dict[tuple[str, str], PresheafMap] = {}
-        for f in s.sorted_arrows():
-            for g in base.arrows_into(base.dom(f)):
-                src = reindex_slice_presheaf(base, g, objects[f])
-                tgt = objects[base.compose(f, g)]
-                if (f, g) in iso_tables:
-                    isos[(f, g)] = PresheafMap(src, tgt, iso_tables[(f, g)])
-                elif identity_isos:
-                    if src != tgt:
-                        raise InvariantViolation(
-                            start, f"identity iso ill-typed at ({f!r}, {g!r})"
-                        )
-                    isos[(f, g)] = identity_presheaf_map(src)
-                else:
-                    raise InvariantViolation(start, f"iso for ({f!r}, {g!r}) missing")
-        for key, line in iso_lines.items():
-            if key not in isos:
-                raise InvariantViolation(
-                    line, f"iso for {key!r} is no composable pair of sieve {header[10]}")
+                    object_lines[f], f"object for {f!r} is not on slice {cat} {base.dom(f)}")
+        isos = {(f, g): _keyed_map("iso", iso_tables, (f, g),
+                                   reindex_slice_presheaf(base, g, objects[f]),
+                                   objects[base.compose(f, g)], identity_isos, start)
+                for f in s.sorted_arrows() for g in base.arrows_into(base.dom(f))}
+        _refuse_strays("iso", iso_tables, isos, f"composable pair of sieve {sieve_name}")
         datum = SheafDescentDatum(base, topo, s, objects, isos)
-        self.doc.sheaf_descent_data[name] = (
-            datum, header[4], header[6], header[10], object_refs
-        )
+        self.doc.sheaf_descent_data[name] = (datum, cat, topo_name, sieve_name, object_refs)
 
     def block_map_to_omega(self, header: list[str], start: int) -> None:
-        if len(header) != 4 or header[2] != "over":
-            raise self.error("map_to_omega header: map_to_omega NAME over F")
-        name = header[1]
-        F = ref(self.doc.catpresheaves, header[3], start)[0]
+        name, over = self.header(header, "map_to_omega header: map_to_omega NAME over F")
+        F = ref(self.doc.catpresheaves, over, start)[0]
         base = F.base
-        parts: dict[tuple[str, str], SetPresheaf] = {}
+        parts: dict[tuple[str, str], tuple[int, SetPresheaf]] = {}
         part_refs: dict[tuple[str, str], str] = {}
-        arrow_tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
-        part_lines: dict[tuple[str, str], int] = {}
-        arrow_lines: dict[tuple[str, str], int] = {}
+        arrow_tables: dict[tuple[str, str], tuple[int, dict[str, dict[str, str]]]] = {}
         for line, content, t in self.body():
             if t[0] == "part" and len(t) == 5 and t[3] == ":":
-                self.put(parts, (t[1], t[2]), ref(self.doc.setpresheaves, t[4], line)[0],
+                self.put(parts, (t[1], t[2]), (line, ref(self.doc.setpresheaves, t[4], line)[0]),
                          line, content)
                 part_refs[(t[1], t[2])] = t[4]
-                part_lines[(t[1], t[2])] = line
-            elif t[0] == "arrowpart" and len(t) >= 6 and t[3] == "at" and t[5] == ":":
-                self.put(arrow_tables.setdefault((t[1], t[2]), {}), t[4],
-                         self._pairs(t[6:], line), line, content)
-                arrow_lines.setdefault((t[1], t[2]), line)
-            else:
+            elif not self.keyed_line("arrowpart", arrow_tables, line, content, t):
                 raise self.bad(line, content, "map_to_omega")
         object_part = {}
         for c in base.objects:
             for x in F.on_objects[c].objects:
                 if (c, x) not in parts:
                     raise InvariantViolation(start, f"part for ({c!r}, {x!r}) missing")
-                object_part[(c, x)] = parts[(c, x)]
+                object_part[(c, x)] = parts[(c, x)][1]
         arrow_part = {}
         for c in base.objects:
             Fc = F.on_objects[c]
             for nu in Fc.arrows:
-                src = object_part[(c, Fc.dom(nu))]
-                tgt = object_part[(c, Fc.cod(nu))]
-                if (c, nu) in arrow_tables:
-                    arrow_part[(c, nu)] = PresheafMap(src, tgt, arrow_tables[(c, nu)])
-                elif Fc.is_identity(nu):
-                    arrow_part[(c, nu)] = identity_presheaf_map(src)
-                else:
-                    raise InvariantViolation(start, f"arrowpart for ({c!r}, {nu!r}) missing")
-        for key, line in part_lines.items():
-            if key not in object_part:
-                raise InvariantViolation(line, f"part for {key!r} is no object of {header[3]}")
-        for key, line in arrow_lines.items():
-            if key not in arrow_part:
-                raise InvariantViolation(line, f"arrowpart for {key!r} is no arrow of {header[3]}")
+                arrow_part[(c, nu)] = _keyed_map(
+                    "arrowpart", arrow_tables, (c, nu), object_part[(c, Fc.dom(nu))],
+                    object_part[(c, Fc.cod(nu))], Fc.is_identity(nu), start)
+        _refuse_strays("part", parts, object_part, f"object of {over}")
+        _refuse_strays("arrowpart", arrow_tables, arrow_part, f"arrow of {over}")
         z = checked(start, map_from_parts, base, F, object_part, arrow_part)
         checked(start, z.validate)
-        self.doc.maps_to_omega[name] = (z, header[3], part_refs)
+        self.doc.maps_to_omega[name] = (z, over, part_refs)
 
 
 def parse(text: str, base_dir: str | None = None) -> Document:
