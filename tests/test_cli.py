@@ -1,8 +1,12 @@
+import atexit
+import functools
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -13,12 +17,23 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 TESTS = os.path.abspath(os.path.dirname(__file__))
 
 
+@functools.cache
+def pycache_prefix() -> str:
+    """One bytecode cache for the children of this test session, so that
+    tck is compiled once, not in each child; removed when the session ends."""
+    path = tempfile.mkdtemp(prefix="tck-pycache-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
 def child_env(**extra: str) -> dict:
     """This process's environment with the checkout's src and tests first
     on PYTHONPATH, so that a child interpreter imports tck uninstalled and
-    can import the test fixtures."""
+    can import the test fixtures, and with bytecode written to the
+    session's shared cache."""
     path = os.pathsep.join(filter(None, (SRC, TESTS, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path, **extra}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPATH": path, "PYTHONPYCACHEPREFIX": pycache_prefix(), **extra}
 
 
 def tck(*args, env=None):

@@ -3,6 +3,7 @@ import functools
 import glob
 import io
 import os
+import re
 import tempfile
 
 import pytest
@@ -964,11 +965,21 @@ def fuzz_documents() -> tuple[str, ...]:
     return (*texts, chain5_document(), powerset3_document())
 
 
+# words of the format that can follow a line's first token
+KEYWORDS = {":", "->", ",", "on", "over", "at", "sheaves", "topology", "sieve", "raw",
+            "freely-generate", "slice"}
+# ids that serialize writes and that hold the characters of generated names
+hostile_ids = st.lists(st.sampled_from([",", "(", ")", "<", ">", "|", "a", "b"]),
+                       min_size=2, max_size=5).map("".join).filter(
+                           lambda ident: not set(ident).isdisjoint(",()<>|"))
+
+
 def mutate(lines: list[str], data) -> list[str]:
     """lines with one line dropped, duplicated or swapped with another, the
-    document cut before a block's 'end', or a token appended to a header."""
+    document cut before a block's 'end', a token appended to a header, or
+    one id renamed everywhere to a hostile id."""
     i, k = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
-    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "header"]))
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "header", "rename"]))
     if kind == "drop":
         return lines[:i] + lines[i + 1:]
     if kind == "duplicate":
@@ -980,6 +991,14 @@ def mutate(lines: list[str], data) -> list[str]:
     if kind == "cut":
         ends = [n for n, line in enumerate(lines) if line == "end"]
         return lines[:data.draw(st.sampled_from(ends))] if ends else lines
+    if kind == "rename":
+        idents = sorted({token for line in lines for token in line.partition("#")[0].split()[1:]}
+                        - KEYWORDS)
+        if not idents:
+            return lines
+        old = re.compile(rf"(?<=\s){re.escape(data.draw(st.sampled_from(idents)))}(?=\s|$)")
+        new = data.draw(hostile_ids)
+        return [old.sub(lambda _: new, line) for line in lines]
     headers = [n for n, line in enumerate(lines) if line[:1].isalpha() and line != "end"]
     if not headers:
         return lines
