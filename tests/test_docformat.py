@@ -969,9 +969,8 @@ def fuzz_documents() -> tuple[str, ...]:
 KEYWORDS = {":", "->", ",", "on", "over", "at", "sheaves", "topology", "sieve", "raw",
             "freely-generate", "slice"}
 # ids that serialize writes and that hold the characters of generated names
-hostile_ids = st.lists(st.sampled_from([",", "(", ")", "<", ">", "|", "a", "b"]),
-                       min_size=2, max_size=5).map("".join).filter(
-                           lambda ident: not set(ident).isdisjoint(",()<>|"))
+hostile_ids = ids.filter(
+    lambda ident: writable(ident, element=True) and not set(ident).isdisjoint(",()<>|"))
 
 
 def mutate(lines: list[str], data) -> list[str]:
