@@ -14,7 +14,6 @@ name is one string in every table that holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from sys import intern
 from typing import Mapping
 
@@ -28,10 +27,11 @@ from .fincat import (
     composition_table,
     identity_functor,
     named_parts,
+    value_class,
 )
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class DiscOpfibCat:
     """A functor certified to have the unique-lifting property, with fibres."""
 
@@ -51,7 +51,7 @@ class DiscOpfibCat:
         return self.fibres[b]
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class CommaCone:
     apex: FinCat
     left_leg: FinFunctor
@@ -123,9 +123,18 @@ def pullback(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:
     """
     if z.target != p.base:
         raise InvalidTable("pullback: codomains disagree")
-    if z == identity_functor(p.base):
+    if _is_identity_on(z, p.base):
         return p, identity_functor(p.total)
     return pullback_named(p, z)
+
+
+def _is_identity_on(z: FinFunctor, B: FinCat) -> bool:
+    """z == identity_functor(B), given z.target == B, decided without
+    building the identity: z's source is B and its tables map each object
+    and arrow of B, and nothing else, to itself."""
+    zo, za = z.on_objects, z.on_arrows
+    return (z.source == B and len(zo) == len(B.objects) and len(za) == len(B.arrows)
+            and all(zo.get(x) == x for x in B.objects) and all(za.get(f) == f for f in B.arrows))
 
 
 def pullback_named(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:

@@ -19,7 +19,7 @@ search for natural maps between fibre functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import Mapping
 
@@ -38,6 +38,7 @@ from .fincat import (
     slice_arrow_name,
     _slice_of,
     validates_once,
+    value_class,
 )
 from .prestack import (
     CatPresheaf,
@@ -52,7 +53,7 @@ from .prestack import (
 from .report import Report
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class MapToOmega:
     """A morphism F -> Omega-tilde, held as its fibre functor on
     elements_category(F); ``parts`` keeps the parts a map was given by, if
@@ -186,7 +187,7 @@ def map_from_parts(site: FinCat, F: CatPresheaf,
                       (dict(object_part), dict(arrow_part)))
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class OmegaModification:
     """A modification z => w, held as a natural map B_z => B_w."""
 

@@ -12,6 +12,11 @@ hashing and repr, so a second call costs nothing; a failure is not
 recorded.  Values the library builds from validated inputs are valid by
 construction and are not re-validated.
 
+Values compare by identity first (``value_class``): a value equals itself
+without a field being read, so a guard that checks two inputs share a
+base costs an identity test when they do; distinct values compare field
+by field, and hashing is the dataclass's.
+
 A FinCat indexes its hom-sets once: the first ``hom``/``arrows_into``/
 ``arrows_from`` call builds all three as sorted tuples in a cached
 attribute, which stays out of equality, hashing and repr.  The principal
@@ -84,6 +89,28 @@ def mark_valid(value):
     return value
 
 
+def value_class(cls):
+    """Declare cls a frozen dataclass that compares by identity first:
+    ``x == y`` is ``x is y or`` the field-by-field ``==`` that dataclass
+    generates, and ``x != y`` its negation, so a guard that compares a
+    value with itself reads no field.  Hashing, repr, frozenness and
+    NotImplemented for a foreign type stay dataclass's."""
+    cls = dataclass(frozen=True)(cls)
+    fields_equal = cls.__eq__
+
+    def __eq__(self, other):
+        return self is other or fields_equal(self, other)
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        equal = fields_equal(self, other)
+        return equal if equal is NotImplemented else not equal
+
+    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    return cls
+
+
 def named_parts(parts: Iterable[tuple[str, ...]], name: Callable[..., str]) -> dict[str, tuple]:
     """name(*part) -> part for each part.  Generated names need not be
     injective (``(a,b,c)`` names both ("a", "b,c") and ("a,b", "c")), so two
@@ -111,7 +138,7 @@ def composition_table(arrows: Mapping[str, tuple[str, str]],
 # -- categories ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class FinCat:
     """A finite category: object/arrow tables plus a total composition table.
 
@@ -400,7 +427,7 @@ def postcompose(cat: FinCat, f: str) -> "FinFunctor":
 # -- functors and natural transformations ---------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class FinFunctor:
     source: FinCat
     target: FinCat
@@ -446,7 +473,7 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
     )
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class NatTransform:
     source: FinFunctor
     target: FinFunctor
@@ -513,7 +540,7 @@ class _SetValued:
                     raise InvalidTable(f"functoriality fails on composite ({f!r}, {g!r})")
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class SetPresheaf(_SetValued):
     """Contravariant finite-set-valued functor: f: d -> c acts Z(c) -> Z(d)."""
 
@@ -523,7 +550,7 @@ class SetPresheaf(_SetValued):
     _contravariant, _what, _letter = True, "presheaf", "Z"
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class FinSetFunctor(_SetValued):
     """Covariant finite-set-valued functor: f: d -> c acts A(d) -> A(c)."""
 
@@ -562,7 +589,7 @@ class _SetValuedMap:
         )
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class PresheafMap(_SetValuedMap):
     """Natural transformation between SetPresheaves on the same base."""
 
@@ -571,7 +598,7 @@ class PresheafMap(_SetValuedMap):
     components: Mapping[str, Mapping[str, str]]
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class SetFunctorMap(_SetValuedMap):
     """Natural transformation between FinSetFunctors on the same base."""
 

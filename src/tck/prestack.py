@@ -13,7 +13,6 @@ plain strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from sys import intern
 from typing import Mapping
@@ -35,11 +34,12 @@ from .fincat import (
     named_parts,
     search_setfunctor_maps,
     validates_once,
+    value_class,
     _slice_arrow,
 )
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class CatPresheaf:
     """A strict 2-functor C^op -> Cat given by per-object/per-arrow tables."""
 
@@ -87,7 +87,7 @@ class CatPresheaf:
                 raise InvalidTable(f"strict functoriality fails on composite ({f!r}, {g!r})")
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class TwoNat:
     source: CatPresheaf
     target: CatPresheaf
@@ -115,7 +115,7 @@ class TwoNat:
                 raise InvalidTable(f"strict naturality fails on {f!r}")
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class Modification:
     source: TwoNat
     target: TwoNat
@@ -144,7 +144,7 @@ class Modification:
                     raise InvalidTable(f"modification axiom fails on {f!r} at {x!r}")
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class DiscOpfibPre:
     """A 2-natural transformation with a certificate for each component."""
 
@@ -276,7 +276,7 @@ def certify_dopf_pre(s: TwoNat) -> DiscOpfibPre:
     return DiscOpfibPre(s, certs)
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class PreCommaCone:
     apex: CatPresheaf
     left_leg: TwoNat

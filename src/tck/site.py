@@ -63,7 +63,7 @@ the sheaf kernels and `plus`, which never read it, never build it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -81,6 +81,7 @@ from .fincat import (
     _slice_arrow,
     _slice_of,
     validates_once,
+    value_class,
 )
 from .report import Report
 
@@ -88,7 +89,7 @@ from .report import Report
 # -- sieves -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class Sieve:
     at: str
     arrows: frozenset[str]
@@ -178,7 +179,7 @@ def pullback_sieve(cat: FinCat, g: str, s: Sieve) -> Sieve:
 # -- restriction plans --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class SievePlan:
     """A sieve's arrows in sorted order, their domains, and its
     compatibility triples: (i, g, k) for every arrows[i] and every g into
@@ -247,7 +248,7 @@ def sieve_plan(cat: FinCat, s: Sieve) -> SievePlan:
                      cat.identities.get(s.at) in s.arrows, cat)
 
 
-@dataclass(frozen=True)
+@value_class
 class RestrictionPlan:
     """The sieve plan of each least cover M_c, and every arrow f: d -> c as
     (f, d, c, read) in the base's arrow order.  read takes a family t on
@@ -322,7 +323,7 @@ class _SievesAbove(Mapping):
         return f"sieves above {self.least!r}"
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class GrothTopology:
     base: FinCat
     covers: Mapping[str, frozenset[Sieve]]
@@ -535,7 +536,7 @@ def slice_topology(j: GrothTopology, c: str) -> GrothTopology:
 # -- matching families and sheaf conditions -------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class MatchingFamily:
     presheaf: SetPresheaf
     sieve: Sieve
@@ -633,14 +634,24 @@ def amalgamations(Z: SetPresheaf, s: Sieve, m: MatchingFamily) -> list[str]:
     ]
 
 
+def _not_one(n: int) -> bool:
+    """The sheaf condition fails at a family with n amalgamations."""
+    return n != 1
+
+
+def _more_than_one(n: int) -> bool:
+    """Separation fails at a family with n amalgamations."""
+    return n > 1
+
+
 def is_sheaf(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     """Z(c) -> Match(M_c, Z) is a bijection at every c."""
-    return _sheaf_condition("is_sheaf", Z, j, bound, lambda n: n != 1)
+    return _sheaf_condition("is_sheaf", Z, j, bound, _not_one)
 
 
 def is_separated(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> Report:
     """Z(c) -> Match(M_c, Z) is an injection at every c."""
-    return _sheaf_condition("is_separated", Z, j, bound, lambda n: n > 1)
+    return _sheaf_condition("is_separated", Z, j, bound, _more_than_one)
 
 
 def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
@@ -678,7 +689,7 @@ def _sheaf_condition(command: str, Z: SetPresheaf, j: GrothTopology, bound: int,
 
 
 def _first_miscount(families: list[tuple], sections: Sequence[str], restrict: Sequence[Mapping],
-                    fails: Callable[[int], bool] = lambda n: n != 1) -> tuple[tuple, int] | None:
+                    fails: Callable[[int], bool] = _not_one) -> tuple[tuple, int] | None:
     """(t, n) for the first of the matching families t, in their order,
     whose number n of amalgamations fails, or None: the condition at one
     object of one presheaf, given its families from compatible_families.
@@ -696,7 +707,7 @@ def _first_miscount(families: list[tuple], sections: Sequence[str], restrict: Se
 # -- plus construction ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class PlusConstruction:
     presheaf: SetPresheaf
     unit: PresheafMap
@@ -767,7 +778,7 @@ def plus(Z: SetPresheaf, j: GrothTopology, bound: int = DEFAULT_BOUND) -> PlusCo
     return PlusConstruction(presheaf, unit)
 
 
-@dataclass(frozen=True)
+@value_class
 class Sheafification:
     presheaf: SetPresheaf
     unit: PresheafMap

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .classifier import MapToOmega, char
@@ -53,6 +52,7 @@ from .fincat import (
     reindex_slice_presheaf_map,
     slice_arrow_name,
     _slice_of,
+    value_class,
 )
 from .prestack import CatPresheaf, DiscOpfibPre
 from .report import BOUNDED_PASS, FAIL, Report
@@ -75,7 +75,7 @@ from .site import (
 # -- descent data over a Cat-valued presheaf ----------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class DescentDatum:
     presheaf: CatPresheaf
     sieve: Sieve
@@ -83,7 +83,7 @@ class DescentDatum:
     isos: Mapping[tuple[str, str], str]      # (f, g) -> iso F(g)(M_f) -> M_{f.g}
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class EffectivenessWitness:
     obj: str                                  # M in F(c)
     isos: Mapping[str, str]                   # f -> iso F(f)(M) -> M_f
@@ -393,7 +393,7 @@ def _check_discrete_stack(F: CatPresheaf, j: GrothTopology, bound: int) -> Repor
 # -- the sheaf-valued restriction of the classifier -------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class MapToOmegaJ:
     """A MapToOmega all of whose assigned presheaves are sheaves for the
     induced slice topologies; constructing one is exactly factoring through
@@ -403,7 +403,7 @@ class MapToOmegaJ:
     topology: GrothTopology
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class FactorResult:
     certified: MapToOmegaJ | None
     witness: tuple | None
@@ -478,7 +478,7 @@ def char_stacks(phi: DiscOpfibPre, j: GrothTopology,
 # -- descent data valued in sheaves on slices ---------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@value_class
 class SheafDescentDatum:
     """Descent datum for the sheaf-valued classifier: a sheaf on
     slice(C, dom f) per arrow of the sieve, with coherent iso maps."""

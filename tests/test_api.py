@@ -183,6 +183,37 @@ def test_no_module_in_src_tck_but_fincat_refers_to_the_public_slice_cat():
     assert refs == []
 
 
+def _decorator_name(node) -> str | None:
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_every_frozen_dataclass_in_src_tck_is_declared_through_value_class():
+    # fincat.value_class gives a value's == and != their identity shortcut;
+    # a class declared with dataclass(frozen=True) would compare field by
+    # field even with itself.  The mutable dataclasses are listed here.
+    values, frozen, mutable = [], [], []
+    for path in sorted(glob.glob(os.path.join(TCK_DIR, "*.py"))):
+        mod = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                name = _decorator_name(dec)
+                if name == "value_class":
+                    values.append((mod, node.name))
+                elif name == "dataclass":
+                    keywords = dec.keywords if isinstance(dec, ast.Call) else []
+                    is_frozen = any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                                    for k in keywords)
+                    (frozen if is_frozen else mutable).append((mod, node.name))
+    assert frozen == []
+    assert mutable == [("docformat", "Document"), ("report", "Report")]
+    assert len(values) == 28
+
+
 def _warm_pass():
     """One call of each layer's main entry points on corpus inputs built
     here, so that everything the pass makes dies when it returns."""

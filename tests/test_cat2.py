@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from category_strategies import idempotent_monoid
+from fixture_corpus import parallel_pair
 from map_oracle import (
     check_comma_universal,
     enumerate_setfunctor_maps,
@@ -16,6 +19,7 @@ from tck.cat2 import (
     lax_limit_of_arrow,
     lift,
     pullback,
+    pullback_named,
     transport,
 )
 from tck.corpus import poset_category
@@ -127,6 +131,27 @@ def test_pullback_along_identity_returns_p_itself():
     q, top = pullback(p, identity_functor(WA))
     assert q is p
     assert top == identity_functor(p.total)
+
+
+def test_pullback_takes_only_the_identity_for_the_identity():
+    # z fixes every object and arrow of the parallel pair but v, which it
+    # sends to u, so its pullback is no copy of p: there v lifts as u does
+    B = parallel_pair()
+    A = FinSetFunctor(B, {"a": ("x",), "b": ("y0", "y1")},
+                      {"id_a": {"x": "x"}, "id_b": {"y0": "y0", "y1": "y1"},
+                       "u": {"x": "y0"}, "v": {"x": "y1"}})
+    p = elements_of(A)
+    objects, arrows = {x: x for x in B.objects}, {f: f for f in B.arrows}
+    z = FinFunctor(B, B, objects, {**arrows, "v": "u"})
+    q, top = pullback(p, z)
+    assert q is not p and (q, top) == pullback_named(p, z)
+    assert {top.on_arrows[g] for g in q.total.arrows if q.p.on_arrows[g] == "v"} == {"(u,x)"}
+    # an equal but distinct source is the identity all the same
+    q, top = pullback(p, FinFunctor(dataclasses.replace(B), B, objects, arrows))
+    assert q is p and top == identity_functor(p.total)
+    # a table with an entry beyond B's arrows is no functor
+    with pytest.raises(InvalidTable):
+        pullback(p, FinFunctor(B, B, objects, {**arrows, "w": "u"}))
 
 
 def test_pullback_along_point_gives_discrete_fibre():

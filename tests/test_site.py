@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ from site_oracle import (
     saturate,
     sheaf_verdicts,
 )
-from test_cli import BROKEN, CORPUS, child_env
+from test_cli import BROKEN, CORPUS, FIXTURES, child_env
 from tck import site
 from tck.corpus import poset_category, presheaf_corpus
 from tck.errors import AxiomViolation, InvalidTable, MixedCodomain, UnknownObject
@@ -723,17 +724,26 @@ def test_sheaf_kernels_enumerate_families_at_live_objects_only(monkeypatch):
     assert calls == pools + pools_plus
 
 
-def test_an_empty_least_cover_is_decided_from_its_section_count():
-    # the empty open p000 is covered by the empty sieve: its one family, the
-    # empty one, is amalgamated by every section, so |Z(p000)| decides there.
-    # Z is empty elsewhere, so no other object has a family to count.  The
-    # empty product's estimate of 1 is still spent, so bound 0 trips at
-    # p000 as the enumeration did, and bound 1 decides
-    j = powerset_site(3)
+def empty_cover_site(which):
+    """The topology of fixtures/OpenSite.site, or powerset_site(k)."""
+    if which == "OpenSite.site":
+        return fixture_topologies([os.path.join(FIXTURES, which)])[0]
+    return powerset_site(which)
+
+
+@pytest.mark.parametrize("which, empty", [("OpenSite.site", "O"), (2, "p00"), (3, "p000")])
+def test_an_empty_least_cover_is_decided_from_its_section_count(which, empty):
+    # the empty open is covered by the empty sieve: its one family, the
+    # empty one, is amalgamated by every section, so |Z(empty)| decides
+    # there: the sheaf test fails unless it is 1, the separation test when
+    # it is over 1.  Z is empty elsewhere, so no other object has a family
+    # to count.  The empty product's estimate of 1 is still spent, so bound
+    # 0 trips at the empty open as the enumeration did, and bound 1 decides
+    j = empty_cover_site(which)
     cat = j.base
-    assert j.plan.covers["p000"].arrows == () and list(cat.objects)[0] == "p000"
+    assert j.plan.covers[empty].arrows == ()
     for n in (0, 1, 2):
-        at = {c: ("a", "b")[:n] if c == "p000" else () for c in cat.objects}
+        at = {c: ("a", "b")[:n] if c == empty else () for c in cat.objects}
         Z = SetPresheaf(cat, at, {f: {x: x for x in at[c]} for f, (d, c) in cat.arrows.items()})
         for kernel in (is_sheaf, is_separated, plus, sheafify):
             assert outcome(kernel, Z, j, 0) == ("SizeBound", "matching_families", 1, 0)
@@ -741,11 +751,19 @@ def test_an_empty_least_cover_is_decided_from_its_section_count():
                                       (is_separated, site_oracle.is_separated, n <= 1)):
             rep, expected = kernel(Z, j, 1), oracle(Z, j)
             assert (rep.verdict, rep.counterexamples) == (expected.verdict, expected.counterexamples)
-            assert rep.counterexamples == ([] if holds else [("p000", (), {}, n)])
-        # Z+(p000) is the one empty family; every other Z+(c) is empty
+            assert rep.verdict == ("pass" if holds else "fail")
+            assert rep.counterexamples == ([] if holds else [(empty, (), {}, n)])
+        # Z+(empty) is the one empty family; every other Z+(c) is empty
         assert plus(Z, j, 1).presheaf.on_objects == sheafify(Z, j, 1).presheaf.on_objects == \
-            {c: ("q0",) if c == "p000" else () for c in cat.objects}
+            {c: ("q0",) if c == empty else () for c in cat.objects}
         assert repr(plus(Z, j, 1)) == repr(plus(Z, j))
+        # a constant Z has a family to count at every other cover, and each
+        # family there is amalgamated once, so the empty open still decides
+        Z = constant_presheaf(cat, "ab"[:n])
+        for kernel, holds in ((is_sheaf, n == 1), (is_separated, n <= 1)):
+            rep = kernel(Z, j)
+            assert (rep.verdict, rep.counterexamples) == \
+                (("pass", []) if holds else ("fail", [(empty, (), {}, n)]))
 
 
 def test_sheaf_kernels_decide_the_maximal_sieves_of_chain13_at_any_bound():
