@@ -123,18 +123,9 @@ def pullback(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:
     """
     if z.target != p.base:
         raise InvalidTable("pullback: codomains disagree")
-    if _is_identity_on(z, p.base):
+    if z == identity_functor(p.base):
         return p, identity_functor(p.total)
     return pullback_named(p, z)
-
-
-def _is_identity_on(z: FinFunctor, B: FinCat) -> bool:
-    """z == identity_functor(B), given z.target == B, decided without
-    building the identity: z's source is B and its tables map each object
-    and arrow of B, and nothing else, to itself."""
-    zo, za = z.on_objects, z.on_arrows
-    return (z.source == B and len(zo) == len(B.objects) and len(za) == len(B.arrows)
-            and all(zo.get(x) == x for x in B.objects) and all(za.get(f) == f for f in B.arrows))
 
 
 def pullback_named(p: DiscOpfibCat, z: FinFunctor) -> tuple[DiscOpfibCat, FinFunctor]:

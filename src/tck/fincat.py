@@ -92,22 +92,16 @@ def mark_valid(value):
 def value_class(cls):
     """Declare cls a frozen dataclass that compares by identity first:
     ``x == y`` is ``x is y or`` the field-by-field ``==`` that dataclass
-    generates, and ``x != y`` its negation, so a guard that compares a
-    value with itself reads no field.  Hashing, repr, frozenness and
-    NotImplemented for a foreign type stay dataclass's."""
+    generates, and ``x != y`` (``object.__ne__``) its negation, so a guard
+    that compares a value with itself reads no field.  Hashing, repr,
+    frozenness and NotImplemented for a foreign type stay dataclass's."""
     cls = dataclass(frozen=True)(cls)
     fields_equal = cls.__eq__
 
     def __eq__(self, other):
         return self is other or fields_equal(self, other)
 
-    def __ne__(self, other):
-        if self is other:
-            return False
-        equal = fields_equal(self, other)
-        return equal if equal is NotImplemented else not equal
-
-    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    cls.__eq__ = __eq__
     return cls
 
 
