@@ -20,7 +20,6 @@ search for natural maps between fibre functors.
 from __future__ import annotations
 
 from dataclasses import field
-from functools import cached_property
 from typing import Mapping
 
 from . import cat2, prestack
@@ -32,6 +31,7 @@ from .fincat import (
     PresheafMap,
     SetFunctorMap,
     SetPresheaf,
+    cached_property,
     identity_functor,
     mark_valid,
     search_setfunctor_maps,

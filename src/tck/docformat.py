@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import chain
 from operator import itemgetter
@@ -590,7 +590,7 @@ def _refuse_unwritable_ids(doc: Document) -> None:
     itself: block names, the objects and arrows of the categories, and the
     elements of the set-valued presheaves; or the first name that two
     tables of one block kind share, which parse refuses as repeated."""
-    names = [name for table in vars(doc).values() for name in table]
+    names = [name for f in fields(doc) for name in getattr(doc, f.name)]
     parts = [x for cat in doc.categories.values() for x in chain(cat.objects, cat.arrows)]
     elements = [x for Z, _ in doc.setpresheaves.values()
                 for elems in Z.on_objects.values() for x in elems]

@@ -7,8 +7,8 @@ equality is identifier equality; enumeration order is lexicographic on
 identifiers so that oracle outputs are reproducible.
 
 Validation happens at the boundary, once per instance: ``validate`` on
-every value type records its success on the instance, outside equality,
-hashing and repr, so a second call costs nothing; a failure is not
+every value type records its success as a plain instance attribute,
+outside equality, hashing and repr, so a second call costs nothing; a failure is not
 recorded.  Values the library builds from validated inputs are valid by
 construction and are not re-validated.
 
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from dataclasses import dataclass, fields
+from functools import wraps
 from sys import intern
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -70,12 +70,13 @@ def bounded_product(what: str, pools: Sequence[Sequence], bound: int) -> Iterato
 
 def validates_once(check):
     """Turn a check into a ``validate`` that runs it at most once per
-    instance: a success is recorded in the instance dict, where a
-    cached_property would keep it, and a failure raises on every call."""
+    instance: a success is recorded as the instance attribute ``_valid``,
+    the way ``cached_property`` keeps a result, and a failure raises on
+    every call."""
 
     @wraps(check)
     def validate(self) -> None:
-        if "_valid" not in self.__dict__:
+        if not getattr(self, "_valid", False):
             check(self)
             mark_valid(self)
 
@@ -84,9 +85,34 @@ def validates_once(check):
 
 def mark_valid(value):
     """Record value as validated, as a successful ``validate`` does; for a
-    value valid by construction that a public entry point would check."""
-    value.__dict__["_valid"] = True
+    value valid by construction that a public entry point would check.  The
+    record is set past the frozen ``__setattr__``, like a cached result."""
+    object.__setattr__(value, "_valid", True)
     return value
+
+
+class cached_property:
+    """functools.cached_property without the instance dict: the first read
+    computes the value and stores it as an ordinary instance attribute
+    (past a frozen ``__setattr__``), which later reads find before this
+    non-data descriptor.  tck reads no value's ``__dict__``: on CPython 3.11
+    that reading turns every later field read into a dict lookup.  There is
+    no lock: two threads racing on a first read may both compute the value,
+    and the last store wins."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 def value_class(cls):
@@ -94,7 +120,13 @@ def value_class(cls):
     ``x == y`` is ``x is y or`` the field-by-field ``==`` that dataclass
     generates, and ``x != y`` (``object.__ne__``) its negation, so a guard
     that compares a value with itself reads no field.  Hashing, repr,
-    frozenness and NotImplemented for a foreign type stay dataclass's."""
+    frozenness and NotImplemented for a foreign type stay dataclass's.
+
+    CPython 3.11 keeps an instance's attributes inline only under the
+    names its class's shared keys hold, and those take a new name only
+    while the class has few instances; so every field, the ``_valid`` mark
+    and every cached property's name is stored once here, on a bare
+    instance, and a mark or cache first set late still has its slot."""
     cls = dataclass(frozen=True)(cls)
     fields_equal = cls.__eq__
 
@@ -102,6 +134,10 @@ def value_class(cls):
         return self is other or fields_equal(self, other)
 
     cls.__eq__ = __eq__
+    bare = object.__new__(cls)
+    cached = [name for name in dir(cls) if isinstance(getattr(cls, name), cached_property)]
+    for name in [f.name for f in fields(cls)] + ["_valid"] + cached:
+        object.__setattr__(bare, name, None)
     return cls
 
 
@@ -641,14 +677,15 @@ def constant_presheaf(base: FinCat, labels: Iterable[str]) -> SetPresheaf:
 def reindex_slice_presheaf(cat: FinCat, f: str, Z: SetPresheaf) -> SetPresheaf:
     """Precompose Z on slice(C, cod f) with postcompose(f); lands on
     slice(C, dom f).  Z after a functor is valid when Z is, so the result
-    carries Z's validity record."""
+    is marked valid when Z's ``_valid`` mark is set (read with getattr, as
+    ``validates_once`` reads it)."""
     sl_d, objects, arrows = _postcomposition(cat, f)
     out = SetPresheaf(
         sl_d,
         {g: Z.on_objects[fg] for g, fg in objects},
         {a: Z.on_arrows[b] for a, b in arrows},
     )
-    return mark_valid(out) if "_valid" in Z.__dict__ else out
+    return mark_valid(out) if getattr(Z, "_valid", False) else out
 
 
 def reindex_slice_components(cat: FinCat, f: str,

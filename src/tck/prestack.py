@@ -13,7 +13,6 @@ plain strings.
 
 from __future__ import annotations
 
-from functools import cached_property
 from sys import intern
 from typing import Mapping
 
@@ -26,6 +25,7 @@ from .fincat import (
     FinFunctor,
     FinSetFunctor,
     NatTransform,
+    cached_property,
     compose_functors,
     composition_table,
     discrete_category,

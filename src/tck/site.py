@@ -64,7 +64,7 @@ the sheaf kernels and `plus`, which never read it, never build it.
 from __future__ import annotations
 
 from dataclasses import field
-from functools import cache, cached_property
+from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -75,6 +75,7 @@ from .fincat import (
     PresheafMap,
     SetPresheaf,
     bounded_product,
+    cached_property,
     compose_presheaf_maps,
     guard,
     mark_valid,
@@ -401,10 +402,11 @@ class GrothTopology:
 
 def _built(base: FinCat, least: Mapping[str, Sieve]) -> GrothTopology:
     """GrothTopology.from_minimal(base, least) for least covers tck built
-    to satisfy the axioms, with `minimal` recorded as checked, the way
+    to satisfy the axioms, with `minimal` recorded as checked: it is set
+    as the instance attribute the cached property would store, the way
     mark_valid records a value."""
     j = GrothTopology.from_minimal(base, least)
-    j.__dict__["minimal"] = j.covers.least
+    object.__setattr__(j, "minimal", j.covers.least)
     return j
 
 

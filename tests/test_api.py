@@ -2,6 +2,7 @@
 edits this list and is recorded in CHANGES.md."""
 
 import ast
+import functools
 import glob
 import importlib
 import importlib.util
@@ -206,6 +207,38 @@ def test_every_frozen_dataclass_in_src_tck_is_declared_through_value_class():
                         for k in dec.keywords):
                     frozen.append((mod, node.name))
     assert frozen == []
+
+
+def test_no_module_in_src_tck_reads_an_instance_dict_or_uses_functools_cached_property():
+    # on CPython 3.11 reading obj.__dict__ (or vars(obj)) turns every later
+    # attribute read on obj into a dict lookup, and functools.cached_property
+    # stores into the instance dict; validity marks and caches go through
+    # fincat.mark_valid and fincat.cached_property instead
+    found = []
+    for path in sorted(glob.glob(os.path.join(TCK_DIR, "*.py"))):
+        mod = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                found.append((mod, node.lineno, "__dict__"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "vars"):
+                found.append((mod, node.lineno, "vars"))
+            elif (isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                  and getattr(node.value, "id", None) == "functools"):
+                found.append((mod, node.lineno, "functools.cached_property"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools" and any(
+                    alias.name == "cached_property" for alias in node.names):
+                found.append((mod, node.lineno, "functools.cached_property"))
+    assert found == []
+    modules = [importlib.import_module(f"tck.{os.path.splitext(os.path.basename(path))[0]}")
+               for path in sorted(glob.glob(os.path.join(TCK_DIR, "*.py")))]
+    stray = [(cls.__qualname__, name) for m in modules
+             for _, cls in inspect.getmembers(m, inspect.isclass) if cls.__module__ == m.__name__
+             for name, attr in inspect.getmembers(cls)
+             if isinstance(attr, functools.cached_property)]
+    assert stray == []
 
 
 def _warm_pass():

@@ -22,6 +22,7 @@ from fixture_corpus import (
     catpresheaf_corpus,
     constant_cat_presheaf,
     dopf_corpus,
+    open_site,
     parallel_pair,
     precompose_map_to_omega,
     trivial_topology,
@@ -769,3 +770,61 @@ def test_malformed_arguments_are_refused_with_their_message(call, message):
         call()
     assert type(err.value) is InvalidTable
     assert str(err.value) == message
+
+
+# -- unknown ids ---------------------------------------------------------------------------
+
+
+@st.composite
+def calls_with_an_unknown_id(draw):
+    """(name, call) for one public name that takes ids, with one id its
+    base lacks: text outside the base, an arrow where an object belongs or
+    an object where an arrow belongs."""
+    cat = draw(st.one_of(generated_categories(), st.just(open_site())))
+    objects, arrows = sorted(cat.objects), sorted(cat.arrows)
+    outside = st.text(max_size=3)
+    bad_object = draw(st.one_of(outside, st.sampled_from(arrows)).filter(
+        lambda x: x not in cat.objects))
+    bad_arrow = draw(st.one_of(outside, st.sampled_from(objects)).filter(
+        lambda x: x not in cat.arrows))
+    c, f = draw(st.sampled_from(objects)), draw(st.sampled_from(arrows))
+    F = representable(cat, c)
+    p = cat2.elements_of(draw(st.sampled_from(setfunctor_corpus(cat, 3))))
+    elements = sorted(p.total.objects)
+    bad_element = draw(st.one_of(outside, st.sampled_from(objects + arrows)).filter(
+        lambda x: x not in p.total.objects))
+    j = topology_from_generators(cat, {})[0]
+    calls = {
+        "slice_cat": lambda: slice_cat(cat, bad_object),
+        "postcompose": lambda: postcompose(cat, bad_arrow),
+        "representable": lambda: representable(cat, bad_object),
+        "yoneda at an unknown object": lambda: prestack.yoneda(F, bad_object, cat.id_of(c)),
+        "yoneda at an unknown element": lambda: prestack.yoneda(F, c, bad_arrow),
+        "slice_topology": lambda: site.slice_topology(j, bad_object),
+        "lift from an unknown element": lambda: cat2.lift(p, bad_element, f),
+        "pullback_sieve along an unknown arrow":
+            lambda: site.pullback_sieve(cat, bad_arrow, site.maximal_sieve(cat, c)),
+        "pullback_sieve of a sieve at an unknown object":
+            lambda: site.pullback_sieve(cat, f, site.Sieve(bad_object, frozenset())),
+        "sieve_generate_at an unknown object": lambda: site.sieve_generate_at(cat, bad_object, []),
+        "sieve_generate_at from an unknown arrow":
+            lambda: site.sieve_generate_at(cat, c, [bad_arrow]),
+        "topology_from_generators at an unknown object":
+            lambda: topology_from_generators(cat, {bad_object: []}),
+        "topology_from_generators from an unknown arrow":
+            lambda: topology_from_generators(cat, {c: [[bad_arrow]]}),
+        "j_forward": lambda: j_forward(cat, bad_object, fincat.constant_presheaf(cat, "x")),
+    }
+    if elements:
+        e = draw(st.sampled_from(elements))
+        calls["lift along an unknown arrow"] = lambda: cat2.lift(p, e, bad_arrow)
+    name = draw(st.sampled_from(sorted(calls)))
+    return name, calls[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls_with_an_unknown_id())
+def test_an_unknown_id_is_refused_with_a_tck_error(call):
+    name, fn = call
+    with pytest.raises(TckError):
+        fn()

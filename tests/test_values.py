@@ -6,11 +6,18 @@ hashing, repr, frozenness and NotImplemented for a foreign type are
 dataclass's.  The entry points that guard their inputs' shared base give
 an equal but distinct copy of a base the original's result, and refuse an
 unequal base with a TckError.
+
+A value's validity mark and cached properties are plain instance
+attributes (``fincat.mark_valid``, ``fincat.cached_property``): they stay
+out of equality, hashing and repr, a copy shares none of them, and on
+CPython the value keeps its attributes inline, with no instance dict.
 """
 
 import dataclasses
+import gc
 import inspect
 import os
+import platform
 from functools import cache
 
 import pytest
@@ -151,6 +158,109 @@ def test_sieves_hash_as_before_and_categories_stay_unhashable():
     assert {s, dataclasses.replace(s)} == {s}
     with pytest.raises(TypeError):
         hash(walking_arrow())
+
+
+# -- marks and caches are plain instance attributes ------------------------------------
+
+
+@fincat.value_class
+class _Probe:
+    """A value with one cached property and one check, both logged."""
+
+    items: tuple
+    log: list = dataclasses.field(compare=False, repr=False)
+
+    @fincat.cached_property
+    def total(self) -> list:
+        """The items as a new list."""
+        self.log.append("total")
+        return list(self.items)
+
+    @fincat.validates_once
+    def validate(self) -> None:
+        self.log.append("check")
+
+
+def cached_names(cls) -> list[str]:
+    return [name for name, attr in inspect.getmembers(cls)
+            if isinstance(attr, fincat.cached_property)]
+
+
+def touched(x):
+    """x after every cached property has been read and x has been marked
+    valid, through validate where it has one."""
+    for name in cached_names(type(x)):
+        getattr(x, name)
+    if hasattr(x, "validate"):
+        x.validate()
+    return fincat.mark_valid(x)
+
+
+def has_instance_dict(x) -> bool:
+    """Whether x holds a materialized instance dict: on CPython the
+    collector sees either it or the inline values, never both."""
+    names = {f.name for f in dataclasses.fields(x)}
+    return any(type(r) is dict and names <= r.keys() for r in gc.get_referents(x))
+
+
+def test_a_cached_property_is_a_descriptor_on_the_class_with_its_function_doc():
+    assert isinstance(_Probe.total, fincat.cached_property)
+    assert _Probe.total.__doc__ == "The items as a new list."
+    for cls in value_classes():
+        for name in cached_names(cls):
+            attr = getattr(cls, name)
+            assert attr.__doc__ == attr.func.__doc__ is not None, (cls, name)
+
+
+def test_a_cached_property_computes_once_and_a_copy_shares_neither_cache_nor_mark():
+    x = _Probe((1, 2), [])
+    first = x.total
+    assert x.log == ["total"] and x.total is first and x.log == ["total"]
+    x.validate()
+    x.validate()
+    y = dataclasses.replace(x)
+    assert y == x and y is not x and y.log is x.log
+    assert not getattr(y, "_valid", False)
+    assert y.total == first and y.total is not first
+    y.validate()
+    assert x.log == ["total", "check", "total", "check"]
+
+
+@pytest.mark.parametrize("cls", value_classes(), ids=lambda cls: cls.__qualname__)
+def test_marks_and_caches_stay_out_of_eq_hash_repr_and_copies(cls):
+    x = gallery()[cls]
+    fresh, done = dataclasses.replace(x), touched(dataclasses.replace(x))
+    assert done == fresh and fresh == done and repr(done) == repr(fresh)
+    try:
+        expected = hash(fresh)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(done)
+    else:
+        assert hash(done) == expected
+    copy = dataclasses.replace(touched(x))
+    assert set(vars(copy)) == {f.name for f in dataclasses.fields(cls)}
+
+
+def test_popping_the_mark_forces_a_check_again():
+    x = _Probe((), [])
+    x.validate()
+    x.validate()
+    assert x.log == ["check"]
+    vars(x).pop("_valid")
+    x.validate()
+    assert x.log == ["check", "check"]
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="inline instance values are CPython's layout")
+@pytest.mark.parametrize("cls", value_classes() + [_Probe],
+                         ids=lambda cls: cls.__qualname__)
+def test_a_marked_and_cached_value_keeps_no_instance_dict(cls):
+    x = dataclasses.replace(gallery()[cls]) if cls is not _Probe else _Probe((1,), [])
+    assert not has_instance_dict(touched(x))
+    vars(x)
+    assert has_instance_dict(x)
 
 
 # -- guards on a shared base ------------------------------------------------------------
