@@ -8,9 +8,9 @@ identifiers so that oracle outputs are reproducible.
 
 Validation happens at the boundary, once per instance: ``validate`` on
 every value type records its success as a plain instance attribute,
-outside equality, hashing and repr, so a second call costs nothing; a failure is not
-recorded.  Values the library builds from validated inputs are valid by
-construction and are not re-validated.
+outside equality, hashing and repr, so a second call costs nothing; a
+failure is not recorded.  Values the library builds from validated
+inputs are valid by construction and are not re-validated.
 
 Values compare by identity first (``value_class``): a value equals itself
 without a field being read, so a guard that checks two inputs share a

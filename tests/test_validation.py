@@ -68,7 +68,7 @@ VALUE_TYPES = (
     prestack.CatPresheaf, prestack.TwoNat, prestack.Modification,
     classifier.MapToOmega, classifier.OmegaModification, site.MatchingFamily,
 )
-RECORD = "_valid"  # the instance-dict key a successful validate() leaves
+RECORD = "_valid"  # the instance attribute a successful validate() sets
 WA = walking_arrow()
 
 

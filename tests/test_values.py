@@ -18,6 +18,7 @@ import gc
 import inspect
 import os
 import platform
+import sys
 from functools import cache
 
 import pytest
@@ -252,8 +253,8 @@ def test_popping_the_mark_forces_a_check_again():
     assert x.log == ["check", "check"]
 
 
-@pytest.mark.skipif(platform.python_implementation() != "CPython",
-                    reason="inline instance values are CPython's layout")
+@pytest.mark.skipif(platform.python_implementation() != "CPython" or sys.version_info < (3, 11),
+                    reason="inline instance values are CPython 3.11's layout")
 @pytest.mark.parametrize("cls", value_classes() + [_Probe],
                          ids=lambda cls: cls.__qualname__)
 def test_a_marked_and_cached_value_keeps_no_instance_dict(cls):
